@@ -28,10 +28,6 @@ from .providers import (
     ProviderError,
     ScoreMatrix,
     ScoringConfig,
-    bag_confidence,
-    bag_similarity,
-    combined_bag_score,
-    cosine_sim,
 )
 from .selection import (
     BagExemplar,
@@ -41,6 +37,8 @@ from .selection import (
     NoBagForRelation,
     build_bag_exemplar_set,
     build_exemplar_set,
+    combined_bag_scores,
+    corpus_view,
     reduce_bag,
     select_bag,
     select_candidates,

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Bag, Corpus, SentenceInstance
-from .providers import EmbeddingIndex, ScoreMatrix, ScoringConfig, cosine_sim
+from .providers import EmbeddingIndex, ScoreMatrix, ScoringConfig
 from .selection import (
     BagExemplarSet,
     Exemplar,
@@ -25,6 +25,7 @@ from .selection import (
     _query_rng,
     build_bag_exemplar_set,
     build_exemplar_set,
+    corpus_view,
     select_candidates,
 )
 
@@ -69,13 +70,14 @@ def random_k(
     return random.Random(seed).sample(list(flat), k)
 
 
-def _query_sims(
-    q_id: str, flat: Sequence[FlatExample], embeddings: EmbeddingIndex
-) -> np.ndarray:
-    q = embeddings.vector(q_id)
-    matrix = np.stack([embeddings.vector(f.sentence.sentence_id) for f in flat])
-    norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(q)
-    return (1.0 + (matrix @ q) / norms) / 2.0
+def flat_rows(flat: Sequence[FlatExample], embeddings: EmbeddingIndex) -> np.ndarray:
+    """Embedding-matrix row of each flattened example."""
+    return embeddings.row_indexes(f.sentence.sentence_id for f in flat)
+
+
+def _ranked(sims: np.ndarray) -> np.ndarray:
+    # descending similarity; the stable sort keeps corpus order on ties
+    return np.argsort(-sims, kind="stable")
 
 
 def topk_sim(
@@ -83,12 +85,17 @@ def topk_sim(
     flat: Sequence[FlatExample],
     embeddings: EmbeddingIndex,
     k: int,
+    sims: np.ndarray | None = None,
 ) -> list[FlatExample]:
     """The k sentences most similar to the query, descending; corpus order
-    breaks ties."""
-    sims = _query_sims(q_id, flat, embeddings)
-    order = sorted(range(len(flat)), key=lambda i: (-sims[i], i))
-    return [flat[i] for i in order[:k]]
+    breaks ties.
+
+    ``sims``, the query's similarity to each example, is computed when not
+    given; a caller selecting for many queries passes it to reuse it.
+    """
+    if sims is None:
+        sims = embeddings.similarities(q_id, flat_rows(flat, embeddings))
+    return [flat[i] for i in _ranked(sims)[:k]]
 
 
 def mmr_select(
@@ -98,43 +105,39 @@ def mmr_select(
     k: int,
     alpha: float = DEFAULT_MMR_ALPHA,
     pool_size: int | None = DEFAULT_MMR_POOL_SIZE,
+    sims: np.ndarray | None = None,
 ) -> list[FlatExample]:
     """Greedy maximal-marginal-relevance selection, in selection order.
 
     Each step maximizes alpha * sim(q, s) - (1 - alpha) * max sim(s, s')
     over sentences not yet selected, where s' ranges over the selection so
-    far. The pool is pre-truncated to the pool_size most query-similar
-    sentences; pass pool_size=None to rank the whole corpus.
+    far; the earliest pool entry wins a tie. The pool is pre-truncated to
+    the pool_size most query-similar sentences; pass pool_size=None to rank
+    the whole corpus. ``sims`` is as for topk_sim.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    sims = _query_sims(q_id, flat, embeddings)
-    order = sorted(range(len(flat)), key=lambda i: (-sims[i], i))
+    if sims is None:
+        sims = embeddings.similarities(q_id, flat_rows(flat, embeddings))
+    order = _ranked(sims)
     pool = order if pool_size is None else order[:pool_size]
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
-    vectors = np.stack(
-        [embeddings.vector(flat[i].sentence.sentence_id) for i in pool]
-    )
-    norms = np.linalg.norm(vectors, axis=1)
-    pairwise = (1.0 + (vectors @ vectors.T) / np.outer(norms, norms)) / 2.0
-    q_sims = np.array([sims[i] for i in pool])
+    vectors = embeddings.matrix[flat_rows([flat[i] for i in pool], embeddings)]
+    q_sims = sims[pool]
 
     selected: list[int] = []
-    remaining = list(range(len(pool)))
+    available = np.ones(len(pool), dtype=bool)
     max_to_selected = np.zeros(len(pool))
     for _ in range(k):
-        best_j = None
-        best_obj = float("-inf")
-        for j in remaining:
-            obj = alpha * q_sims[j]
-            if selected:
-                obj -= (1.0 - alpha) * max_to_selected[j]
-            if obj > best_obj:
-                best_j, best_obj = j, obj
+        objective = alpha * q_sims
+        if selected:
+            objective = objective - (1.0 - alpha) * max_to_selected
+        best_j = int(np.argmax(np.where(available, objective, -np.inf)))
         selected.append(best_j)
-        remaining.remove(best_j)
-        max_to_selected = np.maximum(max_to_selected, pairwise[best_j])
+        available[best_j] = False
+        to_best = (1.0 + np.vecdot(vectors, vectors[best_j])) / 2.0
+        max_to_selected = np.maximum(max_to_selected, to_best)
     return [flat[pool[j]] for j in selected]
 
 
@@ -201,33 +204,29 @@ def _flat_retrieval(
     config: ScoringConfig,
 ) -> ExemplarSet:
     """Stage 2/3 replacement: retrieve one best sentence per candidate
-    directly from the flattened corpus, scored like a one-sentence bag."""
+    directly from the flattened corpus, scored like a one-sentence bag.
+    The earliest sentence in corpus order wins a tie."""
     candidates = select_candidates(q_id, scores, config.k)
-    flat = flatten(corpus.bags)
-    q_vec = embeddings.vector(q_id) if config.w_sim > 0 else None
+    use_sim = config.w_sim > 0
+    view = corpus_view(corpus, scores, embeddings if use_sim else None)
+    sims = embeddings.similarities(q_id, view.embedding_rows) if use_sim else None
     exemplars = []
     skipped = []
     for relation, score in candidates:
-        best = None
-        best_score = float("-inf")
-        for example in flat:
-            if relation not in example.labels:
-                continue
-            total = config.w_conf * scores.score_of(
-                example.sentence.sentence_id, relation
-            )
-            if q_vec is not None:
-                total += config.w_sim * cosine_sim(
-                    q_vec, embeddings.vector(example.sentence.sentence_id)
-                )
-            if total > best_score:
-                best, best_score = example, total
-        if best is None:
+        bags = view.bags_by_relation[relation]
+        if not len(bags):
             skipped.append(relation)
             continue
-        exemplars.append(
-            Exemplar(best.sentence, best.labels, best.source_bag_id, relation, score)
-        )
+        positions = np.flatnonzero(np.isin(view.sentence_bag, bags))
+        rows = view.score_rows[positions]
+        total = config.w_conf * scores.matrix[rows, scores.column(relation)]
+        if sims is not None:
+            total = total + config.w_sim * sims[positions]
+        best = positions[int(np.argmax(total))]
+        b = view.sentence_bag[best]
+        bag = corpus.bags[b]
+        sentence = bag.sentences[best - view.starts[b]]
+        exemplars.append(Exemplar(sentence, bag.labelset, bag.bag_id, relation, score))
     return ExemplarSet(
         q_id, _order_ascending(exemplars), tuple(candidates), tuple(skipped)
     )

@@ -19,14 +19,18 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import __version__
 from .baselines import (
     ABLATION_NAMES,
     DEFAULT_MMR_ALPHA,
     DEFAULT_MMR_POOL_SIZE,
+    FlatExample,
     ablation_variant,
+    flat_rows,
     flatten,
     mmr_select,
     random_k,
@@ -357,8 +361,34 @@ def _baseline_record(
     }
 
 
+class FlatCorpus(NamedTuple):
+    """The flattened corpus the sentence-level baselines select from, built
+    once per select command."""
+
+    examples: list[FlatExample]
+    rows: np.ndarray | None  # embedding-matrix row of each example
+    position: dict[str, int]  # sentence id -> index into examples
+
+
+FLAT_STRATEGIES = ("random_k", "topk_sim", "mmr")
+
+
+def _flat_corpus(config: RunConfig, run: LoadedRun) -> FlatCorpus | None:
+    if config.strategy not in FLAT_STRATEGIES:
+        return None
+    examples = flatten(run.corpus.bags)
+    if config.strategy == "random_k":
+        return FlatCorpus(examples, None, {})
+    position = {f.sentence.sentence_id: i for i, f in enumerate(examples)}
+    return FlatCorpus(examples, flat_rows(examples, run.embeddings), position)
+
+
 def _select_for_query(
-    config: RunConfig, run: LoadedRun, query: QueryInstance, scoring: ScoringConfig
+    config: RunConfig,
+    run: LoadedRun,
+    query: QueryInstance,
+    scoring: ScoringConfig,
+    flat: FlatCorpus | None,
 ) -> dict:
     corpus, scores, embeddings = run.corpus, run.scores, run.embeddings
     name = config.strategy
@@ -391,32 +421,28 @@ def _select_for_query(
         record = serialize_exemplar_set(outcome.selection, corpus.ontology)
         record["relation_scope"] = outcome.relation_scope
         return record
-    flat = flatten(corpus.bags)
+    if name not in FLAT_STRATEGIES:
+        raise ConfigError(f"unknown strategy {name!r}")
     if name == "random_k":
-        selected = random_k(flat, scoring.k, f"{config.seed}|{q_id}")
+        selected = random_k(flat.examples, scoring.k, f"{config.seed}|{q_id}")
         return _baseline_record(q_id, selected, corpus.ontology, None)
+    sims = embeddings.similarities(q_id, flat.rows)
     if name == "topk_sim":
-        selected = topk_sim(q_id, flat, embeddings, scoring.k)
-    elif name == "mmr":
+        selected = topk_sim(q_id, flat.examples, embeddings, scoring.k, sims=sims)
+    else:
         selected = mmr_select(
             q_id,
-            flat,
+            flat.examples,
             embeddings,
             scoring.k,
             alpha=float(config.raw["mmr"]["alpha"]),
             pool_size=config.raw["mmr"]["pool_size"],
+            sims=sims,
         )
-    else:
-        raise ConfigError(f"unknown strategy {name!r}")
-    from .providers import cosine_sim
-
-    sims = [
-        cosine_sim(
-            embeddings.vector(q_id), embeddings.vector(e.sentence.sentence_id)
-        )
-        for e in selected
+    candidate_scores = [
+        float(sims[flat.position[e.sentence.sentence_id]]) for e in selected
     ]
-    return _baseline_record(q_id, selected, corpus.ontology, sims)
+    return _baseline_record(q_id, selected, corpus.ontology, candidate_scores)
 
 
 def _selections_filename(k: int | None) -> str:
@@ -430,8 +456,10 @@ def cmd_select(config: RunConfig, k_override: int | None = None) -> int:
     scoring = config.scoring()
     if k_override is not None:
         scoring = dataclasses.replace(scoring, k=k_override)
+    flat = _flat_corpus(config, run)
     records = [
-        _select_for_query(config, run, query, scoring) for query in run.corpus.queries
+        _select_for_query(config, run, query, scoring, flat)
+        for query in run.corpus.queries
     ]
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -564,7 +592,10 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
 def _load_predictions(path: Path, corpus: Corpus) -> dict[str, frozenset[str]]:
     predictions: dict[str, frozenset[str]] = {}
     for record in _read_jsonl(path):
-        predictions[record["query_id"]] = frozenset(record["relations"])
+        query_id = record["query_id"]
+        if query_id in predictions:
+            raise ConfigError(f"{path}: duplicate query_id {query_id!r}")
+        predictions[query_id] = frozenset(record["relations"])
     return predictions
 
 

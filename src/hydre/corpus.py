@@ -401,7 +401,11 @@ def na_fraction(bags: Iterable[Bag], ontology: RelationOntology) -> float:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Loaded ontology, bags, and queries with lookup indexes."""
+    """Loaded ontology, bags, and queries with lookup indexes.
+
+    ``view_cache`` starts empty; selection keeps the columnar view it builds
+    lazily from the corpus and its providers there.
+    """
 
     ontology: RelationOntology
     bags: tuple[Bag, ...]
@@ -409,6 +413,9 @@ class Corpus:
     bags_by_relation: dict[str, list[str]] = field(compare=False)
     bags_by_id: dict[str, Bag] = field(compare=False)
     sentences_by_id: dict[str, SentenceInstance] = field(compare=False)
+    view_cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def assemble(

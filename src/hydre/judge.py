@@ -86,12 +86,19 @@ def cache_key(prompt: str, params: GenerationParams) -> str:
 
 @dataclass
 class ReplayCache:
-    """Append-only response cache keyed by (prompt, model, params) hash."""
+    """Append-only response cache keyed by (prompt, model, params) hash.
+
+    A line counts once its newline is written. ``append`` writes a record
+    and its newline in one call, so an unterminated final line is a write
+    that was cut short: ``load`` drops it with a warning, and the next
+    ``append`` cuts it off the file so no record is glued onto it.
+    """
 
     path: Path | None = None
     entries: dict[str, str] = field(default_factory=dict)
     _shas: dict[str, str] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _torn_at: int | None = field(default=None, repr=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayCache":
@@ -99,19 +106,27 @@ class ReplayCache:
         cache = cls(path=path)
         if not path.exists():
             return cache
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        lines = path.read_bytes().split(b"\n")
+        offset = 0
+        for lineno, line in enumerate(lines, start=1):
+            start, offset = offset, offset + len(line) + 1
+            if not line.strip():
+                continue
+            if lineno == len(lines):
+                logger.warning("%s:%d: dropping torn final line", path, lineno)
+                cache._torn_at = start
+                break
+            try:
                 record = json.loads(line)
-                key, sha, response = record["key"], record["prompt_sha"], record["response"]
-                if key in cache.entries and (
-                    cache.entries[key] != response or cache._shas[key] != sha
-                ):
-                    raise CacheCorruption(f"{path}:{lineno}: conflicting entry for key {key}")
-                cache.entries[key] = response
-                cache._shas[key] = sha
+            except json.JSONDecodeError as exc:
+                raise CacheCorruption(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            key, sha, response = record["key"], record["prompt_sha"], record["response"]
+            if key in cache.entries and (
+                cache.entries[key] != response or cache._shas[key] != sha
+            ):
+                raise CacheCorruption(f"{path}:{lineno}: conflicting entry for key {key}")
+            cache.entries[key] = response
+            cache._shas[key] = sha
         return cache
 
     def __contains__(self, key: str) -> bool:
@@ -129,15 +144,16 @@ class ReplayCache:
             self.entries[key] = response
             self._shas[key] = sha
             if self.path is not None:
+                line = json.dumps(
+                    {"key": key, "prompt_sha": sha, "response": response},
+                    sort_keys=True,
+                    ensure_ascii=False,
+                )
                 with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(
-                        json.dumps(
-                            {"key": key, "prompt_sha": sha, "response": response},
-                            sort_keys=True,
-                            ensure_ascii=False,
-                        )
-                    )
-                    fh.write("\n")
+                    if self._torn_at is not None:
+                        fh.truncate(self._torn_at)
+                        self._torn_at = None
+                    fh.write(line + "\n")
 
 
 class Backend(Protocol):

@@ -1,7 +1,10 @@
-"""Confidence scores, semantic similarity, and their weighted combination.
+"""Confidence scores and embeddings as row-major matrices, plus the scoring
+configuration.
 
-Score matrices and embedding indexes are immutable after load; every scoring
-function here is pure, so concurrent use per query is safe.
+Each provider keeps one contiguous matrix with a row per item and maps item
+ids to row indexes and to row views. Score matrices are immutable after
+load; an embedding index changes only when EmbeddingClient appends rows.
+Selection only reads them, so concurrent use per query is safe.
 """
 
 from __future__ import annotations
@@ -10,13 +13,13 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Bag, RelationOntology
+from .corpus import RelationOntology
 
 logger = logging.getLogger(__name__)
 
@@ -28,87 +31,152 @@ class ProviderError(ValueError):
     """Missing, malformed, or inconsistent provider data."""
 
 
-@dataclass
-class ScoreMatrix:
+def _records(path: Path) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file."""
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ProviderError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            yield lineno, record
+
+
+def _count_records(path: Path) -> int:
+    """Upper bound on the records of a JSONL file: its non-blank lines."""
+    with path.open("rb") as fh:
+        return sum(1 for line in fh if line.strip())
+
+
+class RowViews(Mapping):
+    """Read-only item id -> row-view map over a provider's matrix."""
+
+    def __init__(self, owner: "_RowMatrix") -> None:
+        self._owner = owner
+
+    def __getitem__(self, item_id: str) -> np.ndarray:
+        return self._owner.matrix[self._owner.row_of[item_id]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._owner.row_of)
+
+    def __len__(self) -> int:
+        return len(self._owner.row_of)
+
+
+class _RowMatrix:
+    """One contiguous row-major matrix plus an item id -> row index map."""
+
+    _missing = "no row for item {!r}"
+    matrix: np.ndarray
+    row_of: dict[str, int]
+
+    def __contains__(self, item_id: str) -> bool:
+        return item_id in self.row_of
+
+    def vector(self, item_id: str) -> np.ndarray:
+        try:
+            return self.matrix[self.row_of[item_id]]
+        except KeyError:
+            raise ProviderError(self._missing.format(item_id)) from None
+
+    def row_indexes(self, item_ids: Iterable[str]) -> np.ndarray:
+        """Matrix row of each item, in the order given."""
+        try:
+            return np.fromiter((self.row_of[i] for i in item_ids), dtype=np.intp)
+        except KeyError as exc:
+            raise ProviderError(self._missing.format(exc.args[0])) from None
+
+
+class ScoreMatrix(_RowMatrix):
     """Per-item confidence vectors f(item, r) over the ontology order.
 
     Rows exist for test queries and for training sentences; bag scores are
     derived by pooling, never stored.
     """
 
-    relation_order: tuple[str, ...]
-    rows: dict[str, np.ndarray]
+    _missing = "no score row for item {!r}"
 
-    def __post_init__(self) -> None:
-        self._index = {name: i for i, name in enumerate(self.relation_order)}
+    def __init__(
+        self, relation_order: Sequence[str], rows: Mapping[str, Sequence[float]]
+    ) -> None:
+        self.relation_order = tuple(relation_order)
+        self._column = {name: i for i, name in enumerate(self.relation_order)}
+        width = len(self.relation_order)
+        self.matrix = np.empty((len(rows), width))
+        self.row_of = {}
+        for i, (item_id, scores) in enumerate(rows.items()):
+            vec = np.asarray(scores, dtype=float)
+            if vec.shape != (width,):
+                raise ProviderError(
+                    f"row {item_id!r} has {vec.size} scores, expected {width}"
+                )
+            self.matrix[i] = vec
+            self.row_of[item_id] = i
 
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self.rows
+    @property
+    def rows(self) -> RowViews:
+        return RowViews(self)
 
-    def vector(self, item_id: str) -> np.ndarray:
+    def column(self, relation: str) -> int:
         try:
-            return self.rows[item_id]
-        except KeyError:
-            raise ProviderError(f"no score row for item {item_id!r}") from None
-
-    def score_of(self, item_id: str, relation: str) -> float:
-        try:
-            col = self._index[relation]
+            return self._column[relation]
         except KeyError:
             raise ProviderError(f"relation {relation!r} not in score matrix") from None
+
+    def score_of(self, item_id: str, relation: str) -> float:
+        col = self.column(relation)
         return float(self.vector(item_id)[col])
 
     @classmethod
     def load(cls, path: str | Path, ontology: RelationOntology) -> "ScoreMatrix":
-        """Load a score file: manifest line first, then one row per item."""
+        """Load a score file: manifest line first, then one row per item.
+
+        The matrix is allocated once from the line count and filled in place.
+        """
         path = Path(path)
-        rows: dict[str, np.ndarray] = {}
-        relation_order: tuple[str, ...] | None = None
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ProviderError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if relation_order is None:
-                    order = record.get("relation_order")
-                    if order is None:
-                        raise ProviderError(
-                            f"{path}:{lineno}: first line must be the "
-                            "relation_order manifest"
-                        )
-                    relation_order = tuple(order)
-                    if relation_order != ontology.names:
-                        raise ProviderError(
-                            f"{path}: relation_order does not match the "
-                            "ontology order"
-                        )
-                    continue
-                item_id = record.get("id")
-                scores = record.get("scores")
-                if not isinstance(item_id, str) or scores is None:
-                    raise ProviderError(f"{path}:{lineno}: malformed score row")
-                vec = np.asarray(scores, dtype=float)
-                if vec.shape != (len(relation_order),):
-                    raise ProviderError(
-                        f"{path}:{lineno}: row {item_id!r} has {vec.size} "
-                        f"scores, expected {len(relation_order)}"
-                    )
-                if np.any(vec < 0.0) or np.any(vec > 1.0):
-                    # fail loudly on provider mismatch instead of clamping
-                    raise ProviderError(
-                        f"{path}:{lineno}: row {item_id!r} has scores "
-                        "outside [0, 1]"
-                    )
-                if item_id in rows:
-                    raise ProviderError(f"{path}:{lineno}: duplicate id {item_id!r}")
-                rows[item_id] = vec
-        if relation_order is None:
+        records = _records(path)
+        first = next(records, None)
+        if first is None:
             raise ProviderError(f"{path}: empty score file")
-        return cls(relation_order, rows)
+        lineno, manifest = first
+        order = manifest.get("relation_order")
+        if order is None:
+            raise ProviderError(
+                f"{path}:{lineno}: first line must be the relation_order manifest"
+            )
+        if tuple(order) != ontology.names:
+            raise ProviderError(
+                f"{path}: relation_order does not match the ontology order"
+            )
+        self = cls(order, {})
+        width = len(order)
+        matrix = np.empty((_count_records(path) - 1, width))
+        for lineno, record in records:
+            item_id = record.get("id")
+            scores = record.get("scores")
+            if not isinstance(item_id, str) or not isinstance(scores, list):
+                raise ProviderError(f"{path}:{lineno}: malformed score row")
+            if len(scores) != width:
+                raise ProviderError(
+                    f"{path}:{lineno}: row {item_id!r} has {len(scores)} "
+                    f"scores, expected {width}"
+                )
+            if item_id in self.row_of:
+                raise ProviderError(f"{path}:{lineno}: duplicate id {item_id!r}")
+            row = matrix[len(self.row_of)]
+            row[:] = scores
+            if row.min() < 0.0 or row.max() > 1.0:
+                # fail loudly on provider mismatch instead of clamping
+                raise ProviderError(
+                    f"{path}:{lineno}: row {item_id!r} has scores outside [0, 1]"
+                )
+            self.row_of[item_id] = len(self.row_of)
+        self.matrix = matrix[: len(self.row_of)]
+        return self
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -122,61 +190,118 @@ class ScoreMatrix:
                 fh.write("\n")
 
 
-def _normalize(vec: np.ndarray, item_id: str) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ProviderError(f"zero embedding vector for item {item_id!r}")
-    return vec / norm
+def _normalize_rows(matrix: np.ndarray, ids: Sequence[str]) -> None:
+    """L2-normalise every row in place.
+
+    Row norms come from np.vecdot, one BLAS dot per row, so each row gets
+    the same norm as np.linalg.norm gives that row alone.
+    """
+    norms = np.sqrt(np.vecdot(matrix, matrix))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ProviderError(f"embedding of item {ids[zero[0]]!r} is a zero vector")
+    matrix /= norms[:, None]
 
 
-@dataclass
-class EmbeddingIndex:
-    """L2-normalized embedding vectors keyed by item id."""
+class EmbeddingIndex(_RowMatrix):
+    """L2-normalised embedding vectors keyed by item id, one matrix row each.
 
-    dim: int
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    Every way of building an index (load, a dict of vectors, add) normalises
+    the rows, so a cosine is a dot product.
+    """
 
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self.vectors
+    _missing = "no embedding for item {!r}"
 
-    def vector(self, item_id: str) -> np.ndarray:
-        try:
-            return self.vectors[item_id]
-        except KeyError:
-            raise ProviderError(f"no embedding for item {item_id!r}") from None
+    def __init__(
+        self, dim: int, vectors: Mapping[str, Sequence[float]] | None = None
+    ) -> None:
+        self.dim = dim
+        self._buffer = self.matrix = np.empty((0, dim))
+        self.row_of = {}
+        if vectors:
+            self.add(vectors)
+
+    @property
+    def vectors(self) -> RowViews:
+        return RowViews(self)
+
+    def add(self, vectors: Mapping[str, Sequence[float]]) -> None:
+        """Append one normalised row per new item.
+
+        The matrix is a prefix of a buffer that doubles when full, so a run
+        of appends copies each row a bounded number of times.
+        """
+        ids = list(vectors)
+        if not ids:
+            return
+        dim = self.dim or int(np.asarray(vectors[ids[0]]).size)
+        block = np.empty((len(ids), dim))
+        for j, item_id in enumerate(ids):
+            if item_id in self.row_of:
+                raise ProviderError(f"duplicate id {item_id!r}")
+            vec = np.asarray(vectors[item_id], dtype=float)
+            if vec.size != dim:
+                raise ProviderError(
+                    f"dimension mismatch: vector for {item_id!r} has dim "
+                    f"{vec.size}, expected {dim}"
+                )
+            block[j] = vec.reshape(dim)
+        _normalize_rows(block, ids)
+        start = len(self.row_of)
+        end = start + len(ids)
+        if end > len(self._buffer):
+            buffer = np.empty((max(end, 2 * len(self._buffer)), dim))
+            if start:
+                buffer[:start] = self.matrix
+            self._buffer = buffer
+        self._buffer[start:end] = block
+        self.matrix = self._buffer[:end]
+        self.dim = dim
+        for j, item_id in enumerate(ids):
+            self.row_of[item_id] = start + j
+
+    def similarities(self, q_id: str, rows: np.ndarray) -> np.ndarray:
+        """Cosine of the query with each given row, mapped from [-1, 1] into
+        [0, 1] so it shares a scale with model confidences.
+
+        One mat-vec over the whole matrix, then a gather: no row copies.
+        np.vecdot is one BLAS dot per row, so identical rows get identical
+        values wherever they sit; a matrix product (dgemv) rounds rows in
+        its remainder block differently and would break exact ties.
+        """
+        q = self.vector(q_id)
+        return (1.0 + np.vecdot(self.matrix, q)[rows]) / 2.0
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingIndex":
+        """Load an embedding file into a matrix allocated once from the line
+        count, filled in place, then normalised row by row."""
         path = Path(path)
-        vectors: dict[str, np.ndarray] = {}
-        dim: int | None = None
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ProviderError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                item_id = record.get("id")
-                raw = record.get("vector")
-                if not isinstance(item_id, str) or raw is None:
-                    raise ProviderError(f"{path}:{lineno}: malformed embedding row")
-                vec = np.asarray(raw, dtype=float)
-                if dim is None:
-                    dim = int(vec.size)
-                elif vec.size != dim:
-                    raise ProviderError(
-                        f"{path}:{lineno}: vector for {item_id!r} has dim "
-                        f"{vec.size}, expected {dim}"
-                    )
-                if item_id in vectors:
-                    raise ProviderError(f"{path}:{lineno}: duplicate id {item_id!r}")
-                vectors[item_id] = _normalize(vec, item_id)
-        if dim is None:
+        n_records = _count_records(path)
+        self = cls(0)
+        matrix: np.ndarray | None = None
+        for lineno, record in _records(path):
+            item_id = record.get("id")
+            raw = record.get("vector")
+            if not isinstance(item_id, str) or not isinstance(raw, list):
+                raise ProviderError(f"{path}:{lineno}: malformed embedding row")
+            if matrix is None:
+                matrix = np.empty((n_records, len(raw)))
+            elif len(raw) != matrix.shape[1]:
+                raise ProviderError(
+                    f"{path}:{lineno}: dimension mismatch: vector for "
+                    f"{item_id!r} has dim {len(raw)}, expected {matrix.shape[1]}"
+                )
+            if item_id in self.row_of:
+                raise ProviderError(f"{path}:{lineno}: duplicate id {item_id!r}")
+            matrix[len(self.row_of)] = raw
+            self.row_of[item_id] = len(self.row_of)
+        if matrix is None:
             raise ProviderError(f"{path}: empty embedding file")
-        return cls(dim, vectors)
+        self._buffer = self.matrix = matrix[: len(self.row_of)]
+        self.dim = matrix.shape[1]
+        _normalize_rows(self.matrix, list(self.row_of))
+        return self
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -210,69 +335,6 @@ class ScoringConfig:
             raise ValueError("k must be >= 1")
         if self.bag_sim_pooling not in ("max", "mean"):
             raise ValueError("bag_sim_pooling must be 'max' or 'mean'")
-
-
-def cosine_sim(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    """Cosine similarity mapped from [-1, 1] into [0, 1].
-
-    Shares a scale with model confidences so the two can be weighted
-    together.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ProviderError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ProviderError("cosine similarity of a zero vector is undefined")
-    cos = float(np.dot(u, v)) / (nu * nv)
-    return (1.0 + cos) / 2.0
-
-
-def bag_similarity(
-    q_id: str, bag: Bag, embeddings: EmbeddingIndex, config: ScoringConfig
-) -> float:
-    """Similarity of a query to a bag, pooled over the bag's sentences."""
-    q_vec = embeddings.vector(q_id)
-    sims = [cosine_sim(q_vec, embeddings.vector(s.sentence_id)) for s in bag.sentences]
-    if config.bag_sim_pooling == "mean":
-        return sum(sims) / len(sims)
-    return max(sims)
-
-
-def bag_confidence(bag: Bag, relation: str, scores: ScoreMatrix) -> float:
-    """Bag-level confidence for a relation: max over sentence scores."""
-    return max(bag_sentence_scores(bag, relation, scores))
-
-
-def bag_sentence_scores(bag: Bag, relation: str, scores: ScoreMatrix) -> list[float]:
-    return [scores.score_of(s.sentence_id, relation) for s in bag.sentences]
-
-
-def combined_bag_score(
-    q_id: str,
-    bag: Bag,
-    relation: str,
-    scores: ScoreMatrix | None,
-    embeddings: EmbeddingIndex | None,
-    config: ScoringConfig,
-) -> float:
-    """w_sim * sim(q, bag) + w_conf * f(bag, relation).
-
-    A provider whose weight is zero is never consulted, so confidence-only
-    and similarity-only modes run without the other artifact.
-    """
-    total = 0.0
-    if config.w_sim > 0:
-        if embeddings is None:
-            raise ProviderError("w_sim > 0 but no embedding index supplied")
-        total += config.w_sim * bag_similarity(q_id, bag, embeddings, config)
-    if config.w_conf > 0:
-        if scores is None:
-            raise ProviderError("w_conf > 0 but no score matrix supplied")
-        total += config.w_conf * bag_confidence(bag, relation, scores)
-    return total
 
 
 def http_embedding_transport(
@@ -346,7 +408,7 @@ class EmbeddingClient:
         """
         if not items:
             raise ProviderError("fetch_embeddings called with no items")
-        missing = [(i, t) for i, t in items if i not in self.index.vectors]
+        missing = [(i, t) for i, t in items if i not in self.index]
         for start in range(0, len(missing), self.batch_size):
             batch = missing[start : start + self.batch_size]
             vectors = self._post_with_retry([t for _, t in batch])
@@ -355,24 +417,16 @@ class EmbeddingClient:
                     f"embedding service returned {len(vectors)} vectors "
                     f"for {len(batch)} texts"
                 )
-            new_rows: dict[str, np.ndarray] = {}
-            for (item_id, _), raw in zip(batch, vectors):
-                vec = np.asarray(raw, dtype=float)
-                if self.index.dim and vec.size != self.index.dim:
-                    raise ProviderError(
-                        f"embedding service returned dim {vec.size}, "
-                        f"index has dim {self.index.dim}"
-                    )
-                new_rows[item_id] = _normalize(vec, item_id)
-            if not self.index.dim and new_rows:
-                self.index.dim = int(next(iter(new_rows.values())).size)
-            self.index.vectors.update(new_rows)
+            new_rows = {item_id: raw for (item_id, _), raw in zip(batch, vectors)}
+            self.index.add(new_rows)
             self._append_rows(new_rows)
         return self.index
 
-    def _append_rows(self, rows: dict[str, np.ndarray]) -> None:
+    def _append_rows(self, rows: dict[str, Sequence[float]]) -> None:
+        """Persist the normalised index rows of the given items."""
         with self.cache_path.open("a", encoding="utf-8") as fh:
-            for item_id, vec in rows.items():
+            for item_id in rows:
+                vec = self.index.vector(item_id)
                 fh.write(
                     json.dumps({"id": item_id, "vector": [float(v) for v in vec]})
                 )

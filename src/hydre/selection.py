@@ -12,14 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Bag, Corpus, RelationOntology, SentenceInstance
-from .providers import (
-    EmbeddingIndex,
-    ScoreMatrix,
-    ScoringConfig,
-    bag_similarity,
-    combined_bag_score,
-)
+from .providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 
 
 class NoBagForRelation(LookupError):
@@ -93,6 +89,93 @@ class BagExemplarSet:
     reduced: bool = False
 
 
+@dataclass(frozen=True)
+class CorpusView:
+    """Columnar view of a corpus against the providers a selection reads.
+
+    Sentences are numbered in corpus order. Bag b owns the sentence
+    positions starts[b] .. starts[b] + lengths[b] - 1 (CSR layout), and
+    sentence_bag maps each position back to its bag. The provider parts are
+    None for a provider the selection does not consult.
+    """
+
+    starts: np.ndarray
+    lengths: np.ndarray
+    sentence_bag: np.ndarray
+    bag_position: dict[str, int]
+    bags_by_relation: dict[str, np.ndarray]
+    embedding_rows: np.ndarray | None  # sentence position -> embedding row
+    score_rows: np.ndarray | None  # sentence position -> score row
+    confidence: np.ndarray | None  # bag x relation: max over the bag's sentences
+
+    def bag_similarities(
+        self, q_id: str, embeddings: EmbeddingIndex, pooling: str
+    ) -> np.ndarray:
+        """The query's similarity to every bag: one mat-vec, then a segmented
+        max (or mean) over each bag's sentences."""
+        sims = embeddings.similarities(q_id, self.embedding_rows)
+        if pooling == "mean":
+            return np.add.reduceat(sims, self.starts) / self.lengths
+        return np.maximum.reduceat(sims, self.starts)
+
+
+def corpus_view(
+    corpus: Corpus, scores: ScoreMatrix | None, embeddings: EmbeddingIndex | None
+) -> CorpusView:
+    """The columnar view of a corpus against the given providers.
+
+    Built on first use and kept in ``corpus.view_cache`` until a call names
+    other providers, so a selection pass over many queries builds it once.
+    """
+    cached = corpus.view_cache.get("view")
+    if cached is not None and cached[0] is scores and cached[1] is embeddings:
+        return cached[2]
+    bags = corpus.bags
+    lengths = np.fromiter((len(b.sentences) for b in bags), np.intp, len(bags))
+    starts = np.cumsum(lengths) - lengths
+    position = {bag.bag_id: i for i, bag in enumerate(bags)}
+    sentence_ids = [s.sentence_id for bag in bags for s in bag.sentences]
+    score_rows = confidence = None
+    if scores is not None:
+        score_rows = scores.row_indexes(sentence_ids)
+        confidence = np.maximum.reduceat(scores.matrix[score_rows], starts, axis=0)
+    view = CorpusView(
+        starts=starts,
+        lengths=lengths,
+        sentence_bag=np.repeat(np.arange(len(bags)), lengths),
+        bag_position=position,
+        bags_by_relation={
+            relation: np.array([position[b] for b in bag_ids], dtype=np.intp)
+            for relation, bag_ids in corpus.bags_by_relation.items()
+        },
+        embedding_rows=(
+            None if embeddings is None else embeddings.row_indexes(sentence_ids)
+        ),
+        score_rows=score_rows,
+        confidence=confidence,
+    )
+    corpus.view_cache["view"] = (scores, embeddings, view)
+    return view
+
+
+def _consulted(
+    scores: ScoreMatrix | None,
+    embeddings: EmbeddingIndex | None,
+    config: ScoringConfig,
+) -> tuple[ScoreMatrix | None, EmbeddingIndex | None]:
+    """The providers a config reads; one whose weight is zero is never
+    consulted, so confidence-only and similarity-only modes run without the
+    other artifact."""
+    if config.w_sim > 0 and embeddings is None:
+        raise ProviderError("w_sim > 0 but no embedding index supplied")
+    if config.w_conf > 0 and scores is None:
+        raise ProviderError("w_conf > 0 but no score matrix supplied")
+    return (
+        scores if config.w_conf > 0 else None,
+        embeddings if config.w_sim > 0 else None,
+    )
+
+
 def select_candidates(
     q_id: str, scores: ScoreMatrix, k: int
 ) -> list[tuple[str, float]]:
@@ -104,8 +187,36 @@ def select_candidates(
     if k < 1:
         raise ValueError("k must be >= 1")
     vec = scores.vector(q_id)
-    order = sorted(range(len(vec)), key=lambda i: (-vec[i], i))
-    return [(scores.relation_order[i], float(vec[i])) for i in order[:k]]
+    order = np.argsort(-vec, kind="stable")[:k]
+    return [(scores.relation_order[i], float(vec[i])) for i in order]
+
+
+def combined_bag_scores(
+    q_id: str,
+    relation: str,
+    corpus: Corpus,
+    scores: ScoreMatrix | None,
+    embeddings: EmbeddingIndex | None,
+    config: ScoringConfig,
+    bag_sims: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """w_sim * sim(q, bag) + w_conf * f(bag, relation) for every bag
+    labelled with the relation.
+
+    Returns (bag indexes in corpus order, their scores). ``bag_sims``, the
+    query's similarity to every corpus bag, is computed when not given.
+    """
+    scores, embeddings = _consulted(scores, embeddings, config)
+    view = corpus_view(corpus, scores, embeddings)
+    bags = view.bags_by_relation[relation]
+    total = 0.0
+    if embeddings is not None:
+        if bag_sims is None:
+            bag_sims = view.bag_similarities(q_id, embeddings, config.bag_sim_pooling)
+        total = config.w_sim * bag_sims[bags]
+    if scores is not None:
+        total = total + config.w_conf * view.confidence[bags, scores.column(relation)]
+    return bags, total
 
 
 def select_bag(
@@ -115,6 +226,7 @@ def select_bag(
     scores: ScoreMatrix | None,
     embeddings: EmbeddingIndex | None,
     config: ScoringConfig,
+    bag_sims: np.ndarray | None = None,
 ) -> str:
     """Stage 2: argmax of the combined bag score; ties keep the earliest bag."""
     bag_ids = corpus.bags_by_relation.get(relation)
@@ -122,16 +234,11 @@ def select_bag(
         raise KeyError(f"unknown relation {relation!r}")
     if not bag_ids:
         raise NoBagForRelation(relation)
-    best_id = None
-    best_score = float("-inf")
-    for bag_id in bag_ids:
-        score = combined_bag_score(
-            q_id, corpus.bags_by_id[bag_id], relation, scores, embeddings, config
-        )
-        if score > best_score:
-            best_id, best_score = bag_id, score
-    assert best_id is not None
-    return best_id
+    bags, total = combined_bag_scores(
+        q_id, relation, corpus, scores, embeddings, config, bag_sims
+    )
+    # argmax returns the first maximum, which is the earliest bag
+    return corpus.bags[bags[int(np.argmax(total))]].bag_id
 
 
 def select_sentence(bag: Bag, scores: ScoreMatrix, threshold: float) -> SentenceInstance:
@@ -141,11 +248,12 @@ def select_sentence(bag: Bag, scores: ScoreMatrix, threshold: float) -> Sentence
     coverage-maximal sentences the one with the highest confidence sum over
     all bag labels wins, earliest in-bag position on ties.
     """
-    labels = sorted(bag.labelset)
+    columns = [scores.column(r) for r in sorted(bag.labelset)]
     best = None
     best_key = (-1, float("-inf"))
     for sentence in bag.sentences:
-        confs = [scores.score_of(sentence.sentence_id, r) for r in labels]
+        row = scores.vector(sentence.sentence_id)
+        confs = [float(row[c]) for c in columns]
         coverage = sum(1 for c in confs if c > threshold)
         aggregate = sum(confs)
         if (coverage, aggregate) > best_key:
@@ -168,10 +276,7 @@ def _query_rng(seed: int, q_id: str) -> random.Random:
 
 
 def _similarity_candidates(
-    q_id: str,
-    corpus: Corpus,
-    embeddings: EmbeddingIndex,
-    config: ScoringConfig,
+    corpus: Corpus, bag_sims: np.ndarray, k: int
 ) -> list[tuple[str, float]]:
     """Confidence-free stage 1: labels of the k most similar bags.
 
@@ -179,12 +284,10 @@ def _similarity_candidates(
     bags by similarity, then collect their labelsets in that order,
     deduplicated, NA excluded.
     """
-    sims = [bag_similarity(q_id, bag, embeddings, config) for bag in corpus.bags]
-    ranked = sorted(range(len(corpus.bags)), key=lambda i: (-sims[i], i))
     candidates: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for i in ranked[: config.k]:
-        bag, sim = corpus.bags[i], sims[i]
+    for i in np.argsort(-bag_sims, kind="stable")[:k]:
+        bag, sim = corpus.bags[i], float(bag_sims[i])
         for label in corpus.ontology.sorted_labels(bag.labelset):
             if label == corpus.ontology.na_symbol or label in seen:
                 continue
@@ -204,24 +307,30 @@ def select_candidate_bags(
 
     Returns (candidates, picks, skipped) where picks holds
     (relation, score, bag_id) in candidate order. In similarity-only mode
-    (w_conf = 0) the exemplar score is the chosen bag's similarity.
+    (w_conf = 0) the exemplar score is the chosen bag's similarity. The
+    query's bag similarities are computed once and shared by every stage.
     """
-    if config.w_conf > 0:
+    scores, embeddings = _consulted(scores, embeddings, config)
+    view = corpus_view(corpus, scores, embeddings)
+    bag_sims = None
+    if embeddings is not None:
+        bag_sims = view.bag_similarities(q_id, embeddings, config.bag_sim_pooling)
+    if scores is not None:
         candidates = select_candidates(q_id, scores, config.k)
     else:
-        candidates = _similarity_candidates(q_id, corpus, embeddings, config)
+        candidates = _similarity_candidates(corpus, bag_sims, config.k)
     picks: list[tuple[str, float, str]] = []
     skipped: list[str] = []
     for relation, score in candidates:
         try:
-            bag_id = select_bag(q_id, relation, corpus, scores, embeddings, config)
+            bag_id = select_bag(
+                q_id, relation, corpus, scores, embeddings, config, bag_sims=bag_sims
+            )
         except NoBagForRelation:
             skipped.append(relation)
             continue
-        if config.w_conf == 0:
-            score = bag_similarity(
-                q_id, corpus.bags_by_id[bag_id], embeddings, config
-            )
+        if scores is None:
+            score = float(bag_sims[view.bag_position[bag_id]])
         picks.append((relation, score, bag_id))
     return candidates, picks, skipped
 

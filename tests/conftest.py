@@ -82,6 +82,37 @@ def embeddings_from_instance(instance: dict) -> EmbeddingIndex:
     return EmbeddingIndex(dim, vectors)
 
 
+def with_duplicated_rows(instance: dict) -> dict:
+    """Give an oracle instance exact ties by copying embedding and score rows.
+
+    Within a bag, each later sentence copies the first sentence's rows with
+    probability 1/4. Each later bag copies, with probability 1/2, the labels
+    and the rows (sentence by sentence) of a random earlier bag with as many
+    sentences. Copied bags tie exactly in similarity under either pooling
+    and in confidence; copied sentences tie in similarity.
+    """
+    rng = instance["rng"]
+    embeddings, scores, bags = instance["embeddings"], instance["scores"], instance["bags"]
+
+    def copy_rows(src: str, dst: str) -> None:
+        embeddings[dst] = list(embeddings[src])
+        scores[dst] = list(scores[src])
+
+    for bag in bags:
+        first = bag["sentences"][0]["sentence_id"]
+        for s in bag["sentences"][1:]:
+            if rng.random() < 0.25:
+                copy_rows(first, s["sentence_id"])
+    for j, bag in enumerate(bags):
+        same_size = [b for b in bags[:j] if len(b["sentences"]) == len(bag["sentences"])]
+        if same_size and rng.random() < 0.5:
+            source = rng.choice(same_size)
+            bag["labels"] = set(source["labels"])
+            for s, t in zip(source["sentences"], bag["sentences"]):
+                copy_rows(s["sentence_id"], t["sentence_id"])
+    return instance
+
+
 @pytest.fixture
 def tiny_ontology() -> RelationOntology:
     return ontology_from_names(["rel_a", "rel_b", "rel_c"])

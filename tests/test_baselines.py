@@ -23,8 +23,9 @@ from conftest import (
     corpus_from_instance,
     embeddings_from_instance,
     scores_from_instance,
+    with_duplicated_rows,
 )
-from oracles import make_random_instance, mmr_oracle, topk_oracle
+from oracles import make_random_instance, mapped_cosine, mmr_oracle, topk_oracle
 
 
 def build_all(seed, **kwargs):
@@ -205,6 +206,28 @@ def test_mmr_pool_truncation_and_errors():
         mmr_select(q_id, flat, emb, 1, alpha=1.5)
 
 
+def test_duplicated_rows_tie_in_corpus_order():
+    tied = 0
+    for seed in range(100):
+        instance = with_duplicated_rows(make_random_instance(seed=42000 + seed))
+        corpus = corpus_from_instance(instance)
+        emb = embeddings_from_instance(instance)
+        flat = flatten(corpus.bags)
+        items = [f.sentence.sentence_id for f in flat]
+        vectors = instance["embeddings"]
+        tied += len(items) - len({tuple(vectors[i]) for i in items})
+        got = [f.sentence.sentence_id for f in topk_sim("q000", flat, emb, len(flat))]
+        assert got == topk_oracle("q000", items, vectors, len(flat))
+        k = min(5, len(flat))
+        for alpha in (0.0, 0.3, 1.0):
+            got = [
+                f.sentence.sentence_id
+                for f in mmr_select("q000", flat, emb, k, alpha=alpha, pool_size=None)
+            ]
+            assert got == mmr_oracle("q000", items, vectors, k, alpha, None)
+    assert tied > 0
+
+
 # --------------------------------------------------------------- ablations
 
 
@@ -278,7 +301,6 @@ def test_ablation_flat_retrieval_best_sentence_per_candidate():
     instance, corpus, scores, emb = build_all(20, max_bags=10)
     config = ScoringConfig(k=3)
     outcome = ablation_variant("flat_retrieval", "q000", corpus, scores, emb, config)
-    from hydre.providers import cosine_sim
 
     for exemplar in outcome.selection.exemplars:
         relation = exemplar.candidate_relation
@@ -290,7 +312,7 @@ def test_ablation_flat_retrieval_best_sentence_per_candidate():
             if relation not in bag.labelset:
                 continue
             for sentence in bag.sentences:
-                total = scores.score_of(sentence.sentence_id, relation) + cosine_sim(
+                total = scores.score_of(sentence.sentence_id, relation) + mapped_cosine(
                     emb.vector("q000"), emb.vector(sentence.sentence_id)
                 )
                 if total > best_score:

@@ -314,6 +314,18 @@ def test_eval_coverage_gap_errors(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_eval_duplicate_query_id_rejected(tmp_path, capsys):
+    out = golden_run(tmp_path)
+    lines = (out / "predictions.jsonl").read_text().splitlines()
+    duplicated = out / "duplicated.jsonl"
+    duplicated.write_text("\n".join(lines + lines[:1]) + "\n")
+    code = run_cli("--config", CONFIG, "--output", str(out), "eval", str(duplicated))
+    assert code == 1
+    query_id = json.loads(lines[0])["query_id"]
+    err = capsys.readouterr().err
+    assert "duplicate query_id" in err and repr(query_id) in err
+
+
 def test_run_bag_level_strategies_end_to_end(tmp_path, monkeypatch):
     monkeypatch.setenv("HYDRE_LLM_API_KEY", "test-key")
     monkeypatch.setattr(cli, "HttpChatBackend", lambda endpoint: MockBackend("NA"))

@@ -123,6 +123,31 @@ def test_cache_load_detects_conflicts(tmp_path):
         ReplayCache.load(path)
 
 
+def test_cache_torn_final_line_dropped_then_append_repairs(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    cache = ReplayCache(path=path)
+    cache.append("k1", "s1", "first")
+    cache.append("k2", "s2", "second")
+    data = path.read_bytes()
+    path.write_bytes(data[:-10])  # a write cut short mid-record
+    with caplog.at_level("WARNING"):
+        torn = ReplayCache.load(path)
+    assert "torn final line" in caplog.text
+    assert torn.entries == {"k1": "first"}
+    torn.append("k3", "s3", "third")
+    reloaded = ReplayCache.load(path)
+    assert reloaded.entries == {"k1": "first", "k3": "third"}
+    assert path.read_text().endswith("\n")
+
+
+def test_cache_bad_line_mid_file_still_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    entry = {"key": "k1", "prompt_sha": "s1", "response": "a"}
+    path.write_text('{"key": "k0", "prom\n' + json.dumps(entry) + "\n")
+    with pytest.raises(CacheCorruption, match=":1:"):
+        ReplayCache.load(path)
+
+
 # ------------------------------------------------------------- token limits
 
 

@@ -7,55 +7,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydre.corpus import Bag
+from hydre.corpus import Bag, Corpus
 from hydre.providers import (
     EmbeddingClient,
     EmbeddingIndex,
     ProviderError,
     ScoreMatrix,
     ScoringConfig,
-    bag_confidence,
-    bag_similarity,
-    combined_bag_score,
-    cosine_sim,
 )
+from hydre.selection import combined_bag_scores, corpus_view
 
 from conftest import (
     corpus_from_instance,
     embeddings_from_instance,
     make_sentence,
+    ontology_from_names,
     scores_from_instance,
 )
 from oracles import (
     bag_confidence_oracle,
     bag_similarity_oracle,
     make_random_instance,
+    mapped_cosine,
 )
 
 
-# ------------------------------------------------------------- cosine_sim
+# ------------------------------------------------- similarities (cosine)
+
+
+def cosine_of(u, v):
+    """Mapped cosine of two raw vectors through an index built from them."""
+    emb = EmbeddingIndex(len(v), {"u": u, "v": v})
+    return emb.similarities("u", emb.row_indexes(["v"]))[0]
 
 
 def test_cosine_identical_direction():
-    assert cosine_sim([1.0, 2.0], [2.0, 4.0]) == pytest.approx(1.0)
+    assert cosine_of([1.0, 2.0], [2.0, 4.0]) == pytest.approx(1.0)
 
 
 def test_cosine_orthogonal():
-    assert cosine_sim([1.0, 0.0], [0.0, 3.0]) == pytest.approx(0.5)
+    assert cosine_of([1.0, 0.0], [0.0, 3.0]) == pytest.approx(0.5)
 
 
 def test_cosine_opposite():
-    assert cosine_sim([1.0, 1.0], [-1.0, -1.0]) == pytest.approx(0.0)
+    assert cosine_of([1.0, 1.0], [-1.0, -1.0]) == pytest.approx(0.0)
 
 
 def test_cosine_zero_vector_errors():
     with pytest.raises(ProviderError, match="zero vector"):
-        cosine_sim([0.0, 0.0], [1.0, 0.0])
+        cosine_of([0.0, 0.0], [1.0, 0.0])
 
 
 def test_cosine_dim_mismatch_errors():
     with pytest.raises(ProviderError, match="mismatch"):
-        cosine_sim([1.0], [1.0, 0.0])
+        cosine_of([1.0], [1.0, 0.0])
 
 
 # --------------------------------------------------------------- pooling
@@ -80,13 +85,29 @@ def bag_of(sentence_ids, labels={"rel_a"}):
     )
 
 
+def one_bag_corpus(bag):
+    return Corpus.assemble(ontology_from_names(["rel_a", "rel_b", "rel_c"]), [bag])
+
+
+def bag_similarity(q_id, bag, emb, config):
+    """The similarity of a one-bag corpus's only bag, from the view."""
+    view = corpus_view(one_bag_corpus(bag), None, emb)
+    return view.bag_similarities(q_id, emb, config.bag_sim_pooling)[0]
+
+
+def bag_confidence(bag, relation, scores):
+    """The view's bag confidence of a one-bag corpus's only bag."""
+    view = corpus_view(one_bag_corpus(bag), scores, None)
+    return view.confidence[0, scores.column(relation)]
+
+
 def test_bag_similarity_single_sentence_equals_cosine():
     emb = EmbeddingIndex(
         2, {"q": np.array([1.0, 0.0]), "s1": np.array([0.6, 0.8])}
     )
     bag = bag_of(["s1"])
     config = ScoringConfig()
-    expected = cosine_sim(emb.vector("q"), emb.vector("s1"))
+    expected = mapped_cosine(emb.vector("q"), emb.vector("s1"))
     assert bag_similarity("q", bag, emb, config) == pytest.approx(expected)
 
 
@@ -119,10 +140,10 @@ def test_bag_similarity_matches_brute_force_on_random_bags():
         corpus = corpus_from_instance(instance)
         emb = embeddings_from_instance(instance)
         q_id = instance["queries"][0]
+        view = corpus_view(corpus, None, emb)
         for pooling in ("max", "mean"):
-            config = ScoringConfig(bag_sim_pooling=pooling)
-            for raw, bag in zip(instance["bags"], corpus.bags):
-                got = bag_similarity(q_id, bag, emb, config)
+            sims = view.bag_similarities(q_id, emb, pooling)
+            for raw, got in zip(instance["bags"], sims):
                 want = bag_similarity_oracle(
                     instance["embeddings"][q_id], raw, instance["embeddings"], pooling
                 )
@@ -153,9 +174,10 @@ def test_bag_confidence_matches_brute_force_and_dominates_sentences():
         instance = make_random_instance(seed=3000 + trial, max_bags=5)
         corpus = corpus_from_instance(instance)
         scores = scores_from_instance(instance)
-        for raw, bag in zip(instance["bags"], corpus.bags):
+        view = corpus_view(corpus, scores, None)
+        for b, (raw, bag) in enumerate(zip(instance["bags"], corpus.bags)):
             for r_index, relation in enumerate(instance["relations"]):
-                got = bag_confidence(bag, relation, scores)
+                got = view.confidence[b, scores.column(relation)]
                 want = bag_confidence_oracle(raw, r_index, instance["scores"])
                 assert got == pytest.approx(want, abs=1e-12)
                 per_sentence = [
@@ -179,6 +201,13 @@ def crafted_sim_conf(sim, conf):
     )
     scores = ScoreMatrix(("rel_a",), {"s1": np.array([conf])})
     return bag_of(["s1"]), scores, emb
+
+
+def combined_bag_score(q_id, bag, relation, scores, emb, config):
+    """The combined score of a one-bag corpus's only bag."""
+    corpus = Corpus.assemble(ontology_from_names(["rel_a"]), [bag])
+    _, total = combined_bag_scores(q_id, relation, corpus, scores, emb, config)
+    return total[0]
 
 
 def test_combined_equal_weights():
@@ -234,10 +263,8 @@ def test_argmax_invariant_under_weight_scaling():
         pytest.skip("no bag carries the probe relation")
 
     def argmax(config):
-        scored = [
-            (combined_bag_score(q_id, b, relation, scores, emb, config), i)
-            for i, b in enumerate(bags)
-        ]
+        _, totals = combined_bag_scores(q_id, relation, corpus, scores, emb, config)
+        scored = [(total, i) for i, total in enumerate(totals)]
         return max(scored, key=lambda pair: (pair[0], -pair[1]))[1]
 
     base = argmax(ScoringConfig(w_sim=1.0, w_conf=1.0))
@@ -296,6 +323,17 @@ def test_embedding_index_normalizes_on_load(tmp_path):
     assert np.allclose(index.vector("a"), [0.6, 0.8])
 
 
+def test_embedding_index_from_non_unit_vectors_keeps_cosine_semantics():
+    raw = {"q": [3.0, 0.0], "a": [2.0, 2.0], "b": [0.0, -5.0], "c": [-1.0, 0.5]}
+    emb = EmbeddingIndex(2, raw)
+    assert np.allclose(np.linalg.norm(emb.matrix, axis=1), 1.0)
+    got = emb.similarities("q", emb.row_indexes(["a", "b", "c"]))
+    want = [mapped_cosine(raw["q"], raw[item_id]) for item_id in "abc"]
+    assert list(got) == pytest.approx(want, abs=1e-12)
+    for item_id, vec in raw.items():
+        assert np.allclose(emb.vector(item_id), np.asarray(vec) / np.linalg.norm(vec))
+
+
 def test_embedding_index_rejects_zero_vector(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text('{"id": "a", "vector": [0.0, 0.0]}\n')
@@ -351,6 +389,25 @@ def test_fetch_embeddings_cached_no_second_request(tmp_path):
     reloaded = client2.fetch_embeddings([("a", "alpha")])
     assert transport2.requests == []
     assert np.allclose(reloaded.vector("a"), vec_a)
+
+
+def test_fetch_embeddings_appends_keep_matrix_consistent(tmp_path):
+    client = EmbeddingClient(CountingTransport(), tmp_path / "emb.jsonl", batch_size=2)
+    seen = []
+    for batch in range(4):
+        items = [(f"i{batch}_{j}", "x" * (2 * j + batch + 1)) for j in range(3)]
+        index = client.fetch_embeddings(items)
+        seen += [item_id for item_id, _ in items]
+        assert index.matrix.shape == (len(seen), 3)
+        assert list(index.vectors) == seen
+        for item_id in seen:
+            view = index.vector(item_id)
+            assert np.shares_memory(view, index.matrix)
+            assert np.array_equal(view, index.matrix[index.row_of[item_id]])
+        assert np.allclose(np.linalg.norm(index.matrix, axis=1), 1.0)
+    reloaded = EmbeddingIndex.load(tmp_path / "emb.jsonl")
+    assert list(reloaded.vectors) == seen
+    assert np.allclose(reloaded.matrix, index.matrix, atol=1e-12)
 
 
 def test_fetch_embeddings_wrong_dim_errors(tmp_path):

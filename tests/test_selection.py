@@ -27,9 +27,11 @@ from conftest import (
     embeddings_from_instance,
     make_sentence,
     scores_from_instance,
+    with_duplicated_rows,
 )
 from oracles import (
     candidates_oracle,
+    combined_score_oracle,
     exemplar_set_oracle,
     make_random_instance,
     reduce_bag_oracle,
@@ -546,3 +548,83 @@ def test_build_bag_exemplar_set_reduced_and_full():
         bag = corpus.bags_by_id[exemplar.source_bag_id]
         assert len(exemplar.sentences) <= len(bag.sentences)
         assert set(exemplar.sentences) <= set(bag.sentences)
+
+
+def assert_matches_exemplar_oracle(instance, k, pooling):
+    corpus = corpus_from_instance(instance)
+    scores = scores_from_instance(instance)
+    emb = embeddings_from_instance(instance)
+    config = ScoringConfig(k=k, bag_sim_pooling=pooling)
+    got = build_exemplar_set("q000", corpus, scores, emb, config)
+    want = exemplar_set_oracle(
+        "q000",
+        instance["relations"],
+        instance["bags"],
+        instance["scores"],
+        instance["embeddings"],
+        k=k,
+        threshold=0.5,
+        pooling=pooling,
+    )
+    assert [r for r, _ in got.candidates] == [r for r, _ in want["candidates"]]
+    assert list(got.skipped) == want["skipped"]
+    assert [
+        (e.candidate_relation, e.source_bag_id, e.sentence.sentence_id)
+        for e in got.exemplars
+    ] == [(w["relation"], w["bag_id"], w["sentence_id"]) for w in want["exemplars"]]
+
+
+def test_build_exemplar_set_mean_pooling_matches_oracle():
+    for seed in range(100):
+        instance = make_random_instance(seed=40000 + seed)
+        k = (seed % len(instance["relations"])) + 1
+        assert_matches_exemplar_oracle(instance, k, "mean")
+
+
+def test_duplicated_rows_tie_to_earliest_bag():
+    ties = 0
+    for seed in range(100):
+        instance = with_duplicated_rows(make_random_instance(seed=41000 + seed))
+        corpus = corpus_from_instance(instance)
+        scores = scores_from_instance(instance)
+        emb = embeddings_from_instance(instance)
+        relations = instance["relations"]
+        for pooling in ("max", "mean"):
+            config = ScoringConfig(bag_sim_pooling=pooling)
+            for r_index, relation in enumerate(relations):
+                want = select_bag_oracle(
+                    "q000", relation, relations, instance["bags"],
+                    instance["scores"], instance["embeddings"], 1.0, 1.0, pooling,
+                )
+                if want is None:
+                    continue
+                assert select_bag("q000", relation, corpus, scores, emb, config) == want
+                totals = [
+                    combined_score_oracle(
+                        "q000", bag, r_index, instance["scores"],
+                        instance["embeddings"], 1.0, 1.0, pooling,
+                    )
+                    for bag in instance["bags"]
+                    if relation in bag["labels"]
+                ]
+                ties += totals.count(max(totals)) > 1
+            assert_matches_exemplar_oracle(instance, len(relations), pooling)
+    assert ties > 0
+
+
+def test_zero_weight_provider_is_never_consulted():
+    instance = make_random_instance(seed=43000, max_bags=10)
+    corpus = corpus_from_instance(instance)
+    scores = scores_from_instance(instance)
+    emb = embeddings_from_instance(instance)
+    # providers without a single row: any read of them would raise
+    no_vectors = EmbeddingIndex(emb.dim)
+    no_rows = ScoreMatrix(scores.relation_order, {})
+    conf_only = ScoringConfig(w_sim=0.0, k=3)
+    assert build_exemplar_set(
+        "q000", corpus, scores, no_vectors, conf_only
+    ) == build_exemplar_set("q000", corpus, scores, None, conf_only)
+    sim_only = ScoringConfig(w_conf=0.0, k=3)
+    assert build_exemplar_set(
+        "q000", corpus, no_rows, emb, sim_only
+    ) == build_exemplar_set("q000", corpus, None, emb, sim_only)
