@@ -88,10 +88,12 @@ def cache_key(prompt: str, params: GenerationParams) -> str:
 class ReplayCache:
     """Append-only response cache keyed by (prompt, model, params) hash.
 
-    A line counts once its newline is written. ``append`` writes a record
-    and its newline in one call, so an unterminated final line is a write
-    that was cut short: ``load`` drops it with a warning, and the next
-    ``append`` cuts it off the file so no record is glued onto it.
+    ``append`` writes a record and its newline in one call. An unterminated
+    final line that is not valid JSON is a write that was cut short:
+    ``load`` drops it with a warning, and the next ``append`` cuts it off
+    the file. One that parses is a complete record and is kept; the next
+    ``append`` writes the missing newline first. Either way no record is
+    glued onto another.
     """
 
     path: Path | None = None
@@ -99,6 +101,7 @@ class ReplayCache:
     _shas: dict[str, str] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _torn_at: int | None = field(default=None, repr=False)
+    _unterminated: bool = field(default=False, repr=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayCache":
@@ -112,14 +115,16 @@ class ReplayCache:
             start, offset = offset, offset + len(line) + 1
             if not line.strip():
                 continue
-            if lineno == len(lines):
-                logger.warning("%s:%d: dropping torn final line", path, lineno)
-                cache._torn_at = start
-                break
+            final = lineno == len(lines)
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
+                if final:
+                    logger.warning("%s:%d: dropping torn final line", path, lineno)
+                    cache._torn_at = start
+                    break
                 raise CacheCorruption(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            cache._unterminated = final
             key, sha, response = record["key"], record["prompt_sha"], record["response"]
             if key in cache.entries and (
                 cache.entries[key] != response or cache._shas[key] != sha
@@ -153,6 +158,9 @@ class ReplayCache:
                     if self._torn_at is not None:
                         fh.truncate(self._torn_at)
                         self._torn_at = None
+                    elif self._unterminated:
+                        line = "\n" + line
+                        self._unterminated = False
                     fh.write(line + "\n")
 
 

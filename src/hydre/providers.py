@@ -216,7 +216,7 @@ class EmbeddingIndex(_RowMatrix):
         self, dim: int, vectors: Mapping[str, Sequence[float]] | None = None
     ) -> None:
         self.dim = dim
-        self._buffer = self.matrix = np.empty((0, dim))
+        self.matrix = np.empty((0, dim))
         self.row_of = {}
         if vectors:
             self.add(vectors)
@@ -226,11 +226,7 @@ class EmbeddingIndex(_RowMatrix):
         return RowViews(self)
 
     def add(self, vectors: Mapping[str, Sequence[float]]) -> None:
-        """Append one normalised row per new item.
-
-        The matrix is a prefix of a buffer that doubles when full, so a run
-        of appends copies each row a bounded number of times.
-        """
+        """Append one normalised row per new item."""
         ids = list(vectors)
         if not ids:
             return
@@ -248,14 +244,7 @@ class EmbeddingIndex(_RowMatrix):
             block[j] = vec.reshape(dim)
         _normalize_rows(block, ids)
         start = len(self.row_of)
-        end = start + len(ids)
-        if end > len(self._buffer):
-            buffer = np.empty((max(end, 2 * len(self._buffer)), dim))
-            if start:
-                buffer[:start] = self.matrix
-            self._buffer = buffer
-        self._buffer[start:end] = block
-        self.matrix = self._buffer[:end]
+        self.matrix = np.concatenate([self.matrix, block]) if start else block
         self.dim = dim
         for j, item_id in enumerate(ids):
             self.row_of[item_id] = start + j
@@ -298,7 +287,7 @@ class EmbeddingIndex(_RowMatrix):
             self.row_of[item_id] = len(self.row_of)
         if matrix is None:
             raise ProviderError(f"{path}: empty embedding file")
-        self._buffer = self.matrix = matrix[: len(self.row_of)]
+        self.matrix = matrix[: len(self.row_of)]
         self.dim = matrix.shape[1]
         _normalize_rows(self.matrix, list(self.row_of))
         return self

@@ -187,8 +187,8 @@ def select_candidates(
     if k < 1:
         raise ValueError("k must be >= 1")
     vec = scores.vector(q_id)
-    order = np.argsort(-vec, kind="stable")[:k]
-    return [(scores.relation_order[i], float(vec[i])) for i in order]
+    order = sorted(range(len(vec)), key=lambda i: (-vec[i], i))
+    return [(scores.relation_order[i], float(vec[i])) for i in order[:k]]
 
 
 def combined_bag_scores(

@@ -140,6 +140,21 @@ def test_cache_torn_final_line_dropped_then_append_repairs(tmp_path, caplog):
     assert path.read_text().endswith("\n")
 
 
+def test_cache_valid_final_line_without_newline_kept(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    first = {"key": "k1", "prompt_sha": "s1", "response": "first"}
+    last = {"key": "k2", "prompt_sha": "s2", "response": "second"}
+    path.write_text(json.dumps(first) + "\n" + json.dumps(last))
+    with caplog.at_level("WARNING"):
+        cache = ReplayCache.load(path)
+    assert "torn" not in caplog.text
+    assert cache.entries == {"k1": "first", "k2": "second"}
+    cache.append("k3", "s3", "third")
+    reloaded = ReplayCache.load(path)
+    assert reloaded.entries == {"k1": "first", "k2": "second", "k3": "third"}
+    assert path.read_text().endswith("\n")
+
+
 def test_cache_bad_line_mid_file_still_raises(tmp_path):
     path = tmp_path / "cache.jsonl"
     entry = {"key": "k1", "prompt_sha": "s1", "response": "a"}
