@@ -30,12 +30,9 @@ from .providers import (
     ScoringConfig,
 )
 from .selection import (
-    BagExemplar,
-    BagExemplarSet,
     Exemplar,
     ExemplarSet,
     NoBagForRelation,
-    build_bag_exemplar_set,
     build_exemplar_set,
     combined_bag_scores,
     corpus_view,
@@ -45,8 +42,6 @@ from .selection import (
     select_sentence,
 )
 from .baselines import (
-    FlatExample,
-    ablation_variant,
     flatten,
     mmr_select,
     random_k,

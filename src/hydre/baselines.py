@@ -1,5 +1,5 @@
 """Exemplar-selection baselines over the flattened corpus, plus the
-ablation variants of the main pipeline.
+ablations that replace stages 2 and 3 of the main pipeline.
 
 Baselines operate on sentences: bags are flattened and every sentence
 inherits its bag's full labelset. All selections are deterministic given
@@ -8,23 +8,18 @@ a seed.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Bag, Corpus, SentenceInstance
+from .corpus import Bag, Corpus
 from .providers import EmbeddingIndex, ScoreMatrix, ScoringConfig
 from .selection import (
-    BagExemplarSet,
     Exemplar,
     ExemplarSet,
     _order_ascending,
     _query_rng,
-    build_bag_exemplar_set,
-    build_exemplar_set,
     corpus_view,
     select_candidates,
 )
@@ -32,45 +27,27 @@ from .selection import (
 DEFAULT_MMR_ALPHA = 0.3
 DEFAULT_MMR_POOL_SIZE = 100
 
-ABLATION_NAMES = (
-    "all_relations",
-    "flat_retrieval",
-    "full_bag",
-    "no_sim",
-    "no_conf",
-    "random_bag_sentence",
-    "no_icl",
-)
 
-
-@dataclass(frozen=True)
-class FlatExample:
-    """One (bag, sentence) pair carrying the bag's full labelset."""
-
-    sentence: SentenceInstance
-    labels: frozenset[str]
-    source_bag_id: str
-
-
-def flatten(bags: Sequence[Bag]) -> list[FlatExample]:
-    """One FlatExample per (bag, sentence) pair, corpus order preserved."""
+def flatten(bags: Sequence[Bag]) -> list[Exemplar]:
+    """One single-sentence Exemplar per (bag, sentence) pair, carrying the
+    bag's full labelset; corpus order preserved."""
     return [
-        FlatExample(sentence, bag.labelset, bag.bag_id)
+        Exemplar((sentence,), bag.labelset, bag.bag_id)
         for bag in bags
         for sentence in bag.sentences
     ]
 
 
 def random_k(
-    flat: Sequence[FlatExample], k: int, seed: int | str
-) -> list[FlatExample]:
+    flat: Sequence[Exemplar], k: int, seed: int | str
+) -> list[Exemplar]:
     """Uniform sample without replacement, deterministic given the seed."""
     if k > len(flat):
         raise ValueError(f"k={k} exceeds corpus size {len(flat)}")
     return random.Random(seed).sample(list(flat), k)
 
 
-def flat_rows(flat: Sequence[FlatExample], embeddings: EmbeddingIndex) -> np.ndarray:
+def flat_rows(flat: Sequence[Exemplar], embeddings: EmbeddingIndex) -> np.ndarray:
     """Embedding-matrix row of each flattened example."""
     return embeddings.row_indexes(f.sentence.sentence_id for f in flat)
 
@@ -82,11 +59,11 @@ def _ranked(sims: np.ndarray) -> np.ndarray:
 
 def topk_sim(
     q_id: str,
-    flat: Sequence[FlatExample],
+    flat: Sequence[Exemplar],
     embeddings: EmbeddingIndex,
     k: int,
     sims: np.ndarray | None = None,
-) -> list[FlatExample]:
+) -> list[Exemplar]:
     """The k sentences most similar to the query, descending; corpus order
     breaks ties.
 
@@ -100,13 +77,13 @@ def topk_sim(
 
 def mmr_select(
     q_id: str,
-    flat: Sequence[FlatExample],
+    flat: Sequence[Exemplar],
     embeddings: EmbeddingIndex,
     k: int,
     alpha: float = DEFAULT_MMR_ALPHA,
     pool_size: int | None = DEFAULT_MMR_POOL_SIZE,
     sims: np.ndarray | None = None,
-) -> list[FlatExample]:
+) -> list[Exemplar]:
     """Greedy maximal-marginal-relevance selection, in selection order.
 
     Each step maximizes alpha * sim(q, s) - (1 - alpha) * max sim(s, s')
@@ -141,62 +118,7 @@ def mmr_select(
     return [flat[pool[j]] for j in selected]
 
 
-@dataclass(frozen=True)
-class AblationSelection:
-    """An ablation's selection plus the relation scope its prompt should use."""
-
-    selection: ExemplarSet | BagExemplarSet
-    relation_scope: str  # "full_ontology" | "candidates_only"
-
-
-def ablation_variant(
-    name: str,
-    q_id: str,
-    corpus: Corpus,
-    scores: ScoreMatrix | None,
-    embeddings: EmbeddingIndex | None,
-    config: ScoringConfig,
-) -> AblationSelection:
-    """Run one ablation of the main pipeline for a single query."""
-    if name == "all_relations":
-        cfg = dataclasses.replace(config, k=len(corpus.ontology))
-        return AblationSelection(
-            build_exemplar_set(q_id, corpus, scores, embeddings, cfg),
-            "full_ontology",
-        )
-    if name == "flat_retrieval":
-        return AblationSelection(
-            _flat_retrieval(q_id, corpus, scores, embeddings, config),
-            "full_ontology",
-        )
-    if name == "full_bag":
-        return AblationSelection(
-            build_bag_exemplar_set(q_id, corpus, scores, embeddings, config, reduced=False),
-            "full_ontology",
-        )
-    if name == "no_sim":
-        cfg = dataclasses.replace(config, w_sim=0.0)
-        return AblationSelection(
-            build_exemplar_set(q_id, corpus, scores, None, cfg), "full_ontology"
-        )
-    if name == "no_conf":
-        cfg = dataclasses.replace(config, w_conf=0.0)
-        return AblationSelection(
-            build_exemplar_set(q_id, corpus, None, embeddings, cfg), "full_ontology"
-        )
-    if name == "random_bag_sentence":
-        return AblationSelection(
-            _random_bag_sentence(q_id, corpus, scores, config), "full_ontology"
-        )
-    if name == "no_icl":
-        candidates = select_candidates(q_id, scores, config.k)
-        return AblationSelection(
-            ExemplarSet(q_id, (), tuple(candidates), ()), "candidates_only"
-        )
-    raise ValueError(f"unknown ablation variant {name!r}")
-
-
-def _flat_retrieval(
+def flat_retrieval(
     q_id: str,
     corpus: Corpus,
     scores: ScoreMatrix,
@@ -226,13 +148,15 @@ def _flat_retrieval(
         b = view.sentence_bag[best]
         bag = corpus.bags[b]
         sentence = bag.sentences[best - view.starts[b]]
-        exemplars.append(Exemplar(sentence, bag.labelset, bag.bag_id, relation, score))
+        exemplars.append(
+            Exemplar((sentence,), bag.labelset, bag.bag_id, relation, score)
+        )
     return ExemplarSet(
         q_id, _order_ascending(exemplars), tuple(candidates), tuple(skipped)
     )
 
 
-def _random_bag_sentence(
+def random_bag_sentence(
     q_id: str,
     corpus: Corpus,
     scores: ScoreMatrix,
@@ -252,7 +176,7 @@ def _random_bag_sentence(
         bag = corpus.bags_by_id[bag_ids[rng.randrange(len(bag_ids))]]
         sentence = bag.sentences[rng.randrange(len(bag.sentences))]
         exemplars.append(
-            Exemplar(sentence, bag.labelset, bag.bag_id, relation, score)
+            Exemplar((sentence,), bag.labelset, bag.bag_id, relation, score)
         )
     return ExemplarSet(
         q_id, _order_ascending(exemplars), tuple(candidates), tuple(skipped)

@@ -19,24 +19,30 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
 from .baselines import (
-    ABLATION_NAMES,
     DEFAULT_MMR_ALPHA,
     DEFAULT_MMR_POOL_SIZE,
-    FlatExample,
-    ablation_variant,
+    flat_retrieval,
     flat_rows,
     flatten,
     mmr_select,
+    random_bag_sentence,
     random_k,
     topk_sim,
 )
-from .corpus import Corpus, CorpusError, QueryInstance, na_fraction
+from .corpus import (
+    Corpus,
+    CorpusError,
+    QueryInstance,
+    iter_jsonl,
+    na_fraction,
+    write_jsonl,
+)
 from .evaluation import (
     FactSet,
     confusion_pairs,
@@ -58,12 +64,13 @@ from .judge import (
 from .prompting import PromptTemplate, block_for_sentences, render_prompt
 from .providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from .selection import (
-    build_bag_exemplar_set,
+    Exemplar,
+    ExemplarSet,
     build_exemplar_set,
+    deserialize_exemplar_set,
+    select_candidates,
     serialize_exemplar_set,
 )
-
-BASE_STRATEGIES = ("hydre", "random_k", "topk_sim", "mmr", "zero_shot", "reduced_bag")
 
 
 class ConfigError(ValueError):
@@ -100,7 +107,6 @@ DEFAULT_CONFIG: dict = {
     "parallelism": 1,
     "mode": "replay",
     "llm_endpoint": None,
-    "embed_endpoint": None,
 }
 
 
@@ -157,17 +163,6 @@ class RunConfig:
     def template(self, relation_scope: str = "full_ontology") -> PromptTemplate:
         return PromptTemplate(relation_scope=relation_scope, **self.raw["template"])
 
-    def validate_strategy(self) -> None:
-        name = self.strategy
-        if name in BASE_STRATEGIES:
-            return
-        if name.startswith("ablation:") and name.split(":", 1)[1] in ABLATION_NAMES:
-            return
-        raise ConfigError(
-            f"unknown strategy {name!r}; expected one of {BASE_STRATEGIES} "
-            f"or ablation:<{'|'.join(ABLATION_NAMES)}>"
-        )
-
 
 def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     file_values: dict = {}
@@ -192,32 +187,14 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
         else:
             raw[key] = value
     config = RunConfig(raw=raw, base_dir=base_dir)
-    config.validate_strategy()
+    if config.strategy not in STRATEGIES:
+        raise ConfigError(
+            f"unknown strategy {config.strategy!r}; expected one of "
+            f"{', '.join(STRATEGIES)}"
+        )
     if config.mode not in ("live", "replay"):
         raise ConfigError(f"unknown mode {config.mode!r}")
     return config
-
-
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
-
-def _write_jsonl(records: Sequence[dict], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(_dump_line(record))
-            fh.write("\n")
-
-
-def _read_jsonl(path: Path) -> list[dict]:
-    records = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def _write_metadata(config: RunConfig, command: str) -> None:
@@ -244,32 +221,16 @@ class LoadedRun:
     embeddings: EmbeddingIndex | None
 
 
-def _provider_needs(config: RunConfig) -> tuple[bool, bool, bool, bool]:
-    """(query scores, sentence scores, query embeddings, sentence embeddings)."""
+def _needs(config: RunConfig) -> tuple[bool, bool, bool, bool]:
+    """(query scores, sentence scores, query embeddings, sentence embeddings)
+    the configured strategy reads."""
     scoring = config.scoring()
-    name = config.strategy
-    variant = name.split(":", 1)[1] if name.startswith("ablation:") else name
-    conf = scoring.w_conf > 0
-    sim = scoring.w_sim > 0
-    table = {
-        "hydre": (conf, conf, sim, sim),
-        "reduced_bag": (conf, True, sim, sim),
-        "random_k": (False, False, False, False),
-        "topk_sim": (False, False, True, True),
-        "mmr": (False, False, True, True),
-        "zero_shot": (False, False, False, False),
-        "all_relations": (conf, conf, sim, sim),
-        "flat_retrieval": (True, True, sim, sim),
-        "full_bag": (conf, conf, sim, sim),
-        "no_sim": (True, True, False, False),
-        "no_conf": (False, False, True, True),
-        "random_bag_sentence": (True, False, False, False),
-        "no_icl": (True, False, False, False),
-    }
-    return table[variant]
+    return STRATEGIES[config.strategy].needs(scoring.w_conf > 0, scoring.w_sim > 0)
 
 
-def _load_run(config: RunConfig) -> LoadedRun:
+def _load_run(config: RunConfig, embeddings: bool = True) -> LoadedRun:
+    """Load the corpus and the providers whose files exist; the embedding
+    file only when ``embeddings`` is set."""
     for name in ("ontology", "bags", "queries"):
         if config.path(name) is None:
             raise ConfigError(f"paths.{name} is required")
@@ -279,16 +240,17 @@ def _load_run(config: RunConfig) -> LoadedRun:
     scores = None
     if config.path("scores") is not None and config.path("scores").exists():
         scores = ScoreMatrix.load(config.path("scores"), corpus.ontology)
-    embeddings = None
-    if config.path("embeddings") is not None and config.path("embeddings").exists():
-        embeddings = EmbeddingIndex.load(config.path("embeddings"))
-    return LoadedRun(corpus, scores, embeddings)
+    index = None
+    path = config.path("embeddings")
+    if embeddings and path is not None and path.exists():
+        index = EmbeddingIndex.load(path)
+    return LoadedRun(corpus, scores, index)
 
 
 def _check_providers(config: RunConfig, run: LoadedRun) -> None:
     """Cross-check that every item the strategy touches is scored/embedded."""
     corpus = run.corpus
-    q_scores, s_scores, q_emb, s_emb = _provider_needs(config)
+    q_scores, s_scores, q_emb, s_emb = _needs(config)
     if (q_scores or s_scores) and run.scores is None:
         raise ConfigError(
             f"strategy {config.strategy!r} needs confidence scores but "
@@ -337,112 +299,162 @@ def cmd_validate(config: RunConfig) -> int:
     return 0
 
 
-def _baseline_record(
-    query_id: str, selected, ontology, with_scores: list[float] | None
-) -> dict:
-    entries = []
-    for i, example in enumerate(selected):
-        entries.append(
-            {
-                "sentence_id": example.sentence.sentence_id,
-                "source_bag_id": example.source_bag_id,
-                "candidate_relation": None,
-                "candidate_score": None if with_scores is None else with_scores[i],
-                "labels": ontology.sorted_labels(example.labels),
-            }
-        )
-    return {
-        "query_id": query_id,
-        "exemplars": entries,
-        "candidates": [],
-        "skipped": [],
-        "style": "sentence",
-        "relation_scope": "full_ontology",
-    }
-
-
 class FlatCorpus(NamedTuple):
     """The flattened corpus the sentence-level baselines select from, built
     once per select command."""
 
-    examples: list[FlatExample]
+    examples: list[Exemplar]
     rows: np.ndarray | None  # embedding-matrix row of each example
     position: dict[str, int]  # sentence id -> index into examples
 
 
-FLAT_STRATEGIES = ("random_k", "topk_sim", "mmr")
+@dataclass(frozen=True)
+class SelectionInputs:
+    """What a strategy's selector reads besides the query id."""
+
+    corpus: Corpus
+    scores: ScoreMatrix | None
+    embeddings: EmbeddingIndex | None
+    scoring: ScoringConfig
+    mmr_alpha: float = DEFAULT_MMR_ALPHA
+    mmr_pool_size: int | None = DEFAULT_MMR_POOL_SIZE
+    flat: FlatCorpus | None = None
+
+
+class Strategy(NamedTuple):
+    """A selector, the provider rows it reads and whether it selects from
+    the flattened corpus.
+
+    ``needs(conf, sim)``, with conf = w_conf > 0 and sim = w_sim > 0, gives
+    (query scores, sentence scores, query embeddings, sentence embeddings).
+    """
+
+    select: Callable[[str, SelectionInputs], ExemplarSet]
+    needs: Callable[[bool, bool], tuple[bool, bool, bool, bool]]
+    flat: bool = False
+
+
+def _pipeline(
+    q_id: str, inputs: SelectionInputs, style: str = "sentence", **scoring_changes
+) -> ExemplarSet:
+    """The three-stage pipeline in an exemplar style, with changed scoring."""
+    return build_exemplar_set(
+        q_id,
+        inputs.corpus,
+        inputs.scores,
+        inputs.embeddings,
+        dataclasses.replace(inputs.scoring, **scoring_changes),
+        style=style,
+    )
+
+
+def _scored_by_similarity(
+    q_id: str, picked: list[Exemplar], flat: FlatCorpus, sims: np.ndarray
+) -> ExemplarSet:
+    """Baseline picks, each scored by its similarity to the query."""
+    return ExemplarSet(
+        q_id,
+        tuple(
+            dataclasses.replace(
+                e, candidate_score=float(sims[flat.position[e.sentence.sentence_id]])
+            )
+            for e in picked
+        ),
+    )
+
+
+def _topk_sim(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
+    flat, embeddings = inputs.flat, inputs.embeddings
+    sims = embeddings.similarities(q_id, flat.rows)
+    picked = topk_sim(q_id, flat.examples, embeddings, inputs.scoring.k, sims=sims)
+    return _scored_by_similarity(q_id, picked, flat, sims)
+
+
+def _mmr(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
+    flat, embeddings = inputs.flat, inputs.embeddings
+    sims = embeddings.similarities(q_id, flat.rows)
+    picked = mmr_select(
+        q_id,
+        flat.examples,
+        embeddings,
+        inputs.scoring.k,
+        alpha=inputs.mmr_alpha,
+        pool_size=inputs.mmr_pool_size,
+        sims=sims,
+    )
+    return _scored_by_similarity(q_id, picked, flat, sims)
+
+
+# Every strategy the CLI accepts. Selectors look the selection functions up
+# as module globals when they run, so a wrapper installed on this module
+# sees every call.
+STRATEGIES: dict[str, Strategy] = {
+    "hydre": Strategy(_pipeline, lambda conf, sim: (conf, conf, sim, sim)),
+    "reduced_bag": Strategy(
+        lambda q_id, i: _pipeline(q_id, i, "reduced_bag"),
+        lambda conf, sim: (conf, True, sim, sim),
+    ),
+    "random_k": Strategy(
+        lambda q_id, i: ExemplarSet(
+            q_id,
+            tuple(random_k(i.flat.examples, i.scoring.k, f"{i.scoring.seed}|{q_id}")),
+        ),
+        lambda conf, sim: (False, False, False, False),
+        flat=True,
+    ),
+    "topk_sim": Strategy(
+        _topk_sim, lambda conf, sim: (False, False, True, True), flat=True
+    ),
+    "mmr": Strategy(_mmr, lambda conf, sim: (False, False, True, True), flat=True),
+    "zero_shot": Strategy(
+        lambda q_id, i: ExemplarSet(q_id, style="zero_shot"),
+        lambda conf, sim: (False, False, False, False),
+    ),
+    "ablation:all_relations": Strategy(
+        lambda q_id, i: _pipeline(q_id, i, k=len(i.corpus.ontology)),
+        lambda conf, sim: (conf, conf, sim, sim),
+    ),
+    "ablation:flat_retrieval": Strategy(
+        lambda q_id, i: flat_retrieval(
+            q_id, i.corpus, i.scores, i.embeddings, i.scoring
+        ),
+        lambda conf, sim: (True, True, sim, sim),
+    ),
+    "ablation:full_bag": Strategy(
+        lambda q_id, i: _pipeline(q_id, i, "full_bag"),
+        lambda conf, sim: (conf, conf, sim, sim),
+    ),
+    "ablation:no_sim": Strategy(
+        lambda q_id, i: _pipeline(q_id, i, w_sim=0.0),
+        lambda conf, sim: (True, True, False, False),
+    ),
+    "ablation:no_conf": Strategy(
+        lambda q_id, i: _pipeline(q_id, i, w_conf=0.0),
+        lambda conf, sim: (False, False, True, True),
+    ),
+    "ablation:random_bag_sentence": Strategy(
+        lambda q_id, i: random_bag_sentence(q_id, i.corpus, i.scores, i.scoring),
+        lambda conf, sim: (True, False, False, False),
+    ),
+    "ablation:no_icl": Strategy(
+        lambda q_id, i: ExemplarSet(
+            q_id,
+            candidates=tuple(select_candidates(q_id, i.scores, i.scoring.k)),
+            relation_scope="candidates_only",
+        ),
+        lambda conf, sim: (True, False, False, False),
+    ),
+}
 
 
 def _flat_corpus(config: RunConfig, run: LoadedRun) -> FlatCorpus | None:
-    if config.strategy not in FLAT_STRATEGIES:
+    if not STRATEGIES[config.strategy].flat:
         return None
     examples = flatten(run.corpus.bags)
-    if config.strategy == "random_k":
+    if not _needs(config)[3]:  # reads no sentence embeddings
         return FlatCorpus(examples, None, {})
-    position = {f.sentence.sentence_id: i for i, f in enumerate(examples)}
+    position = {e.sentence.sentence_id: i for i, e in enumerate(examples)}
     return FlatCorpus(examples, flat_rows(examples, run.embeddings), position)
-
-
-def _select_for_query(
-    config: RunConfig,
-    run: LoadedRun,
-    query: QueryInstance,
-    scoring: ScoringConfig,
-    flat: FlatCorpus | None,
-) -> dict:
-    corpus, scores, embeddings = run.corpus, run.scores, run.embeddings
-    name = config.strategy
-    q_id = query.query_id
-    if name == "hydre":
-        exemplar_set = build_exemplar_set(q_id, corpus, scores, embeddings, scoring)
-        record = serialize_exemplar_set(exemplar_set, corpus.ontology)
-        record["relation_scope"] = "full_ontology"
-        return record
-    if name == "reduced_bag":
-        exemplar_set = build_bag_exemplar_set(
-            q_id, corpus, scores, embeddings, scoring, reduced=True
-        )
-        record = serialize_exemplar_set(exemplar_set, corpus.ontology)
-        record["relation_scope"] = "full_ontology"
-        return record
-    if name == "zero_shot":
-        return {
-            "query_id": q_id,
-            "exemplars": [],
-            "candidates": [],
-            "skipped": [],
-            "style": "zero_shot",
-            "relation_scope": "full_ontology",
-        }
-    if name.startswith("ablation:"):
-        outcome = ablation_variant(
-            name.split(":", 1)[1], q_id, corpus, scores, embeddings, scoring
-        )
-        record = serialize_exemplar_set(outcome.selection, corpus.ontology)
-        record["relation_scope"] = outcome.relation_scope
-        return record
-    if name not in FLAT_STRATEGIES:
-        raise ConfigError(f"unknown strategy {name!r}")
-    if name == "random_k":
-        selected = random_k(flat.examples, scoring.k, f"{config.seed}|{q_id}")
-        return _baseline_record(q_id, selected, corpus.ontology, None)
-    sims = embeddings.similarities(q_id, flat.rows)
-    if name == "topk_sim":
-        selected = topk_sim(q_id, flat.examples, embeddings, scoring.k, sims=sims)
-    else:
-        selected = mmr_select(
-            q_id,
-            flat.examples,
-            embeddings,
-            scoring.k,
-            alpha=float(config.raw["mmr"]["alpha"]),
-            pool_size=config.raw["mmr"]["pool_size"],
-            sims=sims,
-        )
-    candidate_scores = [
-        float(sims[flat.position[e.sentence.sentence_id]]) for e in selected
-    ]
-    return _baseline_record(q_id, selected, corpus.ontology, candidate_scores)
 
 
 def _selections_filename(k: int | None) -> str:
@@ -456,44 +468,42 @@ def cmd_select(config: RunConfig, k_override: int | None = None) -> int:
     scoring = config.scoring()
     if k_override is not None:
         scoring = dataclasses.replace(scoring, k=k_override)
-    flat = _flat_corpus(config, run)
+    inputs = SelectionInputs(
+        run.corpus,
+        run.scores,
+        run.embeddings,
+        scoring,
+        mmr_alpha=float(config.raw["mmr"]["alpha"]),
+        mmr_pool_size=config.raw["mmr"]["pool_size"],
+        flat=_flat_corpus(config, run),
+    )
+    select = STRATEGIES[config.strategy].select
     records = [
-        _select_for_query(config, run, query, scoring, flat)
-        for query in run.corpus.queries
+        serialize_exemplar_set(select(q.query_id, inputs), run.corpus.ontology)
+        for q in run.corpus.queries
     ]
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(records, out / _selections_filename(k_override))
+    write_jsonl(records, out / _selections_filename(k_override))
     _write_metadata(config, "select")
     print(f"selected exemplars for {len(records)} queries -> {out}")
     return 0
 
 
-def _blocks_for_record(record: dict, corpus: Corpus):
-    blocks = []
-    for entry in record["exemplars"]:
-        if entry.get("sentence_id") is not None:
-            sentences = [corpus.sentences_by_id[entry["sentence_id"]]]
-        else:
-            sentences = [corpus.sentences_by_id[sid] for sid in entry["sentence_ids"]]
-        blocks.append(
-            block_for_sentences(sentences, entry["labels"], corpus.ontology)
-        )
-    return blocks
-
-
 def _render_for_record(
     config: RunConfig, corpus: Corpus, query: QueryInstance, record: dict
 ) -> str:
-    scope = record.get("relation_scope", "full_ontology")
-    template = config.template(relation_scope=scope)
-    candidates = [r for r, _ in record.get("candidates", [])] or None
+    selection = deserialize_exemplar_set(record, corpus)
+    blocks = [
+        block_for_sentences(e.sentences, e.labels, corpus.ontology)
+        for e in selection.exemplars
+    ]
     return render_prompt(
         query,
-        _blocks_for_record(record, corpus),
+        blocks,
         corpus.ontology,
-        template,
-        candidates=candidates,
+        config.template(relation_scope=selection.relation_scope),
+        candidates=[r for r, _ in selection.candidates] or None,
     )
 
 
@@ -502,15 +512,18 @@ def _run_one_k(config: RunConfig, run: LoadedRun, k: int | None) -> None:
     out = config.output_dir
     selections_path = out / _selections_filename(k)
     if not selections_path.exists():
-        if config.strategy == "zero_shot":
+        # A sweep selects per k. A selection that reads no provider and no
+        # flattened corpus costs nothing to make, so run makes it.
+        strategy = STRATEGIES[config.strategy]
+        if k is not None or not (strategy.flat or any(_needs(config))):
             cmd_select(config, k_override=k)
-        elif k is not None:
-            cmd_select(config, k_override=k)  # sweep runs select per k
         else:
             raise ConfigError(
                 f"selections file {selections_path} not found; run `select` first"
             )
-    by_query = {r["query_id"]: r for r in _read_jsonl(selections_path)}
+    by_query = {
+        r["query_id"]: r for _, r in iter_jsonl(selections_path, ConfigError)
+    }
     missing = [q.query_id for q in corpus.queries if q.query_id not in by_query]
     if missing:
         raise ConfigError(f"selections missing for queries: {missing}")
@@ -562,8 +575,8 @@ def _run_one_k(config: RunConfig, run: LoadedRun, k: int | None) -> None:
                 "error": result.error,
             }
         )
-    _write_jsonl(prompt_records, out / f"prompts{suffix}.jsonl")
-    _write_jsonl(prediction_records, out / f"predictions{suffix}.jsonl")
+    write_jsonl(prompt_records, out / f"prompts{suffix}.jsonl")
+    write_jsonl(prediction_records, out / f"predictions{suffix}.jsonl")
 
 
 def _parse_k_flag(value: str | None) -> list[int] | None:
@@ -591,7 +604,7 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
 
 def _load_predictions(path: Path, corpus: Corpus) -> dict[str, frozenset[str]]:
     predictions: dict[str, frozenset[str]] = {}
-    for record in _read_jsonl(path):
+    for _, record in iter_jsonl(path, ConfigError):
         query_id = record["query_id"]
         if query_id in predictions:
             raise ConfigError(f"{path}: duplicate query_id {query_id!r}")
@@ -603,7 +616,7 @@ def cmd_eval(
     config: RunConfig, predictions_path: Path, baseline_path: Path | None = None
 ) -> int:
     """Score predictions against gold and emit report files."""
-    run = _load_run(config)
+    run = _load_run(config, embeddings=False)
     corpus = run.corpus
     predictions = _load_predictions(predictions_path, corpus)
     gap = [q.query_id for q in corpus.queries if q.query_id not in predictions]

@@ -173,7 +173,13 @@ class QueryInstance:
             raise CorpusError(f"query {self.query_id!r}: empty gold set")
 
 
-def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+def iter_jsonl(
+    path: str | Path, error: type[Exception]
+) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file.
+
+    A line that is not a JSON object raises ``error`` naming path:line.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -183,17 +189,21 @@ def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
-                raise CorpusError(f"{path}:{lineno}: record is not an object")
+                raise error(f"{path}:{lineno}: record is not an object")
             yield lineno, record
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    """One compact, key-sorted JSON object per line."""
+    with Path(path).open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
+            fh.write(
+                json.dumps(
+                    record, sort_keys=True, ensure_ascii=False, separators=(",", ":")
+                )
+            )
             fh.write("\n")
 
 
@@ -208,7 +218,7 @@ def load_ontology(path: str | Path, na_symbol: str = DEFAULT_NA_SYMBOL) -> Relat
     The NA symbol is attached to the ontology, never listed as a relation.
     """
     relations: list[tuple[str, str]] = []
-    for lineno, record in _iter_jsonl(path):
+    for lineno, record in iter_jsonl(path, CorpusError):
         try:
             name = record["name"]
             definition = record["definition"]
@@ -266,7 +276,7 @@ def load_bags(path: str | Path, ontology: RelationOntology) -> list[Bag]:
     bags: list[Bag] = []
     seen_bags: set[str] = set()
     seen_sentences: set[str] = set()
-    for lineno, record in _iter_jsonl(path):
+    for lineno, record in iter_jsonl(path, CorpusError):
         where = f"{path}:{lineno}"
         try:
             bag_id = record["bag_id"]
@@ -302,7 +312,7 @@ def load_queries(path: str | Path, ontology: RelationOntology) -> list[QueryInst
     queries: list[QueryInstance] = []
     seen: set[str] = set()
     na = ontology.na_symbol
-    for lineno, record in _iter_jsonl(path):
+    for lineno, record in iter_jsonl(path, CorpusError):
         where = f"{path}:{lineno}"
         try:
             query_id = record["query_id"]

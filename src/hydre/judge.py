@@ -17,12 +17,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 from .corpus import RelationOntology
 from .prompting import ParsedPrediction, parse_response
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 LLM_API_KEY_ENV = "HYDRE_LLM_API_KEY"
 RETRY_BACKOFF_SECONDS = (1.0, 4.0, 16.0)
@@ -242,6 +244,28 @@ class HttpChatBackend:
             raise TransportError(str(exc)) from exc
 
 
+def retry(
+    call: Callable[[], T],
+    retried: type[Exception],
+    error: type[Exception],
+    what: str,
+    sleep: Callable[[float], None],
+) -> T:
+    """``call()``, tried again after each RETRY_BACKOFF_SECONDS wait while
+    it raises ``retried``; when every try fails, raises ``error`` with
+    "<what> failed after retries: <last failure>"."""
+    last: Exception | None = None
+    for backoff in (None,) + RETRY_BACKOFF_SECONDS:
+        if backoff is not None:
+            logger.warning("%s failed (%s); retrying in %ss", what, last, backoff)
+            sleep(backoff)
+        try:
+            return call()
+        except retried as exc:
+            last = exc
+    raise error(f"{what} failed after retries: {last}")
+
+
 def count_input_tokens(prompt: str, backend=None) -> int:
     """Backend-reported token count when available, else a conservative
     whitespace estimate."""
@@ -280,18 +304,13 @@ def generate(
         raise ReplayMiss(f"key {key} (prompt sha {prompt_sha(prompt)})")
     if backend is None:
         raise ValueError("live mode requires a backend")
-    last: Exception | None = None
-    for backoff in (None,) + RETRY_BACKOFF_SECONDS:
-        if backoff is not None:
-            logger.warning("dispatch failed (%s); retrying in %ss", last, backoff)
-            sleep(backoff)
-        try:
-            response = backend.complete(prompt, params)
-            break
-        except TransportError as exc:
-            last = exc
-    else:
-        raise TransportError(f"dispatch failed after retries: {last}")
+    response = retry(
+        lambda: backend.complete(prompt, params),
+        TransportError,
+        TransportError,
+        "dispatch",
+        sleep,
+    )
     if cache is not None:
         cache.append(key, prompt_sha(prompt), response)
     return response

@@ -10,7 +10,6 @@ Selection only reads them, so concurrent use per query is safe.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import time
 from dataclasses import dataclass
@@ -19,30 +18,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import RelationOntology
-
-logger = logging.getLogger(__name__)
+from .corpus import RelationOntology, iter_jsonl
+from .judge import retry
 
 EMBED_API_KEY_ENV = "HYDRE_EMBED_API_KEY"
-RETRY_BACKOFF_SECONDS = (1.0, 4.0, 16.0)
 
 
 class ProviderError(ValueError):
     """Missing, malformed, or inconsistent provider data."""
-
-
-def _records(path: Path) -> Iterator[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of a JSONL file."""
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProviderError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield lineno, record
 
 
 def _count_records(path: Path) -> int:
@@ -138,7 +121,7 @@ class ScoreMatrix(_RowMatrix):
         The matrix is allocated once from the line count and filled in place.
         """
         path = Path(path)
-        records = _records(path)
+        records = iter_jsonl(path, ProviderError)
         first = next(records, None)
         if first is None:
             raise ProviderError(f"{path}: empty score file")
@@ -269,7 +252,7 @@ class EmbeddingIndex(_RowMatrix):
         n_records = _count_records(path)
         self = cls(0)
         matrix: np.ndarray | None = None
-        for lineno, record in _records(path):
+        for lineno, record in iter_jsonl(path, ProviderError):
             item_id = record.get("id")
             raw = record.get("vector")
             if not isinstance(item_id, str) or not isinstance(raw, list):
@@ -376,20 +359,6 @@ class EmbeddingClient:
         else:
             self.index = EmbeddingIndex(dim=0)
 
-    def _post_with_retry(self, texts: list[str]) -> list[list[float]]:
-        last: Exception | None = None
-        for attempt, backoff in enumerate((None,) + RETRY_BACKOFF_SECONDS):
-            if backoff is not None:
-                logger.warning(
-                    "embedding request failed (%s); retrying in %ss", last, backoff
-                )
-                self._sleep(backoff)
-            try:
-                return self.transport(texts)
-            except Exception as exc:  # transport errors are backend-specific
-                last = exc
-        raise ProviderError(f"embedding service failed after retries: {last}")
-
     def fetch_embeddings(self, items: Sequence[tuple[str, str]]) -> EmbeddingIndex:
         """Ensure every (item_id, text) pair has a cached vector.
 
@@ -400,7 +369,13 @@ class EmbeddingClient:
         missing = [(i, t) for i, t in items if i not in self.index]
         for start in range(0, len(missing), self.batch_size):
             batch = missing[start : start + self.batch_size]
-            vectors = self._post_with_retry([t for _, t in batch])
+            vectors = retry(
+                lambda: self.transport([t for _, t in batch]),
+                Exception,  # transport errors are backend-specific
+                ProviderError,
+                "embedding service",
+                self._sleep,
+            )
             if len(vectors) != len(batch):
                 raise ProviderError(
                     f"embedding service returned {len(vectors)} vectors "

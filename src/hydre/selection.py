@@ -28,65 +28,69 @@ class NoBagForRelation(LookupError):
 
 @dataclass(frozen=True)
 class Exemplar:
-    """A selected sentence plus its source bag's full labelset."""
+    """Sentences shown as one prompt block plus their source bag's full
+    labelset.
 
-    sentence: SentenceInstance
+    One sentence for the sentence-level strategies, the whole or reduced bag
+    for the bag styles. Stage-2 picks name the candidate relation they were
+    chosen for and its score; baseline exemplars carry no candidate.
+    """
+
+    sentences: tuple[SentenceInstance, ...]
     labels: frozenset[str]
     source_bag_id: str
-    candidate_relation: str
-    candidate_score: float
+    candidate_relation: str | None = None
+    candidate_score: float | None = None
 
     def __post_init__(self) -> None:
-        if self.candidate_relation not in self.labels:
+        if (
+            self.candidate_relation is not None
+            and self.candidate_relation not in self.labels
+        ):
             raise ValueError(
                 f"candidate relation {self.candidate_relation!r} missing from "
                 f"exemplar labels {sorted(self.labels)}"
             )
 
+    @property
+    def sentence(self) -> SentenceInstance:
+        """The one sentence of a sentence-level exemplar."""
+        (sentence,) = self.sentences
+        return sentence
 
-@dataclass(frozen=True)
-class BagExemplar:
-    """A selected bag rendered whole (or reduced) instead of one sentence."""
 
-    sentences: tuple[SentenceInstance, ...]
-    labels: frozenset[str]
-    source_bag_id: str
-    candidate_relation: str
-    candidate_score: float
+EXEMPLAR_STYLES = ("sentence", "full_bag", "reduced_bag", "zero_shot")
 
 
 @dataclass(frozen=True)
 class ExemplarSet:
-    """Per-query exemplars ordered ascending by candidate score.
+    """One query's selection, as every strategy returns it.
 
-    The least relevant exemplar comes first so the most relevant one sits
-    adjacent to the query in the prompt. ``candidates`` records the stage-1
-    output and ``skipped`` the candidate relations with no training bag.
+    Exemplars that carry a candidate relation are ordered ascending by
+    candidate score, at most one per candidate: the least relevant comes
+    first so the most relevant sits adjacent to the query in the prompt.
+    ``candidates`` records the stage-1 output and ``skipped`` the candidate
+    relations with no training bag. ``style`` says how the exemplars are
+    rendered and ``relation_scope`` which relations the prompt lists.
     """
 
     query_id: str
-    exemplars: tuple[Exemplar, ...]
+    exemplars: tuple[Exemplar, ...] = ()
     candidates: tuple[tuple[str, float], ...] = ()
     skipped: tuple[str, ...] = ()
+    style: str = "sentence"
+    relation_scope: str = "full_ontology"
 
     def __post_init__(self) -> None:
-        scores = [e.candidate_score for e in self.exemplars]
+        if self.style not in EXEMPLAR_STYLES:
+            raise ValueError(f"unknown exemplar style {self.style!r}")
+        picked = [e for e in self.exemplars if e.candidate_relation is not None]
+        scores = [e.candidate_score for e in picked]
         if any(a > b for a, b in zip(scores, scores[1:])):
             raise ValueError("exemplars must be ordered ascending by score")
-        relations = [e.candidate_relation for e in self.exemplars]
+        relations = [e.candidate_relation for e in picked]
         if len(set(relations)) != len(relations):
             raise ValueError("at most one exemplar per candidate relation")
-
-
-@dataclass(frozen=True)
-class BagExemplarSet:
-    """Bag-level counterpart of ExemplarSet (whole or reduced bags)."""
-
-    query_id: str
-    exemplars: tuple[BagExemplar, ...]
-    candidates: tuple[tuple[str, float], ...] = ()
-    skipped: tuple[str, ...] = ()
-    reduced: bool = False
 
 
 @dataclass(frozen=True)
@@ -341,12 +345,15 @@ def build_exemplar_set(
     scores: ScoreMatrix | None,
     embeddings: EmbeddingIndex | None,
     config: ScoringConfig,
+    style: str = "sentence",
 ) -> ExemplarSet:
     """Run all three stages for one query.
 
-    With w_conf = 0 there is no confidence model: sentence selection falls
-    back to a seeded uniform choice within the chosen bag and ordering is
-    ascending by bag similarity.
+    Stage 3 picks one sentence per chosen bag for the "sentence" style; the
+    "full_bag" style shows the whole bag and "reduced_bag" one best sentence
+    per bag label (``reduce_bag``). With w_conf = 0 there is no confidence
+    model: sentence selection falls back to a seeded uniform choice within
+    the chosen bag and ordering is ascending by bag similarity.
     """
     candidates, picks, skipped = select_candidate_bags(
         q_id, corpus, scores, embeddings, config
@@ -355,18 +362,21 @@ def build_exemplar_set(
     exemplars = []
     for relation, score, bag_id in picks:
         bag = corpus.bags_by_id[bag_id]
-        if rng is not None:
-            sentence = bag.sentences[rng.randrange(len(bag.sentences))]
+        if style == "full_bag":
+            sentences = bag.sentences
+        elif style == "reduced_bag":
+            sentences = tuple(s for s, _ in group_reduced(reduce_bag(bag, scores)))
+        elif rng is not None:
+            sentences = (bag.sentences[rng.randrange(len(bag.sentences))],)
         else:
-            sentence = select_sentence(bag, scores, config.threshold)
-        exemplars.append(
-            Exemplar(sentence, bag.labelset, bag_id, relation, score)
-        )
+            sentences = (select_sentence(bag, scores, config.threshold),)
+        exemplars.append(Exemplar(sentences, bag.labelset, bag_id, relation, score))
     return ExemplarSet(
         query_id=q_id,
         exemplars=_order_ascending(exemplars),
         candidates=tuple(candidates),
         skipped=tuple(skipped),
+        style=style,
     )
 
 
@@ -405,41 +415,14 @@ def group_reduced(
     return list(grouped.values())
 
 
-def build_bag_exemplar_set(
-    q_id: str,
-    corpus: Corpus,
-    scores: ScoreMatrix | None,
-    embeddings: EmbeddingIndex | None,
-    config: ScoringConfig,
-    reduced: bool,
-) -> BagExemplarSet:
-    """Stages 1 + 2 with whole-bag exemplars, optionally reduced per label."""
-    candidates, picks, skipped = select_candidate_bags(
-        q_id, corpus, scores, embeddings, config
-    )
-    exemplars = []
-    for relation, score, bag_id in picks:
-        bag = corpus.bags_by_id[bag_id]
-        if reduced:
-            sentences = tuple(s for s, _ in group_reduced(reduce_bag(bag, scores)))
-        else:
-            sentences = bag.sentences
-        exemplars.append(
-            BagExemplar(sentences, bag.labelset, bag_id, relation, score)
-        )
-    return BagExemplarSet(
-        query_id=q_id,
-        exemplars=_order_ascending(exemplars),
-        candidates=tuple(candidates),
-        skipped=tuple(skipped),
-        reduced=reduced,
-    )
-
-
 def serialize_exemplar_set(
-    exemplar_set: ExemplarSet | BagExemplarSet, ontology: RelationOntology
+    exemplar_set: ExemplarSet, ontology: RelationOntology
 ) -> dict:
-    """Audit/replay record for one query's selection."""
+    """Audit/replay record for one query's selection.
+
+    A sentence-style exemplar names its ``sentence_id``; a bag-style one
+    has ``"sentence_id": null`` and lists its ``sentence_ids``.
+    """
     entries = []
     for e in exemplar_set.exemplars:
         entry = {
@@ -448,60 +431,42 @@ def serialize_exemplar_set(
             "candidate_score": e.candidate_score,
             "labels": ontology.sorted_labels(e.labels),
         }
-        if isinstance(e, BagExemplar):
+        if exemplar_set.style == "sentence":
+            entry["sentence_id"] = e.sentence.sentence_id
+        else:
             entry["sentence_id"] = None
             entry["sentence_ids"] = [s.sentence_id for s in e.sentences]
-        else:
-            entry["sentence_id"] = e.sentence.sentence_id
         entries.append(entry)
-    record = {
+    return {
         "query_id": exemplar_set.query_id,
         "exemplars": entries,
         "candidates": [[r, s] for r, s in exemplar_set.candidates],
         "skipped": list(exemplar_set.skipped),
+        "style": exemplar_set.style,
+        "relation_scope": exemplar_set.relation_scope,
     }
-    if isinstance(exemplar_set, BagExemplarSet):
-        record["style"] = "reduced_bag" if exemplar_set.reduced else "full_bag"
-    else:
-        record["style"] = "sentence"
-    return record
 
 
-def deserialize_exemplar_set(
-    record: dict, corpus: Corpus
-) -> ExemplarSet | BagExemplarSet:
+def deserialize_exemplar_set(record: dict, corpus: Corpus) -> ExemplarSet:
     """Rebuild a selection from its serialized record and the corpus."""
     style = record.get("style", "sentence")
-    candidates = tuple((r, float(s)) for r, s in record.get("candidates", []))
-    skipped = tuple(record.get("skipped", []))
-    if style == "sentence":
-        exemplars = tuple(
+    exemplars = []
+    for e in record["exemplars"]:
+        ids = [e["sentence_id"]] if style == "sentence" else e["sentence_ids"]
+        exemplars.append(
             Exemplar(
-                sentence=corpus.sentences_by_id[e["sentence_id"]],
-                labels=frozenset(e["labels"]),
-                source_bag_id=e["source_bag_id"],
-                candidate_relation=e["candidate_relation"],
-                candidate_score=float(e["candidate_score"]),
+                tuple(corpus.sentences_by_id[sid] for sid in ids),
+                frozenset(e["labels"]),
+                e["source_bag_id"],
+                e["candidate_relation"],
+                e["candidate_score"],
             )
-            for e in record["exemplars"]
         )
-        return ExemplarSet(record["query_id"], exemplars, candidates, skipped)
-    exemplars = tuple(
-        BagExemplar(
-            sentences=tuple(
-                corpus.sentences_by_id[sid] for sid in e["sentence_ids"]
-            ),
-            labels=frozenset(e["labels"]),
-            source_bag_id=e["source_bag_id"],
-            candidate_relation=e["candidate_relation"],
-            candidate_score=float(e["candidate_score"]),
-        )
-        for e in record["exemplars"]
-    )
-    return BagExemplarSet(
+    return ExemplarSet(
         record["query_id"],
-        exemplars,
-        candidates,
-        skipped,
-        reduced=(style == "reduced_bag"),
+        tuple(exemplars),
+        tuple((r, float(s)) for r, s in record.get("candidates", [])),
+        tuple(record.get("skipped", [])),
+        style,
+        record.get("relation_scope", "full_ontology"),
     )

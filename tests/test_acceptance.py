@@ -289,22 +289,21 @@ def test_prompt_golden_files():
         rendered = render_prompt(queries["q01"], blocks, corpus.ontology, PromptTemplate())
         assert rendered == (GOLDEN / "prompt_hydre_5shot.txt").read_text()
 
-        from hydre.baselines import ablation_variant
-
-        outcome = ablation_variant("no_icl", "q02", corpus, scores, emb, scoring)
+        outcome = cli.STRATEGIES["ablation:no_icl"].select(
+            "q02", cli.SelectionInputs(corpus, scores, emb, scoring)
+        )
         rendered = render_prompt(
             queries["q02"],
             [],
             corpus.ontology,
             PromptTemplate(relation_scope="candidates_only"),
-            candidates=[r for r, _ in outcome.selection.candidates],
+            candidates=[r for r, _ in outcome.candidates],
         )
         assert rendered == (GOLDEN / "prompt_no_icl.txt").read_text()
 
-        from hydre.selection import build_bag_exemplar_set
-
-        bes = build_bag_exemplar_set(
-            "q03", corpus, scores, emb, dataclasses.replace(scoring, k=2), reduced=True
+        bes = build_exemplar_set(
+            "q03", corpus, scores, emb, dataclasses.replace(scoring, k=2),
+            style="reduced_bag",
         )
         blocks = [
             block_for_sentences(e.sentences, e.labels, corpus.ontology)

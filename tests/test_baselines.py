@@ -6,18 +6,16 @@ import dataclasses
 import pytest
 
 from hydre.baselines import (
-    ABLATION_NAMES,
     DEFAULT_MMR_ALPHA,
     DEFAULT_MMR_POOL_SIZE,
-    AblationSelection,
-    ablation_variant,
     flatten,
     mmr_select,
     random_k,
     topk_sim,
 )
+from hydre.cli import STRATEGIES, SelectionInputs, load_config
 from hydre.providers import ScoringConfig
-from hydre.selection import BagExemplarSet, build_exemplar_set
+from hydre.selection import Exemplar, ExemplarSet, build_exemplar_set
 
 from conftest import (
     corpus_from_instance,
@@ -96,10 +94,9 @@ def test_random_k_too_large_errors():
 def test_random_k_is_roughly_uniform():
     # 10000 seeded draws of 1 from 4 items; each within 3 sigma of 2500
     from conftest import make_sentence
-    from hydre.baselines import FlatExample
 
     flat = [
-        FlatExample(make_sentence(f"u{i}"), frozenset({"rel_a"}), f"b{i}")
+        Exemplar((make_sentence(f"u{i}"),), frozenset({"rel_a"}), f"b{i}")
         for i in range(4)
     ]
     counts = collections.Counter()
@@ -231,18 +228,24 @@ def test_duplicated_rows_tie_in_corpus_order():
 # --------------------------------------------------------------- ablations
 
 
+def ablation_variant(name, q_id, corpus, scores, emb, config):
+    """One ablation, selected through the CLI's strategy registry."""
+    return STRATEGIES[f"ablation:{name}"].select(
+        q_id, SelectionInputs(corpus, scores, emb, config)
+    )
+
+
 def test_ablation_unknown_name():
-    instance, corpus, scores, emb = build_all(13)
-    with pytest.raises(ValueError, match="unknown ablation"):
-        ablation_variant("bogus", "q000", corpus, scores, emb, ScoringConfig())
+    with pytest.raises(ValueError, match="unknown strategy"):
+        load_config(None, {"strategy": "ablation:bogus"})
 
 
 def test_ablation_no_icl_empty_with_candidates():
     instance, corpus, scores, emb = build_all(14)
     outcome = ablation_variant("no_icl", "q000", corpus, scores, emb, ScoringConfig(k=3))
     assert outcome.relation_scope == "candidates_only"
-    assert outcome.selection.exemplars == ()
-    assert len(outcome.selection.candidates) == min(3, len(corpus.ontology))
+    assert outcome.exemplars == ()
+    assert len(outcome.candidates) == min(3, len(corpus.ontology))
 
 
 def test_ablation_all_relations_covers_ontology_minus_skips():
@@ -250,7 +253,7 @@ def test_ablation_all_relations_covers_ontology_minus_skips():
     outcome = ablation_variant(
         "all_relations", "q000", corpus, scores, emb, ScoringConfig(k=2)
     )
-    selection = outcome.selection
+    selection = outcome
     assert len(selection.exemplars) + len(selection.skipped) == len(corpus.ontology)
     covered = {e.candidate_relation for e in selection.exemplars}
     assert covered.isdisjoint(set(selection.skipped))
@@ -264,7 +267,7 @@ def test_ablation_no_sim_equals_weights_0_1():
         direct = build_exemplar_set(
             "q000", corpus, scores, None, dataclasses.replace(base, w_sim=0.0)
         )
-        assert outcome.selection == direct
+        assert outcome == direct
 
 
 def test_ablation_no_conf_uses_similarity_only():
@@ -274,7 +277,7 @@ def test_ablation_no_conf_uses_similarity_only():
     direct = build_exemplar_set(
         "q000", corpus, None, emb, dataclasses.replace(base, w_conf=0.0)
     )
-    assert outcome.selection == direct
+    assert outcome == direct
 
 
 def test_ablation_random_bag_sentence_deterministic():
@@ -283,7 +286,7 @@ def test_ablation_random_bag_sentence_deterministic():
     a = ablation_variant("random_bag_sentence", "q000", corpus, scores, emb, config)
     b = ablation_variant("random_bag_sentence", "q000", corpus, scores, emb, config)
     assert a == b
-    for exemplar in a.selection.exemplars:
+    for exemplar in a.exemplars:
         bag = corpus.bags_by_id[exemplar.source_bag_id]
         assert exemplar.candidate_relation in bag.labelset
         assert exemplar.sentence in bag.sentences
@@ -292,8 +295,8 @@ def test_ablation_random_bag_sentence_deterministic():
 def test_ablation_full_bag_returns_bag_exemplars():
     instance, corpus, scores, emb = build_all(19, max_bags=8)
     outcome = ablation_variant("full_bag", "q000", corpus, scores, emb, ScoringConfig(k=2))
-    assert isinstance(outcome.selection, BagExemplarSet)
-    for exemplar in outcome.selection.exemplars:
+    assert outcome.style == "full_bag"
+    for exemplar in outcome.exemplars:
         assert exemplar.sentences == corpus.bags_by_id[exemplar.source_bag_id].sentences
 
 
@@ -302,7 +305,7 @@ def test_ablation_flat_retrieval_best_sentence_per_candidate():
     config = ScoringConfig(k=3)
     outcome = ablation_variant("flat_retrieval", "q000", corpus, scores, emb, config)
 
-    for exemplar in outcome.selection.exemplars:
+    for exemplar in outcome.exemplars:
         relation = exemplar.candidate_relation
         assert relation in exemplar.labels
         # exhaustively verify no flattened sentence with this label beats it
@@ -322,6 +325,8 @@ def test_ablation_flat_retrieval_best_sentence_per_candidate():
 
 def test_every_ablation_name_runs():
     instance, corpus, scores, emb = build_all(21, max_bags=10)
-    for name in ABLATION_NAMES:
+    names = [n.split(":", 1)[1] for n in STRATEGIES if n.startswith("ablation:")]
+    assert len(names) == 7
+    for name in names:
         outcome = ablation_variant(name, "q000", corpus, scores, emb, ScoringConfig(k=2, seed=1))
-        assert isinstance(outcome, AblationSelection)
+        assert isinstance(outcome, ExemplarSet)

@@ -326,6 +326,33 @@ def test_eval_duplicate_query_id_rejected(tmp_path, capsys):
     assert "duplicate query_id" in err and repr(query_id) in err
 
 
+def test_eval_does_not_read_embeddings(tmp_path):
+    out = golden_run(tmp_path)
+    predictions = str(out / "predictions.jsonl")
+    assert run_cli("--config", CONFIG, "--output", str(out), "eval", predictions) == 0
+    report = (out / "report.json").read_bytes()
+    broken = tmp_path / "embeddings.jsonl"
+    broken.write_text('{"id": "s0001", "vector": [0.1,\n')
+    config_path, _ = absolute_config(tmp_path, embeddings=broken)
+    code = run_cli("--config", str(config_path), "--output", str(out), "eval", predictions)
+    assert code == 0
+    assert (out / "report.json").read_bytes() == report
+
+
+def test_malformed_selections_and_predictions_lines_named(tmp_path, capsys):
+    out = golden_run(tmp_path)
+    for name, command in (
+        ("selections.jsonl", ["run"]),
+        ("predictions.jsonl", ["eval", str(out / "predictions.jsonl")]),
+    ):
+        lines = (out / name).read_text().splitlines()
+        lines[2] = lines[2][:-1]
+        (out / name).write_text("\n".join(lines) + "\n")
+        code = run_cli("--config", CONFIG, "--output", str(out), *command)
+        assert code == 1, name
+        assert f"{out / name}:3: invalid JSON" in capsys.readouterr().err
+
+
 def test_run_bag_level_strategies_end_to_end(tmp_path, monkeypatch):
     monkeypatch.setenv("HYDRE_LLM_API_KEY", "test-key")
     monkeypatch.setattr(cli, "HttpChatBackend", lambda endpoint: MockBackend("NA"))

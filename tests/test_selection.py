@@ -8,11 +8,9 @@ import pytest
 from hydre.corpus import Bag
 from hydre.providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from hydre.selection import (
-    BagExemplarSet,
     Exemplar,
     ExemplarSet,
     NoBagForRelation,
-    build_bag_exemplar_set,
     build_exemplar_set,
     group_reduced,
     reduce_bag,
@@ -416,14 +414,14 @@ def test_similarity_only_mode_is_seeded_and_sim_ordered():
 
 def test_exemplar_set_invariants_enforced():
     s = make_sentence("s1")
-    e_low = Exemplar(s, frozenset({"rel_a"}), "b1", "rel_a", 0.2)
-    e_high = Exemplar(make_sentence("s2"), frozenset({"rel_b"}), "b2", "rel_b", 0.9)
+    e_low = Exemplar((s,), frozenset({"rel_a"}), "b1", "rel_a", 0.2)
+    e_high = Exemplar((make_sentence("s2"),), frozenset({"rel_b"}), "b2", "rel_b", 0.9)
     with pytest.raises(ValueError, match="ascending"):
         ExemplarSet("q", (e_high, e_low))
     with pytest.raises(ValueError, match="one exemplar per candidate"):
-        ExemplarSet("q", (e_low, Exemplar(s, frozenset({"rel_a"}), "b1", "rel_a", 0.5)))
+        ExemplarSet("q", (e_low, Exemplar((s,), frozenset({"rel_a"}), "b1", "rel_a", 0.5)))
     with pytest.raises(ValueError, match="missing from"):
-        Exemplar(s, frozenset({"rel_b"}), "b1", "rel_a", 0.2)
+        Exemplar((s,), frozenset({"rel_b"}), "b1", "rel_a", 0.2)
 
 
 # --------------------------------------------------------------- reduce_bag
@@ -499,7 +497,8 @@ def test_serialize_round_trip_sentence_and_bag_styles():
     assert deserialize_exemplar_set(record, corpus) == es
 
     for reduced in (False, True):
-        bes = build_bag_exemplar_set("q000", corpus, scores, emb, config, reduced)
+        style = "reduced_bag" if reduced else "full_bag"
+        bes = build_exemplar_set("q000", corpus, scores, emb, config, style)
         record = serialize_exemplar_set(bes, corpus.ontology)
         assert record["style"] == ("reduced_bag" if reduced else "full_bag")
         assert all(entry["sentence_id"] is None for entry in record["exemplars"])
@@ -537,10 +536,10 @@ def test_build_bag_exemplar_set_reduced_and_full():
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
     config = ScoringConfig(k=2)
-    full = build_bag_exemplar_set("q000", corpus, scores, emb, config, reduced=False)
-    reduced = build_bag_exemplar_set("q000", corpus, scores, emb, config, reduced=True)
-    assert isinstance(full, BagExemplarSet) and not full.reduced
-    assert reduced.reduced
+    full = build_exemplar_set("q000", corpus, scores, emb, config, style="full_bag")
+    reduced = build_exemplar_set("q000", corpus, scores, emb, config, style="reduced_bag")
+    assert full.style == "full_bag"
+    assert reduced.style == "reduced_bag"
     for exemplar in full.exemplars:
         bag = corpus.bags_by_id[exemplar.source_bag_id]
         assert exemplar.sentences == bag.sentences
