@@ -39,6 +39,7 @@ from .corpus import (
     Corpus,
     CorpusError,
     QueryInstance,
+    atomic_write,
     iter_jsonl,
     na_fraction,
     write_jsonl,
@@ -208,10 +209,8 @@ def _write_metadata(config: RunConfig, command: str) -> None:
         "mode": config.mode,
         "config": config.raw,
     }
-    (out / "metadata.json").write_text(
-        json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_write(out / "metadata.json") as fh:
+        fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
 @dataclass
@@ -461,10 +460,17 @@ def _selections_filename(k: int | None) -> str:
     return "selections.jsonl" if k is None else f"selections_k{k}.jsonl"
 
 
-def cmd_select(config: RunConfig, k_override: int | None = None) -> int:
-    """Write one serialized selection record per query."""
-    run = _load_run(config)
-    _check_providers(config, run)
+def cmd_select(
+    config: RunConfig, k_override: int | None = None, run: LoadedRun | None = None
+) -> int:
+    """Write one serialized selection record per query.
+
+    ``run`` is inputs already loaded and checked by the caller (a ``run``
+    sweep passes its own); without it the command loads its own.
+    """
+    if run is None:
+        run = _load_run(config)
+        _check_providers(config, run)
     scoring = config.scoring()
     if k_override is not None:
         scoring = dataclasses.replace(scoring, k=k_override)
@@ -507,7 +513,9 @@ def _render_for_record(
     )
 
 
-def _run_one_k(config: RunConfig, run: LoadedRun, k: int | None) -> None:
+def _run_one_k(
+    config: RunConfig, run: LoadedRun, k: int | None, cache: ReplayCache, backend
+) -> None:
     corpus = run.corpus
     out = config.output_dir
     selections_path = out / _selections_filename(k)
@@ -516,40 +524,33 @@ def _run_one_k(config: RunConfig, run: LoadedRun, k: int | None) -> None:
         # flattened corpus costs nothing to make, so run makes it.
         strategy = STRATEGIES[config.strategy]
         if k is not None or not (strategy.flat or any(_needs(config))):
-            cmd_select(config, k_override=k)
+            cmd_select(config, k_override=k, run=run)
         else:
             raise ConfigError(
                 f"selections file {selections_path} not found; run `select` first"
             )
     by_query = {
-        r["query_id"]: r for _, r in iter_jsonl(selections_path, ConfigError)
+        r["query_id"]: (lineno, r)
+        for lineno, r in iter_jsonl(selections_path, ConfigError)
     }
     missing = [q.query_id for q in corpus.queries if q.query_id not in by_query]
     if missing:
         raise ConfigError(f"selections missing for queries: {missing}")
 
-    prompts = [
-        (q.query_id, _render_for_record(config, corpus, q, by_query[q.query_id]))
-        for q in corpus.queries
-    ]
+    prompts = []
+    for q in corpus.queries:
+        lineno, record = by_query[q.query_id]
+        try:
+            prompts.append((q.query_id, _render_for_record(config, corpus, q, record)))
+        except CorpusError as exc:
+            raise ConfigError(f"{selections_path}:{lineno}: {exc}") from None
     params = config.generation()
-    cache_path = config.path("cache")
-    cache = ReplayCache.load(cache_path) if cache_path else ReplayCache()
     if config.mode == "replay":
         missed = [
             q_id for q_id, prompt in prompts if cache_key(prompt, params) not in cache
         ]
         if missed:
             raise ReplayMiss(f"no cached response for queries {missed}")
-        backend = FailOnDispatchBackend()
-    else:
-        if not os.environ.get(LLM_API_KEY_ENV):
-            raise ConfigError(
-                f"live mode requires the {LLM_API_KEY_ENV} environment variable"
-            )
-        if not config.raw.get("llm_endpoint"):
-            raise ConfigError("live mode requires llm_endpoint in the config")
-        backend = HttpChatBackend(config.raw["llm_endpoint"])
 
     results = run_batch(
         prompts,
@@ -589,26 +590,53 @@ def _parse_k_flag(value: str | None) -> list[int] | None:
 
 
 def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
-    """Render prompts, dispatch to the judge, parse, and persist predictions."""
+    """Render prompts, dispatch to the judge, parse, and persist predictions.
+
+    The inputs, the replay cache and the judge backend are loaded once and
+    shared by every k of a sweep; the cache's entries grow with each
+    append, so a later k sees the answers of the earlier ones.
+    """
     run = _load_run(config)
     _check_providers(config, run)
+    cache_path = config.path("cache")
+    cache = ReplayCache.load(cache_path) if cache_path else ReplayCache()
+    backend = FailOnDispatchBackend()
+    if config.mode == "live":
+        if not os.environ.get(LLM_API_KEY_ENV):
+            raise ConfigError(
+                f"live mode requires the {LLM_API_KEY_ENV} environment variable"
+            )
+        if not config.raw.get("llm_endpoint"):
+            raise ConfigError("live mode requires llm_endpoint in the config")
+        backend = HttpChatBackend(config.raw["llm_endpoint"])
     if k_values is None or len(k_values) == 1:
-        _run_one_k(config, run, None)
+        _run_one_k(config, run, None, cache, backend)
     else:
         for k in k_values:
-            _run_one_k(config, run, k)
+            _run_one_k(config, run, k, cache, backend)
     _write_metadata(config, "run")
     print(f"predictions written -> {config.output_dir}")
     return 0
 
 
-def _load_predictions(path: Path, corpus: Corpus) -> dict[str, frozenset[str]]:
+def _load_predictions(path: Path) -> dict[str, frozenset[str]]:
+    """Predicted relations by query id. A record whose dispatch failed (its
+    ``error`` is set) is refused rather than scored as an NA prediction."""
     predictions: dict[str, frozenset[str]] = {}
+    failed: list[str] = []
     for _, record in iter_jsonl(path, ConfigError):
         query_id = record["query_id"]
         if query_id in predictions:
             raise ConfigError(f"{path}: duplicate query_id {query_id!r}")
+        if record.get("error") is not None:
+            failed.append(query_id)
         predictions[query_id] = frozenset(record["relations"])
+    if failed:
+        shown = ", ".join(failed[:5]) + (", ..." if len(failed) > 5 else "")
+        raise ConfigError(
+            f"{path}: {len(failed)} predictions failed to dispatch "
+            f"(queries {shown}); rerun `run` for them instead of scoring them as NA"
+        )
     return predictions
 
 
@@ -618,10 +646,11 @@ def cmd_eval(
     """Score predictions against gold and emit report files."""
     run = _load_run(config, embeddings=False)
     corpus = run.corpus
-    predictions = _load_predictions(predictions_path, corpus)
+    predictions = _load_predictions(predictions_path)
     gap = [q.query_id for q in corpus.queries if q.query_id not in predictions]
     if gap:
         raise ConfigError(f"predictions missing for queries: {gap}")
+    baseline = _load_predictions(baseline_path) if baseline_path is not None else None
 
     gold = FactSet.from_queries(corpus.queries)
     pred = FactSet.from_predictions(predictions, corpus.ontology)
@@ -648,12 +677,13 @@ def cmd_eval(
             str(k): recall_at_k(gold, run.scores, k)
             for k in range(1, len(corpus.ontology) + 1)
         }
-    (out / "report.json").write_text(
-        json.dumps(report_payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_write(out / "report.json") as fh:
+        fh.write(
+            json.dumps(report_payload, sort_keys=True, ensure_ascii=False, indent=2)
+            + "\n"
+        )
 
-    with (out / "per_relation.csv").open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(out / "per_relation.csv", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["relation", "precision", "recall", "f1", "support"])
         for name in corpus.ontology.names:
@@ -667,7 +697,7 @@ def cmd_eval(
         for j in range(i + 1, len(names))
     ]
     rows = confusion_pairs(gold, pred, pair_list, corpus.ontology)
-    with (out / "confusion_pairs.csv").open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(out / "confusion_pairs.csv", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["relation_a", "relation_b", "a_as_a", "a_as_b", "b_as_a", "b_as_b"]
@@ -682,21 +712,19 @@ def cmd_eval(
         f"gold facts: {report.n_gold_facts}",
         f"micro/macro: {summary_cell}",
     ]
-    if baseline_path is not None:
-        baseline = _load_predictions(baseline_path, corpus)
+    if baseline is not None:
         baseline_report = score(
             gold, FactSet.from_predictions(baseline, corpus.ontology), corpus.ontology
         )
         result = mcnemar(pair_reports(report, baseline_report))
-        (out / "mcnemar.json").write_text(
-            json.dumps(dataclasses.asdict(result), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        with atomic_write(out / "mcnemar.json") as fh:
+            fh.write(json.dumps(dataclasses.asdict(result), sort_keys=True, indent=2) + "\n")
         summary_lines.append(
             f"mcnemar vs baseline: statistic={result.statistic:.6g} "
             f"p={result.p_value:.6g} (b={result.b}, c={result.c}, {result.method})"
         )
-    (out / "summary.txt").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
+    with atomic_write(out / "summary.txt") as fh:
+        fh.write("\n".join(summary_lines) + "\n")
     _write_metadata(config, "eval")
     print("\n".join(summary_lines))
     return 0

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 logger = logging.getLogger(__name__)
 
@@ -195,9 +197,26 @@ def iter_jsonl(
             yield lineno, record
 
 
+@contextmanager
+def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file to write ``path`` through: a temp file in the same
+    directory that replaces ``path`` only once the block ends cleanly, so a
+    failed or killed write leaves the old file whole. On failure the temp
+    file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
-    """One compact, key-sorted JSON object per line."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    """One compact, key-sorted JSON object per line, written atomically."""
+    with atomic_write(path) as fh:
         for record in records:
             fh.write(
                 json.dumps(

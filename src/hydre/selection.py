@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Bag, Corpus, RelationOntology, SentenceInstance
+from .corpus import Bag, Corpus, CorpusError, RelationOntology, SentenceInstance
 from .providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 
 
@@ -448,14 +448,24 @@ def serialize_exemplar_set(
 
 
 def deserialize_exemplar_set(record: dict, corpus: Corpus) -> ExemplarSet:
-    """Rebuild a selection from its serialized record and the corpus."""
+    """Rebuild a selection from its serialized record and the corpus.
+
+    A sentence id the corpus does not hold raises ``CorpusError``.
+    """
     style = record.get("style", "sentence")
+    sentences = corpus.sentences_by_id
     exemplars = []
     for e in record["exemplars"]:
         ids = [e["sentence_id"]] if style == "sentence" else e["sentence_ids"]
+        for sid in ids:
+            if sid not in sentences:
+                raise CorpusError(
+                    f"query {record['query_id']!r} selects sentence {sid!r}, "
+                    "which is not in the corpus"
+                )
         exemplars.append(
             Exemplar(
-                tuple(corpus.sentences_by_id[sid] for sid in ids),
+                tuple(sentences[sid] for sid in ids),
                 frozenset(e["labels"]),
                 e["source_bag_id"],
                 e["candidate_relation"],

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import hydre.cli as cli
-from hydre.judge import MockBackend
+from hydre.corpus import Corpus
+from hydre.judge import MockBackend, ReplayCache
+from hydre.providers import EmbeddingIndex, ScoreMatrix
 
 from conftest import FIXTURES
 from oracles import exemplar_set_oracle
@@ -240,6 +243,86 @@ def test_run_k_sweep_one_file_per_k(tmp_path, monkeypatch):
         assert all(len(r["candidates"]) == k for r in records)
 
 
+def live_config(tmp_path, monkeypatch, backend=lambda endpoint: MockBackend("NA")):
+    """Golden config in live mode against ``backend``, with its own cache."""
+    monkeypatch.setenv("HYDRE_LLM_API_KEY", "test-key")
+    monkeypatch.setattr(cli, "HttpChatBackend", backend)
+    config_path, config = absolute_config(tmp_path, cache=tmp_path / "cache.jsonl")
+    config["mode"] = "live"
+    config["llm_endpoint"] = "http://example.invalid/v1/chat"
+    config_path.write_text(json.dumps(config))
+    return str(config_path)
+
+
+def test_run_k_sweep_loads_inputs_cache_and_backend_once(tmp_path, monkeypatch):
+    calls = Counter()
+    for owner in (Corpus, ScoreMatrix, EmbeddingIndex, ReplayCache):
+        def counted(cls, *args, _load=owner.load.__func__, **kwargs):
+            calls[cls.__name__] += 1
+            return _load(cls, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "load", classmethod(counted))
+
+    def backend(endpoint):
+        calls["HttpChatBackend"] += 1
+        return MockBackend("NA")
+
+    config_path = live_config(tmp_path, monkeypatch, backend)
+    assert run_cli("--config", config_path, "--k", "2..4", "run") == 0
+    assert calls == {
+        "Corpus": 1,
+        "ScoreMatrix": 1,
+        "EmbeddingIndex": 1,
+        "ReplayCache": 1,
+        "HttpChatBackend": 1,
+    }
+    for k in (2, 3, 4):
+        assert len(read_jsonl(tmp_path / "out" / f"predictions_k{k}.jsonl")) == 20
+
+
+def test_run_k_sweep_matches_separate_select_and_run(tmp_path, monkeypatch):
+    config_path = live_config(tmp_path, monkeypatch)
+    sweep = tmp_path / "out"
+    assert run_cli("--config", config_path, "--k", "2..4", "run") == 0
+    for k in (2, 3, 4):
+        single = tmp_path / f"single_k{k}"
+        for command in ("select", "run"):
+            assert run_cli(
+                "--config", config_path, "--output", str(single), "--k", str(k), command
+            ) == 0
+        for name in ("selections", "prompts", "predictions"):
+            assert (sweep / f"{name}_k{k}.jsonl").read_bytes() == (
+                single / f"{name}.jsonl"
+            ).read_bytes(), (name, k)
+
+
+def test_run_k_sweep_replay_miss_keeps_earlier_k(tmp_path, capsys):
+    # the golden cache answers the k=5 prompts only
+    out = tmp_path / "out"
+    code = run_cli("--config", CONFIG, "--output", str(out), "--k", "5..6", "run")
+    assert code == 2
+    assert "replay cache miss" in capsys.readouterr().err
+    assert len(read_jsonl(out / "predictions_k5.jsonl")) == 20
+    assert (out / "selections_k6.jsonl").exists()
+    assert not (out / "predictions_k6.jsonl").exists()
+
+
+def test_run_unknown_sentence_id_named(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("--config", CONFIG, "--output", str(out), "select") == 0
+    path = out / "selections.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["exemplars"][0]["sentence_id"] = "s9999"
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    code = run_cli("--config", CONFIG, "--output", str(out), "run")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{path}:3:" in err
+    assert repr(record["query_id"]) in err and "'s9999'" in err
+
+
 # ---------------------------------------------------------------------- eval
 
 
@@ -324,6 +407,23 @@ def test_eval_duplicate_query_id_rejected(tmp_path, capsys):
     query_id = json.loads(lines[0])["query_id"]
     err = capsys.readouterr().err
     assert "duplicate query_id" in err and repr(query_id) in err
+
+
+def test_eval_refuses_failed_dispatches(tmp_path, capsys):
+    out = golden_run(tmp_path)
+    predictions = out / "predictions.jsonl"
+    lines = predictions.read_text().splitlines()
+    record = json.loads(lines[4])
+    record["error"] = "TransportError: dispatch failed after retries: timeout"
+    failed = out / "failed.jsonl"
+    failed.write_text("\n".join(lines[:4] + [json.dumps(record)] + lines[5:]) + "\n")
+    for files in ([failed], [predictions, failed]):  # as predictions, as baseline
+        code = run_cli("--config", CONFIG, "--output", str(out), "eval", *map(str, files))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "1 predictions failed" in err and record["query_id"] in err
+        for name in ("report.json", "summary.txt", "per_relation.csv", "mcnemar.json"):
+            assert not (out / name).exists(), name
 
 
 def test_eval_does_not_read_embeddings(tmp_path):

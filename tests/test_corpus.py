@@ -340,3 +340,18 @@ def test_span_out_of_range_rejected():
         SentenceInstance(
             "s1", "Alpha", EntitySpan(0, 99, "Alpha"), EntitySpan(0, 2, "Al")
         )
+
+
+def test_write_jsonl_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_jsonl([{"a": 1}, {"a": 2}], path)
+    before = path.read_bytes()
+
+    def records():
+        yield {"a": 3}
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_jsonl(records(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
