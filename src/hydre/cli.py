@@ -227,23 +227,26 @@ def _needs(config: RunConfig) -> tuple[bool, bool, bool, bool]:
     return STRATEGIES[config.strategy].needs(scoring.w_conf > 0, scoring.w_sim > 0)
 
 
-def _load_run(config: RunConfig, embeddings: bool = True) -> LoadedRun:
-    """Load the corpus and the providers whose files exist; the embedding
-    file only when ``embeddings`` is set."""
+def _load_run(
+    config: RunConfig, scores: bool = True, embeddings: bool = True
+) -> LoadedRun:
+    """Load the corpus and the providers whose files exist; the score and
+    embedding files only when ``scores`` and ``embeddings`` are set."""
     for name in ("ontology", "bags", "queries"):
         if config.path(name) is None:
             raise ConfigError(f"paths.{name} is required")
     corpus = Corpus.load(
         config.path("ontology"), config.path("bags"), config.path("queries")
     )
-    scores = None
-    if config.path("scores") is not None and config.path("scores").exists():
-        scores = ScoreMatrix.load(config.path("scores"), corpus.ontology)
+    matrix = None
+    path = config.path("scores")
+    if scores and path is not None and path.exists():
+        matrix = ScoreMatrix.load(path, corpus.ontology)
     index = None
     path = config.path("embeddings")
     if embeddings and path is not None and path.exists():
         index = EmbeddingIndex.load(path)
-    return LoadedRun(corpus, scores, index)
+    return LoadedRun(corpus, matrix, index)
 
 
 def _check_providers(config: RunConfig, run: LoadedRun) -> None:
@@ -594,10 +597,15 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
 
     The inputs, the replay cache and the judge backend are loaded once and
     shared by every k of a sweep; the cache's entries grow with each
-    append, so a later k sees the answers of the earlier ones.
+    append, so a later k sees the answers of the earlier ones. When every
+    selections file the run reads already exists, nothing selects, so the
+    score and embedding files are not read.
     """
-    run = _load_run(config)
-    _check_providers(config, run)
+    ks = [None] if k_values is None or len(k_values) == 1 else k_values
+    selected = all((config.output_dir / _selections_filename(k)).exists() for k in ks)
+    run = _load_run(config, scores=not selected, embeddings=not selected)
+    if not selected:
+        _check_providers(config, run)
     cache_path = config.path("cache")
     cache = ReplayCache.load(cache_path) if cache_path else ReplayCache()
     backend = FailOnDispatchBackend()
@@ -609,11 +617,8 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
         if not config.raw.get("llm_endpoint"):
             raise ConfigError("live mode requires llm_endpoint in the config")
         backend = HttpChatBackend(config.raw["llm_endpoint"])
-    if k_values is None or len(k_values) == 1:
-        _run_one_k(config, run, None, cache, backend)
-    else:
-        for k in k_values:
-            _run_one_k(config, run, k, cache, backend)
+    for k in ks:
+        _run_one_k(config, run, k, cache, backend)
     _write_metadata(config, "run")
     print(f"predictions written -> {config.output_dir}")
     return 0

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -198,15 +198,18 @@ def iter_jsonl(
 
 
 @contextmanager
-def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """A text file to write ``path`` through: a temp file in the same
-    directory that replaces ``path`` only once the block ends cleanly, so a
-    failed or killed write leaves the old file whole. On failure the temp
-    file is removed."""
+def atomic_write(
+    path: str | Path, newline: str | None = None, mode: str = "w"
+) -> Iterator[IO]:
+    """A file to write ``path`` through: a temp file in the same directory
+    that replaces ``path`` only once the block ends cleanly, so a failed or
+    killed write leaves the old file whole. On failure the temp file is
+    removed. ``mode`` "w" opens UTF-8 text, "wb" bytes."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": newline}
     try:
-        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+        with tmp.open(mode, **text) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -5,20 +5,28 @@ Each provider keeps one contiguous matrix with a row per item and maps item
 ids to row indexes and to row views. Score matrices are immutable after
 load; an embedding index changes only when EmbeddingClient appends rows.
 Selection only reads them, so concurrent use per query is safe.
+
+Parsing a provider file's JSONL text dominates its load, so the first load
+of a file's bytes also writes the parsed matrix to a binary sidecar beside
+it, ``<file>.hydre.npz``, keyed by the file's sha256; later loads of the
+same bytes read that instead. Checks that depend only on the file's bytes
+run once, on the parse; checks against other inputs run on every load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import RelationOntology, iter_jsonl
+from .corpus import RelationOntology, atomic_write, iter_jsonl
 from .judge import retry
 
 EMBED_API_KEY_ENV = "HYDRE_EMBED_API_KEY"
@@ -28,10 +36,73 @@ class ProviderError(ValueError):
     """Missing, malformed, or inconsistent provider data."""
 
 
-def _count_records(path: Path) -> int:
-    """Upper bound on the records of a JSONL file: its non-blank lines."""
-    with path.open("rb") as fh:
-        return sum(1 for line in fh if line.strip())
+SIDECAR_SUFFIX = ".hydre.npz"
+
+
+def _stamp(path: Path) -> tuple[int, int]:
+    st = path.stat()
+    return st.st_size, st.st_mtime_ns
+
+
+class _Sidecar:
+    """The parsed matrix of a provider file, kept in ``<file>.hydre.npz``
+    beside it and valid only for the exact bytes it was parsed from.
+
+    It stores ``format`` (which parser made it), the source's ``sha256``,
+    ``matrix`` and ``meta``: the row ids in order plus any other parse
+    result, as UTF-8 JSON bytes, so every id string round-trips exactly.
+    The one read that hashes the source also counts its lines, an upper
+    bound on its records that a parse allocates from.
+    """
+
+    def __init__(self, source: Path, fmt: str) -> None:
+        self.source = source
+        self.path = source.with_name(source.name + SIDECAR_SUFFIX)
+        self.fmt = fmt
+        self.stamp = _stamp(source)
+        digest = hashlib.sha256()
+        self.lines = 1
+        with source.open("rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+                self.lines += chunk.count(b"\n")
+        self.sha256 = digest.hexdigest()
+
+    def read(self) -> tuple[dict, dict[str, int], np.ndarray] | None:
+        """(meta, row_of, matrix) if the sidecar was written for the
+        source's current bytes by this format, else None."""
+        try:
+            with np.load(self.path, allow_pickle=False) as npz:
+                if str(npz["format"]) != self.fmt or str(npz["sha256"]) != self.sha256:
+                    return None
+                meta = json.loads(npz["meta"].tobytes())
+                matrix = npz["matrix"]
+            ids = meta["ids"]
+            if matrix.dtype != np.float64 or matrix.ndim != 2 or len(ids) != len(matrix):
+                return None
+        except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+            # missing, torn, foreign (a bare .npy loads as an array, which is
+            # no context manager) or pickled: the source is parsed instead
+            return None
+        return meta, dict(zip(ids, range(len(ids)))), matrix
+
+    def write(self, matrix: np.ndarray, **meta) -> None:
+        """Store a parse of the source; skipped if the source changed since
+        it was hashed, or if the directory cannot be written."""
+        if _stamp(self.source) != self.stamp:
+            return
+        blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        try:
+            with atomic_write(self.path, mode="wb") as fh:
+                np.savez(
+                    fh,
+                    format=np.array(self.fmt),
+                    sha256=np.array(self.sha256),
+                    meta=blob,
+                    matrix=matrix,
+                )
+        except OSError:
+            pass
 
 
 class RowViews(Mapping):
@@ -118,9 +189,30 @@ class ScoreMatrix(_RowMatrix):
     def load(cls, path: str | Path, ontology: RelationOntology) -> "ScoreMatrix":
         """Load a score file: manifest line first, then one row per item.
 
-        The matrix is allocated once from the line count and filled in place.
+        Reads the file's sidecar when it matches the file's bytes, else
+        parses the file and writes one. The manifest is checked against the
+        ontology either way.
         """
         path = Path(path)
+        sidecar = _Sidecar(path, "hydre.scores.v1")
+        cached = sidecar.read()
+        if cached is None:
+            order, row_of, matrix = cls._parse(path, ontology, sidecar.lines)
+            sidecar.write(matrix, ids=list(row_of), relation_order=list(order))
+        else:
+            meta, row_of, matrix = cached
+            order = meta["relation_order"]
+            _check_order(path, order, ontology)
+        self = cls(order, {})
+        self.matrix, self.row_of = matrix, row_of
+        return self
+
+    @staticmethod
+    def _parse(
+        path: Path, ontology: RelationOntology, lines: int
+    ) -> tuple[list[str], dict[str, int], np.ndarray]:
+        """(relation order, row_of, matrix) of a score file of at most
+        ``lines`` lines. The matrix is allocated once and filled in place."""
         records = iter_jsonl(path, ProviderError)
         first = next(records, None)
         if first is None:
@@ -131,35 +223,34 @@ class ScoreMatrix(_RowMatrix):
             raise ProviderError(
                 f"{path}:{lineno}: first line must be the relation_order manifest"
             )
-        if tuple(order) != ontology.names:
-            raise ProviderError(
-                f"{path}: relation_order does not match the ontology order"
-            )
-        self = cls(order, {})
+        _check_order(path, order, ontology)
         width = len(order)
-        matrix = np.empty((_count_records(path) - 1, width))
-        for lineno, record in records:
-            item_id = record.get("id")
-            scores = record.get("scores")
-            if not isinstance(item_id, str) or not isinstance(scores, list):
-                raise ProviderError(f"{path}:{lineno}: malformed score row")
-            if len(scores) != width:
-                raise ProviderError(
-                    f"{path}:{lineno}: row {item_id!r} has {len(scores)} "
-                    f"scores, expected {width}"
-                )
-            if item_id in self.row_of:
-                raise ProviderError(f"{path}:{lineno}: duplicate id {item_id!r}")
-            row = matrix[len(self.row_of)]
-            row[:] = scores
-            if row.min() < 0.0 or row.max() > 1.0:
-                # fail loudly on provider mismatch instead of clamping
-                raise ProviderError(
-                    f"{path}:{lineno}: row {item_id!r} has scores outside [0, 1]"
-                )
-            self.row_of[item_id] = len(self.row_of)
-        self.matrix = matrix[: len(self.row_of)]
-        return self
+        matrix = np.empty((lines - 1, width))
+        row_of: dict[str, int] = {}
+        linenos: list[int] = []
+        try:
+            for lineno, record in records:
+                item_id = record.get("id")
+                scores = record.get("scores")
+                if not isinstance(item_id, str) or not isinstance(scores, list):
+                    raise ProviderError(f"{path}:{lineno}: malformed score row")
+                if len(scores) != width:
+                    raise ProviderError(
+                        f"{path}:{lineno}: row {item_id!r} has {len(scores)} "
+                        f"scores, expected {width}"
+                    )
+                if item_id in row_of:
+                    raise ProviderError(f"{path}:{lineno}: duplicate id {item_id!r}")
+                matrix[len(row_of)] = scores
+                row_of[item_id] = len(row_of)
+                linenos.append(lineno)
+        except (ValueError, TypeError):
+            # a bad row above this line's fault is the first fault in the file
+            _check_range(path, matrix[: len(row_of)], row_of, linenos)
+            raise
+        matrix = matrix[: len(row_of)]
+        _check_range(path, matrix, row_of, linenos)
+        return order, row_of, matrix
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -171,6 +262,25 @@ class ScoreMatrix(_RowMatrix):
                     json.dumps({"id": item_id, "scores": [float(v) for v in vec]})
                 )
                 fh.write("\n")
+
+
+def _check_order(path: Path, order: Sequence[str], ontology: RelationOntology) -> None:
+    if tuple(order) != ontology.names:
+        raise ProviderError(f"{path}: relation_order does not match the ontology order")
+
+
+def _check_range(
+    path: Path, matrix: np.ndarray, row_of: dict[str, int], linenos: list[int]
+) -> None:
+    """Fail loudly on provider mismatch instead of clamping: name the first
+    row with a score outside [0, 1]. A row holding NaN passes, as NaN
+    compares false."""
+    bad = np.flatnonzero((matrix.min(axis=1) < 0.0) | (matrix.max(axis=1) > 1.0))
+    if bad.size:
+        item_id = list(row_of)[bad[0]]
+        raise ProviderError(
+            f"{path}:{linenos[bad[0]]}: row {item_id!r} has scores outside [0, 1]"
+        )
 
 
 def _normalize_rows(matrix: np.ndarray, ids: Sequence[str]) -> None:
@@ -246,11 +356,26 @@ class EmbeddingIndex(_RowMatrix):
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingIndex":
-        """Load an embedding file into a matrix allocated once from the line
-        count, filled in place, then normalised row by row."""
+        """Load an embedding file from its sidecar when that matches the
+        file's bytes, else parse it and write one."""
         path = Path(path)
-        n_records = _count_records(path)
-        self = cls(0)
+        sidecar = _Sidecar(path, "hydre.embeddings.v1")
+        cached = sidecar.read()
+        if cached is None:
+            row_of, matrix = cls._parse(path, sidecar.lines)
+            sidecar.write(matrix, ids=list(row_of))
+        else:
+            _, row_of, matrix = cached
+        self = cls(matrix.shape[1])
+        self.matrix, self.row_of = matrix, row_of
+        return self
+
+    @staticmethod
+    def _parse(path: Path, lines: int) -> tuple[dict[str, int], np.ndarray]:
+        """(row_of, matrix) of an embedding file of at most ``lines`` lines:
+        a matrix allocated once, filled in place, then normalised row by
+        row."""
+        row_of: dict[str, int] = {}
         matrix: np.ndarray | None = None
         for lineno, record in iter_jsonl(path, ProviderError):
             item_id = record.get("id")
@@ -258,22 +383,21 @@ class EmbeddingIndex(_RowMatrix):
             if not isinstance(item_id, str) or not isinstance(raw, list):
                 raise ProviderError(f"{path}:{lineno}: malformed embedding row")
             if matrix is None:
-                matrix = np.empty((n_records, len(raw)))
+                matrix = np.empty((lines, len(raw)))
             elif len(raw) != matrix.shape[1]:
                 raise ProviderError(
                     f"{path}:{lineno}: dimension mismatch: vector for "
                     f"{item_id!r} has dim {len(raw)}, expected {matrix.shape[1]}"
                 )
-            if item_id in self.row_of:
+            if item_id in row_of:
                 raise ProviderError(f"{path}:{lineno}: duplicate id {item_id!r}")
-            matrix[len(self.row_of)] = raw
-            self.row_of[item_id] = len(self.row_of)
+            matrix[len(row_of)] = raw
+            row_of[item_id] = len(row_of)
         if matrix is None:
             raise ProviderError(f"{path}: empty embedding file")
-        self.matrix = matrix[: len(self.row_of)]
-        self.dim = matrix.shape[1]
-        _normalize_rows(self.matrix, list(self.row_of))
-        return self
+        matrix = matrix[: len(row_of)]
+        _normalize_rows(matrix, list(row_of))
+        return row_of, matrix
 
     def save(self, path: str | Path) -> None:
         path = Path(path)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import hydre.cli as cli
+import hydre.providers
 from hydre.corpus import Corpus
 from hydre.judge import MockBackend, ReplayCache
 from hydre.providers import EmbeddingIndex, ScoreMatrix
@@ -278,6 +281,47 @@ def test_run_k_sweep_loads_inputs_cache_and_backend_once(tmp_path, monkeypatch):
     }
     for k in (2, 3, 4):
         assert len(read_jsonl(tmp_path / "out" / f"predictions_k{k}.jsonl")) == 20
+
+
+def test_run_with_selections_reads_no_provider(tmp_path, monkeypatch):
+    """``run`` after ``select`` parses neither provider file, and a run on
+    parsed providers (first pass) and on their sidecars (second pass) give
+    the same bytes, with the prompts pinned in strategy_digests.json."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name in ("scores.jsonl", "embeddings.jsonl"):
+        shutil.copyfile(GOLDEN / name, inputs / name)
+    calls = Counter()
+    for owner in (ScoreMatrix, EmbeddingIndex):
+        def counted(cls, *args, _load=owner.load.__func__, **kwargs):
+            calls[cls.__name__] += 1
+            return _load(cls, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "load", classmethod(counted))
+    config_path = live_config(tmp_path, monkeypatch)
+    config = json.loads(Path(config_path).read_text())
+    config["paths"]["scores"] = str(inputs / "scores.jsonl")
+    config["paths"]["embeddings"] = str(inputs / "embeddings.jsonl")
+    Path(config_path).write_text(json.dumps(config))
+    outputs = []
+    for name in ("parsed", "sidecar"):
+        if name == "sidecar":
+            def refuse(*args, **kwargs):
+                raise AssertionError("provider JSONL parsed with its sidecar present")
+
+            monkeypatch.setattr(hydre.providers, "iter_jsonl", refuse)
+        out = tmp_path / name
+        assert run_cli("--config", config_path, "--output", str(out), "select") == 0
+        assert calls == {"ScoreMatrix": 1, "EmbeddingIndex": 1}
+        assert run_cli("--config", config_path, "--output", str(out), "run") == 0
+        assert calls == {"ScoreMatrix": 1, "EmbeddingIndex": 1}
+        calls.clear()
+        outputs.append(out)
+    for name in ("selections.jsonl", "prompts.jsonl", "predictions.jsonl"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+    pinned = json.loads((GOLDEN / "strategy_digests.json").read_text())["hydre"]
+    digest = hashlib.sha256((outputs[0] / "prompts.jsonl").read_bytes()).hexdigest()
+    assert digest == pinned["prompts"]
 
 
 def test_run_k_sweep_matches_separate_select_and_run(tmp_path, monkeypatch):

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import math
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydre.corpus import Bag, Corpus
+from hydre import providers
+from hydre.corpus import Bag, Corpus, builtin_ontology_path, load_ontology
 from hydre.providers import (
+    SIDECAR_SUFFIX,
     EmbeddingClient,
     EmbeddingIndex,
     ProviderError,
@@ -18,6 +21,7 @@ from hydre.providers import (
 from hydre.selection import combined_bag_scores, corpus_view
 
 from conftest import (
+    FIXTURES,
     corpus_from_instance,
     embeddings_from_instance,
     make_sentence,
@@ -306,6 +310,29 @@ def test_score_matrix_rejects_out_of_range(tmp_path, tiny_ontology):
         ScoreMatrix.load(path, tiny_ontology)
 
 
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        # the bad row is not the first
+        (['{"id": "s1", "scores": [0.1, 0.2, 0.3]}',
+          '{"id": "s2", "scores": [0.1, 0.2, -0.3]}',
+          '{"id": "s3", "scores": [1.5, 0.2, 0.3]}'], ":3: row 's2'"),
+        # a bad row above another fault is still the first fault named
+        (['{"id": "s1", "scores": [0.1, 0.2, 0.3]}',
+          '{"id": "s2", "scores": [0.1, 2.0, 0.3]}',
+          '{"id": "s1", "scores": [0.1, 0.2, 0.3]}'], ":3: row 's2'"),
+    ],
+)
+def test_score_matrix_names_first_out_of_range_row(tmp_path, tiny_ontology, rows, where):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(
+        '{"relation_order": ["rel_a", "rel_b", "rel_c"]}\n' + "\n".join(rows) + "\n"
+    )
+    with pytest.raises(ProviderError) as info:
+        ScoreMatrix.load(path, tiny_ontology)
+    assert str(info.value) == f"{path}{where} has scores outside [0, 1]"
+
+
 def test_score_matrix_rejects_wrong_length(tmp_path, tiny_ontology):
     path = tmp_path / "scores.jsonl"
     path.write_text(
@@ -469,6 +496,194 @@ def test_fetch_embeddings_retries_then_surfaces(tmp_path):
         client.fetch_embeddings([("a", "alpha")])
     assert sleeps == [1.0, 4.0, 16.0]
     assert len(calls) == 4
+
+
+# ------------------------------------------------------------ sidecars
+
+GOLDEN = FIXTURES / "golden"
+
+
+@pytest.fixture
+def nyt_ontology():
+    return load_ontology(builtin_ontology_path())
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + SIDECAR_SUFFIX)
+
+
+def load_scores(path, ontology):
+    return ScoreMatrix.load(path, ontology)
+
+
+def load_embeddings(path, ontology):
+    return EmbeddingIndex.load(path)
+
+
+PROVIDERS = [
+    pytest.param("scores.jsonl", load_scores, id="scores"),
+    pytest.param("embeddings.jsonl", load_embeddings, id="embeddings"),
+]
+
+
+def golden_copy(tmp_path, name):
+    path = tmp_path / name
+    shutil.copyfile(GOLDEN / name, path)
+    return path
+
+
+def assert_same_load(a, b):
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert a.matrix.shape == b.matrix.shape
+    assert list(a.row_of) == list(b.row_of)
+    assert getattr(a, "relation_order", None) == getattr(b, "relation_order", None)
+    assert getattr(a, "dim", None) == getattr(b, "dim", None)
+
+
+def refuse_parse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("provider JSONL parsed on a sidecar hit")
+
+    monkeypatch.setattr(providers, "iter_jsonl", refuse)
+
+
+@pytest.mark.parametrize("name, load", PROVIDERS)
+def test_sidecar_hit_equals_miss_and_skips_the_parse(
+    tmp_path, monkeypatch, nyt_ontology, name, load
+):
+    path = golden_copy(tmp_path, name)
+    miss = load(path, nyt_ontology)
+    assert sidecar_of(path).exists()
+    refuse_parse(monkeypatch)
+    hit = load(path, nyt_ontology)
+    assert_same_load(hit, miss)
+
+
+@pytest.mark.parametrize("name, load", PROVIDERS)
+def test_sidecar_of_edited_source_is_ignored_and_rewritten(
+    tmp_path, nyt_ontology, name, load
+):
+    path = golden_copy(tmp_path, name)
+    before = load(path, nyt_ontology)
+    stale = sidecar_of(path).read_bytes()
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + lines[2:]) + "\n")  # drop one row
+    edited = load(path, nyt_ontology)
+    assert len(edited.row_of) == len(before.row_of) - 1
+    assert sidecar_of(path).read_bytes() != stale
+    sidecar_of(path).unlink()
+    assert_same_load(edited, load(path, nyt_ontology))
+
+
+def object_array_sidecar(path):
+    """A sidecar naming the right format and sha256 whose matrix needs pickle."""
+    with np.load(path, allow_pickle=False) as npz:
+        fields = {key: npz[key] for key in ("format", "sha256", "meta")}
+    np.savez(path, matrix=np.array([{"a": 1}, None], dtype=object), **fields)
+
+
+def bare_npy(path):
+    with path.open("wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+CORRUPTIONS = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    "garbage": lambda p: p.write_bytes(b"not a sidecar at all"),
+    "empty": lambda p: p.write_bytes(b""),
+    "bare-npy": bare_npy,
+    "object-array": object_array_sidecar,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("name, load", PROVIDERS)
+def test_broken_sidecar_is_ignored(tmp_path, nyt_ontology, name, load, corruption):
+    path = golden_copy(tmp_path, name)
+    reference = load(path, nyt_ontology)
+    CORRUPTIONS[corruption](sidecar_of(path))
+    assert_same_load(load(path, nyt_ontology), reference)
+    # the parse replaced the broken sidecar with a good one
+    assert_same_load(load(path, nyt_ontology), reference)
+
+
+@pytest.mark.parametrize("name, load", PROVIDERS)
+def test_sidecar_write_failure_still_loads(tmp_path, monkeypatch, nyt_ontology, name, load):
+    path = golden_copy(tmp_path, name)
+    reference = load(path, nyt_ontology)
+    sidecar_of(path).unlink()
+
+    def read_only(*args, **kwargs):
+        raise PermissionError("read-only directory")
+
+    monkeypatch.setattr(providers, "atomic_write", read_only)
+    assert_same_load(load(path, nyt_ontology), reference)
+    assert not sidecar_of(path).exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, match",
+    [
+        ("scores.jsonl", '{"relation_order": ["rel_a", "rel_b", "rel_c"]}\n'
+         '{"id": "s1", "scores": [0.1, 0.2, 0.3]}\n'
+         '{"id": "s2", "scores": [0.1, 1.2, 0.3]}\n', "outside"),
+        ("scores.jsonl", '{"relation_order": ["rel_a", "rel_b", "rel_c"]}\n'
+         '{"id": "s1", "scores": [0.1, 0.2]}\n', "expected 3"),
+        ("embeddings.jsonl", '{"id": "a", "vector": [1.0, 0.0]}\n'
+         '{"id": "b", "vector": [0.0, 0.0]}\n', "zero"),
+        ("embeddings.jsonl", '{"id": "a", "vector": [1.0, 0.0]}\n'
+         '{"id": "a", "vector": [0.0, 1.0]}\n', "duplicate"),
+    ],
+)
+def test_invalid_source_gets_no_sidecar(tmp_path, tiny_ontology, name, text, match):
+    path = tmp_path / name
+    path.write_text(text)
+    for _ in range(2):
+        with pytest.raises(ProviderError, match=match):
+            if name == "scores.jsonl":
+                ScoreMatrix.load(path, tiny_ontology)
+            else:
+                EmbeddingIndex.load(path)
+        assert not sidecar_of(path).exists()
+
+
+def test_sidecar_still_checks_the_ontology_order(tmp_path, monkeypatch, nyt_ontology):
+    path = golden_copy(tmp_path, "scores.jsonl")
+    ScoreMatrix.load(path, nyt_ontology)
+    refuse_parse(monkeypatch)
+    reordered = ontology_from_names(list(reversed(nyt_ontology.names)))
+    with pytest.raises(ProviderError, match="ontology order"):
+        ScoreMatrix.load(path, reordered)
+
+
+def test_source_changed_during_parse_gets_no_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n')
+    parse = EmbeddingIndex._parse
+
+    def parse_then_append(source, lines):
+        parsed = parse(source, lines)
+        with source.open("a") as fh:  # another process appends meanwhile
+            fh.write('{"id": "b", "vector": [0.0, 1.0]}\n')
+        return parsed
+
+    monkeypatch.setattr(EmbeddingIndex, "_parse", staticmethod(parse_then_append))
+    assert list(EmbeddingIndex.load(path).row_of) == ["a"]
+    assert not sidecar_of(path).exists()
+    monkeypatch.undo()
+    assert list(EmbeddingIndex.load(path).row_of) == ["a", "b"]
+
+
+def test_load_after_fetch_embeddings_appends_sees_new_rows(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    client = EmbeddingClient(CountingTransport(), path)
+    client.fetch_embeddings([("a", "alpha"), ("b", "beta")])
+    assert list(EmbeddingIndex.load(path).row_of) == ["a", "b"]
+    assert sidecar_of(path).exists()
+    index = client.fetch_embeddings([("c", "gamma")])
+    reloaded = EmbeddingIndex.load(path)
+    assert list(reloaded.row_of) == ["a", "b", "c"]
+    assert np.allclose(reloaded.matrix, index.matrix, atol=1e-12)
 
 
 # --------------------------------------------------------------- config
