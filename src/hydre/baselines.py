@@ -28,12 +28,41 @@ DEFAULT_MMR_ALPHA = 0.3
 DEFAULT_MMR_POOL_SIZE = 100
 
 
-def flatten(bags: Sequence[Bag]) -> list[Exemplar]:
+def _sentence_exemplar(
+    corpus: Corpus, pos: int, relation: str | None = None, score: float | None = None
+) -> Exemplar:
+    """The one-sentence exemplar of a corpus sentence position."""
+    b = int(corpus.sentence_bag[pos])
+    return Exemplar(
+        (corpus.sentence(pos),), corpus.labelset(b), corpus.bag_ids[b], relation, score
+    )
+
+
+class FlatExamples(Sequence):
+    """A corpus's flattened sentences in corpus order; the exemplar at a
+    sentence position is built when it is read."""
+
+    def __init__(self, corpus: Corpus) -> None:
+        self.corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self.corpus.sentence_ids)
+
+    def __getitem__(self, pos: int) -> Exemplar:
+        if not 0 <= pos < len(self):
+            raise IndexError(pos)
+        return _sentence_exemplar(self.corpus, pos)
+
+
+def flatten(source: Corpus | Sequence[Bag]) -> Sequence[Exemplar]:
     """One single-sentence Exemplar per (bag, sentence) pair, carrying the
-    bag's full labelset; corpus order preserved."""
+    bag's full labelset; corpus order preserved. A corpus is flattened
+    lazily (``FlatExamples``), a sequence of bags into a list."""
+    if isinstance(source, Corpus):
+        return FlatExamples(source)
     return [
         Exemplar((sentence,), bag.labelset, bag.bag_id)
-        for bag in bags
+        for bag in source
         for sentence in bag.sentences
     ]
 
@@ -41,10 +70,11 @@ def flatten(bags: Sequence[Bag]) -> list[Exemplar]:
 def random_k(
     flat: Sequence[Exemplar], k: int, seed: int | str
 ) -> list[Exemplar]:
-    """Uniform sample without replacement, deterministic given the seed."""
+    """Uniform sample without replacement, deterministic given the seed.
+    The sampled positions depend only on the seed, k and len(flat)."""
     if k > len(flat):
         raise ValueError(f"k={k} exceeds corpus size {len(flat)}")
-    return random.Random(seed).sample(list(flat), k)
+    return random.Random(seed).sample(flat, k)
 
 
 def flat_rows(flat: Sequence[Exemplar], embeddings: EmbeddingIndex) -> np.ndarray:
@@ -83,6 +113,7 @@ def mmr_select(
     alpha: float = DEFAULT_MMR_ALPHA,
     pool_size: int | None = DEFAULT_MMR_POOL_SIZE,
     sims: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> list[Exemplar]:
     """Greedy maximal-marginal-relevance selection, in selection order.
 
@@ -90,7 +121,9 @@ def mmr_select(
     over sentences not yet selected, where s' ranges over the selection so
     far; the earliest pool entry wins a tie. The pool is pre-truncated to
     the pool_size most query-similar sentences; pass pool_size=None to rank
-    the whole corpus. ``sims`` is as for topk_sim.
+    the whole corpus. ``sims`` is as for topk_sim; ``rows``, the embedding
+    row of each example, is looked up from the pool's examples when not
+    given.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
@@ -100,7 +133,10 @@ def mmr_select(
     pool = order if pool_size is None else order[:pool_size]
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
-    vectors = embeddings.matrix[flat_rows([flat[i] for i in pool], embeddings)]
+    if rows is None:
+        vectors = embeddings.matrix[flat_rows([flat[i] for i in pool], embeddings)]
+    else:
+        vectors = embeddings.matrix[rows[pool]]
     q_sims = sims[pool]
 
     selected: list[int] = []
@@ -135,22 +171,17 @@ def flat_retrieval(
     exemplars = []
     skipped = []
     for relation, score in candidates:
-        bags = view.bags_by_relation[relation]
+        bags = corpus.bags_by_relation[relation]
         if not len(bags):
             skipped.append(relation)
             continue
-        positions = np.flatnonzero(np.isin(view.sentence_bag, bags))
+        positions = np.flatnonzero(np.isin(corpus.sentence_bag, bags))
         rows = view.score_rows[positions]
         total = config.w_conf * scores.matrix[rows, scores.column(relation)]
         if sims is not None:
             total = total + config.w_sim * sims[positions]
         best = positions[int(np.argmax(total))]
-        b = view.sentence_bag[best]
-        bag = corpus.bags[b]
-        sentence = bag.sentences[best - view.starts[b]]
-        exemplars.append(
-            Exemplar((sentence,), bag.labelset, bag.bag_id, relation, score)
-        )
+        exemplars.append(_sentence_exemplar(corpus, best, relation, score))
     return ExemplarSet(
         q_id, _order_ascending(exemplars), tuple(candidates), tuple(skipped)
     )
@@ -169,15 +200,13 @@ def random_bag_sentence(
     exemplars = []
     skipped = []
     for relation, score in candidates:
-        bag_ids = corpus.bags_by_relation[relation]
-        if not bag_ids:
+        bags = corpus.bags_by_relation[relation]
+        if not len(bags):
             skipped.append(relation)
             continue
-        bag = corpus.bags_by_id[bag_ids[rng.randrange(len(bag_ids))]]
-        sentence = bag.sentences[rng.randrange(len(bag.sentences))]
-        exemplars.append(
-            Exemplar((sentence,), bag.labelset, bag.bag_id, relation, score)
-        )
+        b = int(bags[rng.randrange(len(bags))])
+        pos = int(corpus.starts[b]) + rng.randrange(int(corpus.lengths[b]))
+        exemplars.append(_sentence_exemplar(corpus, pos, relation, score))
     return ExemplarSet(
         q_id, _order_ascending(exemplars), tuple(candidates), tuple(skipped)
     )

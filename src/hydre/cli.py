@@ -28,7 +28,6 @@ from .baselines import (
     DEFAULT_MMR_ALPHA,
     DEFAULT_MMR_POOL_SIZE,
     flat_retrieval,
-    flat_rows,
     flatten,
     mmr_select,
     random_bag_sentence,
@@ -41,7 +40,6 @@ from .corpus import (
     QueryInstance,
     atomic_write,
     iter_jsonl,
-    na_fraction,
     write_jsonl,
 )
 from .evaluation import (
@@ -228,15 +226,18 @@ def _needs(config: RunConfig) -> tuple[bool, bool, bool, bool]:
 
 
 def _load_run(
-    config: RunConfig, scores: bool = True, embeddings: bool = True
+    config: RunConfig, scores: bool = True, embeddings: bool = True, bags: bool = True
 ) -> LoadedRun:
-    """Load the corpus and the providers whose files exist; the score and
-    embedding files only when ``scores`` and ``embeddings`` are set."""
+    """Load the corpus and the providers whose files exist; the bag, score
+    and embedding files only when ``bags``, ``scores`` and ``embeddings``
+    are set."""
     for name in ("ontology", "bags", "queries"):
-        if config.path(name) is None:
+        if config.path(name) is None and (bags or name != "bags"):
             raise ConfigError(f"paths.{name} is required")
     corpus = Corpus.load(
-        config.path("ontology"), config.path("bags"), config.path("queries")
+        config.path("ontology"),
+        config.path("bags") if bags else None,
+        config.path("queries"),
     )
     matrix = None
     path = config.path("scores")
@@ -263,22 +264,18 @@ def _check_providers(config: RunConfig, run: LoadedRun) -> None:
             f"strategy {config.strategy!r} needs embeddings but "
             "paths.embeddings is missing"
         )
-    if q_scores:
-        for q in corpus.queries:
-            if q.query_id not in run.scores:
-                raise ProviderError(f"query {q.query_id!r} has no score row")
-    if s_scores:
-        for sentence_id in corpus.sentences_by_id:
-            if sentence_id not in run.scores:
-                raise ProviderError(f"sentence {sentence_id!r} has no score row")
-    if q_emb:
-        for q in corpus.queries:
-            if q.query_id not in run.embeddings:
-                raise ProviderError(f"query {q.query_id!r} has no embedding")
-    if s_emb:
-        for sentence_id in corpus.sentences_by_id:
-            if sentence_id not in run.embeddings:
-                raise ProviderError(f"sentence {sentence_id!r} has no embedding")
+    query_ids = [q.query_id for q in corpus.queries]
+    for needed, ids, provider, message in (
+        (q_scores, query_ids, run.scores, "query {!r} has no score row"),
+        (s_scores, corpus.sentence_ids, run.scores, "sentence {!r} has no score row"),
+        (q_emb, query_ids, run.embeddings, "query {!r} has no embedding"),
+        (s_emb, corpus.sentence_ids, run.embeddings, "sentence {!r} has no embedding"),
+    ):
+        if needed:
+            row_of = provider.row_of
+            missing = next((i for i in ids if i not in row_of), None)
+            if missing is not None:
+                raise ProviderError(message.format(missing))
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -287,11 +284,10 @@ def cmd_validate(config: RunConfig) -> int:
     corpus = run.corpus
     _check_providers(config, run)
     print(f"ontology: {len(corpus.ontology)} relations (NA symbol {corpus.ontology.na_symbol!r})")
-    print(
-        f"bags: {len(corpus.bags)} "
-        f"(NA fraction {na_fraction(corpus.bags, corpus.ontology):.1%})"
-    )
-    print(f"sentences: {len(corpus.sentences_by_id)}")
+    n_bags = len(corpus.bag_ids)
+    na = np.count_nonzero(corpus.bag_na) / n_bags if n_bags else 0.0
+    print(f"bags: {n_bags} (NA fraction {na:.1%})")
+    print(f"sentences: {len(corpus.sentence_ids)}")
     print(f"queries: {len(corpus.queries)}")
     if run.scores is not None:
         print(f"scores: {len(run.scores.rows)} rows")
@@ -302,12 +298,11 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 class FlatCorpus(NamedTuple):
-    """The flattened corpus the sentence-level baselines select from, built
-    once per select command."""
+    """The flattened corpus the sentence-level baselines select from, made
+    once per select command. Example i is the corpus's sentence position i."""
 
-    examples: list[Exemplar]
+    examples: Sequence[Exemplar]
     rows: np.ndarray | None  # embedding-matrix row of each example
-    position: dict[str, int]  # sentence id -> index into examples
 
 
 @dataclass(frozen=True)
@@ -351,14 +346,15 @@ def _pipeline(
 
 
 def _scored_by_similarity(
-    q_id: str, picked: list[Exemplar], flat: FlatCorpus, sims: np.ndarray
+    q_id: str, picked: list[Exemplar], corpus: Corpus, sims: np.ndarray
 ) -> ExemplarSet:
     """Baseline picks, each scored by its similarity to the query."""
+    position = corpus.sentence_position
     return ExemplarSet(
         q_id,
         tuple(
             dataclasses.replace(
-                e, candidate_score=float(sims[flat.position[e.sentence.sentence_id]])
+                e, candidate_score=float(sims[position[e.sentence.sentence_id]])
             )
             for e in picked
         ),
@@ -369,7 +365,7 @@ def _topk_sim(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
     flat, embeddings = inputs.flat, inputs.embeddings
     sims = embeddings.similarities(q_id, flat.rows)
     picked = topk_sim(q_id, flat.examples, embeddings, inputs.scoring.k, sims=sims)
-    return _scored_by_similarity(q_id, picked, flat, sims)
+    return _scored_by_similarity(q_id, picked, inputs.corpus, sims)
 
 
 def _mmr(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
@@ -383,8 +379,9 @@ def _mmr(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
         alpha=inputs.mmr_alpha,
         pool_size=inputs.mmr_pool_size,
         sims=sims,
+        rows=flat.rows,
     )
-    return _scored_by_similarity(q_id, picked, flat, sims)
+    return _scored_by_similarity(q_id, picked, inputs.corpus, sims)
 
 
 # Every strategy the CLI accepts. Selectors look the selection functions up
@@ -452,11 +449,10 @@ STRATEGIES: dict[str, Strategy] = {
 def _flat_corpus(config: RunConfig, run: LoadedRun) -> FlatCorpus | None:
     if not STRATEGIES[config.strategy].flat:
         return None
-    examples = flatten(run.corpus.bags)
+    examples = flatten(run.corpus)
     if not _needs(config)[3]:  # reads no sentence embeddings
-        return FlatCorpus(examples, None, {})
-    position = {e.sentence.sentence_id: i for i, e in enumerate(examples)}
-    return FlatCorpus(examples, flat_rows(examples, run.embeddings), position)
+        return FlatCorpus(examples, None)
+    return FlatCorpus(examples, run.embeddings.row_indexes(run.corpus.sentence_ids))
 
 
 def _selections_filename(k: int | None) -> str:
@@ -649,7 +645,7 @@ def cmd_eval(
     config: RunConfig, predictions_path: Path, baseline_path: Path | None = None
 ) -> int:
     """Score predictions against gold and emit report files."""
-    run = _load_run(config, embeddings=False)
+    run = _load_run(config, embeddings=False, bags=False)
     corpus = run.corpus
     predictions = _load_predictions(predictions_path)
     gap = [q.query_id for q in corpus.queries if q.query_id not in predictions]

@@ -3,6 +3,14 @@
 All files are line-delimited JSON (one record per line, UTF-8). Entity
 offsets count Unicode code points of the owning sentence text, inclusive
 start / exclusive end.
+
+A corpus holds its bags as columns and builds ``Bag`` and
+``SentenceInstance`` objects only for what is read. The first load of a bag
+file's bytes writes its columns to a sidecar beside it,
+``<file>.hydre.npz``, keyed by the file's sha256 (the provider sidecar of
+``providers``); later loads of the same bytes read that instead. The checks
+on the file's records run once, on the parse; the label checks against the
+ontology run on every load.
 """
 
 from __future__ import annotations
@@ -12,9 +20,12 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -255,7 +266,8 @@ def load_ontology(path: str | Path, na_symbol: str = DEFAULT_NA_SYMBOL) -> Relat
         raise CorpusError(f"{path}: {exc}") from None
 
 
-def _span_from_record(record: dict, key: str, text: str, where: str) -> EntitySpan:
+def _span(record: dict, key: str, text: str, where: str) -> tuple[int, int]:
+    """The checked [start, end) code-point span of ``text`` under ``key``."""
     raw = record.get(key)
     if (
         not isinstance(raw, (list, tuple))
@@ -266,18 +278,7 @@ def _span_from_record(record: dict, key: str, text: str, where: str) -> EntitySp
     start, end = raw
     if not (0 <= start < end <= len(text)):
         raise CorpusError(f"{where}: {key} [{start}, {end}) out of range")
-    return EntitySpan(start, end, text[start:end])
-
-
-def _sentence_from_record(record: dict, where: str) -> SentenceInstance:
-    try:
-        sentence_id = record["sentence_id"]
-        text = record["text"]
-    except KeyError as exc:
-        raise CorpusError(f"{where}: missing field {exc}") from None
-    head = _span_from_record(record, "head_span", text, where)
-    tail = _span_from_record(record, "tail_span", text, where)
-    return SentenceInstance(sentence_id, text, head, tail)
+    return start, end
 
 
 def _check_labels(
@@ -293,40 +294,211 @@ def _check_labels(
     return labelset
 
 
+BAGS_FORMAT = "hydre.corpus.v1"
+
+# The columns of a bag file besides the strings, which go in the meta record
+# (bag_ids, heads, tails, sentence_ids and the label vocabulary ``labels``).
+_BAG_ARRAYS = {
+    "texts": np.uint8,  # every sentence text, UTF-8 (surrogatepass), concatenated
+    "text_offsets": np.int64,  # sentence i is texts[text_offsets[i]:text_offsets[i + 1]]
+    "spans": np.int64,  # per sentence: head start, head end, tail start, tail end
+    "lengths": np.int64,  # sentences per bag
+    "label_ids": np.int64,  # each bag's distinct labels, as indexes into labels
+    "label_counts": np.int64,  # labels per bag
+    "lines": np.int64,  # the source line of each bag
+}
+
+_Columns = tuple[dict, dict[str, np.ndarray]]
+
+
+def _columns(
+    bag_ids: list,
+    heads: list,
+    tails: list,
+    lines: list[int],
+    labels: dict[str, int],
+    label_ids: list[int],
+    label_counts: list[int],
+    lengths: list[int],
+    sentence_ids: list,
+    texts: list[str],
+    spans: list[int],
+) -> _Columns:
+    """(meta, arrays) of a corpus's bags; sentences and labels in bag order."""
+    encoded = [t.encode("utf-8", "surrogatepass") for t in texts]
+    sizes = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    meta = {
+        "bag_ids": bag_ids,
+        "heads": heads,
+        "tails": tails,
+        "sentence_ids": sentence_ids,
+        "labels": list(labels),
+    }
+    arrays = {
+        "texts": np.frombuffer(b"".join(encoded), np.uint8),
+        "text_offsets": np.concatenate(([0], np.cumsum(sizes))),
+        "spans": np.array(spans, np.int64).reshape(-1, 4),
+        "lengths": np.array(lengths, np.int64),
+        "label_ids": np.array(label_ids, np.int64),
+        "label_counts": np.array(label_counts, np.int64),
+        "lines": np.array(lines, np.int64),
+    }
+    return meta, arrays
+
+
+def _label_mask(
+    ontology: RelationOntology,
+    labels: list[str],
+    label_ids: np.ndarray,
+    label_counts: np.ndarray,
+    where: Callable[[int], str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bag x relation label mask and each bag's NA flag.
+
+    The first bag with a label the ontology lacks, or with the NA symbol
+    beside a relation, raises ``CorpusError`` after ``where(bag)``; an
+    unknown label is named in the order the bag lists it.
+    """
+    na = ontology.na_symbol
+    column = np.array(
+        [-2 if l == na else ontology.index_of(l) if l in ontology else -1 for l in labels],
+        np.int64,
+    )
+    col = column[label_ids]
+    owner = np.repeat(np.arange(len(label_counts)), label_counts)
+    unknown = np.zeros(len(label_counts), bool)
+    unknown[owner[col == -1]] = True
+    has_na = np.zeros(len(label_counts), bool)
+    has_na[owner[col == -2]] = True
+    bad = np.flatnonzero(unknown | (has_na & (label_counts > 1)))
+    if bad.size:
+        b = int(bad[0])
+        if unknown[b]:
+            first = label_ids[np.flatnonzero((owner == b) & (col == -1))[0]]
+            raise CorpusError(f"{where(b)}: unknown relation {labels[first]!r}")
+        raise CorpusError(f"{where(b)}: {na!r} cannot appear alongside relations")
+    mask = np.zeros((len(label_counts), len(ontology)), bool)
+    real = col >= 0
+    mask[owner[real], col[real]] = True
+    return mask, has_na
+
+
+def _parse_bags(path: Path, ontology: RelationOntology) -> _Columns:
+    """The columns of a bag file, after every check on its records.
+
+    Labels are checked against the ontology as far as the first other
+    fault, so the first fault in the file is the one raised; a file without
+    one gets its label check when the corpus is built.
+    """
+    bag_ids: list = []
+    heads: list = []
+    tails: list = []
+    lines: list[int] = []
+    labels: dict[str, int] = {}
+    label_ids: list[int] = []
+    label_counts: list[int] = []
+    lengths: list[int] = []
+    sentence_ids: list = []
+    texts: list[str] = []
+    spans: list[int] = []
+    seen_bags: set = set()
+    seen_sentences: set = set()
+    try:
+        for lineno, record in iter_jsonl(path, CorpusError):
+            where = f"{path}:{lineno}"
+            try:
+                bag_id = record["bag_id"]
+                head_entity = record["head"]
+                tail_entity = record["tail"]
+                relations = record["relations"]
+                sentence_records = record["sentences"]
+            except KeyError as exc:
+                raise CorpusError(f"{where}: missing field {exc}") from None
+            if bag_id in seen_bags:
+                raise CorpusError(f"{where}: duplicate bag_id {bag_id!r}")
+            seen_bags.add(bag_id)
+            bag_labels = dict.fromkeys(relations)
+            bag_ids.append(bag_id)
+            heads.append(head_entity)
+            tails.append(tail_entity)
+            lines.append(lineno)
+            label_ids.extend(labels.setdefault(l, len(labels)) for l in bag_labels)
+            label_counts.append(len(bag_labels))
+            if not sentence_records:
+                raise CorpusError(f"{where}: bag {bag_id!r} has no sentences")
+            for sr in sentence_records:
+                try:
+                    sentence_id = sr["sentence_id"]
+                    text = sr["text"]
+                except KeyError as exc:
+                    raise CorpusError(f"{where}: missing field {exc}") from None
+                if not isinstance(text, str):
+                    raise CorpusError(f"{where}: malformed text {text!r}")
+                head = _span(sr, "head_span", text, where)
+                tail = _span(sr, "tail_span", text, where)
+                if head[0] < tail[1] and tail[0] < head[1]:
+                    raise CorpusError(
+                        f"sentence {sentence_id!r}: head and tail spans overlap"
+                    )
+                if sentence_id in seen_sentences:
+                    raise CorpusError(
+                        f"{where}: duplicate sentence_id {sentence_id!r}"
+                    )
+                seen_sentences.add(sentence_id)
+                sentence_ids.append(sentence_id)
+                texts.append(text)
+                spans += head + tail
+            if not bag_labels:
+                raise CorpusError(f"bag {bag_id!r}: empty labelset")
+            lengths.append(len(sentence_records))
+    except CorpusError:
+        # a label fault in an earlier bag is the first fault in the file
+        _label_mask(
+            ontology,
+            list(labels),
+            np.array(label_ids, np.int64),
+            np.array(label_counts, np.int64),
+            lambda b: f"{path}:{lines[b]} (bag {bag_ids[b]!r})",
+        )
+        raise
+    return _columns(
+        bag_ids, heads, tails, lines, labels, label_ids, label_counts,
+        lengths, sentence_ids, texts, spans,
+    )
+
+
+def _sidecar_columns(meta: dict, npz) -> _Columns:
+    """The columns a corpus sidecar holds; ValueError if they do not fit
+    together."""
+    arrays = {name: npz[name] for name in _BAG_ARRAYS}
+    n_bags, n_sentences = len(meta["bag_ids"]), len(meta["sentence_ids"])
+    label_ids = arrays["label_ids"]
+    shapes = {
+        "text_offsets": (n_sentences + 1,),
+        "spans": (n_sentences, 4),
+        "lengths": (n_bags,),
+        "label_counts": (n_bags,),
+        "lines": (n_bags,),
+        "label_ids": (int(arrays["label_counts"].sum()),),
+    }
+    if (
+        any(arrays[name].dtype != dtype for name, dtype in _BAG_ARRAYS.items())
+        or any(arrays[name].shape != shape for name, shape in shapes.items())
+        or arrays["texts"].shape != (arrays["text_offsets"][-1],)
+        or arrays["lengths"].sum() != n_sentences
+        or not (len(meta["heads"]) == len(meta["tails"]) == n_bags)
+        or (
+            label_ids.size
+            and not 0 <= label_ids.min() <= label_ids.max() < len(meta["labels"])
+        )
+    ):
+        raise ValueError("corpus sidecar columns do not fit together")
+    return meta, arrays
+
+
 def load_bags(path: str | Path, ontology: RelationOntology) -> list[Bag]:
     """Load and validate training bags, preserving file order."""
-    bags: list[Bag] = []
-    seen_bags: set[str] = set()
-    seen_sentences: set[str] = set()
-    for lineno, record in iter_jsonl(path, CorpusError):
-        where = f"{path}:{lineno}"
-        try:
-            bag_id = record["bag_id"]
-            head_entity = record["head"]
-            tail_entity = record["tail"]
-            relations = record["relations"]
-            sentence_records = record["sentences"]
-        except KeyError as exc:
-            raise CorpusError(f"{where}: missing field {exc}") from None
-        if bag_id in seen_bags:
-            raise CorpusError(f"{where}: duplicate bag_id {bag_id!r}")
-        seen_bags.add(bag_id)
-        labelset = _check_labels(relations, ontology, f"{where} (bag {bag_id!r})")
-        if not sentence_records:
-            raise CorpusError(f"{where}: bag {bag_id!r} has no sentences")
-        sentences = []
-        for sr in sentence_records:
-            sentence = _sentence_from_record(sr, where)
-            if sentence.sentence_id in seen_sentences:
-                raise CorpusError(
-                    f"{where}: duplicate sentence_id {sentence.sentence_id!r}"
-                )
-            seen_sentences.add(sentence.sentence_id)
-            sentences.append(sentence)
-        bags.append(
-            Bag(bag_id, head_entity, tail_entity, tuple(sentences), labelset)
-        )
-    return bags
+    return list(Corpus.load_bag_file(path, ontology).bags)
 
 
 def load_queries(path: str | Path, ontology: RelationOntology) -> list[QueryInstance]:
@@ -345,8 +517,9 @@ def load_queries(path: str | Path, ontology: RelationOntology) -> list[QueryInst
         if query_id in seen:
             raise CorpusError(f"{where}: duplicate query_id {query_id!r}")
         seen.add(query_id)
-        head = _span_from_record(record, "head_span", text, where)
-        tail = _span_from_record(record, "tail_span", text, where)
+        hs, he = _span(record, "head_span", text, where)
+        ts, te = _span(record, "tail_span", text, where)
+        head, tail = EntitySpan(hs, he, text[hs:he]), EntitySpan(ts, te, text[ts:te])
         labelset = _check_labels(gold_list, ontology, f"{where} (query {query_id!r})")
         is_na = bool(record.get("is_na", False)) or na in labelset
         gold = frozenset(l for l in labelset if l != na)
@@ -431,23 +604,58 @@ def na_fraction(bags: Iterable[Bag], ontology: RelationOntology) -> float:
     return n_na / len(bags)
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """Loaded ontology, bags, and queries with lookup indexes.
+    """The ontology, the training bags and the test queries.
 
-    ``view_cache`` starts empty; selection keeps the columnar view it builds
-    lazily from the corpus and its providers there.
+    The bags are columns: ids, entity strings, the sentence texts as one
+    UTF-8 buffer plus offsets, an n x 4 span array, CSR bag starts and
+    lengths (bag b owns sentence positions starts[b] .. starts[b] +
+    lengths[b] - 1), and a bag x relation label mask built against the
+    ontology. ``bag`` and ``sentence`` build the objects of one bag or
+    sentence on first read and keep them, ``labelset`` one bag's labels;
+    ``bags`` builds every bag once, for callers that want them all. ``view_cache`` starts empty; selection keeps the
+    provider row indexes it builds for this corpus there.
     """
 
-    ontology: RelationOntology
-    bags: tuple[Bag, ...]
-    queries: tuple[QueryInstance, ...]
-    bags_by_relation: dict[str, list[str]] = field(compare=False)
-    bags_by_id: dict[str, Bag] = field(compare=False)
-    sentences_by_id: dict[str, SentenceInstance] = field(compare=False)
-    view_cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        ontology: RelationOntology,
+        meta: dict,
+        arrays: dict[str, np.ndarray],
+        source: Path | None = None,
+    ) -> None:
+        self.ontology = ontology
+        self.queries: tuple[QueryInstance, ...] = ()
+        self.bag_ids: list[str] = meta["bag_ids"]
+        self.heads: list[str] = meta["heads"]
+        self.tails: list[str] = meta["tails"]
+        self.sentence_ids: list[str] = meta["sentence_ids"]
+        self._texts = arrays["texts"].tobytes()
+        self.text_offsets = arrays["text_offsets"]
+        self.spans = arrays["spans"]
+        self.lengths = arrays["lengths"]
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        lines = arrays["lines"]
+        self.mask, self.bag_na = _label_mask(
+            ontology,
+            meta["labels"],
+            arrays["label_ids"],
+            arrays["label_counts"],
+            lambda b: (
+                f"{source}:{lines[b]} (bag {self.bag_ids[b]!r})"
+                if source is not None
+                else f"bag {self.bag_ids[b]!r}"
+            ),
+        )
+        self.bags_by_relation = {
+            name: np.flatnonzero(self.mask[:, j])
+            for j, name in enumerate(ontology.names)
+        }
+        self.view_cache: dict = {}
+        # objects built so far, by bag index and sentence position: a k
+        # sweep or a run over many queries shows the same few bags again
+        self._bags: dict[int, Bag] = {}
+        self._sentences: dict[int, SentenceInstance] = {}
 
     @classmethod
     def assemble(
@@ -456,27 +664,127 @@ class Corpus:
         bags: Iterable[Bag],
         queries: Iterable[QueryInstance] = (),
     ) -> "Corpus":
+        """A corpus of bag and query objects, which ``bags`` then returns."""
         bags = tuple(bags)
-        queries = tuple(queries)
-        return cls(
-            ontology=ontology,
-            bags=bags,
-            queries=queries,
-            bags_by_relation=index_bags_by_relation(bags, ontology),
-            bags_by_id={b.bag_id: b for b in bags},
-            sentences_by_id={
-                s.sentence_id: s for b in bags for s in b.sentences
-            },
+        sentences = [s for b in bags for s in b.sentences]
+        labels: dict[str, int] = {}
+        corpus = cls(
+            ontology,
+            *_columns(
+                [b.bag_id for b in bags],
+                [b.head_entity for b in bags],
+                [b.tail_entity for b in bags],
+                [0] * len(bags),
+                labels,
+                [labels.setdefault(l, len(labels)) for b in bags for l in b.labelset],
+                [len(b.labelset) for b in bags],
+                [len(b.sentences) for b in bags],
+                [s.sentence_id for s in sentences],
+                [s.text for s in sentences],
+                [
+                    v
+                    for s in sentences
+                    for v in (s.head.start, s.head.end, s.tail.start, s.tail.end)
+                ],
+            ),
         )
+        corpus.queries = tuple(queries)
+        corpus._bags = dict(enumerate(bags))
+        return corpus
+
+    @classmethod
+    def load_bag_file(cls, path: str | Path, ontology: RelationOntology) -> "Corpus":
+        """The bags of a file, with no queries.
+
+        Reads the file's sidecar when it matches the file's bytes, else
+        parses the file and writes one; a file that fails a check gets
+        none. The labels are checked against the ontology either way.
+        """
+        from .providers import _Sidecar  # providers imports this module
+
+        path = Path(path)
+        sidecar = _Sidecar(path, BAGS_FORMAT)
+        columns = sidecar.read(_sidecar_columns)
+        parsed = columns is None
+        if parsed:
+            columns = _parse_bags(path, ontology)
+        corpus = cls(ontology, *columns, source=path)
+        if parsed:
+            sidecar.write(columns[0], **columns[1])
+        return corpus
 
     @classmethod
     def load(
         cls,
         ontology_path: str | Path,
-        bags_path: str | Path,
+        bags_path: str | Path | None,
         queries_path: str | Path | None = None,
     ) -> "Corpus":
+        """Ontology, bags and queries from their files. With no bags file
+        the corpus has no bags, and no bag file or sidecar is read."""
         ontology = load_ontology(ontology_path)
-        bags = load_bags(bags_path, ontology)
-        queries = load_queries(queries_path, ontology) if queries_path else []
-        return cls.assemble(ontology, bags, queries)
+        if bags_path is None:
+            corpus = cls.assemble(ontology, ())
+        else:
+            corpus = cls.load_bag_file(bags_path, ontology)
+        if queries_path:
+            corpus.queries = tuple(load_queries(queries_path, ontology))
+        return corpus
+
+    @cached_property
+    def bags(self) -> tuple[Bag, ...]:
+        """Every bag as an object, built on first use."""
+        return tuple(self.bag(b) for b in range(len(self.bag_ids)))
+
+    def bag(self, b: int) -> Bag:
+        bag = self._bags.get(b)
+        if bag is None:
+            start = int(self.starts[b])
+            bag = self._bags[int(b)] = Bag(
+                self.bag_ids[b],
+                self.heads[b],
+                self.tails[b],
+                tuple(
+                    self.sentence(p) for p in range(start, start + int(self.lengths[b]))
+                ),
+                self.labelset(b),
+            )
+        return bag
+
+    def sentence(self, pos: int) -> SentenceInstance:
+        sentence = self._sentences.get(pos)
+        if sentence is None:
+            start, end = self.text_offsets[pos : pos + 2].tolist()
+            text = self._texts[start:end].decode("utf-8", "surrogatepass")
+            hs, he, ts, te = self.spans[pos].tolist()
+            sentence = self._sentences[int(pos)] = SentenceInstance(
+                self.sentence_ids[pos],
+                text,
+                EntitySpan(hs, he, text[hs:he]),
+                EntitySpan(ts, te, text[ts:te]),
+            )
+        return sentence
+
+    def labelset(self, b: int) -> frozenset[str]:
+        names = self._names
+        labels = [names[j] for j in np.flatnonzero(self.mask[b])]
+        if self.bag_na[b]:
+            labels.append(self.ontology.na_symbol)
+        return frozenset(labels)
+
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
+        return self.ontology.names
+
+    @cached_property
+    def sentence_bag(self) -> np.ndarray:
+        """The bag of each sentence position."""
+        return np.repeat(np.arange(len(self.bag_ids)), self.lengths)
+
+    @cached_property
+    def bag_position(self) -> dict[str, int]:
+        return {bag_id: b for b, bag_id in enumerate(self.bag_ids)}
+
+    @cached_property
+    def sentence_position(self) -> dict[str, int]:
+        return {sid: pos for pos, sid in enumerate(self.sentence_ids)}

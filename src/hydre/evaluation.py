@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .corpus import QueryInstance, RelationOntology
 from .providers import ScoreMatrix
-from .selection import select_candidates
 
 # below this many discordant pairs the chi-square approximation is poor
 EXACT_BINOMIAL_THRESHOLD = 25
@@ -129,21 +130,22 @@ def score(gold: FactSet, pred: FactSet, ontology: RelationOntology) -> EvalRepor
 def recall_at_k(gold: FactSet, scores: ScoreMatrix, k: int) -> float:
     """Fraction of gold facts whose relation ranks in the query's top k.
 
-    Ranking and tie-breaking follow candidate selection. Queries with no
-    gold facts (NA) never enter the denominator.
+    Ranking and tie-breaking follow candidate selection: a relation's rank
+    counts the relations scored higher, plus those scored the same at a
+    lower ontology index. Queries with no gold facts (NA) never enter the
+    denominator.
     """
     if not gold.facts:
         return 1.0
-    hits = 0
-    top_cache: dict[str, set[str]] = {}
-    for query_id, relation in gold.facts:
-        if query_id not in top_cache:
-            top_cache[query_id] = {
-                r for r, _ in select_candidates(query_id, scores, k)
-            }
-        if relation in top_cache[query_id]:
-            hits += 1
-    return hits / len(gold.facts)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    facts = list(gold.facts)
+    rows = scores.matrix[scores.row_indexes(q for q, _ in facts)]
+    cols = np.fromiter((scores.column(r) for _, r in facts), np.intp, len(facts))
+    own = rows[np.arange(len(facts)), cols][:, None]
+    before = np.arange(rows.shape[1]) < cols[:, None]
+    ranks = np.count_nonzero((rows > own) | ((rows == own) & before), axis=1)
+    return int(np.count_nonzero(ranks < k)) / len(facts)
 
 
 def pair_reports(report_a: EvalReport, report_b: EvalReport) -> list[tuple[bool, bool]]:

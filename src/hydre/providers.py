@@ -22,7 +22,7 @@ import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,6 +37,7 @@ class ProviderError(ValueError):
 
 
 SIDECAR_SUFFIX = ".hydre.npz"
+T = TypeVar("T")
 
 
 def _stamp(path: Path) -> tuple[int, int]:
@@ -45,14 +46,15 @@ def _stamp(path: Path) -> tuple[int, int]:
 
 
 class _Sidecar:
-    """The parsed matrix of a provider file, kept in ``<file>.hydre.npz``
-    beside it and valid only for the exact bytes it was parsed from.
+    """Named arrays parsed from a source file plus JSON ``meta``, kept in
+    ``<file>.hydre.npz`` beside it and valid only for the exact bytes they
+    were parsed from.
 
     It stores ``format`` (which parser made it), the source's ``sha256``,
-    ``matrix`` and ``meta``: the row ids in order plus any other parse
-    result, as UTF-8 JSON bytes, so every id string round-trips exactly.
-    The one read that hashes the source also counts its lines, an upper
-    bound on its records that a parse allocates from.
+    ``meta`` as UTF-8 JSON bytes, so every string round-trips exactly (a
+    fixed-width ``<U`` array drops trailing NULs), and the arrays. The one
+    read that hashes the source also counts its lines, an upper bound on
+    its records that a parse allocates from.
     """
 
     def __init__(self, source: Path, fmt: str) -> None:
@@ -68,25 +70,21 @@ class _Sidecar:
                 self.lines += chunk.count(b"\n")
         self.sha256 = digest.hexdigest()
 
-    def read(self) -> tuple[dict, dict[str, int], np.ndarray] | None:
-        """(meta, row_of, matrix) if the sidecar was written for the
-        source's current bytes by this format, else None."""
+    def read(self, decode: Callable[[dict, Mapping[str, np.ndarray]], T]) -> T | None:
+        """``decode(meta, arrays)`` if the sidecar was written for the
+        source's current bytes by this format, else None. ``decode`` raises
+        ValueError or KeyError on arrays that do not fit its format."""
         try:
             with np.load(self.path, allow_pickle=False) as npz:
                 if str(npz["format"]) != self.fmt or str(npz["sha256"]) != self.sha256:
                     return None
-                meta = json.loads(npz["meta"].tobytes())
-                matrix = npz["matrix"]
-            ids = meta["ids"]
-            if matrix.dtype != np.float64 or matrix.ndim != 2 or len(ids) != len(matrix):
-                return None
+                return decode(json.loads(npz["meta"].tobytes()), npz)
         except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
             # missing, torn, foreign (a bare .npy loads as an array, which is
             # no context manager) or pickled: the source is parsed instead
             return None
-        return meta, dict(zip(ids, range(len(ids)))), matrix
 
-    def write(self, matrix: np.ndarray, **meta) -> None:
+    def write(self, meta: dict, **arrays: np.ndarray) -> None:
         """Store a parse of the source; skipped if the source changed since
         it was hashed, or if the directory cannot be written."""
         if _stamp(self.source) != self.stamp:
@@ -99,10 +97,20 @@ class _Sidecar:
                     format=np.array(self.fmt),
                     sha256=np.array(self.sha256),
                     meta=blob,
-                    matrix=matrix,
+                    **arrays,
                 )
         except OSError:
             pass
+
+
+def _matrix(
+    meta: dict, arrays: Mapping[str, np.ndarray]
+) -> tuple[dict, dict[str, int], np.ndarray]:
+    """(meta, row_of, matrix) of a provider sidecar."""
+    ids, matrix = meta["ids"], arrays["matrix"]
+    if matrix.dtype != np.float64 or matrix.ndim != 2 or len(ids) != len(matrix):
+        raise ValueError("sidecar matrix does not match its ids")
+    return meta, dict(zip(ids, range(len(ids)))), matrix
 
 
 class RowViews(Mapping):
@@ -194,11 +202,12 @@ class ScoreMatrix(_RowMatrix):
         ontology either way.
         """
         path = Path(path)
-        sidecar = _Sidecar(path, "hydre.scores.v1")
-        cached = sidecar.read()
+        sidecar = _Sidecar(path, "hydre.scores.v2")
+        cached = sidecar.read(_matrix)
         if cached is None:
             order, row_of, matrix = cls._parse(path, ontology, sidecar.lines)
-            sidecar.write(matrix, ids=list(row_of), relation_order=list(order))
+            meta = {"ids": list(row_of), "relation_order": list(order)}
+            sidecar.write(meta, matrix=matrix)
         else:
             meta, row_of, matrix = cached
             order = meta["relation_order"]
@@ -273,13 +282,14 @@ def _check_range(
     path: Path, matrix: np.ndarray, row_of: dict[str, int], linenos: list[int]
 ) -> None:
     """Fail loudly on provider mismatch instead of clamping: name the first
-    row with a score outside [0, 1]. A row holding NaN passes, as NaN
-    compares false."""
-    bad = np.flatnonzero((matrix.min(axis=1) < 0.0) | (matrix.max(axis=1) > 1.0))
+    row with a score outside [0, 1] or a NaN."""
+    outside = (matrix.min(axis=1) < 0.0) | (matrix.max(axis=1) > 1.0)
+    bad = np.flatnonzero(outside | ~np.isfinite(matrix).all(axis=1))
     if bad.size:
-        item_id = list(row_of)[bad[0]]
+        i = bad[0]
+        problem = "scores outside [0, 1]" if outside[i] else "a non-finite score"
         raise ProviderError(
-            f"{path}:{linenos[bad[0]]}: row {item_id!r} has scores outside [0, 1]"
+            f"{path}:{linenos[i]}: row {list(row_of)[i]!r} has {problem}"
         )
 
 
@@ -359,11 +369,11 @@ class EmbeddingIndex(_RowMatrix):
         """Load an embedding file from its sidecar when that matches the
         file's bytes, else parse it and write one."""
         path = Path(path)
-        sidecar = _Sidecar(path, "hydre.embeddings.v1")
-        cached = sidecar.read()
+        sidecar = _Sidecar(path, "hydre.embeddings.v2")
+        cached = sidecar.read(_matrix)
         if cached is None:
             row_of, matrix = cls._parse(path, sidecar.lines)
-            sidecar.write(matrix, ids=list(row_of))
+            sidecar.write({"ids": list(row_of)}, matrix=matrix)
         else:
             _, row_of, matrix = cached
         self = cls(matrix.shape[1])
@@ -376,6 +386,7 @@ class EmbeddingIndex(_RowMatrix):
         a matrix allocated once, filled in place, then normalised row by
         row."""
         row_of: dict[str, int] = {}
+        linenos: list[int] = []
         matrix: np.ndarray | None = None
         for lineno, record in iter_jsonl(path, ProviderError):
             item_id = record.get("id")
@@ -393,9 +404,16 @@ class EmbeddingIndex(_RowMatrix):
                 raise ProviderError(f"{path}:{lineno}: duplicate id {item_id!r}")
             matrix[len(row_of)] = raw
             row_of[item_id] = len(row_of)
+            linenos.append(lineno)
         if matrix is None:
             raise ProviderError(f"{path}: empty embedding file")
         matrix = matrix[: len(row_of)]
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        if bad.size:
+            raise ProviderError(
+                f"{path}:{linenos[bad[0]]}: vector for {list(row_of)[bad[0]]!r} "
+                "has a non-finite value"
+            )
         _normalize_rows(matrix, list(row_of))
         return row_of, matrix
 

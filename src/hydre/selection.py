@@ -95,19 +95,11 @@ class ExemplarSet:
 
 @dataclass(frozen=True)
 class CorpusView:
-    """Columnar view of a corpus against the providers a selection reads.
+    """A corpus against the providers a selection reads: the matrix row of
+    each sentence position, and each bag's confidence. The provider parts
+    are None for a provider the selection does not consult."""
 
-    Sentences are numbered in corpus order. Bag b owns the sentence
-    positions starts[b] .. starts[b] + lengths[b] - 1 (CSR layout), and
-    sentence_bag maps each position back to its bag. The provider parts are
-    None for a provider the selection does not consult.
-    """
-
-    starts: np.ndarray
-    lengths: np.ndarray
-    sentence_bag: np.ndarray
-    bag_position: dict[str, int]
-    bags_by_relation: dict[str, np.ndarray]
+    corpus: Corpus
     embedding_rows: np.ndarray | None  # sentence position -> embedding row
     score_rows: np.ndarray | None  # sentence position -> score row
     confidence: np.ndarray | None  # bag x relation: max over the bag's sentences
@@ -119,14 +111,14 @@ class CorpusView:
         max (or mean) over each bag's sentences."""
         sims = embeddings.similarities(q_id, self.embedding_rows)
         if pooling == "mean":
-            return np.add.reduceat(sims, self.starts) / self.lengths
-        return np.maximum.reduceat(sims, self.starts)
+            return np.add.reduceat(sims, self.corpus.starts) / self.corpus.lengths
+        return np.maximum.reduceat(sims, self.corpus.starts)
 
 
 def corpus_view(
     corpus: Corpus, scores: ScoreMatrix | None, embeddings: EmbeddingIndex | None
 ) -> CorpusView:
-    """The columnar view of a corpus against the given providers.
+    """The view of a corpus against the given providers.
 
     Built on first use and kept in ``corpus.view_cache`` until a call names
     other providers, so a selection pass over many queries builds it once.
@@ -134,26 +126,16 @@ def corpus_view(
     cached = corpus.view_cache.get("view")
     if cached is not None and cached[0] is scores and cached[1] is embeddings:
         return cached[2]
-    bags = corpus.bags
-    lengths = np.fromiter((len(b.sentences) for b in bags), np.intp, len(bags))
-    starts = np.cumsum(lengths) - lengths
-    position = {bag.bag_id: i for i, bag in enumerate(bags)}
-    sentence_ids = [s.sentence_id for bag in bags for s in bag.sentences]
     score_rows = confidence = None
     if scores is not None:
-        score_rows = scores.row_indexes(sentence_ids)
-        confidence = np.maximum.reduceat(scores.matrix[score_rows], starts, axis=0)
+        score_rows = scores.row_indexes(corpus.sentence_ids)
+        confidence = np.maximum.reduceat(
+            scores.matrix[score_rows], corpus.starts, axis=0
+        )
     view = CorpusView(
-        starts=starts,
-        lengths=lengths,
-        sentence_bag=np.repeat(np.arange(len(bags)), lengths),
-        bag_position=position,
-        bags_by_relation={
-            relation: np.array([position[b] for b in bag_ids], dtype=np.intp)
-            for relation, bag_ids in corpus.bags_by_relation.items()
-        },
+        corpus,
         embedding_rows=(
-            None if embeddings is None else embeddings.row_indexes(sentence_ids)
+            None if embeddings is None else embeddings.row_indexes(corpus.sentence_ids)
         ),
         score_rows=score_rows,
         confidence=confidence,
@@ -212,7 +194,7 @@ def combined_bag_scores(
     """
     scores, embeddings = _consulted(scores, embeddings, config)
     view = corpus_view(corpus, scores, embeddings)
-    bags = view.bags_by_relation[relation]
+    bags = corpus.bags_by_relation[relation]
     total = 0.0
     if embeddings is not None:
         if bag_sims is None:
@@ -236,13 +218,13 @@ def select_bag(
     bag_ids = corpus.bags_by_relation.get(relation)
     if bag_ids is None:
         raise KeyError(f"unknown relation {relation!r}")
-    if not bag_ids:
+    if not len(bag_ids):
         raise NoBagForRelation(relation)
     bags, total = combined_bag_scores(
         q_id, relation, corpus, scores, embeddings, config, bag_sims
     )
     # argmax returns the first maximum, which is the earliest bag
-    return corpus.bags[bags[int(np.argmax(total))]].bag_id
+    return corpus.bag_ids[bags[int(np.argmax(total))]]
 
 
 def select_sentence(bag: Bag, scores: ScoreMatrix, threshold: float) -> SentenceInstance:
@@ -291,8 +273,8 @@ def _similarity_candidates(
     candidates: list[tuple[str, float]] = []
     seen: set[str] = set()
     for i in np.argsort(-bag_sims, kind="stable")[:k]:
-        bag, sim = corpus.bags[i], float(bag_sims[i])
-        for label in corpus.ontology.sorted_labels(bag.labelset):
+        sim = float(bag_sims[i])
+        for label in corpus.ontology.sorted_labels(corpus.labelset(i)):
             if label == corpus.ontology.na_symbol or label in seen:
                 continue
             seen.add(label)
@@ -334,7 +316,7 @@ def select_candidate_bags(
             skipped.append(relation)
             continue
         if scores is None:
-            score = float(bag_sims[view.bag_position[bag_id]])
+            score = float(bag_sims[corpus.bag_position[bag_id]])
         picks.append((relation, score, bag_id))
     return candidates, picks, skipped
 
@@ -361,7 +343,7 @@ def build_exemplar_set(
     rng = _query_rng(config.seed, q_id) if config.w_conf == 0 else None
     exemplars = []
     for relation, score, bag_id in picks:
-        bag = corpus.bags_by_id[bag_id]
+        bag = corpus.bag(corpus.bag_position[bag_id])
         if style == "full_bag":
             sentences = bag.sentences
         elif style == "reduced_bag":
@@ -453,19 +435,19 @@ def deserialize_exemplar_set(record: dict, corpus: Corpus) -> ExemplarSet:
     A sentence id the corpus does not hold raises ``CorpusError``.
     """
     style = record.get("style", "sentence")
-    sentences = corpus.sentences_by_id
+    position = corpus.sentence_position
     exemplars = []
     for e in record["exemplars"]:
         ids = [e["sentence_id"]] if style == "sentence" else e["sentence_ids"]
         for sid in ids:
-            if sid not in sentences:
+            if sid not in position:
                 raise CorpusError(
                     f"query {record['query_id']!r} selects sentence {sid!r}, "
                     "which is not in the corpus"
                 )
         exemplars.append(
             Exemplar(
-                tuple(sentences[sid] for sid in ids),
+                tuple(corpus.sentence(position[sid]) for sid in ids),
                 frozenset(e["labels"]),
                 e["source_bag_id"],
                 e["candidate_relation"],

@@ -287,7 +287,7 @@ def test_ablation_random_bag_sentence_deterministic():
     b = ablation_variant("random_bag_sentence", "q000", corpus, scores, emb, config)
     assert a == b
     for exemplar in a.exemplars:
-        bag = corpus.bags_by_id[exemplar.source_bag_id]
+        bag = corpus.bag(corpus.bag_position[exemplar.source_bag_id])
         assert exemplar.candidate_relation in bag.labelset
         assert exemplar.sentence in bag.sentences
 
@@ -297,7 +297,8 @@ def test_ablation_full_bag_returns_bag_exemplars():
     outcome = ablation_variant("full_bag", "q000", corpus, scores, emb, ScoringConfig(k=2))
     assert outcome.style == "full_bag"
     for exemplar in outcome.exemplars:
-        assert exemplar.sentences == corpus.bags_by_id[exemplar.source_bag_id].sentences
+        bag = corpus.bag(corpus.bag_position[exemplar.source_bag_id])
+        assert exemplar.sentences == bag.sentences
 
 
 def test_ablation_flat_retrieval_best_sentence_per_candidate():

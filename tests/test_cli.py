@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hydre.cli as cli
+import hydre.corpus
 import hydre.providers
 from hydre.corpus import Corpus
 from hydre.judge import MockBackend, ReplayCache
@@ -538,3 +539,88 @@ def test_unknown_strategy_rejected(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown strategy" in capsys.readouterr().err
+
+
+EVAL_OUTPUTS = ("report.json", "per_relation.csv", "confusion_pairs.csv", "summary.txt")
+
+
+def test_eval_reads_no_bags(tmp_path, monkeypatch):
+    out = golden_run(tmp_path)
+    predictions = str(out / "predictions.jsonl")
+    bags = (GOLDEN / "bags.jsonl").resolve()
+    calls = Counter()
+    parse, read = hydre.corpus._parse_bags, hydre.providers._Sidecar.read
+
+    def counted_parse(path, ontology):
+        calls["parse"] += 1
+        return parse(path, ontology)
+
+    def counted_read(self, decode):
+        calls["read"] += self.source.resolve() == bags
+        return read(self, decode)
+
+    monkeypatch.setattr(hydre.corpus, "_parse_bags", counted_parse)
+    monkeypatch.setattr(hydre.providers._Sidecar, "read", counted_read)
+    assert run_cli("--config", CONFIG, "--output", str(out), "eval", predictions) == 0
+    assert calls == Counter()
+    lean = {name: (out / name).read_bytes() for name in EVAL_OUTPUTS}
+
+    # the same eval over a corpus that holds every bag
+    load_run = cli._load_run
+    monkeypatch.setattr(
+        cli, "_load_run", lambda config, **flags: load_run(config, **dict(flags, bags=True))
+    )
+    assert run_cli("--config", CONFIG, "--output", str(out), "eval", predictions) == 0
+    assert calls["read"] == 1
+    assert {name: (out / name).read_bytes() for name in EVAL_OUTPUTS} == lean
+
+
+def test_pipeline_builds_no_bag_for_every_bag(tmp_path, monkeypatch):
+    """validate, select (hydre), run and eval build objects only for the
+    bags and sentences they show."""
+    built = Counter()
+    bag, sentence = Corpus.bag, Corpus.sentence
+
+    def counted_bag(self, b):
+        built["bags"] += 1
+        return bag(self, b)
+
+    def counted_sentence(self, pos):
+        built["sentences"] += 1
+        return sentence(self, pos)
+
+    monkeypatch.setattr(Corpus, "bag", counted_bag)
+    monkeypatch.setattr(Corpus, "sentence", counted_sentence)
+    monkeypatch.setattr(Corpus, "bags", property(lambda self: pytest.fail("every bag built")))
+    out = tmp_path / "out"
+    base = ["--config", CONFIG, "--output", str(out)]
+    assert run_cli(*base, "validate") == 0
+    assert built == Counter()
+    assert run_cli(*base, "select") == 0
+    picks = sum(len(r["exemplars"]) for r in read_jsonl(out / "selections.jsonl"))
+    assert built["bags"] == picks
+    built.clear()
+    assert run_cli(*base, "run") == 0
+    assert built == Counter(sentences=picks)
+    built.clear()
+    assert run_cli(*base, "eval", str(out / "predictions.jsonl")) == 0
+    assert built == Counter()
+
+
+@pytest.mark.parametrize("provider", ["scores", "embeddings"])
+def test_validate_names_first_unprovided_sentence(tmp_path, capsys, provider):
+    """With several sentences missing, the first in corpus order is named."""
+    bags = read_jsonl(GOLDEN / "bags.jsonl")
+    sentence_ids = [s["sentence_id"] for bag in bags for s in bag["sentences"]]
+    dropped = {sentence_ids[3], sentence_ids[-1]}
+    kept = [
+        line
+        for line in (GOLDEN / f"{provider}.jsonl").read_text().splitlines()
+        if line.startswith("{\"relation_order\"") or json.loads(line)["id"] not in dropped
+    ]
+    bad = tmp_path / f"{provider}.jsonl"
+    bad.write_text("\n".join(kept) + "\n")
+    config_path, _ = absolute_config(tmp_path, **{provider: bad})
+    assert run_cli("--config", str(config_path), "validate") == 1
+    row = "score row" if provider == "scores" else "embedding"
+    assert capsys.readouterr().err == f"error: sentence {sentence_ids[3]!r} has no {row}\n"

@@ -355,3 +355,274 @@ def test_write_jsonl_failure_keeps_old_file(tmp_path):
         write_jsonl(records(), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+# ------------------------------------------------------------ bag sidecar
+
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+
+import hydre.corpus as corpus_module
+import hydre.providers as providers_module
+from hydre.corpus import Corpus
+from hydre.providers import SIDECAR_SUFFIX
+
+from conftest import FIXTURES
+
+GOLDEN_BAGS = FIXTURES / "golden" / "bags.jsonl"
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + SIDECAR_SUFFIX)
+
+
+@pytest.fixture
+def nyt_ontology():
+    return load_ontology(builtin_ontology_path())
+
+
+def golden_bags(tmp_path):
+    path = tmp_path / "bags.jsonl"
+    shutil.copyfile(GOLDEN_BAGS, path)
+    return path
+
+
+COLUMNS = ("bag_ids", "heads", "tails", "sentence_ids", "_texts", "text_offsets",
+           "spans", "lengths", "starts", "mask", "bag_na")
+
+
+def assert_same_corpus(a, b):
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+        else:
+            assert type(x) is type(y) and x == y, name
+    assert a.bags_by_relation.keys() == b.bags_by_relation.keys()
+    for relation, bags in a.bags_by_relation.items():
+        assert bags.tolist() == b.bags_by_relation[relation].tolist()
+    assert len(a.bags) == len(b.bags)
+    for x, y in zip(a.bags, b.bags):
+        assert x == y
+
+
+def refuse_bag_parse(monkeypatch, path):
+    """Make iter_jsonl raise for the bag file; other files still parse."""
+    original = corpus_module.iter_jsonl
+
+    def guarded(source, error):
+        if Path(source) == path:
+            raise AssertionError("bag JSONL parsed on a sidecar hit")
+        return original(source, error)
+
+    monkeypatch.setattr(corpus_module, "iter_jsonl", guarded)
+
+
+def test_bag_sidecar_hit_equals_miss_and_skips_the_parse(tmp_path, monkeypatch, nyt_ontology):
+    path = golden_bags(tmp_path)
+    miss = Corpus.load_bag_file(path, nyt_ontology)
+    assert sidecar_of(path).exists()
+    refuse_bag_parse(monkeypatch, path)
+    hit = Corpus.load_bag_file(path, nyt_ontology)
+    assert_same_corpus(hit, miss)
+    # the objects equal those built from a fresh parse of the records
+    assert hit.bags == tuple(load_bags_without_sidecar(path, nyt_ontology))
+
+
+def load_bags_without_sidecar(path, ontology):
+    copy = path.with_name("copy_" + path.name)
+    shutil.copyfile(path, copy)
+    try:
+        return load_bags(copy, ontology)
+    finally:
+        copy.unlink()
+        sidecar_of(copy).unlink(missing_ok=True)
+
+
+def test_bag_sidecar_of_edited_source_is_ignored_and_rewritten(tmp_path, nyt_ontology):
+    path = golden_bags(tmp_path)
+    before = Corpus.load_bag_file(path, nyt_ontology)
+    stale = sidecar_of(path).read_bytes()
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[1:]) + "\n")  # drop the first bag
+    edited = Corpus.load_bag_file(path, nyt_ontology)
+    assert edited.bag_ids == before.bag_ids[1:]
+    assert sidecar_of(path).read_bytes() != stale
+    sidecar_of(path).unlink()
+    assert_same_corpus(edited, Corpus.load_bag_file(path, nyt_ontology))
+
+
+def object_array_sidecar(path):
+    """A sidecar naming the right format and sha256 whose spans need pickle."""
+    with np.load(path, allow_pickle=False) as npz:
+        fields = {key: npz[key] for key in npz.files if key != "spans"}
+    np.savez(path, spans=np.array([{"a": 1}, None], dtype=object), **fields)
+
+
+def bare_npy(path):
+    with path.open("wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def mismatched_columns(path):
+    """A sidecar naming the right format and sha256 with one bag too few."""
+    with np.load(path, allow_pickle=False) as npz:
+        fields = {key: npz[key] for key in npz.files}
+    fields["lengths"] = fields["lengths"][:-1]
+    np.savez(path, **fields)
+
+
+BAG_SIDECAR_CORRUPTIONS = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    "garbage": lambda p: p.write_bytes(b"not a sidecar at all"),
+    "bare-npy": bare_npy,
+    "object-array": object_array_sidecar,
+    "mismatched-columns": mismatched_columns,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(BAG_SIDECAR_CORRUPTIONS))
+def test_broken_bag_sidecar_is_ignored(tmp_path, nyt_ontology, corruption):
+    path = golden_bags(tmp_path)
+    reference = Corpus.load_bag_file(path, nyt_ontology)
+    BAG_SIDECAR_CORRUPTIONS[corruption](sidecar_of(path))
+    assert_same_corpus(Corpus.load_bag_file(path, nyt_ontology), reference)
+    # the parse replaced the broken sidecar with a good one
+    with np.load(sidecar_of(path), allow_pickle=False) as npz:
+        assert str(npz["format"]) == corpus_module.BAGS_FORMAT
+    assert_same_corpus(Corpus.load_bag_file(path, nyt_ontology), reference)
+
+
+def test_bag_sidecar_write_failure_still_loads(tmp_path, monkeypatch, nyt_ontology):
+    path = golden_bags(tmp_path)
+
+    def read_only(*args, **kwargs):
+        raise PermissionError("read-only directory")
+
+    monkeypatch.setattr(providers_module, "atomic_write", read_only)
+    corpus = Corpus.load_bag_file(path, nyt_ontology)
+    assert not sidecar_of(path).exists()
+    monkeypatch.undo()
+    assert_same_corpus(corpus, Corpus.load_bag_file(path, nyt_ontology))
+
+
+def invalid_bag_files():
+    """Each invalid bag file of the tests above, with its full message."""
+    malformed = bag_record("b1", ["rel_a"], ["s1"])
+    malformed["sentences"][0]["head_span"] = [5, 2]
+    overlap = bag_record("b1", ["rel_a"], ["s1"])
+    overlap["sentences"][0]["tail_span"] = overlap["sentences"][0]["head_span"]
+    missing = bag_record("b2", ["rel_a"], ["s2"])
+    del missing["sentences"][0]["text"]
+    return [
+        ([bag_record("b1", ["rel_zz"], ["s1"])],
+         "{p}:1 (bag 'b1'): unknown relation 'rel_zz'"),
+        ([bag_record("b1", ["rel_a"], [])], "{p}:1: bag 'b1' has no sentences"),
+        ([malformed], "{p}:1: head_span [5, 2) out of range"),
+        ([bag_record("b1", ["NA", "rel_a"], ["s1"])],
+         "{p}:1 (bag 'b1'): 'NA' cannot appear alongside relations"),
+        ([bag_record("b1", ["rel_a"], ["s1"]), bag_record("b2", ["rel_b"], ["s1"])],
+         "{p}:2: duplicate sentence_id 's1'"),
+        ([bag_record("b1", ["rel_a"], ["s1"]), bag_record("b1", ["rel_b"], ["s2"])],
+         "{p}:2: duplicate bag_id 'b1'"),
+        ([overlap], "sentence 's1': head and tail spans overlap"),
+        ([bag_record("b1", [], ["s1"])], "bag 'b1': empty labelset"),
+        ([bag_record("b1", ["rel_a"], ["s1"]), missing], "{p}:2: missing field 'text'"),
+        # the first fault in the file is the one raised
+        ([bag_record("b1", ["rel_zz"], ["s1"]), malformed],
+         "{p}:1 (bag 'b1'): unknown relation 'rel_zz'"),
+        ([malformed, bag_record("b2", ["rel_zz"], ["s2"])],
+         "{p}:1: head_span [5, 2) out of range"),
+        ([bag_record("b1", ["rel_zz"], [])], "{p}:1 (bag 'b1'): unknown relation 'rel_zz'"),
+    ]
+
+
+@pytest.mark.parametrize("records, message", invalid_bag_files())
+def test_invalid_bag_file_gets_no_sidecar(tmp_path, tiny_ontology, records, message):
+    path = write_records(tmp_path, "bags.jsonl", records)
+    for _ in range(2):
+        with pytest.raises(CorpusError) as info:
+            load_bags(path, tiny_ontology)
+        assert str(info.value) == message.format(p=path)
+        assert not sidecar_of(path).exists()
+
+
+def test_bag_sidecar_still_checks_labels_against_the_ontology(
+    tmp_path, monkeypatch, tiny_ontology
+):
+    records = [
+        bag_record("b1", ["rel_a"], ["s1"]),
+        bag_record("b2", ["rel_b", "rel_c"], ["s2"]),
+        bag_record("b3", ["rel_c"], ["s3"]),
+    ]
+    path = write_records(tmp_path, "bags.jsonl", records)
+    Corpus.load_bag_file(path, tiny_ontology)
+    assert sidecar_of(path).exists()
+    narrower = ontology_from_names(["rel_a", "rel_b"])
+    expected = f"{path}:2 (bag 'b2'): unknown relation 'rel_c'"
+    with monkeypatch.context() as patch:
+        refuse_bag_parse(patch, path)
+        with pytest.raises(CorpusError) as hit:
+            Corpus.load_bag_file(path, narrower)
+    assert str(hit.value) == expected
+    sidecar_of(path).unlink()
+    with pytest.raises(CorpusError) as miss:
+        Corpus.load_bag_file(path, narrower)
+    assert str(miss.value) == expected
+    assert not sidecar_of(path).exists()
+
+
+def test_bag_sidecar_round_trips_every_string(tmp_path, monkeypatch, tiny_ontology):
+    texts = [
+        ("Ana met Bo\x00", "Ana", "Bo\x00"),  # trailing NUL
+        ("X \ud800 met Yo", "\ud800", "Yo"),  # lone surrogate
+        ("Zoé saw Aña", "Zoé", "Aña"),  # combining marks
+        ("\U0001F600 Emoji \U00010348 met Kai", "\U00010348", "Kai"),  # non-BMP
+        ("ଓଡ଼ିଆ met ᱥᱟ", "ଓଡ଼",
+         "ᱥᱟ"),  # Odia, Ol Chiki
+    ]
+    records = []
+    for i, (text, head_surface, tail_surface) in enumerate(texts):
+        start, end = text.index(head_surface), text.rindex(tail_surface)
+        head = (start, start + len(head_surface))
+        tail = (end, end + len(tail_surface))
+        records.append({
+            "bag_id": f"b{i}\x00",
+            "head": text[head[0]:head[1]],
+            "tail": f"t\ud83d{i}",
+            "relations": ["rel_a"],
+            "sentences": [{"sentence_id": f"s{i}\udfff", "text": text,
+                           "head_span": list(head), "tail_span": list(tail)}],
+        })
+    path = tmp_path / "bags.jsonl"
+    # ensure_ascii keeps lone surrogates as escapes, which json.loads accepts
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    miss = Corpus.load_bag_file(path, tiny_ontology)
+    refuse_bag_parse(monkeypatch, path)
+    hit = Corpus.load_bag_file(path, tiny_ontology)
+    assert_same_corpus(hit, miss)
+    for record, bag in zip(records, hit.bags):
+        assert bag.bag_id == record["bag_id"]
+        assert (bag.head_entity, bag.tail_entity) == (record["head"], record["tail"])
+        (sentence,) = bag.sentences
+        raw = record["sentences"][0]
+        assert sentence.sentence_id == raw["sentence_id"]
+        assert sentence.text == raw["text"]
+        assert [sentence.head.start, sentence.head.end] == raw["head_span"]
+        assert [sentence.tail.start, sentence.tail.end] == raw["tail_span"]
+        assert sentence.head.surface == raw["text"][slice(*raw["head_span"])]
+        assert sentence.tail.surface == raw["text"][slice(*raw["tail_span"])]
+
+
+def test_corpus_builds_no_bag_objects_on_load(tmp_path, monkeypatch, nyt_ontology):
+    path = golden_bags(tmp_path)
+    for _ in range(2):  # miss, then hit
+        built = []
+        monkeypatch.setattr(Corpus, "bag", lambda self, b: built.append(b))
+        corpus = Corpus.load_bag_file(path, nyt_ontology)
+        assert built == [] and "bags" not in vars(corpus)
+        monkeypatch.undo()

@@ -700,3 +700,59 @@ def test_scoring_config_validation():
         ScoringConfig(bag_sim_pooling="median")
     with pytest.raises(ValueError):
         ScoringConfig(w_sim=-1.0)
+
+
+# ---------------------------------------------------- non-finite values
+
+NAN_SCORES = (
+    '{"relation_order": ["rel_a", "rel_b", "rel_c"]}\n'
+    '{"id": "s1", "scores": [0.1, 0.2, 0.3]}\n'
+    '{"id": "s2", "scores": [NaN, 0.2, 0.3]}\n'
+)
+NAN_EMBEDDINGS = (
+    '{"id": "a", "vector": [1.0, 0.0]}\n'
+    '{"id": "b", "vector": [0.5, 0.5]}\n'
+    '{"id": "c", "vector": [NaN, 1.0]}\n'
+)
+
+
+def test_score_file_with_nan_rejected_naming_line(tmp_path, tiny_ontology):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(NAN_SCORES)
+    for _ in range(2):
+        with pytest.raises(ProviderError) as info:
+            ScoreMatrix.load(path, tiny_ontology)
+        assert str(info.value) == f"{path}:3: row 's2' has a non-finite score"
+        assert not sidecar_of(path).exists()
+
+
+def test_embedding_file_with_nan_rejected_naming_line(tmp_path):
+    path = tmp_path / "embeddings.jsonl"
+    path.write_text(NAN_EMBEDDINGS)
+    for _ in range(2):
+        with pytest.raises(ProviderError) as info:
+            EmbeddingIndex.load(path)
+        assert str(info.value) == f"{path}:3: vector for 'c' has a non-finite value"
+        assert not sidecar_of(path).exists()
+
+
+@pytest.mark.parametrize("kind", ["scores", "embeddings"])
+def test_sidecar_written_before_the_finite_check_is_ignored(tmp_path, tiny_ontology, kind):
+    """A version-1 sidecar holding the NaN row loads no more: its format is
+    stale, so the file is parsed and rejected."""
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(NAN_SCORES if kind == "scores" else NAN_EMBEDDINGS)
+    sidecar = providers._Sidecar(path, f"hydre.{kind}.v1")
+    if kind == "scores":
+        matrix = np.array([[0.1, 0.2, 0.3], [np.nan, 0.2, 0.3]])
+        meta = {"ids": ["s1", "s2"], "relation_order": list(tiny_ontology.names)}
+    else:
+        matrix = np.array([[1.0, 0.0], [0.5**0.5, 0.5**0.5], [np.nan, np.nan]])
+        meta = {"ids": ["a", "b", "c"]}
+    sidecar.write(meta, matrix=matrix)
+    assert sidecar_of(path).exists()
+    with pytest.raises(ProviderError, match="non-finite"):
+        if kind == "scores":
+            ScoreMatrix.load(path, tiny_ontology)
+        else:
+            EmbeddingIndex.load(path)

@@ -376,7 +376,7 @@ def test_exemplar_labels_contain_candidate_and_order_ascends():
         assert scores_list == sorted(scores_list)
         for e in es.exemplars:
             assert e.candidate_relation in e.labels
-            assert e.labels == corpus.bags_by_id[e.source_bag_id].labelset
+            assert e.labels == corpus.bag(corpus.bag_position[e.source_bag_id]).labelset
 
 
 def test_build_exemplar_set_deterministic_bytes():
@@ -541,10 +541,10 @@ def test_build_bag_exemplar_set_reduced_and_full():
     assert full.style == "full_bag"
     assert reduced.style == "reduced_bag"
     for exemplar in full.exemplars:
-        bag = corpus.bags_by_id[exemplar.source_bag_id]
+        bag = corpus.bag(corpus.bag_position[exemplar.source_bag_id])
         assert exemplar.sentences == bag.sentences
     for exemplar in reduced.exemplars:
-        bag = corpus.bags_by_id[exemplar.source_bag_id]
+        bag = corpus.bag(corpus.bag_position[exemplar.source_bag_id])
         assert len(exemplar.sentences) <= len(bag.sentences)
         assert set(exemplar.sentences) <= set(bag.sentences)
 
