@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -40,6 +41,7 @@ from .corpus import (
     QueryInstance,
     atomic_write,
     iter_jsonl,
+    jsonl_line,
     write_jsonl,
 )
 from .evaluation import (
@@ -460,38 +462,54 @@ def _selections_filename(k: int | None) -> str:
 
 
 def cmd_select(
-    config: RunConfig, k_override: int | None = None, run: LoadedRun | None = None
+    config: RunConfig,
+    k_values: Sequence[int | None] = (None,),
+    run: LoadedRun | None = None,
 ) -> int:
-    """Write one serialized selection record per query.
+    """Write one serialized selection record per query into one selections
+    file per k; k None is the config's k, written to selections.jsonl.
 
     ``run`` is inputs already loaded and checked by the caller (a ``run``
-    sweep passes its own); without it the command loads its own.
+    sweep passes its own, and writes metadata.json once it ends); without
+    it the command loads its own and writes metadata.json. Each query is
+    selected for every k in turn, so the selection view's per-query work
+    (bag similarities) is done once per query.
     """
-    if run is None:
+    standalone = run is None
+    if standalone:
         run = _load_run(config)
         _check_providers(config, run)
     scoring = config.scoring()
-    if k_override is not None:
-        scoring = dataclasses.replace(scoring, k=k_override)
-    inputs = SelectionInputs(
-        run.corpus,
-        run.scores,
-        run.embeddings,
-        scoring,
-        mmr_alpha=float(config.raw["mmr"]["alpha"]),
-        mmr_pool_size=config.raw["mmr"]["pool_size"],
-        flat=_flat_corpus(config, run),
-    )
-    select = STRATEGIES[config.strategy].select
-    records = [
-        serialize_exemplar_set(select(q.query_id, inputs), run.corpus.ontology)
-        for q in run.corpus.queries
+    flat = _flat_corpus(config, run)
+    inputs = [
+        SelectionInputs(
+            run.corpus,
+            run.scores,
+            run.embeddings,
+            scoring if k is None else dataclasses.replace(scoring, k=k),
+            mmr_alpha=float(config.raw["mmr"]["alpha"]),
+            mmr_pool_size=config.raw["mmr"]["pool_size"],
+            flat=flat,
+        )
+        for k in k_values
     ]
+    select = STRATEGIES[config.strategy].select
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_jsonl(records, out / _selections_filename(k_override))
-    _write_metadata(config, "select")
-    print(f"selected exemplars for {len(records)} queries -> {out}")
+    with contextlib.ExitStack() as stack:
+        files = [
+            stack.enter_context(atomic_write(out / _selections_filename(k)))
+            for k in k_values
+        ]
+        for q in run.corpus.queries:
+            for fh, k_inputs in zip(files, inputs):
+                record = serialize_exemplar_set(
+                    select(q.query_id, k_inputs), run.corpus.ontology
+                )
+                fh.write(jsonl_line(record))
+    if standalone:
+        _write_metadata(config, "select")
+    print(f"selected exemplars for {len(run.corpus.queries)} queries -> {out}")
     return 0
 
 
@@ -518,16 +536,6 @@ def _run_one_k(
     corpus = run.corpus
     out = config.output_dir
     selections_path = out / _selections_filename(k)
-    if not selections_path.exists():
-        # A sweep selects per k. A selection that reads no provider and no
-        # flattened corpus costs nothing to make, so run makes it.
-        strategy = STRATEGIES[config.strategy]
-        if k is not None or not (strategy.flat or any(_needs(config))):
-            cmd_select(config, k_override=k, run=run)
-        else:
-            raise ConfigError(
-                f"selections file {selections_path} not found; run `select` first"
-            )
     by_query = {
         r["query_id"]: (lineno, r)
         for lineno, r in iter_jsonl(selections_path, ConfigError)
@@ -598,9 +606,11 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
     score and embedding files are not read.
     """
     ks = [None] if k_values is None or len(k_values) == 1 else k_values
-    selected = all((config.output_dir / _selections_filename(k)).exists() for k in ks)
-    run = _load_run(config, scores=not selected, embeddings=not selected)
-    if not selected:
+    unselected = [
+        k for k in ks if not (config.output_dir / _selections_filename(k)).exists()
+    ]
+    run = _load_run(config, scores=bool(unselected), embeddings=bool(unselected))
+    if unselected:
         _check_providers(config, run)
     cache_path = config.path("cache")
     cache = ReplayCache.load(cache_path) if cache_path else ReplayCache()
@@ -613,6 +623,17 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
         if not config.raw.get("llm_endpoint"):
             raise ConfigError("live mode requires llm_endpoint in the config")
         backend = HttpChatBackend(config.raw["llm_endpoint"])
+    if unselected:
+        # A sweep selects every k it lacks in one pass. A selection that
+        # reads no provider and no flattened corpus costs nothing to make,
+        # so a single run makes it too.
+        strategy = STRATEGIES[config.strategy]
+        if ks == [None] and (strategy.flat or any(_needs(config))):
+            raise ConfigError(
+                f"selections file {config.output_dir / _selections_filename(None)} "
+                "not found; run `select` first"
+            )
+        cmd_select(config, unselected, run=run)
     for k in ks:
         _run_one_k(config, run, k, cache, backend)
     _write_metadata(config, "run")

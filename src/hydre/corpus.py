@@ -228,16 +228,17 @@ def atomic_write(
         raise
 
 
+def jsonl_line(record: dict) -> str:
+    """A record as one compact, key-sorted JSON line."""
+    line = json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return line + "\n"
+
+
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
     """One compact, key-sorted JSON object per line, written atomically."""
     with atomic_write(path) as fh:
         for record in records:
-            fh.write(
-                json.dumps(
-                    record, sort_keys=True, ensure_ascii=False, separators=(",", ":")
-                )
-            )
-            fh.write("\n")
+            fh.write(jsonl_line(record))
 
 
 def builtin_ontology_path() -> Path:

@@ -10,7 +10,7 @@ corpus order for bags, in-bag order for sentences.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,22 +97,49 @@ class ExemplarSet:
 class CorpusView:
     """A corpus against the providers a selection reads: the matrix row of
     each sentence position, and each bag's confidence. The provider parts
-    are None for a provider the selection does not consult."""
+    are None for a provider the selection does not consult.
+
+    A k sweep selects each query for every k in turn with the same view, so
+    the view keeps the latest query's bag similarities and each bag's
+    stage-3 sentence; both depend only on the query or bag and the view's
+    providers.
+    """
 
     corpus: Corpus
     embedding_rows: np.ndarray | None  # sentence position -> embedding row
     score_rows: np.ndarray | None  # sentence position -> score row
     confidence: np.ndarray | None  # bag x relation: max over the bag's sentences
+    latest_bag_sims: dict = field(default_factory=dict, repr=False)
+    sentence_picks: dict = field(default_factory=dict, repr=False)
 
     def bag_similarities(
         self, q_id: str, embeddings: EmbeddingIndex, pooling: str
     ) -> np.ndarray:
         """The query's similarity to every bag: one mat-vec, then a segmented
-        max (or mean) over each bag's sentences."""
+        max (or mean) over each bag's sentences. Read-only."""
+        sims = self.latest_bag_sims.get((q_id, pooling))
+        if sims is not None:
+            return sims
         sims = embeddings.similarities(q_id, self.embedding_rows)
         if pooling == "mean":
-            return np.add.reduceat(sims, self.corpus.starts) / self.corpus.lengths
-        return np.maximum.reduceat(sims, self.corpus.starts)
+            sims = np.add.reduceat(sims, self.corpus.starts) / self.corpus.lengths
+        else:
+            sims = np.maximum.reduceat(sims, self.corpus.starts)
+        sims.setflags(write=False)
+        self.latest_bag_sims.clear()
+        self.latest_bag_sims[(q_id, pooling)] = sims
+        return sims
+
+    def sentence_pick(
+        self, b: int, bag: Bag, scores: ScoreMatrix, threshold: float
+    ) -> SentenceInstance:
+        """Stage 3 (``select_sentence``) for bag b, the corpus's ``bag(b)``,
+        kept per bag and threshold; ``scores`` is the view's score matrix."""
+        pick = self.sentence_picks.get((b, threshold))
+        if pick is None:
+            pick = select_sentence(bag, scores, threshold)
+            self.sentence_picks[(b, threshold)] = pick
+        return pick
 
 
 def corpus_view(
@@ -341,9 +368,11 @@ def build_exemplar_set(
         q_id, corpus, scores, embeddings, config
     )
     rng = _query_rng(config.seed, q_id) if config.w_conf == 0 else None
+    view = corpus_view(corpus, *_consulted(scores, embeddings, config))
     exemplars = []
     for relation, score, bag_id in picks:
-        bag = corpus.bag(corpus.bag_position[bag_id])
+        b = corpus.bag_position[bag_id]
+        bag = corpus.bag(b)
         if style == "full_bag":
             sentences = bag.sentences
         elif style == "reduced_bag":
@@ -351,7 +380,7 @@ def build_exemplar_set(
         elif rng is not None:
             sentences = (bag.sentences[rng.randrange(len(bag.sentences))],)
         else:
-            sentences = (select_sentence(bag, scores, config.threshold),)
+            sentences = (view.sentence_pick(b, bag, scores, config.threshold),)
         exemplars.append(Exemplar(sentences, bag.labelset, bag_id, relation, score))
     return ExemplarSet(
         query_id=q_id,

@@ -11,6 +11,7 @@ import pytest
 import hydre.cli as cli
 import hydre.corpus
 import hydre.providers
+import hydre.selection
 from hydre.corpus import Corpus
 from hydre.judge import MockBackend, ReplayCache
 from hydre.providers import EmbeddingIndex, ScoreMatrix
@@ -339,6 +340,36 @@ def test_run_k_sweep_matches_separate_select_and_run(tmp_path, monkeypatch):
             assert (sweep / f"{name}_k{k}.jsonl").read_bytes() == (
                 single / f"{name}.jsonl"
             ).read_bytes(), (name, k)
+
+
+def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
+    """A sweep computes each query's bag similarities and each picked bag's
+    stage-3 sentence once, and writes metadata.json once, as ``run``."""
+    calls = Counter()
+    similarities = EmbeddingIndex.similarities
+    select_sentence = hydre.selection.select_sentence
+
+    def counted_similarities(self, q_id, rows):
+        calls[q_id] += 1
+        return similarities(self, q_id, rows)
+
+    def counted_select_sentence(bag, scores, threshold):
+        calls[bag.bag_id] += 1
+        return select_sentence(bag, scores, threshold)
+
+    monkeypatch.setattr(EmbeddingIndex, "similarities", counted_similarities)
+    monkeypatch.setattr(hydre.selection, "select_sentence", counted_select_sentence)
+    written = []
+    monkeypatch.setattr(
+        cli, "_write_metadata", lambda config, command: written.append(command)
+    )
+    config_path = live_config(tmp_path, monkeypatch)
+    assert run_cli("--config", config_path, "--k", "2..4", "run") == 0
+    assert written == ["run"]
+    selections = read_jsonl(tmp_path / "out" / "selections_k4.jsonl")
+    queries = [r["query_id"] for r in selections]
+    assert {q: calls[q] for q in queries} == dict.fromkeys(queries, 1)
+    assert calls and set(calls.values()) == {1}
 
 
 def test_run_k_sweep_replay_miss_keeps_earlier_k(tmp_path, capsys):

@@ -154,6 +154,34 @@ def test_bag_similarity_matches_brute_force_on_random_bags():
                 assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_bag_similarities_keep_the_latest_query(monkeypatch):
+    """A view hands out the latest query's bag similarities without
+    recomputing them, read-only and equal to a fresh view's."""
+    instance = make_random_instance(seed=2100, max_bags=5)
+    corpus = corpus_from_instance(instance)
+    emb = embeddings_from_instance(instance)
+    q_ids = list(instance["embeddings"])[:2]  # any embedded item serves as a query
+    view = corpus_view(corpus, None, emb)
+    calls = []
+    similarities = emb.similarities
+
+    def counted(q_id, rows):
+        calls.append(q_id)
+        return similarities(q_id, rows)
+
+    monkeypatch.setattr(emb, "similarities", counted)
+    for pooling in ("max", "mean"):
+        first = view.bag_similarities(q_ids[0], emb, pooling)
+        assert view.bag_similarities(q_ids[0], emb, pooling) is first
+        assert not first.flags.writeable
+        fresh = corpus_view(Corpus.assemble(corpus.ontology, corpus.bags), None, emb)
+        assert fresh is not view
+        assert np.array_equal(first, fresh.bag_similarities(q_ids[0], emb, pooling))
+    view.bag_similarities(q_ids[1], emb, "mean")
+    view.bag_similarities(q_ids[0], emb, "mean")
+    assert calls == [q_ids[0]] * 4 + [q_ids[1], q_ids[0]]
+
+
 def test_bag_confidence_max_pooling(tiny_ontology):
     scores = ScoreMatrix(
         tiny_ontology.names,
