@@ -17,7 +17,6 @@ from .corpus import (
     RelationOntology,
     SentenceInstance,
     builtin_ontology_path,
-    index_bags_by_relation,
     load_bags,
     load_ontology,
     load_queries,

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Bag, Corpus
+from .corpus import Corpus
 from .providers import EmbeddingIndex, ScoreMatrix, ScoringConfig
 from .selection import (
     Exemplar,
@@ -54,17 +54,10 @@ class FlatExamples(Sequence):
         return _sentence_exemplar(self.corpus, pos)
 
 
-def flatten(source: Corpus | Sequence[Bag]) -> Sequence[Exemplar]:
-    """One single-sentence Exemplar per (bag, sentence) pair, carrying the
-    bag's full labelset; corpus order preserved. A corpus is flattened
-    lazily (``FlatExamples``), a sequence of bags into a list."""
-    if isinstance(source, Corpus):
-        return FlatExamples(source)
-    return [
-        Exemplar((sentence,), bag.labelset, bag.bag_id)
-        for bag in source
-        for sentence in bag.sentences
-    ]
+def flatten(corpus: Corpus) -> FlatExamples:
+    """One single-sentence Exemplar per corpus sentence, carrying its bag's
+    full labelset, in corpus order; each is built when it is read."""
+    return FlatExamples(corpus)
 
 
 def random_k(

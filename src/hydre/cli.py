@@ -68,6 +68,7 @@ from .selection import (
     Exemplar,
     ExemplarSet,
     build_exemplar_set,
+    corpus_view,
     deserialize_exemplar_set,
     select_candidates,
     serialize_exemplar_set,
@@ -299,14 +300,6 @@ def cmd_validate(config: RunConfig) -> int:
     return 0
 
 
-class FlatCorpus(NamedTuple):
-    """The flattened corpus the sentence-level baselines select from, made
-    once per select command. Example i is the corpus's sentence position i."""
-
-    examples: Sequence[Exemplar]
-    rows: np.ndarray | None  # embedding-matrix row of each example
-
-
 @dataclass(frozen=True)
 class SelectionInputs:
     """What a strategy's selector reads besides the query id."""
@@ -317,7 +310,6 @@ class SelectionInputs:
     scoring: ScoringConfig
     mmr_alpha: float = DEFAULT_MMR_ALPHA
     mmr_pool_size: int | None = DEFAULT_MMR_POOL_SIZE
-    flat: FlatCorpus | None = None
 
 
 class Strategy(NamedTuple):
@@ -364,26 +356,28 @@ def _scored_by_similarity(
 
 
 def _topk_sim(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
-    flat, embeddings = inputs.flat, inputs.embeddings
-    sims = embeddings.similarities(q_id, flat.rows)
-    picked = topk_sim(q_id, flat.examples, embeddings, inputs.scoring.k, sims=sims)
-    return _scored_by_similarity(q_id, picked, inputs.corpus, sims)
+    corpus, embeddings = inputs.corpus, inputs.embeddings
+    rows = corpus_view(corpus, None, embeddings).embedding_rows
+    sims = embeddings.similarities(q_id, rows)
+    picked = topk_sim(q_id, flatten(corpus), embeddings, inputs.scoring.k, sims=sims)
+    return _scored_by_similarity(q_id, picked, corpus, sims)
 
 
 def _mmr(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
-    flat, embeddings = inputs.flat, inputs.embeddings
-    sims = embeddings.similarities(q_id, flat.rows)
+    corpus, embeddings = inputs.corpus, inputs.embeddings
+    rows = corpus_view(corpus, None, embeddings).embedding_rows
+    sims = embeddings.similarities(q_id, rows)
     picked = mmr_select(
         q_id,
-        flat.examples,
+        flatten(corpus),
         embeddings,
         inputs.scoring.k,
         alpha=inputs.mmr_alpha,
         pool_size=inputs.mmr_pool_size,
         sims=sims,
-        rows=flat.rows,
+        rows=rows,
     )
-    return _scored_by_similarity(q_id, picked, inputs.corpus, sims)
+    return _scored_by_similarity(q_id, picked, corpus, sims)
 
 
 # Every strategy the CLI accepts. Selectors look the selection functions up
@@ -398,7 +392,7 @@ STRATEGIES: dict[str, Strategy] = {
     "random_k": Strategy(
         lambda q_id, i: ExemplarSet(
             q_id,
-            tuple(random_k(i.flat.examples, i.scoring.k, f"{i.scoring.seed}|{q_id}")),
+            tuple(random_k(flatten(i.corpus), i.scoring.k, f"{i.scoring.seed}|{q_id}")),
         ),
         lambda conf, sim: (False, False, False, False),
         flat=True,
@@ -448,15 +442,6 @@ STRATEGIES: dict[str, Strategy] = {
 }
 
 
-def _flat_corpus(config: RunConfig, run: LoadedRun) -> FlatCorpus | None:
-    if not STRATEGIES[config.strategy].flat:
-        return None
-    examples = flatten(run.corpus)
-    if not _needs(config)[3]:  # reads no sentence embeddings
-        return FlatCorpus(examples, None)
-    return FlatCorpus(examples, run.embeddings.row_indexes(run.corpus.sentence_ids))
-
-
 def _selections_filename(k: int | None) -> str:
     return "selections.jsonl" if k is None else f"selections_k{k}.jsonl"
 
@@ -480,7 +465,6 @@ def cmd_select(
         run = _load_run(config)
         _check_providers(config, run)
     scoring = config.scoring()
-    flat = _flat_corpus(config, run)
     inputs = [
         SelectionInputs(
             run.corpus,
@@ -489,7 +473,6 @@ def cmd_select(
             scoring if k is None else dataclasses.replace(scoring, k=k),
             mmr_alpha=float(config.raw["mmr"]["alpha"]),
             mmr_pool_size=config.raw["mmr"]["pool_size"],
-            flat=flat,
         )
         for k in k_values
     ]

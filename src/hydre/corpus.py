@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -579,32 +580,6 @@ def query_records(queries: Iterable[QueryInstance], ontology: RelationOntology) 
     return records
 
 
-def index_bags_by_relation(
-    bags: Iterable[Bag], ontology: RelationOntology
-) -> dict[str, list[str]]:
-    """Map every ontology relation to the ids of bags labeled with it.
-
-    Membership partition: ``bag_id in index[r]`` iff ``r in bag.labelset``.
-    Relations with no bag map to an empty list; corpus order is preserved.
-    The NA symbol is never a key.
-    """
-    index: dict[str, list[str]] = {name: [] for name in ontology.names}
-    for bag in bags:
-        for label in bag.labelset:
-            if label != ontology.na_symbol:
-                index[label].append(bag.bag_id)
-    return index
-
-
-def na_fraction(bags: Iterable[Bag], ontology: RelationOntology) -> float:
-    bags = list(bags)
-    if not bags:
-        return 0.0
-    na = ontology.na_symbol
-    n_na = sum(1 for b in bags if b.labelset == frozenset({na}))
-    return n_na / len(bags)
-
-
 class Corpus:
     """The ontology, the training bags and the test queries.
 
@@ -612,10 +587,12 @@ class Corpus:
     UTF-8 buffer plus offsets, an n x 4 span array, CSR bag starts and
     lengths (bag b owns sentence positions starts[b] .. starts[b] +
     lengths[b] - 1), and a bag x relation label mask built against the
-    ontology. ``bag`` and ``sentence`` build the objects of one bag or
-    sentence on first read and keep them, ``labelset`` one bag's labels;
-    ``bags`` builds every bag once, for callers that want them all. ``view_cache`` starts empty; selection keeps the
-    provider row indexes it builds for this corpus there.
+    ontology. ``sentence`` builds one sentence's object on first read and
+    keeps it, ``bag`` one bag's object from those, ``labelset`` one bag's
+    labels; ``bags`` builds every bag once, for callers that want them all.
+    Selection reads the columns and builds only the sentences it shows.
+    ``view_cache`` starts empty; selection keeps the provider row indexes
+    it builds for this corpus there.
     """
 
     def __init__(
@@ -653,9 +630,8 @@ class Corpus:
             for j, name in enumerate(ontology.names)
         }
         self.view_cache: dict = {}
-        # objects built so far, by bag index and sentence position: a k
-        # sweep or a run over many queries shows the same few bags again
-        self._bags: dict[int, Bag] = {}
+        # sentences built so far, by position: a k sweep or a run over many
+        # queries shows the same few sentences again
         self._sentences: dict[int, SentenceInstance] = {}
 
     @classmethod
@@ -665,7 +641,7 @@ class Corpus:
         bags: Iterable[Bag],
         queries: Iterable[QueryInstance] = (),
     ) -> "Corpus":
-        """A corpus of bag and query objects, which ``bags`` then returns."""
+        """A corpus of bag and query objects; ``bags`` rebuilds equal ones."""
         bags = tuple(bags)
         sentences = [s for b in bags for s in b.sentences]
         labels: dict[str, int] = {}
@@ -690,7 +666,6 @@ class Corpus:
             ),
         )
         corpus.queries = tuple(queries)
-        corpus._bags = dict(enumerate(bags))
         return corpus
 
     @classmethod
@@ -738,19 +713,14 @@ class Corpus:
         return tuple(self.bag(b) for b in range(len(self.bag_ids)))
 
     def bag(self, b: int) -> Bag:
-        bag = self._bags.get(b)
-        if bag is None:
-            start = int(self.starts[b])
-            bag = self._bags[int(b)] = Bag(
-                self.bag_ids[b],
-                self.heads[b],
-                self.tails[b],
-                tuple(
-                    self.sentence(p) for p in range(start, start + int(self.lengths[b]))
-                ),
-                self.labelset(b),
-            )
-        return bag
+        start = int(self.starts[b])
+        return Bag(
+            self.bag_ids[b],
+            self.heads[b],
+            self.tails[b],
+            tuple(map(self.sentence, range(start, start + int(self.lengths[b])))),
+            self.labelset(b),
+        )
 
     def sentence(self, pos: int) -> SentenceInstance:
         sentence = self._sentences.get(pos)
@@ -767,8 +737,7 @@ class Corpus:
         return sentence
 
     def labelset(self, b: int) -> frozenset[str]:
-        names = self._names
-        labels = [names[j] for j in np.flatnonzero(self.mask[b])]
+        labels = list(compress(self._names, self.mask[b].tolist()))
         if self.bag_na[b]:
             labels.append(self.ontology.na_symbol)
         return frozenset(labels)

@@ -21,6 +21,7 @@ import os
 import time
 import zipfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -52,9 +53,7 @@ class _Sidecar:
 
     It stores ``format`` (which parser made it), the source's ``sha256``,
     ``meta`` as UTF-8 JSON bytes, so every string round-trips exactly (a
-    fixed-width ``<U`` array drops trailing NULs), and the arrays. The one
-    read that hashes the source also counts its lines, an upper bound on
-    its records that a parse allocates from.
+    fixed-width ``<U`` array drops trailing NULs), and the arrays.
     """
 
     def __init__(self, source: Path, fmt: str) -> None:
@@ -63,12 +62,17 @@ class _Sidecar:
         self.fmt = fmt
         self.stamp = _stamp(source)
         digest = hashlib.sha256()
-        self.lines = 1
         with source.open("rb") as fh:
             while chunk := fh.read(1 << 20):
                 digest.update(chunk)
-                self.lines += chunk.count(b"\n")
         self.sha256 = digest.hexdigest()
+
+    @cached_property
+    def lines(self) -> int:
+        """An upper bound on the source's records, which a parse allocates
+        from; counted only when the source is parsed."""
+        with self.source.open("rb") as fh:
+            return 1 + sum(c.count(b"\n") for c in iter(lambda: fh.read(1 << 20), b""))
 
     def read(self, decode: Callable[[dict, Mapping[str, np.ndarray]], T]) -> T | None:
         """``decode(meta, arrays)`` if the sidecar was written for the

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Bag, Corpus, CorpusError, RelationOntology, SentenceInstance
+from .corpus import Corpus, CorpusError, RelationOntology, SentenceInstance
 from .providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 
 
@@ -131,13 +131,13 @@ class CorpusView:
         return sims
 
     def sentence_pick(
-        self, b: int, bag: Bag, scores: ScoreMatrix, threshold: float
+        self, b: int, scores: ScoreMatrix, threshold: float
     ) -> SentenceInstance:
-        """Stage 3 (``select_sentence``) for bag b, the corpus's ``bag(b)``,
-        kept per bag and threshold; ``scores`` is the view's score matrix."""
+        """Stage 3 (``select_sentence``) for bag b, kept per bag and
+        threshold; ``scores`` is the view's score matrix."""
         pick = self.sentence_picks.get((b, threshold))
         if pick is None:
-            pick = select_sentence(bag, scores, threshold)
+            pick = select_sentence(self.corpus, b, scores, threshold)
             self.sentence_picks[(b, threshold)] = pick
         return pick
 
@@ -254,25 +254,31 @@ def select_bag(
     return corpus.bag_ids[bags[int(np.argmax(total))]]
 
 
-def select_sentence(bag: Bag, scores: ScoreMatrix, threshold: float) -> SentenceInstance:
-    """Stage 3: maximal label coverage, then maximal aggregate confidence.
+def _bag_scores(
+    corpus: Corpus, b: int, scores: ScoreMatrix, relations: list[str]
+) -> tuple[int, np.ndarray]:
+    """(first sentence position, sentence x relation scores) of bag b."""
+    start = int(corpus.starts[b])
+    sentence_ids = corpus.sentence_ids[start : start + int(corpus.lengths[b])]
+    columns = [scores.column(r) for r in relations]
+    return start, scores.matrix[scores.row_indexes(sentence_ids)][:, columns]
+
+
+def select_sentence(
+    corpus: Corpus, b: int, scores: ScoreMatrix, threshold: float
+) -> SentenceInstance:
+    """Stage 3 for bag b: maximal label coverage, then maximal aggregate
+    confidence.
 
     Coverage counts bag labels scored strictly above the threshold; among
     coverage-maximal sentences the one with the highest confidence sum over
-    all bag labels wins, earliest in-bag position on ties.
+    all bag labels wins, earliest in-bag position on ties. Sums add the
+    labels in name order, which fixes how a near tie rounds.
     """
-    columns = [scores.column(r) for r in sorted(bag.labelset)]
-    best = None
-    best_key = (-1, float("-inf"))
-    for sentence in bag.sentences:
-        row = scores.vector(sentence.sentence_id)
-        confs = [float(row[c]) for c in columns]
-        coverage = sum(1 for c in confs if c > threshold)
-        aggregate = sum(confs)
-        if (coverage, aggregate) > best_key:
-            best, best_key = sentence, (coverage, aggregate)
-    assert best is not None
-    return best
+    start, confs = _bag_scores(corpus, b, scores, sorted(corpus.labelset(b)))
+    keys = [(sum(c > threshold for c in row), sum(row)) for row in confs.tolist()]
+    # max keeps the first maximal sentence: in-bag order breaks ties
+    return corpus.sentence(start + max(range(len(keys)), key=keys.__getitem__))
 
 
 def _order_ascending(exemplars: list) -> tuple:
@@ -372,16 +378,19 @@ def build_exemplar_set(
     exemplars = []
     for relation, score, bag_id in picks:
         b = corpus.bag_position[bag_id]
-        bag = corpus.bag(b)
+        start, n = int(corpus.starts[b]), int(corpus.lengths[b])
         if style == "full_bag":
-            sentences = bag.sentences
+            sentences = tuple(map(corpus.sentence, range(start, start + n)))
         elif style == "reduced_bag":
-            sentences = tuple(s for s, _ in group_reduced(reduce_bag(bag, scores)))
+            pairs = reduce_bag(corpus, b, scores)
+            sentences = tuple(s for s, _ in group_reduced(pairs))
         elif rng is not None:
-            sentences = (bag.sentences[rng.randrange(len(bag.sentences))],)
+            sentences = (corpus.sentence(start + rng.randrange(n)),)
         else:
-            sentences = (view.sentence_pick(b, bag, scores, config.threshold),)
-        exemplars.append(Exemplar(sentences, bag.labelset, bag_id, relation, score))
+            sentences = (view.sentence_pick(b, scores, config.threshold),)
+        exemplars.append(
+            Exemplar(sentences, corpus.labelset(b), bag_id, relation, score)
+        )
     return ExemplarSet(
         query_id=q_id,
         exemplars=_order_ascending(exemplars),
@@ -391,27 +400,27 @@ def build_exemplar_set(
     )
 
 
-def reduce_bag(bag: Bag, scores: ScoreMatrix) -> list[tuple[str, SentenceInstance]]:
-    """One best sentence per bag label: highest f(s, r), in-bag order on ties.
+def reduce_bag(
+    corpus: Corpus, b: int, scores: ScoreMatrix
+) -> list[tuple[str, SentenceInstance]]:
+    """One best sentence per label of bag b: highest f(s, r), in-bag order
+    on ties.
 
     Labels are visited in ontology order. A label without a score column
     (e.g. the NA symbol) is rejected.
     """
     order = {name: i for i, name in enumerate(scores.relation_order)}
-    unknown = [l for l in bag.labelset if l not in order]
+    labels = corpus.labelset(b)
+    unknown = [l for l in labels if l not in order]
     if unknown:
         raise ValueError(
-            f"bag {bag.bag_id!r} labels {sorted(unknown)} have no score column"
+            f"bag {corpus.bag_ids[b]!r} labels {sorted(unknown)} have no score column"
         )
-    pairs: list[tuple[str, SentenceInstance]] = []
-    for relation in sorted(bag.labelset, key=order.__getitem__):
-        best = max(
-            bag.sentences,
-            key=lambda s: scores.score_of(s.sentence_id, relation),
-        )
-        # max() keeps the first maximal element: in-bag order tie-break
-        pairs.append((relation, best))
-    return pairs
+    relations = sorted(labels, key=order.__getitem__)
+    start, confs = _bag_scores(corpus, b, scores, relations)
+    # argmax keeps the first maximal sentence: in-bag order tie-break
+    best = np.argmax(confs, axis=0).tolist()
+    return [(r, corpus.sentence(start + i)) for r, i in zip(relations, best)]
 
 
 def group_reduced(

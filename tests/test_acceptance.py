@@ -50,6 +50,7 @@ from conftest import (
     make_query,
     ontology_from_names,
     scores_from_instance,
+    with_duplicated_rows,
 )
 from oracles import (
     binom_cdf_oracle,
@@ -167,24 +168,30 @@ def test_stage_unit_oracles():
         checked_sentence = 0
         checked_reduce = 0
         seed = 0
-        while checked_sentence < 100 or checked_reduce < 100:
-            instance = make_random_instance(seed=22000 + seed)
+        while checked_sentence < 200 or checked_reduce < 200:
+            # each random instance, then the same one with duplicated rows
+            for instance in (
+                make_random_instance(seed=22000 + seed),
+                with_duplicated_rows(make_random_instance(seed=22000 + seed)),
+            ):
+                corpus = corpus_from_instance(instance)
+                scores = scores_from_instance(instance)
+                for b, raw in enumerate(instance["bags"]):
+                    if raw["labels"] == {"NA"}:
+                        continue
+                    got = select_sentence(corpus, b, scores, 0.5)
+                    assert got.sentence_id == select_sentence_oracle(
+                        raw, instance["relations"], instance["scores"], 0.5
+                    )
+                    checked_sentence += 1
+                    got_pairs = [
+                        (r, s.sentence_id) for r, s in reduce_bag(corpus, b, scores)
+                    ]
+                    assert got_pairs == reduce_bag_oracle(
+                        raw, instance["relations"], instance["scores"]
+                    )
+                    checked_reduce += 1
             seed += 1
-            corpus = corpus_from_instance(instance)
-            scores = scores_from_instance(instance)
-            for raw, bag in zip(instance["bags"], corpus.bags):
-                if raw["labels"] == {"NA"}:
-                    continue
-                got = select_sentence(bag, scores, 0.5)
-                assert got.sentence_id == select_sentence_oracle(
-                    raw, instance["relations"], instance["scores"], 0.5
-                )
-                checked_sentence += 1
-                got_pairs = [(r, s.sentence_id) for r, s in reduce_bag(bag, scores)]
-                assert got_pairs == reduce_bag_oracle(
-                    raw, instance["relations"], instance["scores"]
-                )
-                checked_reduce += 1
 
         # topk_sim and mmr_select
         checked = 0
@@ -194,7 +201,7 @@ def test_stage_unit_oracles():
             seed += 1
             corpus = corpus_from_instance(instance)
             emb = embeddings_from_instance(instance)
-            flat = flatten(corpus.bags)
+            flat = flatten(corpus)
             items = [f.sentence.sentence_id for f in flat]
             k = min(5, len(flat))
             got_top = [f.sentence.sentence_id for f in topk_sim("q000", flat, emb, k)]
@@ -260,7 +267,7 @@ def test_mmr_degeneracy():
             seed += 1
             corpus = corpus_from_instance(instance)
             emb = embeddings_from_instance(instance)
-            flat = flatten(corpus.bags)
+            flat = flatten(corpus)
             k = min(5, len(flat))
             mmr_set = {
                 f.sentence.sentence_id
@@ -434,14 +441,14 @@ def test_reduced_bag_economy():
             scores = scores_from_instance(instance)
             template = PromptTemplate()
             query = make_query("probe", {instance["relations"][0]})
-            for raw, bag in zip(instance["bags"], corpus.bags):
+            for b, (raw, bag) in enumerate(zip(instance["bags"], corpus.bags)):
                 if raw["labels"] == {"NA"}:
                     continue
                 full_block = block_for_sentences(
                     bag.sentences, bag.labelset, corpus.ontology
                 )
                 reduced_sentences = [
-                    s for s, _ in group_reduced(reduce_bag(bag, scores))
+                    s for s, _ in group_reduced(reduce_bag(corpus, b, scores))
                 ]
                 reduced_block = block_for_sentences(
                     reduced_sentences, bag.labelset, corpus.ontology

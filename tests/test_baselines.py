@@ -14,6 +14,7 @@ from hydre.baselines import (
     topk_sim,
 )
 from hydre.cli import STRATEGIES, SelectionInputs, load_config
+from hydre.corpus import Corpus
 from hydre.providers import ScoringConfig
 from hydre.selection import Exemplar, ExemplarSet, build_exemplar_set
 
@@ -42,18 +43,18 @@ def build_all(seed, **kwargs):
 
 def test_flatten_counts_pairs():
     instance, corpus, _, _ = build_all(1)
-    flat = flatten(corpus.bags)
+    flat = flatten(corpus)
     assert len(flat) == sum(len(b.sentences) for b in corpus.bags)
 
 
-def test_flatten_empty_corpus():
-    assert flatten([]) == []
+def test_flatten_empty_corpus(tiny_ontology):
+    assert list(flatten(Corpus.assemble(tiny_ontology, ()))) == []
 
 
 def test_flatten_labels_equal_bag_labelset():
     for trial in range(10):
         _, corpus, _, _ = build_all(100 + trial)
-        flat = flatten(corpus.bags)
+        flat = flatten(corpus)
         position = 0
         for bag in corpus.bags:
             for sentence in bag.sentences:
@@ -69,7 +70,7 @@ def test_flatten_labels_equal_bag_labelset():
 
 def test_random_k_deterministic_under_seed():
     _, corpus, _, _ = build_all(2, max_bags=10)
-    flat = flatten(corpus.bags)
+    flat = flatten(corpus)
     k = min(4, len(flat))
     assert random_k(flat, k, 7) == random_k(flat, k, 7)
     assert random_k(flat, k, "7|q01") == random_k(flat, k, "7|q01")
@@ -77,7 +78,7 @@ def test_random_k_deterministic_under_seed():
 
 def test_random_k_whole_corpus():
     _, corpus, _, _ = build_all(3, max_bags=5)
-    flat = flatten(corpus.bags)
+    flat = flatten(corpus)
     sample = random_k(flat, len(flat), 0)
     assert sorted(f.sentence.sentence_id for f in sample) == sorted(
         f.sentence.sentence_id for f in flat
@@ -86,7 +87,7 @@ def test_random_k_whole_corpus():
 
 def test_random_k_too_large_errors():
     _, corpus, _, _ = build_all(4, max_bags=3)
-    flat = flatten(corpus.bags)
+    flat = flatten(corpus)
     with pytest.raises(ValueError, match="exceeds"):
         random_k(flat, len(flat) + 1, 0)
 
@@ -113,7 +114,7 @@ def test_random_k_is_roughly_uniform():
 
 def test_topk_sim_k1_is_nearest():
     instance, corpus, _, emb = build_all(6)
-    flat = flatten(corpus.bags)
+    flat = flatten(corpus)
     q_id = instance["queries"][0]
     (top,) = topk_sim(q_id, flat, emb, 1)
     items = [f.sentence.sentence_id for f in flat]
@@ -123,7 +124,7 @@ def test_topk_sim_k1_is_nearest():
 
 def test_topk_sim_full_sort():
     instance, corpus, _, emb = build_all(7)
-    flat = flatten(corpus.bags)
+    flat = flatten(corpus)
     q_id = instance["queries"][0]
     got = [f.sentence.sentence_id for f in topk_sim(q_id, flat, emb, len(flat))]
     want = topk_oracle(
@@ -138,7 +139,7 @@ def test_topk_sim_matches_sort_oracle():
     while checked < 100:
         instance, corpus, _, emb = build_all(9000 + trial)
         trial += 1
-        flat = flatten(corpus.bags)
+        flat = flatten(corpus)
         q_id = instance["queries"][0]
         items = [f.sentence.sentence_id for f in flat]
         for k in (1, 2, min(5, len(flat)), len(flat)):
@@ -159,7 +160,7 @@ def test_mmr_defaults():
 def test_mmr_alpha_one_equals_topk_set():
     for trial in range(100):
         instance, corpus, _, emb = build_all(10000 + trial)
-        flat = flatten(corpus.bags)
+        flat = flatten(corpus)
         q_id = instance["queries"][0]
         k = min(5, len(flat))
         mmr_set = {
@@ -176,7 +177,7 @@ def test_mmr_matches_greedy_oracle():
     while checked < 100:
         instance, corpus, _, emb = build_all(11000 + trial)
         trial += 1
-        flat = flatten(corpus.bags)
+        flat = flatten(corpus)
         q_id = instance["queries"][0]
         items = [f.sentence.sentence_id for f in flat]
         for alpha in (0.0, 0.3, 0.7):
@@ -192,7 +193,7 @@ def test_mmr_matches_greedy_oracle():
 
 def test_mmr_pool_truncation_and_errors():
     instance, corpus, _, emb = build_all(12, max_bags=10)
-    flat = flatten(corpus.bags)
+    flat = flatten(corpus)
     q_id = instance["queries"][0]
     pool = min(3, len(flat))
     got = mmr_select(q_id, flat, emb, pool, alpha=0.3, pool_size=pool)
@@ -209,7 +210,7 @@ def test_duplicated_rows_tie_in_corpus_order():
         instance = with_duplicated_rows(make_random_instance(seed=42000 + seed))
         corpus = corpus_from_instance(instance)
         emb = embeddings_from_instance(instance)
-        flat = flatten(corpus.bags)
+        flat = flatten(corpus)
         items = [f.sentence.sentence_id for f in flat]
         vectors = instance["embeddings"]
         tied += len(items) - len({tuple(vectors[i]) for i in items})

@@ -353,9 +353,9 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
         calls[q_id] += 1
         return similarities(self, q_id, rows)
 
-    def counted_select_sentence(bag, scores, threshold):
-        calls[bag.bag_id] += 1
-        return select_sentence(bag, scores, threshold)
+    def counted_select_sentence(corpus, b, scores, threshold):
+        calls[corpus.bag_ids[b]] += 1
+        return select_sentence(corpus, b, scores, threshold)
 
     monkeypatch.setattr(EmbeddingIndex, "similarities", counted_similarities)
     monkeypatch.setattr(hydre.selection, "select_sentence", counted_select_sentence)
@@ -606,10 +606,11 @@ def test_eval_reads_no_bags(tmp_path, monkeypatch):
     assert {name: (out / name).read_bytes() for name in EVAL_OUTPUTS} == lean
 
 
-def test_pipeline_builds_no_bag_for_every_bag(tmp_path, monkeypatch):
-    """validate, select (hydre), run and eval build objects only for the
-    bags and sentences they show."""
+def assert_builds_only_shown_sentences(tmp_path, monkeypatch, strategy):
+    """validate, select, run and eval of a strategy build no bag object, and
+    objects only for the sentences they show."""
     built = Counter()
+    built_ids = set()
     bag, sentence = Corpus.bag, Corpus.sentence
 
     def counted_bag(self, b):
@@ -618,24 +619,41 @@ def test_pipeline_builds_no_bag_for_every_bag(tmp_path, monkeypatch):
 
     def counted_sentence(self, pos):
         built["sentences"] += 1
+        built_ids.add(self.sentence_ids[pos])
         return sentence(self, pos)
 
     monkeypatch.setattr(Corpus, "bag", counted_bag)
     monkeypatch.setattr(Corpus, "sentence", counted_sentence)
     monkeypatch.setattr(Corpus, "bags", property(lambda self: pytest.fail("every bag built")))
     out = tmp_path / "out"
-    base = ["--config", CONFIG, "--output", str(out)]
+    base = ["--config", live_config(tmp_path, monkeypatch), "--output", str(out)]
+    base += ["--strategy", strategy]
     assert run_cli(*base, "validate") == 0
     assert built == Counter()
     assert run_cli(*base, "select") == 0
-    picks = sum(len(r["exemplars"]) for r in read_jsonl(out / "selections.jsonl"))
-    assert built["bags"] == picks
+    shown = [
+        sid
+        for record in read_jsonl(out / "selections.jsonl")
+        for e in record["exemplars"]
+        for sid in ([e["sentence_id"]] if e["sentence_id"] else e["sentence_ids"])
+    ]
+    assert built["bags"] == 0
+    assert built_ids == set(shown)
     built.clear()
     assert run_cli(*base, "run") == 0
-    assert built == Counter(sentences=picks)
+    assert built == Counter(sentences=len(shown))
     built.clear()
     assert run_cli(*base, "eval", str(out / "predictions.jsonl")) == 0
     assert built == Counter()
+
+
+def test_pipeline_builds_no_bag_for_every_bag(tmp_path, monkeypatch):
+    assert_builds_only_shown_sentences(tmp_path, monkeypatch, "hydre")
+
+
+@pytest.mark.parametrize("strategy", ["reduced_bag", "ablation:full_bag"])
+def test_bag_styles_build_no_bag(tmp_path, monkeypatch, strategy):
+    assert_builds_only_shown_sentences(tmp_path, monkeypatch, strategy)
 
 
 @pytest.mark.parametrize("provider", ["scores", "embeddings"])

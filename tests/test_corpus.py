@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 
 from hydre.corpus import (
     Bag,
+    Corpus,
     CorpusError,
     EntitySpan,
     SentenceInstance,
     bag_records,
     builtin_ontology_path,
-    index_bags_by_relation,
     load_bags,
     load_ontology,
     load_queries,
-    na_fraction,
     ontology_records,
     query_records,
     write_jsonl,
@@ -111,7 +110,7 @@ def test_load_bags_single_na_bag(tmp_path, tiny_ontology):
     bags = load_bags(path, tiny_ontology)
     assert len(bags) == 1
     assert bags[0].labelset == frozenset({"NA"})
-    assert na_fraction(bags, tiny_ontology) == 1.0
+    assert Corpus.assemble(tiny_ontology, bags).bag_na.tolist() == [True]
 
 
 def test_load_bags_unknown_label_names_it(tmp_path, tiny_ontology):
@@ -207,15 +206,23 @@ def test_load_queries_empty_gold_without_flag_errors(tmp_path, tiny_ontology):
 # ----------------------------------------------------------------- indexing
 
 
+def bag_ids_by_relation(corpus):
+    """``corpus.bags_by_relation`` with bag ids for bag indexes."""
+    return {
+        relation: [corpus.bag_ids[b] for b in bags]
+        for relation, bags in corpus.bags_by_relation.items()
+    }
+
+
 def test_index_by_relation_small_case(tiny_ontology):
     b1 = Bag("b1", "h", "t", (make_sentence("s1"),), frozenset({"rel_a"}))
     b2 = Bag("b2", "h", "t", (make_sentence("s2"),), frozenset({"rel_a", "rel_b"}))
-    index = index_bags_by_relation([b1, b2], tiny_ontology)
+    index = bag_ids_by_relation(Corpus.assemble(tiny_ontology, [b1, b2]))
     assert index == {"rel_a": ["b1", "b2"], "rel_b": ["b2"], "rel_c": []}
 
 
 def test_index_by_relation_empty_corpus(tiny_ontology):
-    index = index_bags_by_relation([], tiny_ontology)
+    index = bag_ids_by_relation(Corpus.assemble(tiny_ontology, []))
     assert index == {"rel_a": [], "rel_b": [], "rel_c": []}
 
 
@@ -233,7 +240,8 @@ def test_index_by_relation_matches_set_filter_oracle():
             )
             for raw in instance["bags"]
         ]
-        index = index_bags_by_relation(bags, ontology)
+        corpus = Corpus.assemble(ontology, bags)
+        index = bag_ids_by_relation(corpus)
         for relation in instance["relations"]:
             expected = [b["bag_id"] for b in instance["bags"] if relation in b["labels"]]
             assert index[relation] == expected
@@ -241,6 +249,8 @@ def test_index_by_relation_matches_set_filter_oracle():
         for bag in bags:
             for relation in instance["relations"]:
                 assert (bag.bag_id in index[relation]) == (relation in bag.labelset)
+        na = [b["labels"] == {"NA"} for b in instance["bags"]]
+        assert corpus.bag_na.tolist() == na
 
 
 def test_load_bags_preserves_file_order_at_scale(tmp_path, tiny_ontology):

@@ -588,6 +588,18 @@ def test_sidecar_hit_equals_miss_and_skips_the_parse(
 
 
 @pytest.mark.parametrize("name, load", PROVIDERS)
+def test_sidecar_hit_counts_no_lines(tmp_path, monkeypatch, nyt_ontology, name, load):
+    path = golden_copy(tmp_path, name)
+    load(path, nyt_ontology)
+    monkeypatch.setattr(
+        providers._Sidecar,
+        "lines",
+        property(lambda self: pytest.fail("source lines counted on a sidecar hit")),
+    )
+    load(path, nyt_ontology)
+
+
+@pytest.mark.parametrize("name, load", PROVIDERS)
 def test_sidecar_of_edited_source_is_ignored_and_rewritten(
     tmp_path, nyt_ontology, name, load
 ):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hydre.corpus import Bag
+from hydre.corpus import Bag, Corpus
 from hydre.providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from hydre.selection import (
     Exemplar,
@@ -24,6 +24,7 @@ from conftest import (
     corpus_from_instance,
     embeddings_from_instance,
     make_sentence,
+    ontology_from_names,
     scores_from_instance,
     with_duplicated_rows,
 )
@@ -101,7 +102,6 @@ def one_sentence_bag(bag_id, sid, labels):
 def test_select_bag_arithmetic(tiny_ontology):
     # B1: sim .8 conf .5 -> 1.3; B2: sim .6 conf .9 -> 1.5
     import math
-    from hydre.corpus import Corpus
 
     def unit(mapped):
         cos = 2 * mapped - 1
@@ -126,7 +126,6 @@ def test_select_bag_arithmetic(tiny_ontology):
 
 
 def test_select_bag_single_bag(tiny_ontology):
-    from hydre.corpus import Corpus
 
     corpus = Corpus.assemble(tiny_ontology, [one_sentence_bag("B1", "s1", {"rel_b"})])
     scores = matrix(tiny_ontology, {"s1": [0, 0.2, 0]})
@@ -135,7 +134,6 @@ def test_select_bag_single_bag(tiny_ontology):
 
 
 def test_select_bag_no_bag_for_relation(tiny_ontology):
-    from hydre.corpus import Corpus
 
     corpus = Corpus.assemble(tiny_ontology, [one_sentence_bag("B1", "s1", {"rel_b"})])
     scores = matrix(tiny_ontology, {"s1": [0, 0.2, 0]})
@@ -145,7 +143,6 @@ def test_select_bag_no_bag_for_relation(tiny_ontology):
 
 
 def test_select_bag_tie_keeps_earliest(tiny_ontology):
-    from hydre.corpus import Corpus
 
     bags = [
         one_sentence_bag("B1", "s1", {"rel_a"}),
@@ -191,75 +188,76 @@ def test_select_bag_matches_exhaustive_scan_oracle():
 # --------------------------------------------------------- select_sentence
 
 
-def test_select_sentence_coverage_dominates(tiny_ontology):
+def one_bag_corpus(ontology, sentence_ids, labels):
+    """A corpus of one bag, B1, with the given sentences and labels."""
     bag = Bag(
-        "B1",
-        "h",
-        "t",
-        (make_sentence("s1"), make_sentence("s2")),
-        frozenset({"rel_a", "rel_b"}),
+        "B1", "h", "t", tuple(make_sentence(s) for s in sentence_ids), frozenset(labels)
     )
+    return Corpus.assemble(ontology, [bag])
+
+
+def test_select_sentence_coverage_dominates(tiny_ontology):
+    corpus = one_bag_corpus(tiny_ontology, ["s1", "s2"], {"rel_a", "rel_b"})
     scores = matrix(tiny_ontology, {"s1": [0.6, 0.4, 0], "s2": [0.7, 0.8, 0]})
-    got = select_sentence(bag, scores, threshold=0.5)
+    got = select_sentence(corpus, 0, scores, threshold=0.5)
     assert got.sentence_id == "s2"  # coverage 2 beats 1
 
 
 def test_select_sentence_aggregate_breaks_coverage_tie(tiny_ontology):
-    bag = Bag(
-        "B1",
-        "h",
-        "t",
-        (make_sentence("s1"), make_sentence("s2")),
-        frozenset({"rel_a", "rel_b"}),
-    )
+    corpus = one_bag_corpus(tiny_ontology, ["s1", "s2"], {"rel_a", "rel_b"})
     scores = matrix(tiny_ontology, {"s1": [0.6, 0.6, 0], "s2": [0.9, 0.55, 0]})
-    got = select_sentence(bag, scores, threshold=0.5)
+    got = select_sentence(corpus, 0, scores, threshold=0.5)
     assert got.sentence_id == "s2"  # both cover 2; 1.45 > 1.2
 
 
 def test_select_sentence_full_tie_keeps_in_bag_order(tiny_ontology):
-    bag = Bag(
-        "B1",
-        "h",
-        "t",
-        (make_sentence("s1"), make_sentence("s2")),
-        frozenset({"rel_a"}),
-    )
+    corpus = one_bag_corpus(tiny_ontology, ["s1", "s2"], {"rel_a"})
     scores = matrix(tiny_ontology, {"s1": [0.7, 0, 0], "s2": [0.7, 0, 0]})
-    assert select_sentence(bag, scores, threshold=0.5).sentence_id == "s1"
+    assert select_sentence(corpus, 0, scores, threshold=0.5).sentence_id == "s1"
 
 
 def test_select_sentence_strict_threshold(tiny_ontology):
     # a score exactly at the threshold contributes no coverage
-    bag = Bag(
-        "B1",
-        "h",
-        "t",
-        (make_sentence("s1"), make_sentence("s2")),
-        frozenset({"rel_a", "rel_b"}),
-    )
+    corpus = one_bag_corpus(tiny_ontology, ["s1", "s2"], {"rel_a", "rel_b"})
     scores = matrix(tiny_ontology, {"s1": [0.5, 0.5, 0], "s2": [0.51, 0.1, 0]})
-    got = select_sentence(bag, scores, threshold=0.5)
+    got = select_sentence(corpus, 0, scores, threshold=0.5)
     assert got.sentence_id == "s2"  # s1 covers 0, s2 covers 1
+
+
+def test_select_sentence_sums_labels_in_name_order():
+    # In name order (a, b, c) s1 sums 0.1 + 0.2 + 0.3 = 0.6000000000000001
+    # and s2 sums 0.3 + 0.2 + 0.1 = 0.6, so s1 wins; summed in ontology
+    # order (c, b, a) the two sums swap and s2 would win.
+    ontology = ontology_from_names(["rel_c", "rel_b", "rel_a"])
+    corpus = one_bag_corpus(ontology, ["s1", "s2"], {"rel_a", "rel_b", "rel_c"})
+    scores = matrix(ontology, {"s1": [0.3, 0.2, 0.1], "s2": [0.1, 0.2, 0.3]})
+    assert 0.1 + 0.2 + 0.3 > 0.3 + 0.2 + 0.1
+    assert select_sentence(corpus, 0, scores, threshold=0.5).sentence_id == "s1"
+
+
+def oracle_instances(seed):
+    """A random instance, then the same instance with duplicated rows."""
+    yield make_random_instance(seed=seed)
+    yield with_duplicated_rows(make_random_instance(seed=seed))
 
 
 def test_select_sentence_matches_two_pass_oracle():
     checked = 0
     trial = 0
-    while checked < 200:
-        instance = make_random_instance(seed=6000 + trial)
+    while checked < 400:
+        for instance in oracle_instances(6000 + trial):
+            corpus = corpus_from_instance(instance)
+            scores = scores_from_instance(instance)
+            for b, raw in enumerate(instance["bags"]):
+                if raw["labels"] == {"NA"}:
+                    continue
+                got = select_sentence(corpus, b, scores, threshold=0.5)
+                want = select_sentence_oracle(
+                    raw, instance["relations"], instance["scores"], 0.5
+                )
+                assert got.sentence_id == want
+                checked += 1
         trial += 1
-        corpus = corpus_from_instance(instance)
-        scores = scores_from_instance(instance)
-        for raw, bag in zip(instance["bags"], corpus.bags):
-            if raw["labels"] == {"NA"}:
-                continue
-            got = select_sentence(bag, scores, threshold=0.5)
-            want = select_sentence_oracle(
-                raw, instance["relations"], instance["scores"], 0.5
-            )
-            assert got.sentence_id == want
-            checked += 1
 
 
 # ------------------------------------------------------- build_exemplar_set
@@ -428,22 +426,16 @@ def test_exemplar_set_invariants_enforced():
 
 
 def test_reduce_bag_picks_best_sentence_per_label(tiny_ontology):
-    bag = Bag(
-        "B1",
-        "h",
-        "t",
-        (make_sentence("s1"), make_sentence("s2")),
-        frozenset({"rel_a", "rel_b"}),
-    )
+    corpus = one_bag_corpus(tiny_ontology, ["s1", "s2"], {"rel_a", "rel_b"})
     scores = matrix(tiny_ontology, {"s1": [0.9, 0.2, 0], "s2": [0.3, 0.8, 0]})
-    pairs = reduce_bag(bag, scores)
+    pairs = reduce_bag(corpus, 0, scores)
     assert [(r, s.sentence_id) for r, s in pairs] == [("rel_a", "s1"), ("rel_b", "s2")]
 
 
 def test_reduce_bag_single_sentence_covers_all_labels(tiny_ontology):
-    bag = Bag("B1", "h", "t", (make_sentence("s1"),), frozenset({"rel_a", "rel_c"}))
+    corpus = one_bag_corpus(tiny_ontology, ["s1"], {"rel_a", "rel_c"})
     scores = matrix(tiny_ontology, {"s1": [0.9, 0.2, 0.4]})
-    pairs = reduce_bag(bag, scores)
+    pairs = reduce_bag(corpus, 0, scores)
     assert [(r, s.sentence_id) for r, s in pairs] == [("rel_a", "s1"), ("rel_c", "s1")]
     grouped = group_reduced(pairs)
     assert len(grouped) == 1
@@ -453,25 +445,25 @@ def test_reduce_bag_single_sentence_covers_all_labels(tiny_ontology):
 def test_reduce_bag_matches_oracle():
     checked = 0
     trial = 0
-    while checked < 100:
-        instance = make_random_instance(seed=8000 + trial)
+    while checked < 200:
+        for instance in oracle_instances(8000 + trial):
+            corpus = corpus_from_instance(instance)
+            scores = scores_from_instance(instance)
+            for b, raw in enumerate(instance["bags"]):
+                if raw["labels"] == {"NA"}:
+                    continue
+                got = [(r, s.sentence_id) for r, s in reduce_bag(corpus, b, scores)]
+                want = reduce_bag_oracle(raw, instance["relations"], instance["scores"])
+                assert got == want
+                checked += 1
         trial += 1
-        corpus = corpus_from_instance(instance)
-        scores = scores_from_instance(instance)
-        for raw, bag in zip(instance["bags"], corpus.bags):
-            if raw["labels"] == {"NA"}:
-                continue
-            got = [(r, s.sentence_id) for r, s in reduce_bag(bag, scores)]
-            want = reduce_bag_oracle(raw, instance["relations"], instance["scores"])
-            assert got == want
-            checked += 1
 
 
 def test_reduce_bag_rejects_na_label(tiny_ontology):
-    bag = Bag("B1", "h", "t", (make_sentence("s1"),), frozenset({"NA"}))
+    corpus = one_bag_corpus(tiny_ontology, ["s1"], {"NA"})
     scores = matrix(tiny_ontology, {"s1": [0.9, 0.2, 0.4]})
     with pytest.raises(ValueError, match="score column"):
-        reduce_bag(bag, scores)
+        reduce_bag(corpus, 0, scores)
 
 
 def test_serialize_round_trip_sentence_and_bag_styles():
