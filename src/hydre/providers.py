@@ -20,6 +20,7 @@ import json
 import os
 import time
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -38,6 +39,7 @@ class ProviderError(ValueError):
 
 
 SIDECAR_SUFFIX = ".hydre.npz"
+ROW_BLOCK_BYTES = 1 << 20  # matrix bytes per dot block: small enough to stay in cache
 T = TypeVar("T")
 
 
@@ -314,7 +316,8 @@ class EmbeddingIndex(_RowMatrix):
     """L2-normalised embedding vectors keyed by item id, one matrix row each.
 
     Every way of building an index (load, a dict of vectors, add) normalises
-    the rows, so a cosine is a dot product.
+    the rows, so a cosine is a dot product. Inside ``batch(q_ids)`` the
+    index holds those queries' dot products with every row.
     """
 
     _missing = "no embedding for item {!r}"
@@ -325,6 +328,7 @@ class EmbeddingIndex(_RowMatrix):
         self.dim = dim
         self.matrix = np.empty((0, dim))
         self.row_of = {}
+        self._batch: dict[str, np.ndarray] = {}  # query id -> its dots row
         if vectors:
             self.add(vectors)
 
@@ -333,7 +337,9 @@ class EmbeddingIndex(_RowMatrix):
         return RowViews(self)
 
     def add(self, vectors: Mapping[str, Sequence[float]]) -> None:
-        """Append one normalised row per new item."""
+        """Append one normalised row per new item. A held batch is dropped,
+        since it has no column for the new rows."""
+        self._batch = {}
         ids = list(vectors)
         if not ids:
             return
@@ -356,17 +362,52 @@ class EmbeddingIndex(_RowMatrix):
         for j, item_id in enumerate(ids):
             self.row_of[item_id] = start + j
 
+    def dots(self, q_ids: Sequence[str]) -> np.ndarray:
+        """Dot product of each query's row with every matrix row, one
+        output row per query.
+
+        The matrix is walked in blocks of about ``ROW_BLOCK_BYTES``, each
+        read from memory once for all the queries rather than once per
+        query. Each entry is still one np.vecdot, one BLAS dot of the same
+        contiguous row and query vector, so it is bit-identical to
+        ``np.vecdot(matrix, q)``: identical rows get identical values
+        wherever they sit. A matrix product (dgemm) would round entries
+        differently and break exact ties.
+        """
+        queries = self.matrix[self.row_indexes(q_ids)]
+        out = np.empty((len(queries), len(self.matrix)))
+        block = max(1, ROW_BLOCK_BYTES // (8 * self.dim))
+        for j in range(0, len(self.matrix), block):
+            np.vecdot(
+                self.matrix[None, j : j + block],
+                queries[:, None, :],
+                out=out[:, j : j + block],
+            )
+        return out
+
+    @contextmanager
+    def batch(self, q_ids: Sequence[str]) -> Iterator[None]:
+        """Hold the queries' ``dots`` for ``similarities`` until the scope
+        exits; a batch held before is dropped first."""
+        self._batch = {}
+        self._batch = dict(zip(q_ids, self.dots(q_ids)))
+        try:
+            yield
+        finally:
+            self._batch = {}
+
     def similarities(self, q_id: str, rows: np.ndarray) -> np.ndarray:
         """Cosine of the query with each given row, mapped from [-1, 1] into
         [0, 1] so it shares a scale with model confidences.
 
-        One mat-vec over the whole matrix, then a gather: no row copies.
-        np.vecdot is one BLAS dot per row, so identical rows get identical
-        values wherever they sit; a matrix product (dgemv) rounds rows in
-        its remainder block differently and would break exact ties.
+        The query's ``dots`` row comes from the held batch, or outside one
+        from a batch of one; then a gather, with no row copies. Both give
+        the same bits.
         """
-        q = self.vector(q_id)
-        return (1.0 + np.vecdot(self.matrix, q)[rows]) / 2.0
+        dots = self._batch.get(q_id)
+        if dots is None:
+            dots = self.dots([q_id])[0]
+        return (1.0 + dots[rows]) / 2.0
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingIndex":

@@ -372,6 +372,119 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
+def count_batches(monkeypatch):
+    """Counter of EmbeddingIndex.dots calls, and the indexes they ran on."""
+    calls, indexes = Counter(), []
+    dots = EmbeddingIndex.dots
+
+    def counted_dots(self, q_ids):
+        calls["batches"] += 1
+        indexes.append(self)
+        return dots(self, q_ids)
+
+    monkeypatch.setattr(EmbeddingIndex, "dots", counted_dots)
+    return calls, indexes
+
+
+@pytest.mark.parametrize(
+    "strategy, batches",
+    [
+        ("hydre", 2),
+        ("topk_sim", 2),
+        ("mmr", 2),
+        ("ablation:flat_retrieval", 2),
+        ("ablation:no_conf", 2),
+        ("zero_shot", 0),
+        ("random_k", 0),
+        ("ablation:no_sim", 0),
+        ("ablation:no_icl", 0),
+        ("ablation:random_bag_sentence", 0),
+    ],
+)
+def test_select_computes_one_batch_per_query_chunk(tmp_path, monkeypatch, strategy, batches):
+    """The 20 golden queries are two chunks: a strategy that reads query
+    embeddings computes two batches of similarities, one that does not
+    computes none, and no batch is held once ``select`` returns."""
+    calls, indexes = count_batches(monkeypatch)
+    out = str(tmp_path / "out")
+    assert run_cli("--config", CONFIG, "--strategy", strategy, "--output", out, "select") == 0
+    assert calls["batches"] == batches
+    assert not any(index._batch for index in indexes)
+
+
+def test_run_k_sweep_computes_one_batch_per_query_chunk(tmp_path, monkeypatch):
+    calls, indexes = count_batches(monkeypatch)
+    config_path = live_config(tmp_path, monkeypatch)
+    assert run_cli("--config", config_path, "--k", "2..4", "run") == 0
+    assert calls["batches"] == 2
+    assert not any(index._batch for index in indexes)
+
+
+def test_failed_select_holds_no_batch(tmp_path, monkeypatch, capsys):
+    calls, indexes = count_batches(monkeypatch)
+    build = cli.build_exemplar_set
+    seen = []
+
+    def fail_in_second_chunk(q_id, *args, **kwargs):
+        seen.append(q_id)
+        if len(seen) == cli.QUERY_CHUNK + 2:
+            raise RuntimeError("selection failed")
+        return build(q_id, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_exemplar_set", fail_in_second_chunk)
+    out = str(tmp_path / "out")
+    assert run_cli("--config", CONFIG, "--output", out, "select") == 2
+    assert "selection failed" in capsys.readouterr().err
+    assert calls["batches"] == 2
+    assert not any(index._batch for index in indexes)
+    assert not (tmp_path / "out" / "selections.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "mmr, message",
+    [
+        ({"pool_size": "100"}, "mmr.pool_size must be a positive integer or null, got '100'"),
+        ({"pool_size": True}, "mmr.pool_size must be a positive integer or null, got True"),
+        ({"pool_size": 0}, "mmr.pool_size must be a positive integer or null, got 0"),
+        ({"alpha": 1.5}, "mmr.alpha must be a real number in [0, 1], got 1.5"),
+        ({"alpha": True}, "mmr.alpha must be a real number in [0, 1], got True"),
+        ({"alpha": float("nan")}, "mmr.alpha must be a real number in [0, 1], got nan"),
+        ({"pool_size": 3}, "k=5 exceeds mmr.pool_size 3"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "select"])
+def test_bad_mmr_block_exits_1_naming_the_key(tmp_path, capsys, mmr, message, command):
+    config_path, config = absolute_config(tmp_path)
+    config["strategy"] = "mmr"
+    config["mmr"] = mmr
+    config_path.write_text(json.dumps(config))
+    assert run_cli("--config", str(config_path), command) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "selections.jsonl").exists()
+
+
+@pytest.mark.parametrize("block", ["mmr", "scoring"])
+def test_config_block_that_is_not_an_object_exits_1(tmp_path, capsys, block):
+    config_path, config = absolute_config(tmp_path)
+    config[block] = None
+    config_path.write_text(json.dumps(config))
+    assert run_cli("--config", str(config_path), "validate") == 1
+    assert capsys.readouterr().err == f"error: {block} must be a JSON object, got None\n"
+
+
+def test_mmr_sweep_past_the_pool_exits_1_before_selecting(tmp_path, monkeypatch, capsys):
+    config_path = live_config(tmp_path, monkeypatch)
+    config = json.loads(Path(config_path).read_text())
+    config["mmr"] = {"pool_size": 3}
+    Path(config_path).write_text(json.dumps(config))
+    argv = ["--config", config_path, "--strategy", "mmr", "--k", "2..4", "run"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: k=4 exceeds mmr.pool_size 3\n"
+    assert not list((tmp_path / "out").glob("selections*"))
+    argv[argv.index("2..4")] = "2..3"
+    assert run_cli(*argv) == 0
+
+
 def test_run_k_sweep_replay_miss_keeps_earlier_k(tmp_path, capsys):
     # the golden cache answers the k=5 prompts only
     out = tmp_path / "out"

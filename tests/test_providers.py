@@ -27,6 +27,7 @@ from conftest import (
     make_sentence,
     ontology_from_names,
     scores_from_instance,
+    with_duplicated_rows,
 )
 from oracles import (
     bag_confidence_oracle,
@@ -65,6 +66,109 @@ def test_cosine_zero_vector_errors():
 def test_cosine_dim_mismatch_errors():
     with pytest.raises(ProviderError, match="mismatch"):
         cosine_of([1.0], [1.0, 0.0])
+
+
+# ------------------------------------------- batched similarities (exact)
+
+QUERY_CHUNKS = (1, 15, 16, 17)
+
+
+def vecdot_similarities(emb, q_id, rows):
+    """The per-query reference: one np.vecdot over the whole matrix."""
+    return (1.0 + np.vecdot(emb.matrix, emb.vector(q_id))[rows]) / 2.0
+
+
+def assert_batches_equal_vecdot(emb, q_ids, rows):
+    """Bit-equality of ``similarities`` with the per-query reference, in
+    every query chunking and outside a batch."""
+    want = {q_id: vecdot_similarities(emb, q_id, rows) for q_id in q_ids}
+    for size in QUERY_CHUNKS:
+        for start in range(0, len(q_ids), size):
+            chunk = q_ids[start : start + size]
+            with emb.batch(chunk):
+                for q_id in chunk:
+                    assert np.array_equal(emb.similarities(q_id, rows), want[q_id])
+    for q_id in q_ids:
+        assert np.array_equal(emb.similarities(q_id, rows), want[q_id])
+
+
+def row_block(dim):
+    return max(1, providers.ROW_BLOCK_BYTES // (8 * dim))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, "2B+5"], ids=["B-1", "B", "B+1", "2B+5"])
+@pytest.mark.parametrize("dim", [1, 3, 17, 256, 300])
+def test_batched_similarities_equal_per_query_vecdot(dim, extra):
+    block = row_block(dim)
+    n = block + 5 if extra == "2B+5" else extra
+    rng = np.random.default_rng([dim, block + n])
+    ids = [f"s{i}" for i in range(block + n)]
+    # filled as load fills it: a dict of 2B rows would dominate the test
+    emb = EmbeddingIndex(dim)
+    emb.matrix = rng.standard_normal((len(ids), dim))
+    emb.row_of = dict(zip(ids, range(len(ids))))
+    providers._normalize_rows(emb.matrix, ids)
+    q_ids = [ids[i] for i in rng.choice(len(ids), 20, replace=False)]
+    rows = rng.permutation(len(ids))[: len(ids) // 2]
+    assert_batches_equal_vecdot(emb, q_ids, rows)
+    if dim >= 256:
+        # a matrix product rounds differently in the last ulp: swapping the
+        # blocked vecdot for one would fail the equality above
+        queries = emb.matrix[emb.row_indexes(q_ids)]
+        gemm, exact = queries @ emb.matrix.T, emb.dots(q_ids)
+        assert not np.array_equal(gemm, exact)
+        assert np.abs(gemm - exact).max() <= 8 * np.finfo(float).eps
+
+
+def test_batched_similarities_on_every_kind_of_index(tmp_path, monkeypatch):
+    """Loaded (parse and sidecar hit), built from a dict and grown by add,
+    on instances with duplicated rows: every index's batches equal the
+    per-query vecdot, and duplicated rows stay tied."""
+    for trial in range(4):
+        instance = make_random_instance(
+            seed=2200 + trial, max_bags=30, dim=64, n_queries=20
+        )
+        instance = with_duplicated_rows(instance)
+        corpus = corpus_from_instance(instance)
+        vectors = instance["embeddings"]
+        ids = list(vectors)
+        path = tmp_path / f"emb{trial}.jsonl"
+        EmbeddingIndex(64, vectors).save(path)
+        grown = EmbeddingIndex(64, {i: vectors[i] for i in ids[: len(ids) // 2]})
+        grown.add({i: vectors[i] for i in ids[len(ids) // 2 :]})
+        indexes = [EmbeddingIndex(64, vectors), grown, EmbeddingIndex.load(path)]
+        with monkeypatch.context() as patch:
+            refuse_parse(patch)
+            indexes.append(EmbeddingIndex.load(path))
+        copies = {}
+        for pos, sentence_id in enumerate(corpus.sentence_ids):
+            copies.setdefault(tuple(vectors[sentence_id]), []).append(pos)
+        tied = [positions for positions in copies.values() if len(positions) > 1]
+        assert tied
+        for emb in indexes:
+            rows = corpus_view(corpus, None, emb).embedding_rows
+            assert_batches_equal_vecdot(emb, instance["queries"], rows)
+            with emb.batch(instance["queries"]):
+                for q_id in instance["queries"]:
+                    sims = emb.similarities(q_id, rows)
+                    assert all(len(set(sims[positions])) == 1 for positions in tied)
+
+
+def test_add_drops_the_held_batch():
+    """Rows appended inside a batch scope (as EmbeddingClient does) get
+    similarities bit-equal to a fresh index's, not a stale block's."""
+    rng = np.random.default_rng(7)
+    first = {f"a{i}": rng.standard_normal(17) for i in range(20)}
+    later = {f"b{i}": rng.standard_normal(17) for i in range(5)}
+    emb = EmbeddingIndex(17, first)
+    with emb.batch(["a0", "a3"]):
+        before = emb.similarities("a3", emb.row_indexes(first))
+        emb.add(later)
+        got = emb.similarities("a3", emb.row_indexes([*first, *later]))
+    fresh = EmbeddingIndex(17, {**first, **later})
+    want = fresh.similarities("a3", fresh.row_indexes([*first, *later]))
+    assert np.array_equal(got, want)
+    assert np.array_equal(before, want[: len(first)])
 
 
 # --------------------------------------------------------------- pooling
