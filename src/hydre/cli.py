@@ -141,7 +141,7 @@ class RunConfig:
 
     @property
     def parallelism(self) -> int:
-        return int(self.raw["parallelism"])
+        return self.raw["parallelism"]
 
     def path(self, name: str) -> Path | None:
         value = self.raw["paths"].get(name)
@@ -199,8 +199,12 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
         )
     if config.mode not in ("live", "replay"):
         raise ConfigError(f"unknown mode {config.mode!r}")
-    alpha, pool_size = raw["mmr"]["alpha"], raw["mmr"]["pool_size"]
     # type(), not isinstance: a JSON true is a bool, and bools are ints
+    if type(config.parallelism) is not int or config.parallelism < 1:
+        raise ConfigError(
+            f"parallelism must be a positive integer, got {config.parallelism!r}"
+        )
+    alpha, pool_size = raw["mmr"]["alpha"], raw["mmr"]["pool_size"]
     if type(alpha) not in (int, float) or not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"mmr.alpha must be a real number in [0, 1], got {alpha!r}")
     if pool_size is not None and (type(pool_size) is not int or pool_size < 1):

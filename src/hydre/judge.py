@@ -16,6 +16,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from json import dumps as json_dumps  # HttpSession.post's ``json`` shadows the module
 from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
 
@@ -198,12 +199,161 @@ class FailOnDispatchBackend:
         raise AssertionError("backend dispatch attempted in replay-only mode")
 
 
+class RequestRejected(RuntimeError):
+    """The endpoint refused the request itself (a 3xx, or a 4xx other than
+    408 and 429). Sending it again cannot succeed, so it is not retried."""
+
+
+@dataclass(frozen=True)
+class HttpResponse:
+    status_code: int
+    content: bytes
+
+    def raise_for_status(self) -> None:
+        """TransportError for a status that may pass when tried again (5xx,
+        408, 429), RequestRejected for any other status from 300 on."""
+        if self.status_code < 300:
+            return
+        body = self.content.decode("utf-8", "replace")[:200]
+        detail = f"HTTP {self.status_code}: {body}"
+        if self.status_code >= 500 or self.status_code in (408, 429):
+            raise TransportError(detail)
+        raise RequestRejected(detail)
+
+    def json(self):
+        return json.loads(self.content)
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How posts to one (scheme, host, port) travel."""
+
+    host: str  # where the TCP connection goes: the target or its proxy
+    port: int
+    tunnel: tuple[str, int] | None  # https through a proxy: CONNECT target
+    absolute: bool  # http through a proxy: the request target is the whole URL
+    proxy_headers: dict[str, str]
+
+
+class HttpSession:
+    """JSON POSTs over kept-alive stdlib connections.
+
+    Idle connections are pooled per (scheme, host, port). A caller takes an
+    idle one or opens a new one and puts it back once the whole response is
+    read, so there are never more connections than concurrent callers. A
+    reused connection that the server has closed meanwhile fails before any
+    response byte arrives; that request is sent again at once on a new
+    connection. Proxies come from the environment, read once per session:
+    an http request goes to its proxy in absolute form, an https one
+    through a CONNECT tunnel. Certificates are checked against the system
+    CA store. Redirects are not followed.
+    """
+
+    def __init__(self) -> None:
+        # the HTTP stack is imported by live runs only; replay never loads it
+        import urllib.request
+
+        self._proxies = urllib.request.getproxies()
+        self._routes: dict[tuple[str, str, int], _Route] = {}
+        self._idle: dict[tuple[str, str, int], list] = {}
+        self._lock = threading.Lock()
+        self._tls = None
+
+    def post(self, url: str, json, headers: dict[str, str], timeout: float) -> HttpResponse:
+        import http.client
+        import urllib.parse
+
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http(s) URL: {url!r}")
+        https = parts.scheme == "https"
+        key = (parts.scheme, parts.hostname, parts.port or (443 if https else 80))
+        route = self._routes.get(key) or self._route(key)
+        if route.absolute:
+            target, headers = url, {**route.proxy_headers, **headers}
+        else:
+            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        headers = {"Content-Type": "application/json", "User-Agent": "hydre", **headers}
+        body = json_dumps(json).encode("utf-8")
+        with self._lock:
+            idle = self._idle.get(key)
+            conn = idle.pop() if idle else None
+        reused = conn is not None
+        if conn is None:
+            conn = self._connect(key, route, timeout)
+        else:
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+        try:
+            try:
+                conn.request("POST", target, body, headers)
+                response = conn.getresponse()
+            except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+                # a kept-alive connection closed by the server while idle
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", target, body, headers)
+                response = conn.getresponse()
+            content = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            self._idle.setdefault(key, []).append(conn)
+        return HttpResponse(response.status, content)
+
+    def _route(self, key: tuple[str, str, int]) -> _Route:
+        import base64
+        import urllib.parse
+        import urllib.request
+
+        scheme, host, port = key
+        proxy = self._proxies.get(scheme) or self._proxies.get("all")
+        if not proxy or urllib.request.proxy_bypass(host):
+            route = _Route(host, port, None, False, {})
+        else:
+            p = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            auth = {}
+            if p.username is not None:
+                user = urllib.parse.unquote(p.username)
+                password = urllib.parse.unquote(p.password or "")
+                token = base64.b64encode(f"{user}:{password}".encode()).decode()
+                auth["Proxy-Authorization"] = f"Basic {token}"
+            https = scheme == "https"
+            route = _Route(
+                p.hostname, p.port or 80, (host, port) if https else None, not https, auth
+            )
+        self._routes[key] = route
+        return route
+
+    def _connect(self, key: tuple[str, str, int], route: _Route, timeout: float):
+        import http.client
+
+        if key[0] == "https":
+            if self._tls is None:
+                import ssl
+
+                self._tls = ssl.create_default_context()
+            conn = http.client.HTTPSConnection(
+                route.host, route.port, timeout=timeout, context=self._tls
+            )
+        else:
+            conn = http.client.HTTPConnection(route.host, route.port, timeout=timeout)
+        if route.tunnel is not None:
+            conn.set_tunnel(*route.tunnel, headers=route.proxy_headers)
+        return conn
+
+
 class HttpChatBackend:
     """Chat-completion HTTP backend.
 
     Posts {"model", "messages", "temperature", "max_tokens"} and reads
     choices[0].message.content. The bearer token comes from the
-    HYDRE_LLM_API_KEY environment variable.
+    HYDRE_LLM_API_KEY environment variable. A rejected request
+    (``HttpResponse.raise_for_status``) raises RequestRejected, which is
+    not retried; every other failure is a TransportError.
     """
 
     def __init__(
@@ -214,9 +364,7 @@ class HttpChatBackend:
         timeout: float = 120.0,
     ) -> None:
         if session is None:
-            import requests
-
-            session = requests.Session()
+            session = HttpSession()
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.session = session
@@ -240,6 +388,8 @@ class HttpChatBackend:
             response.raise_for_status()
             payload = response.json()
             return payload["choices"][0]["message"]["content"]
+        except RequestRejected:
+            raise
         except Exception as exc:
             raise TransportError(str(exc)) from exc
 
@@ -253,7 +403,8 @@ def retry(
 ) -> T:
     """``call()``, tried again after each RETRY_BACKOFF_SECONDS wait while
     it raises ``retried``; when every try fails, raises ``error`` with
-    "<what> failed after retries: <last failure>"."""
+    "<what> failed after retries: <last failure>". A RequestRejected
+    caught as ``retried`` raises ``error`` at once."""
     last: Exception | None = None
     for backoff in (None,) + RETRY_BACKOFF_SECONDS:
         if backoff is not None:
@@ -262,6 +413,8 @@ def retry(
         try:
             return call()
         except retried as exc:
+            if isinstance(exc, RequestRejected):
+                raise error(f"{what} rejected: {exc}") from exc
             last = exc
     raise error(f"{what} failed after retries: {last}")
 
@@ -287,8 +440,9 @@ def generate(
 
     The cache is consulted first in every mode. Replay mode raises
     ReplayMiss on an uncached prompt instead of dispatching. Live dispatch
-    retries transient transport failures with 1s/4s/16s backoff and appends
-    successful responses to the cache.
+    retries transient transport failures with 1s/4s/16s backoff (a
+    RequestRejected fails at once) and appends successful responses to the
+    cache.
     """
     if not prompt:
         raise ValueError("empty prompt")

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .corpus import RelationOntology, atomic_write, iter_jsonl
-from .judge import retry
+from .judge import HttpSession, retry
 
 EMBED_API_KEY_ENV = "HYDRE_EMBED_API_KEY"
 
@@ -504,9 +504,7 @@ def http_embedding_transport(
 ) -> Callable[[list[str]], list[list[float]]]:
     """Build a transport posting {"texts": [...]} and reading {"vectors": [...]}."""
     if session is None:
-        import requests
-
-        session = requests.Session()
+        session = HttpSession()
 
     def post(texts: list[str]) -> list[list[float]]:
         headers = {}

@@ -463,6 +463,28 @@ def test_bad_mmr_block_exits_1_naming_the_key(tmp_path, capsys, mmr, message, co
     assert not (tmp_path / "out" / "selections.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "value, source",
+    [(0, "flag"), (-2, "flag"), (0, "file"), (True, "file"), ("2", "file"), (1.5, "file")],
+)
+@pytest.mark.parametrize("command", ["validate", "select", "run"])
+def test_bad_parallelism_exits_1_naming_the_key(tmp_path, capsys, value, source, command):
+    config_path, config = absolute_config(tmp_path)
+    argv = ["--config", str(config_path)]
+    if source == "flag":
+        argv += ["--parallelism", str(value)]
+    else:
+        config["parallelism"] = value
+        config_path.write_text(json.dumps(config))
+    if command == "run":
+        argv += ["--k", "1..3"]  # a sweep selects before it dispatches
+    assert run_cli(*argv, command) == 1
+    assert capsys.readouterr().err == (
+        f"error: parallelism must be a positive integer, got {value!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("block", ["mmr", "scoring"])
 def test_config_block_that_is_not_an_object_exits_1(tmp_path, capsys, block):
     config_path, config = absolute_config(tmp_path)

@@ -9,10 +9,12 @@ from hydre.judge import (
     FailOnDispatchBackend,
     GenerationParams,
     HttpChatBackend,
+    HttpResponse,
     MockBackend,
     PromptTooLong,
     ReplayCache,
     ReplayMiss,
+    RequestRejected,
     TransportError,
     cache_key,
     count_input_tokens,
@@ -360,3 +362,73 @@ def test_http_backend_wraps_failures():
     backend = HttpChatBackend("http://example.invalid", session=BrokenSession())
     with pytest.raises(TransportError):
         backend.complete("p", PARAMS)
+
+
+class StatusSession:
+    """Answers every post with one status and body, counting the posts."""
+
+    def __init__(self, status, body):
+        self.response = HttpResponse(status, body.encode("utf-8"))
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        return self.response
+
+
+def dispatch_once(session):
+    """One live prompt through run_batch; the result and the backoff slept."""
+    sleeps = []
+    backend = HttpChatBackend("http://example.invalid/v1/chat", session=session)
+    [result] = run_batch(
+        [("q01", "prompt")], ontology(), PARAMS, backend, sleep=sleeps.append
+    )
+    return result, sleeps
+
+
+@pytest.mark.parametrize("status", [301, 400, 401, 403, 404, 422])
+def test_rejected_request_fails_at_once_naming_status_and_body(status):
+    body = '{"error": "' + "x" * 300 + '"}'
+    session = StatusSession(status, body)
+    result, sleeps = dispatch_once(session)
+    assert session.posts == 1
+    assert sleeps == []
+    assert result.response is None
+    assert result.prediction.relations == frozenset()
+    assert result.error == f"RequestRejected: HTTP {status}: {body[:200]}"
+
+
+@pytest.mark.parametrize("status", [408, 429, 500, 502, 503])
+def test_transient_status_keeps_the_backoff(status):
+    session = StatusSession(status, "try later")
+    result, sleeps = dispatch_once(session)
+    assert session.posts == 4
+    assert sleeps == [1.0, 4.0, 16.0]
+    assert result.error == (
+        f"TransportError: dispatch failed after retries: HTTP {status}: try later"
+    )
+
+
+def test_socket_error_keeps_the_backoff():
+    class RefusingSession:
+        posts = 0
+
+        def post(self, *args, **kwargs):
+            self.posts += 1
+            raise ConnectionRefusedError("connection refused")
+
+    session = RefusingSession()
+    result, sleeps = dispatch_once(session)
+    assert session.posts == 4
+    assert sleeps == [1.0, 4.0, 16.0]
+    assert result.error.startswith("TransportError: dispatch failed after retries")
+
+
+def test_rejected_request_is_not_cached(tmp_path):
+    cache = ReplayCache.load(tmp_path / "cache.jsonl")
+    backend = HttpChatBackend(
+        "http://example.invalid/v1/chat", session=StatusSession(400, "bad model")
+    )
+    with pytest.raises(RequestRejected, match="HTTP 400: bad model"):
+        generate("p", PARAMS, backend, cache=cache, sleep=no_sleep)
+    assert not (tmp_path / "cache.jsonl").exists()

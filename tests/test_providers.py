@@ -630,6 +630,33 @@ def test_fetch_embeddings_retries_then_surfaces(tmp_path):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize(
+    "status, posts, sleeps, message",
+    [
+        (400, 1, [], "embedding service rejected: HTTP 400: bad input"),
+        (503, 4, [1.0, 4.0, 16.0], "embedding service failed after retries: HTTP 503: bad input"),
+    ],
+)
+def test_http_transport_fails_fast_only_on_rejection(tmp_path, status, posts, sleeps, message):
+    from hydre.judge import HttpResponse
+    from hydre.providers import http_embedding_transport
+
+    class StatusSession:
+        posts = 0
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.posts += 1
+            return HttpResponse(status, b"bad input")
+
+    session, slept = StatusSession(), []
+    transport = http_embedding_transport("http://example.invalid/embed", session=session)
+    client = EmbeddingClient(transport, tmp_path / "emb.jsonl", sleep=slept.append)
+    with pytest.raises(ProviderError) as info:
+        client.fetch_embeddings([("a", "alpha")])
+    assert str(info.value) == message
+    assert (session.posts, slept) == (posts, sleeps)
+
+
 # ------------------------------------------------------------ sidecars
 
 GOLDEN = FIXTURES / "golden"
