@@ -14,7 +14,14 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .providers import EmbeddingIndex, ScoreMatrix, ScoringConfig
+from .providers import (
+    EmbeddingIndex,
+    ScoreMatrix,
+    ScoringConfig,
+    screen_slack,
+    settle_argmax,
+    settle_top,
+)
 from .selection import (
     Exemplar,
     ExemplarSet,
@@ -75,9 +82,27 @@ def flat_rows(flat: Sequence[Exemplar], embeddings: EmbeddingIndex) -> np.ndarra
     return embeddings.row_indexes(f.sentence.sentence_id for f in flat)
 
 
-def _ranked(sims: np.ndarray) -> np.ndarray:
-    # descending similarity; the stable sort keeps corpus order on ties
-    return np.argsort(-sims, kind="stable")
+def _settled_top(
+    q_id: str,
+    flat: Sequence[Exemplar],
+    embeddings: EmbeddingIndex,
+    k: int,
+    sims: np.ndarray | None,
+    rows: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, exact similarities) of the k examples most similar to
+    the query, descending, corpus order on ties; ``sims`` and ``rows`` as
+    for mmr_select."""
+    if sims is None:
+        sims = embeddings.screened_similarities(q_id, flat_rows(flat, embeddings))
+
+    def exact(positions: np.ndarray) -> np.ndarray:
+        if rows is not None:
+            return embeddings.similarities(q_id, rows[positions])
+        picked = [flat[i] for i in positions.tolist()]
+        return embeddings.similarities(q_id, flat_rows(picked, embeddings))
+
+    return settle_top(sims, screen_slack(embeddings.dim), k, exact)
 
 
 def topk_sim(
@@ -90,12 +115,14 @@ def topk_sim(
     """The k sentences most similar to the query, descending; corpus order
     breaks ties.
 
-    ``sims``, the query's similarity to each example, is computed when not
-    given; a caller selecting for many queries passes it to reuse it.
+    ``sims``, the query's screened similarity to each example
+    (``EmbeddingIndex.screened_similarities``), is computed when not given;
+    a caller selecting for many queries passes it to reuse it. The ranking
+    is that of exact similarities: the screen only narrows which examples
+    get one.
     """
-    if sims is None:
-        sims = embeddings.similarities(q_id, flat_rows(flat, embeddings))
-    return [flat[i] for i in _ranked(sims)[:k]]
+    top, _ = _settled_top(q_id, flat, embeddings, k, sims, None)
+    return [flat[i] for i in top.tolist()]
 
 
 def mmr_select(
@@ -114,23 +141,21 @@ def mmr_select(
     over sentences not yet selected, where s' ranges over the selection so
     far; the earliest pool entry wins a tie. The pool is pre-truncated to
     the pool_size most query-similar sentences; pass pool_size=None to rank
-    the whole corpus. ``sims`` is as for topk_sim; ``rows``, the embedding
-    row of each example, is looked up from the pool's examples when not
-    given.
+    the whole corpus. The pool and its query similarities are exact.
+    ``sims`` is as for topk_sim; ``rows``, the embedding row of each
+    example, is looked up from the examples when not given.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    if sims is None:
-        sims = embeddings.similarities(q_id, flat_rows(flat, embeddings))
-    order = _ranked(sims)
-    pool = order if pool_size is None else order[:pool_size]
+    pool, q_sims = _settled_top(
+        q_id, flat, embeddings, len(flat) if pool_size is None else pool_size, sims, rows
+    )
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
     if rows is None:
         vectors = embeddings.matrix[flat_rows([flat[i] for i in pool], embeddings)]
     else:
         vectors = embeddings.matrix[rows[pool]]
-    q_sims = sims[pool]
 
     selected: list[int] = []
     available = np.ones(len(pool), dtype=bool)
@@ -156,11 +181,15 @@ def flat_retrieval(
 ) -> ExemplarSet:
     """Stage 2/3 replacement: retrieve one best sentence per candidate
     directly from the flattened corpus, scored like a one-sentence bag.
-    The earliest sentence in corpus order wins a tie."""
+    The earliest sentence in corpus order wins a tie; screened similarities
+    narrow each argmax, exact ones settle it."""
     candidates = select_candidates(q_id, scores, config.k)
     use_sim = config.w_sim > 0
     view = corpus_view(corpus, scores, embeddings if use_sim else None)
-    sims = embeddings.similarities(q_id, view.embedding_rows) if use_sim else None
+    sims = None
+    if use_sim:
+        sims = embeddings.screened_similarities(q_id, view.embedding_rows)
+        slack = screen_slack(embeddings.dim, None, config.w_sim, config.w_conf)
     exemplars = []
     skipped = []
     for relation, score in candidates:
@@ -170,11 +199,19 @@ def flat_retrieval(
             continue
         positions = np.flatnonzero(np.isin(corpus.sentence_bag, bags))
         rows = view.score_rows[positions]
-        total = config.w_conf * scores.matrix[rows, scores.column(relation)]
-        if sims is not None:
-            total = total + config.w_sim * sims[positions]
-        best = positions[int(np.argmax(total))]
-        exemplars.append(_sentence_exemplar(corpus, best, relation, score))
+        conf = config.w_conf * scores.matrix[rows, scores.column(relation)]
+        if sims is None:
+            best = int(np.argmax(conf))
+        else:
+
+            def exact(near: np.ndarray) -> np.ndarray:
+                near_rows = view.embedding_rows[positions[near]]
+                return conf[near] + config.w_sim * embeddings.similarities(
+                    q_id, near_rows
+                )
+
+            best = settle_argmax(conf + config.w_sim * sims[positions], slack, exact)
+        exemplars.append(_sentence_exemplar(corpus, positions[best], relation, score))
     return ExemplarSet(
         q_id, _order_ascending(exemplars), tuple(candidates), tuple(skipped)
     )

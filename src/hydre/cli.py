@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -204,6 +205,14 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(
             f"parallelism must be a positive integer, got {config.parallelism!r}"
         )
+    k = raw["scoring"].get("k")
+    if type(k) is not int or k < 1:
+        raise ConfigError(f"scoring.k must be a positive integer, got {k!r}")
+    endpoint = raw["llm_endpoint"]
+    if endpoint is not None and not _is_http_url(endpoint):
+        raise ConfigError(
+            f"llm_endpoint must be an http(s) URL with a host, got {endpoint!r}"
+        )
     alpha, pool_size = raw["mmr"]["alpha"], raw["mmr"]["pool_size"]
     if type(alpha) not in (int, float) or not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"mmr.alpha must be a real number in [0, 1], got {alpha!r}")
@@ -212,6 +221,18 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
             f"mmr.pool_size must be a positive integer or null, got {pool_size!r}"
         )
     return config
+
+
+def _is_http_url(value) -> bool:
+    """Whether a value is a URL the judge's HTTP session can post to."""
+    if not isinstance(value, str):
+        return False
+    parts = urllib.parse.urlsplit(value)
+    try:
+        parts.port  # raises on a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 def _check_mmr_pool(config: RunConfig, k_values: Sequence[int | None]) -> None:
@@ -367,17 +388,17 @@ def _pipeline(
 
 
 def _scored_by_similarity(
-    q_id: str, picked: list[Exemplar], corpus: Corpus, sims: np.ndarray
+    q_id: str, picked: list[Exemplar], inputs: SelectionInputs, rows: np.ndarray
 ) -> ExemplarSet:
-    """Baseline picks, each scored by its similarity to the query."""
-    position = corpus.sentence_position
+    """Baseline picks, each scored by its exact similarity to the query;
+    ``rows`` is the embedding row of each corpus sentence."""
+    position = inputs.corpus.sentence_position
+    picked_rows = rows[[position[e.sentence.sentence_id] for e in picked]]
+    sims = inputs.embeddings.similarities(q_id, picked_rows).tolist()
     return ExemplarSet(
         q_id,
         tuple(
-            dataclasses.replace(
-                e, candidate_score=float(sims[position[e.sentence.sentence_id]])
-            )
-            for e in picked
+            dataclasses.replace(e, candidate_score=sim) for e, sim in zip(picked, sims)
         ),
     )
 
@@ -385,15 +406,14 @@ def _scored_by_similarity(
 def _topk_sim(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
     corpus, embeddings = inputs.corpus, inputs.embeddings
     rows = corpus_view(corpus, None, embeddings).embedding_rows
-    sims = embeddings.similarities(q_id, rows)
+    sims = embeddings.screened_similarities(q_id, rows)
     picked = topk_sim(q_id, flatten(corpus), embeddings, inputs.scoring.k, sims=sims)
-    return _scored_by_similarity(q_id, picked, corpus, sims)
+    return _scored_by_similarity(q_id, picked, inputs, rows)
 
 
 def _mmr(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
     corpus, embeddings = inputs.corpus, inputs.embeddings
     rows = corpus_view(corpus, None, embeddings).embedding_rows
-    sims = embeddings.similarities(q_id, rows)
     picked = mmr_select(
         q_id,
         flatten(corpus),
@@ -401,10 +421,10 @@ def _mmr(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
         inputs.scoring.k,
         alpha=inputs.mmr_alpha,
         pool_size=inputs.mmr_pool_size,
-        sims=sims,
+        sims=embeddings.screened_similarities(q_id, rows),
         rows=rows,
     )
-    return _scored_by_similarity(q_id, picked, corpus, sims)
+    return _scored_by_similarity(q_id, picked, inputs, rows)
 
 
 # Every strategy the CLI accepts. Selectors look the selection functions up
@@ -469,9 +489,9 @@ STRATEGIES: dict[str, Strategy] = {
 }
 
 
-# Queries whose similarities are computed together: with a 26 MB embedding
-# matrix, 16 queries hold 1.6 MB of dot products.
-QUERY_CHUNK = 16
+# Bytes of screened dot products a query chunk holds: about 160 queries
+# against the 12.8k rows of 5k bags, 16 against the 128k rows of 50k bags.
+SCREEN_BYTES = 16 << 20
 
 
 def _selections_filename(k: int | None) -> str:
@@ -490,10 +510,12 @@ def cmd_select(
     sweep passes its own, and writes metadata.json once it ends); without
     it the command loads its own and writes metadata.json. Each query is
     selected for every k in turn, so the selection view's per-query work
-    (bag similarities) is done once per query. The queries go in chunks of
-    ``QUERY_CHUNK``; a strategy that reads query embeddings computes each
-    chunk's similarities to every sentence at once
-    (``EmbeddingIndex.batch``), with the same bits as one query at a time.
+    (bag similarities) is done once per query. A strategy that reads query
+    embeddings takes the queries in chunks whose dot products with every
+    embedding row fit in ``SCREEN_BYTES``, and screens each chunk with one
+    matrix product (``EmbeddingIndex.batch``). Every decision the screen
+    could get wrong is settled with exact dot products, so every pick and
+    every score written is bit-identical to one query at a time.
     """
     _check_mmr_pool(config, k_values)
     standalone = run is None
@@ -522,8 +544,11 @@ def cmd_select(
             stack.enter_context(atomic_write(out / _selections_filename(k)))
             for k in k_values
         ]
-        for start in range(0, len(queries), QUERY_CHUNK):
-            chunk = [q.query_id for q in queries[start : start + QUERY_CHUNK]]
+        size = len(queries) or 1
+        if batched:
+            size = max(1, SCREEN_BYTES // (8 * len(run.embeddings.matrix)))
+        for start in range(0, len(queries), size):
+            chunk = [q.query_id for q in queries[start : start + size]]
             held = run.embeddings.batch(chunk) if batched else contextlib.nullcontext()
             with held:
                 for q_id in chunk:
@@ -613,12 +638,20 @@ def _run_one_k(
 
 
 def _parse_k_flag(value: str | None) -> list[int] | None:
+    """The k values of ``--k``: one positive integer, or a nonempty range
+    lo..hi of them."""
     if value is None:
         return None
-    if ".." in value:
-        lo, hi = value.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(value)]
+    try:
+        bounds = [int(bound) for bound in value.split("..", 1)]
+    except ValueError:
+        bounds = []
+    k_values = list(range(bounds[0], bounds[-1] + 1)) if bounds else []
+    if not k_values or k_values[0] < 1:
+        raise ConfigError(
+            f"--k must be a positive integer or a range like 1..20, got {value!r}"
+        )
+    return k_values
 
 
 def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
@@ -803,7 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    k_values = _parse_k_flag(args.k)
     overrides = {
         "seed": args.seed,
         "strategy": args.strategy,
@@ -811,9 +843,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "parallelism": args.parallelism,
         "output": args.output,
     }
-    if k_values is not None and len(k_values) == 1:
-        overrides["k"] = k_values[0]
     try:
+        k_values = _parse_k_flag(args.k)
+        if k_values is not None and len(k_values) == 1:
+            overrides["k"] = k_values[0]
         if k_values is not None and len(k_values) > 1 and args.command != "run":
             raise ConfigError("--k ranges are only supported by the run command")
         config = load_config(args.config, overrides)

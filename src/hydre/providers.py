@@ -40,6 +40,10 @@ class ProviderError(ValueError):
 
 SIDECAR_SUFFIX = ".hydre.npz"
 ROW_BLOCK_BYTES = 1 << 20  # matrix bytes per dot block: small enough to stay in cache
+UNIT_ROUNDOFF = 2.0**-53
+# A screened and an exact value each miss the true one by at most the derived
+# error bound, so they differ by at most twice it; the rest is margin.
+SCREEN_SAFETY = 4.0
 T = TypeVar("T")
 
 
@@ -316,8 +320,15 @@ class EmbeddingIndex(_RowMatrix):
     """L2-normalised embedding vectors keyed by item id, one matrix row each.
 
     Every way of building an index (load, a dict of vectors, add) normalises
-    the rows, so a cosine is a dot product. Inside ``batch(q_ids)`` the
-    index holds those queries' dot products with every row.
+    the rows, so a cosine is a dot product. There are two ways to compute
+    one. The exact way (``dots``, ``similarities``) gives every entry as one
+    BLAS dot of the row and the query vector, so identical rows get
+    identical values and ties are exact. The screen (``screen_dots``,
+    ``screened_similarities``) computes many queries at once with one matrix
+    product; each of its values lies within ``screen_slack`` of the exact
+    one, and a selection settles every decision that value could change
+    with exact values (``settle_argmax``, ``settle_top``). Inside
+    ``batch(q_ids)`` the index holds those queries' screened dot products.
     """
 
     _missing = "no embedding for item {!r}"
@@ -328,7 +339,7 @@ class EmbeddingIndex(_RowMatrix):
         self.dim = dim
         self.matrix = np.empty((0, dim))
         self.row_of = {}
-        self._batch: dict[str, np.ndarray] = {}  # query id -> its dots row
+        self._batch: dict[str, np.ndarray] = {}  # query id -> its screened dots
         if vectors:
             self.add(vectors)
 
@@ -363,7 +374,7 @@ class EmbeddingIndex(_RowMatrix):
             self.row_of[item_id] = start + j
 
     def dots(self, q_ids: Sequence[str]) -> np.ndarray:
-        """Dot product of each query's row with every matrix row, one
+        """Exact dot product of each query's row with every matrix row, one
         output row per query.
 
         The matrix is walked in blocks of about ``ROW_BLOCK_BYTES``, each
@@ -371,8 +382,9 @@ class EmbeddingIndex(_RowMatrix):
         query. Each entry is still one np.vecdot, one BLAS dot of the same
         contiguous row and query vector, so it is bit-identical to
         ``np.vecdot(matrix, q)``: identical rows get identical values
-        wherever they sit. A matrix product (dgemm) would round entries
-        differently and break exact ties.
+        wherever they sit. A matrix product (dgemm) rounds entries
+        differently, so ``screen_dots`` serves only as a screen whose close
+        calls are settled with these exact values.
         """
         queries = self.matrix[self.row_indexes(q_ids)]
         out = np.empty((len(queries), len(self.matrix)))
@@ -385,29 +397,47 @@ class EmbeddingIndex(_RowMatrix):
             )
         return out
 
+    def screen_dots(self, q_ids: Sequence[str]) -> np.ndarray:
+        """Each query's dot product with every matrix row from one matrix
+        product, one output row per query. Each entry lies within the
+        a-priori rounding bound of ``screen_slack`` of its ``dots`` entry,
+        not necessarily on it: identical rows can get different values."""
+        return self.matrix[self.row_indexes(q_ids)] @ self.matrix.T
+
     @contextmanager
     def batch(self, q_ids: Sequence[str]) -> Iterator[None]:
-        """Hold the queries' ``dots`` for ``similarities`` until the scope
-        exits; a batch held before is dropped first."""
+        """Hold the queries' ``screen_dots`` for ``screened_similarities``
+        until the scope exits; a batch held before is dropped first."""
         self._batch = {}
-        self._batch = dict(zip(q_ids, self.dots(q_ids)))
+        self._batch = dict(zip(q_ids, self.screen_dots(q_ids)))
         try:
             yield
         finally:
             self._batch = {}
 
-    def similarities(self, q_id: str, rows: np.ndarray) -> np.ndarray:
-        """Cosine of the query with each given row, mapped from [-1, 1] into
-        [0, 1] so it shares a scale with model confidences.
-
-        The query's ``dots`` row comes from the held batch, or outside one
-        from a batch of one; then a gather, with no row copies. Both give
-        the same bits.
-        """
+    def screened_similarities(self, q_id: str, rows: np.ndarray) -> np.ndarray:
+        """``similarities`` of the query with each given row from the
+        screen: the held batch's row, or outside a batch a screen of one.
+        Each value lies within ``screen_slack(self.dim)`` of the exact one."""
         dots = self._batch.get(q_id)
         if dots is None:
-            dots = self.dots([q_id])[0]
+            dots = self.screen_dots([q_id])[0]
         return (1.0 + dots[rows]) / 2.0
+
+    def similarities(self, q_id: str, rows: np.ndarray) -> np.ndarray:
+        """Exact cosine of the query with each given row, mapped from
+        [-1, 1] into [0, 1] so it shares a scale with model confidences.
+
+        A few rows are gathered and dotted with the query, one np.vecdot;
+        for most of the matrix the query's ``dots`` row is gathered
+        instead, which copies no matrix rows. Either way every entry is
+        bit-identical to ``np.vecdot(matrix, q)``, inside a batch or not.
+        """
+        if 2 * len(rows) > len(self.matrix):
+            dots = self.dots([q_id])[0][rows]
+        else:
+            dots = np.vecdot(self.matrix[rows], self.vector(q_id))
+        return (1.0 + dots) / 2.0
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingIndex":
@@ -470,6 +500,78 @@ class EmbeddingIndex(_RowMatrix):
                     json.dumps({"id": item_id, "vector": [float(v) for v in vec]})
                 )
                 fh.write("\n")
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = nu / (1 - nu): the relative error bound of n roundings."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def screen_slack(
+    dim: int, mean_of: int | None = None, w_sim: float = 1.0, w_conf: float = 0.0
+) -> float:
+    """A bound on |screened - exact| of a value selection derives from the
+    similarity of two unit rows of dimension ``dim``: the similarity itself,
+    its mean over at most ``mean_of`` sentences (a max pools exactly), and
+    ``w_sim * sim + w_conf * conf``.
+
+    It is derived, never observed. Each way of computing a dot product
+    errs from the true q.m by at most gamma_n sum |q_i m_i| <= gamma_n
+    ||q|| ||m|| (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, §3.1), for any summation order, with or without FMA; a row
+    normalised in floating point has norm at most 1 + gamma_(n+2). That
+    error is carried through the rounding of (1 + d) / 2, the mean's sum
+    and division, and the weighted sum's three roundings, then multiplied
+    by ``SCREEN_SAFETY``.
+    """
+    u = UNIT_ROUNDOFF
+    dot = _gamma(dim) * (1.0 + _gamma(dim + 2)) ** 2
+    sim = dot / 2.0 + u * (1.0 + dot)  # fl(1 + d) with |1 + d| <= 2 + dot
+    if mean_of is not None:
+        sim += _gamma(mean_of) * (1.0 + sim)  # a sum of values <= 1 + sim, / n
+    total = w_sim * sim + 3.0 * u * (w_sim + w_conf) * (1.0 + sim)
+    return SCREEN_SAFETY * total
+
+
+def settle_argmax(
+    screened: np.ndarray, slack: float, exact: Callable[[np.ndarray], np.ndarray]
+) -> int:
+    """The first index of the maximum of exact values, of which
+    ``screened`` holds approximations within ``slack`` each.
+
+    Only entries screened within twice the slack of the screened maximum
+    can hold the exact maximum; ``exact(near)`` gives their exact values,
+    in index order, and is not called when one entry is left.
+    """
+    near = np.flatnonzero(screened >= screened.max() - 2.0 * slack)
+    if len(near) == 1:
+        return int(near[0])
+    return int(near[np.argmax(exact(near))])
+
+
+def settle_top(
+    screened: np.ndarray,
+    slack: float,
+    k: int,
+    exact: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indexes, exact values) of the k largest exact values, descending,
+    the earlier index first on ties: the head of a stable descending sort
+    of the exact values, of which ``screened`` holds approximations within
+    ``slack`` each.
+
+    An entry screened more than twice the slack below the k-th largest
+    screened value has k exact values above it, so only the entries within
+    that margin are settled with ``exact(near)``, in index order.
+    """
+    n = len(screened)
+    near = np.arange(n)
+    if k < n:
+        kth = np.partition(screened, n - k)[n - k]
+        near = np.flatnonzero(screened >= kth - 2.0 * slack)
+    values = exact(near)
+    order = np.argsort(-values, kind="stable")[:k]
+    return near[order], values[order]
 
 
 @dataclass(frozen=True)

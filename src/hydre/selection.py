@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, CorpusError, RelationOntology, SentenceInstance
-from .providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
+from .providers import (
+    EmbeddingIndex,
+    ProviderError,
+    ScoreMatrix,
+    ScoringConfig,
+    screen_slack,
+    settle_argmax,
+    settle_top,
+)
 
 
 class NoBagForRelation(LookupError):
@@ -100,9 +108,9 @@ class CorpusView:
     are None for a provider the selection does not consult.
 
     A k sweep selects each query for every k in turn with the same view, so
-    the view keeps the latest query's bag similarities and each bag's
-    stage-3 sentence; both depend only on the query or bag and the view's
-    providers.
+    the view keeps the latest query's screened bag similarities and each
+    bag's stage-3 sentence; both depend only on the query or bag and the
+    view's providers.
     """
 
     corpus: Corpus
@@ -115,20 +123,53 @@ class CorpusView:
     def bag_similarities(
         self, q_id: str, embeddings: EmbeddingIndex, pooling: str
     ) -> np.ndarray:
-        """The query's similarity to every bag: one mat-vec, then a segmented
-        max (or mean) over each bag's sentences. Read-only."""
+        """The query's screened similarity to every bag: the screened
+        sentence similarities (``EmbeddingIndex.screened_similarities``),
+        then a segmented max (or mean) over each bag's sentences. Each lies
+        within ``bag_slack`` of the exact value, which
+        ``exact_bag_similarities`` gives. Read-only."""
         sims = self.latest_bag_sims.get((q_id, pooling))
         if sims is not None:
             return sims
-        sims = embeddings.similarities(q_id, self.embedding_rows)
-        if pooling == "mean":
-            sims = np.add.reduceat(sims, self.corpus.starts) / self.corpus.lengths
-        else:
-            sims = np.maximum.reduceat(sims, self.corpus.starts)
+        sims = self._pool(
+            embeddings.screened_similarities(q_id, self.embedding_rows),
+            self.corpus.starts,
+            self.corpus.lengths,
+            pooling,
+        )
         sims.setflags(write=False)
         self.latest_bag_sims.clear()
         self.latest_bag_sims[(q_id, pooling)] = sims
         return sims
+
+    def exact_bag_similarities(
+        self, q_id: str, embeddings: EmbeddingIndex, pooling: str, bags: np.ndarray
+    ) -> np.ndarray:
+        """The exact similarity of each given bag, bit-equal to pooling the
+        exact similarities of every corpus sentence: a segment's max or sum
+        depends only on its own values, in order."""
+        lengths = self.corpus.lengths[bags]
+        starts = np.cumsum(lengths) - lengths
+        positions = np.repeat(self.corpus.starts[bags] - starts, lengths)
+        positions += np.arange(len(positions))
+        sims = embeddings.similarities(q_id, self.embedding_rows[positions])
+        return self._pool(sims, starts, lengths, pooling)
+
+    @staticmethod
+    def _pool(
+        sims: np.ndarray, starts: np.ndarray, lengths: np.ndarray, pooling: str
+    ) -> np.ndarray:
+        if pooling == "mean":
+            return np.add.reduceat(sims, starts) / lengths
+        return np.maximum.reduceat(sims, starts)
+
+    def bag_slack(
+        self, embeddings: EmbeddingIndex, pooling: str, w_sim=1.0, w_conf=0.0
+    ) -> float:
+        """``screen_slack`` of a bag similarity, or of a combined score with
+        the given weights."""
+        mean_of = int(self.corpus.lengths.max(initial=1)) if pooling == "mean" else None
+        return screen_slack(embeddings.dim, mean_of, w_sim, w_conf)
 
     def sentence_pick(
         self, b: int, scores: ScoreMatrix, threshold: float
@@ -204,6 +245,19 @@ def select_candidates(
     return [(scores.relation_order[i], float(vec[i])) for i in order[:k]]
 
 
+def _combined(
+    config: ScoringConfig, sims: np.ndarray | None, confidence: np.ndarray | None
+) -> np.ndarray:
+    """w_sim * sims + w_conf * confidence, leaving out a term that is None;
+    screened and exact scores share this arithmetic."""
+    total = 0.0
+    if sims is not None:
+        total = config.w_sim * sims
+    if confidence is not None:
+        total = total + config.w_conf * confidence
+    return total
+
+
 def combined_bag_scores(
     q_id: str,
     relation: str,
@@ -214,22 +268,22 @@ def combined_bag_scores(
     bag_sims: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """w_sim * sim(q, bag) + w_conf * f(bag, relation) for every bag
-    labelled with the relation.
+    labelled with the relation, from screened similarities.
 
     Returns (bag indexes in corpus order, their scores). ``bag_sims``, the
-    query's similarity to every corpus bag, is computed when not given.
+    query's screened similarity to every corpus bag, is computed when not
+    given.
     """
     scores, embeddings = _consulted(scores, embeddings, config)
     view = corpus_view(corpus, scores, embeddings)
     bags = corpus.bags_by_relation[relation]
-    total = 0.0
-    if embeddings is not None:
-        if bag_sims is None:
-            bag_sims = view.bag_similarities(q_id, embeddings, config.bag_sim_pooling)
-        total = config.w_sim * bag_sims[bags]
-    if scores is not None:
-        total = total + config.w_conf * view.confidence[bags, scores.column(relation)]
-    return bags, total
+    if embeddings is not None and bag_sims is None:
+        bag_sims = view.bag_similarities(q_id, embeddings, config.bag_sim_pooling)
+    return bags, _combined(
+        config,
+        None if embeddings is None else bag_sims[bags],
+        None if scores is None else view.confidence[bags, scores.column(relation)],
+    )
 
 
 def select_bag(
@@ -241,7 +295,11 @@ def select_bag(
     config: ScoringConfig,
     bag_sims: np.ndarray | None = None,
 ) -> str:
-    """Stage 2: argmax of the combined bag score; ties keep the earliest bag."""
+    """Stage 2: argmax of the combined bag score; ties keep the earliest bag.
+
+    The screened scores narrow the bags to those within twice the slack of
+    the best; those are scored again from exact similarities, so the pick
+    is the one exact scores would make."""
     bag_ids = corpus.bags_by_relation.get(relation)
     if bag_ids is None:
         raise KeyError(f"unknown relation {relation!r}")
@@ -250,8 +308,23 @@ def select_bag(
     bags, total = combined_bag_scores(
         q_id, relation, corpus, scores, embeddings, config, bag_sims
     )
-    # argmax returns the first maximum, which is the earliest bag
-    return corpus.bag_ids[bags[int(np.argmax(total))]]
+    scores, embeddings = _consulted(scores, embeddings, config)
+    if embeddings is None:
+        # argmax returns the first maximum, which is the earliest bag
+        return corpus.bag_ids[bags[int(np.argmax(total))]]
+    view = corpus_view(corpus, scores, embeddings)
+    pooling = config.bag_sim_pooling
+    column = None if scores is None else scores.column(relation)
+
+    def exact(near: np.ndarray) -> np.ndarray:
+        picked = bags[near]
+        sims = view.exact_bag_similarities(q_id, embeddings, pooling, picked)
+        return _combined(
+            config, sims, None if column is None else view.confidence[picked, column]
+        )
+
+    slack = view.bag_slack(embeddings, pooling, config.w_sim, config.w_conf)
+    return corpus.bag_ids[bags[settle_argmax(total, slack, exact)]]
 
 
 def _bag_scores(
@@ -295,18 +368,17 @@ def _query_rng(seed: int, q_id: str) -> random.Random:
 
 
 def _similarity_candidates(
-    corpus: Corpus, bag_sims: np.ndarray, k: int
+    corpus: Corpus, top: np.ndarray, sims: np.ndarray
 ) -> list[tuple[str, float]]:
-    """Confidence-free stage 1: labels of the k most similar bags.
+    """Confidence-free stage 1: labels of the most similar bags.
 
     A documented heuristic for running without any confidence model: rank
-    bags by similarity, then collect their labelsets in that order,
-    deduplicated, NA excluded.
+    bags by similarity (``top``, with their exact similarities ``sims``),
+    then collect their labelsets in that order, deduplicated, NA excluded.
     """
     candidates: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for i in np.argsort(-bag_sims, kind="stable")[:k]:
-        sim = float(bag_sims[i])
+    for i, sim in zip(top.tolist(), sims.tolist()):
         for label in corpus.ontology.sorted_labels(corpus.labelset(i)):
             if label == corpus.ontology.na_symbol or label in seen:
                 continue
@@ -326,18 +398,27 @@ def select_candidate_bags(
 
     Returns (candidates, picks, skipped) where picks holds
     (relation, score, bag_id) in candidate order. In similarity-only mode
-    (w_conf = 0) the exemplar score is the chosen bag's similarity. The
-    query's bag similarities are computed once and shared by every stage.
+    (w_conf = 0) the exemplar score is the chosen bag's exact similarity.
+    The query's screened bag similarities are computed once and shared by
+    every stage.
     """
     scores, embeddings = _consulted(scores, embeddings, config)
     view = corpus_view(corpus, scores, embeddings)
+    pooling = config.bag_sim_pooling
     bag_sims = None
     if embeddings is not None:
-        bag_sims = view.bag_similarities(q_id, embeddings, config.bag_sim_pooling)
+        bag_sims = view.bag_similarities(q_id, embeddings, pooling)
+
+    def exact(bags: np.ndarray) -> np.ndarray:
+        return view.exact_bag_similarities(q_id, embeddings, pooling, bags)
+
     if scores is not None:
         candidates = select_candidates(q_id, scores, config.k)
     else:
-        candidates = _similarity_candidates(corpus, bag_sims, config.k)
+        slack = view.bag_slack(embeddings, pooling)
+        candidates = _similarity_candidates(
+            corpus, *settle_top(bag_sims, slack, config.k, exact)
+        )
     picks: list[tuple[str, float, str]] = []
     skipped: list[str] = []
     for relation, score in candidates:
@@ -349,7 +430,7 @@ def select_candidate_bags(
             skipped.append(relation)
             continue
         if scores is None:
-            score = float(bag_sims[corpus.bag_position[bag_id]])
+            score = float(exact(np.array([corpus.bag_position[bag_id]]))[0])
         picks.append((relation, score, bag_id))
     return candidates, picks, skipped
 

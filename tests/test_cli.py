@@ -346,7 +346,7 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     """A sweep computes each query's bag similarities and each picked bag's
     stage-3 sentence once, and writes metadata.json once, as ``run``."""
     calls = Counter()
-    similarities = EmbeddingIndex.similarities
+    similarities = EmbeddingIndex.screened_similarities
     select_sentence = hydre.selection.select_sentence
 
     def counted_similarities(self, q_id, rows):
@@ -357,7 +357,7 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
         calls[corpus.bag_ids[b]] += 1
         return select_sentence(corpus, b, scores, threshold)
 
-    monkeypatch.setattr(EmbeddingIndex, "similarities", counted_similarities)
+    monkeypatch.setattr(EmbeddingIndex, "screened_similarities", counted_similarities)
     monkeypatch.setattr(hydre.selection, "select_sentence", counted_select_sentence)
     written = []
     monkeypatch.setattr(
@@ -372,17 +372,23 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
-def count_batches(monkeypatch):
-    """Counter of EmbeddingIndex.dots calls, and the indexes they ran on."""
-    calls, indexes = Counter(), []
-    dots = EmbeddingIndex.dots
+GOLDEN_CHUNK = 16  # queries per screen in the batch tests: two chunks of 20
 
-    def counted_dots(self, q_ids):
+
+def count_batches(monkeypatch):
+    """Counter of EmbeddingIndex.screen_dots calls, and the indexes they ran
+    on, with a screen budget of ``GOLDEN_CHUNK`` golden queries."""
+    rows = len(read_jsonl(GOLDEN / "embeddings.jsonl"))
+    monkeypatch.setattr(cli, "SCREEN_BYTES", GOLDEN_CHUNK * 8 * rows)
+    calls, indexes = Counter(), []
+    screen_dots = EmbeddingIndex.screen_dots
+
+    def counted_screen_dots(self, q_ids):
         calls["batches"] += 1
         indexes.append(self)
-        return dots(self, q_ids)
+        return screen_dots(self, q_ids)
 
-    monkeypatch.setattr(EmbeddingIndex, "dots", counted_dots)
+    monkeypatch.setattr(EmbeddingIndex, "screen_dots", counted_screen_dots)
     return calls, indexes
 
 
@@ -427,7 +433,7 @@ def test_failed_select_holds_no_batch(tmp_path, monkeypatch, capsys):
 
     def fail_in_second_chunk(q_id, *args, **kwargs):
         seen.append(q_id)
-        if len(seen) == cli.QUERY_CHUNK + 2:
+        if len(seen) == GOLDEN_CHUNK + 2:
             raise RuntimeError("selection failed")
         return build(q_id, *args, **kwargs)
 
@@ -482,6 +488,85 @@ def test_bad_parallelism_exits_1_naming_the_key(tmp_path, capsys, value, source,
     assert capsys.readouterr().err == (
         f"error: parallelism must be a positive integer, got {value!r}\n"
     )
+    assert not (tmp_path / "out").exists()
+
+
+def refuse_loads(monkeypatch):
+    """Make every input load fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was loaded")
+
+    for owner in (Corpus, ScoreMatrix, EmbeddingIndex):
+        monkeypatch.setattr(owner, "load", refuse)
+
+
+@pytest.mark.parametrize(
+    "command, k",
+    [
+        ("run", "abc"),
+        ("select", "1..x"),
+        ("run", "5..3"),
+        ("select", "5..3"),
+        ("run", "0"),
+        ("select", "-2"),
+        ("run", "0..2"),
+        ("validate", "0"),
+    ],
+)
+def test_bad_k_flag_exits_1_before_any_load(tmp_path, capsys, monkeypatch, command, k):
+    config_path, _ = absolute_config(tmp_path)
+    refuse_loads(monkeypatch)
+    assert run_cli("--config", str(config_path), "--k", k, command) == 1
+    assert capsys.readouterr().err == (
+        f"error: --k must be a positive integer or a range like 1..20, got {k!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 2.5, "5", None])
+@pytest.mark.parametrize("command", ["validate", "select", "run"])
+def test_bad_scoring_k_exits_1_naming_the_key(tmp_path, capsys, monkeypatch, value, command):
+    config_path, config = absolute_config(tmp_path)
+    config["scoring"]["k"] = value
+    config_path.write_text(json.dumps(config))
+    refuse_loads(monkeypatch)
+    assert run_cli("--config", str(config_path), command) == 1
+    assert capsys.readouterr().err == (
+        f"error: scoring.k must be a positive integer, got {value!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "judge.invalid/v1/chat",
+        "ftp://judge.invalid/v1/chat",
+        "http:///v1/chat",
+        "http://judge.invalid:port/v1/chat",
+        5,
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_malformed_llm_endpoint_exits_1_naming_the_key(
+    tmp_path, capsys, monkeypatch, endpoint, command
+):
+    built = []
+    config_path = live_config(
+        tmp_path, monkeypatch, backend=lambda endpoint: built.append(endpoint)
+    )
+    config = json.loads(Path(config_path).read_text())
+    config["llm_endpoint"] = endpoint
+    Path(config_path).write_text(json.dumps(config))
+    refuse_loads(monkeypatch)
+    # a live sweep selects and then dispatches every prompt
+    sweep = ["--k", "1..2"] if command == "run" else []
+    assert run_cli("--config", config_path, *sweep, command) == 1
+    assert capsys.readouterr().err == (
+        f"error: llm_endpoint must be an http(s) URL with a host, got {endpoint!r}\n"
+    )
+    assert built == []
     assert not (tmp_path / "out").exists()
 
 

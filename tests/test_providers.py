@@ -267,13 +267,13 @@ def test_bag_similarities_keep_the_latest_query(monkeypatch):
     q_ids = list(instance["embeddings"])[:2]  # any embedded item serves as a query
     view = corpus_view(corpus, None, emb)
     calls = []
-    similarities = emb.similarities
+    similarities = emb.screened_similarities
 
     def counted(q_id, rows):
         calls.append(q_id)
         return similarities(q_id, rows)
 
-    monkeypatch.setattr(emb, "similarities", counted)
+    monkeypatch.setattr(emb, "screened_similarities", counted)
     for pooling in ("max", "mean"):
         first = view.bag_similarities(q_ids[0], emb, pooling)
         assert view.bag_similarities(q_ids[0], emb, pooling) is first
