@@ -8,6 +8,7 @@ a seed.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Sequence
 
@@ -105,6 +106,11 @@ def _settled_top(
     return settle_top(sims, screen_slack(embeddings.dim), k, exact)
 
 
+def _scored(flat: Sequence[Exemplar], example: int, sim: float) -> Exemplar:
+    """The example scored with its exact similarity to the query."""
+    return dataclasses.replace(flat[example], candidate_score=float(sim))
+
+
 def topk_sim(
     q_id: str,
     flat: Sequence[Exemplar],
@@ -113,7 +119,7 @@ def topk_sim(
     sims: np.ndarray | None = None,
 ) -> list[Exemplar]:
     """The k sentences most similar to the query, descending; corpus order
-    breaks ties.
+    breaks ties. Each carries its exact similarity as its candidate score.
 
     ``sims``, the query's screened similarity to each example
     (``EmbeddingIndex.screened_similarities``), is computed when not given;
@@ -121,8 +127,8 @@ def topk_sim(
     is that of exact similarities: the screen only narrows which examples
     get one.
     """
-    top, _ = _settled_top(q_id, flat, embeddings, k, sims, None)
-    return [flat[i] for i in top.tolist()]
+    top, top_sims = _settled_top(q_id, flat, embeddings, k, sims, None)
+    return [_scored(flat, i, sim) for i, sim in zip(top.tolist(), top_sims)]
 
 
 def mmr_select(
@@ -141,9 +147,10 @@ def mmr_select(
     over sentences not yet selected, where s' ranges over the selection so
     far; the earliest pool entry wins a tie. The pool is pre-truncated to
     the pool_size most query-similar sentences; pass pool_size=None to rank
-    the whole corpus. The pool and its query similarities are exact.
-    ``sims`` is as for topk_sim; ``rows``, the embedding row of each
-    example, is looked up from the examples when not given.
+    the whole corpus. The pool and its query similarities are exact, and
+    each pick carries its query similarity as its candidate score. ``sims``
+    is as for topk_sim; ``rows``, the embedding row of each example, is
+    looked up from the examples when not given.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
@@ -169,7 +176,7 @@ def mmr_select(
         available[best_j] = False
         to_best = (1.0 + np.vecdot(vectors, vectors[best_j])) / 2.0
         max_to_selected = np.maximum(max_to_selected, to_best)
-    return [flat[pool[j]] for j in selected]
+    return [_scored(flat, pool[j], q_sims[j]) for j in selected]
 
 
 def flat_retrieval(

@@ -66,7 +66,6 @@ from .judge import (
 from .prompting import PromptTemplate, block_for_sentences, render_prompt
 from .providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from .selection import (
-    Exemplar,
     ExemplarSet,
     build_exemplar_set,
     corpus_view,
@@ -387,28 +386,12 @@ def _pipeline(
     )
 
 
-def _scored_by_similarity(
-    q_id: str, picked: list[Exemplar], inputs: SelectionInputs, rows: np.ndarray
-) -> ExemplarSet:
-    """Baseline picks, each scored by its exact similarity to the query;
-    ``rows`` is the embedding row of each corpus sentence."""
-    position = inputs.corpus.sentence_position
-    picked_rows = rows[[position[e.sentence.sentence_id] for e in picked]]
-    sims = inputs.embeddings.similarities(q_id, picked_rows).tolist()
-    return ExemplarSet(
-        q_id,
-        tuple(
-            dataclasses.replace(e, candidate_score=sim) for e, sim in zip(picked, sims)
-        ),
-    )
-
-
 def _topk_sim(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
     corpus, embeddings = inputs.corpus, inputs.embeddings
     rows = corpus_view(corpus, None, embeddings).embedding_rows
     sims = embeddings.screened_similarities(q_id, rows)
     picked = topk_sim(q_id, flatten(corpus), embeddings, inputs.scoring.k, sims=sims)
-    return _scored_by_similarity(q_id, picked, inputs, rows)
+    return ExemplarSet(q_id, tuple(picked))
 
 
 def _mmr(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
@@ -424,7 +407,7 @@ def _mmr(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
         sims=embeddings.screened_similarities(q_id, rows),
         rows=rows,
     )
-    return _scored_by_similarity(q_id, picked, inputs, rows)
+    return ExemplarSet(q_id, tuple(picked))
 
 
 # Every strategy the CLI accepts. Selectors look the selection functions up
@@ -489,7 +472,7 @@ STRATEGIES: dict[str, Strategy] = {
 }
 
 
-# Bytes of screened dot products a query chunk holds: about 160 queries
+# Bytes of dot products a query chunk holds: about 160 queries
 # against the 12.8k rows of 5k bags, 16 against the 128k rows of 50k bags.
 SCREEN_BYTES = 16 << 20
 
@@ -515,7 +498,9 @@ def cmd_select(
     embedding row fit in ``SCREEN_BYTES``, and screens each chunk with one
     matrix product (``EmbeddingIndex.batch``). Every decision the screen
     could get wrong is settled with exact dot products, so every pick and
-    every score written is bit-identical to one query at a time.
+    every score written is bit-identical to one query at a time. MMR with
+    no pool cut needs every row's exact value, so its chunks hold exact dot
+    products instead of a screen.
     """
     _check_mmr_pool(config, k_values)
     standalone = run is None
@@ -536,6 +521,7 @@ def cmd_select(
     ]
     select = STRATEGIES[config.strategy].select
     batched = _needs(config)[2]
+    exact = config.strategy == "mmr" and config.raw["mmr"]["pool_size"] is None
     queries = run.corpus.queries
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -549,7 +535,9 @@ def cmd_select(
             size = max(1, SCREEN_BYTES // (8 * len(run.embeddings.matrix)))
         for start in range(0, len(queries), size):
             chunk = [q.query_id for q in queries[start : start + size]]
-            held = run.embeddings.batch(chunk) if batched else contextlib.nullcontext()
+            held = contextlib.nullcontext()
+            if batched:
+                held = run.embeddings.batch(chunk, exact)
             with held:
                 for q_id in chunk:
                     for fh, k_inputs in zip(files, inputs):

@@ -328,7 +328,8 @@ class EmbeddingIndex(_RowMatrix):
     product; each of its values lies within ``screen_slack`` of the exact
     one, and a selection settles every decision that value could change
     with exact values (``settle_argmax``, ``settle_top``). Inside
-    ``batch(q_ids)`` the index holds those queries' screened dot products.
+    ``batch(q_ids)`` the index holds those queries' screened dot products,
+    or with ``exact`` their exact ones.
     """
 
     _missing = "no embedding for item {!r}"
@@ -339,7 +340,8 @@ class EmbeddingIndex(_RowMatrix):
         self.dim = dim
         self.matrix = np.empty((0, dim))
         self.row_of = {}
-        self._batch: dict[str, np.ndarray] = {}  # query id -> its screened dots
+        self._batch: dict[str, np.ndarray] = {}  # query id -> its held dots
+        self._batch_exact = False  # whether the held dots are ``dots``
         if vectors:
             self.add(vectors)
 
@@ -383,8 +385,9 @@ class EmbeddingIndex(_RowMatrix):
         contiguous row and query vector, so it is bit-identical to
         ``np.vecdot(matrix, q)``: identical rows get identical values
         wherever they sit. A matrix product (dgemm) rounds entries
-        differently, so ``screen_dots`` serves only as a screen whose close
-        calls are settled with these exact values.
+        differently and can break exact ties, so ``screen_dots`` serves only
+        as a screen: the entries it puts close enough to a decision's
+        boundary for rounding to matter are settled with exact values.
         """
         queries = self.matrix[self.row_indexes(q_ids)]
         out = np.empty((len(queries), len(self.matrix)))
@@ -405,20 +408,28 @@ class EmbeddingIndex(_RowMatrix):
         return self.matrix[self.row_indexes(q_ids)] @ self.matrix.T
 
     @contextmanager
-    def batch(self, q_ids: Sequence[str]) -> Iterator[None]:
+    def batch(self, q_ids: Sequence[str], exact: bool = False) -> Iterator[None]:
         """Hold the queries' ``screen_dots`` for ``screened_similarities``
-        until the scope exits; a batch held before is dropped first."""
+        until the scope exits; a batch held before is dropped first.
+
+        With ``exact`` the batch holds their ``dots`` instead, which
+        ``similarities`` reads too: a selection that needs every row's exact
+        value, such as MMR ranking the whole corpus, then gets it from one
+        cache-blocked pass over the matrix per batch."""
         self._batch = {}
-        self._batch = dict(zip(q_ids, self.screen_dots(q_ids)))
+        self._batch_exact = exact
+        compute = self.dots if exact else self.screen_dots
+        self._batch = dict(zip(q_ids, compute(q_ids)))
         try:
             yield
         finally:
             self._batch = {}
 
     def screened_similarities(self, q_id: str, rows: np.ndarray) -> np.ndarray:
-        """``similarities`` of the query with each given row from the
-        screen: the held batch's row, or outside a batch a screen of one.
-        Each value lies within ``screen_slack(self.dim)`` of the exact one."""
+        """``similarities`` of the query with each given row from the held
+        batch, or outside a batch from a screen of one. Each value lies
+        within ``screen_slack(self.dim)`` of the exact one, and is the
+        exact one when the batch is."""
         dots = self._batch.get(q_id)
         if dots is None:
             dots = self.screen_dots([q_id])[0]
@@ -428,16 +439,14 @@ class EmbeddingIndex(_RowMatrix):
         """Exact cosine of the query with each given row, mapped from
         [-1, 1] into [0, 1] so it shares a scale with model confidences.
 
-        A few rows are gathered and dotted with the query, one np.vecdot;
-        for most of the matrix the query's ``dots`` row is gathered
-        instead, which copies no matrix rows. Either way every entry is
-        bit-identical to ``np.vecdot(matrix, q)``, inside a batch or not.
+        An exact batch holding the query is read; otherwise the rows are
+        gathered and dotted with the query, one np.vecdot. Either way every
+        entry is bit-identical to ``np.vecdot(matrix, q)``.
         """
-        if 2 * len(rows) > len(self.matrix):
-            dots = self.dots([q_id])[0][rows]
-        else:
-            dots = np.vecdot(self.matrix[rows], self.vector(q_id))
-        return (1.0 + dots) / 2.0
+        dots = self._batch.get(q_id) if self._batch_exact else None
+        if dots is None:
+            return (1.0 + np.vecdot(self.matrix[rows], self.vector(q_id))) / 2.0
+        return (1.0 + dots[rows]) / 2.0
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingIndex":

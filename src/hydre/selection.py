@@ -265,23 +265,23 @@ def combined_bag_scores(
     scores: ScoreMatrix | None,
     embeddings: EmbeddingIndex | None,
     config: ScoringConfig,
-    bag_sims: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """w_sim * sim(q, bag) + w_conf * f(bag, relation) for every bag
-    labelled with the relation, from screened similarities.
+    labelled with the relation, from exact similarities.
 
-    Returns (bag indexes in corpus order, their scores). ``bag_sims``, the
-    query's screened similarity to every corpus bag, is computed when not
-    given.
+    Returns (bag indexes in corpus order, their scores); ``select_bag``
+    picks the first maximum of these scores.
     """
     scores, embeddings = _consulted(scores, embeddings, config)
     view = corpus_view(corpus, scores, embeddings)
     bags = corpus.bags_by_relation[relation]
-    if embeddings is not None and bag_sims is None:
-        bag_sims = view.bag_similarities(q_id, embeddings, config.bag_sim_pooling)
+    sims = None
+    if embeddings is not None:
+        pooling = config.bag_sim_pooling
+        sims = view.exact_bag_similarities(q_id, embeddings, pooling, bags)
     return bags, _combined(
         config,
-        None if embeddings is None else bag_sims[bags],
+        sims,
         None if scores is None else view.confidence[bags, scores.column(relation)],
     )
 
@@ -295,36 +295,39 @@ def select_bag(
     config: ScoringConfig,
     bag_sims: np.ndarray | None = None,
 ) -> str:
-    """Stage 2: argmax of the combined bag score; ties keep the earliest bag.
+    """Stage 2: the first maximum of the combined bag scores
+    (``combined_bag_scores``); ties keep the earliest bag.
 
-    The screened scores narrow the bags to those within twice the slack of
-    the best; those are scored again from exact similarities, so the pick
-    is the one exact scores would make."""
-    bag_ids = corpus.bags_by_relation.get(relation)
-    if bag_ids is None:
+    ``bag_sims``, the query's screened similarity to every corpus bag
+    (``CorpusView.bag_similarities``), is computed when not given. The
+    screened scores narrow the bags to those within twice the slack of the
+    best; those are scored again from exact similarities, so the pick is
+    the one exact scores would make."""
+    bags = corpus.bags_by_relation.get(relation)
+    if bags is None:
         raise KeyError(f"unknown relation {relation!r}")
-    if not len(bag_ids):
+    if not len(bags):
         raise NoBagForRelation(relation)
-    bags, total = combined_bag_scores(
-        q_id, relation, corpus, scores, embeddings, config, bag_sims
-    )
     scores, embeddings = _consulted(scores, embeddings, config)
+    view = corpus_view(corpus, scores, embeddings)
+    confidence = None
+    if scores is not None:
+        confidence = view.confidence[bags, scores.column(relation)]
     if embeddings is None:
         # argmax returns the first maximum, which is the earliest bag
+        total = _combined(config, None, confidence)
         return corpus.bag_ids[bags[int(np.argmax(total))]]
-    view = corpus_view(corpus, scores, embeddings)
     pooling = config.bag_sim_pooling
-    column = None if scores is None else scores.column(relation)
+    if bag_sims is None:
+        bag_sims = view.bag_similarities(q_id, embeddings, pooling)
 
     def exact(near: np.ndarray) -> np.ndarray:
-        picked = bags[near]
-        sims = view.exact_bag_similarities(q_id, embeddings, pooling, picked)
-        return _combined(
-            config, sims, None if column is None else view.confidence[picked, column]
-        )
+        sims = view.exact_bag_similarities(q_id, embeddings, pooling, bags[near])
+        return _combined(config, sims, None if confidence is None else confidence[near])
 
+    screened = _combined(config, bag_sims[bags], confidence)
     slack = view.bag_slack(embeddings, pooling, config.w_sim, config.w_conf)
-    return corpus.bag_ids[bags[settle_argmax(total, slack, exact)]]
+    return corpus.bag_ids[bags[settle_argmax(screened, slack, exact)]]
 
 
 def _bag_scores(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import shutil
@@ -416,6 +417,34 @@ def test_select_computes_one_batch_per_query_chunk(tmp_path, monkeypatch, strate
     assert run_cli("--config", CONFIG, "--strategy", strategy, "--output", out, "select") == 0
     assert calls["batches"] == batches
     assert not any(index._batch for index in indexes)
+
+
+def test_select_mmr_without_pool_holds_exact_batches(tmp_path, monkeypatch):
+    """MMR ranking the whole corpus screens nothing: each chunk holds its
+    exact dot products, computed once, and the records are those written
+    with no batch held at all."""
+    calls, indexes = count_batches(monkeypatch)
+    dots = EmbeddingIndex.dots
+
+    def counted_dots(self, q_ids):
+        calls["exact"] += 1
+        indexes.append(self)
+        return dots(self, q_ids)
+
+    monkeypatch.setattr(EmbeddingIndex, "dots", counted_dots)
+    config_path, config = absolute_config(tmp_path)
+    config["strategy"] = "mmr"
+    config["mmr"] = {"pool_size": None}
+    config_path.write_text(json.dumps(config))
+    assert run_cli("--config", str(config_path), "select") == 0
+    assert calls == {"exact": 2}
+    assert not any(index._batch for index in indexes)
+    batched = (tmp_path / "out" / "selections.jsonl").read_bytes()
+    monkeypatch.setattr(
+        EmbeddingIndex, "batch", lambda self, q_ids, exact=False: contextlib.nullcontext()
+    )
+    assert run_cli("--config", str(config_path), "select") == 0
+    assert (tmp_path / "out" / "selections.jsonl").read_bytes() == batched
 
 
 def test_run_k_sweep_computes_one_batch_per_query_chunk(tmp_path, monkeypatch):

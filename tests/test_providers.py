@@ -154,6 +154,35 @@ def test_batched_similarities_on_every_kind_of_index(tmp_path, monkeypatch):
                     assert all(len(set(sims[positions])) == 1 for positions in tied)
 
 
+@pytest.mark.parametrize("dim", [1, 17, 256, 300])
+def test_exact_batches_hold_the_per_query_vecdot(dim, monkeypatch):
+    """An exact batch holds each query's exact row, in every query chunking
+    and across row blocks: both ``similarities`` and
+    ``screened_similarities`` read it, with no dot product of their own,
+    bit-equal to the per-query vecdot, and nothing is held once the scope
+    exits."""
+    block = row_block(dim)
+    rng = np.random.default_rng([dim, 4100])
+    ids = [f"s{i}" for i in range(2 * block + 5)]
+    emb = EmbeddingIndex(dim)
+    emb.matrix = rng.standard_normal((len(ids), dim))
+    emb.row_of = dict(zip(ids, range(len(ids))))
+    providers._normalize_rows(emb.matrix, ids)
+    q_ids = [ids[i] for i in rng.choice(len(ids), 20, replace=False)]
+    rows = rng.permutation(len(ids))[: len(ids) // 2]
+    want = {q_id: vecdot_similarities(emb, q_id, rows) for q_id in q_ids}
+    for size in QUERY_CHUNKS:
+        for start in range(0, len(q_ids), size):
+            chunk = q_ids[start : start + size]
+            with emb.batch(chunk, exact=True), monkeypatch.context() as patch:
+                patch.setattr(emb, "vector", None)  # a recompute would fail
+                for q_id in chunk:
+                    assert np.array_equal(emb.similarities(q_id, rows), want[q_id])
+                    screened = emb.screened_similarities(q_id, rows)
+                    assert np.array_equal(screened, want[q_id])
+            assert not emb._batch
+
+
 def test_add_drops_the_held_batch():
     """Rows appended inside a batch scope (as EmbeddingClient does) get
     similarities bit-equal to a fresh index's, not a stale block's."""

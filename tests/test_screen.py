@@ -15,7 +15,7 @@ import pytest
 from hydre.cli import STRATEGIES, SelectionInputs
 from hydre.corpus import jsonl_line
 from hydre.providers import EmbeddingIndex, ScoringConfig, screen_slack
-from hydre.selection import serialize_exemplar_set
+from hydre.selection import combined_bag_scores, select_bag, serialize_exemplar_set
 
 from conftest import (
     corpus_from_instance,
@@ -160,3 +160,28 @@ def test_the_screen_differs_from_the_exact_dots_on_close_calls():
                     np.argsort(-s, kind="stable"), np.argsort(-e, kind="stable")
                 )
     assert reordered
+
+
+@pytest.mark.parametrize("pooling", ["max", "mean"])
+def test_combined_bag_scores_agree_with_select_bag(pooling):
+    """``combined_bag_scores`` is exact: on close calls the first maximum
+    of its scores is the bag ``select_bag`` picks from the screen."""
+    picks = 0
+    for dim in (17, 300):
+        for instance, emb in close_call_instances(dim):
+            corpus = corpus_from_instance(instance)
+            scores = scores_from_instance(instance)
+            config = ScoringConfig(bag_sim_pooling=pooling)
+            with emb.batch(instance["queries"]):
+                for q_id in instance["queries"]:
+                    for relation in corpus.ontology.names:
+                        if not len(corpus.bags_by_relation.get(relation, ())):
+                            continue
+                        bags, total = combined_bag_scores(
+                            q_id, relation, corpus, scores, emb, config
+                        )
+                        want = corpus.bag_ids[bags[int(np.argmax(total))]]
+                        got = select_bag(q_id, relation, corpus, scores, emb, config)
+                        assert got == want
+                        picks += 1
+    assert picks
