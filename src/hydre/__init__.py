@@ -22,7 +22,6 @@ from .corpus import (
     load_queries,
 )
 from .providers import (
-    EmbeddingClient,
     EmbeddingIndex,
     ProviderError,
     ScoreMatrix,

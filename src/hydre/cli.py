@@ -16,6 +16,7 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import urllib.parse
@@ -124,8 +125,13 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 @dataclass
 class RunConfig:
+    """The merged raw config plus the dataclasses built from its blocks."""
+
     raw: dict
     base_dir: Path
+    _scoring: ScoringConfig
+    _generation: GenerationParams
+    _template: PromptTemplate
 
     @property
     def strategy(self) -> str:
@@ -133,7 +139,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
+        return self.raw["seed"]
 
     @property
     def mode(self) -> str:
@@ -157,16 +163,73 @@ class RunConfig:
         return out
 
     def scoring(self) -> ScoringConfig:
-        return ScoringConfig(seed=self.seed, **self.raw["scoring"])
+        return self._scoring
 
     def generation(self) -> GenerationParams:
-        return GenerationParams(**self.raw["generation"])
+        return self._generation
 
     def template(self, relation_scope: str = "full_ontology") -> PromptTemplate:
-        return PromptTemplate(relation_scope=relation_scope, **self.raw["template"])
+        return dataclasses.replace(self._template, relation_scope=relation_scope)
+
+
+def _real(value) -> bool:
+    # type(), not isinstance: a JSON true is a bool, and bools are ints
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+_NONNEGATIVE = (lambda v: _real(v) and v >= 0, "a nonnegative real number")
+_COUNT = (_positive_int, "a positive integer")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_TAG = (lambda v: isinstance(v, str) and v != "", "a nonempty string")
+
+# Every key a config block may set: a test of its value and what the test
+# asks for.
+BLOCK_KEYS: dict[str, dict[str, tuple[Callable[[object], bool], str]]] = {
+    "scoring": {
+        "w_sim": _NONNEGATIVE,
+        "w_conf": _NONNEGATIVE,
+        "threshold": (lambda v: _real(v) and 0 < v < 1, "a real number in (0, 1)"),
+        "k": _COUNT,
+        "bag_sim_pooling": (lambda v: v in ("max", "mean"), "'max' or 'mean'"),
+    },
+    "generation": {
+        "model_name": _TAG,
+        "temperature": _NONNEGATIVE,
+        "max_input_tokens": _COUNT,
+        "max_output_tokens": _COUNT,
+    },
+    "template": {
+        "task_instruction": _STRING,
+        "include_definitions": (lambda v: type(v) is bool, "true or false"),
+        "head_open": _TAG,
+        "head_close": _TAG,
+        "tail_open": _TAG,
+        "tail_close": _TAG,
+        "na_definition": _STRING,
+    },
+    "mmr": {
+        "alpha": (lambda v: _real(v) and 0 <= v <= 1, "a real number in [0, 1]"),
+        "pool_size": (lambda v: v is None or _positive_int(v), "a positive integer or null"),
+    },
+}
+
+
+def _build(block: str, make: Callable, **values):
+    """``make(**values)``; a rule across the block's keys that fails (such
+    as w_sim + w_conf > 0) fails as a ConfigError naming the block."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{block}: {exc}") from None
 
 
 def load_config(config_path: str | None, overrides: dict) -> RunConfig:
+    """The merged config, with every value checked and every block's
+    dataclass built before any input is read."""
     file_values: dict = {}
     base_dir = Path.cwd()
     if config_path:
@@ -191,35 +254,40 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     for key, default in DEFAULT_CONFIG.items():
         if isinstance(default, dict) and not isinstance(raw[key], dict):
             raise ConfigError(f"{key} must be a JSON object, got {raw[key]!r}")
-    config = RunConfig(raw=raw, base_dir=base_dir)
-    if config.strategy not in STRATEGIES:
+    if raw["strategy"] not in STRATEGIES:
         raise ConfigError(
-            f"unknown strategy {config.strategy!r}; expected one of "
+            f"unknown strategy {raw['strategy']!r}; expected one of "
             f"{', '.join(STRATEGIES)}"
         )
-    if config.mode not in ("live", "replay"):
-        raise ConfigError(f"unknown mode {config.mode!r}")
-    # type(), not isinstance: a JSON true is a bool, and bools are ints
-    if type(config.parallelism) is not int or config.parallelism < 1:
+    if raw["mode"] not in ("live", "replay"):
+        raise ConfigError(f"unknown mode {raw['mode']!r}")
+    if not _positive_int(raw["parallelism"]):
         raise ConfigError(
-            f"parallelism must be a positive integer, got {config.parallelism!r}"
+            f"parallelism must be a positive integer, got {raw['parallelism']!r}"
         )
-    k = raw["scoring"].get("k")
-    if type(k) is not int or k < 1:
-        raise ConfigError(f"scoring.k must be a positive integer, got {k!r}")
+    if type(raw["seed"]) is not int:
+        raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
+    for block, keys in BLOCK_KEYS.items():
+        for key, value in raw[block].items():
+            if key not in keys:
+                raise ConfigError(
+                    f"unknown key {block}.{key}; expected one of {', '.join(keys)}"
+                )
+            test, wanted = keys[key]
+            if not test(value):
+                raise ConfigError(f"{block}.{key} must be {wanted}, got {value!r}")
     endpoint = raw["llm_endpoint"]
     if endpoint is not None and not _is_http_url(endpoint):
         raise ConfigError(
             f"llm_endpoint must be an http(s) URL with a host, got {endpoint!r}"
         )
-    alpha, pool_size = raw["mmr"]["alpha"], raw["mmr"]["pool_size"]
-    if type(alpha) not in (int, float) or not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"mmr.alpha must be a real number in [0, 1], got {alpha!r}")
-    if pool_size is not None and (type(pool_size) is not int or pool_size < 1):
-        raise ConfigError(
-            f"mmr.pool_size must be a positive integer or null, got {pool_size!r}"
-        )
-    return config
+    return RunConfig(
+        raw,
+        base_dir,
+        _build("scoring", ScoringConfig, seed=raw["seed"], **raw["scoring"]),
+        _build("generation", GenerationParams, **raw["generation"]),
+        _build("template", PromptTemplate, **raw["template"]),
+    )
 
 
 def _is_http_url(value) -> bool:
@@ -340,9 +408,9 @@ def cmd_validate(config: RunConfig) -> int:
     print(f"sentences: {len(corpus.sentence_ids)}")
     print(f"queries: {len(corpus.queries)}")
     if run.scores is not None:
-        print(f"scores: {len(run.scores.rows)} rows")
+        print(f"scores: {len(run.scores.row_of)} rows")
     if run.embeddings is not None:
-        print(f"embeddings: {len(run.embeddings.vectors)} vectors")
+        print(f"embeddings: {len(run.embeddings.row_of)} vectors")
     print(f"strategy {config.strategy}: OK")
     return 0
 

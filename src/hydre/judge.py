@@ -18,14 +18,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from json import dumps as json_dumps  # HttpSession.post's ``json`` shadows the module
 from pathlib import Path
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from .corpus import RelationOntology
 from .prompting import ParsedPrediction, parse_response
 
 logger = logging.getLogger(__name__)
-
-T = TypeVar("T")
 
 LLM_API_KEY_ENV = "HYDRE_LLM_API_KEY"
 RETRY_BACKOFF_SECONDS = (1.0, 4.0, 16.0)
@@ -165,10 +163,6 @@ class ReplayCache:
                         line = "\n" + line
                         self._unterminated = False
                     fh.write(line + "\n")
-
-
-class Backend(Protocol):
-    def complete(self, prompt: str, params: GenerationParams) -> str: ...
 
 
 class MockBackend:
@@ -356,23 +350,16 @@ class HttpChatBackend:
     not retried; every other failure is a TransportError.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key_env: str = LLM_API_KEY_ENV,
-        session=None,
-        timeout: float = 120.0,
-    ) -> None:
+    def __init__(self, endpoint: str, session=None, timeout: float = 120.0) -> None:
         if session is None:
             session = HttpSession()
         self.endpoint = endpoint
-        self.api_key_env = api_key_env
         self.session = session
         self.timeout = timeout
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         headers = {}
-        token = os.environ.get(self.api_key_env)
+        token = os.environ.get(LLM_API_KEY_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         body = {
@@ -392,31 +379,6 @@ class HttpChatBackend:
             raise
         except Exception as exc:
             raise TransportError(str(exc)) from exc
-
-
-def retry(
-    call: Callable[[], T],
-    retried: type[Exception],
-    error: type[Exception],
-    what: str,
-    sleep: Callable[[float], None],
-) -> T:
-    """``call()``, tried again after each RETRY_BACKOFF_SECONDS wait while
-    it raises ``retried``; when every try fails, raises ``error`` with
-    "<what> failed after retries: <last failure>". A RequestRejected
-    caught as ``retried`` raises ``error`` at once."""
-    last: Exception | None = None
-    for backoff in (None,) + RETRY_BACKOFF_SECONDS:
-        if backoff is not None:
-            logger.warning("%s failed (%s); retrying in %ss", what, last, backoff)
-            sleep(backoff)
-        try:
-            return call()
-        except retried as exc:
-            if isinstance(exc, RequestRejected):
-                raise error(f"{what} rejected: {exc}") from exc
-            last = exc
-    raise error(f"{what} failed after retries: {last}")
 
 
 def count_input_tokens(prompt: str, backend=None) -> int:
@@ -458,13 +420,15 @@ def generate(
         raise ReplayMiss(f"key {key} (prompt sha {prompt_sha(prompt)})")
     if backend is None:
         raise ValueError("live mode requires a backend")
-    response = retry(
-        lambda: backend.complete(prompt, params),
-        TransportError,
-        TransportError,
-        "dispatch",
-        sleep,
-    )
+    for backoff in RETRY_BACKOFF_SECONDS + (None,):
+        try:
+            response = backend.complete(prompt, params)
+            break
+        except TransportError as exc:
+            if backoff is None:
+                raise TransportError(f"dispatch failed after retries: {exc}") from None
+            logger.warning("dispatch failed (%s); retrying in %ss", exc, backoff)
+            sleep(backoff)
     if cache is not None:
         cache.append(key, prompt_sha(prompt), response)
     return response

@@ -2,9 +2,8 @@
 configuration.
 
 Each provider keeps one contiguous matrix with a row per item and maps item
-ids to row indexes and to row views. Score matrices are immutable after
-load; an embedding index changes only when EmbeddingClient appends rows.
-Selection only reads them, so concurrent use per query is safe.
+ids to row indexes. A built matrix never changes; selection only reads it,
+so concurrent use per query is safe.
 
 Parsing a provider file's JSONL text dominates its load, so the first load
 of a file's bytes also writes the parsed matrix to a binary sidecar beside
@@ -17,8 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,9 +26,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .corpus import RelationOntology, atomic_write, iter_jsonl
-from .judge import HttpSession, retry
-
-EMBED_API_KEY_ENV = "HYDRE_EMBED_API_KEY"
 
 
 class ProviderError(ValueError):
@@ -123,31 +117,12 @@ def _matrix(
     return meta, dict(zip(ids, range(len(ids)))), matrix
 
 
-class RowViews(Mapping):
-    """Read-only item id -> row-view map over a provider's matrix."""
-
-    def __init__(self, owner: "_RowMatrix") -> None:
-        self._owner = owner
-
-    def __getitem__(self, item_id: str) -> np.ndarray:
-        return self._owner.matrix[self._owner.row_of[item_id]]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._owner.row_of)
-
-    def __len__(self) -> int:
-        return len(self._owner.row_of)
-
-
 class _RowMatrix:
     """One contiguous row-major matrix plus an item id -> row index map."""
 
     _missing = "no row for item {!r}"
     matrix: np.ndarray
     row_of: dict[str, int]
-
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self.row_of
 
     def vector(self, item_id: str) -> np.ndarray:
         try:
@@ -188,10 +163,6 @@ class ScoreMatrix(_RowMatrix):
                 )
             self.matrix[i] = vec
             self.row_of[item_id] = i
-
-    @property
-    def rows(self) -> RowViews:
-        return RowViews(self)
 
     def column(self, relation: str) -> int:
         try:
@@ -271,17 +242,6 @@ class ScoreMatrix(_RowMatrix):
         _check_range(path, matrix, row_of, linenos)
         return order, row_of, matrix
 
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"relation_order": list(self.relation_order)}))
-            fh.write("\n")
-            for item_id, vec in self.rows.items():
-                fh.write(
-                    json.dumps({"id": item_id, "scores": [float(v) for v in vec]})
-                )
-                fh.write("\n")
-
 
 def _check_order(path: Path, order: Sequence[str], ontology: RelationOntology) -> None:
     if tuple(order) != ontology.names:
@@ -319,8 +279,8 @@ def _normalize_rows(matrix: np.ndarray, ids: Sequence[str]) -> None:
 class EmbeddingIndex(_RowMatrix):
     """L2-normalised embedding vectors keyed by item id, one matrix row each.
 
-    Every way of building an index (load, a dict of vectors, add) normalises
-    the rows, so a cosine is a dot product. There are two ways to compute
+    Both ways of building an index (load, a dict of vectors) normalise the
+    rows, so a cosine is a dot product. There are two ways to compute
     one. The exact way (``dots``, ``similarities``) gives every entry as one
     BLAS dot of the row and the query vector, so identical rows get
     identical values and ties are exact. The screen (``screen_dots``,
@@ -337,43 +297,22 @@ class EmbeddingIndex(_RowMatrix):
     def __init__(
         self, dim: int, vectors: Mapping[str, Sequence[float]] | None = None
     ) -> None:
+        vectors = vectors or {}
         self.dim = dim
-        self.matrix = np.empty((0, dim))
+        self.matrix = np.empty((len(vectors), dim))
         self.row_of = {}
-        self._batch: dict[str, np.ndarray] = {}  # query id -> its held dots
-        self._batch_exact = False  # whether the held dots are ``dots``
-        if vectors:
-            self.add(vectors)
-
-    @property
-    def vectors(self) -> RowViews:
-        return RowViews(self)
-
-    def add(self, vectors: Mapping[str, Sequence[float]]) -> None:
-        """Append one normalised row per new item. A held batch is dropped,
-        since it has no column for the new rows."""
-        self._batch = {}
-        ids = list(vectors)
-        if not ids:
-            return
-        dim = self.dim or int(np.asarray(vectors[ids[0]]).size)
-        block = np.empty((len(ids), dim))
-        for j, item_id in enumerate(ids):
-            if item_id in self.row_of:
-                raise ProviderError(f"duplicate id {item_id!r}")
-            vec = np.asarray(vectors[item_id], dtype=float)
+        for i, (item_id, raw) in enumerate(vectors.items()):
+            vec = np.asarray(raw, dtype=float)
             if vec.size != dim:
                 raise ProviderError(
                     f"dimension mismatch: vector for {item_id!r} has dim "
                     f"{vec.size}, expected {dim}"
                 )
-            block[j] = vec.reshape(dim)
-        _normalize_rows(block, ids)
-        start = len(self.row_of)
-        self.matrix = np.concatenate([self.matrix, block]) if start else block
-        self.dim = dim
-        for j, item_id in enumerate(ids):
-            self.row_of[item_id] = start + j
+            self.matrix[i] = vec.reshape(dim)
+            self.row_of[item_id] = i
+        _normalize_rows(self.matrix, list(vectors))
+        self._batch: dict[str, np.ndarray] = {}  # query id -> its held dots
+        self._batch_exact = False  # whether the held dots are ``dots``
 
     def dots(self, q_ids: Sequence[str]) -> np.ndarray:
         """Exact dot product of each query's row with every matrix row, one
@@ -501,15 +440,6 @@ class EmbeddingIndex(_RowMatrix):
         _normalize_rows(matrix, list(row_of))
         return row_of, matrix
 
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            for item_id, vec in self.vectors.items():
-                fh.write(
-                    json.dumps({"id": item_id, "vector": [float(v) for v in vec]})
-                )
-                fh.write("\n")
-
 
 def _gamma(n: int) -> float:
     """gamma_n = nu / (1 - nu): the relative error bound of n roundings."""
@@ -605,89 +535,3 @@ class ScoringConfig:
             raise ValueError("k must be >= 1")
         if self.bag_sim_pooling not in ("max", "mean"):
             raise ValueError("bag_sim_pooling must be 'max' or 'mean'")
-
-
-def http_embedding_transport(
-    endpoint: str,
-    api_key_env: str = EMBED_API_KEY_ENV,
-    timeout: float = 60.0,
-    session=None,
-) -> Callable[[list[str]], list[list[float]]]:
-    """Build a transport posting {"texts": [...]} and reading {"vectors": [...]}."""
-    if session is None:
-        session = HttpSession()
-
-    def post(texts: list[str]) -> list[list[float]]:
-        headers = {}
-        token = os.environ.get(api_key_env)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        response = session.post(
-            endpoint, json={"texts": texts}, headers=headers, timeout=timeout
-        )
-        response.raise_for_status()
-        body = response.json()
-        return body["vectors"]
-
-    return post
-
-
-class EmbeddingClient:
-    """Fetch embeddings from a service, caching them in an embedding file.
-
-    Items already present in the file are served from cache without any
-    request; new vectors are L2-normalized and appended for reuse.
-    """
-
-    def __init__(
-        self,
-        transport: Callable[[list[str]], list[list[float]]],
-        cache_path: str | Path,
-        batch_size: int = 64,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.transport = transport
-        self.cache_path = Path(cache_path)
-        self.batch_size = batch_size
-        self._sleep = sleep
-        if self.cache_path.exists() and self.cache_path.stat().st_size > 0:
-            self.index = EmbeddingIndex.load(self.cache_path)
-        else:
-            self.index = EmbeddingIndex(dim=0)
-
-    def fetch_embeddings(self, items: Sequence[tuple[str, str]]) -> EmbeddingIndex:
-        """Ensure every (item_id, text) pair has a cached vector.
-
-        Returns the full index including previously cached rows.
-        """
-        if not items:
-            raise ProviderError("fetch_embeddings called with no items")
-        missing = [(i, t) for i, t in items if i not in self.index]
-        for start in range(0, len(missing), self.batch_size):
-            batch = missing[start : start + self.batch_size]
-            vectors = retry(
-                lambda: self.transport([t for _, t in batch]),
-                Exception,  # transport errors are backend-specific
-                ProviderError,
-                "embedding service",
-                self._sleep,
-            )
-            if len(vectors) != len(batch):
-                raise ProviderError(
-                    f"embedding service returned {len(vectors)} vectors "
-                    f"for {len(batch)} texts"
-                )
-            new_rows = {item_id: raw for (item_id, _), raw in zip(batch, vectors)}
-            self.index.add(new_rows)
-            self._append_rows(new_rows)
-        return self.index
-
-    def _append_rows(self, rows: dict[str, Sequence[float]]) -> None:
-        """Persist the normalised index rows of the given items."""
-        with self.cache_path.open("a", encoding="utf-8") as fh:
-            for item_id in rows:
-                vec = self.index.vector(item_id)
-                fh.write(
-                    json.dumps({"id": item_id, "vector": [float(v) for v in vec]})
-                )
-                fh.write("\n")

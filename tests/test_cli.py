@@ -567,6 +567,52 @@ def test_bad_scoring_k_exits_1_naming_the_key(tmp_path, capsys, monkeypatch, val
     assert not (tmp_path / "out").exists()
 
 
+BAD_CONFIG_VALUES = [
+    ("scoring", "w_conf", "1", "scoring.w_conf must be a nonnegative real number, got '1'"),
+    ("scoring", "w_sim", True, "scoring.w_sim must be a nonnegative real number, got True"),
+    ("scoring", "bag_sim_pooling", "min",
+     "scoring.bag_sim_pooling must be 'max' or 'mean', got 'min'"),
+    ("scoring", "threshold", 1.5, "scoring.threshold must be a real number in (0, 1), got 1.5"),
+    ("scoring", "w_confidence", 1.0, "unknown key scoring.w_confidence; expected one of "
+     "w_sim, w_conf, threshold, k, bag_sim_pooling"),
+    ("scoring", "w_sim", 0, "scoring: at least one of w_sim, w_conf must be positive"),
+    ("generation", "temperature", -1,
+     "generation.temperature must be a nonnegative real number, got -1"),
+    ("generation", "max_input_tokens", "x",
+     "generation.max_input_tokens must be a positive integer, got 'x'"),
+    ("generation", "max_tokens", 256, "unknown key generation.max_tokens; expected one of "
+     "model_name, temperature, max_input_tokens, max_output_tokens"),
+    ("template", "include_definition", False, "unknown key template.include_definition; "
+     "expected one of task_instruction, include_definitions, head_open, head_close, "
+     "tail_open, tail_close, na_definition"),
+    ("template", "tail_open", "<Head>", "template: marker tags must be mutually distinct"),
+    (None, "seed", 1.5, "seed must be an integer, got 1.5"),
+    (None, "seed", True, "seed must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    BAD_CONFIG_VALUES,
+    ids=[".".join(filter(None, (b, f"{k}={v!r}"))) for b, k, v, _ in BAD_CONFIG_VALUES],
+)
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["select"], ["--k", "1..2", "run"]], ids=["validate", "select", "sweep"]
+)
+def test_bad_config_value_exits_1_naming_the_key(
+    tmp_path, capsys, monkeypatch, block, key, value, message, argv
+):
+    config_path, config = absolute_config(tmp_path)
+    if key == "w_sim" and value == 0:
+        config["scoring"]["w_conf"] = 0  # the rule across the two weights
+    (config if block is None else config.setdefault(block, {}))[key] = value
+    config_path.write_text(json.dumps(config))
+    refuse_loads(monkeypatch)
+    assert run_cli("--config", str(config_path), *argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()  # no selections file, no metadata
+
+
 @pytest.mark.parametrize(
     "endpoint",
     [

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import ast
+import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydre import providers
-from hydre.corpus import Bag, Corpus, builtin_ontology_path, load_ontology
+from hydre.corpus import Bag, Corpus, builtin_ontology_path, load_ontology, write_jsonl
 from hydre.providers import (
     SIDECAR_SUFFIX,
-    EmbeddingClient,
     EmbeddingIndex,
     ProviderError,
     ScoreMatrix,
@@ -121,9 +123,9 @@ def test_batched_similarities_equal_per_query_vecdot(dim, extra):
 
 
 def test_batched_similarities_on_every_kind_of_index(tmp_path, monkeypatch):
-    """Loaded (parse and sidecar hit), built from a dict and grown by add,
-    on instances with duplicated rows: every index's batches equal the
-    per-query vecdot, and duplicated rows stay tied."""
+    """Loaded (parse and sidecar hit) and built from a dict, on instances
+    with duplicated rows: every index's batches equal the per-query vecdot,
+    and duplicated rows stay tied."""
     for trial in range(4):
         instance = make_random_instance(
             seed=2200 + trial, max_bags=30, dim=64, n_queries=20
@@ -131,12 +133,12 @@ def test_batched_similarities_on_every_kind_of_index(tmp_path, monkeypatch):
         instance = with_duplicated_rows(instance)
         corpus = corpus_from_instance(instance)
         vectors = instance["embeddings"]
-        ids = list(vectors)
         path = tmp_path / f"emb{trial}.jsonl"
-        EmbeddingIndex(64, vectors).save(path)
-        grown = EmbeddingIndex(64, {i: vectors[i] for i in ids[: len(ids) // 2]})
-        grown.add({i: vectors[i] for i in ids[len(ids) // 2 :]})
-        indexes = [EmbeddingIndex(64, vectors), grown, EmbeddingIndex.load(path)]
+        write_jsonl(
+            ({"id": i, "vector": [float(x) for x in v]} for i, v in vectors.items()),
+            path,
+        )
+        indexes = [EmbeddingIndex(64, vectors), EmbeddingIndex.load(path)]
         with monkeypatch.context() as patch:
             refuse_parse(patch)
             indexes.append(EmbeddingIndex.load(path))
@@ -181,23 +183,6 @@ def test_exact_batches_hold_the_per_query_vecdot(dim, monkeypatch):
                     screened = emb.screened_similarities(q_id, rows)
                     assert np.array_equal(screened, want[q_id])
             assert not emb._batch
-
-
-def test_add_drops_the_held_batch():
-    """Rows appended inside a batch scope (as EmbeddingClient does) get
-    similarities bit-equal to a fresh index's, not a stale block's."""
-    rng = np.random.default_rng(7)
-    first = {f"a{i}": rng.standard_normal(17) for i in range(20)}
-    later = {f"b{i}": rng.standard_normal(17) for i in range(5)}
-    emb = EmbeddingIndex(17, first)
-    with emb.batch(["a0", "a3"]):
-        before = emb.similarities("a3", emb.row_indexes(first))
-        emb.add(later)
-        got = emb.similarities("a3", emb.row_indexes([*first, *later]))
-    fresh = EmbeddingIndex(17, {**first, **later})
-    want = fresh.similarities("a3", fresh.row_indexes([*first, *later]))
-    assert np.array_equal(got, want)
-    assert np.array_equal(before, want[: len(first)])
 
 
 # --------------------------------------------------------------- pooling
@@ -536,156 +521,6 @@ def test_embedding_index_rejects_mixed_dims(tmp_path):
         EmbeddingIndex.load(path)
 
 
-# -------------------------------------------------------- embedding client
-
-
-class CountingTransport:
-    def __init__(self, dim=3, wrong_dim_after=None):
-        self.dim = dim
-        self.requests = []
-        self.wrong_dim_after = wrong_dim_after
-
-    def __call__(self, texts):
-        self.requests.append(list(texts))
-        dim = self.dim
-        if self.wrong_dim_after is not None and len(self.requests) > self.wrong_dim_after:
-            dim += 1
-        return [[float(len(t) + j) for j in range(dim)] for t in texts]
-
-
-def test_fetch_embeddings_two_texts(tmp_path):
-    transport = CountingTransport()
-    client = EmbeddingClient(transport, tmp_path / "emb.jsonl")
-    index = client.fetch_embeddings([("a", "alpha"), ("b", "beta two")])
-    assert len(index.vectors) == 2
-    assert index.vector("a").size == index.vector("b").size == 3
-    for vec in index.vectors.values():
-        assert np.linalg.norm(vec) == pytest.approx(1.0)
-
-
-def test_fetch_embeddings_cached_no_second_request(tmp_path):
-    transport = CountingTransport()
-    client = EmbeddingClient(transport, tmp_path / "emb.jsonl")
-    first = client.fetch_embeddings([("a", "alpha"), ("b", "beta")])
-    vec_a = first.vector("a").copy()
-    again = client.fetch_embeddings([("a", "alpha"), ("b", "beta")])
-    assert len(transport.requests) == 1
-    assert np.array_equal(again.vector("a"), vec_a)
-    # a fresh client reuses the persisted file, still without a request
-    transport2 = CountingTransport()
-    client2 = EmbeddingClient(transport2, tmp_path / "emb.jsonl")
-    reloaded = client2.fetch_embeddings([("a", "alpha")])
-    assert transport2.requests == []
-    assert np.allclose(reloaded.vector("a"), vec_a)
-
-
-def test_fetch_embeddings_appends_keep_matrix_consistent(tmp_path):
-    client = EmbeddingClient(CountingTransport(), tmp_path / "emb.jsonl", batch_size=2)
-    seen = []
-    for batch in range(4):
-        items = [(f"i{batch}_{j}", "x" * (2 * j + batch + 1)) for j in range(3)]
-        index = client.fetch_embeddings(items)
-        seen += [item_id for item_id, _ in items]
-        assert index.matrix.shape == (len(seen), 3)
-        assert list(index.vectors) == seen
-        for item_id in seen:
-            view = index.vector(item_id)
-            assert np.shares_memory(view, index.matrix)
-            assert np.array_equal(view, index.matrix[index.row_of[item_id]])
-        assert np.allclose(np.linalg.norm(index.matrix, axis=1), 1.0)
-    reloaded = EmbeddingIndex.load(tmp_path / "emb.jsonl")
-    assert list(reloaded.vectors) == seen
-    assert np.allclose(reloaded.matrix, index.matrix, atol=1e-12)
-
-
-def test_fetch_embeddings_wrong_dim_errors(tmp_path):
-    transport = CountingTransport(wrong_dim_after=1)
-    client = EmbeddingClient(transport, tmp_path / "emb.jsonl")
-    client.fetch_embeddings([("a", "alpha")])
-    with pytest.raises(ProviderError, match="dim"):
-        client.fetch_embeddings([("b", "beta")])
-
-
-def test_http_transport_request_shape(monkeypatch, tmp_path):
-    monkeypatch.setenv("HYDRE_EMBED_API_KEY", "secret-token")
-
-    class FakeResponse:
-        def raise_for_status(self):
-            pass
-
-        def json(self):
-            return {"vectors": [[1.0, 0.0], [0.0, 2.0]]}
-
-    class FakeSession:
-        def __init__(self):
-            self.posts = []
-
-        def post(self, url, json=None, headers=None, timeout=None):
-            self.posts.append((url, json, headers))
-            return FakeResponse()
-
-    from hydre.providers import http_embedding_transport
-
-    session = FakeSession()
-    transport = http_embedding_transport(
-        "http://example.invalid/embed", session=session
-    )
-    got = transport(["alpha", "beta"])
-    assert got == [[1.0, 0.0], [0.0, 2.0]]
-    url, body, headers = session.posts[0]
-    assert url == "http://example.invalid/embed"
-    assert body == {"texts": ["alpha", "beta"]}
-    assert headers["Authorization"] == "Bearer secret-token"
-
-
-def test_fetch_embeddings_rejects_empty_items(tmp_path):
-    client = EmbeddingClient(CountingTransport(), tmp_path / "emb.jsonl")
-    with pytest.raises(ProviderError, match="no items"):
-        client.fetch_embeddings([])
-
-
-def test_fetch_embeddings_retries_then_surfaces(tmp_path):
-    calls = []
-
-    def flaky(texts):
-        calls.append(texts)
-        raise ConnectionError("down")
-
-    sleeps = []
-    client = EmbeddingClient(flaky, tmp_path / "emb.jsonl", sleep=sleeps.append)
-    with pytest.raises(ProviderError, match="after retries"):
-        client.fetch_embeddings([("a", "alpha")])
-    assert sleeps == [1.0, 4.0, 16.0]
-    assert len(calls) == 4
-
-
-@pytest.mark.parametrize(
-    "status, posts, sleeps, message",
-    [
-        (400, 1, [], "embedding service rejected: HTTP 400: bad input"),
-        (503, 4, [1.0, 4.0, 16.0], "embedding service failed after retries: HTTP 503: bad input"),
-    ],
-)
-def test_http_transport_fails_fast_only_on_rejection(tmp_path, status, posts, sleeps, message):
-    from hydre.judge import HttpResponse
-    from hydre.providers import http_embedding_transport
-
-    class StatusSession:
-        posts = 0
-
-        def post(self, url, json=None, headers=None, timeout=None):
-            self.posts += 1
-            return HttpResponse(status, b"bad input")
-
-    session, slept = StatusSession(), []
-    transport = http_embedding_transport("http://example.invalid/embed", session=session)
-    client = EmbeddingClient(transport, tmp_path / "emb.jsonl", sleep=slept.append)
-    with pytest.raises(ProviderError) as info:
-        client.fetch_embeddings([("a", "alpha")])
-    assert str(info.value) == message
-    assert (session.posts, slept) == (posts, sleeps)
-
-
 # ------------------------------------------------------------ sidecars
 
 GOLDEN = FIXTURES / "golden"
@@ -773,6 +608,16 @@ def test_sidecar_of_edited_source_is_ignored_and_rewritten(
     assert sidecar_of(path).read_bytes() != stale
     sidecar_of(path).unlink()
     assert_same_load(edited, load(path, nyt_ontology))
+    # append one row by hand, a copy of the last under a new id
+    stale = sidecar_of(path).read_bytes()
+    with path.open("a") as fh:
+        fh.write(json.dumps(json.loads(lines[-1]) | {"id": "appended"}) + "\n")
+    grown = load(path, nyt_ontology)
+    assert list(grown.row_of) == [*edited.row_of, "appended"]
+    assert np.array_equal(grown.matrix[-1], grown.matrix[-2])
+    assert sidecar_of(path).read_bytes() != stale
+    sidecar_of(path).unlink()
+    assert_same_load(grown, load(path, nyt_ontology))
 
 
 def object_array_sidecar(path):
@@ -874,16 +719,28 @@ def test_source_changed_during_parse_gets_no_sidecar(tmp_path, monkeypatch):
     assert list(EmbeddingIndex.load(path).row_of) == ["a", "b"]
 
 
-def test_load_after_fetch_embeddings_appends_sees_new_rows(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    client = EmbeddingClient(CountingTransport(), path)
-    client.fetch_embeddings([("a", "alpha"), ("b", "beta")])
-    assert list(EmbeddingIndex.load(path).row_of) == ["a", "b"]
-    assert sidecar_of(path).exists()
-    index = client.fetch_embeddings([("c", "gamma")])
-    reloaded = EmbeddingIndex.load(path)
-    assert list(reloaded.row_of) == ["a", "b", "c"]
-    assert np.allclose(reloaded.matrix, index.matrix, atol=1e-12)
+# --------------------------------------------------------------- layering
+
+
+def hydre_imports(path):
+    """The hydre modules a source file imports from, as dotted names."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            # relative to the hydre package: ``from .corpus import x``
+            found |= {f"hydre.{node.module or alias.name}" for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+    return {name for name in found if name.split(".")[0] == "hydre"}
+
+
+def test_providers_import_only_corpus_from_hydre():
+    """The provider layer reads score and embedding files; it must not
+    depend on the dispatch layer (judge) or anything built on it."""
+    path = Path(__file__).resolve().parents[1] / "src" / "hydre" / "providers.py"
+    assert hydre_imports(path) == {"hydre.corpus"}
 
 
 # --------------------------------------------------------------- config
