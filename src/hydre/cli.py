@@ -42,6 +42,7 @@ from .corpus import (
     CorpusError,
     QueryInstance,
     atomic_write,
+    file_sha256,
     iter_jsonl,
     jsonl_line,
     write_jsonl,
@@ -185,10 +186,15 @@ _NONNEGATIVE = (lambda v: _real(v) and v >= 0, "a nonnegative real number")
 _COUNT = (_positive_int, "a positive integer")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _TAG = (lambda v: isinstance(v, str) and v != "", "a nonempty string")
+_PATH = (lambda v: v is None or _TAG[0](v), "a nonempty string or null")
 
 # Every key a config block may set: a test of its value and what the test
 # asks for.
 BLOCK_KEYS: dict[str, dict[str, tuple[Callable[[object], bool], str]]] = {
+    "paths": {
+        **dict.fromkeys(("ontology", "bags", "queries", "scores", "embeddings", "cache"), _PATH),
+        "output": _TAG,
+    },
     "scoring": {
         "w_sim": _NONNEGATIVE,
         "w_conf": _NONNEGATIVE,
@@ -237,8 +243,18 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         with path.open("r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"{path}: a config file must hold a JSON object")
         base_dir = path.resolve().parent
+    unknown = [key for key in file_values if key not in DEFAULT_CONFIG]
+    if unknown:
+        raise ConfigError(
+            f"unknown key {unknown[0]}; expected one of {', '.join(DEFAULT_CONFIG)}"
+        )
     raw = _deep_merge(DEFAULT_CONFIG, file_values)
     for key, value in overrides.items():
         if value is None:
@@ -254,6 +270,9 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     for key, default in DEFAULT_CONFIG.items():
         if isinstance(default, dict) and not isinstance(raw[key], dict):
             raise ConfigError(f"{key} must be a JSON object, got {raw[key]!r}")
+    for key in ("strategy", "mode"):
+        if not isinstance(raw[key], str):
+            raise ConfigError(f"{key} must be a string, got {raw[key]!r}")
     if raw["strategy"] not in STRATEGIES:
         raise ConfigError(
             f"unknown strategy {raw['strategy']!r}; expected one of "
@@ -313,7 +332,9 @@ def _check_mmr_pool(config: RunConfig, k_values: Sequence[int | None]) -> None:
         raise ConfigError(f"k={k} exceeds mmr.pool_size {pool_size}")
 
 
-def _write_metadata(config: RunConfig, command: str) -> None:
+def _write_metadata(config: RunConfig, command: str, inputs: dict[str, str]) -> None:
+    """metadata.json: the command, the config and ``inputs``, the sha256 of
+    each input file the command read."""
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     record = {
@@ -323,6 +344,7 @@ def _write_metadata(config: RunConfig, command: str) -> None:
         "strategy": config.strategy,
         "mode": config.mode,
         "config": config.raw,
+        "inputs": inputs,
     }
     with atomic_write(out / "metadata.json") as fh:
         fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
@@ -333,6 +355,7 @@ class LoadedRun:
     corpus: Corpus
     scores: ScoreMatrix | None
     embeddings: EmbeddingIndex | None
+    inputs: dict[str, str]  # the sha256 of each input file read, by paths key
 
 
 def _needs(config: RunConfig) -> tuple[bool, bool, bool, bool]:
@@ -347,7 +370,8 @@ def _load_run(
 ) -> LoadedRun:
     """Load the corpus and the providers whose files exist; the bag, score
     and embedding files only when ``bags``, ``scores`` and ``embeddings``
-    are set."""
+    are set. Their digests come from their sidecars, so a warm load reads
+    none of them; the small ontology and query files are hashed."""
     for name in ("ontology", "bags", "queries"):
         if config.path(name) is None and (bags or name != "bags"):
             raise ConfigError(f"paths.{name} is required")
@@ -364,7 +388,10 @@ def _load_run(
     path = config.path("embeddings")
     if embeddings and path is not None and path.exists():
         index = EmbeddingIndex.load(path)
-    return LoadedRun(corpus, matrix, index)
+    inputs = {name: file_sha256(config.path(name)) for name in ("ontology", "queries")}
+    loaded = {"bags": corpus if bags else None, "scores": matrix, "embeddings": index}
+    inputs |= {name: item.sha256 for name, item in loaded.items() if item is not None}
+    return LoadedRun(corpus, matrix, index, inputs)
 
 
 def _check_providers(config: RunConfig, run: LoadedRun) -> None:
@@ -614,7 +641,7 @@ def cmd_select(
                         )
                         fh.write(jsonl_line(record))
     if standalone:
-        _write_metadata(config, "select")
+        _write_metadata(config, "select", run.inputs)
     print(f"selected exemplars for {len(run.corpus.queries)} queries -> {out}")
     return 0
 
@@ -750,7 +777,7 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
         cmd_select(config, unselected, run=run)
     for k in ks:
         _run_one_k(config, run, k, cache, backend)
-    _write_metadata(config, "run")
+    _write_metadata(config, "run", run.inputs)
     print(f"predictions written -> {config.output_dir}")
     return 0
 
@@ -861,7 +888,7 @@ def cmd_eval(
         )
     with atomic_write(out / "summary.txt") as fh:
         fh.write("\n".join(summary_lines) + "\n")
-    _write_metadata(config, "eval")
+    _write_metadata(config, "eval", run.inputs)
     print("\n".join(summary_lines))
     return 0
 

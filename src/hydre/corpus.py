@@ -6,15 +6,16 @@ start / exclusive end.
 
 A corpus holds its bags as columns and builds ``Bag`` and
 ``SentenceInstance`` objects only for what is read. The first load of a bag
-file's bytes writes its columns to a sidecar beside it,
-``<file>.hydre.npz``, keyed by the file's sha256 (the provider sidecar of
-``providers``); later loads of the same bytes read that instead. The checks
-on the file's records run once, on the parse; the label checks against the
-ontology run on every load.
+file writes its columns to a sidecar beside it, ``<file>.hydre.bin`` (the
+provider sidecar of ``providers``); later loads read that instead while the
+file's stat record is unchanged, or its sha256 when the record differs. The
+checks on the file's records run once, on the parse; the label checks
+against the ontology run on every load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -24,7 +25,7 @@ from functools import cached_property
 from importlib import resources
 from itertools import compress
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -227,6 +228,15 @@ def atomic_write(
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def file_sha256(path: str | Path) -> str:
+    """The sha256 of a file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def jsonl_line(record: dict) -> str:
@@ -469,10 +479,10 @@ def _parse_bags(path: Path, ontology: RelationOntology) -> _Columns:
     )
 
 
-def _sidecar_columns(meta: dict, npz) -> _Columns:
+def _sidecar_columns(meta: dict, stored: Mapping[str, np.ndarray]) -> _Columns:
     """The columns a corpus sidecar holds; ValueError if they do not fit
     together."""
-    arrays = {name: npz[name] for name in _BAG_ARRAYS}
+    arrays = {name: stored[name] for name in _BAG_ARRAYS}
     n_bags, n_sentences = len(meta["bag_ids"]), len(meta["sentence_ids"])
     label_ids = arrays["label_ids"]
     shapes = {
@@ -592,8 +602,11 @@ class Corpus:
     labels; ``bags`` builds every bag once, for callers that want them all.
     Selection reads the columns and builds only the sentences it shows.
     ``view_cache`` starts empty; selection keeps the provider row indexes
-    it builds for this corpus there.
+    it builds for this corpus there. ``sha256`` is the bag file's, None for
+    a corpus not loaded from one.
     """
+
+    sha256: str | None = None
 
     def __init__(
         self,
@@ -687,6 +700,7 @@ class Corpus:
         corpus = cls(ontology, *columns, source=path)
         if parsed:
             sidecar.write(columns[0], **columns[1])
+        corpus.sha256 = sidecar.sha256
         return corpus
 
     @classmethod

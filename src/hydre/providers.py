@@ -6,33 +6,46 @@ ids to row indexes. A built matrix never changes; selection only reads it,
 so concurrent use per query is safe.
 
 Parsing a provider file's JSONL text dominates its load, so the first load
-of a file's bytes also writes the parsed matrix to a binary sidecar beside
-it, ``<file>.hydre.npz``, keyed by the file's sha256; later loads of the
-same bytes read that instead. Checks that depend only on the file's bytes
-run once, on the parse; checks against other inputs run on every load.
+of a file also writes the parsed matrix to a binary sidecar beside it,
+``<file>.hydre.bin``. A later load trusts the sidecar while the file's stat
+record (device, inode, size, mtime, ctime) is the one recorded, and hashes
+the file only when that record differs or was taken too close to a write to
+tell; the sidecar's matrix is then read as a view of a shared memory map.
+Checks that depend only on the file's bytes run once, on the parse; checks
+against other inputs run on every load.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import zipfile
+import math
+import mmap
+import struct
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .corpus import RelationOntology, atomic_write, iter_jsonl
+from .corpus import RelationOntology, atomic_write, file_sha256, iter_jsonl
 
 
 class ProviderError(ValueError):
     """Missing, malformed, or inconsistent provider data."""
 
 
-SIDECAR_SUFFIX = ".hydre.npz"
+SIDECAR_SUFFIX = ".hydre.bin"
+# the zip sidecar of earlier versions, removed once a sidecar replaces it
+LEGACY_SIDECAR_SUFFIX = ".hydre.npz"
+SIDECAR_MAGIC = b"HYDRESC1"
+SIDECAR_ALIGN = 64  # every array of a sidecar starts at a multiple of this
+# A file's stamps come in steps of up to 2 s (FAT; ns elsewhere) from a clock
+# that may lag time.time_ns() by a tick, so a file modified this close to the
+# moment it was read can be modified again without its stat record changing.
+RACY_NS = 2_000_000_000
 ROW_BLOCK_BYTES = 1 << 20  # matrix bytes per dot block: small enough to stay in cache
 UNIT_ROUNDOFF = 2.0**-53
 # A screened and an exact value each miss the true one by at most the derived
@@ -41,31 +54,95 @@ SCREEN_SAFETY = 4.0
 T = TypeVar("T")
 
 
-def _stamp(path: Path) -> tuple[int, int]:
+def _stat_record(path: Path) -> list[int]:
     st = path.stat()
-    return st.st_size, st.st_mtime_ns
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _racy(stat: list[int], read_ns: int) -> bool:
+    """Whether a file with this stat record, read from ``read_ns`` on, may
+    have been modified since without its stamps changing."""
+    return stat[3] >= read_ns - RACY_NS
+
+
+def _aligned(n: int) -> int:
+    return -(-n // SIDECAR_ALIGN) * SIDECAR_ALIGN
+
+
+def _pack(fh: IO[bytes], header: dict, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write a sidecar: the magic, the byte length of the JSON header, the
+    header (``header`` plus each array's dtype, shape and offset from the
+    first aligned byte after it), then each array's bytes at its offset."""
+    arrays = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
+    layout, end = {}, 0
+    for name, a in arrays.items():
+        layout[name] = {"dtype": a.dtype.str, "shape": a.shape, "offset": _aligned(end)}
+        end = _aligned(end) + a.nbytes
+    blob = json.dumps(dict(header, arrays=layout)).encode("utf-8")
+    head = SIDECAR_MAGIC + struct.pack("<Q", len(blob)) + blob
+    fh.write(head)
+    pos, data = len(head), _aligned(len(head))
+    for name, a in arrays.items():
+        offset = data + layout[name]["offset"]
+        fh.write(bytes(offset - pos))
+        fh.write(a.data)
+        pos = offset + a.nbytes
+
+
+def _unpack(buffer) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, arrays) of a sidecar's bytes, each array a view of
+    ``buffer``. ValueError if they are not a sidecar, or if an array needs
+    pickle (an object dtype) or runs past the end: np.frombuffer refuses
+    both."""
+    if buffer[: len(SIDECAR_MAGIC)] != SIDECAR_MAGIC:
+        raise ValueError("not a hydre sidecar")
+    (size,) = struct.unpack_from("<Q", buffer, len(SIDECAR_MAGIC))
+    start = len(SIDECAR_MAGIC) + 8
+    header = json.loads(buffer[start : start + size])
+    if not isinstance(header, dict) or not isinstance(header.get("arrays"), dict):
+        raise ValueError("malformed sidecar header")
+    data = _aligned(start + size)
+    arrays = {}
+    for name, spec in header["arrays"].items():
+        shape = tuple(spec["shape"])
+        if min(shape, default=0) < 0:
+            raise ValueError(f"sidecar array {name!r} has a negative shape")
+        arrays[name] = np.frombuffer(
+            buffer, spec["dtype"], math.prod(shape), data + spec["offset"]
+        ).reshape(shape)
+    return header, arrays
 
 
 class _Sidecar:
     """Named arrays parsed from a source file plus JSON ``meta``, kept in
-    ``<file>.hydre.npz`` beside it and valid only for the exact bytes they
-    were parsed from.
+    ``<file>.hydre.bin`` beside it and valid only for the bytes they were
+    parsed from.
 
-    It stores ``format`` (which parser made it), the source's ``sha256``,
-    ``meta`` as UTF-8 JSON bytes, so every string round-trips exactly (a
-    fixed-width ``<U`` array drops trailing NULs), and the arrays.
+    Its header holds ``format`` (which parser made it), the source's
+    ``sha256``, the source's stat record and the time its bytes were read
+    (``read_ns``), ``meta`` (so every string round-trips exactly) and the
+    arrays' layout (``_pack``). The arrays are read as read-only views of one
+    memory map, so every process that loads the file shares its pages. A
+    sidecar is only ever replaced whole, never changed in place, so a map
+    keeps its bytes.
+
+    A source whose stat record is the recorded one is trusted unread,
+    unless the record is racy (``_racy``): that is the stat cache of git's
+    index. Otherwise the source is hashed, and a sidecar with its sha256 is
+    read and rewritten under the new record (say, for a copied directory),
+    so that the next load hashes nothing.
     """
 
     def __init__(self, source: Path, fmt: str) -> None:
         self.source = source
         self.path = source.with_name(source.name + SIDECAR_SUFFIX)
         self.fmt = fmt
-        self.stamp = _stamp(source)
-        digest = hashlib.sha256()
-        with source.open("rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-        self.sha256 = digest.hexdigest()
+        self.read_ns = time.time_ns()  # before the stat, so before any read
+        self.stat = _stat_record(source)
+
+    @cached_property
+    def sha256(self) -> str:
+        return file_sha256(self.source)
 
     @cached_property
     def lines(self) -> int:
@@ -77,32 +154,49 @@ class _Sidecar:
     def read(self, decode: Callable[[dict, Mapping[str, np.ndarray]], T]) -> T | None:
         """``decode(meta, arrays)`` if the sidecar was written for the
         source's current bytes by this format, else None. ``decode`` raises
-        ValueError or KeyError on arrays that do not fit its format."""
+        ValueError or KeyError on arrays that do not fit its format.
+
+        On a miss the source is hashed before the caller parses it, so a
+        sidecar never stores the digest of bytes newer than its arrays."""
         try:
-            with np.load(self.path, allow_pickle=False) as npz:
-                if str(npz["format"]) != self.fmt or str(npz["sha256"]) != self.sha256:
-                    return None
-                return decode(json.loads(npz["meta"].tobytes()), npz)
-        except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
-            # missing, torn, foreign (a bare .npy loads as an array, which is
-            # no context manager) or pickled: the source is parsed instead
+            with self.path.open("rb") as fh:
+                buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            header, arrays = _unpack(buffer)
+            stat = header["stat"]
+            trusted = stat == self.stat and not _racy(stat, header["read_ns"])
+            fits = header["format"] == self.fmt and (
+                trusted or header["sha256"] == self.sha256
+            )
+            decoded = decode(header["meta"], arrays) if fits else None
+        except (OSError, ValueError, KeyError, TypeError, struct.error):
+            # missing, torn, foreign (an npy or npz file) or holding objects:
+            # the source is parsed instead
+            decoded = None
+        if decoded is None:
+            self.sha256  # hashed now, before the caller parses the source
             return None
+        self.sha256 = header["sha256"]
+        if not (trusted or _racy(self.stat, self.read_ns)):
+            # the same bytes under a new stat record (a copy, say): record it
+            self.write(header["meta"], **arrays)
+        return decoded
 
     def write(self, meta: dict, **arrays: np.ndarray) -> None:
-        """Store a parse of the source; skipped if the source changed since
-        it was hashed, or if the directory cannot be written."""
-        if _stamp(self.source) != self.stamp:
+        """Store a parse of the source under the stat record taken before it
+        was read; skipped if the source changed since, or if the directory
+        cannot be written."""
+        # the source is hashed (if it was not yet) before the stat check, so
+        # the check sees a change made while hashing
+        header = {"format": self.fmt, "sha256": self.sha256, "stat": self.stat,
+                  "read_ns": self.read_ns, "meta": meta}
+        if _stat_record(self.source) != self.stat:
             return
-        blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         try:
             with atomic_write(self.path, mode="wb") as fh:
-                np.savez(
-                    fh,
-                    format=np.array(self.fmt),
-                    sha256=np.array(self.sha256),
-                    meta=blob,
-                    **arrays,
-                )
+                _pack(fh, header, arrays)
+            self.source.with_name(self.source.name + LEGACY_SIDECAR_SUFFIX).unlink(
+                missing_ok=True
+            )
         except OSError:
             pass
 
@@ -123,6 +217,7 @@ class _RowMatrix:
     _missing = "no row for item {!r}"
     matrix: np.ndarray
     row_of: dict[str, int]
+    sha256: str | None = None  # of the file it was loaded from
 
     def vector(self, item_id: str) -> np.ndarray:
         try:
@@ -194,7 +289,7 @@ class ScoreMatrix(_RowMatrix):
             order = meta["relation_order"]
             _check_order(path, order, ontology)
         self = cls(order, {})
-        self.matrix, self.row_of = matrix, row_of
+        self.matrix, self.row_of, self.sha256 = matrix, row_of, sidecar.sha256
         return self
 
     @staticmethod
@@ -400,7 +495,7 @@ class EmbeddingIndex(_RowMatrix):
         else:
             _, row_of, matrix = cached
         self = cls(matrix.shape[1])
-        self.matrix, self.row_of = matrix, row_of
+        self.matrix, self.row_of, self.sha256 = matrix, row_of, sidecar.sha256
         return self
 
     @staticmethod

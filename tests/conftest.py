@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import builtins
+import io
+import json
+import os
+import struct
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +22,71 @@ from hydre.corpus import (
     RelationOntology,
     SentenceInstance,
 )
+from hydre import providers
 from hydre.providers import EmbeddingIndex, ScoreMatrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def edit_sidecar_header(path: Path, edit) -> None:
+    """Rewrite a sidecar with ``edit(header)`` applied to its JSON header
+    and its arrays' bytes kept as they are (offsets count from the first
+    aligned byte after the header)."""
+    raw = path.read_bytes()
+    magic = providers.SIDECAR_MAGIC
+    (size,) = struct.unpack_from("<Q", raw, len(magic))
+    start = len(magic) + 8
+    header = json.loads(raw[start : start + size])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    head = magic + struct.pack("<Q", len(blob)) + blob
+    pad = bytes(providers._aligned(len(head)) - len(head))
+    path.write_bytes(head + pad + raw[providers._aligned(start + size) :])
+
+
+def edit_sidecar_arrays(path: Path, edit) -> None:
+    """Rewrite a sidecar with ``edit(arrays)`` applied to its arrays and its
+    header (format, sha256, stat record, meta) kept."""
+    header, arrays = providers._unpack(path.read_bytes())
+    del header["arrays"]
+    edit(arrays)
+    with path.open("wb") as fh:
+        providers._pack(fh, header, arrays)
+
+
+def opened_files(monkeypatch) -> list[Path]:
+    """The path of every file opened from now on, in order."""
+    opened: list[Path] = []
+    io_open = io.open
+
+    def recorded(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(Path(file))
+        return io_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", recorded)  # pathlib opens through io.open
+    monkeypatch.setattr(builtins, "open", recorded)
+    return opened
+
+
+def restore_mtime(path: Path, st: os.stat_result) -> None:
+    """Set the file's times back to those of ``st`` after an edit, until its
+    ctime, which the clock stamps in ticks and no utime call sets back,
+    differs from ``st``'s."""
+    for _ in range(200):
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        if path.stat().st_ctime_ns != st.st_ctime_ns:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"{path}: ctime did not change")
+
+
+def backdate(*paths: Path, seconds: float = 60.0) -> None:
+    """Move each file's mtime back, so its stat record is not racy."""
+    for path in paths:
+        st = path.stat()
+        mtime = st.st_mtime_ns - int(seconds * 1e9)
+        os.utime(path, ns=(st.st_atime_ns, mtime))
 
 
 def make_sentence(sentence_id: str, head: str = "Alice", tail: str = "Paris") -> SentenceInstance:

@@ -17,7 +17,7 @@ from hydre.corpus import Corpus
 from hydre.judge import MockBackend, ReplayCache
 from hydre.providers import EmbeddingIndex, ScoreMatrix
 
-from conftest import FIXTURES
+from conftest import FIXTURES, backdate, opened_files
 from oracles import exemplar_set_oracle
 
 GOLDEN = FIXTURES / "golden"
@@ -188,6 +188,42 @@ def test_metadata_written(tmp_path):
     assert metadata["seed"] == 7
     assert metadata["strategy"] == "hydre"
     assert metadata["config"]["scoring"]["k"] == 5
+
+
+def test_metadata_records_the_digest_of_each_input_read(tmp_path, monkeypatch):
+    """select, run and eval record the sha256 of each input file they read.
+    The bag, score and embedding digests come from their sidecars, so
+    commands whose sidecars match by stat read none of those files."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    names = {"bags": "bags", "queries": "queries", "scores": "scores",
+             "embeddings": "embeddings", "cache": "replay_cache"}
+    for name in names.values():
+        shutil.copyfile(GOLDEN / f"{name}.jsonl", inputs / f"{name}.jsonl")
+    backdate(*inputs.iterdir())
+    config_path, config = absolute_config(
+        tmp_path, **{key: inputs / f"{name}.jsonl" for key, name in names.items()}
+    )
+    digest = {key: hydre.corpus.file_sha256(path) for key, path in config["paths"].items()
+              if key in ("ontology", "bags", "queries", "scores", "embeddings")}
+
+    def recorded(out):
+        return json.loads((out / "metadata.json").read_text())["inputs"]
+
+    cold = tmp_path / "cold"
+    assert run_cli("--config", str(config_path), "--output", str(cold), "select") == 0
+    assert recorded(cold) == digest
+    sources = {Path(config["paths"][key]) for key in ("bags", "scores", "embeddings")}
+    opened = opened_files(monkeypatch)
+    out = tmp_path / "warm"
+    assert run_cli("--config", str(config_path), "--output", str(out), "select") == 0
+    assert recorded(out) == digest
+    assert run_cli("--config", str(config_path), "--output", str(out), "run") == 0
+    assert recorded(out) == {key: digest[key] for key in ("ontology", "bags", "queries")}
+    predictions = str(out / "predictions.jsonl")
+    assert run_cli("--config", str(config_path), "--output", str(out), "eval", predictions) == 0
+    assert recorded(out) == {key: digest[key] for key in ("ontology", "queries", "scores")}
+    assert opened and sources.isdisjoint(opened)
 
 
 # ----------------------------------------------------------------------- run
@@ -362,7 +398,7 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     monkeypatch.setattr(hydre.selection, "select_sentence", counted_select_sentence)
     written = []
     monkeypatch.setattr(
-        cli, "_write_metadata", lambda config, command: written.append(command)
+        cli, "_write_metadata", lambda config, command, inputs: written.append(command)
     )
     config_path = live_config(tmp_path, monkeypatch)
     assert run_cli("--config", config_path, "--k", "2..4", "run") == 0
@@ -588,6 +624,15 @@ BAD_CONFIG_VALUES = [
     ("template", "tail_open", "<Head>", "template: marker tags must be mutually distinct"),
     (None, "seed", 1.5, "seed must be an integer, got 1.5"),
     (None, "seed", True, "seed must be an integer, got True"),
+    (None, "seeed", 3, "unknown key seeed; expected one of paths, strategy, scoring, "
+     "generation, template, mmr, seed, parallelism, mode, llm_endpoint"),
+    ("paths", "bagz", "bags.jsonl", "unknown key paths.bagz; expected one of ontology, "
+     "bags, queries, scores, embeddings, cache, output"),
+    ("paths", "bags", 5, "paths.bags must be a nonempty string or null, got 5"),
+    ("paths", "scores", "", "paths.scores must be a nonempty string or null, got ''"),
+    ("paths", "output", None, "paths.output must be a nonempty string, got None"),
+    (None, "strategy", ["hydre"], "strategy must be a string, got ['hydre']"),
+    (None, "mode", {"replay": True}, "mode must be a string, got {'replay': True}"),
 ]
 
 
@@ -611,6 +656,25 @@ def test_bad_config_value_exits_1_naming_the_key(
     assert run_cli("--config", str(config_path), *argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()  # no selections file, no metadata
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('["seed", 3]', "a config file must hold a JSON object"),
+        ('{"seed": 3,}', "invalid JSON: Expecting property name enclosed in double "
+         "quotes: line 1 column 12 (char 11)"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "select"])
+def test_config_file_that_is_no_object_exits_1(
+    tmp_path, capsys, monkeypatch, text, problem, command
+):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    refuse_loads(monkeypatch)
+    assert run_cli("--config", str(config_path), command) == 1
+    assert capsys.readouterr().err == f"error: {config_path}: {problem}\n"
 
 
 @pytest.mark.parametrize(

@@ -380,7 +380,14 @@ import hydre.providers as providers_module
 from hydre.corpus import Corpus
 from hydre.providers import SIDECAR_SUFFIX
 
-from conftest import FIXTURES
+from conftest import (
+    FIXTURES,
+    backdate,
+    edit_sidecar_arrays,
+    edit_sidecar_header,
+    opened_files,
+    restore_mtime,
+)
 
 GOLDEN_BAGS = FIXTURES / "golden" / "bags.jsonl"
 
@@ -395,8 +402,11 @@ def nyt_ontology():
 
 
 def golden_bags(tmp_path):
+    """A copy of the golden bag file, dated a minute back so that its stat
+    record is not racy."""
     path = tmp_path / "bags.jsonl"
     shutil.copyfile(GOLDEN_BAGS, path)
+    backdate(path)
     return path
 
 
@@ -468,9 +478,7 @@ def test_bag_sidecar_of_edited_source_is_ignored_and_rewritten(tmp_path, nyt_ont
 
 def object_array_sidecar(path):
     """A sidecar naming the right format and sha256 whose spans need pickle."""
-    with np.load(path, allow_pickle=False) as npz:
-        fields = {key: npz[key] for key in npz.files if key != "spans"}
-    np.savez(path, spans=np.array([{"a": 1}, None], dtype=object), **fields)
+    edit_sidecar_header(path, lambda header: header["arrays"]["spans"].update(dtype="|O"))
 
 
 def bare_npy(path):
@@ -480,18 +488,23 @@ def bare_npy(path):
 
 def mismatched_columns(path):
     """A sidecar naming the right format and sha256 with one bag too few."""
-    with np.load(path, allow_pickle=False) as npz:
-        fields = {key: npz[key] for key in npz.files}
-    fields["lengths"] = fields["lengths"][:-1]
-    np.savez(path, **fields)
+    edit_sidecar_arrays(path, lambda arrays: arrays.update(lengths=arrays["lengths"][:-1]))
+
+
+def array_past_the_end(path):
+    """A sidecar whose header places the texts at the end of the file."""
+    size = path.stat().st_size
+    edit_sidecar_header(path, lambda header: header["arrays"]["texts"].update(offset=size))
 
 
 BAG_SIDECAR_CORRUPTIONS = {
     "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
     "garbage": lambda p: p.write_bytes(b"not a sidecar at all"),
+    "empty": lambda p: p.write_bytes(b""),
     "bare-npy": bare_npy,
     "object-array": object_array_sidecar,
     "mismatched-columns": mismatched_columns,
+    "past-end": array_past_the_end,
 }
 
 
@@ -502,9 +515,74 @@ def test_broken_bag_sidecar_is_ignored(tmp_path, nyt_ontology, corruption):
     BAG_SIDECAR_CORRUPTIONS[corruption](sidecar_of(path))
     assert_same_corpus(Corpus.load_bag_file(path, nyt_ontology), reference)
     # the parse replaced the broken sidecar with a good one
-    with np.load(sidecar_of(path), allow_pickle=False) as npz:
-        assert str(npz["format"]) == corpus_module.BAGS_FORMAT
+    header, _ = providers_module._unpack(sidecar_of(path).read_bytes())
+    assert header["format"] == corpus_module.BAGS_FORMAT
     assert_same_corpus(Corpus.load_bag_file(path, nyt_ontology), reference)
+
+
+def test_bag_sidecar_trusted_by_stat_reads_no_source_byte(
+    tmp_path, monkeypatch, nyt_ontology
+):
+    path = golden_bags(tmp_path)
+    reference = Corpus.load_bag_file(path, nyt_ontology)
+    opened = opened_files(monkeypatch)
+    hit = Corpus.load_bag_file(path, nyt_ontology)
+    monkeypatch.undo()
+    assert opened == [sidecar_of(path)]
+    assert_same_corpus(hit, reference)
+    assert hit.sha256 == reference.sha256 == corpus_module.file_sha256(GOLDEN_BAGS)
+    assert not hit.spans.flags.writeable  # a view of the sidecar's map
+
+
+def test_same_size_bag_edit_with_forged_mtime_is_reparsed(tmp_path, nyt_ontology):
+    """A same-size edit with its mtime set back is seen by its ctime."""
+    path = golden_bags(tmp_path)
+    before = Corpus.load_bag_file(path, nyt_ontology)
+    st = path.stat()
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([lines[1], lines[0]] + lines[2:]))  # swap two bags
+    restore_mtime(path, st)
+    assert path.stat().st_size == st.st_size
+    edited = Corpus.load_bag_file(path, nyt_ontology)
+    assert edited.bag_ids == [before.bag_ids[1], before.bag_ids[0]] + before.bag_ids[2:]
+
+
+def test_loaded_corpus_keeps_its_columns_when_its_sidecar_is_replaced(
+    tmp_path, nyt_ontology
+):
+    path = golden_bags(tmp_path)
+    Corpus.load_bag_file(path, nyt_ontology)
+    mapped = Corpus.load_bag_file(path, nyt_ontology)
+    spans, offsets = mapped.spans.copy(), mapped.text_offsets.copy()
+    inode = sidecar_of(path).stat().st_ino
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last bag
+    assert Corpus.load_bag_file(path, nyt_ontology).bag_ids == mapped.bag_ids[:-1]
+    assert sidecar_of(path).stat().st_ino != inode
+    assert mapped.spans.tobytes() == spans.tobytes()  # the old map still reads
+    assert mapped.text_offsets.tobytes() == offsets.tobytes()
+
+
+def test_legacy_npz_bag_sidecar_is_ignored_and_replaced(tmp_path, nyt_ontology):
+    """A zip sidecar of an earlier version, naming the source's sha256 and
+    one bag too few, is never read, and goes once a sidecar is written."""
+    path = golden_bags(tmp_path)
+    reference = Corpus.load_bag_file(path, nyt_ontology)
+    _, arrays = providers_module._unpack(sidecar_of(path).read_bytes())
+    sidecar_of(path).unlink()
+    legacy = path.with_name(path.name + providers_module.LEGACY_SIDECAR_SUFFIX)
+    meta = {name: getattr(reference, name) for name in
+            ("bag_ids", "heads", "tails", "sentence_ids")}
+    with legacy.open("wb") as fh:
+        np.savez(
+            fh,
+            format=np.array(corpus_module.BAGS_FORMAT),
+            sha256=np.array(corpus_module.file_sha256(path)),
+            meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+            **dict(arrays, lengths=arrays["lengths"][:-1]),
+        )
+    assert_same_corpus(Corpus.load_bag_file(path, nyt_ontology), reference)
+    assert sidecar_of(path).exists() and not legacy.exists()
 
 
 def test_bag_sidecar_write_failure_still_loads(tmp_path, monkeypatch, nyt_ontology):

@@ -11,8 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hydre.corpus
 from hydre import providers
-from hydre.corpus import Bag, Corpus, builtin_ontology_path, load_ontology, write_jsonl
+from hydre.corpus import (
+    Bag,
+    Corpus,
+    builtin_ontology_path,
+    file_sha256,
+    load_ontology,
+    write_jsonl,
+)
 from hydre.providers import (
     SIDECAR_SUFFIX,
     EmbeddingIndex,
@@ -24,6 +32,10 @@ from hydre.selection import combined_bag_scores, corpus_view
 
 from conftest import (
     FIXTURES,
+    backdate,
+    edit_sidecar_header,
+    opened_files,
+    restore_mtime,
     corpus_from_instance,
     embeddings_from_instance,
     make_sentence,
@@ -550,8 +562,11 @@ PROVIDERS = [
 
 
 def golden_copy(tmp_path, name):
+    """A copy of a golden file, dated a minute back so that its stat record
+    is not racy."""
     path = tmp_path / name
     shutil.copyfile(GOLDEN / name, path)
+    backdate(path)
     return path
 
 
@@ -622,9 +637,13 @@ def test_sidecar_of_edited_source_is_ignored_and_rewritten(
 
 def object_array_sidecar(path):
     """A sidecar naming the right format and sha256 whose matrix needs pickle."""
-    with np.load(path, allow_pickle=False) as npz:
-        fields = {key: npz[key] for key in ("format", "sha256", "meta")}
-    np.savez(path, matrix=np.array([{"a": 1}, None], dtype=object), **fields)
+    edit_sidecar_header(path, lambda header: header["arrays"]["matrix"].update(dtype="|O"))
+
+
+def array_past_the_end(path):
+    """A sidecar whose header places the matrix at the end of the file."""
+    size = path.stat().st_size
+    edit_sidecar_header(path, lambda header: header["arrays"]["matrix"].update(offset=size))
 
 
 def bare_npy(path):
@@ -638,6 +657,7 @@ CORRUPTIONS = {
     "empty": lambda p: p.write_bytes(b""),
     "bare-npy": bare_npy,
     "object-array": object_array_sidecar,
+    "past-end": array_past_the_end,
 }
 
 
@@ -699,6 +719,153 @@ def test_sidecar_still_checks_the_ontology_order(tmp_path, monkeypatch, nyt_onto
     reordered = ontology_from_names(list(reversed(nyt_ontology.names)))
     with pytest.raises(ProviderError, match="ontology order"):
         ScoreMatrix.load(path, reordered)
+
+
+def count_hashes(monkeypatch):
+    """The files a sidecar hashes, in order."""
+    hashed = []
+
+    def counted(path):
+        hashed.append(Path(path))
+        return file_sha256(path)
+
+    monkeypatch.setattr(providers, "file_sha256", counted)
+    return hashed
+
+
+@pytest.mark.parametrize("name, load", PROVIDERS)
+def test_stat_matched_load_reads_no_source_byte(
+    tmp_path, monkeypatch, nyt_ontology, name, load
+):
+    path = golden_copy(tmp_path, name)
+    reference = load(path, nyt_ontology)
+    opened = opened_files(monkeypatch)
+    hit = load(path, nyt_ontology)
+    assert opened == [sidecar_of(path)]
+    assert_same_load(hit, reference)
+    assert hit.sha256 == reference.sha256 == file_sha256(GOLDEN / name)
+    assert not hit.matrix.flags.writeable  # a view of the sidecar's map
+
+
+def same_size_edit(path):
+    """Swap the file's last two rows: the same size, another row order."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-2] + [lines[-1], lines[-2]]))
+
+
+@pytest.mark.parametrize("name, load", PROVIDERS)
+def test_same_size_edit_with_forged_mtime_is_reparsed(
+    tmp_path, nyt_ontology, name, load
+):
+    """An edit that keeps the size, with its mtime set back by os.utime, is
+    seen by its ctime, which no utime call can set back."""
+    path = golden_copy(tmp_path, name)
+    before = load(path, nyt_ontology)
+    st = path.stat()
+    same_size_edit(path)
+    restore_mtime(path, st)
+    edited = path.stat()
+    assert (edited.st_ino, edited.st_size, edited.st_mtime_ns) == (
+        st.st_ino, st.st_size, st.st_mtime_ns
+    )
+    ids = list(before.row_of)
+    got = load(path, nyt_ontology)
+    assert list(got.row_of) == ids[:-2] + [ids[-1], ids[-2]]
+    assert got.sha256 == file_sha256(path) != before.sha256
+
+
+LOADS = {
+    "bags.jsonl": Corpus.load_bag_file,
+    "scores.jsonl": load_scores,
+    "embeddings.jsonl": load_embeddings,
+}
+
+
+def test_copied_directory_hashes_once_then_nothing(tmp_path, monkeypatch, nyt_ontology):
+    """A copy keeps the bytes under new inodes: each file is hashed once,
+    nothing is parsed, and the next load hashes nothing."""
+    original = tmp_path / "original"
+    original.mkdir()
+    for name, load in LOADS.items():
+        load(golden_copy(original, name), nyt_ontology)
+    copy = tmp_path / "copy"
+    shutil.copytree(original, copy)  # new inodes, the same mtimes
+    hashed = count_hashes(monkeypatch)
+    refuse_parse(monkeypatch)
+    monkeypatch.setattr(
+        hydre.corpus, "_parse_bags", lambda *args: pytest.fail("bags parsed on a copy")
+    )
+    for name, load in LOADS.items():
+        assert load(copy / name, nyt_ontology).sha256 == file_sha256(GOLDEN / name)
+    assert hashed == [copy / name for name in LOADS]
+    hashed.clear()
+    opened = opened_files(monkeypatch)
+    for name, load in LOADS.items():
+        load(copy / name, nyt_ontology)
+    assert hashed == []
+    assert opened == [sidecar_of(copy / name) for name in LOADS]
+
+
+@pytest.mark.parametrize("name, load", PROVIDERS)
+def test_racy_stamp_hashes_until_its_record_is_rewritten(
+    tmp_path, monkeypatch, nyt_ontology, name, load
+):
+    monkeypatch.setattr(providers, "RACY_NS", 3600 * 10**9)  # every stamp here is racy
+    path = tmp_path / name
+    shutil.copyfile(GOLDEN / name, path)
+    reference = load(path, nyt_ontology)
+    sidecar = sidecar_of(path).read_bytes()
+    hashed = count_hashes(monkeypatch)
+    refuse_parse(monkeypatch)
+    for loads in (1, 2):
+        assert_same_load(load(path, nyt_ontology), reference)
+        assert len(hashed) == loads
+    assert sidecar_of(path).read_bytes() == sidecar  # a racy record is not rewritten
+    backdate(path, seconds=7200)  # now older than any read: the next hash records it
+    load(path, nyt_ontology)
+    assert len(hashed) == 3
+    assert sidecar_of(path).read_bytes() != sidecar
+    assert_same_load(load(path, nyt_ontology), reference)
+    assert len(hashed) == 3
+
+
+@pytest.mark.parametrize("name, load", PROVIDERS)
+def test_loaded_matrix_keeps_its_values_when_its_sidecar_is_replaced(
+    tmp_path, nyt_ontology, name, load
+):
+    path = golden_copy(tmp_path, name)
+    load(path, nyt_ontology)
+    mapped = load(path, nyt_ontology)
+    values = mapped.matrix.copy()
+    inode = sidecar_of(path).stat().st_ino
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last row
+    assert len(load(path, nyt_ontology).row_of) == len(mapped.row_of) - 1
+    assert sidecar_of(path).stat().st_ino != inode
+    assert mapped.matrix.tobytes() == values.tobytes()  # the old map still reads
+
+
+@pytest.mark.parametrize("name, load", PROVIDERS)
+def test_legacy_npz_sidecar_is_ignored_and_replaced(tmp_path, nyt_ontology, name, load):
+    """A zip sidecar of an earlier version, naming the source's sha256 and a
+    wrong matrix, is never read, and goes once a sidecar is written."""
+    path = golden_copy(tmp_path, name)
+    reference = load(path, nyt_ontology)
+    sidecar_of(path).unlink()
+    legacy = path.with_name(path.name + providers.LEGACY_SIDECAR_SUFFIX)
+    meta = {"ids": list(reference.row_of)}
+    if name == "scores.jsonl":
+        meta["relation_order"] = list(nyt_ontology.names)
+    with legacy.open("wb") as fh:
+        np.savez(
+            fh,
+            format=np.array(f"hydre.{name.split('.')[0]}.v2"),
+            sha256=np.array(file_sha256(path)),
+            meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+            matrix=np.zeros_like(reference.matrix),
+        )
+    assert_same_load(load(path, nyt_ontology), reference)
+    assert sidecar_of(path).exists() and not legacy.exists()
 
 
 def test_source_changed_during_parse_gets_no_sidecar(tmp_path, monkeypatch):
