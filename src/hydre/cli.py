@@ -52,7 +52,8 @@ from .evaluation import (
     confusion_pairs,
     mcnemar,
     pair_reports,
-    recall_at_k,
+    recall_at_k,  # noqa: F401 (bench/spans.py wraps cli.recall_at_k by name)
+    recall_curve,
     score,
 )
 from .judge import (
@@ -417,8 +418,8 @@ def _check_providers(config: RunConfig, run: LoadedRun) -> None:
     ):
         if needed:
             row_of = provider.row_of
-            missing = next((i for i in ids if i not in row_of), None)
-            if missing is not None:
+            if not all(map(row_of.__contains__, ids)):
+                missing = next(i for i in ids if i not in row_of)
                 raise ProviderError(message.format(missing))
 
 
@@ -782,9 +783,14 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
     return 0
 
 
-def _load_predictions(path: Path) -> dict[str, frozenset[str]]:
-    """Predicted relations by query id. A record whose dispatch failed (its
-    ``error`` is set) is refused rather than scored as an NA prediction."""
+def _shown(ids: list[str]) -> str:
+    return ", ".join(ids[:5]) + (", ..." if len(ids) > 5 else "")
+
+
+def _load_predictions(path: Path, query_ids: list[str]) -> dict[str, frozenset[str]]:
+    """Predicted relations by query id, one for each of ``query_ids`` and
+    no other. A record whose dispatch failed (its ``error`` is set) is
+    refused rather than scored as an NA prediction."""
     predictions: dict[str, frozenset[str]] = {}
     failed: list[str] = []
     for _, record in iter_jsonl(path, ConfigError):
@@ -795,10 +801,22 @@ def _load_predictions(path: Path) -> dict[str, frozenset[str]]:
             failed.append(query_id)
         predictions[query_id] = frozenset(record["relations"])
     if failed:
-        shown = ", ".join(failed[:5]) + (", ..." if len(failed) > 5 else "")
         raise ConfigError(
             f"{path}: {len(failed)} predictions failed to dispatch "
-            f"(queries {shown}); rerun `run` for them instead of scoring them as NA"
+            f"(queries {_shown(failed)}); rerun `run` for them instead of scoring them as NA"
+        )
+    missing = [q for q in query_ids if q not in predictions]
+    if missing:
+        raise ConfigError(
+            f"{path}: predictions missing for {len(missing)} of {len(query_ids)} "
+            f"queries ({_shown(missing)})"
+        )
+    known = set(query_ids)
+    unknown = [q for q in predictions if q not in known]
+    if unknown:
+        raise ConfigError(
+            f"{path}: {len(unknown)} predictions for queries not in the query file "
+            f"({_shown(unknown)})"
         )
     return predictions
 
@@ -809,11 +827,11 @@ def cmd_eval(
     """Score predictions against gold and emit report files."""
     run = _load_run(config, embeddings=False, bags=False)
     corpus = run.corpus
-    predictions = _load_predictions(predictions_path)
-    gap = [q.query_id for q in corpus.queries if q.query_id not in predictions]
-    if gap:
-        raise ConfigError(f"predictions missing for queries: {gap}")
-    baseline = _load_predictions(baseline_path) if baseline_path is not None else None
+    query_ids = [q.query_id for q in corpus.queries]
+    predictions = _load_predictions(predictions_path, query_ids)
+    baseline = (
+        _load_predictions(baseline_path, query_ids) if baseline_path is not None else None
+    )
 
     gold = FactSet.from_queries(corpus.queries)
     pred = FactSet.from_predictions(predictions, corpus.ontology)
@@ -837,8 +855,7 @@ def cmd_eval(
     }
     if run.scores is not None:
         report_payload["recall_at_k"] = {
-            str(k): recall_at_k(gold, run.scores, k)
-            for k in range(1, len(corpus.ontology) + 1)
+            str(k): recall for k, recall in enumerate(recall_curve(gold, run.scores), 1)
         }
     with atomic_write(out / "report.json") as fh:
         fh.write(

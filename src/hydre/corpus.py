@@ -621,7 +621,7 @@ class Corpus:
         self.heads: list[str] = meta["heads"]
         self.tails: list[str] = meta["tails"]
         self.sentence_ids: list[str] = meta["sentence_ids"]
-        self._texts = arrays["texts"].tobytes()
+        self._texts = memoryview(arrays["texts"])
         self.text_offsets = arrays["text_offsets"]
         self.spans = arrays["spans"]
         self.lengths = arrays["lengths"]
@@ -740,7 +740,7 @@ class Corpus:
         sentence = self._sentences.get(pos)
         if sentence is None:
             start, end = self.text_offsets[pos : pos + 2].tolist()
-            text = self._texts[start:end].decode("utf-8", "surrogatepass")
+            text = str(self._texts[start:end], "utf-8", "surrogatepass")
             hs, he, ts, te = self.spans[pos].tolist()
             sentence = self._sentences[int(pos)] = SentenceInstance(
                 self.sentence_ids[pos],

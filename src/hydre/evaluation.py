@@ -5,6 +5,13 @@ The unit of evaluation is the fact: a (query_id, relation) pair. NA never
 enters the fact space; an NA query contributes no gold facts and a correct
 NA prediction contributes nothing, while relations predicted for an NA
 query count as false positives.
+
+Counting works on arrays. A call encodes each fact set it reads once, as a
+query × relation indicator matrix with its columns in ontology order:
+per-relation counts are column sums, and the confusion counts of every
+relation pair are read from one gold × predicted relation count matrix.
+Recall@k ranks each gold fact once and reads every k from one cumulative
+count.
 """
 
 from __future__ import annotations
@@ -80,27 +87,46 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+def _indicators(fact_sets: Sequence[FactSet], names: Sequence[str]) -> list[np.ndarray]:
+    """One bool matrix per fact set: a row per query that occurs in any of
+    the sets (one shared order), a column per relation of ``names``."""
+    col_of = {name: j for j, name in enumerate(names)}
+    row_of: dict[str, int] = {}
+    try:
+        coded = [
+            [(row_of.setdefault(q, len(row_of)), col_of[r]) for q, r in fact_set.facts]
+            for fact_set in fact_sets
+        ]
+    except KeyError as exc:
+        raise ValueError(f"fact relation {exc.args[0]!r} is not an ontology relation") from None
+    matrices = []
+    for pairs in coded:
+        matrix = np.zeros((len(row_of), len(names)), bool)
+        rows, cols = np.array(pairs, np.intp).reshape(-1, 2).T
+        matrix[rows, cols] = True
+        matrices.append(matrix)
+    return matrices
+
+
 def score(gold: FactSet, pred: FactSet, ontology: RelationOntology) -> EvalReport:
     """Micro F1 over pooled fact counts; macro F1 averaged over relations
     with gold support."""
     unknown = pred.query_ids - gold.query_ids
     if unknown:
         raise ValueError(f"predictions for unknown queries: {sorted(unknown)}")
-    tp_facts = gold.facts & pred.facts
-    fp_facts = pred.facts - gold.facts
-    fn_facts = gold.facts - pred.facts
+    is_gold, is_pred = _indicators((gold, pred), ontology.names)
+    tps = np.count_nonzero(is_gold & is_pred, axis=0).tolist()
+    fps = np.count_nonzero(is_pred & ~is_gold, axis=0).tolist()
+    fns = np.count_nonzero(is_gold & ~is_pred, axis=0).tolist()
     if not gold.facts and not pred.facts:
         # all-NA gold predicted all-NA: vacuously perfect
         micro_p = micro_r = micro_f1 = 1.0
     else:
-        micro_p, micro_r, micro_f1 = _prf(len(tp_facts), len(fp_facts), len(fn_facts))
+        micro_p, micro_r, micro_f1 = _prf(sum(tps), sum(fps), sum(fns))
 
     per_relation: dict[str, RelationScore] = {}
     supported_f1s = []
-    for name in ontology.names:
-        tp = sum(1 for _, r in tp_facts if r == name)
-        fp = sum(1 for _, r in fp_facts if r == name)
-        fn = sum(1 for _, r in fn_facts if r == name)
+    for name, tp, fp, fn in zip(ontology.names, tps, fps, fns):
         support = tp + fn
         p, r, f1 = _prf(tp, fp, fn)
         per_relation[name] = RelationScore(p, r, f1, support)
@@ -127,25 +153,37 @@ def score(gold: FactSet, pred: FactSet, ontology: RelationOntology) -> EvalRepor
     )
 
 
-def recall_at_k(gold: FactSet, scores: ScoreMatrix, k: int) -> float:
-    """Fraction of gold facts whose relation ranks in the query's top k.
+def recall_curve(gold: FactSet, scores: ScoreMatrix) -> list[float]:
+    """Recall@k for every k from 1 to the number of score columns: the
+    fraction of gold facts whose relation ranks in the query's top k.
 
     Ranking and tie-breaking follow candidate selection: a relation's rank
     counts the relations scored higher, plus those scored the same at a
-    lower ontology index. Queries with no gold facts (NA) never enter the
-    denominator.
+    lower ontology index. Each gold fact is ranked once. Queries with no
+    gold facts (NA) never enter the denominator.
     """
+    width = scores.matrix.shape[1]
     if not gold.facts:
-        return 1.0
-    if k < 1:
-        raise ValueError("k must be >= 1")
+        return [1.0] * width
     facts = list(gold.facts)
     rows = scores.matrix[scores.row_indexes(q for q, _ in facts)]
     cols = np.fromiter((scores.column(r) for _, r in facts), np.intp, len(facts))
     own = rows[np.arange(len(facts)), cols][:, None]
-    before = np.arange(rows.shape[1]) < cols[:, None]
+    before = np.arange(width) < cols[:, None]
     ranks = np.count_nonzero((rows > own) | ((rows == own) & before), axis=1)
-    return int(np.count_nonzero(ranks < k)) / len(facts)
+    hits = np.cumsum(np.bincount(ranks, minlength=width)).tolist()
+    return [hit / len(facts) for hit in hits]
+
+
+def recall_at_k(gold: FactSet, scores: ScoreMatrix, k: int) -> float:
+    """Fraction of gold facts whose relation ranks in the query's top k:
+    one point of ``recall_curve``."""
+    if not gold.facts:
+        return 1.0
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    curve = recall_curve(gold, scores)
+    return curve[min(k, len(curve)) - 1]
 
 
 def pair_reports(report_a: EvalReport, report_b: EvalReport) -> list[tuple[bool, bool]]:
@@ -213,26 +251,19 @@ def confusion_pairs(
 ) -> list[ConfusionRow]:
     """2x2 counts for each relation pair: how often gold-rA queries were
     predicted rA vs rB, and symmetrically."""
+    index = {name: j for j, name in enumerate(ontology.names)}
     for pair in pairs:
         for name in pair:
-            if name not in ontology:
+            if name not in index:
                 raise ValueError(f"unknown relation {name!r} in pair list")
-
-    def count(gold_r: str, pred_r: str) -> int:
-        return sum(
-            1
-            for query_id, r in gold.facts
-            if r == gold_r and (query_id, pred_r) in pred.facts
+    is_gold, is_pred = _indicators((gold, pred), ontology.names)
+    # counts[a][b]: queries with gold relation a that were predicted b
+    # (exact: float64 holds every count below 2**53)
+    counts = (is_gold.T.astype(float) @ is_pred.astype(float)).astype(np.int64).tolist()
+    rows = []
+    for ra, rb in pairs:
+        a, b = index[ra], index[rb]
+        rows.append(
+            ConfusionRow(ra, rb, counts[a][a], counts[a][b], counts[b][a], counts[b][b])
         )
-
-    return [
-        ConfusionRow(
-            relation_a=ra,
-            relation_b=rb,
-            a_as_a=count(ra, ra),
-            a_as_b=count(ra, rb),
-            b_as_a=count(rb, ra),
-            b_as_b=count(rb, rb),
-        )
-        for ra, rb in pairs
-    ]
+    return rows

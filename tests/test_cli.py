@@ -790,18 +790,41 @@ def test_eval_metrics_match_hand_computation(tmp_path):
     assert report["recall_at_k"]["24"] == 1.0
 
 
-def test_eval_pred_equals_gold_is_100_100(tmp_path):
-    out = tmp_path / "out"
-    out.mkdir()
-    queries = read_jsonl(GOLDEN / "queries.jsonl")
-    with (out / "gold_predictions.jsonl").open("w") as fh:
-        for q in queries:
+def write_gold_predictions(path):
+    """A predictions file that predicts every golden query's gold labels."""
+    with path.open("w") as fh:
+        for q in read_jsonl(GOLDEN / "queries.jsonl"):
             fh.write(
                 json.dumps(
                     {"query_id": q["query_id"], "relations": q["gold"], "raw": ""}
                 )
                 + "\n"
             )
+    return path
+
+
+def test_eval_ranks_for_recall_once(tmp_path, monkeypatch):
+    out = golden_run(tmp_path)
+    calls = Counter()
+    curve = cli.recall_curve
+
+    def counted_curve(gold, scores):
+        calls["curve"] += 1
+        return curve(gold, scores)
+
+    monkeypatch.setattr(cli, "recall_curve", counted_curve)
+    monkeypatch.setattr(cli, "recall_at_k", lambda *args: pytest.fail("recall_at_k called"))
+    predictions = str(out / "predictions.jsonl")
+    assert run_cli("--config", CONFIG, "--output", str(out), "eval", predictions) == 0
+    assert calls == Counter(curve=1)
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(map(int, report["recall_at_k"])) == list(range(1, 25))
+
+
+def test_eval_pred_equals_gold_is_100_100(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    write_gold_predictions(out / "gold_predictions.jsonl")
     code = run_cli(
         "--config", CONFIG, "--output", str(out), "eval",
         str(out / "gold_predictions.jsonl"),
@@ -830,6 +853,29 @@ def test_eval_coverage_gap_errors(tmp_path, capsys):
     code = run_cli("--config", CONFIG, "--output", str(out), "eval", str(partial))
     assert code == 1
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["predictions", "baseline"])
+@pytest.mark.parametrize("fault", ["missing", "unknown"])
+def test_eval_refuses_a_file_that_does_not_cover_the_queries(tmp_path, capsys, role, fault):
+    full = write_gold_predictions(tmp_path / "gold.jsonl")
+    lines = full.read_text().splitlines()
+    if fault == "missing":
+        kept = lines[:5]
+        named = ", ".join(json.loads(line)["query_id"] for line in lines[5:10])
+        message = f"predictions missing for 15 of 20 queries ({named}, ...)"
+    else:
+        stray = dict(json.loads(lines[3]), query_id="Q_STRAY")
+        kept = lines + [json.dumps(stray)]
+        message = "1 predictions for queries not in the query file (Q_STRAY)"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(kept) + "\n")
+    files = [bad] if role == "predictions" else [full, bad]
+    out = tmp_path / "out"
+    code = run_cli("--config", CONFIG, "--output", str(out), "eval", *map(str, files))
+    assert code == 1
+    assert f"{bad}: {message}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_eval_duplicate_query_id_rejected(tmp_path, capsys):
@@ -963,6 +1009,35 @@ def test_eval_reads_no_bags(tmp_path, monkeypatch):
     assert run_cli("--config", CONFIG, "--output", str(out), "eval", predictions) == 0
     assert calls["read"] == 1
     assert {name: (out / name).read_bytes() for name in EVAL_OUTPUTS} == lean
+
+
+# sha256 of every eval output of the golden run: how eval counts may
+# change, but not one byte of what it writes
+EVAL_DIGESTS = {
+    "report.json": "f870f480c29ead5f9353c3701fda881192f7e71dd6c060830c8a4ce82316b536",
+    "per_relation.csv": "95a0dfdea2f16ab69440764ffb80c7f6e1e7f4f8199d8d3848e1451fffc77754",
+    "confusion_pairs.csv": "c7f215da4aac19243aa900a99c923898cb3613b8fa9289ed2b87c9733bcfa6d2",
+    "summary.txt": "3adb7b16f144695fc21d32f24823a91bb24227aa19bfe81cefbd84483651d0a5",
+}
+# the same run's predictions against a baseline that predicts the gold labels
+MCNEMAR_DIGESTS = {
+    "mcnemar.json": "a0767933396542bbb9e7a79567d8a38f1449633c1fc871ee332ede1e0794910e",
+    "summary.txt": "11b49872292263bad1949a0a16dc715b367b5b54a0940c97bb071232445b7bf2",
+}
+
+
+def sha256s(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_eval_outputs_keep_their_digests(tmp_path):
+    out = golden_run(tmp_path)
+    predictions = str(out / "predictions.jsonl")
+    assert run_cli("--config", CONFIG, "--output", str(out), "eval", predictions) == 0
+    assert sha256s(out, EVAL_OUTPUTS) == EVAL_DIGESTS
+    baseline = str(write_gold_predictions(tmp_path / "gold.jsonl"))
+    assert run_cli("--config", CONFIG, "--output", str(out), "eval", predictions, baseline) == 0
+    assert sha256s(out, MCNEMAR_DIGESTS) == MCNEMAR_DIGESTS
 
 
 def assert_builds_only_shown_sentences(tmp_path, monkeypatch, strategy):

@@ -12,6 +12,7 @@ from hydre.evaluation import (
     mcnemar,
     pair_reports,
     recall_at_k,
+    recall_curve,
     score,
 )
 from hydre.providers import ScoreMatrix
@@ -336,3 +337,71 @@ def test_confusion_matches_counting_oracle():
                 (row,) = confusion_pairs(gold, pred, [(ra, rb)], ONT)
                 want = confusion_oracle(gold.facts, pred.facts, ra, rb)
                 assert (row.a_as_a, row.a_as_b, row.b_as_a, row.b_as_b) == want
+
+
+# ----------------------------------------------------- oracle property test
+
+
+def random_eval_instance(seed):
+    """Gold and predicted facts plus a score row per query over a random
+    ontology. Seeds cycle through all-NA gold, empty predictions, both, and
+    mixed instances; gold is multi-label, some relations have no support, and
+    scores come from a few values so that ties are common."""
+    rng = random.Random(seed)
+    all_na, no_predictions = seed % 5 in (0, 2), seed % 5 in (1, 2)
+    relations = [f"rel_{chr(ord('a') + i)}" for i in range(rng.randint(1, 8))]
+    queries = [f"q{i:02d}" for i in range(rng.randint(1, 12))]
+    # a relation outside ``supported`` never occurs in gold
+    supported = rng.sample(relations, rng.randint(1, len(relations)))
+    gold_by_query = {}
+    pred_by_query = {}
+    for q in queries:
+        if all_na or rng.random() < 0.25:
+            gold_by_query[q] = None  # NA
+        else:
+            gold_by_query[q] = set(rng.sample(supported, rng.randint(1, min(3, len(supported)))))
+        if no_predictions:
+            pred_by_query[q] = set()
+        else:
+            pred_by_query[q] = set(rng.sample(relations, rng.randint(0, min(3, len(relations)))))
+    levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+    scores = {q: [rng.choice(levels) for _ in relations] for q in queries}
+    return relations, gold_by_query, pred_by_query, scores
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_eval_matches_oracles_on_random_instances(seed):
+    relations, gold_by_query, pred_by_query, rows = random_eval_instance(seed)
+    ontology = ontology_from_names(relations)
+    gold = FactSet.from_queries(query_set(gold_by_query))
+    pred = FactSet.from_predictions(pred_by_query, ontology)
+
+    report = score(gold, pred, ontology)
+    assert (report.micro_f1, report.macro_f1) == micro_macro_oracle(
+        gold.facts, pred.facts, relations
+    )
+    assert report.n_gold_facts == len(gold.facts)
+    for name, rs in report.per_relation.items():
+        gold_r = {f for f in gold.facts if f[1] == name}
+        pred_r = {f for f in pred.facts if f[1] == name}
+        assert rs.support == len(gold_r)
+        if gold_r or pred_r:
+            assert rs.f1 == micro_macro_oracle(gold_r, pred_r, [name])[0]
+        else:
+            assert (rs.precision, rs.recall, rs.f1) == (0.0, 0.0, 0.0)
+
+    pairs = [(ra, rb) for ra in relations for rb in relations if ra != rb]
+    got = confusion_pairs(gold, pred, pairs, ontology)
+    assert [(row.relation_a, row.relation_b) for row in got] == pairs
+    for row in got:
+        want = confusion_oracle(gold.facts, pred.facts, row.relation_a, row.relation_b)
+        assert (row.a_as_a, row.a_as_b, row.b_as_a, row.b_as_b) == want
+
+    matrix = ScoreMatrix(tuple(relations), {q: np.asarray(r) for q, r in rows.items()})
+    curve = recall_curve(gold, matrix)
+    assert len(curve) == len(relations)
+    for k in range(1, len(relations) + 2):
+        want = recall_at_k_oracle(gold.facts, rows, relations, k)
+        assert recall_at_k(gold, matrix, k) == want
+        if k <= len(relations):
+            assert curve[k - 1] == want
