@@ -472,13 +472,11 @@ def _pipeline(
     q_id: str, inputs: SelectionInputs, style: str = "sentence", **scoring_changes
 ) -> ExemplarSet:
     """The three-stage pipeline in an exemplar style, with changed scoring."""
+    scoring = inputs.scoring
+    if scoring_changes:
+        scoring = dataclasses.replace(scoring, **scoring_changes)
     return build_exemplar_set(
-        q_id,
-        inputs.corpus,
-        inputs.scores,
-        inputs.embeddings,
-        dataclasses.replace(inputs.scoring, **scoring_changes),
-        style=style,
+        q_id, inputs.corpus, inputs.scores, inputs.embeddings, scoring, style=style
     )
 
 

@@ -57,23 +57,25 @@ class SentenceInstance:
     tail: EntitySpan
 
     def __post_init__(self) -> None:
-        for role, span in (("head", self.head), ("tail", self.tail)):
-            if not (0 <= span.start < span.end <= len(self.text)):
-                raise CorpusError(
-                    f"sentence {self.sentence_id!r}: {role} span "
-                    f"[{span.start}, {span.end}) out of range for text of "
-                    f"length {len(self.text)}"
-                )
-            got = self.text[span.start : span.end]
-            if got != span.surface:
-                raise CorpusError(
-                    f"sentence {self.sentence_id!r}: {role} surface "
-                    f"{span.surface!r} != text slice {got!r}"
-                )
-        if self.head.start < self.tail.end and self.tail.start < self.head.end:
+        _check_spans(f"sentence {self.sentence_id!r}", self.text, self.head, self.tail)
+
+
+def _check_spans(name: str, text: str, head: EntitySpan, tail: EntitySpan) -> None:
+    """Each span lies within the text and matches its slice, and the two do
+    not overlap; a fault raises ``CorpusError`` naming ``name``."""
+    for role, span in (("head", head), ("tail", tail)):
+        if not (0 <= span.start < span.end <= len(text)):
             raise CorpusError(
-                f"sentence {self.sentence_id!r}: head and tail spans overlap"
+                f"{name}: {role} span [{span.start}, {span.end}) out of range "
+                f"for text of length {len(text)}"
             )
+        got = text[span.start : span.end]
+        if got != span.surface:
+            raise CorpusError(
+                f"{name}: {role} surface {span.surface!r} != text slice {got!r}"
+            )
+    if head.start < tail.end and tail.start < head.end:
+        raise CorpusError(f"{name}: head and tail spans overlap")
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,7 @@ class QueryInstance:
     is_na: bool = False
 
     def __post_init__(self) -> None:
-        # reuse the span validation from SentenceInstance
-        SentenceInstance(self.query_id, self.text, self.head, self.tail)
+        _check_spans(f"query {self.query_id!r}", self.text, self.head, self.tail)
         if self.is_na and self.gold:
             raise CorpusError(
                 f"query {self.query_id!r}: NA query must have empty gold set"
@@ -529,8 +530,12 @@ def load_queries(path: str | Path, ontology: RelationOntology) -> list[QueryInst
         if query_id in seen:
             raise CorpusError(f"{where}: duplicate query_id {query_id!r}")
         seen.add(query_id)
+        if not isinstance(text, str):
+            raise CorpusError(f"{where}: malformed text {text!r}")
         hs, he = _span(record, "head_span", text, where)
         ts, te = _span(record, "tail_span", text, where)
+        if hs < te and ts < he:
+            raise CorpusError(f"{where}: head_span and tail_span overlap")
         head, tail = EntitySpan(hs, he, text[hs:he]), EntitySpan(ts, te, text[ts:te])
         labelset = _check_labels(gold_list, ontology, f"{where} (query {query_id!r})")
         is_na = bool(record.get("is_na", False)) or na in labelset
@@ -543,7 +548,12 @@ def load_queries(path: str | Path, ontology: RelationOntology) -> list[QueryInst
             raise CorpusError(
                 f"{where}: query {query_id!r} has no gold relations and no NA flag"
             )
-        queries.append(QueryInstance(query_id, text, head, tail, gold, is_na))
+        # every check QueryInstance makes is made above, naming the line
+        query = object.__new__(QueryInstance)
+        query.__dict__.update(
+            query_id=query_id, text=text, head=head, tail=tail, gold=gold, is_na=is_na
+        )
+        queries.append(query)
     return queries
 
 

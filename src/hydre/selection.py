@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -108,9 +109,9 @@ class CorpusView:
     are None for a provider the selection does not consult.
 
     A k sweep selects each query for every k in turn with the same view, so
-    the view keeps the latest query's screened bag similarities and each
-    bag's stage-3 sentence; both depend only on the query or bag and the
-    view's providers.
+    the view keeps the latest query's screened bag similarities and stage-2
+    picks, and each bag's stage-3 sentence; each depends only on the query
+    or bag, the scoring and the view's providers, not on k.
     """
 
     corpus: Corpus
@@ -118,6 +119,7 @@ class CorpusView:
     score_rows: np.ndarray | None  # sentence position -> score row
     confidence: np.ndarray | None  # bag x relation: max over the bag's sentences
     latest_bag_sims: dict = field(default_factory=dict, repr=False)
+    latest_bag_picks: dict = field(default_factory=dict, repr=False)
     sentence_picks: dict = field(default_factory=dict, repr=False)
 
     def bag_similarities(
@@ -141,6 +143,17 @@ class CorpusView:
         self.latest_bag_sims.clear()
         self.latest_bag_sims[(q_id, pooling)] = sims
         return sims
+
+    def bag_picks(self, q_id: str) -> dict:
+        """The stage-2 picks kept for the query, emptied when another query
+        asks: (relation, w_sim, w_conf, pooling) -> (bag id, or None for a
+        relation with no bag; exemplar score, which in similarity-only mode
+        is the picked bag's exact similarity)."""
+        picks = self.latest_bag_picks.get(q_id)
+        if picks is None:
+            self.latest_bag_picks.clear()
+            picks = self.latest_bag_picks[q_id] = {}
+        return picks
 
     def exact_bag_similarities(
         self, q_id: str, embeddings: EmbeddingIndex, pooling: str, bags: np.ndarray
@@ -196,20 +209,27 @@ def corpus_view(
         return cached[2]
     score_rows = confidence = None
     if scores is not None:
-        score_rows = scores.row_indexes(corpus.sentence_ids)
+        score_rows = _sentence_rows(corpus, scores)
         confidence = np.maximum.reduceat(
             scores.matrix[score_rows], corpus.starts, axis=0
         )
     view = CorpusView(
         corpus,
-        embedding_rows=(
-            None if embeddings is None else embeddings.row_indexes(corpus.sentence_ids)
-        ),
+        embedding_rows=None if embeddings is None else _sentence_rows(corpus, embeddings),
         score_rows=score_rows,
         confidence=confidence,
     )
     corpus.view_cache["view"] = (scores, embeddings, view)
     return view
+
+
+def _sentence_rows(corpus: Corpus, provider: ScoreMatrix | EmbeddingIndex) -> np.ndarray:
+    """The provider row of each corpus sentence; one range when the
+    provider's first rows are the corpus sentences, in order."""
+    ids = corpus.sentence_ids
+    if list(islice(provider.row_of, len(ids))) == ids:
+        return np.arange(len(ids), dtype=np.intp)
+    return provider.row_indexes(ids)
 
 
 def _consulted(
@@ -403,7 +423,9 @@ def select_candidate_bags(
     (relation, score, bag_id) in candidate order. In similarity-only mode
     (w_conf = 0) the exemplar score is the chosen bag's exact similarity.
     The query's screened bag similarities are computed once and shared by
-    every stage.
+    every stage, and each candidate's stage-2 pick is kept on the view
+    (``CorpusView.bag_picks``), so a k sweep runs ``select_bag`` once per
+    query and relation.
     """
     scores, embeddings = _consulted(scores, embeddings, config)
     view = corpus_view(corpus, scores, embeddings)
@@ -422,18 +444,25 @@ def select_candidate_bags(
         candidates = _similarity_candidates(
             corpus, *settle_top(bag_sims, slack, config.k, exact)
         )
+    kept = view.bag_picks(q_id)
     picks: list[tuple[str, float, str]] = []
     skipped: list[str] = []
     for relation, score in candidates:
-        try:
-            bag_id = select_bag(
-                q_id, relation, corpus, scores, embeddings, config, bag_sims=bag_sims
-            )
-        except NoBagForRelation:
+        key = (relation, config.w_sim, config.w_conf, pooling)
+        if key not in kept:
+            try:
+                bag_id = select_bag(
+                    q_id, relation, corpus, scores, embeddings, config, bag_sims=bag_sims
+                )
+            except NoBagForRelation:
+                bag_id = None
+            if bag_id is not None and scores is None:
+                score = float(exact(np.array([corpus.bag_position[bag_id]]))[0])
+            kept[key] = (bag_id, score)
+        bag_id, score = kept[key]
+        if bag_id is None:
             skipped.append(relation)
             continue
-        if scores is None:
-            score = float(exact(np.array([corpus.bag_position[bag_id]]))[0])
         picks.append((relation, score, bag_id))
     return candidates, picks, skipped
 

@@ -85,6 +85,26 @@ def test_validate_unscored_sentence_named(tmp_path, capsys):
     assert "s0801" in err
 
 
+@pytest.mark.parametrize(
+    "tail_span, message",
+    [
+        (None, "{p}:3: head_span and tail_span overlap"),
+        ([0, 9999], "{p}:3: tail_span [0, 9999) out of range"),
+    ],
+    ids=["overlap", "out_of_range"],
+)
+def test_validate_names_the_line_of_a_bad_query_span(tmp_path, capsys, tail_span, message):
+    lines = (GOLDEN / "queries.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["tail_span"] = tail_span or record["head_span"]
+    lines[2] = json.dumps(record)
+    bad = tmp_path / "queries.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    config_path, _ = absolute_config(tmp_path, queries=bad)
+    assert run_cli("--config", str(config_path), "validate") == 1
+    assert message.format(p=bad) in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- select
 
 
@@ -363,16 +383,19 @@ def test_run_with_selections_reads_no_provider(tmp_path, monkeypatch):
     assert digest == pinned["prompts"]
 
 
-def test_run_k_sweep_matches_separate_select_and_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "strategy",
+    ["hydre", "ablation:no_conf", "ablation:no_sim", "reduced_bag", "ablation:full_bag"],
+)
+def test_run_k_sweep_matches_separate_select_and_run(tmp_path, monkeypatch, strategy):
     config_path = live_config(tmp_path, monkeypatch)
     sweep = tmp_path / "out"
-    assert run_cli("--config", config_path, "--k", "2..4", "run") == 0
+    flags = ("--config", config_path, "--strategy", strategy)
+    assert run_cli(*flags, "--k", "2..4", "run") == 0
     for k in (2, 3, 4):
         single = tmp_path / f"single_k{k}"
         for command in ("select", "run"):
-            assert run_cli(
-                "--config", config_path, "--output", str(single), "--k", str(k), command
-            ) == 0
+            assert run_cli(*flags, "--output", str(single), "--k", str(k), command) == 0
         for name in ("selections", "prompts", "predictions"):
             assert (sweep / f"{name}_k{k}.jsonl").read_bytes() == (
                 single / f"{name}.jsonl"
@@ -380,11 +403,18 @@ def test_run_k_sweep_matches_separate_select_and_run(tmp_path, monkeypatch):
 
 
 def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
-    """A sweep computes each query's bag similarities and each picked bag's
-    stage-3 sentence once, and writes metadata.json once, as ``run``."""
+    """A sweep computes each query's bag similarities, each (query, candidate
+    relation) stage-2 pick and each picked bag's stage-3 sentence once, and
+    writes metadata.json once, as ``run``."""
     calls = Counter()
+    bag_picks = Counter()
     similarities = EmbeddingIndex.screened_similarities
+    select_bag = hydre.selection.select_bag
     select_sentence = hydre.selection.select_sentence
+
+    def counted_select_bag(q_id, relation, *args, **kwargs):
+        bag_picks[q_id, relation] += 1
+        return select_bag(q_id, relation, *args, **kwargs)
 
     def counted_similarities(self, q_id, rows):
         calls[q_id] += 1
@@ -395,6 +425,7 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
         return select_sentence(corpus, b, scores, threshold)
 
     monkeypatch.setattr(EmbeddingIndex, "screened_similarities", counted_similarities)
+    monkeypatch.setattr(hydre.selection, "select_bag", counted_select_bag)
     monkeypatch.setattr(hydre.selection, "select_sentence", counted_select_sentence)
     written = []
     monkeypatch.setattr(
@@ -407,6 +438,9 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     queries = [r["query_id"] for r in selections]
     assert {q: calls[q] for q in queries} == dict.fromkeys(queries, 1)
     assert calls and set(calls.values()) == {1}
+    assert bag_picks == Counter(
+        (r["query_id"], relation) for r in selections for relation, _ in r["candidates"]
+    )
 
 
 GOLDEN_CHUNK = 16  # queries per screen in the batch tests: two chunks of 20

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hydre.corpus import (
     Corpus,
     CorpusError,
     EntitySpan,
+    QueryInstance,
     SentenceInstance,
     bag_records,
     builtin_ontology_path,
@@ -201,6 +204,43 @@ def test_load_queries_empty_gold_without_flag_errors(tmp_path, tiny_ontology):
     path = write_records(tmp_path, "q.jsonl", [query_record("q1", [])])
     with pytest.raises(CorpusError, match="no gold"):
         load_queries(path, tiny_ontology)
+
+
+def test_load_queries_rejects_non_string_text(tmp_path, tiny_ontology):
+    record = query_record("q1", ["rel_a"])
+    record["text"] = list(record["text"])
+    path = write_records(tmp_path, "q.jsonl", [record])
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:1: malformed text"):
+        load_queries(path, tiny_ontology)
+
+
+@pytest.mark.parametrize(
+    "head, tail, message",
+    [
+        ((0, 7, "Alpha B"), (6, 10, "Beta"), "query 'q1': head and tail spans overlap"),
+        ((0, 5, "Alphx"), (6, 10, "Beta"), "query 'q1': head surface 'Alphx'"),
+        ((0, 5, "Alpha"), (6, 99, "Beta"), "query 'q1': tail span [6, 99) out of range"),
+    ],
+    ids=["overlap", "surface", "range"],
+)
+def test_query_instance_refuses_bad_spans(head, tail, message):
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        QueryInstance(
+            "q1", "Alpha Beta", EntitySpan(*head), EntitySpan(*tail), frozenset({"rel_a"})
+        )
+
+
+def test_loaded_queries_equal_directly_built_ones(tmp_path, tiny_ontology):
+    records = [query_record("q1", ["rel_b"]), query_record("q2", [], is_na=True)]
+    queries = load_queries(write_records(tmp_path, "q.jsonl", records), tiny_ontology)
+    built = []
+    for record, gold in zip(records, ({"rel_b"}, set())):
+        s = make_sentence(record["query_id"])
+        built.append(
+            QueryInstance(s.sentence_id, s.text, s.head, s.tail, frozenset(gold), not gold)
+        )
+    assert queries == built
+    assert list(map(hash, queries)) == list(map(hash, built))
 
 
 # ----------------------------------------------------------------- indexing

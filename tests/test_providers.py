@@ -312,6 +312,40 @@ def test_bag_similarities_keep_the_latest_query(monkeypatch):
     assert calls == [q_ids[0]] * 4 + [q_ids[1], q_ids[0]]
 
 
+@pytest.mark.parametrize(
+    "order, lookups",
+    [("sentences_first", 0), ("queries_first", 2), ("sentences_reversed", 2)],
+)
+def test_view_maps_each_sentence_to_its_provider_row(monkeypatch, order, lookups):
+    """Providers whose first rows are the corpus sentences in order map them
+    with one range and no lookup; any other order maps them by lookup."""
+    instance = make_random_instance(seed=2200, max_bags=8)
+    corpus = corpus_from_instance(instance)
+    sentences, queries = corpus.sentence_ids, instance["queries"]
+    assert len(sentences) > 1
+    ids = {
+        "sentences_first": sentences + queries,
+        "queries_first": queries + sentences,
+        "sentences_reversed": sentences[::-1] + queries,
+    }[order]
+    scores = ScoreMatrix(instance["relations"], {i: instance["scores"][i] for i in ids})
+    emb = embeddings_from_instance(
+        dict(instance, embeddings={i: instance["embeddings"][i] for i in ids})
+    )
+    calls = []
+    for owner in (ScoreMatrix, EmbeddingIndex):
+        monkeypatch.setattr(
+            owner,
+            "row_indexes",
+            lambda self, items, _f=owner.row_indexes: calls.append(self) or _f(self, items),
+        )
+    view = corpus_view(corpus, scores, emb)
+    assert len(calls) == lookups
+    for rows in (view.score_rows, view.embedding_rows):
+        assert rows.dtype == np.intp
+        assert [ids[r] for r in rows.tolist()] == sentences
+
+
 def test_bag_confidence_max_pooling(tiny_ontology):
     scores = ScoreMatrix(
         tiny_ontology.names,

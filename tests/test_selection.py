@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import hydre.selection
 from hydre.corpus import Bag, Corpus
 from hydre.providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from hydre.selection import (
@@ -359,6 +361,67 @@ def test_build_exemplar_set_records_skip():
     got = build_exemplar_set("q000", corpus, scores, emb, ScoringConfig(k=3))
     assert len(got.exemplars) == 2
     assert got.skipped == ("rel_c",)
+
+
+def test_k_sweep_picks_a_bagless_candidate_once_and_skips_it_at_every_k(monkeypatch):
+    instance = hand_checkable_instance()
+    instance["scores"]["q000"] = [0.9, 0.8, 0.85]  # rel_c, with no bag, ranks 2nd
+    corpus = corpus_from_instance(instance)
+    scores = scores_from_instance(instance)
+    emb = embeddings_from_instance(instance)
+    calls = Counter()
+    select_bag = hydre.selection.select_bag
+
+    def counted_select_bag(q_id, relation, *args, **kwargs):
+        calls[relation] += 1
+        return select_bag(q_id, relation, *args, **kwargs)
+
+    monkeypatch.setattr(hydre.selection, "select_bag", counted_select_bag)
+    skipped = [
+        build_exemplar_set("q000", corpus, scores, emb, ScoringConfig(k=k)).skipped
+        for k in (1, 2, 3)
+    ]
+    assert skipped == [(), ("rel_c",), ("rel_c",)]
+    assert calls == {"rel_a": 1, "rel_c": 1, "rel_b": 1}
+
+
+def test_kept_stage2_picks_follow_query_weights_and_pooling():
+    """One view serves every call below, so its kept stage-2 picks must be
+    told apart by query, w_conf and pooling; each result is the oracle's."""
+    differs = Counter()
+    for seed in range(60):
+        instance = make_random_instance(seed=44000 + seed, n_queries=2)
+        corpus = corpus_from_instance(instance)
+        scores = scores_from_instance(instance)
+        emb = embeddings_from_instance(instance)
+        k = len(instance["relations"])
+        seen = {}
+        for q_id in instance["queries"]:
+            for w_conf, pooling in ((1.0, "max"), (4.0, "max"), (1.0, "mean")):
+                config = ScoringConfig(k=k, w_conf=w_conf, bag_sim_pooling=pooling)
+                got = build_exemplar_set(q_id, corpus, scores, emb, config)
+                want = exemplar_set_oracle(
+                    q_id,
+                    instance["relations"],
+                    instance["bags"],
+                    instance["scores"],
+                    instance["embeddings"],
+                    k=k,
+                    threshold=0.5,
+                    w_conf=w_conf,
+                    pooling=pooling,
+                )
+                assert list(got.skipped) == want["skipped"]
+                picks = {(e.candidate_relation, e.source_bag_id) for e in got.exemplars}
+                assert picks == {(w["relation"], w["bag_id"]) for w in want["exemplars"]}
+                assert [e.sentence.sentence_id for e in got.exemplars] == [
+                    w["sentence_id"] for w in want["exemplars"]
+                ]
+                seen[q_id, w_conf, pooling] = picks
+        differs["w_conf"] += seen["q000", 1.0, "max"] != seen["q000", 4.0, "max"]
+        differs["pooling"] += seen["q000", 1.0, "max"] != seen["q000", 1.0, "mean"]
+        differs["query"] += seen["q000", 1.0, "max"] != seen["q001", 1.0, "max"]
+    assert min(differs[key] for key in ("w_conf", "pooling", "query")) > 0, differs
 
 
 def test_exemplar_labels_contain_candidate_and_order_ascends():
