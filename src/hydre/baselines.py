@@ -9,6 +9,7 @@ a seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from typing import Sequence
 
@@ -78,68 +79,47 @@ def random_k(
     return random.Random(seed).sample(flat, k)
 
 
-def flat_rows(flat: Sequence[Exemplar], embeddings: EmbeddingIndex) -> np.ndarray:
-    """Embedding-matrix row of each flattened example."""
-    return embeddings.row_indexes(f.sentence.sentence_id for f in flat)
-
-
 def _settled_top(
-    q_id: str,
-    flat: Sequence[Exemplar],
-    embeddings: EmbeddingIndex,
-    k: int,
-    sims: np.ndarray | None,
-    rows: np.ndarray | None,
+    q_id: str, flat: FlatExamples, embeddings: EmbeddingIndex, k: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(positions, exact similarities) of the k examples most similar to
-    the query, descending, corpus order on ties; ``sims`` and ``rows`` as
-    for mmr_select."""
-    if sims is None:
-        sims = embeddings.screened_similarities(q_id, flat_rows(flat, embeddings))
-
-    def exact(positions: np.ndarray) -> np.ndarray:
-        if rows is not None:
-            return embeddings.similarities(q_id, rows[positions])
-        picked = [flat[i] for i in positions.tolist()]
-        return embeddings.similarities(q_id, flat_rows(picked, embeddings))
-
-    return settle_top(sims, screen_slack(embeddings.dim), k, exact)
+    the query, descending, corpus order on ties. k None ranks every example
+    from exact similarities alone, so nothing is screened."""
+    view = corpus_view(flat.corpus, None, embeddings)
+    return settle_top(
+        view.similarities(q_id, exact=k is None),
+        screen_slack(embeddings.dim),
+        len(flat) if k is None else k,
+        functools.partial(view.exact_similarities, q_id),
+    )
 
 
-def _scored(flat: Sequence[Exemplar], example: int, sim: float) -> Exemplar:
+def _scored(flat: FlatExamples, example: int, sim: float) -> Exemplar:
     """The example scored with its exact similarity to the query."""
     return dataclasses.replace(flat[example], candidate_score=float(sim))
 
 
 def topk_sim(
-    q_id: str,
-    flat: Sequence[Exemplar],
-    embeddings: EmbeddingIndex,
-    k: int,
-    sims: np.ndarray | None = None,
+    q_id: str, flat: FlatExamples, embeddings: EmbeddingIndex, k: int
 ) -> list[Exemplar]:
     """The k sentences most similar to the query, descending; corpus order
     breaks ties. Each carries its exact similarity as its candidate score.
 
-    ``sims``, the query's screened similarity to each example
-    (``EmbeddingIndex.screened_similarities``), is computed when not given;
-    a caller selecting for many queries passes it to reuse it. The ranking
-    is that of exact similarities: the screen only narrows which examples
-    get one.
+    The ranking is that of exact similarities: the screened similarities
+    of the corpus view (``CorpusView.similarities``) only narrow which
+    examples get one.
     """
-    top, top_sims = _settled_top(q_id, flat, embeddings, k, sims, None)
+    top, top_sims = _settled_top(q_id, flat, embeddings, k)
     return [_scored(flat, i, sim) for i, sim in zip(top.tolist(), top_sims)]
 
 
 def mmr_select(
     q_id: str,
-    flat: Sequence[Exemplar],
+    flat: FlatExamples,
     embeddings: EmbeddingIndex,
     k: int,
     alpha: float = DEFAULT_MMR_ALPHA,
     pool_size: int | None = DEFAULT_MMR_POOL_SIZE,
-    sims: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
 ) -> list[Exemplar]:
     """Greedy maximal-marginal-relevance selection, in selection order.
 
@@ -147,22 +127,18 @@ def mmr_select(
     over sentences not yet selected, where s' ranges over the selection so
     far; the earliest pool entry wins a tie. The pool is pre-truncated to
     the pool_size most query-similar sentences; pass pool_size=None to rank
-    the whole corpus. The pool and its query similarities are exact, and
-    each pick carries its query similarity as its candidate score. ``sims``
-    is as for topk_sim; ``rows``, the embedding row of each example, is
-    looked up from the examples when not given.
+    the whole corpus, whose query similarities are then computed exactly
+    for the view's whole query chunk at once. The pool and its query
+    similarities are exact, and each pick carries its query similarity as
+    its candidate score.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    pool, q_sims = _settled_top(
-        q_id, flat, embeddings, len(flat) if pool_size is None else pool_size, sims, rows
-    )
+    pool, q_sims = _settled_top(q_id, flat, embeddings, pool_size)
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
-    if rows is None:
-        vectors = embeddings.matrix[flat_rows([flat[i] for i in pool], embeddings)]
-    else:
-        vectors = embeddings.matrix[rows[pool]]
+    rows = corpus_view(flat.corpus, None, embeddings).embedding_rows
+    vectors = embeddings.matrix[rows[pool]]
 
     selected: list[int] = []
     available = np.ones(len(pool), dtype=bool)
@@ -195,7 +171,7 @@ def flat_retrieval(
     view = corpus_view(corpus, scores, embeddings if use_sim else None)
     sims = None
     if use_sim:
-        sims = embeddings.screened_similarities(q_id, view.embedding_rows)
+        sims = view.similarities(q_id)
         slack = screen_slack(embeddings.dim, None, config.w_sim, config.w_conf)
     exemplars = []
     skipped = []
@@ -212,9 +188,8 @@ def flat_retrieval(
         else:
 
             def exact(near: np.ndarray) -> np.ndarray:
-                near_rows = view.embedding_rows[positions[near]]
-                return conf[near] + config.w_sim * embeddings.similarities(
-                    q_id, near_rows
+                return conf[near] + config.w_sim * view.exact_similarities(
+                    q_id, positions[near]
                 )
 
             best = settle_argmax(conf + config.w_sim * sims[positions], slack, exact)

@@ -71,7 +71,6 @@ from .providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from .selection import (
     ExemplarSet,
     build_exemplar_set,
-    corpus_view,
     deserialize_exemplar_set,
     select_candidates,
     serialize_exemplar_set,
@@ -480,26 +479,14 @@ def _pipeline(
     )
 
 
-def _topk_sim(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
-    corpus, embeddings = inputs.corpus, inputs.embeddings
-    rows = corpus_view(corpus, None, embeddings).embedding_rows
-    sims = embeddings.screened_similarities(q_id, rows)
-    picked = topk_sim(q_id, flatten(corpus), embeddings, inputs.scoring.k, sims=sims)
+def _topk_sim(q_id: str, i: SelectionInputs) -> ExemplarSet:
+    picked = topk_sim(q_id, flatten(i.corpus), i.embeddings, i.scoring.k)
     return ExemplarSet(q_id, tuple(picked))
 
 
-def _mmr(q_id: str, inputs: SelectionInputs) -> ExemplarSet:
-    corpus, embeddings = inputs.corpus, inputs.embeddings
-    rows = corpus_view(corpus, None, embeddings).embedding_rows
+def _mmr(q_id: str, i: SelectionInputs) -> ExemplarSet:
     picked = mmr_select(
-        q_id,
-        flatten(corpus),
-        embeddings,
-        inputs.scoring.k,
-        alpha=inputs.mmr_alpha,
-        pool_size=inputs.mmr_pool_size,
-        sims=embeddings.screened_similarities(q_id, rows),
-        rows=rows,
+        q_id, flatten(i.corpus), i.embeddings, i.scoring.k, i.mmr_alpha, i.mmr_pool_size
     )
     return ExemplarSet(q_id, tuple(picked))
 
@@ -566,11 +553,6 @@ STRATEGIES: dict[str, Strategy] = {
 }
 
 
-# Bytes of dot products a query chunk holds: about 160 queries
-# against the 12.8k rows of 5k bags, 16 against the 128k rows of 50k bags.
-SCREEN_BYTES = 16 << 20
-
-
 def _selections_filename(k: int | None) -> str:
     return "selections.jsonl" if k is None else f"selections_k{k}.jsonl"
 
@@ -587,14 +569,10 @@ def cmd_select(
     sweep passes its own, and writes metadata.json once it ends); without
     it the command loads its own and writes metadata.json. Each query is
     selected for every k in turn, so the selection view's per-query work
-    (bag similarities) is done once per query. A strategy that reads query
-    embeddings takes the queries in chunks whose dot products with every
-    embedding row fit in ``SCREEN_BYTES``, and screens each chunk with one
-    matrix product (``EmbeddingIndex.batch``). Every decision the screen
-    could get wrong is settled with exact dot products, so every pick and
-    every score written is bit-identical to one query at a time. MMR with
-    no pool cut needs every row's exact value, so its chunks hold exact dot
-    products instead of a screen.
+    (bag similarities, stage-2 picks) is done once per query. When query
+    similarities are computed, and for which chunk of queries at once, is
+    the view's affair (``selection.CorpusView``); every pick and every score
+    written is the one a selection of that query alone would make.
     """
     _check_mmr_pool(config, k_values)
     standalone = run is None
@@ -614,9 +592,6 @@ def cmd_select(
         for k in k_values
     ]
     select = STRATEGIES[config.strategy].select
-    batched = _needs(config)[2]
-    exact = config.strategy == "mmr" and config.raw["mmr"]["pool_size"] is None
-    queries = run.corpus.queries
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     with contextlib.ExitStack() as stack:
@@ -624,21 +599,12 @@ def cmd_select(
             stack.enter_context(atomic_write(out / _selections_filename(k)))
             for k in k_values
         ]
-        size = len(queries) or 1
-        if batched:
-            size = max(1, SCREEN_BYTES // (8 * len(run.embeddings.matrix)))
-        for start in range(0, len(queries), size):
-            chunk = [q.query_id for q in queries[start : start + size]]
-            held = contextlib.nullcontext()
-            if batched:
-                held = run.embeddings.batch(chunk, exact)
-            with held:
-                for q_id in chunk:
-                    for fh, k_inputs in zip(files, inputs):
-                        record = serialize_exemplar_set(
-                            select(q_id, k_inputs), run.corpus.ontology
-                        )
-                        fh.write(jsonl_line(record))
+        for q in run.corpus.queries:
+            for fh, k_inputs in zip(files, inputs):
+                record = serialize_exemplar_set(
+                    select(q.query_id, k_inputs), run.corpus.ontology
+                )
+                fh.write(jsonl_line(record))
     if standalone:
         _write_metadata(config, "select", run.inputs)
     print(f"selected exemplars for {len(run.corpus.queries)} queries -> {out}")

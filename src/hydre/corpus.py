@@ -183,10 +183,12 @@ class QueryInstance:
         _check_spans(f"query {self.query_id!r}", self.text, self.head, self.tail)
         if self.is_na and self.gold:
             raise CorpusError(
-                f"query {self.query_id!r}: NA query must have empty gold set"
+                f"query {self.query_id!r} marked NA but has gold relations"
             )
         if not self.is_na and not self.gold:
-            raise CorpusError(f"query {self.query_id!r}: empty gold set")
+            raise CorpusError(
+                f"query {self.query_id!r} has no gold relations and no NA flag"
+            )
 
 
 def iter_jsonl(
@@ -451,7 +453,8 @@ def _parse_bags(path: Path, ontology: RelationOntology) -> _Columns:
                 tail = _span(sr, "tail_span", text, where)
                 if head[0] < tail[1] and tail[0] < head[1]:
                     raise CorpusError(
-                        f"sentence {sentence_id!r}: head and tail spans overlap"
+                        f"{where}: sentence {sentence_id!r}: "
+                        "head and tail spans overlap"
                     )
                 if sentence_id in seen_sentences:
                     raise CorpusError(
@@ -462,7 +465,7 @@ def _parse_bags(path: Path, ontology: RelationOntology) -> _Columns:
                 texts.append(text)
                 spans += head + tail
             if not bag_labels:
-                raise CorpusError(f"bag {bag_id!r}: empty labelset")
+                raise CorpusError(f"{where}: bag {bag_id!r}: empty labelset")
             lengths.append(len(sentence_records))
     except CorpusError:
         # a label fault in an earlier bag is the first fault in the file
@@ -534,25 +537,18 @@ def load_queries(path: str | Path, ontology: RelationOntology) -> list[QueryInst
             raise CorpusError(f"{where}: malformed text {text!r}")
         hs, he = _span(record, "head_span", text, where)
         ts, te = _span(record, "tail_span", text, where)
-        if hs < te and ts < he:
-            raise CorpusError(f"{where}: head_span and tail_span overlap")
-        head, tail = EntitySpan(hs, he, text[hs:he]), EntitySpan(ts, te, text[ts:te])
         labelset = _check_labels(gold_list, ontology, f"{where} (query {query_id!r})")
-        is_na = bool(record.get("is_na", False)) or na in labelset
-        gold = frozenset(l for l in labelset if l != na)
-        if is_na and gold:
-            raise CorpusError(
-                f"{where}: query {query_id!r} marked NA but has gold relations"
+        try:
+            query = QueryInstance(
+                query_id,
+                text,
+                EntitySpan(hs, he, text[hs:he]),
+                EntitySpan(ts, te, text[ts:te]),
+                frozenset(l for l in labelset if l != na),
+                bool(record.get("is_na", False)) or na in labelset,
             )
-        if not is_na and not gold:
-            raise CorpusError(
-                f"{where}: query {query_id!r} has no gold relations and no NA flag"
-            )
-        # every check QueryInstance makes is made above, naming the line
-        query = object.__new__(QueryInstance)
-        query.__dict__.update(
-            query_id=query_id, text=text, head=head, tail=tail, gold=gold, is_na=is_na
-        )
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
         queries.append(query)
     return queries
 

@@ -2,8 +2,10 @@
 configuration.
 
 Each provider keeps one contiguous matrix with a row per item and maps item
-ids to row indexes. A built matrix never changes; selection only reads it,
-so concurrent use per query is safe.
+ids to row indexes. A built matrix never changes and a provider holds no
+per-query state; selection only reads it, so concurrent use is safe. What a
+selection keeps per query, such as a chunk of screened similarities, the
+selection's ``CorpusView`` owns.
 
 Parsing a provider file's JSONL text dominates its load, so the first load
 of a file also writes the parsed matrix to a binary sidecar beside it,
@@ -22,11 +24,10 @@ import math
 import mmap
 import struct
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -378,13 +379,12 @@ class EmbeddingIndex(_RowMatrix):
     rows, so a cosine is a dot product. There are two ways to compute
     one. The exact way (``dots``, ``similarities``) gives every entry as one
     BLAS dot of the row and the query vector, so identical rows get
-    identical values and ties are exact. The screen (``screen_dots``,
-    ``screened_similarities``) computes many queries at once with one matrix
-    product; each of its values lies within ``screen_slack`` of the exact
-    one, and a selection settles every decision that value could change
-    with exact values (``settle_argmax``, ``settle_top``). Inside
-    ``batch(q_ids)`` the index holds those queries' screened dot products,
-    or with ``exact`` their exact ones.
+    identical values and ties are exact. The screen (``screen_dots``)
+    computes many queries at once with one matrix product; each of its
+    values lies within ``screen_slack`` of the exact one, and a selection
+    settles every decision that value could change with exact values
+    (``settle_argmax``, ``settle_top``). Which queries share a product, and
+    how long it is kept, is decided by ``selection.CorpusView``.
     """
 
     _missing = "no embedding for item {!r}"
@@ -406,8 +406,6 @@ class EmbeddingIndex(_RowMatrix):
             self.matrix[i] = vec.reshape(dim)
             self.row_of[item_id] = i
         _normalize_rows(self.matrix, list(vectors))
-        self._batch: dict[str, np.ndarray] = {}  # query id -> its held dots
-        self._batch_exact = False  # whether the held dots are ``dots``
 
     def dots(self, q_ids: Sequence[str]) -> np.ndarray:
         """Exact dot product of each query's row with every matrix row, one
@@ -441,46 +439,15 @@ class EmbeddingIndex(_RowMatrix):
         not necessarily on it: identical rows can get different values."""
         return self.matrix[self.row_indexes(q_ids)] @ self.matrix.T
 
-    @contextmanager
-    def batch(self, q_ids: Sequence[str], exact: bool = False) -> Iterator[None]:
-        """Hold the queries' ``screen_dots`` for ``screened_similarities``
-        until the scope exits; a batch held before is dropped first.
-
-        With ``exact`` the batch holds their ``dots`` instead, which
-        ``similarities`` reads too: a selection that needs every row's exact
-        value, such as MMR ranking the whole corpus, then gets it from one
-        cache-blocked pass over the matrix per batch."""
-        self._batch = {}
-        self._batch_exact = exact
-        compute = self.dots if exact else self.screen_dots
-        self._batch = dict(zip(q_ids, compute(q_ids)))
-        try:
-            yield
-        finally:
-            self._batch = {}
-
-    def screened_similarities(self, q_id: str, rows: np.ndarray) -> np.ndarray:
-        """``similarities`` of the query with each given row from the held
-        batch, or outside a batch from a screen of one. Each value lies
-        within ``screen_slack(self.dim)`` of the exact one, and is the
-        exact one when the batch is."""
-        dots = self._batch.get(q_id)
-        if dots is None:
-            dots = self.screen_dots([q_id])[0]
-        return (1.0 + dots[rows]) / 2.0
-
     def similarities(self, q_id: str, rows: np.ndarray) -> np.ndarray:
         """Exact cosine of the query with each given row, mapped from
         [-1, 1] into [0, 1] so it shares a scale with model confidences.
 
-        An exact batch holding the query is read; otherwise the rows are
-        gathered and dotted with the query, one np.vecdot. Either way every
-        entry is bit-identical to ``np.vecdot(matrix, q)``.
+        The rows are gathered and dotted with the query, one np.vecdot, so
+        every entry is bit-identical to ``np.vecdot(matrix, q)`` and to the
+        query's ``dots`` entry.
         """
-        dots = self._batch.get(q_id) if self._batch_exact else None
-        if dots is None:
-            return (1.0 + np.vecdot(self.matrix[rows], self.vector(q_id))) / 2.0
-        return (1.0 + dots[rows]) / 2.0
+        return (1.0 + np.vecdot(self.matrix[rows], self.vector(q_id))) / 2.0
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingIndex":

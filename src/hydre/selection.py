@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -102,42 +103,102 @@ class ExemplarSet:
             raise ValueError("at most one exemplar per candidate relation")
 
 
+# Bytes of dot products a query chunk holds: about 160 queries
+# against the 12.8k rows of 5k bags, 16 against the 128k rows of 50k bags.
+SCREEN_BYTES = 16 << 20
+
+
 @dataclass(frozen=True)
 class CorpusView:
-    """A corpus against the providers a selection reads: the matrix row of
-    each sentence position, and each bag's confidence. The provider parts
-    are None for a provider the selection does not consult.
+    """A corpus against the providers a selection reads: the embedding
+    index, the matrix row of each sentence position, and each bag's
+    confidence. The provider parts are None for a provider the selection
+    does not consult.
+
+    The view owns the similarity screen. The first request for a query's
+    similarities computes them for the chunk of ``corpus.queries`` that
+    holds the query, with one matrix product (``EmbeddingIndex.screen_dots``)
+    or, when exact values are asked for, one cache-blocked exact pass
+    (``EmbeddingIndex.dots``). Chunks are aligned runs of queries whose dot
+    products with every embedding row fit in ``SCREEN_BYTES``; a query
+    outside ``corpus.queries`` is a chunk of its own. The view keeps one
+    chunk until a request falls outside it. Every decision a screened value
+    could get wrong is settled with exact values, so what a selection picks
+    does not depend on how its queries fall into chunks or in what order
+    they are visited.
 
     A k sweep selects each query for every k in turn with the same view, so
-    the view keeps the latest query's screened bag similarities and stage-2
+    the view also keeps the latest query's bag similarities and stage-2
     picks, and each bag's stage-3 sentence; each depends only on the query
     or bag, the scoring and the view's providers, not on k.
     """
 
     corpus: Corpus
+    embeddings: EmbeddingIndex | None
     embedding_rows: np.ndarray | None  # sentence position -> embedding row
     score_rows: np.ndarray | None  # sentence position -> score row
     confidence: np.ndarray | None  # bag x relation: max over the bag's sentences
+    # query id -> (its dot products with every embedding row, whether exact)
+    chunk: dict = field(default_factory=dict, repr=False)
     latest_bag_sims: dict = field(default_factory=dict, repr=False)
     latest_bag_picks: dict = field(default_factory=dict, repr=False)
     sentence_picks: dict = field(default_factory=dict, repr=False)
 
-    def bag_similarities(
-        self, q_id: str, embeddings: EmbeddingIndex, pooling: str
-    ) -> np.ndarray:
+    @cached_property
+    def query_position(self) -> dict[str, int]:
+        """The index of each query in ``corpus.queries``."""
+        return {q.query_id: i for i, q in enumerate(self.corpus.queries)}
+
+    def _chunk_of(self, q_id: str) -> list[str]:
+        """The aligned run of ``corpus.queries`` that holds the query and
+        whose dot products fit in ``SCREEN_BYTES``; the query alone if it
+        is not one of them."""
+        i = self.query_position.get(q_id)
+        if i is None:
+            return [q_id]
+        size = max(1, SCREEN_BYTES // (8 * len(self.embeddings.matrix)))
+        i -= i % size
+        return [q.query_id for q in self.corpus.queries[i : i + size]]
+
+    def _dots(self, q_id: str, exact: bool) -> np.ndarray:
+        """The query's dot product with every embedding row, from the chunk
+        held, else from a new chunk of exact or screened dot products."""
+        held = self.chunk.get(q_id)
+        if held is None or (exact and not held[1]):
+            self.chunk.clear()
+            q_ids = self._chunk_of(q_id)
+            compute = self.embeddings.dots if exact else self.embeddings.screen_dots
+            dots = compute(q_ids)
+            self.chunk.update((q, (row, exact)) for q, row in zip(q_ids, dots))
+            held = self.chunk[q_id]
+        return held[0]
+
+    def similarities(self, q_id: str, exact: bool = False) -> np.ndarray:
+        """The query's similarity to each corpus sentence, by position:
+        screened values, each within ``screen_slack`` of the exact one
+        (exact when the chunk held is), or with ``exact`` exact values."""
+        return (1.0 + self._dots(q_id, exact)[self.embedding_rows]) / 2.0
+
+    def exact_similarities(self, q_id: str, positions: np.ndarray) -> np.ndarray:
+        """The exact similarity of the query to each given sentence
+        position, read from an exact chunk that holds the query, else one
+        np.vecdot (``EmbeddingIndex.similarities``); bit-equal either way."""
+        rows = self.embedding_rows[positions]
+        held = self.chunk.get(q_id)
+        if held is not None and held[1]:
+            return (1.0 + held[0][rows]) / 2.0
+        return self.embeddings.similarities(q_id, rows)
+
+    def bag_similarities(self, q_id: str, pooling: str) -> np.ndarray:
         """The query's screened similarity to every bag: the screened
-        sentence similarities (``EmbeddingIndex.screened_similarities``),
-        then a segmented max (or mean) over each bag's sentences. Each lies
-        within ``bag_slack`` of the exact value, which
-        ``exact_bag_similarities`` gives. Read-only."""
+        sentence similarities, then a segmented max (or mean) over each
+        bag's sentences. Each lies within ``bag_slack`` of the exact value,
+        which ``exact_bag_similarities`` gives. Read-only."""
         sims = self.latest_bag_sims.get((q_id, pooling))
         if sims is not None:
             return sims
         sims = self._pool(
-            embeddings.screened_similarities(q_id, self.embedding_rows),
-            self.corpus.starts,
-            self.corpus.lengths,
-            pooling,
+            self.similarities(q_id), self.corpus.starts, self.corpus.lengths, pooling
         )
         sims.setflags(write=False)
         self.latest_bag_sims.clear()
@@ -156,7 +217,7 @@ class CorpusView:
         return picks
 
     def exact_bag_similarities(
-        self, q_id: str, embeddings: EmbeddingIndex, pooling: str, bags: np.ndarray
+        self, q_id: str, pooling: str, bags: np.ndarray
     ) -> np.ndarray:
         """The exact similarity of each given bag, bit-equal to pooling the
         exact similarities of every corpus sentence: a segment's max or sum
@@ -165,7 +226,7 @@ class CorpusView:
         starts = np.cumsum(lengths) - lengths
         positions = np.repeat(self.corpus.starts[bags] - starts, lengths)
         positions += np.arange(len(positions))
-        sims = embeddings.similarities(q_id, self.embedding_rows[positions])
+        sims = self.exact_similarities(q_id, positions)
         return self._pool(sims, starts, lengths, pooling)
 
     @staticmethod
@@ -176,13 +237,11 @@ class CorpusView:
             return np.add.reduceat(sims, starts) / lengths
         return np.maximum.reduceat(sims, starts)
 
-    def bag_slack(
-        self, embeddings: EmbeddingIndex, pooling: str, w_sim=1.0, w_conf=0.0
-    ) -> float:
+    def bag_slack(self, pooling: str, w_sim=1.0, w_conf=0.0) -> float:
         """``screen_slack`` of a bag similarity, or of a combined score with
         the given weights."""
         mean_of = int(self.corpus.lengths.max(initial=1)) if pooling == "mean" else None
-        return screen_slack(embeddings.dim, mean_of, w_sim, w_conf)
+        return screen_slack(self.embeddings.dim, mean_of, w_sim, w_conf)
 
     def sentence_pick(
         self, b: int, scores: ScoreMatrix, threshold: float
@@ -215,6 +274,7 @@ def corpus_view(
         )
     view = CorpusView(
         corpus,
+        embeddings,
         embedding_rows=None if embeddings is None else _sentence_rows(corpus, embeddings),
         score_rows=score_rows,
         confidence=confidence,
@@ -298,7 +358,7 @@ def combined_bag_scores(
     sims = None
     if embeddings is not None:
         pooling = config.bag_sim_pooling
-        sims = view.exact_bag_similarities(q_id, embeddings, pooling, bags)
+        sims = view.exact_bag_similarities(q_id, pooling, bags)
     return bags, _combined(
         config,
         sims,
@@ -313,16 +373,14 @@ def select_bag(
     scores: ScoreMatrix | None,
     embeddings: EmbeddingIndex | None,
     config: ScoringConfig,
-    bag_sims: np.ndarray | None = None,
 ) -> str:
     """Stage 2: the first maximum of the combined bag scores
     (``combined_bag_scores``); ties keep the earliest bag.
 
-    ``bag_sims``, the query's screened similarity to every corpus bag
-    (``CorpusView.bag_similarities``), is computed when not given. The
-    screened scores narrow the bags to those within twice the slack of the
-    best; those are scored again from exact similarities, so the pick is
-    the one exact scores would make."""
+    Scores from the query's screened bag similarities
+    (``CorpusView.bag_similarities``) narrow the bags to those within twice
+    the slack of the best; those are scored again from exact similarities,
+    so the pick is the one exact scores would make."""
     bags = corpus.bags_by_relation.get(relation)
     if bags is None:
         raise KeyError(f"unknown relation {relation!r}")
@@ -338,15 +396,13 @@ def select_bag(
         total = _combined(config, None, confidence)
         return corpus.bag_ids[bags[int(np.argmax(total))]]
     pooling = config.bag_sim_pooling
-    if bag_sims is None:
-        bag_sims = view.bag_similarities(q_id, embeddings, pooling)
 
     def exact(near: np.ndarray) -> np.ndarray:
-        sims = view.exact_bag_similarities(q_id, embeddings, pooling, bags[near])
+        sims = view.exact_bag_similarities(q_id, pooling, bags[near])
         return _combined(config, sims, None if confidence is None else confidence[near])
 
-    screened = _combined(config, bag_sims[bags], confidence)
-    slack = view.bag_slack(embeddings, pooling, config.w_sim, config.w_conf)
+    screened = _combined(config, view.bag_similarities(q_id, pooling)[bags], confidence)
+    slack = view.bag_slack(pooling, config.w_sim, config.w_conf)
     return corpus.bag_ids[bags[settle_argmax(screened, slack, exact)]]
 
 
@@ -422,25 +478,25 @@ def select_candidate_bags(
     Returns (candidates, picks, skipped) where picks holds
     (relation, score, bag_id) in candidate order. In similarity-only mode
     (w_conf = 0) the exemplar score is the chosen bag's exact similarity.
-    The query's screened bag similarities are computed once and shared by
-    every stage, and each candidate's stage-2 pick is kept on the view
-    (``CorpusView.bag_picks``), so a k sweep runs ``select_bag`` once per
-    query and relation.
+    The query's screened bag similarities are computed once, kept on the
+    view and shared by every stage, and each candidate's stage-2 pick is
+    kept on the view (``CorpusView.bag_picks``), so a k sweep runs
+    ``select_bag`` once per query and relation.
     """
     scores, embeddings = _consulted(scores, embeddings, config)
     view = corpus_view(corpus, scores, embeddings)
     pooling = config.bag_sim_pooling
-    bag_sims = None
     if embeddings is not None:
-        bag_sims = view.bag_similarities(q_id, embeddings, pooling)
+        # screened before stage 2, which reads them from the view
+        bag_sims = view.bag_similarities(q_id, pooling)
 
     def exact(bags: np.ndarray) -> np.ndarray:
-        return view.exact_bag_similarities(q_id, embeddings, pooling, bags)
+        return view.exact_bag_similarities(q_id, pooling, bags)
 
     if scores is not None:
         candidates = select_candidates(q_id, scores, config.k)
     else:
-        slack = view.bag_slack(embeddings, pooling)
+        slack = view.bag_slack(pooling)
         candidates = _similarity_candidates(
             corpus, *settle_top(bag_sims, slack, config.k, exact)
         )
@@ -451,9 +507,7 @@ def select_candidate_bags(
         key = (relation, config.w_sim, config.w_conf, pooling)
         if key not in kept:
             try:
-                bag_id = select_bag(
-                    q_id, relation, corpus, scores, embeddings, config, bag_sims=bag_sims
-                )
+                bag_id = select_bag(q_id, relation, corpus, scores, embeddings, config)
             except NoBagForRelation:
                 bag_id = None
             if bag_id is not None and scores is None:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import shutil
@@ -16,6 +15,7 @@ import hydre.selection
 from hydre.corpus import Corpus
 from hydre.judge import MockBackend, ReplayCache
 from hydre.providers import EmbeddingIndex, ScoreMatrix
+from hydre.selection import CorpusView
 
 from conftest import FIXTURES, backdate, opened_files
 from oracles import exemplar_set_oracle
@@ -88,7 +88,7 @@ def test_validate_unscored_sentence_named(tmp_path, capsys):
 @pytest.mark.parametrize(
     "tail_span, message",
     [
-        (None, "{p}:3: head_span and tail_span overlap"),
+        (None, "{p}:3: query 'q03': head and tail spans overlap"),
         ([0, 9999], "{p}:3: tail_span [0, 9999) out of range"),
     ],
     ids=["overlap", "out_of_range"],
@@ -408,7 +408,7 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     writes metadata.json once, as ``run``."""
     calls = Counter()
     bag_picks = Counter()
-    similarities = EmbeddingIndex.screened_similarities
+    similarities = CorpusView.similarities
     select_bag = hydre.selection.select_bag
     select_sentence = hydre.selection.select_sentence
 
@@ -416,15 +416,15 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
         bag_picks[q_id, relation] += 1
         return select_bag(q_id, relation, *args, **kwargs)
 
-    def counted_similarities(self, q_id, rows):
+    def counted_similarities(self, q_id, exact=False):
         calls[q_id] += 1
-        return similarities(self, q_id, rows)
+        return similarities(self, q_id, exact)
 
     def counted_select_sentence(corpus, b, scores, threshold):
         calls[corpus.bag_ids[b]] += 1
         return select_sentence(corpus, b, scores, threshold)
 
-    monkeypatch.setattr(EmbeddingIndex, "screened_similarities", counted_similarities)
+    monkeypatch.setattr(CorpusView, "similarities", counted_similarities)
     monkeypatch.setattr(hydre.selection, "select_bag", counted_select_bag)
     monkeypatch.setattr(hydre.selection, "select_sentence", counted_select_sentence)
     written = []
@@ -443,24 +443,37 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     )
 
 
-GOLDEN_CHUNK = 16  # queries per screen in the batch tests: two chunks of 20
+GOLDEN_CHUNK = 16  # queries per screen in the chunk tests: two chunks of 20
 
 
 def count_batches(monkeypatch):
-    """Counter of EmbeddingIndex.screen_dots calls, and the indexes they ran
-    on, with a screen budget of ``GOLDEN_CHUNK`` golden queries."""
+    """Counter of EmbeddingIndex.screen_dots calls (``batches``), with the
+    view screening ``GOLDEN_CHUNK`` golden queries per chunk, and a check
+    that every index loaded since has the instance attributes it was
+    loaded with."""
     rows = len(read_jsonl(GOLDEN / "embeddings.jsonl"))
-    monkeypatch.setattr(cli, "SCREEN_BYTES", GOLDEN_CHUNK * 8 * rows)
-    calls, indexes = Counter(), []
-    screen_dots = EmbeddingIndex.screen_dots
+    monkeypatch.setattr(hydre.selection, "SCREEN_BYTES", GOLDEN_CHUNK * 8 * rows)
+    calls, loaded = Counter(), []
+    screen_dots, load = EmbeddingIndex.screen_dots, EmbeddingIndex.load.__func__
 
     def counted_screen_dots(self, q_ids):
         calls["batches"] += 1
-        indexes.append(self)
         return screen_dots(self, q_ids)
 
+    def recorded_load(cls, path):
+        index = load(cls, path)
+        loaded.append((index, dict(vars(index))))
+        return index
+
+    def assert_unchanged():
+        assert loaded
+        for index, attributes in loaded:
+            assert vars(index).keys() == attributes.keys()
+            assert all(vars(index)[name] is value for name, value in attributes.items())
+
     monkeypatch.setattr(EmbeddingIndex, "screen_dots", counted_screen_dots)
-    return calls, indexes
+    monkeypatch.setattr(EmbeddingIndex, "load", classmethod(recorded_load))
+    return calls, assert_unchanged
 
 
 @pytest.mark.parametrize(
@@ -480,53 +493,63 @@ def count_batches(monkeypatch):
 )
 def test_select_computes_one_batch_per_query_chunk(tmp_path, monkeypatch, strategy, batches):
     """The 20 golden queries are two chunks: a strategy that reads query
-    embeddings computes two batches of similarities, one that does not
-    computes none, and no batch is held once ``select`` returns."""
-    calls, indexes = count_batches(monkeypatch)
+    embeddings screens two chunks of similarities, one that does not
+    screens none, and the embedding index keeps no state of a select."""
+    calls, assert_unchanged = count_batches(monkeypatch)
     out = str(tmp_path / "out")
     assert run_cli("--config", CONFIG, "--strategy", strategy, "--output", out, "select") == 0
     assert calls["batches"] == batches
-    assert not any(index._batch for index in indexes)
+    assert_unchanged()
 
 
 def test_select_mmr_without_pool_holds_exact_batches(tmp_path, monkeypatch):
-    """MMR ranking the whole corpus screens nothing: each chunk holds its
-    exact dot products, computed once, and the records are those written
-    with no batch held at all."""
-    calls, indexes = count_batches(monkeypatch)
-    dots = EmbeddingIndex.dots
+    """MMR ranking the whole corpus screens nothing: each chunk's exact dot
+    products are computed once and serve every exact value, and the records
+    are those of a pool cut that covers every row, which screens and
+    settles its pool one query at a time."""
+    calls, assert_unchanged = count_batches(monkeypatch)
+    dots, similarities = EmbeddingIndex.dots, EmbeddingIndex.similarities
 
     def counted_dots(self, q_ids):
         calls["exact"] += 1
-        indexes.append(self)
         return dots(self, q_ids)
 
+    def counted_similarities(self, q_id, rows):
+        calls["settled"] += 1
+        return similarities(self, q_id, rows)
+
     monkeypatch.setattr(EmbeddingIndex, "dots", counted_dots)
+    monkeypatch.setattr(EmbeddingIndex, "similarities", counted_similarities)
     config_path, config = absolute_config(tmp_path)
     config["strategy"] = "mmr"
     config["mmr"] = {"pool_size": None}
     config_path.write_text(json.dumps(config))
     assert run_cli("--config", str(config_path), "select") == 0
     assert calls == {"exact": 2}
-    assert not any(index._batch for index in indexes)
-    batched = (tmp_path / "out" / "selections.jsonl").read_bytes()
-    monkeypatch.setattr(
-        EmbeddingIndex, "batch", lambda self, q_ids, exact=False: contextlib.nullcontext()
-    )
+    assert_unchanged()
+    exact = (tmp_path / "out" / "selections.jsonl").read_bytes()
+    sentences = sum(len(r["sentences"]) for r in read_jsonl(GOLDEN / "bags.jsonl"))
+    config["mmr"] = {"pool_size": sentences}
+    config_path.write_text(json.dumps(config))
+    calls.clear()
     assert run_cli("--config", str(config_path), "select") == 0
-    assert (tmp_path / "out" / "selections.jsonl").read_bytes() == batched
+    assert calls["batches"] == 2 and calls["settled"] and not calls["exact"]
+    assert (tmp_path / "out" / "selections.jsonl").read_bytes() == exact
 
 
 def test_run_k_sweep_computes_one_batch_per_query_chunk(tmp_path, monkeypatch):
-    calls, indexes = count_batches(monkeypatch)
+    calls, assert_unchanged = count_batches(monkeypatch)
     config_path = live_config(tmp_path, monkeypatch)
     assert run_cli("--config", config_path, "--k", "2..4", "run") == 0
     assert calls["batches"] == 2
-    assert not any(index._batch for index in indexes)
+    assert_unchanged()
 
 
 def test_failed_select_holds_no_batch(tmp_path, monkeypatch, capsys):
-    calls, indexes = count_batches(monkeypatch)
+    """A select that fails in its second chunk has screened both chunks,
+    leaves the embedding index as it was loaded and writes no selections
+    file."""
+    calls, assert_unchanged = count_batches(monkeypatch)
     build = cli.build_exemplar_set
     seen = []
 
@@ -541,7 +564,7 @@ def test_failed_select_holds_no_batch(tmp_path, monkeypatch, capsys):
     assert run_cli("--config", CONFIG, "--output", out, "select") == 2
     assert "selection failed" in capsys.readouterr().err
     assert calls["batches"] == 2
-    assert not any(index._batch for index in indexes)
+    assert_unchanged()
     assert not (tmp_path / "out" / "selections.jsonl").exists()
 
 

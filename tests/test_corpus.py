@@ -657,8 +657,8 @@ def invalid_bag_files():
          "{p}:2: duplicate sentence_id 's1'"),
         ([bag_record("b1", ["rel_a"], ["s1"]), bag_record("b1", ["rel_b"], ["s2"])],
          "{p}:2: duplicate bag_id 'b1'"),
-        ([overlap], "sentence 's1': head and tail spans overlap"),
-        ([bag_record("b1", [], ["s1"])], "bag 'b1': empty labelset"),
+        ([overlap], "{p}:1: sentence 's1': head and tail spans overlap"),
+        ([bag_record("b1", [], ["s1"])], "{p}:1: bag 'b1': empty labelset"),
         ([bag_record("b1", ["rel_a"], ["s1"]), missing], "{p}:2: missing field 'text'"),
         # the first fault in the file is the one raised
         ([bag_record("b1", ["rel_zz"], ["s1"]), malformed],

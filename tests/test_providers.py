@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hydre.corpus
-from hydre import providers
+from hydre import providers, selection
 from hydre.corpus import (
     Bag,
     Corpus,
@@ -28,7 +28,7 @@ from hydre.providers import (
     ScoreMatrix,
     ScoringConfig,
 )
-from hydre.selection import combined_bag_scores, corpus_view
+from hydre.selection import CorpusView, combined_bag_scores, corpus_view
 
 from conftest import (
     FIXTURES,
@@ -93,21 +93,25 @@ def vecdot_similarities(emb, q_id, rows):
 
 
 def assert_batches_equal_vecdot(emb, q_ids, rows):
-    """Bit-equality of ``similarities`` with the per-query reference, in
-    every query chunking and outside a batch."""
+    """Bit-equality with the per-query reference of each query's ``dots``
+    row, in every query chunking, and of ``similarities``."""
     want = {q_id: vecdot_similarities(emb, q_id, rows) for q_id in q_ids}
     for size in QUERY_CHUNKS:
         for start in range(0, len(q_ids), size):
             chunk = q_ids[start : start + size]
-            with emb.batch(chunk):
-                for q_id in chunk:
-                    assert np.array_equal(emb.similarities(q_id, rows), want[q_id])
+            for q_id, dots in zip(chunk, emb.dots(chunk)):
+                assert np.array_equal((1.0 + dots[rows]) / 2.0, want[q_id])
     for q_id in q_ids:
         assert np.array_equal(emb.similarities(q_id, rows), want[q_id])
 
 
 def row_block(dim):
     return max(1, providers.ROW_BLOCK_BYTES // (8 * dim))
+
+
+def screen_chunks(monkeypatch, size, emb):
+    """Make the view screen ``size`` queries per chunk."""
+    monkeypatch.setattr(selection, "SCREEN_BYTES", size * 8 * len(emb.matrix))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, "2B+5"], ids=["B-1", "B", "B+1", "2B+5"])
@@ -136,8 +140,9 @@ def test_batched_similarities_equal_per_query_vecdot(dim, extra):
 
 def test_batched_similarities_on_every_kind_of_index(tmp_path, monkeypatch):
     """Loaded (parse and sidecar hit) and built from a dict, on instances
-    with duplicated rows: every index's batches equal the per-query vecdot,
-    and duplicated rows stay tied."""
+    with duplicated rows: every index's dots equal the per-query vecdot,
+    and duplicated rows stay tied in the view's exact chunks of every
+    size."""
     for trial in range(4):
         instance = make_random_instance(
             seed=2200 + trial, max_bags=30, dim=64, n_queries=20
@@ -160,41 +165,57 @@ def test_batched_similarities_on_every_kind_of_index(tmp_path, monkeypatch):
         tied = [positions for positions in copies.values() if len(positions) > 1]
         assert tied
         for emb in indexes:
-            rows = corpus_view(corpus, None, emb).embedding_rows
-            assert_batches_equal_vecdot(emb, instance["queries"], rows)
-            with emb.batch(instance["queries"]):
+            view = corpus_view(corpus, None, emb)
+            assert_batches_equal_vecdot(emb, instance["queries"], view.embedding_rows)
+            for size in QUERY_CHUNKS:
+                screen_chunks(monkeypatch, size, emb)
+                view.chunk.clear()
                 for q_id in instance["queries"]:
-                    sims = emb.similarities(q_id, rows)
+                    sims = view.similarities(q_id, exact=True)
                     assert all(len(set(sims[positions])) == 1 for positions in tied)
 
 
 @pytest.mark.parametrize("dim", [1, 17, 256, 300])
 def test_exact_batches_hold_the_per_query_vecdot(dim, monkeypatch):
-    """An exact batch holds each query's exact row, in every query chunking
-    and across row blocks: both ``similarities`` and
-    ``screened_similarities`` read it, with no dot product of their own,
-    bit-equal to the per-query vecdot, and nothing is held once the scope
-    exits."""
-    block = row_block(dim)
+    """An exact chunk holds each query's exact row, in every query chunking
+    and across row blocks: the view's screened, exact and per-position
+    similarities all read it, with no dot product of their own, bit-equal
+    to the per-query vecdot; ``dots`` runs once per chunk."""
+    block = 7  # rows per dot block: a small matrix spans several
+    monkeypatch.setattr(providers, "ROW_BLOCK_BYTES", 8 * dim * block)
     rng = np.random.default_rng([dim, 4100])
-    ids = [f"s{i}" for i in range(2 * block + 5)]
-    emb = EmbeddingIndex(dim)
-    emb.matrix = rng.standard_normal((len(ids), dim))
-    emb.row_of = dict(zip(ids, range(len(ids))))
-    providers._normalize_rows(emb.matrix, ids)
-    q_ids = [ids[i] for i in rng.choice(len(ids), 20, replace=False)]
-    rows = rng.permutation(len(ids))[: len(ids) // 2]
-    want = {q_id: vecdot_similarities(emb, q_id, rows) for q_id in q_ids}
+    instance = make_random_instance(
+        seed=4100 + dim, max_bags=2 * block + 5, dim=dim, n_queries=20
+    )
+    corpus = corpus_from_instance(instance)
+    emb = embeddings_from_instance(instance)
+    q_ids = instance["queries"]
+    n = len(corpus.sentence_ids)
+    positions = rng.permutation(n)[: n // 2]
+    dots = EmbeddingIndex.dots
+
+    def counted_dots(self, ids):
+        calls.append(ids)
+        return dots(self, ids)
+
     for size in QUERY_CHUNKS:
-        for start in range(0, len(q_ids), size):
-            chunk = q_ids[start : start + size]
-            with emb.batch(chunk, exact=True), monkeypatch.context() as patch:
-                patch.setattr(emb, "vector", None)  # a recompute would fail
-                for q_id in chunk:
-                    assert np.array_equal(emb.similarities(q_id, rows), want[q_id])
-                    screened = emb.screened_similarities(q_id, rows)
-                    assert np.array_equal(screened, want[q_id])
-            assert not emb._batch
+        view = corpus_view(corpus, None, emb)
+        rows = view.embedding_rows
+        assert n > 2 * block
+        want = {q_id: vecdot_similarities(emb, q_id, rows) for q_id in q_ids}
+        screen_chunks(monkeypatch, size, emb)
+        view.chunk.clear()
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(EmbeddingIndex, "dots", counted_dots)
+            patch.setattr(EmbeddingIndex, "screen_dots", None)  # a screen would fail
+            patch.setattr(emb, "vector", None)  # so would a recompute
+            for q_id in q_ids:
+                assert np.array_equal(view.similarities(q_id, exact=True), want[q_id])
+                assert np.array_equal(view.similarities(q_id), want[q_id])
+                got = view.exact_similarities(q_id, positions)
+                assert np.array_equal(got, want[q_id][positions])
+        assert calls == [q_ids[i : i + size] for i in range(0, len(q_ids), size)]
 
 
 # --------------------------------------------------------------- pooling
@@ -226,7 +247,7 @@ def one_bag_corpus(bag):
 def bag_similarity(q_id, bag, emb, config):
     """The similarity of a one-bag corpus's only bag, from the view."""
     view = corpus_view(one_bag_corpus(bag), None, emb)
-    return view.bag_similarities(q_id, emb, config.bag_sim_pooling)[0]
+    return view.bag_similarities(q_id, config.bag_sim_pooling)[0]
 
 
 def bag_confidence(bag, relation, scores):
@@ -276,7 +297,7 @@ def test_bag_similarity_matches_brute_force_on_random_bags():
         q_id = instance["queries"][0]
         view = corpus_view(corpus, None, emb)
         for pooling in ("max", "mean"):
-            sims = view.bag_similarities(q_id, emb, pooling)
+            sims = view.bag_similarities(q_id, pooling)
             for raw, got in zip(instance["bags"], sims):
                 want = bag_similarity_oracle(
                     instance["embeddings"][q_id], raw, instance["embeddings"], pooling
@@ -293,22 +314,22 @@ def test_bag_similarities_keep_the_latest_query(monkeypatch):
     q_ids = list(instance["embeddings"])[:2]  # any embedded item serves as a query
     view = corpus_view(corpus, None, emb)
     calls = []
-    similarities = emb.screened_similarities
+    similarities = CorpusView.similarities
 
-    def counted(q_id, rows):
+    def counted(self, q_id, exact=False):
         calls.append(q_id)
-        return similarities(q_id, rows)
+        return similarities(self, q_id, exact)
 
-    monkeypatch.setattr(emb, "screened_similarities", counted)
+    monkeypatch.setattr(CorpusView, "similarities", counted)
     for pooling in ("max", "mean"):
-        first = view.bag_similarities(q_ids[0], emb, pooling)
-        assert view.bag_similarities(q_ids[0], emb, pooling) is first
+        first = view.bag_similarities(q_ids[0], pooling)
+        assert view.bag_similarities(q_ids[0], pooling) is first
         assert not first.flags.writeable
         fresh = corpus_view(Corpus.assemble(corpus.ontology, corpus.bags), None, emb)
         assert fresh is not view
-        assert np.array_equal(first, fresh.bag_similarities(q_ids[0], emb, pooling))
-    view.bag_similarities(q_ids[1], emb, "mean")
-    view.bag_similarities(q_ids[0], emb, "mean")
+        assert np.array_equal(first, fresh.bag_similarities(q_ids[0], pooling))
+    view.bag_similarities(q_ids[1], "mean")
+    view.bag_similarities(q_ids[0], "mean")
     assert calls == [q_ids[0]] * 4 + [q_ids[1], q_ids[0]]
 
 

@@ -9,9 +9,12 @@ the screen is exact.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
+from hydre import selection
 from hydre.cli import STRATEGIES, SelectionInputs
 from hydre.corpus import jsonl_line
 from hydre.providers import EmbeddingIndex, ScoringConfig, screen_slack
@@ -39,15 +42,14 @@ def test_screen_lies_within_the_slack(mean_of):
         q_ids = ["r0", "r1", "r2"]
         rows = np.arange(40)
         slack = screen_slack(dim, mean_of)
-        with emb.batch(q_ids):
-            for q_id in q_ids:
-                screened = emb.screened_similarities(q_id, rows)
-                exact = emb.similarities(q_id, rows)
-                if mean_of is not None:
-                    starts = np.arange(0, 40, mean_of)
-                    screened = np.add.reduceat(screened, starts) / mean_of
-                    exact = np.add.reduceat(exact, starts) / mean_of
-                assert np.abs(screened - exact).max() <= slack
+        for q_id, dots in zip(q_ids, emb.screen_dots(q_ids)):
+            screened = (1.0 + dots) / 2.0  # as CorpusView.similarities maps it
+            exact = emb.similarities(q_id, rows)
+            if mean_of is not None:
+                starts = np.arange(0, 40, mean_of)
+                screened = np.add.reduceat(screened, starts) / mean_of
+                exact = np.add.reduceat(exact, starts) / mean_of
+            assert np.abs(screened - exact).max() <= slack
     assert screen_slack(512, 4, 1.0, 1.0) < 1e-12  # a bound, not a tolerance
 
 
@@ -100,9 +102,11 @@ def exact_screen_dots(self, q_ids):
     return np.stack([np.vecdot(self.matrix, self.vector(q_id)) for q_id in q_ids])
 
 
-def select_records(strategy, pool_size, pooling, instance, emb) -> str:
-    """A strategy's serialized records for every query, selected in one
-    batch as ``select`` does."""
+def select_records(strategy, pool_size, pooling, instance, emb, q_ids=None) -> str:
+    """A strategy's serialized records for each query of ``q_ids`` (the
+    instance's queries, in order, by default), selected in one pass as
+    ``select`` does; every query of the instance is in the corpus, so the
+    view screens them in chunks."""
     corpus = corpus_from_instance(instance)
     inputs = SelectionInputs(
         corpus,
@@ -112,11 +116,10 @@ def select_records(strategy, pool_size, pooling, instance, emb) -> str:
         mmr_pool_size=pool_size,
     )
     select = STRATEGIES[strategy].select
-    with emb.batch(instance["queries"]):
-        return "".join(
-            jsonl_line(serialize_exemplar_set(select(q_id, inputs), corpus.ontology))
-            for q_id in instance["queries"]
-        )
+    return "".join(
+        jsonl_line(serialize_exemplar_set(select(q_id, inputs), corpus.ontology))
+        for q_id in (instance["queries"] if q_ids is None else q_ids)
+    )
 
 
 @pytest.mark.parametrize("dim", [3, 17, 256, 300])
@@ -127,17 +130,23 @@ def test_screened_selection_writes_the_exact_records(
 ):
     """On close calls, every strategy that reads similarities writes the
     records it writes when the screen is the exact vecdot row, and settles
-    some decision with exact dot products to do so."""
+    some decision with exact dot products to do so: one query's
+    ``similarities``, or a chunk's ``dots`` where MMR ranks every row."""
     exact_calls = []
-    similarities = EmbeddingIndex.similarities
+    similarities, dots = EmbeddingIndex.similarities, EmbeddingIndex.dots
 
     def counted(self, q_id, rows):
         exact_calls.append(q_id)
         return similarities(self, q_id, rows)
 
+    def counted_dots(self, q_ids):
+        exact_calls.extend(q_ids)
+        return dots(self, q_ids)
+
     for instance, emb in close_call_instances(dim):
         with monkeypatch.context() as patch:
             patch.setattr(EmbeddingIndex, "similarities", counted)
+            patch.setattr(EmbeddingIndex, "dots", counted_dots)
             got = select_records(strategy, pool_size, pooling, instance, emb)
         with monkeypatch.context() as patch:
             patch.setattr(EmbeddingIndex, "screen_dots", exact_screen_dots)
@@ -172,16 +181,48 @@ def test_combined_bag_scores_agree_with_select_bag(pooling):
             corpus = corpus_from_instance(instance)
             scores = scores_from_instance(instance)
             config = ScoringConfig(bag_sim_pooling=pooling)
-            with emb.batch(instance["queries"]):
-                for q_id in instance["queries"]:
-                    for relation in corpus.ontology.names:
-                        if not len(corpus.bags_by_relation.get(relation, ())):
-                            continue
-                        bags, total = combined_bag_scores(
-                            q_id, relation, corpus, scores, emb, config
-                        )
-                        want = corpus.bag_ids[bags[int(np.argmax(total))]]
-                        got = select_bag(q_id, relation, corpus, scores, emb, config)
-                        assert got == want
-                        picks += 1
+            for q_id in instance["queries"]:
+                for relation in corpus.ontology.names:
+                    if not len(corpus.bags_by_relation.get(relation, ())):
+                        continue
+                    bags, total = combined_bag_scores(
+                        q_id, relation, corpus, scores, emb, config
+                    )
+                    want = corpus.bag_ids[bags[int(np.argmax(total))]]
+                    got = select_bag(q_id, relation, corpus, scores, emb, config)
+                    assert got == want
+                    picks += 1
     assert picks
+
+
+@pytest.mark.parametrize("dim", [17, 256])
+@pytest.mark.parametrize(
+    "strategy, pool_size", [("hydre", 3), ("topk_sim", 3), ("mmr", 3), ("mmr", None)]
+)
+def test_selection_does_not_depend_on_the_order_queries_are_visited(
+    monkeypatch, strategy, pool_size, dim
+):
+    """Each query's record is byte-equal whether the queries are visited in
+    order, reversed or shuffled, with the view screening chunks of 1, 16
+    or all of the corpus queries, and for a query outside the corpus
+    queries (a training sentence, which has an embedding and a score row)
+    visited among them."""
+    instance = make_random_instance(seed=8400 + dim, max_bags=25, dim=dim, n_queries=20)
+    instance = with_duplicated_rows(instance)
+    emb = embeddings_from_instance(instance)
+    queries = instance["queries"]
+    outside = instance["bags"][0]["sentences"][0]["sentence_id"]
+    shuffled = queries[:10] + [outside] + queries[10:]
+    random.Random(dim).shuffle(shuffled)
+    orders = [queries + [outside], [outside] + queries[::-1], shuffled]
+
+    def records(q_ids):
+        lines = select_records(strategy, pool_size, "max", instance, emb, q_ids)
+        return dict(zip(q_ids, lines.splitlines()))
+
+    want = records([outside])
+    want.update(records(queries))
+    for chunk in (1, 16, len(queries)):
+        monkeypatch.setattr(selection, "SCREEN_BYTES", chunk * 8 * len(emb.matrix))
+        for q_ids in orders:
+            assert records(q_ids) == want, (chunk, q_ids)
