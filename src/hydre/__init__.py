@@ -28,12 +28,12 @@ from .providers import (
     ScoringConfig,
 )
 from .selection import (
+    CorpusView,
     Exemplar,
     ExemplarSet,
     NoBagForRelation,
     build_exemplar_set,
     combined_bag_scores,
-    corpus_view,
     reduce_bag,
     select_bag,
     select_candidates,

@@ -16,20 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .providers import (
-    EmbeddingIndex,
-    ScoreMatrix,
-    ScoringConfig,
-    screen_slack,
-    settle_argmax,
-    settle_top,
-)
+from .providers import ScoreMatrix, ScoringConfig, screen_slack, settle_argmax, settle_top
 from .selection import (
+    CorpusView,
     Exemplar,
     ExemplarSet,
     _order_ascending,
     _query_rng,
-    corpus_view,
     select_candidates,
 )
 
@@ -80,15 +73,14 @@ def random_k(
 
 
 def _settled_top(
-    q_id: str, flat: FlatExamples, embeddings: EmbeddingIndex, k: int | None
+    q_id: str, flat: FlatExamples, view: CorpusView, k: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(positions, exact similarities) of the k examples most similar to
     the query, descending, corpus order on ties. k None ranks every example
     from exact similarities alone, so nothing is screened."""
-    view = corpus_view(flat.corpus, None, embeddings)
     return settle_top(
         view.similarities(q_id, exact=k is None),
-        screen_slack(embeddings.dim),
+        screen_slack(view.embeddings.dim),
         len(flat) if k is None else k,
         functools.partial(view.exact_similarities, q_id),
     )
@@ -100,23 +92,23 @@ def _scored(flat: FlatExamples, example: int, sim: float) -> Exemplar:
 
 
 def topk_sim(
-    q_id: str, flat: FlatExamples, embeddings: EmbeddingIndex, k: int
+    q_id: str, flat: FlatExamples, view: CorpusView, k: int
 ) -> list[Exemplar]:
     """The k sentences most similar to the query, descending; corpus order
     breaks ties. Each carries its exact similarity as its candidate score.
 
-    The ranking is that of exact similarities: the screened similarities
-    of the corpus view (``CorpusView.similarities``) only narrow which
-    examples get one.
+    ``view`` is a view of ``flat``'s corpus with an embedding index. The
+    ranking is that of exact similarities: its screened similarities
+    (``CorpusView.similarities``) only narrow which examples get one.
     """
-    top, top_sims = _settled_top(q_id, flat, embeddings, k)
+    top, top_sims = _settled_top(q_id, flat, view, k)
     return [_scored(flat, i, sim) for i, sim in zip(top.tolist(), top_sims)]
 
 
 def mmr_select(
     q_id: str,
     flat: FlatExamples,
-    embeddings: EmbeddingIndex,
+    view: CorpusView,
     k: int,
     alpha: float = DEFAULT_MMR_ALPHA,
     pool_size: int | None = DEFAULT_MMR_POOL_SIZE,
@@ -125,7 +117,8 @@ def mmr_select(
 
     Each step maximizes alpha * sim(q, s) - (1 - alpha) * max sim(s, s')
     over sentences not yet selected, where s' ranges over the selection so
-    far; the earliest pool entry wins a tie. The pool is pre-truncated to
+    far; the earliest pool entry wins a tie. ``view`` is a view of
+    ``flat``'s corpus with an embedding index. The pool is pre-truncated to
     the pool_size most query-similar sentences; pass pool_size=None to rank
     the whole corpus, whose query similarities are then computed exactly
     for the view's whole query chunk at once. The pool and its query
@@ -134,11 +127,10 @@ def mmr_select(
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    pool, q_sims = _settled_top(q_id, flat, embeddings, pool_size)
+    pool, q_sims = _settled_top(q_id, flat, view, pool_size)
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
-    rows = corpus_view(flat.corpus, None, embeddings).embedding_rows
-    vectors = embeddings.matrix[rows[pool]]
+    vectors = view.embeddings.matrix[view.embedding_rows[pool]]
 
     selected: list[int] = []
     available = np.ones(len(pool), dtype=bool)
@@ -158,21 +150,20 @@ def mmr_select(
 def flat_retrieval(
     q_id: str,
     corpus: Corpus,
-    scores: ScoreMatrix,
-    embeddings: EmbeddingIndex | None,
+    view: CorpusView,
     config: ScoringConfig,
 ) -> ExemplarSet:
     """Stage 2/3 replacement: retrieve one best sentence per candidate
     directly from the flattened corpus, scored like a one-sentence bag.
     The earliest sentence in corpus order wins a tie; screened similarities
-    narrow each argmax, exact ones settle it."""
+    narrow each argmax, exact ones settle it. The view's score matrix is
+    always read, its embedding index only when w_sim > 0."""
+    scores = view.scores
     candidates = select_candidates(q_id, scores, config.k)
-    use_sim = config.w_sim > 0
-    view = corpus_view(corpus, scores, embeddings if use_sim else None)
     sims = None
-    if use_sim:
+    if config.w_sim > 0:
         sims = view.similarities(q_id)
-        slack = screen_slack(embeddings.dim, None, config.w_sim, config.w_conf)
+        slack = screen_slack(view.embeddings.dim, None, config.w_sim, config.w_conf)
     exemplars = []
     skipped = []
     for relation, score in candidates:

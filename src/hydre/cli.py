@@ -69,6 +69,7 @@ from .judge import (
 from .prompting import PromptTemplate, block_for_sentences, render_prompt
 from .providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from .selection import (
+    CorpusView,
     ExemplarSet,
     build_exemplar_set,
     deserialize_exemplar_set,
@@ -444,11 +445,11 @@ def cmd_validate(config: RunConfig) -> int:
 
 @dataclass(frozen=True)
 class SelectionInputs:
-    """What a strategy's selector reads besides the query id."""
+    """What a strategy's selector reads besides the query id: the
+    command's corpus view, which holds the corpus and its providers, and
+    the config values of one k."""
 
-    corpus: Corpus
-    scores: ScoreMatrix | None
-    embeddings: EmbeddingIndex | None
+    view: CorpusView
     scoring: ScoringConfig
     mmr_alpha: float = DEFAULT_MMR_ALPHA
     mmr_pool_size: int | None = DEFAULT_MMR_POOL_SIZE
@@ -474,19 +475,18 @@ def _pipeline(
     scoring = inputs.scoring
     if scoring_changes:
         scoring = dataclasses.replace(scoring, **scoring_changes)
-    return build_exemplar_set(
-        q_id, inputs.corpus, inputs.scores, inputs.embeddings, scoring, style=style
-    )
+    view = inputs.view
+    return build_exemplar_set(q_id, view.corpus, view, scoring, style=style)
 
 
 def _topk_sim(q_id: str, i: SelectionInputs) -> ExemplarSet:
-    picked = topk_sim(q_id, flatten(i.corpus), i.embeddings, i.scoring.k)
+    picked = topk_sim(q_id, flatten(i.view.corpus), i.view, i.scoring.k)
     return ExemplarSet(q_id, tuple(picked))
 
 
 def _mmr(q_id: str, i: SelectionInputs) -> ExemplarSet:
     picked = mmr_select(
-        q_id, flatten(i.corpus), i.embeddings, i.scoring.k, i.mmr_alpha, i.mmr_pool_size
+        q_id, flatten(i.view.corpus), i.view, i.scoring.k, i.mmr_alpha, i.mmr_pool_size
     )
     return ExemplarSet(q_id, tuple(picked))
 
@@ -503,7 +503,7 @@ STRATEGIES: dict[str, Strategy] = {
     "random_k": Strategy(
         lambda q_id, i: ExemplarSet(
             q_id,
-            tuple(random_k(flatten(i.corpus), i.scoring.k, f"{i.scoring.seed}|{q_id}")),
+            tuple(random_k(flatten(i.view.corpus), i.scoring.k, f"{i.scoring.seed}|{q_id}")),
         ),
         lambda conf, sim: (False, False, False, False),
         flat=True,
@@ -517,13 +517,11 @@ STRATEGIES: dict[str, Strategy] = {
         lambda conf, sim: (False, False, False, False),
     ),
     "ablation:all_relations": Strategy(
-        lambda q_id, i: _pipeline(q_id, i, k=len(i.corpus.ontology)),
+        lambda q_id, i: _pipeline(q_id, i, k=len(i.view.corpus.ontology)),
         lambda conf, sim: (conf, conf, sim, sim),
     ),
     "ablation:flat_retrieval": Strategy(
-        lambda q_id, i: flat_retrieval(
-            q_id, i.corpus, i.scores, i.embeddings, i.scoring
-        ),
+        lambda q_id, i: flat_retrieval(q_id, i.view.corpus, i.view, i.scoring),
         lambda conf, sim: (True, True, sim, sim),
     ),
     "ablation:full_bag": Strategy(
@@ -539,13 +537,13 @@ STRATEGIES: dict[str, Strategy] = {
         lambda conf, sim: (False, False, True, True),
     ),
     "ablation:random_bag_sentence": Strategy(
-        lambda q_id, i: random_bag_sentence(q_id, i.corpus, i.scores, i.scoring),
+        lambda q_id, i: random_bag_sentence(q_id, i.view.corpus, i.view.scores, i.scoring),
         lambda conf, sim: (True, False, False, False),
     ),
     "ablation:no_icl": Strategy(
         lambda q_id, i: ExemplarSet(
             q_id,
-            candidates=tuple(select_candidates(q_id, i.scores, i.scoring.k)),
+            candidates=tuple(select_candidates(q_id, i.view.scores, i.scoring.k)),
             relation_scope="candidates_only",
         ),
         lambda conf, sim: (True, False, False, False),
@@ -567,12 +565,14 @@ def cmd_select(
 
     ``run`` is inputs already loaded and checked by the caller (a ``run``
     sweep passes its own, and writes metadata.json once it ends); without
-    it the command loads its own and writes metadata.json. Each query is
-    selected for every k in turn, so the selection view's per-query work
-    (bag similarities, stage-2 picks) is done once per query. When query
-    similarities are computed, and for which chunk of queries at once, is
-    the view's affair (``selection.CorpusView``); every pick and every score
-    written is the one a selection of that query alone would make.
+    it the command loads its own and writes metadata.json. The command
+    builds one corpus view (``selection.CorpusView``) of the loaded inputs
+    and the query file's ids, shared by every k and freed when it returns.
+    Each query is selected for every k in turn, so the view's per-query
+    work (bag similarities, stage-2 picks) is done once per query. When
+    query similarities are computed, and for which chunk of queries at
+    once, is the view's affair; every pick and every score written is the
+    one a selection of that query alone would make.
     """
     _check_mmr_pool(config, k_values)
     standalone = run is None
@@ -580,11 +580,15 @@ def cmd_select(
         run = _load_run(config)
         _check_providers(config, run)
     scoring = config.scoring()
+    view = CorpusView(
+        run.corpus,
+        run.scores,
+        run.embeddings,
+        tuple(q.query_id for q in run.corpus.queries),
+    )
     inputs = [
         SelectionInputs(
-            run.corpus,
-            run.scores,
-            run.embeddings,
+            view,
             scoring if k is None else dataclasses.replace(scoring, k=k),
             mmr_alpha=float(config.raw["mmr"]["alpha"]),
             mmr_pool_size=config.raw["mmr"]["pool_size"],

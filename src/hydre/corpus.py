@@ -281,14 +281,32 @@ def load_ontology(path: str | Path, na_symbol: str = DEFAULT_NA_SYMBOL) -> Relat
         raise CorpusError(f"{path}: {exc}") from None
 
 
+def _field(record: dict, key: str, ok: Callable[[object], bool], where: str):
+    """``record[key]``; a missing key, or a value ``ok`` refuses (one of
+    another JSON type), raises ``CorpusError`` naming ``where`` and the key."""
+    try:
+        value = record[key]
+    except KeyError:
+        raise CorpusError(f"{where}: missing field {key!r}") from None
+    if not ok(value):
+        raise CorpusError(f"{where}: malformed {key} {value!r}")
+    return value
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _is_names(value) -> bool:
+    """A JSON list of strings, such as a list of relation names."""
+    return type(value) is list and all(map(_is_str, value))
+
+
 def _span(record: dict, key: str, text: str, where: str) -> tuple[int, int]:
     """The checked [start, end) code-point span of ``text`` under ``key``."""
     raw = record.get(key)
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(v, int) for v in raw)
-    ):
+    # type(), not isinstance: a JSON true is a bool, and bools are ints
+    if type(raw) is not list or len(raw) != 2 or not all(type(v) is int for v in raw):
         raise CorpusError(f"{where}: malformed {key} {raw!r}")
     start, end = raw
     if not (0 <= start < end <= len(text)):
@@ -421,14 +439,13 @@ def _parse_bags(path: Path, ontology: RelationOntology) -> _Columns:
     try:
         for lineno, record in iter_jsonl(path, CorpusError):
             where = f"{path}:{lineno}"
-            try:
-                bag_id = record["bag_id"]
-                head_entity = record["head"]
-                tail_entity = record["tail"]
-                relations = record["relations"]
-                sentence_records = record["sentences"]
-            except KeyError as exc:
-                raise CorpusError(f"{where}: missing field {exc}") from None
+            bag_id = _field(record, "bag_id", _is_str, where)
+            head_entity = _field(record, "head", _is_str, where)
+            tail_entity = _field(record, "tail", _is_str, where)
+            relations = _field(record, "relations", _is_names, where)
+            sentence_records = _field(
+                record, "sentences", lambda v: type(v) is list, where
+            )
             if bag_id in seen_bags:
                 raise CorpusError(f"{where}: duplicate bag_id {bag_id!r}")
             seen_bags.add(bag_id)
@@ -442,13 +459,10 @@ def _parse_bags(path: Path, ontology: RelationOntology) -> _Columns:
             if not sentence_records:
                 raise CorpusError(f"{where}: bag {bag_id!r} has no sentences")
             for sr in sentence_records:
-                try:
-                    sentence_id = sr["sentence_id"]
-                    text = sr["text"]
-                except KeyError as exc:
-                    raise CorpusError(f"{where}: missing field {exc}") from None
-                if not isinstance(text, str):
-                    raise CorpusError(f"{where}: malformed text {text!r}")
+                if type(sr) is not dict:
+                    raise CorpusError(f"{where}: malformed sentence {sr!r}")
+                sentence_id = _field(sr, "sentence_id", _is_str, where)
+                text = _field(sr, "text", _is_str, where)
                 head = _span(sr, "head_span", text, where)
                 tail = _span(sr, "tail_span", text, where)
                 if head[0] < tail[1] and tail[0] < head[1]:
@@ -524,17 +538,15 @@ def load_queries(path: str | Path, ontology: RelationOntology) -> list[QueryInst
     na = ontology.na_symbol
     for lineno, record in iter_jsonl(path, CorpusError):
         where = f"{path}:{lineno}"
-        try:
-            query_id = record["query_id"]
-            text = record["text"]
-            gold_list = record["gold"]
-        except KeyError as exc:
-            raise CorpusError(f"{where}: missing field {exc}") from None
+        query_id = _field(record, "query_id", _is_str, where)
+        text = _field(record, "text", _is_str, where)
+        gold_list = _field(record, "gold", _is_names, where)
+        is_na = record.get("is_na", False)
+        if type(is_na) is not bool:
+            raise CorpusError(f"{where}: malformed is_na {is_na!r}")
         if query_id in seen:
             raise CorpusError(f"{where}: duplicate query_id {query_id!r}")
         seen.add(query_id)
-        if not isinstance(text, str):
-            raise CorpusError(f"{where}: malformed text {text!r}")
         hs, he = _span(record, "head_span", text, where)
         ts, te = _span(record, "tail_span", text, where)
         labelset = _check_labels(gold_list, ontology, f"{where} (query {query_id!r})")
@@ -545,7 +557,7 @@ def load_queries(path: str | Path, ontology: RelationOntology) -> list[QueryInst
                 EntitySpan(hs, he, text[hs:he]),
                 EntitySpan(ts, te, text[ts:te]),
                 frozenset(l for l in labelset if l != na),
-                bool(record.get("is_na", False)) or na in labelset,
+                is_na or na in labelset,
             )
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from None
@@ -606,10 +618,10 @@ class Corpus:
     ontology. ``sentence`` builds one sentence's object on first read and
     keeps it, ``bag`` one bag's object from those, ``labelset`` one bag's
     labels; ``bags`` builds every bag once, for callers that want them all.
-    Selection reads the columns and builds only the sentences it shows.
-    ``view_cache`` starts empty; selection keeps the provider row indexes
-    it builds for this corpus there. ``sha256`` is the bag file's, None for
-    a corpus not loaded from one.
+    Selection reads the columns and builds only the sentences it shows; a
+    corpus holds nothing of a selection pass, which lives in the pass's
+    ``selection.CorpusView``. ``sha256`` is the bag file's, None for a
+    corpus not loaded from one.
     """
 
     sha256: str | None = None
@@ -648,7 +660,6 @@ class Corpus:
             name: np.flatnonzero(self.mask[:, j])
             for j, name in enumerate(ontology.names)
         }
-        self.view_cache: dict = {}
         # sentences built so far, by position: a k sweep or a run over many
         # queries shows the same few sentences again
         self._sentences: dict[int, SentenceInstance] = {}

@@ -4,8 +4,8 @@ configuration.
 Each provider keeps one contiguous matrix with a row per item and maps item
 ids to row indexes. A built matrix never changes and a provider holds no
 per-query state; selection only reads it, so concurrent use is safe. What a
-selection keeps per query, such as a chunk of screened similarities, the
-selection's ``CorpusView`` owns.
+selection pass keeps per query, such as a chunk of screened similarities,
+its ``selection.CorpusView`` owns, and it is freed with the view.
 
 Parsing a provider file's JSONL text dominates its load, so the first load
 of a file also writes the parsed matrix to a binary sidecar beside it,
@@ -384,7 +384,8 @@ class EmbeddingIndex(_RowMatrix):
     values lies within ``screen_slack`` of the exact one, and a selection
     settles every decision that value could change with exact values
     (``settle_argmax``, ``settle_top``). Which queries share a product, and
-    how long it is kept, is decided by ``selection.CorpusView``.
+    how long it is kept, is decided by the selection pass's
+    ``selection.CorpusView``, from the query ids it was built with.
     """
 
     _missing = "no embedding for item {!r}"

@@ -110,22 +110,27 @@ SCREEN_BYTES = 16 << 20
 
 @dataclass(frozen=True)
 class CorpusView:
-    """A corpus against the providers a selection reads: the embedding
-    index, the matrix row of each sentence position, and each bag's
-    confidence. The provider parts are None for a provider the selection
-    does not consult.
+    """One selection pass over a corpus: the corpus, its providers (None
+    for one the pass does not have) and the ids of the queries it selects
+    for, in order. ``select`` builds one for its query file and hands it to
+    every strategy and every k; it is freed when the command returns. A
+    library caller builds ``CorpusView(corpus, scores, embeddings)``.
+
+    The matrix row of each sentence position and each bag's confidence are
+    derived on first read. Which providers a selection reads is decided by
+    its scoring weights, not by what the view holds.
 
     The view owns the similarity screen. The first request for a query's
-    similarities computes them for the chunk of ``corpus.queries`` that
-    holds the query, with one matrix product (``EmbeddingIndex.screen_dots``)
-    or, when exact values are asked for, one cache-blocked exact pass
-    (``EmbeddingIndex.dots``). Chunks are aligned runs of queries whose dot
-    products with every embedding row fit in ``SCREEN_BYTES``; a query
-    outside ``corpus.queries`` is a chunk of its own. The view keeps one
-    chunk until a request falls outside it. Every decision a screened value
-    could get wrong is settled with exact values, so what a selection picks
-    does not depend on how its queries fall into chunks or in what order
-    they are visited.
+    similarities computes them for the chunk of ``queries`` that holds the
+    query, with one matrix product (``EmbeddingIndex.screen_dots``) or, when
+    exact values are asked for, one cache-blocked exact pass
+    (``EmbeddingIndex.dots``). Chunks are aligned runs of ``queries`` whose
+    dot products with every embedding row fit in ``SCREEN_BYTES``; a query
+    outside ``queries`` is a chunk of its own. The view keeps one chunk
+    until a request falls outside it. Every decision a screened value could
+    get wrong is settled with exact values, so what a selection picks does
+    not depend on how its queries fall into chunks or in what order they
+    are visited.
 
     A k sweep selects each query for every k in turn with the same view, so
     the view also keeps the latest query's bag similarities and stage-2
@@ -134,31 +139,47 @@ class CorpusView:
     """
 
     corpus: Corpus
+    scores: ScoreMatrix | None
     embeddings: EmbeddingIndex | None
-    embedding_rows: np.ndarray | None  # sentence position -> embedding row
-    score_rows: np.ndarray | None  # sentence position -> score row
-    confidence: np.ndarray | None  # bag x relation: max over the bag's sentences
+    queries: tuple[str, ...] = ()
     # query id -> (its dot products with every embedding row, whether exact)
-    chunk: dict = field(default_factory=dict, repr=False)
-    latest_bag_sims: dict = field(default_factory=dict, repr=False)
-    latest_bag_picks: dict = field(default_factory=dict, repr=False)
-    sentence_picks: dict = field(default_factory=dict, repr=False)
+    chunk: dict = field(default_factory=dict, init=False, repr=False)
+    latest_bag_sims: dict = field(default_factory=dict, init=False, repr=False)
+    latest_bag_picks: dict = field(default_factory=dict, init=False, repr=False)
+    sentence_picks: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def embedding_rows(self) -> np.ndarray:
+        """The embedding row of each sentence position."""
+        return _sentence_rows(self.corpus, self.embeddings)
+
+    @cached_property
+    def score_rows(self) -> np.ndarray:
+        """The score row of each sentence position."""
+        return _sentence_rows(self.corpus, self.scores)
+
+    @cached_property
+    def confidence(self) -> np.ndarray:
+        """Bag x relation: the max over the bag's sentences."""
+        return np.maximum.reduceat(
+            self.scores.matrix[self.score_rows], self.corpus.starts, axis=0
+        )
 
     @cached_property
     def query_position(self) -> dict[str, int]:
-        """The index of each query in ``corpus.queries``."""
-        return {q.query_id: i for i, q in enumerate(self.corpus.queries)}
+        """The index of each query in ``queries``."""
+        return {q_id: i for i, q_id in enumerate(self.queries)}
 
     def _chunk_of(self, q_id: str) -> list[str]:
-        """The aligned run of ``corpus.queries`` that holds the query and
-        whose dot products fit in ``SCREEN_BYTES``; the query alone if it
-        is not one of them."""
+        """The aligned run of ``queries`` that holds the query and whose
+        dot products fit in ``SCREEN_BYTES``; the query alone if it is not
+        one of them."""
         i = self.query_position.get(q_id)
         if i is None:
             return [q_id]
         size = max(1, SCREEN_BYTES // (8 * len(self.embeddings.matrix)))
         i -= i % size
-        return [q.query_id for q in self.corpus.queries[i : i + size]]
+        return list(self.queries[i : i + size])
 
     def _dots(self, q_id: str, exact: bool) -> np.ndarray:
         """The query's dot product with every embedding row, from the chunk
@@ -243,44 +264,14 @@ class CorpusView:
         mean_of = int(self.corpus.lengths.max(initial=1)) if pooling == "mean" else None
         return screen_slack(self.embeddings.dim, mean_of, w_sim, w_conf)
 
-    def sentence_pick(
-        self, b: int, scores: ScoreMatrix, threshold: float
-    ) -> SentenceInstance:
+    def sentence_pick(self, b: int, threshold: float) -> SentenceInstance:
         """Stage 3 (``select_sentence``) for bag b, kept per bag and
-        threshold; ``scores`` is the view's score matrix."""
+        threshold."""
         pick = self.sentence_picks.get((b, threshold))
         if pick is None:
-            pick = select_sentence(self.corpus, b, scores, threshold)
+            pick = select_sentence(self.corpus, b, self.scores, threshold)
             self.sentence_picks[(b, threshold)] = pick
         return pick
-
-
-def corpus_view(
-    corpus: Corpus, scores: ScoreMatrix | None, embeddings: EmbeddingIndex | None
-) -> CorpusView:
-    """The view of a corpus against the given providers.
-
-    Built on first use and kept in ``corpus.view_cache`` until a call names
-    other providers, so a selection pass over many queries builds it once.
-    """
-    cached = corpus.view_cache.get("view")
-    if cached is not None and cached[0] is scores and cached[1] is embeddings:
-        return cached[2]
-    score_rows = confidence = None
-    if scores is not None:
-        score_rows = _sentence_rows(corpus, scores)
-        confidence = np.maximum.reduceat(
-            scores.matrix[score_rows], corpus.starts, axis=0
-        )
-    view = CorpusView(
-        corpus,
-        embeddings,
-        embedding_rows=None if embeddings is None else _sentence_rows(corpus, embeddings),
-        score_rows=score_rows,
-        confidence=confidence,
-    )
-    corpus.view_cache["view"] = (scores, embeddings, view)
-    return view
 
 
 def _sentence_rows(corpus: Corpus, provider: ScoreMatrix | EmbeddingIndex) -> np.ndarray:
@@ -293,20 +284,18 @@ def _sentence_rows(corpus: Corpus, provider: ScoreMatrix | EmbeddingIndex) -> np
 
 
 def _consulted(
-    scores: ScoreMatrix | None,
-    embeddings: EmbeddingIndex | None,
-    config: ScoringConfig,
+    view: CorpusView, config: ScoringConfig
 ) -> tuple[ScoreMatrix | None, EmbeddingIndex | None]:
-    """The providers a config reads; one whose weight is zero is never
-    consulted, so confidence-only and similarity-only modes run without the
-    other artifact."""
-    if config.w_sim > 0 and embeddings is None:
+    """The view's providers a config reads; one whose weight is zero is
+    never consulted, so confidence-only and similarity-only modes run
+    without the other artifact."""
+    if config.w_sim > 0 and view.embeddings is None:
         raise ProviderError("w_sim > 0 but no embedding index supplied")
-    if config.w_conf > 0 and scores is None:
+    if config.w_conf > 0 and view.scores is None:
         raise ProviderError("w_conf > 0 but no score matrix supplied")
     return (
-        scores if config.w_conf > 0 else None,
-        embeddings if config.w_sim > 0 else None,
+        view.scores if config.w_conf > 0 else None,
+        view.embeddings if config.w_sim > 0 else None,
     )
 
 
@@ -342,8 +331,7 @@ def combined_bag_scores(
     q_id: str,
     relation: str,
     corpus: Corpus,
-    scores: ScoreMatrix | None,
-    embeddings: EmbeddingIndex | None,
+    view: CorpusView,
     config: ScoringConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """w_sim * sim(q, bag) + w_conf * f(bag, relation) for every bag
@@ -352,8 +340,7 @@ def combined_bag_scores(
     Returns (bag indexes in corpus order, their scores); ``select_bag``
     picks the first maximum of these scores.
     """
-    scores, embeddings = _consulted(scores, embeddings, config)
-    view = corpus_view(corpus, scores, embeddings)
+    scores, embeddings = _consulted(view, config)
     bags = corpus.bags_by_relation[relation]
     sims = None
     if embeddings is not None:
@@ -370,8 +357,7 @@ def select_bag(
     q_id: str,
     relation: str,
     corpus: Corpus,
-    scores: ScoreMatrix | None,
-    embeddings: EmbeddingIndex | None,
+    view: CorpusView,
     config: ScoringConfig,
 ) -> str:
     """Stage 2: the first maximum of the combined bag scores
@@ -386,8 +372,7 @@ def select_bag(
         raise KeyError(f"unknown relation {relation!r}")
     if not len(bags):
         raise NoBagForRelation(relation)
-    scores, embeddings = _consulted(scores, embeddings, config)
-    view = corpus_view(corpus, scores, embeddings)
+    scores, embeddings = _consulted(view, config)
     confidence = None
     if scores is not None:
         confidence = view.confidence[bags, scores.column(relation)]
@@ -469,8 +454,7 @@ def _similarity_candidates(
 def select_candidate_bags(
     q_id: str,
     corpus: Corpus,
-    scores: ScoreMatrix | None,
-    embeddings: EmbeddingIndex | None,
+    view: CorpusView,
     config: ScoringConfig,
 ) -> tuple[list[tuple[str, float]], list[tuple[str, float, str]], list[str]]:
     """Stages 1 + 2: candidates, their chosen bags, and recorded skips.
@@ -483,8 +467,7 @@ def select_candidate_bags(
     kept on the view (``CorpusView.bag_picks``), so a k sweep runs
     ``select_bag`` once per query and relation.
     """
-    scores, embeddings = _consulted(scores, embeddings, config)
-    view = corpus_view(corpus, scores, embeddings)
+    scores, embeddings = _consulted(view, config)
     pooling = config.bag_sim_pooling
     if embeddings is not None:
         # screened before stage 2, which reads them from the view
@@ -507,7 +490,7 @@ def select_candidate_bags(
         key = (relation, config.w_sim, config.w_conf, pooling)
         if key not in kept:
             try:
-                bag_id = select_bag(q_id, relation, corpus, scores, embeddings, config)
+                bag_id = select_bag(q_id, relation, corpus, view, config)
             except NoBagForRelation:
                 bag_id = None
             if bag_id is not None and scores is None:
@@ -524,8 +507,7 @@ def select_candidate_bags(
 def build_exemplar_set(
     q_id: str,
     corpus: Corpus,
-    scores: ScoreMatrix | None,
-    embeddings: EmbeddingIndex | None,
+    view: CorpusView,
     config: ScoringConfig,
     style: str = "sentence",
 ) -> ExemplarSet:
@@ -537,11 +519,8 @@ def build_exemplar_set(
     model: sentence selection falls back to a seeded uniform choice within
     the chosen bag and ordering is ascending by bag similarity.
     """
-    candidates, picks, skipped = select_candidate_bags(
-        q_id, corpus, scores, embeddings, config
-    )
+    candidates, picks, skipped = select_candidate_bags(q_id, corpus, view, config)
     rng = _query_rng(config.seed, q_id) if config.w_conf == 0 else None
-    view = corpus_view(corpus, *_consulted(scores, embeddings, config))
     exemplars = []
     for relation, score, bag_id in picks:
         b = corpus.bag_position[bag_id]
@@ -549,12 +528,12 @@ def build_exemplar_set(
         if style == "full_bag":
             sentences = tuple(map(corpus.sentence, range(start, start + n)))
         elif style == "reduced_bag":
-            pairs = reduce_bag(corpus, b, scores)
+            pairs = reduce_bag(corpus, b, view.scores)
             sentences = tuple(s for s, _ in group_reduced(pairs))
         elif rng is not None:
             sentences = (corpus.sentence(start + rng.randrange(n)),)
         else:
-            sentences = (view.sentence_pick(b, scores, config.threshold),)
+            sentences = (view.sentence_pick(b, config.threshold),)
         exemplars.append(
             Exemplar(sentences, corpus.labelset(b), bag_id, relation, score)
         )

@@ -34,6 +34,7 @@ from hydre.prompting import (
 )
 from hydre.providers import ScoringConfig
 from hydre.selection import (
+    CorpusView,
     NoBagForRelation,
     build_exemplar_set,
     group_reduced,
@@ -92,7 +93,10 @@ def test_algorithm1_oracle_equivalence():
             relations = instance["relations"]
             k = (seed % len(relations)) + 1
             got = build_exemplar_set(
-                "q000", corpus, scores, emb, ScoringConfig(k=k, seed=seed)
+                "q000",
+                corpus,
+                CorpusView(corpus, scores, emb),
+                ScoringConfig(k=k, seed=seed),
             )
             want = exemplar_set_oracle(
                 "q000",
@@ -150,6 +154,7 @@ def test_stage_unit_oracles():
             corpus = corpus_from_instance(instance)
             scores = scores_from_instance(instance)
             emb = embeddings_from_instance(instance)
+            view = CorpusView(corpus, scores, emb)
             for relation in instance["relations"]:
                 want = select_bag_oracle(
                     "q000", relation, instance["relations"], instance["bags"],
@@ -157,10 +162,10 @@ def test_stage_unit_oracles():
                 )
                 if want is None:
                     with pytest.raises(NoBagForRelation):
-                        select_bag("q000", relation, corpus, scores, emb, ScoringConfig())
+                        select_bag("q000", relation, corpus, view, ScoringConfig())
                 else:
                     assert select_bag(
-                        "q000", relation, corpus, scores, emb, ScoringConfig()
+                        "q000", relation, corpus, view, ScoringConfig()
                     ) == want
                 checked += 1
 
@@ -202,13 +207,14 @@ def test_stage_unit_oracles():
             corpus = corpus_from_instance(instance)
             emb = embeddings_from_instance(instance)
             flat = flatten(corpus)
+            view = CorpusView(corpus, None, emb)
             items = [f.sentence.sentence_id for f in flat]
             k = min(5, len(flat))
-            got_top = [f.sentence.sentence_id for f in topk_sim("q000", flat, emb, k)]
+            got_top = [f.sentence.sentence_id for f in topk_sim("q000", flat, view, k)]
             assert got_top == topk_oracle("q000", items, instance["embeddings"], k)
             got_mmr = [
                 f.sentence.sentence_id
-                for f in mmr_select("q000", flat, emb, k, alpha=0.3, pool_size=None)
+                for f in mmr_select("q000", flat, view, k, alpha=0.3, pool_size=None)
             ]
             assert got_mmr == mmr_oracle(
                 "q000", items, instance["embeddings"], k, 0.3, None
@@ -268,13 +274,14 @@ def test_mmr_degeneracy():
             corpus = corpus_from_instance(instance)
             emb = embeddings_from_instance(instance)
             flat = flatten(corpus)
+            view = CorpusView(corpus, None, emb)
             k = min(5, len(flat))
             mmr_set = {
                 f.sentence.sentence_id
-                for f in mmr_select("q000", flat, emb, k, alpha=1.0, pool_size=None)
+                for f in mmr_select("q000", flat, view, k, alpha=1.0, pool_size=None)
             }
             top_set = {
-                f.sentence.sentence_id for f in topk_sim("q000", flat, emb, k)
+                f.sentence.sentence_id for f in topk_sim("q000", flat, view, k)
             }
             assert mmr_set == top_set
             checked += 1
@@ -288,7 +295,7 @@ def test_prompt_golden_files():
         scoring = config.scoring()
         queries = {q.query_id: q for q in corpus.queries}
 
-        es = build_exemplar_set("q01", corpus, scores, emb, scoring)
+        es = build_exemplar_set("q01", corpus, CorpusView(corpus, scores, emb), scoring)
         blocks = [
             block_for_sentence(e.sentence, e.labels, corpus.ontology)
             for e in es.exemplars
@@ -297,7 +304,7 @@ def test_prompt_golden_files():
         assert rendered == (GOLDEN / "prompt_hydre_5shot.txt").read_text()
 
         outcome = cli.STRATEGIES["ablation:no_icl"].select(
-            "q02", cli.SelectionInputs(corpus, scores, emb, scoring)
+            "q02", cli.SelectionInputs(CorpusView(corpus, scores, emb), scoring)
         )
         rendered = render_prompt(
             queries["q02"],
@@ -309,7 +316,10 @@ def test_prompt_golden_files():
         assert rendered == (GOLDEN / "prompt_no_icl.txt").read_text()
 
         bes = build_exemplar_set(
-            "q03", corpus, scores, emb, dataclasses.replace(scoring, k=2),
+            "q03",
+            corpus,
+            CorpusView(corpus, scores, emb),
+            dataclasses.replace(scoring, k=2),
             style="reduced_bag",
         )
         blocks = [

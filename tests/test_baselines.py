@@ -16,7 +16,7 @@ from hydre.baselines import (
 from hydre.cli import STRATEGIES, SelectionInputs, load_config
 from hydre.corpus import Corpus
 from hydre.providers import ScoringConfig
-from hydre.selection import Exemplar, ExemplarSet, build_exemplar_set
+from hydre.selection import CorpusView, Exemplar, ExemplarSet, build_exemplar_set
 
 from conftest import (
     corpus_from_instance,
@@ -115,8 +115,9 @@ def test_random_k_is_roughly_uniform():
 def test_topk_sim_k1_is_nearest():
     instance, corpus, _, emb = build_all(6)
     flat = flatten(corpus)
+    view = CorpusView(corpus, None, emb)
     q_id = instance["queries"][0]
-    (top,) = topk_sim(q_id, flat, emb, 1)
+    (top,) = topk_sim(q_id, flat, view, 1)
     items = [f.sentence.sentence_id for f in flat]
     want = topk_oracle(q_id, items, instance["embeddings"], 1)
     assert top.sentence.sentence_id == want[0]
@@ -125,8 +126,9 @@ def test_topk_sim_k1_is_nearest():
 def test_topk_sim_full_sort():
     instance, corpus, _, emb = build_all(7)
     flat = flatten(corpus)
+    view = CorpusView(corpus, None, emb)
     q_id = instance["queries"][0]
-    got = [f.sentence.sentence_id for f in topk_sim(q_id, flat, emb, len(flat))]
+    got = [f.sentence.sentence_id for f in topk_sim(q_id, flat, view, len(flat))]
     want = topk_oracle(
         q_id, [f.sentence.sentence_id for f in flat], instance["embeddings"], len(flat)
     )
@@ -140,10 +142,11 @@ def test_topk_sim_matches_sort_oracle():
         instance, corpus, _, emb = build_all(9000 + trial)
         trial += 1
         flat = flatten(corpus)
+        view = CorpusView(corpus, None, emb)
         q_id = instance["queries"][0]
         items = [f.sentence.sentence_id for f in flat]
         for k in (1, 2, min(5, len(flat)), len(flat)):
-            got = [f.sentence.sentence_id for f in topk_sim(q_id, flat, emb, k)]
+            got = [f.sentence.sentence_id for f in topk_sim(q_id, flat, view, k)]
             assert got == topk_oracle(q_id, items, instance["embeddings"], k)
             checked += 1
 
@@ -161,13 +164,14 @@ def test_mmr_alpha_one_equals_topk_set():
     for trial in range(100):
         instance, corpus, _, emb = build_all(10000 + trial)
         flat = flatten(corpus)
+        view = CorpusView(corpus, None, emb)
         q_id = instance["queries"][0]
         k = min(5, len(flat))
         mmr_set = {
             f.sentence.sentence_id
-            for f in mmr_select(q_id, flat, emb, k, alpha=1.0, pool_size=None)
+            for f in mmr_select(q_id, flat, view, k, alpha=1.0, pool_size=None)
         }
-        top_set = {f.sentence.sentence_id for f in topk_sim(q_id, flat, emb, k)}
+        top_set = {f.sentence.sentence_id for f in topk_sim(q_id, flat, view, k)}
         assert mmr_set == top_set
 
 
@@ -178,13 +182,14 @@ def test_mmr_matches_greedy_oracle():
         instance, corpus, _, emb = build_all(11000 + trial)
         trial += 1
         flat = flatten(corpus)
+        view = CorpusView(corpus, None, emb)
         q_id = instance["queries"][0]
         items = [f.sentence.sentence_id for f in flat]
         for alpha in (0.0, 0.3, 0.7):
             k = min(5, len(flat))
             got = [
                 f.sentence.sentence_id
-                for f in mmr_select(q_id, flat, emb, k, alpha=alpha, pool_size=None)
+                for f in mmr_select(q_id, flat, view, k, alpha=alpha, pool_size=None)
             ]
             want = mmr_oracle(q_id, items, instance["embeddings"], k, alpha, None)
             assert got == want
@@ -194,14 +199,15 @@ def test_mmr_matches_greedy_oracle():
 def test_mmr_pool_truncation_and_errors():
     instance, corpus, _, emb = build_all(12, max_bags=10)
     flat = flatten(corpus)
+    view = CorpusView(corpus, None, emb)
     q_id = instance["queries"][0]
     pool = min(3, len(flat))
-    got = mmr_select(q_id, flat, emb, pool, alpha=0.3, pool_size=pool)
+    got = mmr_select(q_id, flat, view, pool, alpha=0.3, pool_size=pool)
     assert len(got) == pool
     with pytest.raises(ValueError, match="pool"):
-        mmr_select(q_id, flat, emb, pool + 1, alpha=0.3, pool_size=pool)
+        mmr_select(q_id, flat, view, pool + 1, alpha=0.3, pool_size=pool)
     with pytest.raises(ValueError, match="alpha"):
-        mmr_select(q_id, flat, emb, 1, alpha=1.5)
+        mmr_select(q_id, flat, view, 1, alpha=1.5)
 
 
 def test_duplicated_rows_tie_in_corpus_order():
@@ -211,16 +217,17 @@ def test_duplicated_rows_tie_in_corpus_order():
         corpus = corpus_from_instance(instance)
         emb = embeddings_from_instance(instance)
         flat = flatten(corpus)
+        view = CorpusView(corpus, None, emb)
         items = [f.sentence.sentence_id for f in flat]
         vectors = instance["embeddings"]
         tied += len(items) - len({tuple(vectors[i]) for i in items})
-        got = [f.sentence.sentence_id for f in topk_sim("q000", flat, emb, len(flat))]
+        got = [f.sentence.sentence_id for f in topk_sim("q000", flat, view, len(flat))]
         assert got == topk_oracle("q000", items, vectors, len(flat))
         k = min(5, len(flat))
         for alpha in (0.0, 0.3, 1.0):
             got = [
                 f.sentence.sentence_id
-                for f in mmr_select("q000", flat, emb, k, alpha=alpha, pool_size=None)
+                for f in mmr_select("q000", flat, view, k, alpha=alpha, pool_size=None)
             ]
             assert got == mmr_oracle("q000", items, vectors, k, alpha, None)
     assert tied > 0
@@ -232,7 +239,7 @@ def test_duplicated_rows_tie_in_corpus_order():
 def ablation_variant(name, q_id, corpus, scores, emb, config):
     """One ablation, selected through the CLI's strategy registry."""
     return STRATEGIES[f"ablation:{name}"].select(
-        q_id, SelectionInputs(corpus, scores, emb, config)
+        q_id, SelectionInputs(CorpusView(corpus, scores, emb), config)
     )
 
 
@@ -266,7 +273,10 @@ def test_ablation_no_sim_equals_weights_0_1():
         base = ScoringConfig(k=3, seed=5)
         outcome = ablation_variant("no_sim", "q000", corpus, scores, emb, base)
         direct = build_exemplar_set(
-            "q000", corpus, scores, None, dataclasses.replace(base, w_sim=0.0)
+            "q000",
+            corpus,
+            CorpusView(corpus, scores, None),
+            dataclasses.replace(base, w_sim=0.0),
         )
         assert outcome == direct
 
@@ -276,7 +286,10 @@ def test_ablation_no_conf_uses_similarity_only():
     base = ScoringConfig(k=3, seed=5)
     outcome = ablation_variant("no_conf", "q000", corpus, scores, emb, base)
     direct = build_exemplar_set(
-        "q000", corpus, None, emb, dataclasses.replace(base, w_conf=0.0)
+        "q000",
+        corpus,
+        CorpusView(corpus, None, emb),
+        dataclasses.replace(base, w_conf=0.0),
     )
     assert outcome == direct
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import shutil
@@ -545,27 +546,78 @@ def test_run_k_sweep_computes_one_batch_per_query_chunk(tmp_path, monkeypatch):
     assert_unchanged()
 
 
-def test_failed_select_holds_no_batch(tmp_path, monkeypatch, capsys):
-    """A select that fails in its second chunk has screened both chunks,
-    leaves the embedding index as it was loaded and writes no selections
-    file."""
-    calls, assert_unchanged = count_batches(monkeypatch)
+def fail_in_second_chunk(monkeypatch):
+    """Make the golden select raise on the second query of its second
+    chunk of ``GOLDEN_CHUNK`` queries."""
     build = cli.build_exemplar_set
     seen = []
 
-    def fail_in_second_chunk(q_id, *args, **kwargs):
+    def failing(q_id, *args, **kwargs):
         seen.append(q_id)
         if len(seen) == GOLDEN_CHUNK + 2:
             raise RuntimeError("selection failed")
         return build(q_id, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_exemplar_set", fail_in_second_chunk)
+    monkeypatch.setattr(cli, "build_exemplar_set", failing)
+
+
+def test_failed_select_holds_no_batch(tmp_path, monkeypatch, capsys):
+    """A select that fails in its second chunk has screened both chunks,
+    leaves the embedding index as it was loaded and writes no selections
+    file."""
+    calls, assert_unchanged = count_batches(monkeypatch)
+    fail_in_second_chunk(monkeypatch)
     out = str(tmp_path / "out")
     assert run_cli("--config", CONFIG, "--output", out, "select") == 2
     assert "selection failed" in capsys.readouterr().err
     assert calls["batches"] == 2
     assert_unchanged()
     assert not (tmp_path / "out" / "selections.jsonl").exists()
+
+
+SELECTION_TYPES = (Corpus, ScoreMatrix, EmbeddingIndex, CorpusView)
+
+
+@pytest.mark.parametrize(
+    "strategy, mmr, fails",
+    [
+        ("hydre", {}, False),
+        ("topk_sim", {}, False),
+        ("mmr", {"pool_size": None}, False),
+        ("ablation:flat_retrieval", {}, False),
+        ("ablation:no_sim", {}, False),
+        ("hydre", {}, True),
+    ],
+)
+def test_select_leaves_no_corpus_or_provider_behind(
+    tmp_path, monkeypatch, capsys, strategy, mmr, fails
+):
+    """Reference counting alone frees a select's corpus, providers and
+    corpus view when the command returns, also when it fails (exit 2) in
+    its second chunk of queries: none of them sits in a reference cycle."""
+    rows = len(read_jsonl(GOLDEN / "embeddings.jsonl"))
+    monkeypatch.setattr(hydre.selection, "SCREEN_BYTES", GOLDEN_CHUNK * 8 * rows)
+    if fails:
+        fail_in_second_chunk(monkeypatch)
+    config_path, config = absolute_config(tmp_path)
+    config["strategy"] = strategy
+    config["mmr"] = mmr
+    config_path.write_text(json.dumps(config))
+    # held, so that no id of them is reused by an object the select makes
+    before = [o for o in gc.get_objects() if isinstance(o, SELECTION_TYPES)]
+    gc.disable()
+    try:
+        code = run_cli("--config", str(config_path), "select")
+        known = set(map(id, before))
+        left = [
+            type(o).__name__
+            for o in gc.get_objects()
+            if isinstance(o, SELECTION_TYPES) and id(o) not in known
+        ]
+    finally:
+        gc.enable()
+    assert code == (2 if fails else 0), capsys.readouterr().err
+    assert left == []
 
 
 @pytest.mark.parametrize(

@@ -215,6 +215,26 @@ def test_load_queries_rejects_non_string_text(tmp_path, tiny_ontology):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("head_span", [False, True]),
+        ("query_id", [1]),
+        ("query_id", 5),
+        ("gold", None),
+        ("gold", "rel_a"),
+        ("is_na", "false"),
+    ],
+)
+def test_load_queries_refuses_a_field_of_the_wrong_type(tmp_path, tiny_ontology, field, value):
+    record = query_record("q1", ["rel_a"])
+    record[field] = value
+    path = write_records(tmp_path, "q.jsonl", [query_record("q0", ["rel_b"]), record])
+    with pytest.raises(CorpusError) as info:
+        load_queries(path, tiny_ontology)
+    assert str(info.value) == f"{path}:2: malformed {field} {value!r}"
+
+
+@pytest.mark.parametrize(
     "head, tail, message",
     [
         ((0, 7, "Alpha B"), (6, 10, "Beta"), "query 'q1': head and tail spans overlap"),
@@ -646,6 +666,12 @@ def invalid_bag_files():
     overlap["sentences"][0]["tail_span"] = overlap["sentences"][0]["head_span"]
     missing = bag_record("b2", ["rel_a"], ["s2"])
     del missing["sentences"][0]["text"]
+
+    def edited(edit):
+        record = bag_record("b1", ["rel_a"], ["s1"])
+        edit(record)
+        return [record]
+
     return [
         ([bag_record("b1", ["rel_zz"], ["s1"])],
          "{p}:1 (bag 'b1'): unknown relation 'rel_zz'"),
@@ -666,6 +692,17 @@ def invalid_bag_files():
         ([malformed, bag_record("b2", ["rel_zz"], ["s2"])],
          "{p}:1: head_span [5, 2) out of range"),
         ([bag_record("b1", ["rel_zz"], [])], "{p}:1 (bag 'b1'): unknown relation 'rel_zz'"),
+        # fields of the wrong JSON type
+        (edited(lambda r: r.update(bag_id=["B01"])), "{p}:1: malformed bag_id ['B01']"),
+        (edited(lambda r: r.update(head=3)), "{p}:1: malformed head 3"),
+        (edited(lambda r: r.update(relations=None)), "{p}:1: malformed relations None"),
+        (edited(lambda r: r.update(relations="rel_a")), "{p}:1: malformed relations 'rel_a'"),
+        (edited(lambda r: r.update(sentences=None)), "{p}:1: malformed sentences None"),
+        (edited(lambda r: r.update(sentences=["s1"])), "{p}:1: malformed sentence 's1'"),
+        (edited(lambda r: r["sentences"][0].update(sentence_id=7)),
+         "{p}:1: malformed sentence_id 7"),
+        (edited(lambda r: r["sentences"][0].update(head_span=[False, True])),
+         "{p}:1: malformed head_span [False, True]"),
     ]
 
 

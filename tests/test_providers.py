@@ -28,7 +28,7 @@ from hydre.providers import (
     ScoreMatrix,
     ScoringConfig,
 )
-from hydre.selection import CorpusView, combined_bag_scores, corpus_view
+from hydre.selection import CorpusView, combined_bag_scores
 
 from conftest import (
     FIXTURES,
@@ -165,7 +165,7 @@ def test_batched_similarities_on_every_kind_of_index(tmp_path, monkeypatch):
         tied = [positions for positions in copies.values() if len(positions) > 1]
         assert tied
         for emb in indexes:
-            view = corpus_view(corpus, None, emb)
+            view = CorpusView(corpus, None, emb, tuple(instance["queries"]))
             assert_batches_equal_vecdot(emb, instance["queries"], view.embedding_rows)
             for size in QUERY_CHUNKS:
                 screen_chunks(monkeypatch, size, emb)
@@ -199,7 +199,7 @@ def test_exact_batches_hold_the_per_query_vecdot(dim, monkeypatch):
         return dots(self, ids)
 
     for size in QUERY_CHUNKS:
-        view = corpus_view(corpus, None, emb)
+        view = CorpusView(corpus, None, emb, tuple(q_ids))
         rows = view.embedding_rows
         assert n > 2 * block
         want = {q_id: vecdot_similarities(emb, q_id, rows) for q_id in q_ids}
@@ -246,13 +246,13 @@ def one_bag_corpus(bag):
 
 def bag_similarity(q_id, bag, emb, config):
     """The similarity of a one-bag corpus's only bag, from the view."""
-    view = corpus_view(one_bag_corpus(bag), None, emb)
+    view = CorpusView(one_bag_corpus(bag), None, emb)
     return view.bag_similarities(q_id, config.bag_sim_pooling)[0]
 
 
 def bag_confidence(bag, relation, scores):
     """The view's bag confidence of a one-bag corpus's only bag."""
-    view = corpus_view(one_bag_corpus(bag), scores, None)
+    view = CorpusView(one_bag_corpus(bag), scores, None)
     return view.confidence[0, scores.column(relation)]
 
 
@@ -295,7 +295,7 @@ def test_bag_similarity_matches_brute_force_on_random_bags():
         corpus = corpus_from_instance(instance)
         emb = embeddings_from_instance(instance)
         q_id = instance["queries"][0]
-        view = corpus_view(corpus, None, emb)
+        view = CorpusView(corpus, None, emb)
         for pooling in ("max", "mean"):
             sims = view.bag_similarities(q_id, pooling)
             for raw, got in zip(instance["bags"], sims):
@@ -312,7 +312,7 @@ def test_bag_similarities_keep_the_latest_query(monkeypatch):
     corpus = corpus_from_instance(instance)
     emb = embeddings_from_instance(instance)
     q_ids = list(instance["embeddings"])[:2]  # any embedded item serves as a query
-    view = corpus_view(corpus, None, emb)
+    view = CorpusView(corpus, None, emb)
     calls = []
     similarities = CorpusView.similarities
 
@@ -325,7 +325,7 @@ def test_bag_similarities_keep_the_latest_query(monkeypatch):
         first = view.bag_similarities(q_ids[0], pooling)
         assert view.bag_similarities(q_ids[0], pooling) is first
         assert not first.flags.writeable
-        fresh = corpus_view(Corpus.assemble(corpus.ontology, corpus.bags), None, emb)
+        fresh = CorpusView(Corpus.assemble(corpus.ontology, corpus.bags), None, emb)
         assert fresh is not view
         assert np.array_equal(first, fresh.bag_similarities(q_ids[0], pooling))
     view.bag_similarities(q_ids[1], "mean")
@@ -360,9 +360,10 @@ def test_view_maps_each_sentence_to_its_provider_row(monkeypatch, order, lookups
             "row_indexes",
             lambda self, items, _f=owner.row_indexes: calls.append(self) or _f(self, items),
         )
-    view = corpus_view(corpus, scores, emb)
+    view = CorpusView(corpus, scores, emb)
+    mapped = (view.score_rows, view.embedding_rows)
     assert len(calls) == lookups
-    for rows in (view.score_rows, view.embedding_rows):
+    for rows in mapped:
         assert rows.dtype == np.intp
         assert [ids[r] for r in rows.tolist()] == sentences
 
@@ -391,7 +392,7 @@ def test_bag_confidence_matches_brute_force_and_dominates_sentences():
         instance = make_random_instance(seed=3000 + trial, max_bags=5)
         corpus = corpus_from_instance(instance)
         scores = scores_from_instance(instance)
-        view = corpus_view(corpus, scores, None)
+        view = CorpusView(corpus, scores, None)
         for b, (raw, bag) in enumerate(zip(instance["bags"], corpus.bags)):
             for r_index, relation in enumerate(instance["relations"]):
                 got = view.confidence[b, scores.column(relation)]
@@ -423,7 +424,8 @@ def crafted_sim_conf(sim, conf):
 def combined_bag_score(q_id, bag, relation, scores, emb, config):
     """The combined score of a one-bag corpus's only bag."""
     corpus = Corpus.assemble(ontology_from_names(["rel_a"]), [bag])
-    _, total = combined_bag_scores(q_id, relation, corpus, scores, emb, config)
+    view = CorpusView(corpus, scores, emb)
+    _, total = combined_bag_scores(q_id, relation, corpus, view, config)
     return total[0]
 
 
@@ -473,6 +475,7 @@ def test_argmax_invariant_under_weight_scaling():
     corpus = corpus_from_instance(instance)
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
+    view = CorpusView(corpus, scores, emb)
     q_id = instance["queries"][0]
     relation = instance["relations"][0]
     bags = [b for b in corpus.bags if relation in b.labelset]
@@ -480,7 +483,7 @@ def test_argmax_invariant_under_weight_scaling():
         pytest.skip("no bag carries the probe relation")
 
     def argmax(config):
-        _, totals = combined_bag_scores(q_id, relation, corpus, scores, emb, config)
+        _, totals = combined_bag_scores(q_id, relation, corpus, view, config)
         scored = [(total, i) for i, total in enumerate(totals)]
         return max(scored, key=lambda pair: (pair[0], -pair[1]))[1]
 

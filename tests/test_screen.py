@@ -18,7 +18,12 @@ from hydre import selection
 from hydre.cli import STRATEGIES, SelectionInputs
 from hydre.corpus import jsonl_line
 from hydre.providers import EmbeddingIndex, ScoringConfig, screen_slack
-from hydre.selection import combined_bag_scores, select_bag, serialize_exemplar_set
+from hydre.selection import (
+    CorpusView,
+    combined_bag_scores,
+    select_bag,
+    serialize_exemplar_set,
+)
 
 from conftest import (
     corpus_from_instance,
@@ -105,13 +110,13 @@ def exact_screen_dots(self, q_ids):
 def select_records(strategy, pool_size, pooling, instance, emb, q_ids=None) -> str:
     """A strategy's serialized records for each query of ``q_ids`` (the
     instance's queries, in order, by default), selected in one pass as
-    ``select`` does; every query of the instance is in the corpus, so the
-    view screens them in chunks."""
+    ``select`` does; the view holds the instance's queries in file order,
+    so it screens them in chunks."""
     corpus = corpus_from_instance(instance)
     inputs = SelectionInputs(
-        corpus,
-        scores_from_instance(instance),
-        emb,
+        CorpusView(
+            corpus, scores_from_instance(instance), emb, tuple(instance["queries"])
+        ),
         ScoringConfig(k=3, bag_sim_pooling=pooling),
         mmr_pool_size=pool_size,
     )
@@ -180,16 +185,15 @@ def test_combined_bag_scores_agree_with_select_bag(pooling):
         for instance, emb in close_call_instances(dim):
             corpus = corpus_from_instance(instance)
             scores = scores_from_instance(instance)
+            view = CorpusView(corpus, scores, emb, tuple(instance["queries"]))
             config = ScoringConfig(bag_sim_pooling=pooling)
             for q_id in instance["queries"]:
                 for relation in corpus.ontology.names:
                     if not len(corpus.bags_by_relation.get(relation, ())):
                         continue
-                    bags, total = combined_bag_scores(
-                        q_id, relation, corpus, scores, emb, config
-                    )
+                    bags, total = combined_bag_scores(q_id, relation, corpus, view, config)
                     want = corpus.bag_ids[bags[int(np.argmax(total))]]
-                    got = select_bag(q_id, relation, corpus, scores, emb, config)
+                    got = select_bag(q_id, relation, corpus, view, config)
                     assert got == want
                     picks += 1
     assert picks

@@ -10,6 +10,7 @@ import hydre.selection
 from hydre.corpus import Bag, Corpus
 from hydre.providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from hydre.selection import (
+    CorpusView,
     Exemplar,
     ExemplarSet,
     NoBagForRelation,
@@ -123,7 +124,8 @@ def test_select_bag_arithmetic(tiny_ontology):
             "s2": np.array(unit(0.6)),
         },
     )
-    got = select_bag("q", "rel_a", corpus, scores, emb, ScoringConfig())
+    view = CorpusView(corpus, scores, emb)
+    got = select_bag("q", "rel_a", corpus, view, ScoringConfig())
     assert got == "B2"
 
 
@@ -132,15 +134,17 @@ def test_select_bag_single_bag(tiny_ontology):
     corpus = Corpus.assemble(tiny_ontology, [one_sentence_bag("B1", "s1", {"rel_b"})])
     scores = matrix(tiny_ontology, {"s1": [0, 0.2, 0]})
     config = ScoringConfig(w_sim=0.0, w_conf=1.0)
-    assert select_bag("q", "rel_b", corpus, scores, None, config) == "B1"
+    view = CorpusView(corpus, scores, None)
+    assert select_bag("q", "rel_b", corpus, view, config) == "B1"
 
 
 def test_select_bag_no_bag_for_relation(tiny_ontology):
 
     corpus = Corpus.assemble(tiny_ontology, [one_sentence_bag("B1", "s1", {"rel_b"})])
     scores = matrix(tiny_ontology, {"s1": [0, 0.2, 0]})
+    view = CorpusView(corpus, scores, None)
     with pytest.raises(NoBagForRelation) as err:
-        select_bag("q", "rel_a", corpus, scores, None, ScoringConfig(w_sim=0.0))
+        select_bag("q", "rel_a", corpus, view, ScoringConfig(w_sim=0.0))
     assert err.value.relation == "rel_a"
 
 
@@ -153,7 +157,8 @@ def test_select_bag_tie_keeps_earliest(tiny_ontology):
     corpus = Corpus.assemble(tiny_ontology, bags)
     scores = matrix(tiny_ontology, {"s1": [0.4, 0, 0], "s2": [0.4, 0, 0]})
     config = ScoringConfig(w_sim=0.0, w_conf=1.0)
-    assert select_bag("q", "rel_a", corpus, scores, None, config) == "B1"
+    view = CorpusView(corpus, scores, None)
+    assert select_bag("q", "rel_a", corpus, view, config) == "B1"
 
 
 def test_select_bag_matches_exhaustive_scan_oracle():
@@ -165,6 +170,7 @@ def test_select_bag_matches_exhaustive_scan_oracle():
         corpus = corpus_from_instance(instance)
         scores = scores_from_instance(instance)
         emb = embeddings_from_instance(instance)
+        view = CorpusView(corpus, scores, emb)
         q_id = instance["queries"][0]
         config = ScoringConfig()
         for relation in instance["relations"]:
@@ -180,9 +186,9 @@ def test_select_bag_matches_exhaustive_scan_oracle():
             )
             if want is None:
                 with pytest.raises(NoBagForRelation):
-                    select_bag(q_id, relation, corpus, scores, emb, config)
+                    select_bag(q_id, relation, corpus, view, config)
             else:
-                got = select_bag(q_id, relation, corpus, scores, emb, config)
+                got = select_bag(q_id, relation, corpus, view, config)
                 assert got == want
             checked += 1
 
@@ -317,7 +323,7 @@ def test_build_exemplar_set_composed_stages():
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
     config = ScoringConfig(k=3)
-    got = build_exemplar_set("q000", corpus, scores, emb, config)
+    got = build_exemplar_set("q000", corpus, CorpusView(corpus, scores, emb), config)
     want = exemplar_set_oracle(
         "q000",
         instance["relations"],
@@ -346,7 +352,8 @@ def test_build_exemplar_set_k1(tiny_ontology):
     corpus = corpus_from_instance(instance)
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
-    got = build_exemplar_set("q000", corpus, scores, emb, ScoringConfig(k=1))
+    view = CorpusView(corpus, scores, emb)
+    got = build_exemplar_set("q000", corpus, view, ScoringConfig(k=1))
     assert len(got.exemplars) == 1
     assert got.exemplars[0].candidate_relation == "rel_a"
 
@@ -358,7 +365,8 @@ def test_build_exemplar_set_records_skip():
     corpus = corpus_from_instance(instance)
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
-    got = build_exemplar_set("q000", corpus, scores, emb, ScoringConfig(k=3))
+    view = CorpusView(corpus, scores, emb)
+    got = build_exemplar_set("q000", corpus, view, ScoringConfig(k=3))
     assert len(got.exemplars) == 2
     assert got.skipped == ("rel_c",)
 
@@ -369,6 +377,7 @@ def test_k_sweep_picks_a_bagless_candidate_once_and_skips_it_at_every_k(monkeypa
     corpus = corpus_from_instance(instance)
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
+    view = CorpusView(corpus, scores, emb)
     calls = Counter()
     select_bag = hydre.selection.select_bag
 
@@ -378,7 +387,7 @@ def test_k_sweep_picks_a_bagless_candidate_once_and_skips_it_at_every_k(monkeypa
 
     monkeypatch.setattr(hydre.selection, "select_bag", counted_select_bag)
     skipped = [
-        build_exemplar_set("q000", corpus, scores, emb, ScoringConfig(k=k)).skipped
+        build_exemplar_set("q000", corpus, view, ScoringConfig(k=k)).skipped
         for k in (1, 2, 3)
     ]
     assert skipped == [(), ("rel_c",), ("rel_c",)]
@@ -394,12 +403,13 @@ def test_kept_stage2_picks_follow_query_weights_and_pooling():
         corpus = corpus_from_instance(instance)
         scores = scores_from_instance(instance)
         emb = embeddings_from_instance(instance)
+        view = CorpusView(corpus, scores, emb)
         k = len(instance["relations"])
         seen = {}
         for q_id in instance["queries"]:
             for w_conf, pooling in ((1.0, "max"), (4.0, "max"), (1.0, "mean")):
                 config = ScoringConfig(k=k, w_conf=w_conf, bag_sim_pooling=pooling)
-                got = build_exemplar_set(q_id, corpus, scores, emb, config)
+                got = build_exemplar_set(q_id, corpus, view, config)
                 want = exemplar_set_oracle(
                     q_id,
                     instance["relations"],
@@ -431,7 +441,10 @@ def test_exemplar_labels_contain_candidate_and_order_ascends():
         scores = scores_from_instance(instance)
         emb = embeddings_from_instance(instance)
         es = build_exemplar_set(
-            "q000", corpus, scores, emb, ScoringConfig(k=len(instance["relations"]))
+            "q000",
+            corpus,
+            CorpusView(corpus, scores, emb),
+            ScoringConfig(k=len(instance["relations"])),
         )
         scores_list = [e.candidate_score for e in es.exemplars]
         assert scores_list == sorted(scores_list)
@@ -447,7 +460,8 @@ def test_build_exemplar_set_deterministic_bytes():
     emb = embeddings_from_instance(instance)
 
     def render():
-        es = build_exemplar_set("q000", corpus, scores, emb, ScoringConfig(k=4, seed=3))
+        view = CorpusView(corpus, scores, emb)
+        es = build_exemplar_set("q000", corpus, view, ScoringConfig(k=4, seed=3))
         return json.dumps(serialize_exemplar_set(es, corpus.ontology), sort_keys=True)
 
     assert render() == render()
@@ -458,15 +472,18 @@ def test_similarity_only_mode_is_seeded_and_sim_ordered():
     corpus = corpus_from_instance(instance)
     emb = embeddings_from_instance(instance)
     config = ScoringConfig(w_sim=1.0, w_conf=0.0, k=4, seed=11)
-    first = build_exemplar_set("q000", corpus, None, emb, config)
-    second = build_exemplar_set("q000", corpus, None, emb, config)
+    first = build_exemplar_set("q000", corpus, CorpusView(corpus, None, emb), config)
+    second = build_exemplar_set("q000", corpus, CorpusView(corpus, None, emb), config)
     assert first == second
     scores_list = [e.candidate_score for e in first.exemplars]
     assert scores_list == sorted(scores_list)
     # candidates come from bag labelsets, so every one has a bag
     assert first.skipped == ()
     other_seed = build_exemplar_set(
-        "q000", corpus, None, emb, ScoringConfig(w_sim=1.0, w_conf=0.0, k=4, seed=12)
+        "q000",
+        corpus,
+        CorpusView(corpus, None, emb),
+        ScoringConfig(w_sim=1.0, w_conf=0.0, k=4, seed=12),
     )
     assert {e.candidate_relation for e in other_seed.exemplars} == {
         e.candidate_relation for e in first.exemplars
@@ -534,9 +551,10 @@ def test_serialize_round_trip_sentence_and_bag_styles():
     corpus = corpus_from_instance(instance)
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
+    view = CorpusView(corpus, scores, emb)
     config = ScoringConfig(k=3)
 
-    es = build_exemplar_set("q000", corpus, scores, emb, config)
+    es = build_exemplar_set("q000", corpus, view, config)
     record = serialize_exemplar_set(es, corpus.ontology)
     assert record["style"] == "sentence"
     for entry in record["exemplars"]:
@@ -553,7 +571,7 @@ def test_serialize_round_trip_sentence_and_bag_styles():
 
     for reduced in (False, True):
         style = "reduced_bag" if reduced else "full_bag"
-        bes = build_exemplar_set("q000", corpus, scores, emb, config, style)
+        bes = build_exemplar_set("q000", corpus, view, config, style)
         record = serialize_exemplar_set(bes, corpus.ontology)
         assert record["style"] == ("reduced_bag" if reduced else "full_bag")
         assert all(entry["sentence_id"] is None for entry in record["exemplars"])
@@ -567,7 +585,7 @@ def test_confidence_only_pipeline_matches_oracle():
         corpus = corpus_from_instance(instance)
         scores = scores_from_instance(instance)
         config = ScoringConfig(w_sim=0.0, w_conf=1.0, k=3, seed=trial)
-        got = build_exemplar_set("q000", corpus, scores, None, config)
+        got = build_exemplar_set("q000", corpus, CorpusView(corpus, scores, None), config)
         want = exemplar_set_oracle(
             "q000",
             instance["relations"],
@@ -590,9 +608,10 @@ def test_build_bag_exemplar_set_reduced_and_full():
     corpus = corpus_from_instance(instance)
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
+    view = CorpusView(corpus, scores, emb)
     config = ScoringConfig(k=2)
-    full = build_exemplar_set("q000", corpus, scores, emb, config, style="full_bag")
-    reduced = build_exemplar_set("q000", corpus, scores, emb, config, style="reduced_bag")
+    full = build_exemplar_set("q000", corpus, view, config, style="full_bag")
+    reduced = build_exemplar_set("q000", corpus, view, config, style="reduced_bag")
     assert full.style == "full_bag"
     assert reduced.style == "reduced_bag"
     for exemplar in full.exemplars:
@@ -609,7 +628,7 @@ def assert_matches_exemplar_oracle(instance, k, pooling):
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
     config = ScoringConfig(k=k, bag_sim_pooling=pooling)
-    got = build_exemplar_set("q000", corpus, scores, emb, config)
+    got = build_exemplar_set("q000", corpus, CorpusView(corpus, scores, emb), config)
     want = exemplar_set_oracle(
         "q000",
         instance["relations"],
@@ -642,6 +661,7 @@ def test_duplicated_rows_tie_to_earliest_bag():
         corpus = corpus_from_instance(instance)
         scores = scores_from_instance(instance)
         emb = embeddings_from_instance(instance)
+        view = CorpusView(corpus, scores, emb)
         relations = instance["relations"]
         for pooling in ("max", "mean"):
             config = ScoringConfig(bag_sim_pooling=pooling)
@@ -652,7 +672,7 @@ def test_duplicated_rows_tie_to_earliest_bag():
                 )
                 if want is None:
                     continue
-                assert select_bag("q000", relation, corpus, scores, emb, config) == want
+                assert select_bag("q000", relation, corpus, view, config) == want
                 totals = [
                     combined_score_oracle(
                         "q000", bag, r_index, instance["scores"],
@@ -676,9 +696,9 @@ def test_zero_weight_provider_is_never_consulted():
     no_rows = ScoreMatrix(scores.relation_order, {})
     conf_only = ScoringConfig(w_sim=0.0, k=3)
     assert build_exemplar_set(
-        "q000", corpus, scores, no_vectors, conf_only
-    ) == build_exemplar_set("q000", corpus, scores, None, conf_only)
+        "q000", corpus, CorpusView(corpus, scores, no_vectors), conf_only
+    ) == build_exemplar_set("q000", corpus, CorpusView(corpus, scores, None), conf_only)
     sim_only = ScoringConfig(w_conf=0.0, k=3)
     assert build_exemplar_set(
-        "q000", corpus, no_rows, emb, sim_only
-    ) == build_exemplar_set("q000", corpus, None, emb, sim_only)
+        "q000", corpus, CorpusView(corpus, no_rows, emb), sim_only
+    ) == build_exemplar_set("q000", corpus, CorpusView(corpus, None, emb), sim_only)
