@@ -149,7 +149,6 @@ def mmr_select(
 
 def flat_retrieval(
     q_id: str,
-    corpus: Corpus,
     view: CorpusView,
     config: ScoringConfig,
 ) -> ExemplarSet:
@@ -158,7 +157,7 @@ def flat_retrieval(
     The earliest sentence in corpus order wins a tie; screened similarities
     narrow each argmax, exact ones settle it. The view's score matrix is
     always read, its embedding index only when w_sim > 0."""
-    scores = view.scores
+    corpus, scores = view.corpus, view.scores
     candidates = select_candidates(q_id, scores, config.k)
     sims = None
     if config.w_sim > 0:

@@ -475,8 +475,7 @@ def _pipeline(
     scoring = inputs.scoring
     if scoring_changes:
         scoring = dataclasses.replace(scoring, **scoring_changes)
-    view = inputs.view
-    return build_exemplar_set(q_id, view.corpus, view, scoring, style=style)
+    return build_exemplar_set(q_id, inputs.view, scoring, style=style)
 
 
 def _topk_sim(q_id: str, i: SelectionInputs) -> ExemplarSet:
@@ -521,7 +520,7 @@ STRATEGIES: dict[str, Strategy] = {
         lambda conf, sim: (conf, conf, sim, sim),
     ),
     "ablation:flat_retrieval": Strategy(
-        lambda q_id, i: flat_retrieval(q_id, i.view.corpus, i.view, i.scoring),
+        lambda q_id, i: flat_retrieval(q_id, i.view, i.scoring),
         lambda conf, sim: (True, True, sim, sim),
     ),
     "ablation:full_bag": Strategy(
@@ -566,8 +565,8 @@ def cmd_select(
     ``run`` is inputs already loaded and checked by the caller (a ``run``
     sweep passes its own, and writes metadata.json once it ends); without
     it the command loads its own and writes metadata.json. The command
-    builds one corpus view (``selection.CorpusView``) of the loaded inputs
-    and the query file's ids, shared by every k and freed when it returns.
+    builds one corpus view (``selection.CorpusView``) of the loaded inputs,
+    shared by every k and freed when it returns.
     Each query is selected for every k in turn, so the view's per-query
     work (bag similarities, stage-2 picks) is done once per query. When
     query similarities are computed, and for which chunk of queries at
@@ -580,12 +579,7 @@ def cmd_select(
         run = _load_run(config)
         _check_providers(config, run)
     scoring = config.scoring()
-    view = CorpusView(
-        run.corpus,
-        run.scores,
-        run.embeddings,
-        tuple(q.query_id for q in run.corpus.queries),
-    )
+    view = CorpusView(run.corpus, run.scores, run.embeddings)
     inputs = [
         SelectionInputs(
             view,

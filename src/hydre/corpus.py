@@ -327,7 +327,9 @@ def _check_labels(
     return labelset
 
 
-BAGS_FORMAT = "hydre.corpus.v1"
+# v2 refuses fields of the wrong JSON type, which v1 took, so a v1 sidecar
+# may hold a file that v2 refuses: it is never read.
+BAGS_FORMAT = "hydre.corpus.v2"
 
 # The columns of a bag file besides the strings, which go in the meta record
 # (bag_ids, heads, tails, sentence_ids and the label vocabulary ``labels``).

@@ -110,23 +110,23 @@ SCREEN_BYTES = 16 << 20
 
 @dataclass(frozen=True)
 class CorpusView:
-    """One selection pass over a corpus: the corpus, its providers (None
-    for one the pass does not have) and the ids of the queries it selects
-    for, in order. ``select`` builds one for its query file and hands it to
-    every strategy and every k; it is freed when the command returns. A
-    library caller builds ``CorpusView(corpus, scores, embeddings)``.
+    """One selection pass over a corpus: the corpus and its providers (None
+    for one the pass does not have). ``select`` builds one for its query
+    file and hands it to every strategy and every k; it is freed when the
+    command returns. A library caller builds
+    ``CorpusView(corpus, scores, embeddings)``.
 
     The matrix row of each sentence position and each bag's confidence are
     derived on first read. Which providers a selection reads is decided by
     its scoring weights, not by what the view holds.
 
     The view owns the similarity screen. The first request for a query's
-    similarities computes them for the chunk of ``queries`` that holds the
-    query, with one matrix product (``EmbeddingIndex.screen_dots``) or, when
-    exact values are asked for, one cache-blocked exact pass
-    (``EmbeddingIndex.dots``). Chunks are aligned runs of ``queries`` whose
-    dot products with every embedding row fit in ``SCREEN_BYTES``; a query
-    outside ``queries`` is a chunk of its own. The view keeps one chunk
+    similarities computes them for the chunk of ``corpus.queries`` that
+    holds the query, with one matrix product (``EmbeddingIndex.screen_dots``)
+    or, when exact values are asked for, one cache-blocked exact pass
+    (``EmbeddingIndex.dots``). Chunks are aligned runs of queries whose dot
+    products with every embedding row fit in ``SCREEN_BYTES``; a query
+    outside ``corpus.queries`` is a chunk of its own. The view keeps one chunk
     until a request falls outside it. Every decision a screened value could
     get wrong is settled with exact values, so what a selection picks does
     not depend on how its queries fall into chunks or in what order they
@@ -141,7 +141,6 @@ class CorpusView:
     corpus: Corpus
     scores: ScoreMatrix | None
     embeddings: EmbeddingIndex | None
-    queries: tuple[str, ...] = ()
     # query id -> (its dot products with every embedding row, whether exact)
     chunk: dict = field(default_factory=dict, init=False, repr=False)
     latest_bag_sims: dict = field(default_factory=dict, init=False, repr=False)
@@ -167,19 +166,19 @@ class CorpusView:
 
     @cached_property
     def query_position(self) -> dict[str, int]:
-        """The index of each query in ``queries``."""
-        return {q_id: i for i, q_id in enumerate(self.queries)}
+        """The index of each query in ``corpus.queries``."""
+        return {q.query_id: i for i, q in enumerate(self.corpus.queries)}
 
     def _chunk_of(self, q_id: str) -> list[str]:
-        """The aligned run of ``queries`` that holds the query and whose
-        dot products fit in ``SCREEN_BYTES``; the query alone if it is not
-        one of them."""
+        """The aligned run of ``corpus.queries`` that holds the query and
+        whose dot products fit in ``SCREEN_BYTES``; the query alone if it
+        is not one of them."""
         i = self.query_position.get(q_id)
         if i is None:
             return [q_id]
         size = max(1, SCREEN_BYTES // (8 * len(self.embeddings.matrix)))
         i -= i % size
-        return list(self.queries[i : i + size])
+        return [q.query_id for q in self.corpus.queries[i : i + size]]
 
     def _dots(self, q_id: str, exact: bool) -> np.ndarray:
         """The query's dot product with every embedding row, from the chunk
@@ -330,7 +329,6 @@ def _combined(
 def combined_bag_scores(
     q_id: str,
     relation: str,
-    corpus: Corpus,
     view: CorpusView,
     config: ScoringConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +339,7 @@ def combined_bag_scores(
     picks the first maximum of these scores.
     """
     scores, embeddings = _consulted(view, config)
-    bags = corpus.bags_by_relation[relation]
+    bags = view.corpus.bags_by_relation[relation]
     sims = None
     if embeddings is not None:
         pooling = config.bag_sim_pooling
@@ -453,7 +451,6 @@ def _similarity_candidates(
 
 def select_candidate_bags(
     q_id: str,
-    corpus: Corpus,
     view: CorpusView,
     config: ScoringConfig,
 ) -> tuple[list[tuple[str, float]], list[tuple[str, float, str]], list[str]]:
@@ -467,6 +464,7 @@ def select_candidate_bags(
     kept on the view (``CorpusView.bag_picks``), so a k sweep runs
     ``select_bag`` once per query and relation.
     """
+    corpus = view.corpus
     scores, embeddings = _consulted(view, config)
     pooling = config.bag_sim_pooling
     if embeddings is not None:
@@ -506,7 +504,6 @@ def select_candidate_bags(
 
 def build_exemplar_set(
     q_id: str,
-    corpus: Corpus,
     view: CorpusView,
     config: ScoringConfig,
     style: str = "sentence",
@@ -519,7 +516,8 @@ def build_exemplar_set(
     model: sentence selection falls back to a seeded uniform choice within
     the chosen bag and ordering is ascending by bag similarity.
     """
-    candidates, picks, skipped = select_candidate_bags(q_id, corpus, view, config)
+    corpus = view.corpus
+    candidates, picks, skipped = select_candidate_bags(q_id, view, config)
     rng = _query_rng(config.seed, q_id) if config.w_conf == 0 else None
     exemplars = []
     for relation, score, bag_id in picks:

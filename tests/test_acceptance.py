@@ -94,7 +94,6 @@ def test_algorithm1_oracle_equivalence():
             k = (seed % len(relations)) + 1
             got = build_exemplar_set(
                 "q000",
-                corpus,
                 CorpusView(corpus, scores, emb),
                 ScoringConfig(k=k, seed=seed),
             )
@@ -295,7 +294,7 @@ def test_prompt_golden_files():
         scoring = config.scoring()
         queries = {q.query_id: q for q in corpus.queries}
 
-        es = build_exemplar_set("q01", corpus, CorpusView(corpus, scores, emb), scoring)
+        es = build_exemplar_set("q01", CorpusView(corpus, scores, emb), scoring)
         blocks = [
             block_for_sentence(e.sentence, e.labels, corpus.ontology)
             for e in es.exemplars
@@ -317,7 +316,6 @@ def test_prompt_golden_files():
 
         bes = build_exemplar_set(
             "q03",
-            corpus,
             CorpusView(corpus, scores, emb),
             dataclasses.replace(scoring, k=2),
             style="reduced_bag",

@@ -274,7 +274,6 @@ def test_ablation_no_sim_equals_weights_0_1():
         outcome = ablation_variant("no_sim", "q000", corpus, scores, emb, base)
         direct = build_exemplar_set(
             "q000",
-            corpus,
             CorpusView(corpus, scores, None),
             dataclasses.replace(base, w_sim=0.0),
         )
@@ -287,7 +286,6 @@ def test_ablation_no_conf_uses_similarity_only():
     outcome = ablation_variant("no_conf", "q000", corpus, scores, emb, base)
     direct = build_exemplar_set(
         "q000",
-        corpus,
         CorpusView(corpus, None, emb),
         dataclasses.replace(base, w_conf=0.0),
     )

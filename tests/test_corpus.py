@@ -716,6 +716,40 @@ def test_invalid_bag_file_gets_no_sidecar(tmp_path, tiny_ontology, records, mess
         assert not sidecar_of(path).exists()
 
 
+def lax_span(record, key, text, where):
+    """Span bounds as the v1 parser took them: any two ints, bools too."""
+    start, end = record[key]
+    return start, end
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda r: r.update(head=3),
+        lambda r: r["sentences"][0].update(head_span=[False, True]),
+    ],
+    ids=["int-head", "bool-head-span"],
+)
+def test_v1_sidecar_of_a_wrongly_typed_bag_file_is_not_read(
+    tmp_path, monkeypatch, tiny_ontology, edit
+):
+    """A file with a field of the wrong JSON type that the v1 parser took,
+    and wrote a sidecar for, is parsed again and refused."""
+    record = bag_record("b1", ["rel_a"], ["s1"])
+    edit(record)
+    path = write_records(tmp_path, "bags.jsonl", [record])
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "BAGS_FORMAT", "hydre.corpus.v1")
+        patch.setattr(corpus_module, "_field", lambda record, key, ok, where: record[key])
+        patch.setattr(corpus_module, "_span", lax_span)
+        Corpus.load_bag_file(path, tiny_ontology)
+        assert sidecar_of(path).exists()
+        refuse_bag_parse(patch, path)
+        Corpus.load_bag_file(path, tiny_ontology)  # read from the v1 sidecar
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:1: malformed "):
+        Corpus.load_bag_file(path, tiny_ontology)
+
+
 def test_bag_sidecar_still_checks_labels_against_the_ontology(
     tmp_path, monkeypatch, tiny_ontology
 ):

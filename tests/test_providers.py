@@ -165,7 +165,7 @@ def test_batched_similarities_on_every_kind_of_index(tmp_path, monkeypatch):
         tied = [positions for positions in copies.values() if len(positions) > 1]
         assert tied
         for emb in indexes:
-            view = CorpusView(corpus, None, emb, tuple(instance["queries"]))
+            view = CorpusView(corpus, None, emb)
             assert_batches_equal_vecdot(emb, instance["queries"], view.embedding_rows)
             for size in QUERY_CHUNKS:
                 screen_chunks(monkeypatch, size, emb)
@@ -199,7 +199,7 @@ def test_exact_batches_hold_the_per_query_vecdot(dim, monkeypatch):
         return dots(self, ids)
 
     for size in QUERY_CHUNKS:
-        view = CorpusView(corpus, None, emb, tuple(q_ids))
+        view = CorpusView(corpus, None, emb)
         rows = view.embedding_rows
         assert n > 2 * block
         want = {q_id: vecdot_similarities(emb, q_id, rows) for q_id in q_ids}
@@ -425,7 +425,7 @@ def combined_bag_score(q_id, bag, relation, scores, emb, config):
     """The combined score of a one-bag corpus's only bag."""
     corpus = Corpus.assemble(ontology_from_names(["rel_a"]), [bag])
     view = CorpusView(corpus, scores, emb)
-    _, total = combined_bag_scores(q_id, relation, corpus, view, config)
+    _, total = combined_bag_scores(q_id, relation, view, config)
     return total[0]
 
 
@@ -483,7 +483,7 @@ def test_argmax_invariant_under_weight_scaling():
         pytest.skip("no bag carries the probe relation")
 
     def argmax(config):
-        _, totals = combined_bag_scores(q_id, relation, corpus, view, config)
+        _, totals = combined_bag_scores(q_id, relation, view, config)
         scored = [(total, i) for i, total in enumerate(totals)]
         return max(scored, key=lambda pair: (pair[0], -pair[1]))[1]
 

@@ -110,13 +110,11 @@ def exact_screen_dots(self, q_ids):
 def select_records(strategy, pool_size, pooling, instance, emb, q_ids=None) -> str:
     """A strategy's serialized records for each query of ``q_ids`` (the
     instance's queries, in order, by default), selected in one pass as
-    ``select`` does; the view holds the instance's queries in file order,
-    so it screens them in chunks."""
+    ``select`` does; the corpus holds the instance's queries in file order,
+    so the view screens them in chunks."""
     corpus = corpus_from_instance(instance)
     inputs = SelectionInputs(
-        CorpusView(
-            corpus, scores_from_instance(instance), emb, tuple(instance["queries"])
-        ),
+        CorpusView(corpus, scores_from_instance(instance), emb),
         ScoringConfig(k=3, bag_sim_pooling=pooling),
         mmr_pool_size=pool_size,
     )
@@ -185,13 +183,13 @@ def test_combined_bag_scores_agree_with_select_bag(pooling):
         for instance, emb in close_call_instances(dim):
             corpus = corpus_from_instance(instance)
             scores = scores_from_instance(instance)
-            view = CorpusView(corpus, scores, emb, tuple(instance["queries"]))
+            view = CorpusView(corpus, scores, emb)
             config = ScoringConfig(bag_sim_pooling=pooling)
             for q_id in instance["queries"]:
                 for relation in corpus.ontology.names:
                     if not len(corpus.bags_by_relation.get(relation, ())):
                         continue
-                    bags, total = combined_bag_scores(q_id, relation, corpus, view, config)
+                    bags, total = combined_bag_scores(q_id, relation, view, config)
                     want = corpus.bag_ids[bags[int(np.argmax(total))]]
                     got = select_bag(q_id, relation, corpus, view, config)
                     assert got == want

@@ -323,7 +323,7 @@ def test_build_exemplar_set_composed_stages():
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
     config = ScoringConfig(k=3)
-    got = build_exemplar_set("q000", corpus, CorpusView(corpus, scores, emb), config)
+    got = build_exemplar_set("q000", CorpusView(corpus, scores, emb), config)
     want = exemplar_set_oracle(
         "q000",
         instance["relations"],
@@ -353,7 +353,7 @@ def test_build_exemplar_set_k1(tiny_ontology):
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
     view = CorpusView(corpus, scores, emb)
-    got = build_exemplar_set("q000", corpus, view, ScoringConfig(k=1))
+    got = build_exemplar_set("q000", view, ScoringConfig(k=1))
     assert len(got.exemplars) == 1
     assert got.exemplars[0].candidate_relation == "rel_a"
 
@@ -366,7 +366,7 @@ def test_build_exemplar_set_records_skip():
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
     view = CorpusView(corpus, scores, emb)
-    got = build_exemplar_set("q000", corpus, view, ScoringConfig(k=3))
+    got = build_exemplar_set("q000", view, ScoringConfig(k=3))
     assert len(got.exemplars) == 2
     assert got.skipped == ("rel_c",)
 
@@ -387,7 +387,7 @@ def test_k_sweep_picks_a_bagless_candidate_once_and_skips_it_at_every_k(monkeypa
 
     monkeypatch.setattr(hydre.selection, "select_bag", counted_select_bag)
     skipped = [
-        build_exemplar_set("q000", corpus, view, ScoringConfig(k=k)).skipped
+        build_exemplar_set("q000", view, ScoringConfig(k=k)).skipped
         for k in (1, 2, 3)
     ]
     assert skipped == [(), ("rel_c",), ("rel_c",)]
@@ -409,7 +409,7 @@ def test_kept_stage2_picks_follow_query_weights_and_pooling():
         for q_id in instance["queries"]:
             for w_conf, pooling in ((1.0, "max"), (4.0, "max"), (1.0, "mean")):
                 config = ScoringConfig(k=k, w_conf=w_conf, bag_sim_pooling=pooling)
-                got = build_exemplar_set(q_id, corpus, view, config)
+                got = build_exemplar_set(q_id, view, config)
                 want = exemplar_set_oracle(
                     q_id,
                     instance["relations"],
@@ -442,7 +442,6 @@ def test_exemplar_labels_contain_candidate_and_order_ascends():
         emb = embeddings_from_instance(instance)
         es = build_exemplar_set(
             "q000",
-            corpus,
             CorpusView(corpus, scores, emb),
             ScoringConfig(k=len(instance["relations"])),
         )
@@ -461,7 +460,7 @@ def test_build_exemplar_set_deterministic_bytes():
 
     def render():
         view = CorpusView(corpus, scores, emb)
-        es = build_exemplar_set("q000", corpus, view, ScoringConfig(k=4, seed=3))
+        es = build_exemplar_set("q000", view, ScoringConfig(k=4, seed=3))
         return json.dumps(serialize_exemplar_set(es, corpus.ontology), sort_keys=True)
 
     assert render() == render()
@@ -472,8 +471,8 @@ def test_similarity_only_mode_is_seeded_and_sim_ordered():
     corpus = corpus_from_instance(instance)
     emb = embeddings_from_instance(instance)
     config = ScoringConfig(w_sim=1.0, w_conf=0.0, k=4, seed=11)
-    first = build_exemplar_set("q000", corpus, CorpusView(corpus, None, emb), config)
-    second = build_exemplar_set("q000", corpus, CorpusView(corpus, None, emb), config)
+    first = build_exemplar_set("q000", CorpusView(corpus, None, emb), config)
+    second = build_exemplar_set("q000", CorpusView(corpus, None, emb), config)
     assert first == second
     scores_list = [e.candidate_score for e in first.exemplars]
     assert scores_list == sorted(scores_list)
@@ -481,7 +480,6 @@ def test_similarity_only_mode_is_seeded_and_sim_ordered():
     assert first.skipped == ()
     other_seed = build_exemplar_set(
         "q000",
-        corpus,
         CorpusView(corpus, None, emb),
         ScoringConfig(w_sim=1.0, w_conf=0.0, k=4, seed=12),
     )
@@ -554,7 +552,7 @@ def test_serialize_round_trip_sentence_and_bag_styles():
     view = CorpusView(corpus, scores, emb)
     config = ScoringConfig(k=3)
 
-    es = build_exemplar_set("q000", corpus, view, config)
+    es = build_exemplar_set("q000", view, config)
     record = serialize_exemplar_set(es, corpus.ontology)
     assert record["style"] == "sentence"
     for entry in record["exemplars"]:
@@ -571,7 +569,7 @@ def test_serialize_round_trip_sentence_and_bag_styles():
 
     for reduced in (False, True):
         style = "reduced_bag" if reduced else "full_bag"
-        bes = build_exemplar_set("q000", corpus, view, config, style)
+        bes = build_exemplar_set("q000", view, config, style)
         record = serialize_exemplar_set(bes, corpus.ontology)
         assert record["style"] == ("reduced_bag" if reduced else "full_bag")
         assert all(entry["sentence_id"] is None for entry in record["exemplars"])
@@ -585,7 +583,7 @@ def test_confidence_only_pipeline_matches_oracle():
         corpus = corpus_from_instance(instance)
         scores = scores_from_instance(instance)
         config = ScoringConfig(w_sim=0.0, w_conf=1.0, k=3, seed=trial)
-        got = build_exemplar_set("q000", corpus, CorpusView(corpus, scores, None), config)
+        got = build_exemplar_set("q000", CorpusView(corpus, scores, None), config)
         want = exemplar_set_oracle(
             "q000",
             instance["relations"],
@@ -610,8 +608,8 @@ def test_build_bag_exemplar_set_reduced_and_full():
     emb = embeddings_from_instance(instance)
     view = CorpusView(corpus, scores, emb)
     config = ScoringConfig(k=2)
-    full = build_exemplar_set("q000", corpus, view, config, style="full_bag")
-    reduced = build_exemplar_set("q000", corpus, view, config, style="reduced_bag")
+    full = build_exemplar_set("q000", view, config, style="full_bag")
+    reduced = build_exemplar_set("q000", view, config, style="reduced_bag")
     assert full.style == "full_bag"
     assert reduced.style == "reduced_bag"
     for exemplar in full.exemplars:
@@ -628,7 +626,7 @@ def assert_matches_exemplar_oracle(instance, k, pooling):
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
     config = ScoringConfig(k=k, bag_sim_pooling=pooling)
-    got = build_exemplar_set("q000", corpus, CorpusView(corpus, scores, emb), config)
+    got = build_exemplar_set("q000", CorpusView(corpus, scores, emb), config)
     want = exemplar_set_oracle(
         "q000",
         instance["relations"],
@@ -696,9 +694,9 @@ def test_zero_weight_provider_is_never_consulted():
     no_rows = ScoreMatrix(scores.relation_order, {})
     conf_only = ScoringConfig(w_sim=0.0, k=3)
     assert build_exemplar_set(
-        "q000", corpus, CorpusView(corpus, scores, no_vectors), conf_only
-    ) == build_exemplar_set("q000", corpus, CorpusView(corpus, scores, None), conf_only)
+        "q000", CorpusView(corpus, scores, no_vectors), conf_only
+    ) == build_exemplar_set("q000", CorpusView(corpus, scores, None), conf_only)
     sim_only = ScoringConfig(w_conf=0.0, k=3)
     assert build_exemplar_set(
-        "q000", corpus, CorpusView(corpus, no_rows, emb), sim_only
-    ) == build_exemplar_set("q000", corpus, CorpusView(corpus, None, emb), sim_only)
+        "q000", CorpusView(corpus, no_rows, emb), sim_only
+    ) == build_exemplar_set("q000", CorpusView(corpus, None, emb), sim_only)
