@@ -9,20 +9,19 @@ a seed.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import random
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus
-from .providers import ScoreMatrix, ScoringConfig, screen_slack, settle_argmax, settle_top
+from .providers import ScoreMatrix, ScoringConfig
 from .selection import (
     CorpusView,
     Exemplar,
     ExemplarSet,
-    _order_ascending,
     _query_rng,
+    candidate_set,
     select_candidates,
 )
 
@@ -72,20 +71,6 @@ def random_k(
     return random.Random(seed).sample(flat, k)
 
 
-def _settled_top(
-    q_id: str, flat: FlatExamples, view: CorpusView, k: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, exact similarities) of the k examples most similar to
-    the query, descending, corpus order on ties. k None ranks every example
-    from exact similarities alone, so nothing is screened."""
-    return settle_top(
-        view.similarities(q_id, exact=k is None),
-        screen_slack(view.embeddings.dim),
-        len(flat) if k is None else k,
-        functools.partial(view.exact_similarities, q_id),
-    )
-
-
 def _scored(flat: FlatExamples, example: int, sim: float) -> Exemplar:
     """The example scored with its exact similarity to the query."""
     return dataclasses.replace(flat[example], candidate_score=float(sim))
@@ -98,10 +83,10 @@ def topk_sim(
     breaks ties. Each carries its exact similarity as its candidate score.
 
     ``view`` is a view of ``flat``'s corpus with an embedding index. The
-    ranking is that of exact similarities: its screened similarities
-    (``CorpusView.similarities``) only narrow which examples get one.
+    ranking is that of exact similarities (``CorpusView.top``): screened
+    similarities only narrow which examples get one.
     """
-    top, top_sims = _settled_top(q_id, flat, view, k)
+    top, top_sims = view.top(q_id, k)
     return [_scored(flat, i, sim) for i, sim in zip(top.tolist(), top_sims)]
 
 
@@ -119,15 +104,15 @@ def mmr_select(
     over sentences not yet selected, where s' ranges over the selection so
     far; the earliest pool entry wins a tie. ``view`` is a view of
     ``flat``'s corpus with an embedding index. The pool is pre-truncated to
-    the pool_size most query-similar sentences; pass pool_size=None to rank
-    the whole corpus, whose query similarities are then computed exactly
-    for the view's whole query chunk at once. The pool and its query
-    similarities are exact, and each pick carries its query similarity as
-    its candidate score.
+    the pool_size most query-similar sentences (``CorpusView.top``); pass
+    pool_size=None to rank the whole corpus, whose query similarities are
+    then computed exactly for the view's whole query chunk at once. The
+    pool and its query similarities are exact, and each pick carries its
+    query similarity as its candidate score.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    pool, q_sims = _settled_top(q_id, flat, view, pool_size)
+    pool, q_sims = view.top(q_id, pool_size)
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
     vectors = view.embeddings.matrix[view.embedding_rows[pool]]
@@ -153,40 +138,22 @@ def flat_retrieval(
     config: ScoringConfig,
 ) -> ExemplarSet:
     """Stage 2/3 replacement: retrieve one best sentence per candidate
-    directly from the flattened corpus, scored like a one-sentence bag.
-    The earliest sentence in corpus order wins a tie; screened similarities
-    narrow each argmax, exact ones settle it. The view's score matrix is
-    always read, its embedding index only when w_sim > 0."""
+    directly from the flattened corpus, scored like a one-sentence bag
+    (``CorpusView.argmax`` over the sentences of the candidate's bags).
+    The earliest sentence in corpus order wins a tie. The view's score
+    matrix is always read, its embedding index only when w_sim > 0."""
     corpus, scores = view.corpus, view.scores
-    candidates = select_candidates(q_id, scores, config.k)
-    sims = None
-    if config.w_sim > 0:
-        sims = view.similarities(q_id)
-        slack = screen_slack(view.embeddings.dim, None, config.w_sim, config.w_conf)
-    exemplars = []
-    skipped = []
-    for relation, score in candidates:
+
+    def exemplar(relation: str, score: float) -> Exemplar | None:
         bags = corpus.bags_by_relation[relation]
         if not len(bags):
-            skipped.append(relation)
-            continue
+            return None
         positions = np.flatnonzero(np.isin(corpus.sentence_bag, bags))
-        rows = view.score_rows[positions]
-        conf = config.w_conf * scores.matrix[rows, scores.column(relation)]
-        if sims is None:
-            best = int(np.argmax(conf))
-        else:
+        confidence = scores.matrix[view.score_rows[positions], scores.column(relation)]
+        best = view.argmax(q_id, positions, config, confidence)
+        return _sentence_exemplar(corpus, positions[best], relation, score)
 
-            def exact(near: np.ndarray) -> np.ndarray:
-                return conf[near] + config.w_sim * view.exact_similarities(
-                    q_id, positions[near]
-                )
-
-            best = settle_argmax(conf + config.w_sim * sims[positions], slack, exact)
-        exemplars.append(_sentence_exemplar(corpus, positions[best], relation, score))
-    return ExemplarSet(
-        q_id, _order_ascending(exemplars), tuple(candidates), tuple(skipped)
-    )
+    return candidate_set(q_id, select_candidates(q_id, scores, config.k), exemplar)
 
 
 def random_bag_sentence(
@@ -197,18 +164,14 @@ def random_bag_sentence(
 ) -> ExemplarSet:
     """Both retrieval signals removed: seeded-random bag per candidate,
     then a seeded-random sentence from it."""
-    candidates = select_candidates(q_id, scores, config.k)
     rng = _query_rng(config.seed, q_id)
-    exemplars = []
-    skipped = []
-    for relation, score in candidates:
+
+    def exemplar(relation: str, score: float) -> Exemplar | None:
         bags = corpus.bags_by_relation[relation]
         if not len(bags):
-            skipped.append(relation)
-            continue
+            return None
         b = int(bags[rng.randrange(len(bags))])
         pos = int(corpus.starts[b]) + rng.randrange(int(corpus.lengths[b]))
-        exemplars.append(_sentence_exemplar(corpus, pos, relation, score))
-    return ExemplarSet(
-        q_id, _order_ascending(exemplars), tuple(candidates), tuple(skipped)
-    )
+        return _sentence_exemplar(corpus, pos, relation, score)
+
+    return candidate_set(q_id, select_candidates(q_id, scores, config.k), exemplar)

@@ -41,6 +41,9 @@ from .corpus import (
     Corpus,
     CorpusError,
     QueryInstance,
+    _field,
+    _is_names,
+    _is_str,
     atomic_write,
     file_sha256,
     iter_jsonl,
@@ -632,10 +635,14 @@ def _run_one_k(
     corpus = run.corpus
     out = config.output_dir
     selections_path = out / _selections_filename(k)
-    by_query = {
-        r["query_id"]: (lineno, r)
-        for lineno, r in iter_jsonl(selections_path, ConfigError)
-    }
+    by_query = {}
+    for lineno, record in iter_jsonl(selections_path, ConfigError):
+        where = f"{selections_path}:{lineno}"
+        _field(record, "exemplars", lambda v: type(v) is list, where)
+        query_id = _field(record, "query_id", _is_str, where)
+        if query_id in by_query:
+            raise ConfigError(f"{where}: duplicate query_id {query_id!r}")
+        by_query[query_id] = (lineno, record)
     missing = [q.query_id for q in corpus.queries if q.query_id not in by_query]
     if missing:
         raise ConfigError(f"selections missing for queries: {missing}")
@@ -645,8 +652,10 @@ def _run_one_k(
         lineno, record = by_query[q.query_id]
         try:
             prompts.append((q.query_id, _render_for_record(config, corpus, q, record)))
-        except CorpusError as exc:
-            raise ConfigError(f"{selections_path}:{lineno}: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            # a KeyError or TypeError says only what it failed to read
+            fault = exc if isinstance(exc, ValueError) else f"malformed record ({exc!r})"
+            raise ConfigError(f"{selections_path}:{lineno}: {fault}") from None
     params = config.generation()
     if config.mode == "replay":
         missed = [
@@ -749,19 +758,31 @@ def _shown(ids: list[str]) -> str:
     return ", ".join(ids[:5]) + (", ..." if len(ids) > 5 else "")
 
 
-def _load_predictions(path: Path, query_ids: list[str]) -> dict[str, frozenset[str]]:
-    """Predicted relations by query id, one for each of ``query_ids`` and
-    no other. A record whose dispatch failed (its ``error`` is set) is
-    refused rather than scored as an NA prediction."""
+def _load_predictions(path: Path, corpus: Corpus) -> dict[str, frozenset[str]]:
+    """Predicted relations by query id, one for each of the corpus queries
+    and no other. A record needs a string ``query_id`` and a list of
+    ontology relation names, and may set ``error`` to a string; one whose
+    dispatch failed (its ``error`` is set) is refused rather than scored as
+    an NA prediction."""
+    query_ids = [q.query_id for q in corpus.queries]
+
+    def relation_names(value) -> bool:
+        return _is_names(value) and all(r in corpus.ontology for r in value)
+
     predictions: dict[str, frozenset[str]] = {}
     failed: list[str] = []
-    for _, record in iter_jsonl(path, ConfigError):
-        query_id = record["query_id"]
+    for lineno, record in iter_jsonl(path, ConfigError):
+        where = f"{path}:{lineno}"
+        query_id = _field(record, "query_id", _is_str, where)
+        relations = _field(record, "relations", relation_names, where)
+        error = record.get("error")
+        if not (error is None or _is_str(error)):
+            raise ConfigError(f"{where}: malformed error {error!r}")
         if query_id in predictions:
-            raise ConfigError(f"{path}: duplicate query_id {query_id!r}")
-        if record.get("error") is not None:
+            raise ConfigError(f"{where}: duplicate query_id {query_id!r}")
+        if error is not None:
             failed.append(query_id)
-        predictions[query_id] = frozenset(record["relations"])
+        predictions[query_id] = frozenset(relations)
     if failed:
         raise ConfigError(
             f"{path}: {len(failed)} predictions failed to dispatch "
@@ -789,10 +810,9 @@ def cmd_eval(
     """Score predictions against gold and emit report files."""
     run = _load_run(config, embeddings=False, bags=False)
     corpus = run.corpus
-    query_ids = [q.query_id for q in corpus.queries]
-    predictions = _load_predictions(predictions_path, query_ids)
+    predictions = _load_predictions(predictions_path, corpus)
     baseline = (
-        _load_predictions(baseline_path, query_ids) if baseline_path is not None else None
+        _load_predictions(baseline_path, corpus) if baseline_path is not None else None
     )
 
     gold = FactSet.from_queries(corpus.queries)

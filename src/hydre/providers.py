@@ -1,11 +1,13 @@
-"""Confidence scores and embeddings as row-major matrices, plus the scoring
-configuration.
+"""Confidence scores and embeddings as row-major matrices, the scoring
+configuration, and the similarity screen's rounding bound
+(``screen_slack``) and settles (``settle_argmax``, ``settle_top``).
 
 Each provider keeps one contiguous matrix with a row per item and maps item
 ids to row indexes. A built matrix never changes and a provider holds no
 per-query state; selection only reads it, so concurrent use is safe. What a
 selection pass keeps per query, such as a chunk of screened similarities,
-its ``selection.CorpusView`` owns, and it is freed with the view.
+its ``selection.CorpusView`` owns, and it is freed with the view; the view
+is also the one caller of the bound and the settles.
 
 Parsing a provider file's JSONL text dominates its load, so the first load
 of a file also writes the parsed matrix to a binary sidecar beside it,
@@ -381,11 +383,11 @@ class EmbeddingIndex(_RowMatrix):
     BLAS dot of the row and the query vector, so identical rows get
     identical values and ties are exact. The screen (``screen_dots``)
     computes many queries at once with one matrix product; each of its
-    values lies within ``screen_slack`` of the exact one, and a selection
-    settles every decision that value could change with exact values
-    (``settle_argmax``, ``settle_top``). Which queries share a product, and
-    how long it is kept, is decided by the selection pass's
-    ``selection.CorpusView``, from the query ids it was built with.
+    values lies within ``screen_slack`` of the exact one. Which queries
+    share a product, how long it is kept, and how each decision read from
+    it is settled with exact values (``CorpusView.argmax``,
+    ``CorpusView.top``) is decided by the selection pass's
+    ``selection.CorpusView``.
     """
 
     _missing = "no embedding for item {!r}"

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -127,10 +128,11 @@ class CorpusView:
     (``EmbeddingIndex.dots``). Chunks are aligned runs of queries whose dot
     products with every embedding row fit in ``SCREEN_BYTES``; a query
     outside ``corpus.queries`` is a chunk of its own. The view keeps one chunk
-    until a request falls outside it. Every decision a screened value could
-    get wrong is settled with exact values, so what a selection picks does
-    not depend on how its queries fall into chunks or in what order they
-    are visited.
+    until a request falls outside it. The view also makes the two
+    decisions that read similarities, ``argmax`` and ``top``; each settles
+    whatever a screened value could get wrong with exact values, so what a
+    selection picks does not depend on how its queries fall into chunks or
+    in what order they are visited.
 
     A k sweep selects each query for every k in turn with the same view, so
     the view also keeps the latest query's bag similarities and stage-2
@@ -212,8 +214,8 @@ class CorpusView:
     def bag_similarities(self, q_id: str, pooling: str) -> np.ndarray:
         """The query's screened similarity to every bag: the screened
         sentence similarities, then a segmented max (or mean) over each
-        bag's sentences. Each lies within ``bag_slack`` of the exact value,
-        which ``exact_bag_similarities`` gives. Read-only."""
+        bag's sentences. Each lies within ``_slack(pooling)`` of the exact
+        value, which ``exact_bag_similarities`` gives. Read-only."""
         sims = self.latest_bag_sims.get((q_id, pooling))
         if sims is not None:
             return sims
@@ -257,11 +259,63 @@ class CorpusView:
             return np.add.reduceat(sims, starts) / lengths
         return np.maximum.reduceat(sims, starts)
 
-    def bag_slack(self, pooling: str, w_sim=1.0, w_conf=0.0) -> float:
-        """``screen_slack`` of a bag similarity, or of a combined score with
-        the given weights."""
+    def _slack(self, pooling: str | None, w_sim=1.0, w_conf=0.0) -> float:
+        """``screen_slack`` of a sentence similarity (pooling None) or a
+        pooled bag similarity, or of a combined score with the weights."""
         mean_of = int(self.corpus.lengths.max(initial=1)) if pooling == "mean" else None
         return screen_slack(self.embeddings.dim, mean_of, w_sim, w_conf)
+
+    def argmax(
+        self,
+        q_id: str,
+        items: np.ndarray,
+        config: ScoringConfig,
+        confidence: np.ndarray | None = None,
+        pooling: str | None = None,
+    ) -> int:
+        """The first index of the maximum of the exact score
+        ``w_sim * sim + w_conf * confidence`` (``_combined``) over
+        ``items``: sentence positions when ``pooling`` is None, else bag
+        indexes whose similarity is pooled with ``pooling``. With w_sim = 0
+        it is a plain argmax and reads no similarity.
+
+        Scores from screened similarities narrow the items to those within
+        twice the slack of the best; only those are scored again from
+        exact similarities (``settle_argmax``), so the pick is the one
+        exact scores would make."""
+        if config.w_sim == 0:
+            return int(np.argmax(_combined(config, None, confidence)))
+        if pooling is None:
+            # similarities(q_id)[items], mapping only the items' dot products
+            sims = (1.0 + self._dots(q_id, False)[self.embedding_rows[items]]) / 2.0
+            exact_sims = partial(self.exact_similarities, q_id)
+        else:
+            sims = self.bag_similarities(q_id, pooling)[items]
+            exact_sims = partial(self.exact_bag_similarities, q_id, pooling)
+
+        def exact(near: np.ndarray) -> np.ndarray:
+            conf = None if confidence is None else confidence[near]
+            return _combined(config, exact_sims(items[near]), conf)
+
+        screened = _combined(config, sims, confidence)
+        slack = self._slack(pooling, config.w_sim, config.w_conf)
+        return settle_argmax(screened, slack, exact)
+
+    def top(
+        self, q_id: str, k: int | None, pooling: str | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(indexes, exact similarities) of the k sentences, or with
+        ``pooling`` the k bags, most similar to the query, descending, the
+        earlier one first on ties. The screened similarities narrow which
+        items are settled with exact ones (``settle_top``). k None ranks
+        every sentence from an exact chunk, so nothing is screened."""
+        if pooling is None:
+            sims = self.similarities(q_id, exact=k is None)
+            exact = partial(self.exact_similarities, q_id)
+        else:
+            sims = self.bag_similarities(q_id, pooling)
+            exact = partial(self.exact_bag_similarities, q_id, pooling)
+        return settle_top(sims, self._slack(pooling), len(sims) if k is None else k, exact)
 
     def sentence_pick(self, b: int, threshold: float) -> SentenceInstance:
         """Stage 3 (``select_sentence``) for bag b, kept per bag and
@@ -358,35 +412,21 @@ def select_bag(
     view: CorpusView,
     config: ScoringConfig,
 ) -> str:
-    """Stage 2: the first maximum of the combined bag scores
-    (``combined_bag_scores``); ties keep the earliest bag.
-
-    Scores from the query's screened bag similarities
-    (``CorpusView.bag_similarities``) narrow the bags to those within twice
-    the slack of the best; those are scored again from exact similarities,
-    so the pick is the one exact scores would make."""
+    """Stage 2: the bag with the first maximum of the combined bag scores
+    (``combined_bag_scores``); ties keep the earliest bag. The pick is
+    settled from the query's screened bag similarities by
+    ``CorpusView.argmax``, so it is the one exact scores would make."""
     bags = corpus.bags_by_relation.get(relation)
     if bags is None:
         raise KeyError(f"unknown relation {relation!r}")
     if not len(bags):
         raise NoBagForRelation(relation)
-    scores, embeddings = _consulted(view, config)
+    scores, _ = _consulted(view, config)
     confidence = None
     if scores is not None:
         confidence = view.confidence[bags, scores.column(relation)]
-    if embeddings is None:
-        # argmax returns the first maximum, which is the earliest bag
-        total = _combined(config, None, confidence)
-        return corpus.bag_ids[bags[int(np.argmax(total))]]
-    pooling = config.bag_sim_pooling
-
-    def exact(near: np.ndarray) -> np.ndarray:
-        sims = view.exact_bag_similarities(q_id, pooling, bags[near])
-        return _combined(config, sims, None if confidence is None else confidence[near])
-
-    screened = _combined(config, view.bag_similarities(q_id, pooling)[bags], confidence)
-    slack = view.bag_slack(pooling, config.w_sim, config.w_conf)
-    return corpus.bag_ids[bags[settle_argmax(screened, slack, exact)]]
+    best = view.argmax(q_id, bags, config, confidence, config.bag_sim_pooling)
+    return corpus.bag_ids[bags[best]]
 
 
 def _bag_scores(
@@ -416,13 +456,6 @@ def select_sentence(
     return corpus.sentence(start + max(range(len(keys)), key=keys.__getitem__))
 
 
-def _order_ascending(exemplars: list) -> tuple:
-    # Reverse candidate order, then stable-sort ascending by score: scores
-    # become nondecreasing and ties keep the higher-ranked candidate last
-    # (adjacent to the query).
-    return tuple(sorted(reversed(exemplars), key=lambda e: e.candidate_score))
-
-
 def _query_rng(seed: int, q_id: str) -> random.Random:
     # String seeding hashes with SHA-512 internally: stable across runs,
     # platforms, and batch order.
@@ -449,57 +482,33 @@ def _similarity_candidates(
     return candidates
 
 
-def select_candidate_bags(
+def candidate_set(
     q_id: str,
-    view: CorpusView,
-    config: ScoringConfig,
-) -> tuple[list[tuple[str, float]], list[tuple[str, float, str]], list[str]]:
-    """Stages 1 + 2: candidates, their chosen bags, and recorded skips.
-
-    Returns (candidates, picks, skipped) where picks holds
-    (relation, score, bag_id) in candidate order. In similarity-only mode
-    (w_conf = 0) the exemplar score is the chosen bag's exact similarity.
-    The query's screened bag similarities are computed once, kept on the
-    view and shared by every stage, and each candidate's stage-2 pick is
-    kept on the view (``CorpusView.bag_picks``), so a k sweep runs
-    ``select_bag`` once per query and relation.
-    """
-    corpus = view.corpus
-    scores, embeddings = _consulted(view, config)
-    pooling = config.bag_sim_pooling
-    if embeddings is not None:
-        # screened before stage 2, which reads them from the view
-        bag_sims = view.bag_similarities(q_id, pooling)
-
-    def exact(bags: np.ndarray) -> np.ndarray:
-        return view.exact_bag_similarities(q_id, pooling, bags)
-
-    if scores is not None:
-        candidates = select_candidates(q_id, scores, config.k)
-    else:
-        slack = view.bag_slack(pooling)
-        candidates = _similarity_candidates(
-            corpus, *settle_top(bag_sims, slack, config.k, exact)
-        )
-    kept = view.bag_picks(q_id)
-    picks: list[tuple[str, float, str]] = []
-    skipped: list[str] = []
+    candidates: list[tuple[str, float]],
+    exemplar: Callable[[str, float], Exemplar | None],
+    style: str = "sentence",
+) -> ExemplarSet:
+    """The selection of one exemplar per candidate relation:
+    ``exemplar(relation, score)`` gives the candidate's exemplar, or None
+    for a relation recorded as skipped. Exemplars are ordered ascending by
+    candidate score."""
+    exemplars, skipped = [], []
     for relation, score in candidates:
-        key = (relation, config.w_sim, config.w_conf, pooling)
-        if key not in kept:
-            try:
-                bag_id = select_bag(q_id, relation, corpus, view, config)
-            except NoBagForRelation:
-                bag_id = None
-            if bag_id is not None and scores is None:
-                score = float(exact(np.array([corpus.bag_position[bag_id]]))[0])
-            kept[key] = (bag_id, score)
-        bag_id, score = kept[key]
-        if bag_id is None:
+        e = exemplar(relation, score)
+        if e is None:
             skipped.append(relation)
-            continue
-        picks.append((relation, score, bag_id))
-    return candidates, picks, skipped
+        else:
+            exemplars.append(e)
+    # Reverse candidate order, then stable-sort ascending by score: scores
+    # become nondecreasing and ties keep the higher-ranked candidate last
+    # (adjacent to the query).
+    return ExemplarSet(
+        q_id,
+        tuple(sorted(reversed(exemplars), key=lambda e: e.candidate_score)),
+        tuple(candidates),
+        tuple(skipped),
+        style,
+    )
 
 
 def build_exemplar_set(
@@ -510,17 +519,47 @@ def build_exemplar_set(
 ) -> ExemplarSet:
     """Run all three stages for one query.
 
-    Stage 3 picks one sentence per chosen bag for the "sentence" style; the
-    "full_bag" style shows the whole bag and "reduced_bag" one best sentence
-    per bag label (``reduce_bag``). With w_conf = 0 there is no confidence
-    model: sentence selection falls back to a seeded uniform choice within
-    the chosen bag and ordering is ascending by bag similarity.
+    Stage 1 ranks the candidate relations (``select_candidates``; with
+    w_conf = 0, the labels of the most similar bags), stage 2 picks one bag
+    per candidate (``select_bag``) and ``candidate_set`` records the
+    candidates with no bag as skipped. Stage 3 picks one sentence per
+    chosen bag for the "sentence" style; the "full_bag" style shows the
+    whole bag and "reduced_bag" one best sentence per bag label
+    (``reduce_bag``). With w_conf = 0 there is no confidence model: the
+    exemplar score is the chosen bag's exact similarity, and the sentence
+    is a seeded uniform choice within the bag.
+
+    Each candidate's stage-2 pick and score are kept on the view
+    (``CorpusView.bag_picks``), so a k sweep runs ``select_bag`` once per
+    query and relation.
     """
     corpus = view.corpus
-    candidates, picks, skipped = select_candidate_bags(q_id, view, config)
+    scores, embeddings = _consulted(view, config)
+    pooling = config.bag_sim_pooling
+    if embeddings is not None:
+        # screened before stage 2, which reads them from the view
+        view.bag_similarities(q_id, pooling)
+    if scores is not None:
+        candidates = select_candidates(q_id, scores, config.k)
+    else:
+        candidates = _similarity_candidates(corpus, *view.top(q_id, config.k, pooling))
+    kept = view.bag_picks(q_id)
     rng = _query_rng(config.seed, q_id) if config.w_conf == 0 else None
-    exemplars = []
-    for relation, score, bag_id in picks:
+
+    def exemplar(relation: str, score: float) -> Exemplar | None:
+        key = (relation, config.w_sim, config.w_conf, pooling)
+        if key not in kept:
+            try:
+                bag_id = select_bag(q_id, relation, corpus, view, config)
+            except NoBagForRelation:
+                bag_id = None
+            if bag_id is not None and scores is None:
+                b = np.array([corpus.bag_position[bag_id]])
+                score = float(view.exact_bag_similarities(q_id, pooling, b)[0])
+            kept[key] = (bag_id, score)
+        bag_id, score = kept[key]
+        if bag_id is None:
+            return None
         b = corpus.bag_position[bag_id]
         start, n = int(corpus.starts[b]), int(corpus.lengths[b])
         if style == "full_bag":
@@ -532,16 +571,9 @@ def build_exemplar_set(
             sentences = (corpus.sentence(start + rng.randrange(n)),)
         else:
             sentences = (view.sentence_pick(b, config.threshold),)
-        exemplars.append(
-            Exemplar(sentences, corpus.labelset(b), bag_id, relation, score)
-        )
-    return ExemplarSet(
-        query_id=q_id,
-        exemplars=_order_ascending(exemplars),
-        candidates=tuple(candidates),
-        skipped=tuple(skipped),
-        style=style,
-    )
+        return Exemplar(sentences, corpus.labelset(b), bag_id, relation, score)
+
+    return candidate_set(q_id, candidates, exemplar, style)
 
 
 def reduce_bag(

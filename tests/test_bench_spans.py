@@ -56,7 +56,16 @@ config, out = sys.argv[1:]
 tracer = spans.Tracer()
 spans.install(tracer)
 result = {}
-for strategy in ("hydre", "topk_sim", "mmr", "ablation:no_conf"):
+for strategy in (
+    "hydre",
+    "reduced_bag",
+    "topk_sim",
+    "mmr",
+    "ablation:all_relations",
+    "ablation:full_bag",
+    "ablation:no_sim",
+    "ablation:no_conf",
+):
     start = len(tracer.spans)
     argv = ["--config", config, "--strategy", strategy, "--output", out, "select"]
     assert cli.main(argv) == 0, strategy
@@ -89,8 +98,34 @@ def test_bench_spans_count_each_golden_selection(tmp_path):
             },
             51,
         ],
+        "reduced_bag": [
+            {"selection.query": 20, "selection.stage1": 20, "selection.stage2": 100},
+            51,
+        ],
         "topk_sim": [{"baselines.flatten": 20, "baselines.topk_sim": 20}, 0],
         "mmr": [{"baselines.flatten": 20, "baselines.mmr": 20}, 0],
+        "ablation:all_relations": [
+            {
+                "selection.query": 20,
+                "selection.stage1": 20,
+                "selection.stage2": 480,
+                "selection.stage3": 10,
+            },
+            300,
+        ],
+        "ablation:full_bag": [
+            {"selection.query": 20, "selection.stage1": 20, "selection.stage2": 100},
+            51,
+        ],
+        "ablation:no_sim": [
+            {
+                "selection.query": 20,
+                "selection.stage1": 20,
+                "selection.stage2": 100,
+                "selection.stage3": 10,
+            },
+            51,
+        ],
         "ablation:no_conf": [{"selection.query": 20, "selection.stage2": 118}, 155],
     }
 

@@ -1043,6 +1043,75 @@ def test_malformed_selections_and_predictions_lines_named(tmp_path, capsys):
         assert f"{out / name}:3: invalid JSON" in capsys.readouterr().err
 
 
+def edit_line(path, lineno, edit):
+    """Rewrite line ``lineno`` (from 1) of a JSONL file as ``edit`` of its
+    record."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[lineno - 1])
+    edit(record)
+    lines[lineno - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+MALFORMED_PREDICTIONS = [
+    (lambda r: r.update(relations="/people/person/nationality"), "malformed relations"),
+    (lambda r: r.update(relations=None), "malformed relations None"),
+    (lambda r: r.update(relations=[3]), "malformed relations [3]"),
+    (lambda r: r.update(relations=["/no/such"]), "malformed relations ['/no/such']"),
+    (lambda r: r.update(relations=["NA"]), "malformed relations ['NA']"),
+    (lambda r: r.pop("relations"), "missing field 'relations'"),
+    (lambda r: r.pop("query_id"), "missing field 'query_id'"),
+    (lambda r: r.update(query_id=7), "malformed query_id 7"),
+    (lambda r: r.update(error=5), "malformed error 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", MALFORMED_PREDICTIONS, ids=[m for _, m in MALFORMED_PREDICTIONS]
+)
+def test_eval_refuses_a_malformed_prediction_record(tmp_path, capsys, edit, message):
+    """A predictions line with a field missing or of the wrong JSON type,
+    or a relation outside the ontology, exits 1 naming its path:line and
+    the field, before any output is written."""
+    predictions = write_gold_predictions(tmp_path / "predictions.jsonl")
+    edit_line(predictions, 3, edit)
+    out = tmp_path / "out"
+    code = run_cli("--config", CONFIG, "--output", str(out), "eval", str(predictions))
+    assert code == 1
+    assert f"{predictions}:3: {message}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+MALFORMED_SELECTIONS = [
+    (lambda r: r.pop("query_id"), "missing field 'query_id'"),
+    (lambda r: r.update(query_id=7), "malformed query_id 7"),
+    (lambda r: r.update(exemplars="x"), "malformed exemplars 'x'"),
+    (lambda r: r.pop("exemplars"), "missing field 'exemplars'"),
+    (lambda r: r["exemplars"][0].pop("labels"), "malformed record (KeyError('labels'))"),
+    (lambda r: r.update(exemplars=["x"]), "malformed record (TypeError("),
+    (lambda r: r.update(query_id="q01"), "duplicate query_id 'q01'"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", MALFORMED_SELECTIONS, ids=[m for _, m in MALFORMED_SELECTIONS]
+)
+def test_run_refuses_a_malformed_selection_record(tmp_path, capsys, edit, message):
+    """A selections line with a field missing or of the wrong JSON type, or
+    with the query_id of an earlier line, exits 1 naming its path:line and
+    the field, before any prompt or prediction is written."""
+    out = tmp_path / "out"
+    assert run_cli("--config", CONFIG, "--output", str(out), "select") == 0
+    selections = out / "selections.jsonl"
+    edit_line(selections, 3, edit)
+    capsys.readouterr()
+    code = run_cli("--config", CONFIG, "--output", str(out), "run")
+    assert code == 1
+    assert f"{selections}:3: {message}" in capsys.readouterr().err
+    assert not (out / "prompts.jsonl").exists()
+    assert not (out / "predictions.jsonl").exists()
+
+
 def test_run_bag_level_strategies_end_to_end(tmp_path, monkeypatch):
     monkeypatch.setenv("HYDRE_LLM_API_KEY", "test-key")
     monkeypatch.setattr(cli, "HttpChatBackend", lambda endpoint: MockBackend("NA"))

@@ -3,8 +3,9 @@
 Selection screens a query's similarities with one matrix product and
 settles every decision the screen could get wrong with exact dot products.
 These tests pin the screen's error bound and show, on instances built to
-be close calls, that every strategy writes the same bytes as it does when
-the screen is exact.
+be close calls, that the view's two decisions (``CorpusView.argmax`` and
+``CorpusView.top``) are those of brute-force exact values, and that every
+strategy writes the same bytes as it does when the screen is exact.
 """
 
 from __future__ import annotations
@@ -195,6 +196,105 @@ def test_combined_bag_scores_agree_with_select_bag(pooling):
                     assert got == want
                     picks += 1
     assert picks
+
+
+def brute_similarities(corpus, emb, q_id, pooling):
+    """The exact similarity of the query to every corpus sentence (pooling
+    None) or bag, by brute force: one np.vecdot over every sentence row,
+    then a max or mean over each bag's sentences."""
+    sims = emb.similarities(q_id, emb.row_indexes(corpus.sentence_ids))
+    if pooling == "max":
+        return np.maximum.reduceat(sims, corpus.starts)
+    if pooling == "mean":
+        return np.add.reduceat(sims, corpus.starts) / corpus.lengths
+    return sims
+
+
+def item_sets(corpus, scores, pooling):
+    """(relation, items, the items' confidence in it): for each relation
+    with a bag, its bags, or with pooling None their sentence positions;
+    last (None, every bag or sentence, the first relation's confidence)."""
+    rows = scores.row_indexes(corpus.sentence_ids)
+    bag_confidence = np.maximum.reduceat(scores.matrix[rows], corpus.starts, axis=0)
+    every = np.arange(len(corpus.bag_ids))
+    for relation in [*corpus.ontology.names, None]:
+        bags = every if relation is None else corpus.bags_by_relation.get(relation, ())
+        if not len(bags):
+            continue
+        column = scores.column(relation or corpus.ontology.names[0])
+        if pooling is None:
+            items = np.flatnonzero(np.isin(corpus.sentence_bag, bags))
+            yield relation, items, scores.matrix[rows[items], column]
+        else:
+            yield relation, bags, bag_confidence[bags, column]
+
+
+def combined_scores(w_sim, w_conf, sims, confidence):
+    """w_sim * sims + w_conf * confidence, leaving out a term whose weight
+    is zero or whose values are None."""
+    total = 0.0
+    if w_sim:
+        total = w_sim * sims
+    if confidence is not None:
+        total = total + w_conf * confidence
+    return total
+
+
+@pytest.mark.parametrize("pooling", [None, "max", "mean"])
+@pytest.mark.parametrize(
+    "w_sim, w_conf, with_confidence",
+    [(1.0, 1.0, True), (1.0, 0.0, False), (2.0, 0.5, True), (0.0, 1.0, True)],
+)
+def test_argmax_is_the_first_maximum_of_exact_scores(
+    pooling, w_sim, w_conf, with_confidence
+):
+    """On close calls, ``CorpusView.argmax`` over sentence positions or
+    pooled bags is the first maximum of w_sim * sim + w_conf * confidence
+    from brute-force exact similarities, and over one relation's bags the
+    first maximum of ``combined_bag_scores``. With w_sim = 0 the view has
+    no embedding index, so no similarity is read."""
+    config = ScoringConfig(w_sim=w_sim, w_conf=w_conf, bag_sim_pooling=pooling or "max")
+    picks = 0
+    for dim in (17, 300):
+        for instance, emb in close_call_instances(dim):
+            corpus = corpus_from_instance(instance)
+            scores = scores_from_instance(instance)
+            view = CorpusView(corpus, scores if with_confidence else None, emb if w_sim else None)
+            for q_id in instance["queries"]:
+                sims = brute_similarities(corpus, emb, q_id, pooling)
+                for relation, items, confidence in item_sets(corpus, scores, pooling):
+                    if not with_confidence:
+                        confidence = None
+                    want = combined_scores(w_sim, w_conf, sims[items], confidence)
+                    got = view.argmax(q_id, items, config, confidence, pooling)
+                    assert got == int(np.argmax(want))
+                    if pooling is not None and relation is not None:
+                        _, total = combined_bag_scores(q_id, relation, view, config)
+                        assert got == int(np.argmax(total))
+                    picks += 1
+    assert picks
+
+
+@pytest.mark.parametrize(
+    "pooling, k",
+    [(p, k) for p in (None, "max", "mean") for k in (1, 3, "all")] + [(None, None)],
+)
+def test_top_is_a_stable_descending_sort_of_exact_similarities(pooling, k):
+    """On close calls, ``CorpusView.top`` gives the head of a stable
+    descending sort of brute-force exact similarities, with bit-equal
+    values, for k below and equal to the number of sentences or bags, and
+    for k None over every sentence."""
+    for dim in (17, 300):
+        for instance, emb in close_call_instances(dim):
+            corpus = corpus_from_instance(instance)
+            for q_id in instance["queries"]:
+                view = CorpusView(corpus, None, emb)  # a new chunk per query and k
+                sims = brute_similarities(corpus, emb, q_id, pooling)
+                n = len(sims) if k in ("all", None) else k
+                order = np.argsort(-sims, kind="stable")[:n]
+                got, values = view.top(q_id, None if k is None else n, pooling)
+                assert np.array_equal(got, order)
+                assert np.array_equal(values, sims[order])
 
 
 @pytest.mark.parametrize("dim", [17, 256])
