@@ -634,28 +634,20 @@ def _run_one_k(
 ) -> None:
     corpus = run.corpus
     out = config.output_dir
-    selections_path = out / _selections_filename(k)
-    by_query = {}
-    for lineno, record in iter_jsonl(selections_path, ConfigError):
-        where = f"{selections_path}:{lineno}"
-        _field(record, "exemplars", lambda v: type(v) is list, where)
-        query_id = _field(record, "query_id", _is_str, where)
-        if query_id in by_query:
-            raise ConfigError(f"{where}: duplicate query_id {query_id!r}")
-        by_query[query_id] = (lineno, record)
-    missing = [q.query_id for q in corpus.queries if q.query_id not in by_query]
-    if missing:
-        raise ConfigError(f"selections missing for queries: {missing}")
-
+    selections = _query_records(
+        out / _selections_filename(k),
+        corpus,
+        "selections",
+        lambda record, where: _field(record, "exemplars", lambda v: type(v) is list, where),
+    )
     prompts = []
-    for q in corpus.queries:
-        lineno, record = by_query[q.query_id]
+    for q, (where, record) in zip(corpus.queries, selections):
         try:
             prompts.append((q.query_id, _render_for_record(config, corpus, q, record)))
         except (KeyError, TypeError, ValueError) as exc:
             # a KeyError or TypeError says only what it failed to read
             fault = exc if isinstance(exc, ValueError) else f"malformed record ({exc!r})"
-            raise ConfigError(f"{selections_path}:{lineno}: {fault}") from None
+            raise ConfigError(f"{where}: {fault}") from None
     params = config.generation()
     if config.mode == "replay":
         missed = [
@@ -758,50 +750,68 @@ def _shown(ids: list[str]) -> str:
     return ", ".join(ids[:5]) + (", ..." if len(ids) > 5 else "")
 
 
+def _query_records(
+    path: Path, corpus: Corpus, noun: str, check: Callable[[dict, str], object]
+) -> list[tuple[str, dict]]:
+    """(path:line, record) of each of the corpus queries, in query-file
+    order, from a JSONL file of one record per query: a predictions or a
+    selections file, whose records are ``noun``.
+
+    A record needs a string ``query_id`` no earlier line had, and must pass
+    ``check(record, path:line)``; a query with no record, or a record of a
+    query not in the query file, is refused naming the file."""
+    records: dict[str, tuple[str, dict]] = {}
+    for lineno, record in iter_jsonl(path, ConfigError):
+        where = f"{path}:{lineno}"
+        query_id = _field(record, "query_id", _is_str, where)
+        check(record, where)
+        if query_id in records:
+            raise ConfigError(f"{where}: duplicate query_id {query_id!r}")
+        records[query_id] = (where, record)
+    query_ids = [q.query_id for q in corpus.queries]
+    missing = [q for q in query_ids if q not in records]
+    if missing:
+        raise ConfigError(
+            f"{path}: {noun} missing for {len(missing)} of {len(query_ids)} "
+            f"queries ({_shown(missing)})"
+        )
+    known = set(query_ids)
+    unknown = [q for q in records if q not in known]
+    if unknown:
+        raise ConfigError(
+            f"{path}: {len(unknown)} {noun} for queries not in the query file "
+            f"({_shown(unknown)})"
+        )
+    return [records[q] for q in query_ids]
+
+
 def _load_predictions(path: Path, corpus: Corpus) -> dict[str, frozenset[str]]:
     """Predicted relations by query id, one for each of the corpus queries
-    and no other. A record needs a string ``query_id`` and a list of
-    ontology relation names, and may set ``error`` to a string; one whose
-    dispatch failed (its ``error`` is set) is refused rather than scored as
-    an NA prediction."""
-    query_ids = [q.query_id for q in corpus.queries]
+    and no other (``_query_records``). A record needs a list of ontology
+    relation names, and may set ``error`` to a string; one whose dispatch
+    failed (its ``error`` is set) is refused rather than scored as an NA
+    prediction."""
 
     def relation_names(value) -> bool:
         return _is_names(value) and all(r in corpus.ontology for r in value)
 
-    predictions: dict[str, frozenset[str]] = {}
     failed: list[str] = []
-    for lineno, record in iter_jsonl(path, ConfigError):
-        where = f"{path}:{lineno}"
-        query_id = _field(record, "query_id", _is_str, where)
-        relations = _field(record, "relations", relation_names, where)
+
+    def check(record: dict, where: str) -> None:
+        _field(record, "relations", relation_names, where)
         error = record.get("error")
         if not (error is None or _is_str(error)):
             raise ConfigError(f"{where}: malformed error {error!r}")
-        if query_id in predictions:
-            raise ConfigError(f"{where}: duplicate query_id {query_id!r}")
         if error is not None:
-            failed.append(query_id)
-        predictions[query_id] = frozenset(relations)
+            failed.append(record["query_id"])
+
+    records = _query_records(path, corpus, "predictions", check)
     if failed:
         raise ConfigError(
             f"{path}: {len(failed)} predictions failed to dispatch "
             f"(queries {_shown(failed)}); rerun `run` for them instead of scoring them as NA"
         )
-    missing = [q for q in query_ids if q not in predictions]
-    if missing:
-        raise ConfigError(
-            f"{path}: predictions missing for {len(missing)} of {len(query_ids)} "
-            f"queries ({_shown(missing)})"
-        )
-    known = set(query_ids)
-    unknown = [q for q in predictions if q not in known]
-    if unknown:
-        raise ConfigError(
-            f"{path}: {len(unknown)} predictions for queries not in the query file "
-            f"({_shown(unknown)})"
-        )
-    return predictions
+    return {r["query_id"]: frozenset(r["relations"]) for _, r in records}
 
 
 def cmd_eval(

@@ -5,7 +5,9 @@ offsets count Unicode code points of the owning sentence text, inclusive
 start / exclusive end.
 
 A corpus holds its bags as columns and builds ``Bag`` and
-``SentenceInstance`` objects only for what is read. The first load of a bag
+``SentenceInstance`` objects only for what is read. One parser builds every
+corpus's columns, from a bag file's records or an assembled corpus's bags
+as records, so both get the same checks. The first load of a bag
 file writes its columns to a sidecar beside it, ``<file>.hydre.bin`` (the
 provider sidecar of ``providers``); later loads read that instead while the
 file's stat record is unchanged, or its sha256 when the record differs. The
@@ -315,11 +317,13 @@ def _span(record: dict, key: str, text: str, where: str) -> tuple[int, int]:
 
 
 def _check_labels(
-    labels: Iterable[str], ontology: RelationOntology, where: str
+    labels: list[str], ontology: RelationOntology, where: str
 ) -> frozenset[str]:
+    """The labelset of a listed label set; the first unknown label in the
+    list, or the NA symbol beside a relation, raises ``CorpusError``."""
     labelset = frozenset(labels)
     na = ontology.na_symbol
-    for label in labelset:
+    for label in labels:
         if label != na and label not in ontology:
             raise CorpusError(f"{where}: unknown relation {label!r}")
     if na in labelset and len(labelset) > 1:
@@ -346,39 +350,10 @@ _BAG_ARRAYS = {
 _Columns = tuple[dict, dict[str, np.ndarray]]
 
 
-def _columns(
-    bag_ids: list,
-    heads: list,
-    tails: list,
-    lines: list[int],
-    labels: dict[str, int],
-    label_ids: list[int],
-    label_counts: list[int],
-    lengths: list[int],
-    sentence_ids: list,
-    texts: list[str],
-    spans: list[int],
-) -> _Columns:
-    """(meta, arrays) of a corpus's bags; sentences and labels in bag order."""
-    encoded = [t.encode("utf-8", "surrogatepass") for t in texts]
-    sizes = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    meta = {
-        "bag_ids": bag_ids,
-        "heads": heads,
-        "tails": tails,
-        "sentence_ids": sentence_ids,
-        "labels": list(labels),
-    }
-    arrays = {
-        "texts": np.frombuffer(b"".join(encoded), np.uint8),
-        "text_offsets": np.concatenate(([0], np.cumsum(sizes))),
-        "spans": np.array(spans, np.int64).reshape(-1, 4),
-        "lengths": np.array(lengths, np.int64),
-        "label_ids": np.array(label_ids, np.int64),
-        "label_counts": np.array(label_counts, np.int64),
-        "lines": np.array(lines, np.int64),
-    }
-    return meta, arrays
+def _at(source: Path | None, n: int) -> str:
+    """Where bag record ``n`` is: line n of the bag file ``source``, or
+    position n of an assembled corpus's bags."""
+    return f"bags[{n}]" if source is None else f"{source}:{n}"
 
 
 def _label_mask(
@@ -418,12 +393,16 @@ def _label_mask(
     return mask, has_na
 
 
-def _parse_bags(path: Path, ontology: RelationOntology) -> _Columns:
-    """The columns of a bag file, after every check on its records.
+def _parse_bags(
+    records: Iterable[tuple[int, dict]], ontology: RelationOntology, source: Path | None
+) -> _Columns:
+    """(meta, arrays) of numbered bag records, after every check on them.
 
-    Labels are checked against the ontology as far as the first other
-    fault, so the first fault in the file is the one raised; a file without
-    one gets its label check when the corpus is built.
+    The records are a bag file's by line (``iter_jsonl``), or an assembled
+    corpus's by position (``source`` None). A fault raises ``CorpusError``
+    naming where its record is (``_at``). Each bag's labels are checked
+    against the ontology where they are read, so the first fault is the one
+    raised.
     """
     bag_ids: list = []
     heads: list = []
@@ -434,69 +413,68 @@ def _parse_bags(path: Path, ontology: RelationOntology) -> _Columns:
     label_counts: list[int] = []
     lengths: list[int] = []
     sentence_ids: list = []
-    texts: list[str] = []
+    texts: list[bytes] = []
     spans: list[int] = []
     seen_bags: set = set()
     seen_sentences: set = set()
-    try:
-        for lineno, record in iter_jsonl(path, CorpusError):
-            where = f"{path}:{lineno}"
-            bag_id = _field(record, "bag_id", _is_str, where)
-            head_entity = _field(record, "head", _is_str, where)
-            tail_entity = _field(record, "tail", _is_str, where)
-            relations = _field(record, "relations", _is_names, where)
-            sentence_records = _field(
-                record, "sentences", lambda v: type(v) is list, where
-            )
-            if bag_id in seen_bags:
-                raise CorpusError(f"{where}: duplicate bag_id {bag_id!r}")
-            seen_bags.add(bag_id)
-            bag_labels = dict.fromkeys(relations)
-            bag_ids.append(bag_id)
-            heads.append(head_entity)
-            tails.append(tail_entity)
-            lines.append(lineno)
-            label_ids.extend(labels.setdefault(l, len(labels)) for l in bag_labels)
-            label_counts.append(len(bag_labels))
-            if not sentence_records:
-                raise CorpusError(f"{where}: bag {bag_id!r} has no sentences")
-            for sr in sentence_records:
-                if type(sr) is not dict:
-                    raise CorpusError(f"{where}: malformed sentence {sr!r}")
-                sentence_id = _field(sr, "sentence_id", _is_str, where)
-                text = _field(sr, "text", _is_str, where)
-                head = _span(sr, "head_span", text, where)
-                tail = _span(sr, "tail_span", text, where)
-                if head[0] < tail[1] and tail[0] < head[1]:
-                    raise CorpusError(
-                        f"{where}: sentence {sentence_id!r}: "
-                        "head and tail spans overlap"
-                    )
-                if sentence_id in seen_sentences:
-                    raise CorpusError(
-                        f"{where}: duplicate sentence_id {sentence_id!r}"
-                    )
-                seen_sentences.add(sentence_id)
-                sentence_ids.append(sentence_id)
-                texts.append(text)
-                spans += head + tail
-            if not bag_labels:
-                raise CorpusError(f"{where}: bag {bag_id!r}: empty labelset")
-            lengths.append(len(sentence_records))
-    except CorpusError:
-        # a label fault in an earlier bag is the first fault in the file
-        _label_mask(
-            ontology,
-            list(labels),
-            np.array(label_ids, np.int64),
-            np.array(label_counts, np.int64),
-            lambda b: f"{path}:{lines[b]} (bag {bag_ids[b]!r})",
-        )
-        raise
-    return _columns(
-        bag_ids, heads, tails, lines, labels, label_ids, label_counts,
-        lengths, sentence_ids, texts, spans,
-    )
+    for n, record in records:
+        where = _at(source, n)
+        bag_id = _field(record, "bag_id", _is_str, where)
+        head_entity = _field(record, "head", _is_str, where)
+        tail_entity = _field(record, "tail", _is_str, where)
+        relations = _field(record, "relations", _is_names, where)
+        sentence_records = _field(record, "sentences", lambda v: type(v) is list, where)
+        if bag_id in seen_bags:
+            raise CorpusError(f"{where}: duplicate bag_id {bag_id!r}")
+        seen_bags.add(bag_id)
+        _check_labels(relations, ontology, f"{where} (bag {bag_id!r})")
+        if not sentence_records:
+            raise CorpusError(f"{where}: bag {bag_id!r} has no sentences")
+        for sr in sentence_records:
+            if type(sr) is not dict:
+                raise CorpusError(f"{where}: malformed sentence {sr!r}")
+            sentence_id = _field(sr, "sentence_id", _is_str, where)
+            text = _field(sr, "text", _is_str, where)
+            head = _span(sr, "head_span", text, where)
+            tail = _span(sr, "tail_span", text, where)
+            if head[0] < tail[1] and tail[0] < head[1]:
+                raise CorpusError(
+                    f"{where}: sentence {sentence_id!r}: head and tail spans overlap"
+                )
+            if sentence_id in seen_sentences:
+                raise CorpusError(f"{where}: duplicate sentence_id {sentence_id!r}")
+            seen_sentences.add(sentence_id)
+            sentence_ids.append(sentence_id)
+            texts.append(text.encode("utf-8", "surrogatepass"))
+            spans += head + tail
+        bag_labels = dict.fromkeys(relations)
+        if not bag_labels:
+            raise CorpusError(f"{where}: bag {bag_id!r}: empty labelset")
+        bag_ids.append(bag_id)
+        heads.append(head_entity)
+        tails.append(tail_entity)
+        lines.append(n)
+        label_ids.extend(labels.setdefault(l, len(labels)) for l in bag_labels)
+        label_counts.append(len(bag_labels))
+        lengths.append(len(sentence_records))
+    sizes = np.fromiter(map(len, texts), np.int64, len(texts))
+    meta = {
+        "bag_ids": bag_ids,
+        "heads": heads,
+        "tails": tails,
+        "sentence_ids": sentence_ids,
+        "labels": list(labels),
+    }
+    arrays = {
+        "texts": np.frombuffer(b"".join(texts), np.uint8),
+        "text_offsets": np.concatenate(([0], np.cumsum(sizes))),
+        "spans": np.array(spans, np.int64).reshape(-1, 4),
+        "lengths": np.array(lengths, np.int64),
+        "label_ids": np.array(label_ids, np.int64),
+        "label_counts": np.array(label_counts, np.int64),
+        "lines": np.array(lines, np.int64),
+    }
+    return meta, arrays
 
 
 def _sidecar_columns(meta: dict, stored: Mapping[str, np.ndarray]) -> _Columns:
@@ -571,27 +549,27 @@ def ontology_records(ontology: RelationOntology) -> list[dict]:
     return [{"name": n, "definition": d} for n, d in ontology.relations]
 
 
-def bag_records(bags: Iterable[Bag], ontology: RelationOntology) -> list[dict]:
-    records = []
-    for bag in bags:
-        records.append(
+def _bag_record(bag: Bag, relations: list[str]) -> dict:
+    """The bag-file record of a bag whose labels are listed as ``relations``."""
+    return {
+        "bag_id": bag.bag_id,
+        "head": bag.head_entity,
+        "tail": bag.tail_entity,
+        "relations": relations,
+        "sentences": [
             {
-                "bag_id": bag.bag_id,
-                "head": bag.head_entity,
-                "tail": bag.tail_entity,
-                "relations": ontology.sorted_labels(bag.labelset),
-                "sentences": [
-                    {
-                        "sentence_id": s.sentence_id,
-                        "text": s.text,
-                        "head_span": [s.head.start, s.head.end],
-                        "tail_span": [s.tail.start, s.tail.end],
-                    }
-                    for s in bag.sentences
-                ],
+                "sentence_id": s.sentence_id,
+                "text": s.text,
+                "head_span": [s.head.start, s.head.end],
+                "tail_span": [s.tail.start, s.tail.end],
             }
-        )
-    return records
+            for s in bag.sentences
+        ],
+    }
+
+
+def bag_records(bags: Iterable[Bag], ontology: RelationOntology) -> list[dict]:
+    return [_bag_record(bag, ontology.sorted_labels(bag.labelset)) for bag in bags]
 
 
 def query_records(queries: Iterable[QueryInstance], ontology: RelationOntology) -> list[dict]:
@@ -652,11 +630,7 @@ class Corpus:
             meta["labels"],
             arrays["label_ids"],
             arrays["label_counts"],
-            lambda b: (
-                f"{source}:{lines[b]} (bag {self.bag_ids[b]!r})"
-                if source is not None
-                else f"bag {self.bag_ids[b]!r}"
-            ),
+            lambda b: f"{_at(source, lines[b])} (bag {self.bag_ids[b]!r})",
         )
         self.bags_by_relation = {
             name: np.flatnonzero(self.mask[:, j])
@@ -673,30 +647,15 @@ class Corpus:
         bags: Iterable[Bag],
         queries: Iterable[QueryInstance] = (),
     ) -> "Corpus":
-        """A corpus of bag and query objects; ``bags`` rebuilds equal ones."""
-        bags = tuple(bags)
-        sentences = [s for b in bags for s in b.sentences]
-        labels: dict[str, int] = {}
-        corpus = cls(
-            ontology,
-            *_columns(
-                [b.bag_id for b in bags],
-                [b.head_entity for b in bags],
-                [b.tail_entity for b in bags],
-                [0] * len(bags),
-                labels,
-                [labels.setdefault(l, len(labels)) for b in bags for l in b.labelset],
-                [len(b.labelset) for b in bags],
-                [len(b.sentences) for b in bags],
-                [s.sentence_id for s in sentences],
-                [s.text for s in sentences],
-                [
-                    v
-                    for s in sentences
-                    for v in (s.head.start, s.head.end, s.tail.start, s.tail.end)
-                ],
-            ),
-        )
+        """A corpus of bag and query objects; ``bags`` rebuilds equal ones.
+
+        The bags' records go through the bag-file parser, so they get every
+        check a bag file gets, duplicate bag and sentence ids included; a
+        fault names the bag's position, ``bags[n]``. Each bag's labels are
+        listed by name, so no ontology order is asked of an unknown one.
+        """
+        records = enumerate(_bag_record(b, sorted(b.labelset)) for b in bags)
+        corpus = cls(ontology, *_parse_bags(records, ontology, None))
         corpus.queries = tuple(queries)
         return corpus
 
@@ -715,7 +674,7 @@ class Corpus:
         columns = sidecar.read(_sidecar_columns)
         parsed = columns is None
         if parsed:
-            columns = _parse_bags(path, ontology)
+            columns = _parse_bags(iter_jsonl(path, CorpusError), ontology, path)
         corpus = cls(ontology, *columns, source=path)
         if parsed:
             sidecar.write(columns[0], **columns[1])

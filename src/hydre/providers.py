@@ -261,6 +261,7 @@ class ScoreMatrix(_RowMatrix):
                 )
             self.matrix[i] = vec
             self.row_of[item_id] = i
+        _check_range(self.matrix, list(self.row_of))
 
     def column(self, relation: str) -> int:
         try:
@@ -334,10 +335,10 @@ class ScoreMatrix(_RowMatrix):
                 linenos.append(lineno)
         except (ValueError, TypeError):
             # a bad row above this line's fault is the first fault in the file
-            _check_range(path, matrix[: len(row_of)], row_of, linenos)
+            _check_range(matrix[: len(row_of)], list(row_of), path, linenos)
             raise
         matrix = matrix[: len(row_of)]
-        _check_range(path, matrix, row_of, linenos)
+        _check_range(matrix, list(row_of), path, linenos)
         return order, row_of, matrix
 
 
@@ -346,18 +347,42 @@ def _check_order(path: Path, order: Sequence[str], ontology: RelationOntology) -
         raise ProviderError(f"{path}: relation_order does not match the ontology order")
 
 
+def _row_at(path: Path | None, linenos: Sequence[int], i: int) -> str:
+    """The ``path:line: `` of row i of a provider file; empty for a provider
+    built from a dict."""
+    return "" if path is None else f"{path}:{linenos[i]}: "
+
+
 def _check_range(
-    path: Path, matrix: np.ndarray, row_of: dict[str, int], linenos: list[int]
+    matrix: np.ndarray,
+    ids: Sequence[str],
+    path: Path | None = None,
+    linenos: Sequence[int] = (),
 ) -> None:
     """Fail loudly on provider mismatch instead of clamping: name the first
     row with a score outside [0, 1] or a NaN."""
-    outside = (matrix.min(axis=1) < 0.0) | (matrix.max(axis=1) > 1.0)
+    outside = (matrix.min(axis=1, initial=0.0) < 0.0) | (
+        matrix.max(axis=1, initial=1.0) > 1.0
+    )
     bad = np.flatnonzero(outside | ~np.isfinite(matrix).all(axis=1))
     if bad.size:
         i = bad[0]
         problem = "scores outside [0, 1]" if outside[i] else "a non-finite score"
+        raise ProviderError(f"{_row_at(path, linenos, i)}row {ids[i]!r} has {problem}")
+
+
+def _check_finite(
+    matrix: np.ndarray,
+    ids: Sequence[str],
+    path: Path | None = None,
+    linenos: Sequence[int] = (),
+) -> None:
+    """Name the first embedding row with a NaN or an infinity."""
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        i = bad[0]
         raise ProviderError(
-            f"{path}:{linenos[i]}: row {list(row_of)[i]!r} has {problem}"
+            f"{_row_at(path, linenos, i)}vector for {ids[i]!r} has a non-finite value"
         )
 
 
@@ -408,6 +433,7 @@ class EmbeddingIndex(_RowMatrix):
                 )
             self.matrix[i] = vec.reshape(dim)
             self.row_of[item_id] = i
+        _check_finite(self.matrix, list(vectors))
         _normalize_rows(self.matrix, list(vectors))
 
     def dots(self, q_ids: Sequence[str]) -> np.ndarray:
@@ -496,12 +522,7 @@ class EmbeddingIndex(_RowMatrix):
         if matrix is None:
             raise ProviderError(f"{path}: empty embedding file")
         matrix = matrix[: len(row_of)]
-        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-        if bad.size:
-            raise ProviderError(
-                f"{path}:{linenos[bad[0]]}: vector for {list(row_of)[bad[0]]!r} "
-                "has a non-finite value"
-            )
+        _check_finite(matrix, list(row_of), path, linenos)
         _normalize_rows(matrix, list(row_of))
         return row_of, matrix
 

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-PKG_ROOT = HERE.parents[3]
+PKG_ROOT = HERE.parents[2]  # the checkout root
 sys.path.insert(0, str(PKG_ROOT / "src"))
 
 from hydre.corpus import builtin_ontology_path, load_ontology  # noqa: E402
@@ -351,17 +351,22 @@ def main() -> None:
 
     # replay cache: render the pipeline's prompts and key the authored
     # responses by them
-    from hydre.cli import RunConfig, _load_run, _render_for_record, _select_for_query
+    from hydre.cli import STRATEGIES, SelectionInputs, _load_run, _render_for_record
     from hydre.cli import load_config
-    from hydre.judge import GenerationParams, cache_key, prompt_sha
+    from hydre.judge import cache_key, prompt_sha
+    from hydre.selection import CorpusView, serialize_exemplar_set
 
     run_config = load_config(str(HERE / "e2e_config.json"), {})
     run = _load_run(run_config)
-    scoring = run_config.scoring()
+    inputs = SelectionInputs(
+        CorpusView(run.corpus, run.scores, run.embeddings), run_config.scoring()
+    )
+    select = STRATEGIES[run_config.strategy].select
     params = run_config.generation()
     cache_records = []
     for query in run.corpus.queries:
-        record = _select_for_query(run_config, run, query, scoring)
+        selection = select(query.query_id, inputs)
+        record = serialize_exemplar_set(selection, run.corpus.ontology)
         prompt = _render_for_record(run_config, run.corpus, query, record)
         response = RESPONSES[query.query_id]
         cache_records.append(

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
@@ -520,6 +524,36 @@ def test_e2e_replay_determinism(tmp_path, monkeypatch):
         ]
         assert len(predictions) == 20
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+
+def test_make_golden_regenerates_the_committed_fixtures(tmp_path):
+    """``python tests/fixtures/golden/make_golden.py``, run from a copy of
+    the checkout's layout, writes every fixture byte-equal to the committed
+    one. The copy's ``src`` links to the checkout's, which both the script's
+    import path and the config's ontology path go through. The ``*.hydre.bin``
+    files are the loaders' parse caches, which record the copies' stat
+    records."""
+    golden = tmp_path / "tests" / "fixtures" / "golden"
+    golden.mkdir(parents=True)
+    shutil.copy(GOLDEN / "make_golden.py", golden)
+    (tmp_path / "src").symlink_to(GOLDEN.parents[2] / "src", target_is_directory=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    done = subprocess.run(
+        [sys.executable, "tests/fixtures/golden/make_golden.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    written = sorted(
+        p.name for p in golden.iterdir()
+        if p.name != "make_golden.py" and not p.name.endswith(".hydre.bin")
+    )
+    assert written == [
+        "bags.jsonl", "e2e_config.json", "embeddings.jsonl",
+        "queries.jsonl", "replay_cache.jsonl", "scores.jsonl",
+    ]
+    differ = [n for n in written if (golden / n).read_bytes() != (GOLDEN / n).read_bytes()]
+    assert differ == [], f"regenerated fixtures differ from the committed ones: {differ}"
 
 
 def test_defaults_conformance():

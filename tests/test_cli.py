@@ -1112,6 +1112,26 @@ def test_run_refuses_a_malformed_selection_record(tmp_path, capsys, edit, messag
     assert not (out / "predictions.jsonl").exists()
 
 
+def test_run_refuses_a_selection_record_of_a_query_not_in_the_query_file(
+    tmp_path, capsys
+):
+    """A selections file made for another query file is refused even when
+    it covers every query, as eval refuses such a predictions file."""
+    out = tmp_path / "out"
+    assert run_cli("--config", CONFIG, "--output", str(out), "select") == 0
+    selections = out / "selections.jsonl"
+    lines = selections.read_text().splitlines()
+    stray = dict(json.loads(lines[0]), query_id="not_a_query")
+    selections.write_text("\n".join(lines + [json.dumps(stray)]) + "\n")
+    capsys.readouterr()
+    code = run_cli("--config", CONFIG, "--output", str(out), "run")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{selections}: 1 selections for queries not in the query file (not_a_query)" in err
+    assert not (out / "prompts.jsonl").exists()
+    assert not (out / "predictions.jsonl").exists()
+
+
 def test_run_bag_level_strategies_end_to_end(tmp_path, monkeypatch):
     monkeypatch.setenv("HYDRE_LLM_API_KEY", "test-key")
     monkeypatch.setattr(cli, "HttpChatBackend", lambda endpoint: MockBackend("NA"))
@@ -1165,9 +1185,9 @@ def test_eval_reads_no_bags(tmp_path, monkeypatch):
     calls = Counter()
     parse, read = hydre.corpus._parse_bags, hydre.providers._Sidecar.read
 
-    def counted_parse(path, ontology):
-        calls["parse"] += 1
-        return parse(path, ontology)
+    def counted_parse(records, ontology, source):
+        calls["parse"] += source is not None  # a bag file's, not an assembled corpus's
+        return parse(records, ontology, source)
 
     def counted_read(self, decode):
         calls["read"] += self.source.resolve() == bags

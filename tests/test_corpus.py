@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +204,31 @@ def test_load_queries_unknown_relation_errors(tmp_path, tiny_ontology):
         load_queries(path, tiny_ontology)
 
 
+def test_load_queries_names_the_first_listed_unknown_gold_label(tmp_path):
+    """The unknown label named is the first the record lists, under every
+    hash seed (a frozenset's order changes with the seed)."""
+    path = write_records(
+        tmp_path, "q.jsonl", [query_record("q1", ["rel_zz", "rel_yy", "rel_xx"])]
+    )
+    script = (
+        "import sys\n"
+        "from hydre.corpus import CorpusError, RelationOntology, load_queries\n"
+        "try:\n"
+        "    load_queries(sys.argv[1], RelationOntology((('rel_a', 'a relation'),)))\n"
+        "except CorpusError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{path}:1 (query 'q1'): unknown relation 'rel_zz'\n", seed
+
+
 def test_load_queries_empty_gold_without_flag_errors(tmp_path, tiny_ontology):
     path = write_records(tmp_path, "q.jsonl", [query_record("q1", [])])
     with pytest.raises(CorpusError, match="no gold"):
@@ -284,6 +313,38 @@ def test_index_by_relation_small_case(tiny_ontology):
 def test_index_by_relation_empty_corpus(tiny_ontology):
     index = bag_ids_by_relation(Corpus.assemble(tiny_ontology, []))
     assert index == {"rel_a": [], "rel_b": [], "rel_c": []}
+
+
+@pytest.mark.parametrize(
+    "bags, message",
+    [
+        (
+            [Bag("b1", "h", "t", (make_sentence("s1"),), frozenset({"rel_a"})),
+             Bag("b1", "h", "t", (make_sentence("s2"),), frozenset({"rel_b"}))],
+            "bags[1]: duplicate bag_id 'b1'",
+        ),
+        (
+            [Bag("b1", "h", "t", (make_sentence("s1"),), frozenset({"rel_a"})),
+             Bag("b2", "h", "t", (make_sentence("s1"),), frozenset({"rel_b"}))],
+            "bags[1]: duplicate sentence_id 's1'",
+        ),
+    ],
+    ids=["bag_id", "sentence_id"],
+)
+def test_assemble_refuses_a_duplicate_id(tiny_ontology, bags, message):
+    """An assembled corpus names each bag and each sentence once, as a bag
+    file must."""
+    with pytest.raises(CorpusError) as info:
+        Corpus.assemble(tiny_ontology, bags)
+    assert str(info.value) == message
+
+
+def test_assembled_unknown_label_names_the_bag_and_the_label(tiny_ontology):
+    bag = Bag("b1", "h", "t", (make_sentence("s1"),), frozenset({"rel_a", "rel_zz"}))
+    with pytest.raises(CorpusError) as info:
+        Corpus.assemble(tiny_ontology, [bag])
+    assert "bag 'b1'" in str(info.value)
+    assert str(info.value).endswith("unknown relation 'rel_zz'")
 
 
 def test_index_by_relation_matches_set_filter_oracle():

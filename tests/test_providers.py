@@ -1018,6 +1018,28 @@ def test_embedding_file_with_nan_rejected_naming_line(tmp_path):
         assert not sidecar_of(path).exists()
 
 
+DICT_ROW_FAULTS = [
+    (lambda: ScoreMatrix(("a", "b"), {"x": [1.5, math.nan]}),
+     "row 'x' has a non-finite score"),
+    (lambda: ScoreMatrix(("a", "b"), {"x": [0.1, 0.2], "y": [0.5, 1.5]}),
+     "row 'y' has scores outside [0, 1]"),
+    (lambda: ScoreMatrix(("a", "b"), {"x": [-0.1, 0.2]}), "row 'x' has scores outside [0, 1]"),
+    (lambda: EmbeddingIndex(2, {"x": [math.nan, 1.0], "y": [math.inf, 0.0]}),
+     "vector for 'x' has a non-finite value"),
+    (lambda: EmbeddingIndex(2, {"x": [1.0, 0.0], "y": [math.inf, 0.0]}),
+     "vector for 'y' has a non-finite value"),
+]
+
+
+@pytest.mark.parametrize("build, message", DICT_ROW_FAULTS, ids=[m for _, m in DICT_ROW_FAULTS])
+def test_provider_built_from_a_dict_gets_the_file_value_checks(build, message):
+    """A row a provider file is refused for is refused from a dict too,
+    named by its id; an infinite embedding is not normalised into NaNs."""
+    with pytest.raises(ProviderError) as info:
+        build()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("kind", ["scores", "embeddings"])
 def test_sidecar_written_before_the_finite_check_is_ignored(tmp_path, tiny_ontology, kind):
     """A version-1 sidecar holding the NaN row loads no more: its format is

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hydre.selection
-from hydre.corpus import Bag, Corpus
+from hydre.corpus import Bag, Corpus, CorpusError
 from hydre.providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from hydre.selection import (
     CorpusView,
@@ -159,6 +159,24 @@ def test_select_bag_tie_keeps_earliest(tiny_ontology):
     config = ScoringConfig(w_sim=0.0, w_conf=1.0)
     view = CorpusView(corpus, scores, None)
     assert select_bag("q", "rel_a", corpus, view, config) == "B1"
+
+
+def test_a_bag_id_names_one_bag_of_an_assembled_corpus(tiny_ontology):
+    """Two bags sharing an id once let ``select_bag`` pick the first while
+    the exemplar showed the second's sentence, s2; the corpus refuses them
+    instead."""
+    bags = [
+        one_sentence_bag("b1", "s1", {"rel_a"}),
+        one_sentence_bag("b1", "s2", {"rel_a"}),
+    ]
+    with pytest.raises(CorpusError, match="duplicate bag_id 'b1'"):
+        corpus = Corpus.assemble(tiny_ontology, bags)
+        scores = matrix(tiny_ontology, {"q": [0.9, 0.1, 0.1], "s1": [0.9, 0.1, 0.1],
+                                        "s2": [0.2, 0.1, 0.1]})
+        emb = EmbeddingIndex(2, {"q": [1.0, 0.0], "s1": [1.0, 0.0], "s2": [0.0, 1.0]})
+        config = ScoringConfig(k=1)
+        exemplar_set = build_exemplar_set("q", CorpusView(corpus, scores, emb), config)
+        assert [s.sentence_id for s in exemplar_set.exemplars[0].sentences] == ["s1"]
 
 
 def test_select_bag_matches_exhaustive_scan_oracle():

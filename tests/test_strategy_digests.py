@@ -11,7 +11,7 @@ then ``run`` in live mode against a backend that answers "NA". Regenerate it
 which covers every registered strategy when no name is given.
 
 The test checks the digests twice on copies of the fixtures: once with every
-input parsed from its JSONL text (no ``*.hydre.npz`` sidecar beside the
+input parsed from its JSONL text (no ``*.hydre.bin`` sidecar beside the
 copies before each strategy), and once with every input read from its
 sidecar.
 """
