@@ -46,7 +46,6 @@ from .baselines import (
     topk_sim,
 )
 from .prompting import (
-    ExemplarBlock,
     ParsedPrediction,
     PromptTemplate,
     parse_response,

@@ -69,7 +69,7 @@ from .judge import (
     cache_key,
     run_batch,
 )
-from .prompting import PromptTemplate, block_for_sentences, render_prompt
+from .prompting import PromptTemplate, render_prompt
 from .providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from .selection import (
     CorpusView,
@@ -173,8 +173,8 @@ class RunConfig:
     def generation(self) -> GenerationParams:
         return self._generation
 
-    def template(self, relation_scope: str = "full_ontology") -> PromptTemplate:
-        return dataclasses.replace(self._template, relation_scope=relation_scope)
+    def template(self) -> PromptTemplate:
+        return self._template
 
 
 def _real(value) -> bool:
@@ -616,17 +616,7 @@ def _render_for_record(
     config: RunConfig, corpus: Corpus, query: QueryInstance, record: dict
 ) -> str:
     selection = deserialize_exemplar_set(record, corpus)
-    blocks = [
-        block_for_sentences(e.sentences, e.labels, corpus.ontology)
-        for e in selection.exemplars
-    ]
-    return render_prompt(
-        query,
-        blocks,
-        corpus.ontology,
-        config.template(relation_scope=selection.relation_scope),
-        candidates=[r for r, _ in selection.candidates] or None,
-    )
+    return render_prompt(query, selection, corpus.ontology, config.template())
 
 
 def _run_one_k(

@@ -7,7 +7,8 @@ start / exclusive end.
 A corpus holds its bags as columns and builds ``Bag`` and
 ``SentenceInstance`` objects only for what is read. One parser builds every
 corpus's columns, from a bag file's records or an assembled corpus's bags
-as records, so both get the same checks. The first load of a bag
+as records, and one its queries likewise, so a file and an assembled
+corpus get the same checks. The first load of a bag
 file writes its columns to a sidecar beside it, ``<file>.hydre.bin`` (the
 provider sidecar of ``providers``); later loads read that instead while the
 file's stat record is unchanged, or its sha256 when the record differs. The
@@ -350,10 +351,10 @@ _BAG_ARRAYS = {
 _Columns = tuple[dict, dict[str, np.ndarray]]
 
 
-def _at(source: Path | None, n: int) -> str:
-    """Where bag record ``n`` is: line n of the bag file ``source``, or
-    position n of an assembled corpus's bags."""
-    return f"bags[{n}]" if source is None else f"{source}:{n}"
+def _at(source: str | Path | None, n: int, items: str = "bags") -> str:
+    """Where record ``n`` is: line n of the file ``source``, or position n
+    of an assembled corpus's ``items`` (its bags or its queries)."""
+    return f"{items}[{n}]" if source is None else f"{source}:{n}"
 
 
 def _label_mask(
@@ -513,11 +514,25 @@ def load_bags(path: str | Path, ontology: RelationOntology) -> list[Bag]:
 
 def load_queries(path: str | Path, ontology: RelationOntology) -> list[QueryInstance]:
     """Load and validate test queries; gold NA only as a singleton."""
+    return _parse_queries(iter_jsonl(path, CorpusError), ontology, path)
+
+
+def _parse_queries(
+    records: Iterable[tuple[int, dict]],
+    ontology: RelationOntology,
+    source: str | Path | None,
+) -> list[QueryInstance]:
+    """The queries of numbered query records, after every check on them.
+
+    The records are a query file's by line (``iter_jsonl``), or an
+    assembled corpus's by position (``source`` None). A fault raises
+    ``CorpusError`` naming where its record is (``_at``).
+    """
     queries: list[QueryInstance] = []
     seen: set[str] = set()
     na = ontology.na_symbol
-    for lineno, record in iter_jsonl(path, CorpusError):
-        where = f"{path}:{lineno}"
+    for n, record in records:
+        where = _at(source, n, "queries")
         query_id = _field(record, "query_id", _is_str, where)
         text = _field(record, "text", _is_str, where)
         gold_list = _field(record, "gold", _is_names, where)
@@ -572,20 +587,21 @@ def bag_records(bags: Iterable[Bag], ontology: RelationOntology) -> list[dict]:
     return [_bag_record(bag, ontology.sorted_labels(bag.labelset)) for bag in bags]
 
 
+def _query_record(query: QueryInstance, gold: list[str]) -> dict:
+    """The query-file record of a query whose gold labels are listed as
+    ``gold``."""
+    return {
+        "query_id": query.query_id,
+        "text": query.text,
+        "head_span": [query.head.start, query.head.end],
+        "tail_span": [query.tail.start, query.tail.end],
+        "gold": gold,
+        "is_na": query.is_na,
+    }
+
+
 def query_records(queries: Iterable[QueryInstance], ontology: RelationOntology) -> list[dict]:
-    records = []
-    for q in queries:
-        records.append(
-            {
-                "query_id": q.query_id,
-                "text": q.text,
-                "head_span": [q.head.start, q.head.end],
-                "tail_span": [q.tail.start, q.tail.end],
-                "gold": ontology.sorted_labels(q.gold),
-                "is_na": q.is_na,
-            }
-        )
-    return records
+    return [_query_record(q, ontology.sorted_labels(q.gold)) for q in queries]
 
 
 class Corpus:
@@ -647,16 +663,19 @@ class Corpus:
         bags: Iterable[Bag],
         queries: Iterable[QueryInstance] = (),
     ) -> "Corpus":
-        """A corpus of bag and query objects; ``bags`` rebuilds equal ones.
+        """A corpus of bag and query objects; ``bags`` and ``queries``
+        rebuild equal ones.
 
-        The bags' records go through the bag-file parser, so they get every
-        check a bag file gets, duplicate bag and sentence ids included; a
-        fault names the bag's position, ``bags[n]``. Each bag's labels are
-        listed by name, so no ontology order is asked of an unknown one.
+        The bags' and queries' records go through the file parsers, so they
+        get every check a bag or query file gets, duplicate ids and unknown
+        labels included; a fault names the record's position, ``bags[n]``
+        or ``queries[n]``. Labels are listed by name, so no ontology order
+        is asked of an unknown one.
         """
         records = enumerate(_bag_record(b, sorted(b.labelset)) for b in bags)
         corpus = cls(ontology, *_parse_bags(records, ontology, None))
-        corpus.queries = tuple(queries)
+        records = enumerate(_query_record(q, sorted(q.gold)) for q in queries)
+        corpus.queries = tuple(_parse_queries(records, ontology, None))
         return corpus
 
     @classmethod

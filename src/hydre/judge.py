@@ -470,7 +470,7 @@ def run_batch(
         except Exception as exc:
             return BatchResult(
                 query_id,
-                ParsedPrediction(frozenset(), raw_response=""),
+                ParsedPrediction(frozenset()),
                 response=None,
                 error=f"{type(exc).__name__}: {exc}",
             )

@@ -4,9 +4,12 @@ A rendered prompt has four sections in fixed order, separated by single
 blank lines:
 
   1. the task instruction,
-  2. the relation list, one ``name : definition`` per line, NA last,
-  3. zero or more exemplar blocks, each ``Input: ...`` / ``Output: ...``
-     with one relation per output line,
+  2. the relation list, one ``name : definition`` per line, NA last: the
+     whole ontology, or only the selection's candidates when its
+     ``relation_scope`` is ``candidates_only``,
+  3. one block per exemplar of the selection, ``Input: ...`` (its
+     sentences) / ``Output: ...`` (its labels in ontology order, NA last,
+     one per line),
   4. the query block ``Input: ...\\nOutput:`` with no trailing answer.
 
 Entity mentions are wrapped in marker tags injected exactly at the span
@@ -18,9 +21,9 @@ identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .corpus import QueryInstance, RelationOntology, SentenceInstance
+from .selection import Exemplar, ExemplarSet
 
 DEFAULT_TASK_INSTRUCTION = (
     "Choose all applicable relations between head and tail entities from the "
@@ -28,8 +31,6 @@ DEFAULT_TASK_INSTRUCTION = (
     "are applicable, output 'NA'."
 )
 DEFAULT_NA_DEFINITION = "no relation from the set exists between the given entity pair"
-
-RELATION_SCOPES = ("full_ontology", "candidates_only")
 
 
 class PromptError(ValueError):
@@ -40,7 +41,6 @@ class PromptError(ValueError):
 class PromptTemplate:
     task_instruction: str = DEFAULT_TASK_INSTRUCTION
     include_definitions: bool = True
-    relation_scope: str = "full_ontology"
     head_open: str = "<Head>"
     head_close: str = "</Head>"
     tail_open: str = "<Tail>"
@@ -53,16 +53,6 @@ class PromptTemplate:
             raise PromptError("marker tags must be nonempty")
         if len(set(tags)) != 4:
             raise PromptError("marker tags must be mutually distinct")
-        if self.relation_scope not in RELATION_SCOPES:
-            raise PromptError(f"unknown relation scope {self.relation_scope!r}")
-
-
-@dataclass(frozen=True)
-class ExemplarBlock:
-    """One Input/Output block: tagged sentence(s) and ordered output labels."""
-
-    sentences: tuple[SentenceInstance, ...]
-    labels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -70,8 +60,6 @@ class ParsedPrediction:
     """Relations recovered from a raw response; empty set encodes NA."""
 
     relations: frozenset[str]
-    raw_response: str
-    matched_lines: tuple[str, ...] = ()
 
     @property
     def is_na(self) -> bool:
@@ -99,35 +87,17 @@ def tag_entities(
     return text
 
 
-def block_for_sentence(
-    sentence: SentenceInstance,
-    labels: Iterable[str],
-    ontology: RelationOntology,
-) -> ExemplarBlock:
-    return block_for_sentences([sentence], labels, ontology)
-
-
-def block_for_sentences(
-    sentences: Iterable[SentenceInstance],
-    labels: Iterable[str],
-    ontology: RelationOntology,
-) -> ExemplarBlock:
-    """Build a block with output labels in ontology order, NA last."""
-    return ExemplarBlock(tuple(sentences), tuple(ontology.sorted_labels(labels)))
-
-
 def _relation_lines(
-    ontology: RelationOntology,
-    template: PromptTemplate,
-    candidates: Sequence[str] | None,
+    selection: ExemplarSet, ontology: RelationOntology, template: PromptTemplate
 ) -> list[str]:
-    if template.relation_scope == "candidates_only":
-        if candidates is None:
+    if selection.relation_scope == "candidates_only":
+        if not selection.candidates:
             raise PromptError("candidates_only scope requires a candidate list")
-        for name in candidates:
+        candidates = {name for name, _ in selection.candidates}
+        for name, _ in selection.candidates:
             if name not in ontology:
                 raise PromptError(f"candidate {name!r} not in ontology")
-        names = [n for n in ontology.names if n in set(candidates)]
+        names = [n for n in ontology.names if n in candidates]
     else:
         names = list(ontology.names)
     lines = []
@@ -143,32 +113,33 @@ def _relation_lines(
     return lines
 
 
-def _render_block(
-    block: ExemplarBlock, ontology: RelationOntology, template: PromptTemplate
+def _render_exemplar(
+    exemplar: Exemplar, ontology: RelationOntology, template: PromptTemplate
 ) -> str:
-    if not block.sentences:
+    if not exemplar.sentences:
         raise PromptError("exemplar block with no sentences")
-    if not block.labels:
+    if not exemplar.labels:
         raise PromptError("exemplar block with no labels")
-    for label in block.labels:
+    for label in sorted(exemplar.labels):
         if label != ontology.na_symbol and label not in ontology:
-            raise PromptError(f"exemplar label {label!r} not in ontology")
-    passage = " ".join(tag_entities(s, template) for s in block.sentences)
-    return f"Input: {passage}\nOutput: " + "\n".join(block.labels)
+            raise PromptError(f"unknown relation {label!r}")
+    passage = " ".join(tag_entities(s, template) for s in exemplar.sentences)
+    labels = ontology.sorted_labels(exemplar.labels)
+    return f"Input: {passage}\nOutput: " + "\n".join(labels)
 
 
 def render_prompt(
     query: QueryInstance | SentenceInstance,
-    blocks: Sequence[ExemplarBlock],
+    selection: ExemplarSet,
     ontology: RelationOntology,
     template: PromptTemplate,
-    candidates: Sequence[str] | None = None,
 ) -> str:
-    """Render the full prompt; see the module docstring for the layout."""
+    """Render the query's prompt from its selection; see the module
+    docstring for the layout."""
     sections = [template.task_instruction]
-    sections.append("\n".join(_relation_lines(ontology, template, candidates)))
-    for block in blocks:
-        sections.append(_render_block(block, ontology, template))
+    sections.append("\n".join(_relation_lines(selection, ontology, template)))
+    for exemplar in selection.exemplars:
+        sections.append(_render_exemplar(exemplar, ontology, template))
     sections.append(f"Input: {tag_entities(query, template)}\nOutput:")
     return "\n\n".join(sections)
 
@@ -190,11 +161,4 @@ def parse_response(raw: str, ontology: RelationOntology) -> ParsedPrediction:
                 hits.add(name)
         elif name in tokens:
             hits.add(name)
-    na_hit = ontology.na_symbol in tokens
-    matched_lines = tuple(
-        line
-        for line in raw.splitlines()
-        if any(h in line for h in hits)
-        or (na_hit and ontology.na_symbol in line.split())
-    )
-    return ParsedPrediction(frozenset(hits), raw, matched_lines)
+    return ParsedPrediction(frozenset(hits))

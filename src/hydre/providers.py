@@ -330,10 +330,10 @@ class ScoreMatrix(_RowMatrix):
                     )
                 if item_id in row_of:
                     raise ProviderError(f"{path}:{lineno}: duplicate id {item_id!r}")
-                matrix[len(row_of)] = scores
+                _fill(matrix, len(row_of), scores, f"{path}:{lineno}: row {item_id!r}")
                 row_of[item_id] = len(row_of)
                 linenos.append(lineno)
-        except (ValueError, TypeError):
+        except ProviderError:
             # a bad row above this line's fault is the first fault in the file
             _check_range(matrix[: len(row_of)], list(row_of), path, linenos)
             raise
@@ -345,6 +345,15 @@ class ScoreMatrix(_RowMatrix):
 def _check_order(path: Path, order: Sequence[str], ontology: RelationOntology) -> None:
     if tuple(order) != ontology.names:
         raise ProviderError(f"{path}: relation_order does not match the ontology order")
+
+
+def _fill(matrix: np.ndarray, i: int, values: list, row: str) -> None:
+    """Fill matrix row i from a JSON list; a value that is not a number
+    raises ``ProviderError`` naming ``row``."""
+    try:
+        matrix[i] = values
+    except (ValueError, TypeError):
+        raise ProviderError(f"{row} has a value that is not a number") from None
 
 
 def _row_at(path: Path | None, linenos: Sequence[int], i: int) -> str:
@@ -516,7 +525,7 @@ class EmbeddingIndex(_RowMatrix):
                 )
             if item_id in row_of:
                 raise ProviderError(f"{path}:{lineno}: duplicate id {item_id!r}")
-            matrix[len(row_of)] = raw
+            _fill(matrix, len(row_of), raw, f"{path}:{lineno}: vector for {item_id!r}")
             row_of[item_id] = len(row_of)
             linenos.append(lineno)
         if matrix is None:

@@ -71,6 +71,7 @@ class Exemplar:
 
 
 EXEMPLAR_STYLES = ("sentence", "full_bag", "reduced_bag", "zero_shot")
+RELATION_SCOPES = ("full_ontology", "candidates_only")
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,8 @@ class ExemplarSet:
     first so the most relevant sits adjacent to the query in the prompt.
     ``candidates`` records the stage-1 output and ``skipped`` the candidate
     relations with no training bag. ``style`` says how the exemplars are
-    rendered and ``relation_scope`` which relations the prompt lists.
+    rendered and ``relation_scope`` which relations the prompt lists: the
+    whole ontology, or only the candidates (``candidates_only``).
     """
 
     query_id: str
@@ -95,6 +97,8 @@ class ExemplarSet:
     def __post_init__(self) -> None:
         if self.style not in EXEMPLAR_STYLES:
             raise ValueError(f"unknown exemplar style {self.style!r}")
+        if self.relation_scope not in RELATION_SCOPES:
+            raise ValueError(f"unknown relation scope {self.relation_scope!r}")
         picked = [e for e in self.exemplars if e.candidate_relation is not None]
         scores = [e.candidate_score for e in picked]
         if any(a > b for a, b in zip(scores, scores[1:])):

@@ -29,16 +29,12 @@ from hydre.cli import DEFAULT_CONFIG
 from hydre.corpus import builtin_ontology_path, load_ontology
 from hydre.evaluation import FactSet, confusion_pairs, mcnemar, recall_at_k, score
 from hydre.judge import GenerationParams
-from hydre.prompting import (
-    PromptTemplate,
-    block_for_sentence,
-    block_for_sentences,
-    parse_response,
-    render_prompt,
-)
+from hydre.prompting import PromptTemplate, parse_response, render_prompt
 from hydre.providers import ScoringConfig
 from hydre.selection import (
     CorpusView,
+    Exemplar,
+    ExemplarSet,
     NoBagForRelation,
     build_exemplar_set,
     group_reduced,
@@ -299,22 +295,14 @@ def test_prompt_golden_files():
         queries = {q.query_id: q for q in corpus.queries}
 
         es = build_exemplar_set("q01", CorpusView(corpus, scores, emb), scoring)
-        blocks = [
-            block_for_sentence(e.sentence, e.labels, corpus.ontology)
-            for e in es.exemplars
-        ]
-        rendered = render_prompt(queries["q01"], blocks, corpus.ontology, PromptTemplate())
+        rendered = render_prompt(queries["q01"], es, corpus.ontology, PromptTemplate())
         assert rendered == (GOLDEN / "prompt_hydre_5shot.txt").read_text()
 
         outcome = cli.STRATEGIES["ablation:no_icl"].select(
             "q02", cli.SelectionInputs(CorpusView(corpus, scores, emb), scoring)
         )
         rendered = render_prompt(
-            queries["q02"],
-            [],
-            corpus.ontology,
-            PromptTemplate(relation_scope="candidates_only"),
-            candidates=[r for r, _ in outcome.candidates],
+            queries["q02"], outcome, corpus.ontology, PromptTemplate()
         )
         assert rendered == (GOLDEN / "prompt_no_icl.txt").read_text()
 
@@ -324,11 +312,7 @@ def test_prompt_golden_files():
             dataclasses.replace(scoring, k=2),
             style="reduced_bag",
         )
-        blocks = [
-            block_for_sentences(e.sentences, e.labels, corpus.ontology)
-            for e in bes.exemplars
-        ]
-        rendered = render_prompt(queries["q03"], blocks, corpus.ontology, PromptTemplate())
+        rendered = render_prompt(queries["q03"], bes, corpus.ontology, PromptTemplate())
         assert rendered == (GOLDEN / "prompt_reduced_bag.txt").read_text()
 
 
@@ -456,20 +440,22 @@ def test_reduced_bag_economy():
             for b, (raw, bag) in enumerate(zip(instance["bags"], corpus.bags)):
                 if raw["labels"] == {"NA"}:
                     continue
-                full_block = block_for_sentences(
-                    bag.sentences, bag.labelset, corpus.ontology
-                )
-                reduced_sentences = [
+                full = Exemplar(bag.sentences, bag.labelset, bag.bag_id)
+                reduced_sentences = tuple(
                     s for s, _ in group_reduced(reduce_bag(corpus, b, scores))
-                ]
-                reduced_block = block_for_sentences(
-                    reduced_sentences, bag.labelset, corpus.ontology
                 )
+                reduced = Exemplar(reduced_sentences, bag.labelset, bag.bag_id)
                 full_prompt = render_prompt(
-                    query, [full_block], corpus.ontology, template
+                    query,
+                    ExemplarSet("probe", (full,), style="full_bag"),
+                    corpus.ontology,
+                    template,
                 )
                 reduced_prompt = render_prompt(
-                    query, [reduced_block], corpus.ontology, template
+                    query,
+                    ExemplarSet("probe", (reduced,), style="reduced_bag"),
+                    corpus.ontology,
+                    template,
                 )
                 full_tokens = len(full_prompt.split())
                 reduced_tokens = len(reduced_prompt.split())

@@ -71,6 +71,32 @@ def test_validate_manifest_order_mismatch(tmp_path, capsys):
     assert "ontology order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "provider, key, value, row",
+    [
+        ("scores", "scores", "x", "row 's0102'"),
+        ("embeddings", "vector", [0.1, 0.2], "vector for 's0102'"),
+    ],
+)
+def test_validate_names_the_line_of_a_provider_value_that_is_not_a_number(
+    tmp_path, capsys, provider, key, value, row
+):
+    """A provider row holding a value that is not a number exits 1 naming
+    path:line and the row, and no sidecar is written for the file."""
+    path = tmp_path / f"{provider}.jsonl"
+    lines = (GOLDEN / path.name).read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if json.loads(line).get("id") == "s0102")
+    record = json.loads(lines[n])
+    record[key][0] = value
+    lines[n] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    config_path, _ = absolute_config(tmp_path, **{provider: path})
+    assert run_cli("--config", str(config_path), "validate") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:{n + 1}: {row} has a value that is not a number\n"
+    assert not path.with_name(path.name + hydre.providers.SIDECAR_SUFFIX).exists()
+
+
 def test_validate_unscored_sentence_named(tmp_path, capsys):
     kept = [
         line
@@ -1090,6 +1116,19 @@ MALFORMED_SELECTIONS = [
     (lambda r: r["exemplars"][0].pop("labels"), "malformed record (KeyError('labels'))"),
     (lambda r: r.update(exemplars=["x"]), "malformed record (TypeError("),
     (lambda r: r.update(query_id="q01"), "duplicate query_id 'q01'"),
+    (lambda r: r.update(relation_scope="bogus"), "unknown relation scope 'bogus'"),
+    (
+        lambda r: r.update(relation_scope="candidates_only", candidates=[]),
+        "candidates_only scope requires a candidate list",
+    ),
+    (
+        lambda r: r.update(relation_scope="candidates_only", candidates=[["rel_zz", 0.5]]),
+        "candidate 'rel_zz' not in ontology",
+    ),
+    (
+        lambda r: r["exemplars"][0]["labels"].append("rel_zz"),
+        "unknown relation 'rel_zz'",
+    ),
 ]
 
 

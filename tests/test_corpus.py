@@ -27,7 +27,7 @@ from hydre.corpus import (
     write_jsonl,
 )
 
-from conftest import make_sentence, ontology_from_names
+from conftest import make_query, make_sentence, ontology_from_names
 from oracles import make_random_instance
 
 
@@ -345,6 +345,24 @@ def test_assembled_unknown_label_names_the_bag_and_the_label(tiny_ontology):
         Corpus.assemble(tiny_ontology, [bag])
     assert "bag 'b1'" in str(info.value)
     assert str(info.value).endswith("unknown relation 'rel_zz'")
+
+
+@pytest.mark.parametrize(
+    "golds, message",
+    [
+        ([{"rel_a"}, {"rel_b"}], "queries[1]: duplicate query_id 'q1'"),
+        ([{"rel_zz"}, {"rel_a"}], "queries[0] (query 'q1'): unknown relation 'rel_zz'"),
+    ],
+    ids=["duplicate-id", "unknown-gold-label"],
+)
+def test_assemble_checks_its_queries_as_a_query_file(tiny_ontology, golds, message):
+    """An assembled corpus's queries get the query file's checks, so two
+    queries sharing an id, or a gold label outside the ontology, fail at
+    assembly and name the query's position."""
+    queries = [make_query("q1", gold) for gold in golds]
+    with pytest.raises(CorpusError) as info:
+        Corpus.assemble(tiny_ontology, (), queries)
+    assert str(info.value) == message
 
 
 def test_index_by_relation_matches_set_filter_oracle():

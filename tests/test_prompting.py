@@ -13,15 +13,13 @@ from hydre.corpus import (
 )
 from hydre.prompting import (
     DEFAULT_TASK_INSTRUCTION,
-    ExemplarBlock,
     PromptError,
     PromptTemplate,
-    block_for_sentence,
-    block_for_sentences,
     parse_response,
     render_prompt,
     tag_entities,
 )
+from hydre.selection import Exemplar, ExemplarSet
 
 from conftest import make_query, make_sentence, ontology_from_names
 
@@ -35,6 +33,15 @@ def simple_query():
     return make_query("q1", {"rel_a"})
 
 
+def shots(*exemplars, **kwargs):
+    """A selection for ``simple_query`` showing the given exemplars."""
+    return ExemplarSet("q1", exemplars, **kwargs)
+
+
+def exemplar(sentences, labels):
+    return Exemplar(tuple(sentences), frozenset(labels), "b1")
+
+
 # ---------------------------------------------------------------- rendering
 
 
@@ -43,22 +50,22 @@ def test_template_rejects_bad_tags():
         PromptTemplate(head_open="<X>", head_close="<X>")
     with pytest.raises(PromptError, match="nonempty"):
         PromptTemplate(tail_open="")
-    with pytest.raises(PromptError, match="scope"):
-        PromptTemplate(relation_scope="some_of_them")
+    with pytest.raises(ValueError, match="scope"):
+        shots(relation_scope="some_of_them")
 
 
 def test_zero_exemplars_renders_three_sections(tiny_ontology):
-    prompt = render_prompt(simple_query(), [], tiny_ontology, PromptTemplate())
+    prompt = render_prompt(simple_query(), shots(), tiny_ontology, PromptTemplate())
     sections = prompt.split("\n\n")
     assert len(sections) == 3
     assert sections[0] == DEFAULT_TASK_INSTRUCTION
     assert sections[1].splitlines()[-1].startswith("NA : ")
     assert sections[2].endswith("Output:")
-    assert prompt == render_prompt(simple_query(), [], tiny_ontology, PromptTemplate())
+    assert prompt == render_prompt(simple_query(), shots(), tiny_ontology, PromptTemplate())
 
 
 def test_relation_lines_order_and_na_last(tiny_ontology):
-    prompt = render_prompt(simple_query(), [], tiny_ontology, PromptTemplate())
+    prompt = render_prompt(simple_query(), shots(), tiny_ontology, PromptTemplate())
     lines = prompt.split("\n\n")[1].splitlines()
     assert lines == [
         "rel_a : definition of rel_a",
@@ -70,15 +77,19 @@ def test_relation_lines_order_and_na_last(tiny_ontology):
 
 def test_no_definitions_flag(tiny_ontology):
     template = PromptTemplate(include_definitions=False)
-    prompt = render_prompt(simple_query(), [], tiny_ontology, template)
+    prompt = render_prompt(simple_query(), shots(), tiny_ontology, template)
     lines = prompt.split("\n\n")[1].splitlines()
     assert lines == ["rel_a", "rel_b", "rel_c", "NA"]
 
 
 def test_candidates_only_scope(tiny_ontology):
-    template = PromptTemplate(relation_scope="candidates_only")
+    template = PromptTemplate()
+    candidates = (("rel_c", 0.9), ("rel_a", 0.5))
     prompt = render_prompt(
-        simple_query(), [], tiny_ontology, template, candidates=["rel_c", "rel_a"]
+        simple_query(),
+        shots(candidates=candidates, relation_scope="candidates_only"),
+        tiny_ontology,
+        template,
     )
     lines = prompt.split("\n\n")[1].splitlines()
     # candidate subset rendered in ontology order, NA still last
@@ -87,18 +98,23 @@ def test_candidates_only_scope(tiny_ontology):
         "rel_c : definition of rel_c",
     ]
     with pytest.raises(PromptError, match="candidate list"):
-        render_prompt(simple_query(), [], tiny_ontology, template)
+        render_prompt(
+            simple_query(), shots(relation_scope="candidates_only"), tiny_ontology, template
+        )
     with pytest.raises(PromptError, match="not in ontology"):
         render_prompt(
-            simple_query(), [], tiny_ontology, template, candidates=["rel_zz"]
+            simple_query(),
+            shots(candidates=(("rel_zz", 0.5),), relation_scope="candidates_only"),
+            tiny_ontology,
+            template,
         )
 
 
 def test_multi_label_exemplar_outputs_ontology_order(tiny_ontology):
     # hand-rendered expectation for a two-label exemplar block
     sentence = make_sentence("s1", head="Acme", tail="Jo Vance")
-    block = block_for_sentence(sentence, {"rel_c", "rel_a"}, tiny_ontology)
-    prompt = render_prompt(simple_query(), [block], tiny_ontology, PromptTemplate())
+    selection = shots(exemplar([sentence], {"rel_c", "rel_a"}))
+    prompt = render_prompt(simple_query(), selection, tiny_ontology, PromptTemplate())
     block_text = prompt.split("\n\n")[2]
     tagged = tag_entities(sentence, PromptTemplate())
     assert block_text == f"Input: {tagged}\nOutput: rel_a\nrel_c"
@@ -107,8 +123,9 @@ def test_multi_label_exemplar_outputs_ontology_order(tiny_ontology):
 def test_multi_label_nyt_exemplar(nyt):
     sentence = make_sentence("s1")
     labels = {"/business/company/majorshareholders", "/business/company/founders"}
-    block = block_for_sentence(sentence, labels, nyt)
-    rendered = render_prompt(simple_query(), [block], nyt, PromptTemplate())
+    rendered = render_prompt(
+        simple_query(), shots(exemplar([sentence], labels)), nyt, PromptTemplate()
+    )
     # majorshareholders precedes founders in the shipped ontology order
     assert (
         "Output: /business/company/majorshareholders\n/business/company/founders"
@@ -117,14 +134,14 @@ def test_multi_label_nyt_exemplar(nyt):
 
 
 def test_exemplar_block_requires_known_labels(tiny_ontology):
-    block = ExemplarBlock((make_sentence("s1"),), ("rel_zz",))
+    selection = shots(exemplar([make_sentence("s1")], {"rel_zz"}))
     with pytest.raises(PromptError, match="rel_zz"):
-        render_prompt(simple_query(), [block], tiny_ontology, PromptTemplate())
+        render_prompt(simple_query(), selection, tiny_ontology, PromptTemplate())
 
 
 def test_na_labeled_block_renders_na_line(tiny_ontology):
-    block = block_for_sentence(make_sentence("s1"), {"NA"}, tiny_ontology)
-    prompt = render_prompt(simple_query(), [block], tiny_ontology, PromptTemplate())
+    selection = shots(exemplar([make_sentence("s1")], {"NA"}))
+    prompt = render_prompt(simple_query(), selection, tiny_ontology, PromptTemplate())
     assert "\nOutput: NA\n" in prompt
 
 
@@ -230,22 +247,21 @@ def test_tag_injection_counts_code_points():
 @settings(max_examples=50)
 def test_parse_recovers_any_rendered_output_block(labels):
     ontology = load_ontology(builtin_ontology_path())
-    block = block_for_sentence(make_sentence("s1"), labels, ontology)
-    output_text = "Output: " + "\n".join(block.labels)
+    output_text = "Output: " + "\n".join(ontology.sorted_labels(labels))
     assert parse_response(output_text, ontology).relations == frozenset(labels)
 
 
 def test_rendering_is_pure(nyt):
     sentence = make_sentence("s1")
-    block = block_for_sentence(sentence, {"/people/person/religion"}, nyt)
-    args = (simple_query(), [block], nyt, PromptTemplate())
+    selection = shots(exemplar([sentence], {"/people/person/religion"}))
+    args = (simple_query(), selection, nyt, PromptTemplate())
     assert render_prompt(*args) == render_prompt(*args)
 
 
 def test_full_bag_block_joins_sentences_with_space(tiny_ontology):
     s1, s2 = make_sentence("s1"), make_sentence("s2", head="Kofi", tail="Accra")
-    block = block_for_sentences([s1, s2], {"rel_a"}, tiny_ontology)
-    prompt = render_prompt(simple_query(), [block], tiny_ontology, PromptTemplate())
+    selection = shots(exemplar([s1, s2], {"rel_a"}), style="full_bag")
+    prompt = render_prompt(simple_query(), selection, tiny_ontology, PromptTemplate())
     template = PromptTemplate()
     joined = f"{tag_entities(s1, template)} {tag_entities(s2, template)}"
     assert f"Input: {joined}\nOutput: rel_a" in prompt
@@ -327,7 +343,6 @@ PARSE_CASES = [
 def test_parse_suite(nyt, raw, expected):
     got = parse_response(raw, nyt)
     assert got.relations == frozenset(expected)
-    assert got.raw_response == raw
 
 
 def test_parse_every_ontology_name_roundtrips(nyt):
@@ -342,8 +357,7 @@ def test_parse_render_output_roundtrip(nyt):
         "/people/person/place_lived",
         "/people/person/place_of_birth",
     }
-    block = block_for_sentence(make_sentence("s1"), labels, nyt)
-    output_text = "Output: " + "\n".join(block.labels)
+    output_text = "Output: " + "\n".join(nyt.sorted_labels(labels))
     assert parse_response(output_text, nyt).relations == frozenset(labels)
 
 
@@ -353,12 +367,6 @@ def test_parse_na_output_roundtrip(nyt):
     got = parse_response(output_text, nyt)
     assert got.relations == frozenset()
     assert got.is_na
-
-
-def test_parse_matched_lines(nyt):
-    raw = "preamble\n/people/person/religion\ntrailing"
-    got = parse_response(raw, nyt)
-    assert got.matched_lines == ("/people/person/religion",)
 
 
 def test_parse_token_names_without_slash():

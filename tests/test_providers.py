@@ -537,6 +537,10 @@ def test_score_matrix_rejects_out_of_range(tmp_path, tiny_ontology):
         (['{"id": "s1", "scores": [0.1, 0.2, 0.3]}',
           '{"id": "s2", "scores": [0.1, 2.0, 0.3]}',
           '{"id": "s1", "scores": [0.1, 0.2, 0.3]}'], ":3: row 's2'"),
+        # ... and above a value that is not a number
+        (['{"id": "s1", "scores": [0.1, 0.2, 0.3]}',
+          '{"id": "s2", "scores": [0.1, 2.0, 0.3]}',
+          '{"id": "s3", "scores": ["x", 0.2, 0.3]}'], ":3: row 's2'"),
     ],
 )
 def test_score_matrix_names_first_out_of_range_row(tmp_path, tiny_ontology, rows, where):
