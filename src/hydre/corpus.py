@@ -22,6 +22,7 @@ import hashlib
 import json
 import logging
 import os
+import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,14 +64,31 @@ class SentenceInstance:
         _check_spans(f"sentence {self.sentence_id!r}", self.text, self.head, self.tail)
 
 
+COMBINING = ("Mn", "Mc")  # the Unicode categories of combining marks
+
+
+def _splits_grapheme(text: str, start: int, end: int) -> bool:
+    """Whether the span [start, end) of ``text`` starts on a combining mark
+    (Unicode category Mn or Mc, such as a matra or a virama) or stops just
+    before one: either way it tags part of a grapheme."""
+    return unicodedata.category(text[start]) in COMBINING or (
+        end < len(text) and unicodedata.category(text[end]) in COMBINING
+    )
+
+
 def _check_spans(name: str, text: str, head: EntitySpan, tail: EntitySpan) -> None:
-    """Each span lies within the text and matches its slice, and the two do
-    not overlap; a fault raises ``CorpusError`` naming ``name``."""
+    """Each span lies within the text, splits no grapheme and matches its
+    slice, and the two do not overlap; a fault raises ``CorpusError``
+    naming ``name``."""
     for role, span in (("head", head), ("tail", tail)):
         if not (0 <= span.start < span.end <= len(text)):
             raise CorpusError(
                 f"{name}: {role} span [{span.start}, {span.end}) out of range "
                 f"for text of length {len(text)}"
+            )
+        if _splits_grapheme(text, span.start, span.end):
+            raise CorpusError(
+                f"{name}: {role} span [{span.start}, {span.end}) splits a grapheme"
             )
         got = text[span.start : span.end]
         if got != span.surface:
@@ -306,7 +324,8 @@ def _is_names(value) -> bool:
 
 
 def _span(record: dict, key: str, text: str, where: str) -> tuple[int, int]:
-    """The checked [start, end) code-point span of ``text`` under ``key``."""
+    """The checked [start, end) code-point span of ``text`` under ``key``:
+    within the text, splitting no grapheme (``_splits_grapheme``)."""
     raw = record.get(key)
     # type(), not isinstance: a JSON true is a bool, and bools are ints
     if type(raw) is not list or len(raw) != 2 or not all(type(v) is int for v in raw):
@@ -314,6 +333,8 @@ def _span(record: dict, key: str, text: str, where: str) -> tuple[int, int]:
     start, end = raw
     if not (0 <= start < end <= len(text)):
         raise CorpusError(f"{where}: {key} [{start}, {end}) out of range")
+    if _splits_grapheme(text, start, end):
+        raise CorpusError(f"{where}: {key} [{start}, {end}) splits a grapheme")
     return start, end
 
 
@@ -332,9 +353,10 @@ def _check_labels(
     return labelset
 
 
-# v2 refuses fields of the wrong JSON type, which v1 took, so a v1 sidecar
-# may hold a file that v2 refuses: it is never read.
-BAGS_FORMAT = "hydre.corpus.v2"
+# v2 refuses fields of the wrong JSON type, which v1 took, and v3 a span that
+# splits a grapheme, which v2 took; so a sidecar of an earlier format may hold
+# a file that this one refuses: it is never read.
+BAGS_FORMAT = "hydre.corpus.v3"
 
 # The columns of a bag file besides the strings, which go in the meta record
 # (bag_ids, heads, tails, sentence_ids and the label vocabulary ``labels``).

@@ -27,7 +27,8 @@ logger = logging.getLogger(__name__)
 
 LLM_API_KEY_ENV = "HYDRE_LLM_API_KEY"
 RETRY_BACKOFF_SECONDS = (1.0, 4.0, 16.0)
-# fallback when the backend cannot count tokens: whitespace tokens x 1.3
+# fallback when the backend cannot count tokens: whitespace words x 1.3, or
+# UTF-8 bytes for a word outside ASCII (count_input_tokens)
 TOKEN_ESTIMATE_FACTOR = 1.3
 
 
@@ -383,10 +384,19 @@ class HttpChatBackend:
 
 def count_input_tokens(prompt: str, backend=None) -> int:
     """Backend-reported token count when available, else a conservative
-    whitespace estimate."""
+    estimate: 1.3 tokens per whitespace word, except that a word outside
+    ASCII counts its UTF-8 bytes. A byte-level BPE spends several tokens
+    per word in scripts such as Odia or Kannada, but never more tokens than
+    bytes, so the estimate of such a prompt never falls short."""
     if backend is not None and hasattr(backend, "count_tokens"):
         return int(backend.count_tokens(prompt))
-    return math.ceil(len(prompt.split()) * TOKEN_ESTIMATE_FACTOR)
+    words = prompt.split()
+    if prompt.isascii():
+        return math.ceil(len(words) * TOKEN_ESTIMATE_FACTOR)
+    wide = [w for w in words if not w.isascii()]
+    return math.ceil((len(words) - len(wide)) * TOKEN_ESTIMATE_FACTOR) + sum(
+        len(w.encode("utf-8", "surrogatepass")) for w in wide
+    )
 
 
 def generate(

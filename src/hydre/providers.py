@@ -51,6 +51,10 @@ SIDECAR_ALIGN = 64  # every array of a sidecar starts at a multiple of this
 RACY_NS = 2_000_000_000
 ROW_BLOCK_BYTES = 1 << 20  # matrix bytes per dot block: small enough to stay in cache
 UNIT_ROUNDOFF = 2.0**-53
+SCREEN_ROUNDOFF = 2.0**-24  # the unit roundoff of float32, the screen's precision
+# Half the spacing of float32's subnormals: the absolute error of rounding a
+# value, or a product, that falls below float32's normal range.
+SCREEN_UNDERFLOW = 2.0**-150
 # A screened and an exact value each miss the true one by at most the derived
 # error bound, so they differ by at most twice it; the rest is margin.
 SCREEN_SAFETY = 4.0
@@ -214,6 +218,19 @@ def _matrix(
     return meta, dict(zip(ids, range(len(ids)))), matrix
 
 
+def _matrices(
+    meta: dict, arrays: Mapping[str, np.ndarray]
+) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """(row_of, matrix, matrix32) of an embedding sidecar; ``matrix32``
+    must be a float32 array of the matrix's shape. Only the header is
+    read, never an array's pages."""
+    _, row_of, matrix = _matrix(meta, arrays)
+    matrix32 = arrays["matrix32"]
+    if matrix32.dtype != np.float32 or matrix32.shape != matrix.shape:
+        raise ValueError("sidecar matrix32 is not the float32 shape of its matrix")
+    return row_of, matrix, matrix32
+
+
 class _RowMatrix:
     """One contiguous row-major matrix plus an item id -> row index map."""
 
@@ -282,7 +299,8 @@ class ScoreMatrix(_RowMatrix):
         ontology either way.
         """
         path = Path(path)
-        sidecar = _Sidecar(path, "hydre.scores.v2")
+        # v3 refuses a value that is not a JSON number, which v2 took
+        sidecar = _Sidecar(path, "hydre.scores.v3")
         cached = sidecar.read(_matrix)
         if cached is None:
             order, row_of, matrix = cls._parse(path, ontology, sidecar.lines)
@@ -348,12 +366,13 @@ def _check_order(path: Path, order: Sequence[str], ontology: RelationOntology) -
 
 
 def _fill(matrix: np.ndarray, i: int, values: list, row: str) -> None:
-    """Fill matrix row i from a JSON list; a value that is not a number
-    raises ``ProviderError`` naming ``row``."""
-    try:
-        matrix[i] = values
-    except (ValueError, TypeError):
-        raise ProviderError(f"{row} has a value that is not a number") from None
+    """Fill matrix row i from a JSON list; a value that is not a JSON
+    number (a string, a boolean, null, a list) raises ``ProviderError``
+    naming ``row``."""
+    # type(), not isinstance: a JSON true is a bool, and bools are ints
+    if not {*map(type, values)} <= {float, int}:
+        raise ProviderError(f"{row} has a value that is not a number")
+    matrix[i] = values
 
 
 def _row_at(path: Path | None, linenos: Sequence[int], i: int) -> str:
@@ -414,14 +433,17 @@ class EmbeddingIndex(_RowMatrix):
     Both ways of building an index (load, a dict of vectors) normalise the
     rows, so a cosine is a dot product. There are two ways to compute
     one. The exact way (``dots``, ``similarities``) gives every entry as one
-    BLAS dot of the row and the query vector, so identical rows get
+    float64 BLAS dot of the row and the query vector, so identical rows get
     identical values and ties are exact. The screen (``screen_dots``)
-    computes many queries at once with one matrix product; each of its
-    values lies within ``screen_slack`` of the exact one. Which queries
-    share a product, how long it is kept, and how each decision read from
-    it is settled with exact values (``CorpusView.argmax``,
-    ``CorpusView.top``) is decided by the selection pass's
-    ``selection.CorpusView``.
+    computes many queries at once with one float32 matrix product over
+    ``matrix32``, the float32 rounding of the normalised matrix; each of its
+    values lies within ``screen_slack`` of the exact one. A loaded index
+    maps ``matrix32`` from its sidecar beside ``matrix``, so a process
+    that only screens reads half the bytes, and a dict-built index derives
+    it when it is built. Which queries share a product, how long it is
+    kept, and how each decision read from it is settled with exact values
+    (``CorpusView.argmax``, ``CorpusView.top``) is decided by the selection
+    pass's ``selection.CorpusView``.
     """
 
     _missing = "no embedding for item {!r}"
@@ -444,6 +466,7 @@ class EmbeddingIndex(_RowMatrix):
             self.row_of[item_id] = i
         _check_finite(self.matrix, list(vectors))
         _normalize_rows(self.matrix, list(vectors))
+        self.matrix32 = self.matrix.astype(np.float32)
 
     def dots(self, q_ids: Sequence[str]) -> np.ndarray:
         """Exact dot product of each query's row with every matrix row, one
@@ -471,11 +494,13 @@ class EmbeddingIndex(_RowMatrix):
         return out
 
     def screen_dots(self, q_ids: Sequence[str]) -> np.ndarray:
-        """Each query's dot product with every matrix row from one matrix
-        product, one output row per query. Each entry lies within the
-        a-priori rounding bound of ``screen_slack`` of its ``dots`` entry,
-        not necessarily on it: identical rows can get different values."""
-        return self.matrix[self.row_indexes(q_ids)] @ self.matrix.T
+        """Each query's dot product with every matrix row from one float32
+        matrix product of ``matrix32``, laid out rows x queries (one column
+        per query), so a gather of rows reads every query's values at once.
+        Each entry lies within the a-priori rounding bound of
+        ``screen_slack`` of its ``dots`` entry, not necessarily on it:
+        identical rows can get different values."""
+        return self.matrix32 @ self.matrix32[self.row_indexes(q_ids)].T
 
     def similarities(self, q_id: str, rows: np.ndarray) -> np.ndarray:
         """Exact cosine of the query with each given row, mapped from
@@ -492,15 +517,18 @@ class EmbeddingIndex(_RowMatrix):
         """Load an embedding file from its sidecar when that matches the
         file's bytes, else parse it and write one."""
         path = Path(path)
-        sidecar = _Sidecar(path, "hydre.embeddings.v2")
-        cached = sidecar.read(_matrix)
+        # v3 holds matrix32 and refuses a value that is not a JSON number
+        sidecar = _Sidecar(path, "hydre.embeddings.v3")
+        cached = sidecar.read(_matrices)
         if cached is None:
             row_of, matrix = cls._parse(path, sidecar.lines)
-            sidecar.write({"ids": list(row_of)}, matrix=matrix)
+            matrix32 = matrix.astype(np.float32)
+            sidecar.write({"ids": list(row_of)}, matrix=matrix, matrix32=matrix32)
         else:
-            _, row_of, matrix = cached
+            row_of, matrix, matrix32 = cached
         self = cls(matrix.shape[1])
-        self.matrix, self.row_of, self.sha256 = matrix, row_of, sidecar.sha256
+        self.matrix, self.matrix32, self.row_of = matrix, matrix32, row_of
+        self.sha256 = sidecar.sha256
         return self
 
     @staticmethod
@@ -536,9 +564,10 @@ class EmbeddingIndex(_RowMatrix):
         return row_of, matrix
 
 
-def _gamma(n: int) -> float:
-    """gamma_n = nu / (1 - nu): the relative error bound of n roundings."""
-    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+def _gamma(n: int, u: float = UNIT_ROUNDOFF) -> float:
+    """gamma_n = nu / (1 - nu): the relative error bound of n roundings to
+    unit roundoff u."""
+    return n * u / (1.0 - n * u)
 
 
 def screen_slack(
@@ -549,17 +578,29 @@ def screen_slack(
     its mean over at most ``mean_of`` sentences (a max pools exactly), and
     ``w_sim * sim + w_conf * conf``.
 
-    It is derived, never observed. Each way of computing a dot product
-    errs from the true q.m by at most gamma_n sum |q_i m_i| <= gamma_n
-    ||q|| ||m|| (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, §3.1), for any summation order, with or without FMA; a row
-    normalised in floating point has norm at most 1 + gamma_(n+2). That
-    error is carried through the rounding of (1 + d) / 2, the mean's sum
-    and division, and the weighted sum's three roundings, then multiplied
-    by ``SCREEN_SAFETY``.
+    It is derived, never observed. The screen rounds both float64 rows to
+    float32 (``matrix32``), which moves each product q_i m_i by at most
+    (2v + v^2) |q_i m_i| for v = 2^-24 (Higham & Mary, "Mixed precision
+    algorithms in numerical linear algebra", Acta Numerica 2022), plus an
+    absolute term where a value or product underflows. Its float32 dot
+    then errs by at most gamma_n sum |q'_i m'_i| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, §3.1), for any summation
+    order, with or without FMA. Rows normalised in float64 have norm at
+    most 1 + gamma_(n+2). The exact float64 dot errs by far less than
+    this. The rest of the chain is float64, as the exact values are: the
+    rounding of (1 + d) / 2, the mean's sum and division, and the weighted
+    sum's three roundings. The total is multiplied by ``SCREEN_SAFETY``.
     """
-    u = UNIT_ROUNDOFF
-    dot = _gamma(dim) * (1.0 + _gamma(dim + 2)) ** 2
+    u, v, tiny = UNIT_ROUNDOFF, SCREEN_ROUNDOFF, SCREEN_UNDERFLOW
+    norm = 1.0 + _gamma(dim + 2)
+    g = _gamma(dim, v)
+    rounded = (g * (1.0 + v) ** 2 + 2.0 * v + v * v) * norm**2
+    # underflow: each rounded input (summed over a row, at most
+    # sqrt(dim) * norm), each product, and their cross terms
+    underflow = (1.0 + g) * (
+        2.0 * tiny * (1.0 + v) * math.sqrt(dim) * norm + dim * (tiny + tiny * tiny)
+    )
+    dot = rounded + underflow
     sim = dot / 2.0 + u * (1.0 + dot)  # fl(1 + d) with |1 + d| <= 2 + dot
     if mean_of is not None:
         sim += _gamma(mean_of) * (1.0 + sim)  # a sum of values <= 1 + sim, / n

@@ -108,9 +108,21 @@ class ExemplarSet:
             raise ValueError("at most one exemplar per candidate relation")
 
 
-# Bytes of dot products a query chunk holds: about 160 queries
-# against the 12.8k rows of 5k bags, 16 against the 128k rows of 50k bags.
+# Bytes of a query chunk's screened dot products (float32): about 330 queries
+# against the 12.8k rows of 5k bags, 32 against the 128k rows of 50k bags. An
+# exact chunk holds as many queries in float64, twice the bytes.
 SCREEN_BYTES = 16 << 20
+
+
+@dataclass
+class _Chunk:
+    """The dot products of one chunk of queries with every embedding row,
+    and the bag similarities pooled from them."""
+
+    index: dict[str, int]  # query id -> its row of ``dots``
+    dots: np.ndarray  # query x embedding row: a transposed screen, or exact
+    exact: bool
+    bag_sims: dict = field(default_factory=dict)  # pooling -> query x bag
 
 
 @dataclass(frozen=True)
@@ -127,29 +139,31 @@ class CorpusView:
 
     The view owns the similarity screen. The first request for a query's
     similarities computes them for the chunk of ``corpus.queries`` that
-    holds the query, with one matrix product (``EmbeddingIndex.screen_dots``)
-    or, when exact values are asked for, one cache-blocked exact pass
-    (``EmbeddingIndex.dots``). Chunks are aligned runs of queries whose dot
-    products with every embedding row fit in ``SCREEN_BYTES``; a query
-    outside ``corpus.queries`` is a chunk of its own. The view keeps one chunk
-    until a request falls outside it. The view also makes the two
-    decisions that read similarities, ``argmax`` and ``top``; each settles
-    whatever a screened value could get wrong with exact values, so what a
-    selection picks does not depend on how its queries fall into chunks or
-    in what order they are visited.
+    holds the query, with one float32 matrix product
+    (``EmbeddingIndex.screen_dots``) or, when exact values are asked for,
+    one cache-blocked exact pass (``EmbeddingIndex.dots``). Chunks are
+    aligned runs of queries whose screened dot products with every
+    embedding row fit in ``SCREEN_BYTES``; a query outside
+    ``corpus.queries`` is a chunk of its own. The first request for a bag
+    similarity pools the whole chunk at once, one read-only query x bag
+    matrix per pooling. The view keeps one chunk until a request falls
+    outside it. The view also makes the two decisions that read
+    similarities, ``argmax`` and ``top``; each settles whatever a screened
+    value could get wrong with exact float64 values, so what a selection
+    picks does not depend on the screen's precision, nor on how its
+    queries fall into chunks or in what order they are visited.
 
     A k sweep selects each query for every k in turn with the same view, so
-    the view also keeps the latest query's bag similarities and stage-2
-    picks, and each bag's stage-3 sentence; each depends only on the query
-    or bag, the scoring and the view's providers, not on k.
+    the view also keeps the latest query's stage-2 picks, and each bag's
+    stage-3 sentence; each depends only on the query or bag, the scoring
+    and the view's providers, not on k.
     """
 
     corpus: Corpus
     scores: ScoreMatrix | None
     embeddings: EmbeddingIndex | None
-    # query id -> (its dot products with every embedding row, whether exact)
+    # query id -> the _Chunk that holds it; one chunk at a time
     chunk: dict = field(default_factory=dict, init=False, repr=False)
-    latest_bag_sims: dict = field(default_factory=dict, init=False, repr=False)
     latest_bag_picks: dict = field(default_factory=dict, init=False, repr=False)
     sentence_picks: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -175,35 +189,53 @@ class CorpusView:
         """The index of each query in ``corpus.queries``."""
         return {q.query_id: i for i, q in enumerate(self.corpus.queries)}
 
+    @cached_property
+    def _pool_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(bags longest first, in corpus order on ties; their first sentence
+        positions; for each j, how many of them have more than j sentences),
+        so the bags with a sentence j lead the order."""
+        lengths = self.corpus.lengths
+        order = np.argsort(-lengths, kind="stable")
+        longer = len(lengths) - np.cumsum(np.bincount(lengths))
+        return order, self.corpus.starts[order], longer[: lengths.max(initial=0)]
+
     def _chunk_of(self, q_id: str) -> list[str]:
         """The aligned run of ``corpus.queries`` that holds the query and
-        whose dot products fit in ``SCREEN_BYTES``; the query alone if it
-        is not one of them."""
+        whose screened dot products fit in ``SCREEN_BYTES``; the query alone
+        if it is not one of them."""
         i = self.query_position.get(q_id)
         if i is None:
             return [q_id]
-        size = max(1, SCREEN_BYTES // (8 * len(self.embeddings.matrix)))
+        matrix32 = self.embeddings.matrix32
+        size = max(1, SCREEN_BYTES // (matrix32.itemsize * len(matrix32)))
         i -= i % size
         return [q.query_id for q in self.corpus.queries[i : i + size]]
 
-    def _dots(self, q_id: str, exact: bool) -> np.ndarray:
-        """The query's dot product with every embedding row, from the chunk
-        held, else from a new chunk of exact or screened dot products."""
+    def _held(self, q_id: str, exact: bool) -> _Chunk:
+        """The chunk held if it holds the query (with exact values, if
+        ``exact``), else a new chunk of exact or screened dot products."""
         held = self.chunk.get(q_id)
-        if held is None or (exact and not held[1]):
+        if held is None or (exact and not held.exact):
             self.chunk.clear()
             q_ids = self._chunk_of(q_id)
-            compute = self.embeddings.dots if exact else self.embeddings.screen_dots
-            dots = compute(q_ids)
-            self.chunk.update((q, (row, exact)) for q, row in zip(q_ids, dots))
-            held = self.chunk[q_id]
-        return held[0]
+            if exact:
+                dots = self.embeddings.dots(q_ids)
+            else:
+                dots = self.embeddings.screen_dots(q_ids).T
+            held = _Chunk(dict(zip(q_ids, range(len(q_ids)))), dots, exact)
+            self.chunk.update(dict.fromkeys(q_ids, held))
+        return held
+
+    def _dots(self, q_id: str, exact: bool) -> np.ndarray:
+        """The query's dot product with every embedding row (``_held``)."""
+        held = self._held(q_id, exact)
+        return held.dots[held.index[q_id]]
 
     def similarities(self, q_id: str, exact: bool = False) -> np.ndarray:
         """The query's similarity to each corpus sentence, by position:
         screened values, each within ``screen_slack`` of the exact one
         (exact when the chunk held is), or with ``exact`` exact values."""
-        return (1.0 + self._dots(q_id, exact)[self.embedding_rows]) / 2.0
+        return _mapped(self._dots(q_id, exact)[self.embedding_rows])
 
     def exact_similarities(self, q_id: str, positions: np.ndarray) -> np.ndarray:
         """The exact similarity of the query to each given sentence
@@ -211,25 +243,48 @@ class CorpusView:
         np.vecdot (``EmbeddingIndex.similarities``); bit-equal either way."""
         rows = self.embedding_rows[positions]
         held = self.chunk.get(q_id)
-        if held is not None and held[1]:
-            return (1.0 + held[0][rows]) / 2.0
+        if held is not None and held.exact:
+            return (1.0 + held.dots[held.index[q_id]][rows]) / 2.0
         return self.embeddings.similarities(q_id, rows)
 
     def bag_similarities(self, q_id: str, pooling: str) -> np.ndarray:
-        """The query's screened similarity to every bag: the screened
-        sentence similarities, then a segmented max (or mean) over each
-        bag's sentences. Each lies within ``_slack(pooling)`` of the exact
-        value, which ``exact_bag_similarities`` gives. Read-only."""
-        sims = self.latest_bag_sims.get((q_id, pooling))
-        if sims is not None:
-            return sims
-        sims = self._pool(
-            self.similarities(q_id), self.corpus.starts, self.corpus.lengths, pooling
-        )
+        """The query's screened similarity to every bag, a max (or mean)
+        over each bag's screened sentence similarities. Each lies within
+        ``_slack(pooling)`` of the exact value, which
+        ``exact_bag_similarities`` gives. The first request pools the
+        query's whole chunk (``_pool``); read-only."""
+        held = self._held(q_id, False)
+        sims = held.bag_sims.get(pooling)
+        if sims is None:
+            sims = held.bag_sims[pooling] = self._pool(held.dots.T, pooling)
+        return sims[held.index[q_id]]
+
+    def _pool(self, dots: np.ndarray, pooling: str) -> np.ndarray:
+        """The query x bag similarities, read-only, pooled from a chunk's
+        embedding row x query dot products in one pass: the first sentence
+        row of every bag, then the max (or sum) with sentence row j of
+        every bag longer than j, so the work is sentences x queries. A max
+        pools the dot products, since (1 + d) / 2 rounds monotonically; a
+        mean sums float64 similarities in in-bag order."""
+        order, first, longer = self._pool_plan
+        rows = self.embedding_rows
+        pooled = dots[rows[first]]
+        if pooling == "mean":
+            pooled = _mapped(pooled)
+        for j, n in enumerate(longer[1:].tolist(), 1):
+            more = dots[rows[first[:n] + j]]
+            if pooling == "mean":
+                pooled[:n] += _mapped(more)
+            else:
+                np.maximum(pooled[:n], more, out=pooled[:n])
+        if pooling == "mean":
+            pooled /= self.corpus.lengths[order, None]
+        else:
+            pooled = _mapped(pooled)
+        sims = np.empty_like(pooled)
+        sims[order] = pooled
         sims.setflags(write=False)
-        self.latest_bag_sims.clear()
-        self.latest_bag_sims[(q_id, pooling)] = sims
-        return sims
+        return sims.T
 
     def bag_picks(self, q_id: str) -> dict:
         """The stage-2 picks kept for the query, emptied when another query
@@ -253,15 +308,10 @@ class CorpusView:
         positions = np.repeat(self.corpus.starts[bags] - starts, lengths)
         positions += np.arange(len(positions))
         sims = self.exact_similarities(q_id, positions)
-        return self._pool(sims, starts, lengths, pooling)
-
-    @staticmethod
-    def _pool(
-        sims: np.ndarray, starts: np.ndarray, lengths: np.ndarray, pooling: str
-    ) -> np.ndarray:
         if pooling == "mean":
             return np.add.reduceat(sims, starts) / lengths
         return np.maximum.reduceat(sims, starts)
+
 
     def _slack(self, pooling: str | None, w_sim=1.0, w_conf=0.0) -> float:
         """``screen_slack`` of a sentence similarity (pooling None) or a
@@ -291,7 +341,7 @@ class CorpusView:
             return int(np.argmax(_combined(config, None, confidence)))
         if pooling is None:
             # similarities(q_id)[items], mapping only the items' dot products
-            sims = (1.0 + self._dots(q_id, False)[self.embedding_rows[items]]) / 2.0
+            sims = _mapped(self._dots(q_id, False)[self.embedding_rows[items]])
             exact_sims = partial(self.exact_similarities, q_id)
         else:
             sims = self.bag_similarities(q_id, pooling)[items]
@@ -329,6 +379,15 @@ class CorpusView:
             pick = select_sentence(self.corpus, b, self.scores, threshold)
             self.sentence_picks[(b, threshold)] = pick
         return pick
+
+
+def _mapped(dots: np.ndarray) -> np.ndarray:
+    """(1 + d) / 2 of each dot product, in float64: a cosine mapped from
+    [-1, 1] into [0, 1], the scale of model confidences."""
+    sims = dots.astype(np.float64)
+    sims += 1.0
+    sims /= 2.0
+    return sims
 
 
 def _sentence_rows(corpus: Corpus, provider: ScoreMatrix | EmbeddingIndex) -> np.ndarray:

@@ -75,7 +75,13 @@ def test_validate_manifest_order_mismatch(tmp_path, capsys):
     "provider, key, value, row",
     [
         ("scores", "scores", "x", "row 's0102'"),
+        ("scores", "scores", "0.5", "row 's0102'"),
+        ("scores", "scores", True, "row 's0102'"),
+        ("scores", "scores", None, "row 's0102'"),
         ("embeddings", "vector", [0.1, 0.2], "vector for 's0102'"),
+        ("embeddings", "vector", "0.5", "vector for 's0102'"),
+        ("embeddings", "vector", False, "vector for 's0102'"),
+        ("embeddings", "vector", None, "vector for 's0102'"),
     ],
 )
 def test_validate_names_the_line_of_a_provider_value_that_is_not_a_number(
@@ -430,12 +436,13 @@ def test_run_k_sweep_matches_separate_select_and_run(tmp_path, monkeypatch, stra
 
 
 def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
-    """A sweep computes each query's bag similarities, each (query, candidate
-    relation) stage-2 pick and each picked bag's stage-3 sentence once, and
-    writes metadata.json once, as ``run``."""
+    """A sweep screens each query, pools its chunk's bag similarities, and
+    computes each (query, candidate relation) stage-2 pick and each picked
+    bag's stage-3 sentence once, and writes metadata.json once, as
+    ``run``."""
     calls = Counter()
     bag_picks = Counter()
-    similarities = CorpusView.similarities
+    screen_dots, pool = EmbeddingIndex.screen_dots, CorpusView._pool
     select_bag = hydre.selection.select_bag
     select_sentence = hydre.selection.select_sentence
 
@@ -443,15 +450,21 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
         bag_picks[q_id, relation] += 1
         return select_bag(q_id, relation, *args, **kwargs)
 
-    def counted_similarities(self, q_id, exact=False):
-        calls[q_id] += 1
-        return similarities(self, q_id, exact)
+    def counted_screen_dots(self, q_ids):
+        calls.update(q_ids)
+        calls["screens"] += 1
+        return screen_dots(self, q_ids)
+
+    def counted_pool(self, dots, pooling):
+        calls["pools"] += 1
+        return pool(self, dots, pooling)
 
     def counted_select_sentence(corpus, b, scores, threshold):
         calls[corpus.bag_ids[b]] += 1
         return select_sentence(corpus, b, scores, threshold)
 
-    monkeypatch.setattr(CorpusView, "similarities", counted_similarities)
+    monkeypatch.setattr(EmbeddingIndex, "screen_dots", counted_screen_dots)
+    monkeypatch.setattr(CorpusView, "_pool", counted_pool)
     monkeypatch.setattr(hydre.selection, "select_bag", counted_select_bag)
     monkeypatch.setattr(hydre.selection, "select_sentence", counted_select_sentence)
     written = []
@@ -464,7 +477,8 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     selections = read_jsonl(tmp_path / "out" / "selections_k4.jsonl")
     queries = [r["query_id"] for r in selections]
     assert {q: calls[q] for q in queries} == dict.fromkeys(queries, 1)
-    assert calls and set(calls.values()) == {1}
+    assert calls["screens"] == calls["pools"] == 1  # the 20 queries are one chunk
+    assert set(calls.values()) == {1}
     assert bag_picks == Counter(
         (r["query_id"], relation) for r in selections for relation, _ in r["candidates"]
     )
@@ -473,13 +487,20 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
 GOLDEN_CHUNK = 16  # queries per screen in the chunk tests: two chunks of 20
 
 
+def screen_golden_chunks(monkeypatch):
+    """Make the view screen ``GOLDEN_CHUNK`` golden queries per chunk: the
+    budget of that many columns of the screen's item size."""
+    rows = len(read_jsonl(GOLDEN / "embeddings.jsonl"))
+    itemsize = EmbeddingIndex(1).matrix32.itemsize
+    monkeypatch.setattr(hydre.selection, "SCREEN_BYTES", GOLDEN_CHUNK * itemsize * rows)
+
+
 def count_batches(monkeypatch):
     """Counter of EmbeddingIndex.screen_dots calls (``batches``), with the
     view screening ``GOLDEN_CHUNK`` golden queries per chunk, and a check
     that every index loaded since has the instance attributes it was
     loaded with."""
-    rows = len(read_jsonl(GOLDEN / "embeddings.jsonl"))
-    monkeypatch.setattr(hydre.selection, "SCREEN_BYTES", GOLDEN_CHUNK * 8 * rows)
+    screen_golden_chunks(monkeypatch)
     calls, loaded = Counter(), []
     screen_dots, load = EmbeddingIndex.screen_dots, EmbeddingIndex.load.__func__
 
@@ -621,8 +642,7 @@ def test_select_leaves_no_corpus_or_provider_behind(
     """Reference counting alone frees a select's corpus, providers and
     corpus view when the command returns, also when it fails (exit 2) in
     its second chunk of queries: none of them sits in a reference cycle."""
-    rows = len(read_jsonl(GOLDEN / "embeddings.jsonl"))
-    monkeypatch.setattr(hydre.selection, "SCREEN_BYTES", GOLDEN_CHUNK * 8 * rows)
+    screen_golden_chunks(monkeypatch)
     if fails:
         fail_in_second_chunk(monkeypatch)
     config_path, config = absolute_config(tmp_path)

@@ -491,6 +491,85 @@ def test_span_out_of_range_rejected():
         )
 
 
+# ------------------------------------------------- graphemes in Indic scripts
+
+KA = "\u0b15"  # ORIYA LETTER KA (Lo)
+# a combining mark (Mn or Mc) that joins the letter before it into one grapheme
+MARKS = {
+    "odia-i": "\u0b3f",  # ORIYA VOWEL SIGN I (Mn)
+    "odia-aa": "\u0b3e",  # ORIYA VOWEL SIGN AA (Mc)
+    "kannada-i": "\u0cbf",  # KANNADA VOWEL SIGN I (Mn)
+    "meetei-onap": "\uabe3",  # MEETEI MAYEK VOWEL SIGN ONAP (Mc)
+}
+
+
+def script_record(text, head, tail, query_id=None):
+    """A bag record with one sentence, or with ``query_id`` a query record,
+    of ``text`` with the given (start, end) spans."""
+    fields = {"text": text, "head_span": list(head), "tail_span": list(tail)}
+    if query_id is not None:
+        return {"query_id": query_id, **fields, "gold": ["rel_a"], "is_na": False}
+    return {"bag_id": "b1", "head": "h", "tail": "t", "relations": ["rel_a"],
+            "sentences": [{"sentence_id": "s1", **fields}]}
+
+
+def split_spans(mark):
+    """(text, head, tail, the span key at fault) for each way a span can split
+    the grapheme KA + mark: the head stops before the mark, or the tail
+    starts on it."""
+    text = f"{KA}{mark} x {KA}{mark}"
+    return [
+        (text, (0, 1), (5, 7), "head_span"),
+        (text, (0, 2), (6, 7), "tail_span"),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["bags", "queries"])
+@pytest.mark.parametrize("mark", list(MARKS.values()), ids=list(MARKS))
+def test_a_span_that_splits_a_grapheme_is_refused(tmp_path, tiny_ontology, mark, kind):
+    """A bag or query span that starts on a combining mark, or stops just
+    before one, is refused at load naming path:line and the span."""
+    for text, head, tail, key in split_spans(mark):
+        record = script_record(text, head, tail, "q1" if kind == "queries" else None)
+        path = write_records(tmp_path, f"{kind}.jsonl", [record])
+        load = load_queries if kind == "queries" else load_bags
+        with pytest.raises(CorpusError) as info:
+            load(path, tiny_ontology)
+        start, end = head if key == "head_span" else tail
+        assert str(info.value) == f"{path}:1: {key} [{start}, {end}) splits a grapheme"
+
+
+@pytest.mark.parametrize("mark", list(MARKS.values()), ids=list(MARKS))
+def test_a_built_sentence_that_splits_a_grapheme_is_refused(mark):
+    text, head, tail, _ = split_spans(mark)[0]
+    with pytest.raises(CorpusError, match="head span \\[0, 1\\) splits a grapheme"):
+        SentenceInstance(
+            "s1", text, EntitySpan(*head, text[slice(*head)]),
+            EntitySpan(*tail, text[slice(*tail)]),
+        )
+
+
+def test_whole_graphemes_and_ol_chiki_letters_load(tmp_path, tiny_ontology):
+    """Spans over whole graphemes load in every mark's script, and so do
+    spans over Ol Chiki letters (Lo), which combine with nothing."""
+    records = []
+    for i, mark in enumerate(MARKS.values()):
+        record = script_record(f"{KA}{mark} x {KA}{mark}", (0, 2), (5, 7))
+        record["bag_id"] = f"b{i}"
+        record["sentences"][0]["sentence_id"] = f"s{i}"
+        records.append(record)
+    ol_chiki = "\u1c5a\u1c63 \u1c5a \u1c63\u1c5a"
+    record = script_record(ol_chiki, (0, 2), (5, 7))
+    record["bag_id"], record["sentences"][0]["sentence_id"] = "b-ol", "s-ol"
+    records.append(record)
+    path = write_records(tmp_path, "bags.jsonl", records)
+    bags = load_bags(path, tiny_ontology)
+    assert len(bags) == len(records)
+    assert bags[-1].sentences[0].head.surface == ol_chiki[:2]
+    path = write_records(tmp_path, "q.jsonl", [script_record(ol_chiki, (0, 2), (5, 7), "q1")])
+    assert load_queries(path, tiny_ontology)[0].tail.surface == ol_chiki[5:]
+
+
 def test_write_jsonl_failure_keeps_old_file(tmp_path):
     path = tmp_path / "records.jsonl"
     write_jsonl([{"a": 1}, {"a": 2}], path)
@@ -860,8 +939,7 @@ def test_bag_sidecar_round_trips_every_string(tmp_path, monkeypatch, tiny_ontolo
         ("X \ud800 met Yo", "\ud800", "Yo"),  # lone surrogate
         ("Zoé saw Aña", "Zoé", "Aña"),  # combining marks
         ("\U0001F600 Emoji \U00010348 met Kai", "\U00010348", "Kai"),  # non-BMP
-        ("ଓଡ଼ିଆ met ᱥᱟ", "ଓଡ଼",
-         "ᱥᱟ"),  # Odia, Ol Chiki
+        ("ଓଡ଼ିଆ met ᱥᱟ", "ଓଡ଼ିଆ", "ᱥᱟ"),  # Odia, Ol Chiki: whole graphemes
     ]
     records = []
     for i, (text, head_surface, tail_surface) in enumerate(texts):

@@ -192,6 +192,27 @@ def test_count_input_tokens_fallback():
     assert count_input_tokens("one two three") == 4  # ceil(3 * 1.3)
 
 
+# "Odia" in Odia script: five code points, 15 UTF-8 bytes
+ODIA_WORD = "\u0b13\u0b21\u0b3c\u0b3f\u0b06"
+
+
+def test_count_input_tokens_counts_the_bytes_of_words_outside_ascii():
+    assert len(ODIA_WORD.encode("utf-8")) == 15
+    assert count_input_tokens(f"{ODIA_WORD} {ODIA_WORD}") == 30
+    # ASCII words beside them keep 1.3 tokens each
+    assert count_input_tokens(f"one two three {ODIA_WORD}") == 4 + 15
+
+
+def test_an_odia_prompt_the_word_estimate_passed_is_too_long():
+    """100 Odia words: 130 tokens by the word estimate, which a 130-token
+    limit passed; byte-level BPE may spend up to 1,500 on them."""
+    prompt = " ".join([ODIA_WORD] * 100)
+    params = GenerationParams(model_name="m", max_input_tokens=130)
+    with pytest.raises(PromptTooLong) as err:
+        generate(prompt, params, MockBackend("fine"), sleep=no_sleep)
+    assert err.value.token_count == 1500
+
+
 def test_empty_prompt_rejected():
     with pytest.raises(ValueError, match="empty"):
         generate("", PARAMS, MockBackend(), sleep=no_sleep)

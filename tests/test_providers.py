@@ -33,6 +33,7 @@ from hydre.selection import CorpusView, combined_bag_scores
 from conftest import (
     FIXTURES,
     backdate,
+    edit_sidecar_arrays,
     edit_sidecar_header,
     opened_files,
     restore_mtime,
@@ -111,7 +112,8 @@ def row_block(dim):
 
 def screen_chunks(monkeypatch, size, emb):
     """Make the view screen ``size`` queries per chunk."""
-    monkeypatch.setattr(selection, "SCREEN_BYTES", size * 8 * len(emb.matrix))
+    size_bytes = size * emb.matrix32.itemsize * len(emb.matrix)
+    monkeypatch.setattr(selection, "SCREEN_BYTES", size_bytes)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, "2B+5"], ids=["B-1", "B", "B+1", "2B+5"])
@@ -245,9 +247,14 @@ def one_bag_corpus(bag):
 
 
 def bag_similarity(q_id, bag, emb, config):
-    """The similarity of a one-bag corpus's only bag, from the view."""
+    """The exact similarity of a one-bag corpus's only bag, from the view,
+    after checking that its screened similarity lies within the slack."""
     view = CorpusView(one_bag_corpus(bag), None, emb)
-    return view.bag_similarities(q_id, config.bag_sim_pooling)[0]
+    pooling = config.bag_sim_pooling
+    exact = view.exact_bag_similarities(q_id, pooling, np.array([0]))[0]
+    screened = view.bag_similarities(q_id, pooling)[0]
+    assert abs(screened - exact) <= view._slack(pooling)
+    return exact
 
 
 def bag_confidence(bag, relation, scores):
@@ -290,47 +297,64 @@ def test_bag_similarity_missing_embedding_errors():
 
 
 def test_bag_similarity_matches_brute_force_on_random_bags():
+    """Exact bag similarities agree with the oracle to 1e-12, and the
+    screened ones lie within the slack of the exact ones."""
     for trial in range(10):
         instance = make_random_instance(seed=2000 + trial, max_bags=5)
         corpus = corpus_from_instance(instance)
         emb = embeddings_from_instance(instance)
         q_id = instance["queries"][0]
         view = CorpusView(corpus, None, emb)
+        every = np.arange(len(corpus.bag_ids))
         for pooling in ("max", "mean"):
-            sims = view.bag_similarities(q_id, pooling)
+            sims = view.exact_bag_similarities(q_id, pooling, every)
             for raw, got in zip(instance["bags"], sims):
                 want = bag_similarity_oracle(
                     instance["embeddings"][q_id], raw, instance["embeddings"], pooling
                 )
                 assert got == pytest.approx(want, abs=1e-12)
+            screened = view.bag_similarities(q_id, pooling)
+            assert np.abs(screened - sims).max() <= view._slack(pooling)
 
 
-def test_bag_similarities_keep_the_latest_query(monkeypatch):
-    """A view hands out the latest query's bag similarities without
-    recomputing them, read-only and equal to a fresh view's."""
-    instance = make_random_instance(seed=2100, max_bags=5)
+@pytest.mark.parametrize("size", [1, 3, 20])
+def test_bag_similarities_pool_each_chunk_once_per_pooling(monkeypatch, size):
+    """A view pools a chunk's bag similarities in one pass per pooling, on
+    the first request for one of its queries, and hands out each query's
+    row of it with no further pass: read-only, equal to a fresh view's and
+    within the slack of the exact values."""
+    instance = make_random_instance(seed=2100, max_bags=5, n_queries=20)
     corpus = corpus_from_instance(instance)
     emb = embeddings_from_instance(instance)
-    q_ids = list(instance["embeddings"])[:2]  # any embedded item serves as a query
+    q_ids = instance["queries"]
+    poolings = ("max", "mean")
+    screen_chunks(monkeypatch, size, emb)
     view = CorpusView(corpus, None, emb)
     calls = []
-    similarities = CorpusView.similarities
+    pool = CorpusView._pool
 
-    def counted(self, q_id, exact=False):
-        calls.append(q_id)
-        return similarities(self, q_id, exact)
+    def counted(self, dots, pooling):
+        calls.append((dots.shape[1], pooling))
+        return pool(self, dots, pooling)
 
-    monkeypatch.setattr(CorpusView, "similarities", counted)
-    for pooling in ("max", "mean"):
-        first = view.bag_similarities(q_ids[0], pooling)
-        assert view.bag_similarities(q_ids[0], pooling) is first
-        assert not first.flags.writeable
-        fresh = CorpusView(Corpus.assemble(corpus.ontology, corpus.bags), None, emb)
-        assert fresh is not view
-        assert np.array_equal(first, fresh.bag_similarities(q_ids[0], pooling))
-    view.bag_similarities(q_ids[1], "mean")
-    view.bag_similarities(q_ids[0], "mean")
-    assert calls == [q_ids[0]] * 4 + [q_ids[1], q_ids[0]]
+    with monkeypatch.context() as patch:
+        patch.setattr(CorpusView, "_pool", counted)
+        got = {}
+        for q_id in q_ids:
+            for pooling in poolings:
+                got[q_id, pooling] = view.bag_similarities(q_id, pooling)
+            for pooling in poolings:
+                again = view.bag_similarities(q_id, pooling)
+                assert np.shares_memory(again, got[q_id, pooling])
+    chunks = [len(q_ids[i : i + size]) for i in range(0, len(q_ids), size)]
+    assert calls == [(n, p) for n in chunks for p in poolings]
+    every = np.arange(len(corpus.bag_ids))
+    fresh = CorpusView(corpus, None, emb)
+    for (q_id, pooling), sims in got.items():
+        assert not sims.flags.writeable
+        assert np.array_equal(sims, fresh.bag_similarities(q_id, pooling))
+        exact = view.exact_bag_similarities(q_id, pooling, every)
+        assert np.abs(sims - exact).max() <= view._slack(pooling)
 
 
 @pytest.mark.parametrize(
@@ -634,6 +658,9 @@ def golden_copy(tmp_path, name):
 
 def assert_same_load(a, b):
     assert a.matrix.tobytes() == b.matrix.tobytes()
+    if hasattr(a, "matrix32"):
+        assert a.matrix32.dtype == b.matrix32.dtype == np.float32
+        assert a.matrix32.tobytes() == b.matrix32.tobytes()
     assert a.matrix.shape == b.matrix.shape
     assert list(a.row_of) == list(b.row_of)
     assert getattr(a, "relation_order", None) == getattr(b, "relation_order", None)
@@ -928,6 +955,80 @@ def test_legacy_npz_sidecar_is_ignored_and_replaced(tmp_path, nyt_ontology, name
         )
     assert_same_load(load(path, nyt_ontology), reference)
     assert sidecar_of(path).exists() and not legacy.exists()
+
+
+def count_embedding_parses(monkeypatch):
+    """A list that gets an entry each time an embedding file is parsed."""
+    parses, parse = [], EmbeddingIndex._parse
+
+    def counted(path, lines):
+        parses.append(path)
+        return parse(path, lines)
+
+    monkeypatch.setattr(EmbeddingIndex, "_parse", staticmethod(counted))
+    return parses
+
+
+def test_embedding_sidecar_of_format_v2_is_parsed_again_and_replaced(
+    tmp_path, monkeypatch
+):
+    """A v2 embedding sidecar (no matrix32) naming the source's bytes is not
+    read: the file is parsed again and the sidecar replaced by a v3 one,
+    whose matrix32 the next load maps."""
+    path = golden_copy(tmp_path, "embeddings.jsonl")
+    reference = EmbeddingIndex.load(path)
+    sidecar_of(path).unlink()
+    old = providers._Sidecar(path, "hydre.embeddings.v2")
+    old.write({"ids": list(reference.row_of)}, matrix=np.zeros_like(reference.matrix))
+    parses = count_embedding_parses(monkeypatch)
+    assert_same_load(EmbeddingIndex.load(path), reference)
+    assert parses == [path]
+    header, arrays = providers._unpack(sidecar_of(path).read_bytes())
+    assert header["format"] == "hydre.embeddings.v3"
+    assert arrays["matrix32"].tobytes() == reference.matrix32.tobytes()
+    refuse_parse(monkeypatch)
+    assert_same_load(EmbeddingIndex.load(path), reference)
+
+
+MATRIX32_FAULTS = {
+    "missing": lambda arrays: arrays.pop("matrix32"),
+    "float64": lambda arrays: arrays.update(matrix32=arrays["matrix"].copy()),
+    "int32": lambda arrays: arrays.update(matrix32=arrays["matrix32"].view(np.int32)),
+    "short": lambda arrays: arrays.update(matrix32=arrays["matrix32"][:-1]),
+    "transposed": lambda arrays: arrays.update(matrix32=arrays["matrix32"].T),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MATRIX32_FAULTS))
+def test_embedding_sidecar_with_a_bad_matrix32_is_parsed_again(tmp_path, monkeypatch, fault):
+    """A v3 sidecar whose matrix32 is missing, not float32 or not the
+    matrix's shape is refused: the file is parsed again and the sidecar
+    rewritten."""
+    path = golden_copy(tmp_path, "embeddings.jsonl")
+    reference = EmbeddingIndex.load(path)
+    edit_sidecar_arrays(sidecar_of(path), MATRIX32_FAULTS[fault])
+    parses = count_embedding_parses(monkeypatch)
+    assert_same_load(EmbeddingIndex.load(path), reference)
+    assert parses == [path]
+    assert_same_load(EmbeddingIndex.load(path), reference)
+    assert parses == [path]
+
+
+def test_loaded_and_dict_built_indexes_agree_on_matrix32(tmp_path, monkeypatch):
+    """matrix32 is the float32 rounding of the normalised matrix whether
+    the index is parsed, mapped from its sidecar or built from a dict; the
+    mapped one is a read-only view of the sidecar."""
+    path = golden_copy(tmp_path, "embeddings.jsonl")
+    vectors = {r["id"]: r["vector"] for r in map(json.loads, path.read_text().splitlines())}
+    built = EmbeddingIndex(len(next(iter(vectors.values()))), vectors)
+    parsed = EmbeddingIndex.load(path)
+    refuse_parse(monkeypatch)
+    mapped = EmbeddingIndex.load(path)
+    assert not mapped.matrix32.flags.writeable
+    for emb in (built, parsed, mapped):
+        assert emb.matrix32.dtype == np.float32
+        assert emb.matrix32.tobytes() == built.matrix.astype(np.float32).tobytes()
+        assert_same_load(emb, built)
 
 
 def test_source_changed_during_parse_gets_no_sidecar(tmp_path, monkeypatch):

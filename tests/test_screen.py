@@ -38,25 +38,29 @@ from oracles import make_random_instance
 @pytest.mark.parametrize("mean_of", [None, 1, 4])
 def test_screen_lies_within_the_slack(mean_of):
     """|screened - exact| <= slack for random unit vectors at dims 1-512,
-    for the similarity and for its mean over ``mean_of`` rows."""
+    for the similarity and for its mean over ``mean_of`` rows: the float32
+    screen of the index's ``matrix32`` against exact float64 values."""
     rng = np.random.default_rng(8100)
     for dim in range(1, 513):
         emb = EmbeddingIndex(dim)
         emb.matrix = rng.standard_normal((40, dim))
         emb.row_of = {f"r{i}": i for i in range(40)}
         emb.matrix /= np.sqrt(np.vecdot(emb.matrix, emb.matrix))[:, None]
+        emb.matrix32 = emb.matrix.astype(np.float32)
         q_ids = ["r0", "r1", "r2"]
         rows = np.arange(40)
         slack = screen_slack(dim, mean_of)
-        for q_id, dots in zip(q_ids, emb.screen_dots(q_ids)):
-            screened = (1.0 + dots) / 2.0  # as CorpusView.similarities maps it
+        for q_id, dots in zip(q_ids, emb.screen_dots(q_ids).T):
+            assert dots.dtype == np.float32
+            screened = (1.0 + dots.astype(float)) / 2.0  # as CorpusView maps it
             exact = emb.similarities(q_id, rows)
             if mean_of is not None:
                 starts = np.arange(0, 40, mean_of)
                 screened = np.add.reduceat(screened, starts) / mean_of
                 exact = np.add.reduceat(exact, starts) / mean_of
             assert np.abs(screened - exact).max() <= slack
-    assert screen_slack(512, 4, 1.0, 1.0) < 1e-12  # a bound, not a tolerance
+    # a bound, not a tolerance: float32's unit roundoff times the dimension
+    assert 6.1e-5 < screen_slack(512, 4, 1.0, 1.0) < 6.2e-5
 
 
 # every strategy that reads query embeddings, with the MMR pool cut and
@@ -74,38 +78,45 @@ SCREENED_STRATEGIES = [
 ]
 
 
-def with_ulp_rows(instance: dict, emb: EmbeddingIndex, seed: int) -> None:
+def with_ulp_rows(instance: dict, emb: EmbeddingIndex, seed: int, ulp=np.float64) -> None:
     """Make every sentence a close call: each sentence row becomes one unit
-    base vector with every component moved 1-4 ulps either way, and every
-    sentence gets the same score row, so only similarity separates them."""
+    base vector with every component moved 1-4 ulps of dtype ``ulp`` either
+    way, and every sentence gets the same score row, so only similarity
+    separates them. float64 ulps vanish in the float32 screen, which ties
+    the rows; float32 ulps survive it, but its rounding can reorder them."""
     rng = np.random.default_rng(seed)
     sentence_ids = [s["sentence_id"] for b in instance["bags"] for s in b["sentences"]]
     base = emb.vector(sentence_ids[0]).copy()
+    spacing = np.spacing(base.astype(ulp)).astype(np.float64)
     for sentence_id in sentence_ids:
         steps = rng.integers(1, 5, emb.dim) * rng.choice([-1, 1], emb.dim)
-        emb.matrix[emb.row_of[sentence_id]] = base + steps * np.spacing(base)
+        emb.matrix[emb.row_of[sentence_id]] = base + steps * spacing
         instance["scores"][sentence_id] = list(instance["scores"][sentence_ids[0]])
+    emb.matrix32 = emb.matrix.astype(np.float32)
 
 
 def close_call_instances(dim: int):
-    """(instance, embedding index) pairs: duplicated rows, then ulp rows."""
+    """(instance, embedding index) pairs: duplicated rows, then rows 1-4
+    float64 ulps apart, then rows 1-4 float32 ulps apart."""
     for seed in range(2):
         instance = make_random_instance(
             seed=8200 + 10 * dim + seed, max_bags=25, dim=dim, n_queries=5
         )
         instance = with_duplicated_rows(instance)
         yield instance, embeddings_from_instance(instance)
-        instance = make_random_instance(
-            seed=8300 + 10 * dim + seed, max_bags=25, dim=dim, n_queries=5
-        )
-        emb = embeddings_from_instance(instance)
-        with_ulp_rows(instance, emb, seed)
-        yield instance, emb
+        for base_seed, ulp in ((8300, np.float64), (8500, np.float32)):
+            instance = make_random_instance(
+                seed=base_seed + 10 * dim + seed, max_bags=25, dim=dim, n_queries=5
+            )
+            emb = embeddings_from_instance(instance)
+            with_ulp_rows(instance, emb, seed, ulp)
+            yield instance, emb
 
 
 def exact_screen_dots(self, q_ids):
-    """The screen replaced by the exact per-query np.vecdot row."""
-    return np.stack([np.vecdot(self.matrix, self.vector(q_id)) for q_id in q_ids])
+    """The screen replaced by the exact per-query np.vecdot row, one column
+    per query, as ``screen_dots`` lays it out."""
+    return np.stack([np.vecdot(self.matrix, self.vector(q_id)) for q_id in q_ids]).T
 
 
 def select_records(strategy, pool_size, pooling, instance, emb, q_ids=None) -> str:
@@ -166,7 +177,7 @@ def test_the_screen_differs_from_the_exact_dots_on_close_calls():
     for dim in (256, 300):
         for instance, emb in close_call_instances(dim):
             q_ids = instance["queries"]
-            screened, exact = emb.screen_dots(q_ids), emb.dots(q_ids)
+            screened, exact = emb.screen_dots(q_ids).T, emb.dots(q_ids)
             assert not np.array_equal(screened, exact)
             for s, e in zip(screened, exact):
                 reordered += not np.array_equal(
@@ -325,6 +336,7 @@ def test_selection_does_not_depend_on_the_order_queries_are_visited(
     want = records([outside])
     want.update(records(queries))
     for chunk in (1, 16, len(queries)):
-        monkeypatch.setattr(selection, "SCREEN_BYTES", chunk * 8 * len(emb.matrix))
+        size = chunk * emb.matrix32.itemsize * len(emb.matrix)
+        monkeypatch.setattr(selection, "SCREEN_BYTES", size)
         for q_ids in orders:
             assert records(q_ids) == want, (chunk, q_ids)
