@@ -98,37 +98,43 @@ def mmr_select(
     alpha: float = DEFAULT_MMR_ALPHA,
     pool_size: int | None = DEFAULT_MMR_POOL_SIZE,
 ) -> list[Exemplar]:
-    """Greedy maximal-marginal-relevance selection, in selection order.
+    """Greedy maximal-marginal-relevance selection (Carbonell & Goldstein,
+    SIGIR 1998), in selection order.
 
     Each step maximizes alpha * sim(q, s) - (1 - alpha) * max sim(s, s')
     over sentences not yet selected, where s' ranges over the selection so
-    far; the earliest pool entry wins a tie. ``view`` is a view of
-    ``flat``'s corpus with an embedding index. The pool is pre-truncated to
-    the pool_size most query-similar sentences (``CorpusView.top``); pass
-    pool_size=None to rank the whole corpus, whose query similarities are
-    then computed exactly for the view's whole query chunk at once. The
-    pool and its query similarities are exact, and each pick carries its
-    query similarity as its candidate score.
+    far. A tie goes to the higher exact query similarity, then to the
+    earlier corpus position. ``view`` is a view of ``flat``'s corpus with
+    an embedding index. The pool is every sentence when pool_size is None,
+    else the pool_size most query-similar sentences (``CorpusView.top``).
+    Every similarity read is exact, one float64 dot of the pool row, and
+    each pick carries its query similarity as its candidate score.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    pool, q_sims = view.top(q_id, pool_size)
+    if pool_size is None:
+        pool = np.arange(len(flat))
+    else:
+        pool = view.top(q_id, pool_size)[0]
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
     vectors = view.embeddings.matrix[view.embedding_rows[pool]]
+    # bit-equal to EmbeddingIndex.similarities: the same dot of the same row
+    q_sims = (1.0 + np.vecdot(vectors, view.embeddings.vector(q_id))) / 2.0
 
     selected: list[int] = []
-    available = np.ones(len(pool), dtype=bool)
     max_to_selected = np.zeros(len(pool))
     for _ in range(k):
         objective = alpha * q_sims
         if selected:
+            to_last = (1.0 + np.vecdot(vectors, vectors[selected[-1]])) / 2.0
+            max_to_selected = np.maximum(max_to_selected, to_last)
             objective = objective - (1.0 - alpha) * max_to_selected
-        best_j = int(np.argmax(np.where(available, objective, -np.inf)))
-        selected.append(best_j)
-        available[best_j] = False
-        to_best = (1.0 + np.vecdot(vectors, vectors[best_j])) / 2.0
-        max_to_selected = np.maximum(max_to_selected, to_best)
+            objective[selected] = -np.inf
+        tied = np.flatnonzero(objective == objective.max())
+        # either pool lists equal query similarities in corpus order, so
+        # argmax takes the earliest
+        selected.append(int(tied[np.argmax(q_sims[tied])]))
     return [_scored(flat, pool[j], q_sims[j]) for j in selected]
 
 

@@ -325,17 +325,6 @@ def _is_http_url(value) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
-def _check_mmr_pool(config: RunConfig, k_values: Sequence[int | None]) -> None:
-    """MMR picks its k exemplars from a pool of ``mmr.pool_size``; refuse a
-    pass whose largest k (None is the config's k) exceeds it."""
-    pool_size = config.raw["mmr"]["pool_size"]
-    if config.strategy != "mmr" or pool_size is None:
-        return
-    k = max(config.scoring().k if k is None else k for k in k_values)
-    if k > pool_size:
-        raise ConfigError(f"k={k} exceeds mmr.pool_size {pool_size}")
-
-
 def _write_metadata(config: RunConfig, command: str, inputs: dict[str, str]) -> None:
     """metadata.json: the command, the config and ``inputs``, the sha256 of
     each input file the command read."""
@@ -426,12 +415,28 @@ def _check_providers(config: RunConfig, run: LoadedRun) -> None:
                 raise ProviderError(message.format(missing))
 
 
+def _check_k(config: RunConfig, corpus: Corpus, k_values: Sequence[int | None]) -> None:
+    """Refuse a pass whose largest k (None is the config's k) exceeds what
+    its strategy can pick: ``mmr.pool_size``, or the corpus's sentence
+    count for ``mmr`` and ``random_k``, which pick k distinct sentences. A
+    larger k gives ``topk_sim`` every sentence."""
+    if config.strategy not in ("mmr", "random_k"):
+        return
+    k = max(config.scoring().k if k is None else k for k in k_values)
+    pool_size = config.raw["mmr"]["pool_size"]
+    if config.strategy == "mmr" and pool_size is not None and k > pool_size:
+        raise ConfigError(f"k={k} exceeds mmr.pool_size {pool_size}")
+    n = len(corpus.sentence_ids)
+    if k > n:
+        raise ConfigError(f"k={k} exceeds the corpus's {n} sentences")
+
+
 def cmd_validate(config: RunConfig) -> int:
     """Load everything the strategy needs and cross-check references."""
-    _check_mmr_pool(config, (None,))
     run = _load_run(config)
     corpus = run.corpus
     _check_providers(config, run)
+    _check_k(config, corpus, (None,))
     print(f"ontology: {len(corpus.ontology)} relations (NA symbol {corpus.ontology.na_symbol!r})")
     n_bags = len(corpus.bag_ids)
     na = np.count_nonzero(corpus.bag_na) / n_bags if n_bags else 0.0
@@ -576,11 +581,11 @@ def cmd_select(
     once, is the view's affair; every pick and every score written is the
     one a selection of that query alone would make.
     """
-    _check_mmr_pool(config, k_values)
     standalone = run is None
     if standalone:
         run = _load_run(config)
         _check_providers(config, run)
+        _check_k(config, run.corpus, k_values)
     scoring = config.scoring()
     view = CorpusView(run.corpus, run.scores, run.embeddings)
     inputs = [
@@ -707,6 +712,7 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
     run = _load_run(config, scores=bool(unselected), embeddings=bool(unselected))
     if unselected:
         _check_providers(config, run)
+        _check_k(config, run.corpus, unselected)
     cache_path = config.path("cache")
     cache = ReplayCache.load(cache_path) if cache_path else ReplayCache()
     backend = FailOnDispatchBackend()

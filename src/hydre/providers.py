@@ -4,7 +4,9 @@ configuration, and the similarity screen's rounding bound
 
 Each provider keeps one contiguous matrix with a row per item and maps item
 ids to row indexes. A built matrix never changes and a provider holds no
-per-query state; selection only reads it, so concurrent use is safe. What a
+per-query state; selection only reads it, so concurrent use is safe. An
+embedding index has one exact similarity (``EmbeddingIndex.similarities``)
+and one float32 screen of many queries at once (``screen_dots``). What a
 selection pass keeps per query, such as a chunk of screened similarities,
 its ``selection.CorpusView`` owns, and it is freed with the view; the view
 is also the one caller of the bound and the settles.
@@ -49,7 +51,6 @@ SIDECAR_ALIGN = 64  # every array of a sidecar starts at a multiple of this
 # that may lag time.time_ns() by a tick, so a file modified this close to the
 # moment it was read can be modified again without its stat record changing.
 RACY_NS = 2_000_000_000
-ROW_BLOCK_BYTES = 1 << 20  # matrix bytes per dot block: small enough to stay in cache
 UNIT_ROUNDOFF = 2.0**-53
 SCREEN_ROUNDOFF = 2.0**-24  # the unit roundoff of float32, the screen's precision
 # Half the spacing of float32's subnormals: the absolute error of rounding a
@@ -367,12 +368,16 @@ def _check_order(path: Path, order: Sequence[str], ontology: RelationOntology) -
 
 def _fill(matrix: np.ndarray, i: int, values: list, row: str) -> None:
     """Fill matrix row i from a JSON list; a value that is not a JSON
-    number (a string, a boolean, null, a list) raises ``ProviderError``
-    naming ``row``."""
+    number (a string, a boolean, null, a list), or an integer too large
+    for a float64, raises ``ProviderError`` naming ``row``."""
     # type(), not isinstance: a JSON true is a bool, and bools are ints
-    if not {*map(type, values)} <= {float, int}:
-        raise ProviderError(f"{row} has a value that is not a number")
-    matrix[i] = values
+    if {*map(type, values)} <= {float, int}:
+        try:
+            matrix[i] = values
+            return
+        except OverflowError:  # an integer beyond float64's range
+            pass
+    raise ProviderError(f"{row} has a value that is not a number")
 
 
 def _row_at(path: Path | None, linenos: Sequence[int], i: int) -> str:
@@ -431,13 +436,13 @@ class EmbeddingIndex(_RowMatrix):
     """L2-normalised embedding vectors keyed by item id, one matrix row each.
 
     Both ways of building an index (load, a dict of vectors) normalise the
-    rows, so a cosine is a dot product. There are two ways to compute
-    one. The exact way (``dots``, ``similarities``) gives every entry as one
-    float64 BLAS dot of the row and the query vector, so identical rows get
-    identical values and ties are exact. The screen (``screen_dots``)
-    computes many queries at once with one float32 matrix product over
-    ``matrix32``, the float32 rounding of the normalised matrix; each of its
-    values lies within ``screen_slack`` of the exact one. A loaded index
+    rows, so a cosine is a dot product. The exact one (``similarities``)
+    is one float64 BLAS dot of the row and the query vector, so identical
+    rows get identical values and ties are exact. The screen
+    (``screen_dots``) computes many queries at once with one float32 matrix
+    product over ``matrix32``, the float32 rounding of the normalised
+    matrix; each of its values lies within ``screen_slack`` of the exact
+    one, and identical rows can get different values. A loaded index
     maps ``matrix32`` from its sidecar beside ``matrix``, so a process
     that only screens reads half the bytes, and a dict-built index derives
     it when it is built. Which queries share a product, how long it is
@@ -468,37 +473,12 @@ class EmbeddingIndex(_RowMatrix):
         _normalize_rows(self.matrix, list(vectors))
         self.matrix32 = self.matrix.astype(np.float32)
 
-    def dots(self, q_ids: Sequence[str]) -> np.ndarray:
-        """Exact dot product of each query's row with every matrix row, one
-        output row per query.
-
-        The matrix is walked in blocks of about ``ROW_BLOCK_BYTES``, each
-        read from memory once for all the queries rather than once per
-        query. Each entry is still one np.vecdot, one BLAS dot of the same
-        contiguous row and query vector, so it is bit-identical to
-        ``np.vecdot(matrix, q)``: identical rows get identical values
-        wherever they sit. A matrix product (dgemm) rounds entries
-        differently and can break exact ties, so ``screen_dots`` serves only
-        as a screen: the entries it puts close enough to a decision's
-        boundary for rounding to matter are settled with exact values.
-        """
-        queries = self.matrix[self.row_indexes(q_ids)]
-        out = np.empty((len(queries), len(self.matrix)))
-        block = max(1, ROW_BLOCK_BYTES // (8 * self.dim))
-        for j in range(0, len(self.matrix), block):
-            np.vecdot(
-                self.matrix[None, j : j + block],
-                queries[:, None, :],
-                out=out[:, j : j + block],
-            )
-        return out
-
     def screen_dots(self, q_ids: Sequence[str]) -> np.ndarray:
         """Each query's dot product with every matrix row from one float32
         matrix product of ``matrix32``, laid out rows x queries (one column
         per query), so a gather of rows reads every query's values at once.
         Each entry lies within the a-priori rounding bound of
-        ``screen_slack`` of its ``dots`` entry, not necessarily on it:
+        ``screen_slack`` of the exact dot product, not necessarily on it:
         identical rows can get different values."""
         return self.matrix32 @ self.matrix32[self.row_indexes(q_ids)].T
 
@@ -506,9 +486,12 @@ class EmbeddingIndex(_RowMatrix):
         """Exact cosine of the query with each given row, mapped from
         [-1, 1] into [0, 1] so it shares a scale with model confidences.
 
-        The rows are gathered and dotted with the query, one np.vecdot, so
-        every entry is bit-identical to ``np.vecdot(matrix, q)`` and to the
-        query's ``dots`` entry.
+        The rows are gathered and dotted with the query, one np.vecdot: each
+        entry is one BLAS dot of the same contiguous row and query vector,
+        bit-identical to ``np.vecdot(matrix, q)``, so identical rows get
+        identical values wherever they sit. A matrix product rounds entries
+        differently and can break exact ties, so ``screen_dots`` serves only
+        as a screen.
         """
         return (1.0 + np.vecdot(self.matrix[rows], self.vector(q_id))) / 2.0
 

@@ -109,19 +109,17 @@ class ExemplarSet:
 
 
 # Bytes of a query chunk's screened dot products (float32): about 330 queries
-# against the 12.8k rows of 5k bags, 32 against the 128k rows of 50k bags. An
-# exact chunk holds as many queries in float64, twice the bytes.
+# against the 12.8k rows of 5k bags, 32 against the 128k rows of 50k bags.
 SCREEN_BYTES = 16 << 20
 
 
 @dataclass
 class _Chunk:
-    """The dot products of one chunk of queries with every embedding row,
-    and the bag similarities pooled from them."""
+    """The screened dot products of one chunk of queries with every
+    embedding row, and the bag similarities pooled from them."""
 
     index: dict[str, int]  # query id -> its row of ``dots``
-    dots: np.ndarray  # query x embedding row: a transposed screen, or exact
-    exact: bool
+    dots: np.ndarray  # query x embedding row: a transposed screen
     bag_sims: dict = field(default_factory=dict)  # pooling -> query x bag
 
 
@@ -140,11 +138,10 @@ class CorpusView:
     The view owns the similarity screen. The first request for a query's
     similarities computes them for the chunk of ``corpus.queries`` that
     holds the query, with one float32 matrix product
-    (``EmbeddingIndex.screen_dots``) or, when exact values are asked for,
-    one cache-blocked exact pass (``EmbeddingIndex.dots``). Chunks are
-    aligned runs of queries whose screened dot products with every
-    embedding row fit in ``SCREEN_BYTES``; a query outside
-    ``corpus.queries`` is a chunk of its own. The first request for a bag
+    (``EmbeddingIndex.screen_dots``). Chunks are aligned runs of queries
+    whose screened dot products with every embedding row fit in
+    ``SCREEN_BYTES``; a query outside ``corpus.queries`` is a chunk of its
+    own. The first request for a bag
     similarity pools the whole chunk at once, one read-only query x bag
     matrix per pooling. The view keeps one chunk until a request falls
     outside it. The view also makes the two decisions that read
@@ -211,41 +208,32 @@ class CorpusView:
         i -= i % size
         return [q.query_id for q in self.corpus.queries[i : i + size]]
 
-    def _held(self, q_id: str, exact: bool) -> _Chunk:
-        """The chunk held if it holds the query (with exact values, if
-        ``exact``), else a new chunk of exact or screened dot products."""
+    def _held(self, q_id: str) -> _Chunk:
+        """The chunk held if it holds the query, else a new chunk of
+        screened dot products."""
         held = self.chunk.get(q_id)
-        if held is None or (exact and not held.exact):
+        if held is None:
             self.chunk.clear()
             q_ids = self._chunk_of(q_id)
-            if exact:
-                dots = self.embeddings.dots(q_ids)
-            else:
-                dots = self.embeddings.screen_dots(q_ids).T
-            held = _Chunk(dict(zip(q_ids, range(len(q_ids)))), dots, exact)
+            dots = self.embeddings.screen_dots(q_ids).T
+            held = _Chunk(dict(zip(q_ids, range(len(q_ids)))), dots)
             self.chunk.update(dict.fromkeys(q_ids, held))
         return held
 
-    def _dots(self, q_id: str, exact: bool) -> np.ndarray:
-        """The query's dot product with every embedding row (``_held``)."""
-        held = self._held(q_id, exact)
+    def _dots(self, q_id: str) -> np.ndarray:
+        """The query's screened dot product with every embedding row."""
+        held = self._held(q_id)
         return held.dots[held.index[q_id]]
 
-    def similarities(self, q_id: str, exact: bool = False) -> np.ndarray:
-        """The query's similarity to each corpus sentence, by position:
-        screened values, each within ``screen_slack`` of the exact one
-        (exact when the chunk held is), or with ``exact`` exact values."""
-        return _mapped(self._dots(q_id, exact)[self.embedding_rows])
+    def similarities(self, q_id: str) -> np.ndarray:
+        """The query's screened similarity to each corpus sentence, by
+        position, each within ``screen_slack`` of the exact one."""
+        return _mapped(self._dots(q_id)[self.embedding_rows])
 
     def exact_similarities(self, q_id: str, positions: np.ndarray) -> np.ndarray:
         """The exact similarity of the query to each given sentence
-        position, read from an exact chunk that holds the query, else one
-        np.vecdot (``EmbeddingIndex.similarities``); bit-equal either way."""
-        rows = self.embedding_rows[positions]
-        held = self.chunk.get(q_id)
-        if held is not None and held.exact:
-            return (1.0 + held.dots[held.index[q_id]][rows]) / 2.0
-        return self.embeddings.similarities(q_id, rows)
+        position (``EmbeddingIndex.similarities``)."""
+        return self.embeddings.similarities(q_id, self.embedding_rows[positions])
 
     def bag_similarities(self, q_id: str, pooling: str) -> np.ndarray:
         """The query's screened similarity to every bag, a max (or mean)
@@ -253,7 +241,7 @@ class CorpusView:
         ``_slack(pooling)`` of the exact value, which
         ``exact_bag_similarities`` gives. The first request pools the
         query's whole chunk (``_pool``); read-only."""
-        held = self._held(q_id, False)
+        held = self._held(q_id)
         sims = held.bag_sims.get(pooling)
         if sims is None:
             sims = held.bag_sims[pooling] = self._pool(held.dots.T, pooling)
@@ -341,7 +329,7 @@ class CorpusView:
             return int(np.argmax(_combined(config, None, confidence)))
         if pooling is None:
             # similarities(q_id)[items], mapping only the items' dot products
-            sims = _mapped(self._dots(q_id, False)[self.embedding_rows[items]])
+            sims = _mapped(self._dots(q_id)[self.embedding_rows[items]])
             exact_sims = partial(self.exact_similarities, q_id)
         else:
             sims = self.bag_similarities(q_id, pooling)[items]
@@ -356,20 +344,20 @@ class CorpusView:
         return settle_argmax(screened, slack, exact)
 
     def top(
-        self, q_id: str, k: int | None, pooling: str | None = None
+        self, q_id: str, k: int, pooling: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(indexes, exact similarities) of the k sentences, or with
         ``pooling`` the k bags, most similar to the query, descending, the
-        earlier one first on ties. The screened similarities narrow which
-        items are settled with exact ones (``settle_top``). k None ranks
-        every sentence from an exact chunk, so nothing is screened."""
+        earlier one first on ties; every one when k exceeds them. The
+        screened similarities narrow which items are settled with exact
+        ones (``settle_top``)."""
         if pooling is None:
-            sims = self.similarities(q_id, exact=k is None)
+            sims = self.similarities(q_id)
             exact = partial(self.exact_similarities, q_id)
         else:
             sims = self.bag_similarities(q_id, pooling)
             exact = partial(self.exact_bag_similarities, q_id, pooling)
-        return settle_top(sims, self._slack(pooling), len(sims) if k is None else k, exact)
+        return settle_top(sims, self._slack(pooling), k, exact)
 
     def sentence_pick(self, b: int, threshold: float) -> SentenceInstance:
         """Stage 3 (``select_sentence``) for bag b, kept per bag and

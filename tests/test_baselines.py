@@ -15,7 +15,7 @@ from hydre.baselines import (
 )
 from hydre.cli import STRATEGIES, SelectionInputs, load_config
 from hydre.corpus import Corpus
-from hydre.providers import ScoringConfig
+from hydre.providers import EmbeddingIndex, ScoringConfig
 from hydre.selection import CorpusView, Exemplar, ExemplarSet, build_exemplar_set
 
 from conftest import (
@@ -231,6 +231,51 @@ def test_duplicated_rows_tie_in_corpus_order():
             ]
             assert got == mmr_oracle("q000", items, vectors, k, alpha, None)
     assert tied > 0
+
+
+# Unit rows whose dot products are sums of quarters, so every similarity
+# below is exact and every tie is exact: with the query along the first
+# axis, positions 2-5 have q-sim 0.75, position 1 0.5 and position 0 0.25.
+TIE_ROWS = [
+    [-0.5, 0.5, 0.5, 0.5],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.5, 0.5, 0.5, 0.5],
+    [0.5, 0.5, 0.5, 0.5],  # a copy of position 2
+    [0.5, -0.5, 0.5, 0.5],
+    [0.5, -0.5, 0.5, 0.5],  # a copy of position 4
+]
+
+
+@pytest.mark.parametrize(
+    "pool_size, want",
+    [(3, [2, 4, 3]), (6, [2, 4, 1, 0, 3, 5]), (None, [2, 4, 1, 0, 3, 5])],
+    ids=["pool_3", "pool_of_every_sentence", "no_pool"],
+)
+def test_mmr_breaks_objective_ties_by_query_similarity_then_corpus_order(
+    pool_size, want
+):
+    """With alpha = 0 every first-step objective is 0, so the highest
+    query similarity decides, and of the copies at 0.75 the earliest.
+    Positions 0, 1 and 4 then tie at -0.75 with q-sims 0.25, 0.5 and 0.75,
+    so 4 goes first although it comes last in corpus order; later, 0 and 1
+    tie again, and the two copies at -1 fall back to corpus order. A pool
+    of 3 holds the three earliest rows at 0.75."""
+    sentences = [f"s{i}" for i in range(len(TIE_ROWS))]
+    bags = [
+        {"bag_id": f"b{b}", "labels": {"rel_a"}, "sentences": [{"sentence_id": s} for s in ids]}
+        for b, ids in enumerate((sentences[:3], sentences[3:]))
+    ]
+    instance = {"relations": ["rel_a", "rel_b"], "bags": bags, "queries": ["q"]}
+    vectors = dict(zip(sentences, TIE_ROWS), q=[1.0, 0.0, 0.0, 0.0])
+    corpus = corpus_from_instance(instance)
+    flat = flatten(corpus)
+    view = CorpusView(corpus, None, EmbeddingIndex(4, vectors))
+    got = mmr_select("q", flat, view, len(want), alpha=0.0, pool_size=pool_size)
+    assert [f.sentence.sentence_id for f in got] == [sentences[i] for i in want]
+    assert [f.candidate_score for f in got] == [(1.0 + TIE_ROWS[i][0]) / 2.0 for i in want]
+    assert [sentences[i] for i in want] == mmr_oracle(
+        "q", sentences, vectors, len(want), 0.0, pool_size
+    )
 
 
 # --------------------------------------------------------------- ablations

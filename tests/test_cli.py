@@ -29,6 +29,9 @@ def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
 
 
+GOLDEN_SENTENCES = sum(len(r["sentences"]) for r in read_jsonl(GOLDEN / "bags.jsonl"))
+
+
 def run_cli(*args):
     return cli.main(list(args))
 
@@ -82,6 +85,11 @@ def test_validate_manifest_order_mismatch(tmp_path, capsys):
         ("embeddings", "vector", "0.5", "vector for 's0102'"),
         ("embeddings", "vector", False, "vector for 's0102'"),
         ("embeddings", "vector", None, "vector for 's0102'"),
+        # an integer beyond float64's range passes the type check
+        pytest.param("scores", "scores", 10**400, "row 's0102'", id="scores-too-large"),
+        pytest.param(
+            "embeddings", "vector", 10**400, "vector for 's0102'", id="embeddings-too-large"
+        ),
     ],
 )
 def test_validate_names_the_line_of_a_provider_value_that_is_not_a_number(
@@ -550,39 +558,24 @@ def test_select_computes_one_batch_per_query_chunk(tmp_path, monkeypatch, strate
     assert_unchanged()
 
 
-def test_select_mmr_without_pool_holds_exact_batches(tmp_path, monkeypatch):
-    """MMR ranking the whole corpus screens nothing: each chunk's exact dot
-    products are computed once and serve every exact value, and the records
-    are those of a pool cut that covers every row, which screens and
-    settles its pool one query at a time."""
+def test_select_mmr_without_pool_equals_a_pool_of_every_sentence(tmp_path, monkeypatch):
+    """MMR ranking the whole corpus screens nothing, and writes the records
+    of a pool cut that covers every sentence, which screens and settles its
+    pool."""
     calls, assert_unchanged = count_batches(monkeypatch)
-    dots, similarities = EmbeddingIndex.dots, EmbeddingIndex.similarities
-
-    def counted_dots(self, q_ids):
-        calls["exact"] += 1
-        return dots(self, q_ids)
-
-    def counted_similarities(self, q_id, rows):
-        calls["settled"] += 1
-        return similarities(self, q_id, rows)
-
-    monkeypatch.setattr(EmbeddingIndex, "dots", counted_dots)
-    monkeypatch.setattr(EmbeddingIndex, "similarities", counted_similarities)
     config_path, config = absolute_config(tmp_path)
     config["strategy"] = "mmr"
     config["mmr"] = {"pool_size": None}
     config_path.write_text(json.dumps(config))
     assert run_cli("--config", str(config_path), "select") == 0
-    assert calls == {"exact": 2}
+    assert not calls["batches"]
     assert_unchanged()
-    exact = (tmp_path / "out" / "selections.jsonl").read_bytes()
-    sentences = sum(len(r["sentences"]) for r in read_jsonl(GOLDEN / "bags.jsonl"))
-    config["mmr"] = {"pool_size": sentences}
+    whole = (tmp_path / "out" / "selections.jsonl").read_bytes()
+    config["mmr"] = {"pool_size": GOLDEN_SENTENCES}
     config_path.write_text(json.dumps(config))
-    calls.clear()
     assert run_cli("--config", str(config_path), "select") == 0
-    assert calls["batches"] == 2 and calls["settled"] and not calls["exact"]
-    assert (tmp_path / "out" / "selections.jsonl").read_bytes() == exact
+    assert calls["batches"] == 2
+    assert (tmp_path / "out" / "selections.jsonl").read_bytes() == whole
 
 
 def test_run_k_sweep_computes_one_batch_per_query_chunk(tmp_path, monkeypatch):
@@ -884,6 +877,38 @@ def test_mmr_sweep_past_the_pool_exits_1_before_selecting(tmp_path, monkeypatch,
     assert not list((tmp_path / "out").glob("selections*"))
     argv[argv.index("2..4")] = "2..3"
     assert run_cli(*argv) == 0
+
+
+@pytest.mark.parametrize("strategy", ["mmr", "random_k"])
+@pytest.mark.parametrize("command", ["validate", "select", "run"])
+def test_k_beyond_the_corpus_sentences_exits_1_before_selecting(
+    tmp_path, monkeypatch, capsys, strategy, command
+):
+    """``mmr`` (here ranking every sentence) and ``random_k`` pick k
+    distinct sentences: validate, select and a run sweep that selects exit
+    1 naming k and the corpus's sentence count, and write nothing; k up to
+    that count passes."""
+    config_path = live_config(tmp_path, monkeypatch)
+    config = json.loads(Path(config_path).read_text())
+    config["strategy"] = strategy
+    config["mmr"] = {"pool_size": None}
+    Path(config_path).write_text(json.dumps(config))
+    n = GOLDEN_SENTENCES
+    k = f"{n - 1}..{n + 1}" if command == "run" else str(n + 1)
+    assert run_cli("--config", config_path, "--k", k, command) == 1
+    assert capsys.readouterr().err == f"error: k={n + 1} exceeds the corpus's {n} sentences\n"
+    assert not (tmp_path / "out").exists()
+    k = f"{n - 1}..{n}" if command == "run" else str(n)
+    assert run_cli("--config", config_path, "--k", k, command) == 0
+
+
+def test_topk_sim_past_the_corpus_selects_every_sentence(tmp_path):
+    out = tmp_path / "out"
+    k = str(GOLDEN_SENTENCES + 1)
+    argv = ["--config", CONFIG, "--strategy", "topk_sim", "--k", k, "--output", str(out)]
+    assert run_cli(*argv, "select") == 0
+    records = read_jsonl(out / "selections.jsonl")
+    assert {len(r["exemplars"]) for r in records} == {GOLDEN_SENTENCES}
 
 
 def test_run_k_sweep_replay_miss_keeps_earlier_k(tmp_path, capsys):

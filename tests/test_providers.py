@@ -85,35 +85,22 @@ def test_cosine_dim_mismatch_errors():
 
 # ------------------------------------------- batched similarities (exact)
 
-QUERY_CHUNKS = (1, 15, 16, 17)
-
 
 def vecdot_similarities(emb, q_id, rows):
     """The per-query reference: one np.vecdot over the whole matrix."""
     return (1.0 + np.vecdot(emb.matrix, emb.vector(q_id))[rows]) / 2.0
 
 
-def assert_batches_equal_vecdot(emb, q_ids, rows):
-    """Bit-equality with the per-query reference of each query's ``dots``
-    row, in every query chunking, and of ``similarities``."""
-    want = {q_id: vecdot_similarities(emb, q_id, rows) for q_id in q_ids}
-    for size in QUERY_CHUNKS:
-        for start in range(0, len(q_ids), size):
-            chunk = q_ids[start : start + size]
-            for q_id, dots in zip(chunk, emb.dots(chunk)):
-                assert np.array_equal((1.0 + dots[rows]) / 2.0, want[q_id])
+def assert_similarities_equal_vecdot(emb, q_ids, rows):
+    """Bit-equality of ``similarities`` with the per-query reference."""
     for q_id in q_ids:
-        assert np.array_equal(emb.similarities(q_id, rows), want[q_id])
+        want = vecdot_similarities(emb, q_id, rows)
+        assert np.array_equal(emb.similarities(q_id, rows), want)
 
 
 def row_block(dim):
-    return max(1, providers.ROW_BLOCK_BYTES // (8 * dim))
-
-
-def screen_chunks(monkeypatch, size, emb):
-    """Make the view screen ``size`` queries per chunk."""
-    size_bytes = size * emb.matrix32.itemsize * len(emb.matrix)
-    monkeypatch.setattr(selection, "SCREEN_BYTES", size_bytes)
+    """Rows in a MiB of float64 matrix: the row counts below straddle it."""
+    return max(1, (1 << 20) // (8 * dim))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, "2B+5"], ids=["B-1", "B", "B+1", "2B+5"])
@@ -130,21 +117,21 @@ def test_batched_similarities_equal_per_query_vecdot(dim, extra):
     providers._normalize_rows(emb.matrix, ids)
     q_ids = [ids[i] for i in rng.choice(len(ids), 20, replace=False)]
     rows = rng.permutation(len(ids))[: len(ids) // 2]
-    assert_batches_equal_vecdot(emb, q_ids, rows)
+    assert_similarities_equal_vecdot(emb, q_ids, rows)
     if dim >= 256:
         # a matrix product rounds differently in the last ulp: swapping the
-        # blocked vecdot for one would fail the equality above
+        # per-row vecdot for one would fail the equality above
         queries = emb.matrix[emb.row_indexes(q_ids)]
-        gemm, exact = queries @ emb.matrix.T, emb.dots(q_ids)
+        gemm = (1.0 + queries @ emb.matrix[rows].T) / 2.0
+        exact = np.array([emb.similarities(q_id, rows) for q_id in q_ids])
         assert not np.array_equal(gemm, exact)
         assert np.abs(gemm - exact).max() <= 8 * np.finfo(float).eps
 
 
 def test_batched_similarities_on_every_kind_of_index(tmp_path, monkeypatch):
     """Loaded (parse and sidecar hit) and built from a dict, on instances
-    with duplicated rows: every index's dots equal the per-query vecdot,
-    and duplicated rows stay tied in the view's exact chunks of every
-    size."""
+    with duplicated rows: every index's ``similarities`` equal the
+    per-query vecdot, and duplicated rows stay tied."""
     for trial in range(4):
         instance = make_random_instance(
             seed=2200 + trial, max_bags=30, dim=64, n_queries=20
@@ -167,57 +154,17 @@ def test_batched_similarities_on_every_kind_of_index(tmp_path, monkeypatch):
         tied = [positions for positions in copies.values() if len(positions) > 1]
         assert tied
         for emb in indexes:
-            view = CorpusView(corpus, None, emb)
-            assert_batches_equal_vecdot(emb, instance["queries"], view.embedding_rows)
-            for size in QUERY_CHUNKS:
-                screen_chunks(monkeypatch, size, emb)
-                view.chunk.clear()
-                for q_id in instance["queries"]:
-                    sims = view.similarities(q_id, exact=True)
-                    assert all(len(set(sims[positions])) == 1 for positions in tied)
+            rows = CorpusView(corpus, None, emb).embedding_rows
+            assert_similarities_equal_vecdot(emb, instance["queries"], rows)
+            for q_id in instance["queries"]:
+                sims = emb.similarities(q_id, rows)
+                assert all(len(set(sims[positions])) == 1 for positions in tied)
 
 
-@pytest.mark.parametrize("dim", [1, 17, 256, 300])
-def test_exact_batches_hold_the_per_query_vecdot(dim, monkeypatch):
-    """An exact chunk holds each query's exact row, in every query chunking
-    and across row blocks: the view's screened, exact and per-position
-    similarities all read it, with no dot product of their own, bit-equal
-    to the per-query vecdot; ``dots`` runs once per chunk."""
-    block = 7  # rows per dot block: a small matrix spans several
-    monkeypatch.setattr(providers, "ROW_BLOCK_BYTES", 8 * dim * block)
-    rng = np.random.default_rng([dim, 4100])
-    instance = make_random_instance(
-        seed=4100 + dim, max_bags=2 * block + 5, dim=dim, n_queries=20
-    )
-    corpus = corpus_from_instance(instance)
-    emb = embeddings_from_instance(instance)
-    q_ids = instance["queries"]
-    n = len(corpus.sentence_ids)
-    positions = rng.permutation(n)[: n // 2]
-    dots = EmbeddingIndex.dots
-
-    def counted_dots(self, ids):
-        calls.append(ids)
-        return dots(self, ids)
-
-    for size in QUERY_CHUNKS:
-        view = CorpusView(corpus, None, emb)
-        rows = view.embedding_rows
-        assert n > 2 * block
-        want = {q_id: vecdot_similarities(emb, q_id, rows) for q_id in q_ids}
-        screen_chunks(monkeypatch, size, emb)
-        view.chunk.clear()
-        calls = []
-        with monkeypatch.context() as patch:
-            patch.setattr(EmbeddingIndex, "dots", counted_dots)
-            patch.setattr(EmbeddingIndex, "screen_dots", None)  # a screen would fail
-            patch.setattr(emb, "vector", None)  # so would a recompute
-            for q_id in q_ids:
-                assert np.array_equal(view.similarities(q_id, exact=True), want[q_id])
-                assert np.array_equal(view.similarities(q_id), want[q_id])
-                got = view.exact_similarities(q_id, positions)
-                assert np.array_equal(got, want[q_id][positions])
-        assert calls == [q_ids[i : i + size] for i in range(0, len(q_ids), size)]
+def screen_chunks(monkeypatch, size, emb):
+    """Make the view screen ``size`` queries per chunk."""
+    size_bytes = size * emb.matrix32.itemsize * len(emb.matrix)
+    monkeypatch.setattr(selection, "SCREEN_BYTES", size_bytes)
 
 
 # --------------------------------------------------------------- pooling

@@ -144,30 +144,34 @@ def test_screened_selection_writes_the_exact_records(
     monkeypatch, strategy, pool_size, pooling, dim
 ):
     """On close calls, every strategy that reads similarities writes the
-    records it writes when the screen is the exact vecdot row, and settles
-    some decision with exact dot products to do so: one query's
-    ``similarities``, or a chunk's ``dots`` where MMR ranks every row."""
-    exact_calls = []
-    similarities, dots = EmbeddingIndex.similarities, EmbeddingIndex.dots
+    records it writes when the screen is the exact vecdot row. Each settles
+    some decision with one query's exact ``similarities`` to do so, except
+    MMR ranking every row, which reads exact values only and screens
+    nothing."""
+    calls = {"exact": 0, "screen": 0}
+    similarities, screen_dots = EmbeddingIndex.similarities, EmbeddingIndex.screen_dots
 
     def counted(self, q_id, rows):
-        exact_calls.append(q_id)
+        calls["exact"] += 1
         return similarities(self, q_id, rows)
 
-    def counted_dots(self, q_ids):
-        exact_calls.extend(q_ids)
-        return dots(self, q_ids)
+    def counted_screen(self, q_ids):
+        calls["screen"] += 1
+        return screen_dots(self, q_ids)
 
     for instance, emb in close_call_instances(dim):
         with monkeypatch.context() as patch:
             patch.setattr(EmbeddingIndex, "similarities", counted)
-            patch.setattr(EmbeddingIndex, "dots", counted_dots)
+            patch.setattr(EmbeddingIndex, "screen_dots", counted_screen)
             got = select_records(strategy, pool_size, pooling, instance, emb)
         with monkeypatch.context() as patch:
             patch.setattr(EmbeddingIndex, "screen_dots", exact_screen_dots)
             want = select_records(strategy, pool_size, pooling, instance, emb)
         assert got == want
-    assert exact_calls
+    if pool_size is None:
+        assert calls["screen"] == 0
+    else:
+        assert calls["exact"] and calls["screen"]
 
 
 def test_the_screen_differs_from_the_exact_dots_on_close_calls():
@@ -177,7 +181,7 @@ def test_the_screen_differs_from_the_exact_dots_on_close_calls():
     for dim in (256, 300):
         for instance, emb in close_call_instances(dim):
             q_ids = instance["queries"]
-            screened, exact = emb.screen_dots(q_ids).T, emb.dots(q_ids)
+            screened, exact = emb.screen_dots(q_ids).T, exact_screen_dots(emb, q_ids).T
             assert not np.array_equal(screened, exact)
             for s, e in zip(screened, exact):
                 reordered += not np.array_equal(
@@ -287,23 +291,21 @@ def test_argmax_is_the_first_maximum_of_exact_scores(
 
 
 @pytest.mark.parametrize(
-    "pooling, k",
-    [(p, k) for p in (None, "max", "mean") for k in (1, 3, "all")] + [(None, None)],
+    "pooling, k", [(p, k) for p in (None, "max", "mean") for k in (1, 3, "all")]
 )
 def test_top_is_a_stable_descending_sort_of_exact_similarities(pooling, k):
     """On close calls, ``CorpusView.top`` gives the head of a stable
     descending sort of brute-force exact similarities, with bit-equal
-    values, for k below and equal to the number of sentences or bags, and
-    for k None over every sentence."""
+    values, for k below and equal to the number of sentences or bags."""
     for dim in (17, 300):
         for instance, emb in close_call_instances(dim):
             corpus = corpus_from_instance(instance)
             for q_id in instance["queries"]:
                 view = CorpusView(corpus, None, emb)  # a new chunk per query and k
                 sims = brute_similarities(corpus, emb, q_id, pooling)
-                n = len(sims) if k in ("all", None) else k
+                n = len(sims) if k == "all" else k
                 order = np.argsort(-sims, kind="stable")[:n]
-                got, values = view.top(q_id, None if k is None else n, pooling)
+                got, values = view.top(q_id, n, pooling)
                 assert np.array_equal(got, order)
                 assert np.array_equal(values, sims[order])
 
