@@ -575,11 +575,12 @@ def cmd_select(
     it the command loads its own and writes metadata.json. The command
     builds one corpus view (``selection.CorpusView``) of the loaded inputs,
     shared by every k and freed when it returns.
-    Each query is selected for every k in turn, so the view's per-query
-    work (bag similarities, stage-2 picks) is done once per query. When
-    query similarities are computed, and for which chunk of queries at
-    once, is the view's affair; every pick and every score written is the
-    one a selection of that query alone would make.
+    Each query is selected for every k in turn, largest k first, so the
+    view's per-query work (bag similarities, stage-2 picks) is done once
+    per query, and the first stage-2 request for a relation covers every
+    k of the pass. When query similarities are computed, and for which
+    queries at once, is the view's affair; every pick and every score
+    written is the one a selection of that query alone would make.
     """
     standalone = run is None
     if standalone:
@@ -605,8 +606,9 @@ def cmd_select(
             stack.enter_context(atomic_write(out / _selections_filename(k)))
             for k in k_values
         ]
+        largest_first = sorted(zip(files, inputs), key=lambda f: -f[1].scoring.k)
         for q in run.corpus.queries:
-            for fh, k_inputs in zip(files, inputs):
+            for fh, k_inputs in largest_first:
                 record = serialize_exemplar_set(
                     select(q.query_id, k_inputs), run.corpus.ontology
                 )

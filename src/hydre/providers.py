@@ -272,12 +272,11 @@ class ScoreMatrix(_RowMatrix):
         self.matrix = np.empty((len(rows), width))
         self.row_of = {}
         for i, (item_id, scores) in enumerate(rows.items()):
-            vec = np.asarray(scores, dtype=float)
-            if vec.shape != (width,):
+            if len(scores) != width:
                 raise ProviderError(
-                    f"row {item_id!r} has {vec.size} scores, expected {width}"
+                    f"row {item_id!r} has {len(scores)} scores, expected {width}"
                 )
-            self.matrix[i] = vec
+            _fill(self.matrix, i, scores, f"row {item_id!r}")
             self.row_of[item_id] = i
         _check_range(self.matrix, list(self.row_of))
 
@@ -366,12 +365,16 @@ def _check_order(path: Path, order: Sequence[str], ontology: RelationOntology) -
         raise ProviderError(f"{path}: relation_order does not match the ontology order")
 
 
-def _fill(matrix: np.ndarray, i: int, values: list, row: str) -> None:
-    """Fill matrix row i from a JSON list; a value that is not a JSON
-    number (a string, a boolean, null, a list), or an integer too large
-    for a float64, raises ``ProviderError`` naming ``row``."""
-    # type(), not isinstance: a JSON true is a bool, and bools are ints
-    if {*map(type, values)} <= {float, int}:
+def _fill(matrix: np.ndarray, i: int, values: Sequence, row: str) -> None:
+    """Fill matrix row i from a JSON list, or from a dict-built provider's
+    row (an array is read as the Python values it holds); a value that is
+    not a number (a string, a boolean, null, a list), or an integer too
+    large for a float64, raises ``ProviderError`` naming ``row``."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    # type(), not isinstance: a JSON true is a bool, and bools are ints;
+    # a float subclass such as NumPy's float64 is a float
+    if all(t is int or issubclass(t, float) for t in {*map(type, values)}):
         try:
             matrix[i] = values
             return
@@ -445,10 +448,11 @@ class EmbeddingIndex(_RowMatrix):
     one, and identical rows can get different values. A loaded index
     maps ``matrix32`` from its sidecar beside ``matrix``, so a process
     that only screens reads half the bytes, and a dict-built index derives
-    it when it is built. Which queries share a product, how long it is
-    kept, and how each decision read from it is settled with exact values
-    (``CorpusView.argmax``, ``CorpusView.top``) is decided by the selection
-    pass's ``selection.CorpusView``.
+    it when it is built. Which queries and rows share a product, how long
+    it is kept, and how each decision read from it is settled with exact
+    values (``CorpusView.argmax``, ``CorpusView.top``,
+    ``CorpusView.bag_pick``) is decided by the selection pass's
+    ``selection.CorpusView``.
     """
 
     _missing = "no embedding for item {!r}"
@@ -460,27 +464,30 @@ class EmbeddingIndex(_RowMatrix):
         self.dim = dim
         self.matrix = np.empty((len(vectors), dim))
         self.row_of = {}
-        for i, (item_id, raw) in enumerate(vectors.items()):
-            vec = np.asarray(raw, dtype=float)
-            if vec.size != dim:
+        for i, (item_id, vec) in enumerate(vectors.items()):
+            if len(vec) != dim:
                 raise ProviderError(
                     f"dimension mismatch: vector for {item_id!r} has dim "
-                    f"{vec.size}, expected {dim}"
+                    f"{len(vec)}, expected {dim}"
                 )
-            self.matrix[i] = vec.reshape(dim)
+            _fill(self.matrix, i, vec, f"vector for {item_id!r}")
             self.row_of[item_id] = i
         _check_finite(self.matrix, list(vectors))
         _normalize_rows(self.matrix, list(vectors))
         self.matrix32 = self.matrix.astype(np.float32)
 
-    def screen_dots(self, q_ids: Sequence[str]) -> np.ndarray:
-        """Each query's dot product with every matrix row from one float32
-        matrix product of ``matrix32``, laid out rows x queries (one column
-        per query), so a gather of rows reads every query's values at once.
-        Each entry lies within the a-priori rounding bound of
-        ``screen_slack`` of the exact dot product, not necessarily on it:
-        identical rows can get different values."""
-        return self.matrix32 @ self.matrix32[self.row_indexes(q_ids)].T
+    def screen_dots(
+        self, q_ids: Sequence[str], rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Each query's dot product with each given matrix row (every row
+        when ``rows`` is None) from one float32 matrix product of
+        ``matrix32``, laid out rows x queries (one column per query), so a
+        gather of rows reads every query's values at once. Each entry lies
+        within the a-priori rounding bound of ``screen_slack`` of the exact
+        dot product, not necessarily on it: identical rows can get
+        different values."""
+        matrix32 = self.matrix32 if rows is None else self.matrix32[rows]
+        return matrix32 @ self.matrix32[self.row_indexes(q_ids)].T
 
     def similarities(self, q_id: str, rows: np.ndarray) -> np.ndarray:
         """Exact cosine of the query with each given row, mapped from

@@ -9,11 +9,12 @@ corpus order for bags, in-bag order for sentences.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -123,6 +124,17 @@ class _Chunk:
     bag_sims: dict = field(default_factory=dict)  # pooling -> query x bag
 
 
+@dataclass
+class _Ranked:
+    """A chunk of queries' stage-1 rank of every relation, and the stage-2
+    picks made for them."""
+
+    q_ids: list[str]
+    ranks: np.ndarray  # query x relation: its place in stage 1's order
+    # (relation, w_sim, w_conf, pooling) -> {query id: picked bag index}
+    picks: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class CorpusView:
     """One selection pass over a corpus: the corpus and its providers (None
@@ -135,20 +147,22 @@ class CorpusView:
     derived on first read. Which providers a selection reads is decided by
     its scoring weights, not by what the view holds.
 
-    The view owns the similarity screen. The first request for a query's
-    similarities computes them for the chunk of ``corpus.queries`` that
-    holds the query, with one float32 matrix product
-    (``EmbeddingIndex.screen_dots``). Chunks are aligned runs of queries
-    whose screened dot products with every embedding row fit in
-    ``SCREEN_BYTES``; a query outside ``corpus.queries`` is a chunk of its
-    own. The first request for a bag
-    similarity pools the whole chunk at once, one read-only query x bag
-    matrix per pooling. The view keeps one chunk until a request falls
-    outside it. The view also makes the two decisions that read
-    similarities, ``argmax`` and ``top``; each settles whatever a screened
-    value could get wrong with exact float64 values, so what a selection
-    picks does not depend on the screen's precision, nor on how its
-    queries fall into chunks or in what order they are visited.
+    The view owns the similarity screen. Queries are screened in chunks:
+    aligned runs of ``corpus.queries`` whose screened dot products with
+    every embedding row fit in ``SCREEN_BYTES``; a query outside
+    ``corpus.queries`` is a chunk of its own. The first request for a
+    query's sentence similarities computes them for its chunk with one
+    float32 matrix product (``EmbeddingIndex.screen_dots``), and the first
+    request for a bag similarity pools the whole chunk at once, one
+    read-only query x bag matrix per pooling. Stage 2 (``bag_pick``) reads
+    neither: it screens one relation's bags at a time, against the
+    chunk's queries that rank the relation among their candidates. The
+    view keeps one chunk of each until a request falls outside it. Each
+    decision that reads similarities (``argmax``, ``top``, ``bag_pick``)
+    settles whatever a screened value could get wrong with exact float64
+    values, so what a selection picks does not depend on the screen's
+    precision, nor on how its queries fall into chunks or in what order
+    they are visited.
 
     A k sweep selects each query for every k in turn with the same view, so
     the view also keeps the latest query's stage-2 picks, and each bag's
@@ -161,6 +175,8 @@ class CorpusView:
     embeddings: EmbeddingIndex | None
     # query id -> the _Chunk that holds it; one chunk at a time
     chunk: dict = field(default_factory=dict, init=False, repr=False)
+    # query id -> the _Ranked chunk that holds it; one chunk at a time
+    ranked: dict = field(default_factory=dict, init=False, repr=False)
     latest_bag_picks: dict = field(default_factory=dict, init=False, repr=False)
     sentence_picks: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -187,14 +203,9 @@ class CorpusView:
         return {q.query_id: i for i, q in enumerate(self.corpus.queries)}
 
     @cached_property
-    def _pool_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(bags longest first, in corpus order on ties; their first sentence
-        positions; for each j, how many of them have more than j sentences),
-        so the bags with a sentence j lead the order."""
-        lengths = self.corpus.lengths
-        order = np.argsort(-lengths, kind="stable")
-        longer = len(lengths) - np.cumsum(np.bincount(lengths))
-        return order, self.corpus.starts[order], longer[: lengths.max(initial=0)]
+    def _pool_plan(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """``_longest_first`` of every bag."""
+        return _longest_first(self.corpus.lengths, self.corpus.starts)
 
     def _chunk_of(self, q_id: str) -> list[str]:
         """The aligned run of ``corpus.queries`` that holds the query and
@@ -249,28 +260,11 @@ class CorpusView:
 
     def _pool(self, dots: np.ndarray, pooling: str) -> np.ndarray:
         """The query x bag similarities, read-only, pooled from a chunk's
-        embedding row x query dot products in one pass: the first sentence
-        row of every bag, then the max (or sum) with sentence row j of
-        every bag longer than j, so the work is sentences x queries. A max
-        pools the dot products, since (1 + d) / 2 rounds monotonically; a
-        mean sums float64 similarities in in-bag order."""
+        embedding row x query dot products in one pass (``_pooled``)."""
         order, first, longer = self._pool_plan
         rows = self.embedding_rows
-        pooled = dots[rows[first]]
-        if pooling == "mean":
-            pooled = _mapped(pooled)
-        for j, n in enumerate(longer[1:].tolist(), 1):
-            more = dots[rows[first[:n] + j]]
-            if pooling == "mean":
-                pooled[:n] += _mapped(more)
-            else:
-                np.maximum(pooled[:n], more, out=pooled[:n])
-        if pooling == "mean":
-            pooled /= self.corpus.lengths[order, None]
-        else:
-            pooled = _mapped(pooled)
-        sims = np.empty_like(pooled)
-        sims[order] = pooled
+        more = (dots[rows[first[:n] + j]] for j, n in enumerate(longer[1:], 1))
+        sims = _pooled(dots[rows[first]], more, order, self.corpus.lengths, pooling)
         sims.setflags(write=False)
         return sims.T
 
@@ -300,7 +294,6 @@ class CorpusView:
             return np.add.reduceat(sims, starts) / lengths
         return np.maximum.reduceat(sims, starts)
 
-
     def _slack(self, pooling: str | None, w_sim=1.0, w_conf=0.0) -> float:
         """``screen_slack`` of a sentence similarity (pooling None) or a
         pooled bag similarity, or of a combined score with the weights."""
@@ -310,38 +303,116 @@ class CorpusView:
     def argmax(
         self,
         q_id: str,
-        items: np.ndarray,
+        positions: np.ndarray,
         config: ScoringConfig,
         confidence: np.ndarray | None = None,
-        pooling: str | None = None,
     ) -> int:
         """The first index of the maximum of the exact score
-        ``w_sim * sim + w_conf * confidence`` (``_combined``) over
-        ``items``: sentence positions when ``pooling`` is None, else bag
-        indexes whose similarity is pooled with ``pooling``. With w_sim = 0
-        it is a plain argmax and reads no similarity.
+        ``w_sim * sim + w_conf * confidence`` (``_combined``) over the
+        given sentence positions. With w_sim = 0 it is a plain argmax and
+        reads no similarity.
 
-        Scores from screened similarities narrow the items to those within
-        twice the slack of the best; only those are scored again from
-        exact similarities (``settle_argmax``), so the pick is the one
+        Scores from screened similarities narrow the positions to those
+        within twice the slack of the best; only those are scored again
+        from exact similarities (``settle_argmax``), so the pick is the one
         exact scores would make."""
         if config.w_sim == 0:
             return int(np.argmax(_combined(config, None, confidence)))
-        if pooling is None:
-            # similarities(q_id)[items], mapping only the items' dot products
-            sims = _mapped(self._dots(q_id)[self.embedding_rows[items]])
-            exact_sims = partial(self.exact_similarities, q_id)
-        else:
-            sims = self.bag_similarities(q_id, pooling)[items]
-            exact_sims = partial(self.exact_bag_similarities, q_id, pooling)
+        # similarities(q_id)[positions], mapping only their dot products
+        sims = _mapped(self._dots(q_id)[self.embedding_rows[positions]])
 
         def exact(near: np.ndarray) -> np.ndarray:
             conf = None if confidence is None else confidence[near]
-            return _combined(config, exact_sims(items[near]), conf)
+            return _combined(config, self.exact_similarities(q_id, positions[near]), conf)
 
         screened = _combined(config, sims, confidence)
-        slack = self._slack(pooling, config.w_sim, config.w_conf)
+        slack = self._slack(None, config.w_sim, config.w_conf)
         return settle_argmax(screened, slack, exact)
+
+    def _ranked(self, q_id: str) -> _Ranked:
+        """The ranked chunk held if it holds the query, else the stage-1
+        ranks of the queries of its chunk (``_chunk_of``) that have a score
+        row, from one stable descending sort of their score rows: the
+        ``(-f, index)`` order of ``select_candidates``."""
+        held = self.ranked.get(q_id)
+        if held is None:
+            self.ranked.clear()
+            chunk = self._chunk_of(q_id)
+            q_ids = [q for q in chunk if q in self.scores.row_of]
+            rows = self.scores.matrix[self.scores.row_indexes(q_ids)]
+            order = np.argsort(-rows, axis=1, kind="stable")
+            ranks = np.empty_like(order)
+            np.put_along_axis(ranks, order, np.arange(order.shape[1]), axis=1)
+            held = _Ranked(q_ids, ranks)
+            self.ranked.update(dict.fromkeys(chunk, held))
+        return held
+
+    def _screened_bag_similarities(
+        self, q_ids: list[str], bags: np.ndarray, pooling: str
+    ) -> np.ndarray:
+        """Bags x queries: the screened similarity of each given bag to
+        each query, from one float32 product of the bags' sentence rows
+        with the queries (``EmbeddingIndex.screen_dots``), its rows laid
+        out sentence j of every bag longer than j for j = 0, 1, ..., so
+        that ``_pooled`` pools contiguous blocks. Each lies within
+        ``_slack(pooling)`` of the exact value: the slack bounds each dot
+        whatever the product's blocking."""
+        lengths = self.corpus.lengths[bags]
+        order, first, longer = _longest_first(lengths, self.corpus.starts[bags])
+        positions = np.concatenate([first[:n] + j for j, n in enumerate(longer)])
+        dots = self.embeddings.screen_dots(q_ids, self.embedding_rows[positions])
+        ends = np.cumsum(longer).tolist()
+        more = (dots[end - n : end] for n, end in zip(longer[1:], ends[1:]))
+        return _pooled(dots[: len(bags)], more, order, lengths, pooling)
+
+    def bag_pick(self, q_id: str, relation: str, config: ScoringConfig) -> int:
+        """Stage 2 for the query and a relation with bags: the index of the
+        relation's bag with the first maximum of the exact combined score
+        (``combined_bag_scores``). With w_sim = 0 it is one argmax of the
+        confidence column.
+
+        With both weights, the first request for a relation decides it for
+        a block of queries: the asking one and every query of its chunk
+        that ranks the relation among its first ``config.k`` candidates and
+        has no pick for it yet. The block's screened scores come from one
+        product (``_screened_bag_similarities``); the picks are kept with
+        the chunk. With w_conf = 0, stage 1 has pooled the query's chunk
+        for ``top``, and the query's screened scores are read from it.
+        Either way each query's bags screened within twice the slack of its
+        best are settled with exact similarities (``settle_argmax``)."""
+        bags = self.corpus.bags_by_relation[relation]
+        scores, _ = _consulted(self, config)
+        pooling = config.bag_sim_pooling
+        if scores is None:
+            block, picks, confidence = [q_id], {}, None
+            sims = self.bag_similarities(q_id, pooling)[bags, None]
+            screened = _combined(config, sims, None)
+        else:
+            column = scores.column(relation)
+            if config.w_sim == 0:
+                return int(bags[np.argmax(_combined(config, None, self.confidence[bags, column]))])
+            ranked = self._ranked(q_id)
+            key = (relation, config.w_sim, config.w_conf, pooling)
+            picks = ranked.picks.setdefault(key, {})
+            if q_id in picks:
+                return picks[q_id]
+            block = [q_id] + [
+                q
+                for q, rank in zip(ranked.q_ids, ranked.ranks[:, column].tolist())
+                if rank < config.k and q not in picks and q != q_id
+            ]
+            confidence = self.confidence[bags, column]
+            sims = self._screened_bag_similarities(block, bags, pooling)
+            screened = _combined(config, sims, confidence[:, None])
+
+        def exact(q: str, near: np.ndarray) -> np.ndarray:
+            sims = self.exact_bag_similarities(q, pooling, bags[near])
+            return _combined(config, sims, None if confidence is None else confidence[near])
+
+        slack = self._slack(pooling, config.w_sim, config.w_conf)
+        for q, scored in zip(block, screened.T):
+            picks[q] = int(bags[settle_argmax(scored, slack, partial(exact, q))])
+        return picks[q_id]
 
     def top(
         self, q_id: str, k: int, pooling: str | None = None
@@ -375,6 +446,51 @@ def _mapped(dots: np.ndarray) -> np.ndarray:
     sims = dots.astype(np.float64)
     sims += 1.0
     sims /= 2.0
+    return sims
+
+
+def _longest_first(
+    lengths: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(bags longest first, in the given order on ties; their first
+    sentence positions; for each j, how many of them have more than j
+    sentences) of bags of these lengths and first positions, so the bags
+    with a sentence j lead the order."""
+    order = np.argsort(-lengths, kind="stable")
+    longer = len(lengths) - np.cumsum(np.bincount(lengths))
+    return order, starts[order], longer[: lengths.max(initial=0)].tolist()
+
+
+def _pooled(
+    pooled: np.ndarray,
+    more: Iterator[np.ndarray],
+    order: np.ndarray,
+    lengths: np.ndarray,
+    pooling: str,
+) -> np.ndarray:
+    """Bags x queries: similarities pooled from dot products (rows x
+    queries) of the first sentence of every bag (``pooled``, overwritten),
+    then, for j = 1, 2, ..., of sentence j of every bag longer than j
+    (``more``), the bags longest first (``order`` of bags of these
+    ``lengths``; ``_longest_first``). So the work is sentences x queries,
+    each step on the head of the last. A max pools the dot products, since
+    (1 + d) / 2 rounds monotonically; a mean sums float64 similarities in
+    in-bag order."""
+    mean = pooling == "mean"
+    if mean:
+        pooled = _mapped(pooled)
+    for block in more:
+        n = len(block)
+        if mean:
+            pooled[:n] += _mapped(block)
+        else:
+            np.maximum(pooled[:n], block, out=pooled[:n])
+    if mean:
+        pooled /= lengths[order, None]
+    else:
+        pooled = _mapped(pooled)
+    sims = np.empty_like(pooled)
+    sims[order] = pooled
     return sims
 
 
@@ -464,20 +580,16 @@ def select_bag(
     config: ScoringConfig,
 ) -> str:
     """Stage 2: the bag with the first maximum of the combined bag scores
-    (``combined_bag_scores``); ties keep the earliest bag. The pick is
-    settled from the query's screened bag similarities by
-    ``CorpusView.argmax``, so it is the one exact scores would make."""
+    (``combined_bag_scores``); ties keep the earliest bag. The view makes
+    the pick (``CorpusView.bag_pick``): it screens the relation's bags for
+    a block of queries at once and settles each pick with exact scores, so
+    it is the one exact scores would make."""
     bags = corpus.bags_by_relation.get(relation)
     if bags is None:
         raise KeyError(f"unknown relation {relation!r}")
     if not len(bags):
         raise NoBagForRelation(relation)
-    scores, _ = _consulted(view, config)
-    confidence = None
-    if scores is not None:
-        confidence = view.confidence[bags, scores.column(relation)]
-    best = view.argmax(q_id, bags, config, confidence, config.bag_sim_pooling)
-    return corpus.bag_ids[bags[best]]
+    return corpus.bag_ids[view.bag_pick(q_id, relation, config)]
 
 
 def _bag_scores(
@@ -499,10 +611,14 @@ def select_sentence(
     Coverage counts bag labels scored strictly above the threshold; among
     coverage-maximal sentences the one with the highest confidence sum over
     all bag labels wins, earliest in-bag position on ties. Sums add the
-    labels in name order, which fixes how a near tie rounds.
+    labels in name order, one ``+`` at a time, which fixes how a near tie
+    rounds: builtin ``sum`` compensates float rounding from Python 3.12 on.
     """
     start, confs = _bag_scores(corpus, b, scores, sorted(corpus.labelset(b)))
-    keys = [(sum(c > threshold for c in row), sum(row)) for row in confs.tolist()]
+    keys = [
+        (sum(c > threshold for c in row), reduce(operator.add, row, 0.0))
+        for row in confs.tolist()
+    ]
     # max keeps the first maximal sentence: in-bag order breaks ties
     return corpus.sentence(start + max(range(len(keys)), key=keys.__getitem__))
 
@@ -582,14 +698,12 @@ def build_exemplar_set(
 
     Each candidate's stage-2 pick and score are kept on the view
     (``CorpusView.bag_picks``), so a k sweep runs ``select_bag`` once per
-    query and relation.
+    query and relation; the view screens stage 2 one relation at a time,
+    for every query of the chunk that ranks it (``CorpusView.bag_pick``).
     """
     corpus = view.corpus
-    scores, embeddings = _consulted(view, config)
+    scores, _ = _consulted(view, config)
     pooling = config.bag_sim_pooling
-    if embeddings is not None:
-        # screened before stage 2, which reads them from the view
-        view.bag_similarities(q_id, pooling)
     if scores is not None:
         candidates = select_candidates(q_id, scores, config.k)
     else:

@@ -71,14 +71,18 @@ def select_bag_oracle(q_id, relation, relations, bags, scores, embeddings, w_sim
 
 
 def select_sentence_oracle(bag, relations, scores, threshold):
-    """Two passes: max coverage, then max aggregate confidence."""
-    label_indexes = [relations.index(r) for r in bag["labels"]]
+    """Two passes: max coverage, then max aggregate confidence, a left fold
+    of the label scores in label-name order."""
+    label_indexes = [relations.index(r) for r in sorted(bag["labels"])]
     coverages = []
     aggregates = []
     for s in bag["sentences"]:
         row = scores[s["sentence_id"]]
         coverages.append(sum(1 for i in label_indexes if row[i] > threshold))
-        aggregates.append(sum(row[i] for i in label_indexes))
+        aggregate = 0.0
+        for i in label_indexes:
+            aggregate += row[i]
+        aggregates.append(aggregate)
     vmax = max(coverages)
     best = None
     best_agg = None

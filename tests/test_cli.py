@@ -443,25 +443,65 @@ def test_run_k_sweep_matches_separate_select_and_run(tmp_path, monkeypatch, stra
             ).read_bytes(), (name, k)
 
 
+def record_screens(monkeypatch) -> list:
+    """(query ids, relation) of each EmbeddingIndex.screen_dots call: the
+    relation whose bags' sentence rows stage 2 screened, or None for a
+    screen of every embedding row."""
+    calls, asked = [], []
+    screen_dots, bag_pick = EmbeddingIndex.screen_dots, CorpusView.bag_pick
+
+    def recorded_pick(self, q_id, relation, config):
+        asked.append(relation)
+        return bag_pick(self, q_id, relation, config)
+
+    def recorded_screen(self, q_ids, rows=None):
+        calls.append((tuple(q_ids), None if rows is None else asked[-1]))
+        return screen_dots(self, q_ids, rows)
+
+    monkeypatch.setattr(CorpusView, "bag_pick", recorded_pick)
+    monkeypatch.setattr(EmbeddingIndex, "screen_dots", recorded_screen)
+    return calls
+
+
+def golden_chunk_of(size):
+    """Query id -> its chunk of ``size`` golden queries, in file order."""
+    queries = read_jsonl(GOLDEN / "queries.jsonl")
+    return {q["query_id"]: i // size for i, q in enumerate(queries)}
+
+
+def assert_one_product_per_chunk_and_relation(calls, records, size):
+    """Stage 2 made one product per chunk of ``size`` queries and
+    candidate relation with a bag, of exactly the chunk's queries that
+    have the relation among their candidates in ``records``."""
+    chunk = golden_chunk_of(size)
+    want = {}
+    for r in records:
+        for relation, _ in r["candidates"]:
+            if relation not in r["skipped"]:
+                want.setdefault((chunk[r["query_id"]], relation), set()).add(r["query_id"])
+    products = [(q_ids, relation) for q_ids, relation in calls if relation is not None]
+    assert Counter((chunk[q_ids[0]], r) for q_ids, r in products) == Counter(want.keys())
+    for q_ids, relation in products:
+        assert len(set(q_ids)) == len(q_ids)
+        assert set(q_ids) == want[chunk[q_ids[0]], relation]
+
+
 def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
-    """A sweep screens each query, pools its chunk's bag similarities, and
-    computes each (query, candidate relation) stage-2 pick and each picked
-    bag's stage-3 sentence once, and writes metadata.json once, as
-    ``run``."""
+    """A sweep screens each (query, candidate relation) pair once, in one
+    stage-2 product per relation (the 20 queries are one chunk), screens
+    and pools no whole matrix, computes each (query, candidate relation)
+    stage-2 pick and each picked bag's stage-3 sentence once, and writes
+    metadata.json once, as ``run``."""
     calls = Counter()
     bag_picks = Counter()
-    screen_dots, pool = EmbeddingIndex.screen_dots, CorpusView._pool
+    screens = record_screens(monkeypatch)
+    pool = CorpusView._pool
     select_bag = hydre.selection.select_bag
     select_sentence = hydre.selection.select_sentence
 
     def counted_select_bag(q_id, relation, *args, **kwargs):
         bag_picks[q_id, relation] += 1
         return select_bag(q_id, relation, *args, **kwargs)
-
-    def counted_screen_dots(self, q_ids):
-        calls.update(q_ids)
-        calls["screens"] += 1
-        return screen_dots(self, q_ids)
 
     def counted_pool(self, dots, pooling):
         calls["pools"] += 1
@@ -471,7 +511,6 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
         calls[corpus.bag_ids[b]] += 1
         return select_sentence(corpus, b, scores, threshold)
 
-    monkeypatch.setattr(EmbeddingIndex, "screen_dots", counted_screen_dots)
     monkeypatch.setattr(CorpusView, "_pool", counted_pool)
     monkeypatch.setattr(hydre.selection, "select_bag", counted_select_bag)
     monkeypatch.setattr(hydre.selection, "select_sentence", counted_select_sentence)
@@ -483,9 +522,8 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     assert run_cli("--config", config_path, "--k", "2..4", "run") == 0
     assert written == ["run"]
     selections = read_jsonl(tmp_path / "out" / "selections_k4.jsonl")
-    queries = [r["query_id"] for r in selections]
-    assert {q: calls[q] for q in queries} == dict.fromkeys(queries, 1)
-    assert calls["screens"] == calls["pools"] == 1  # the 20 queries are one chunk
+    assert_one_product_per_chunk_and_relation(screens, selections, len(selections))
+    assert not calls["pools"]
     assert set(calls.values()) == {1}
     assert bag_picks == Counter(
         (r["query_id"], relation) for r in selections for relation, _ in r["candidates"]
@@ -504,17 +542,12 @@ def screen_golden_chunks(monkeypatch):
 
 
 def count_batches(monkeypatch):
-    """Counter of EmbeddingIndex.screen_dots calls (``batches``), with the
-    view screening ``GOLDEN_CHUNK`` golden queries per chunk, and a check
-    that every index loaded since has the instance attributes it was
-    loaded with."""
+    """The screens made (``record_screens``), with the view screening
+    ``GOLDEN_CHUNK`` golden queries per chunk, and a check that every index
+    loaded since has the instance attributes it was loaded with."""
     screen_golden_chunks(monkeypatch)
-    calls, loaded = Counter(), []
-    screen_dots, load = EmbeddingIndex.screen_dots, EmbeddingIndex.load.__func__
-
-    def counted_screen_dots(self, q_ids):
-        calls["batches"] += 1
-        return screen_dots(self, q_ids)
+    calls, loaded = record_screens(monkeypatch), []
+    load = EmbeddingIndex.load.__func__
 
     def recorded_load(cls, path):
         index = load(cls, path)
@@ -527,13 +560,17 @@ def count_batches(monkeypatch):
             assert vars(index).keys() == attributes.keys()
             assert all(vars(index)[name] is value for name, value in attributes.items())
 
-    monkeypatch.setattr(EmbeddingIndex, "screen_dots", counted_screen_dots)
     monkeypatch.setattr(EmbeddingIndex, "load", classmethod(recorded_load))
     return calls, assert_unchanged
 
 
+def whole_screens(calls) -> list:
+    """The screens of every embedding row among ``record_screens`` calls."""
+    return [q_ids for q_ids, relation in calls if relation is None]
+
+
 @pytest.mark.parametrize(
-    "strategy, batches",
+    "strategy, chunks",
     [
         ("hydre", 2),
         ("topk_sim", 2),
@@ -547,14 +584,23 @@ def count_batches(monkeypatch):
         ("ablation:random_bag_sentence", 0),
     ],
 )
-def test_select_computes_one_batch_per_query_chunk(tmp_path, monkeypatch, strategy, batches):
-    """The 20 golden queries are two chunks: a strategy that reads query
-    embeddings screens two chunks of similarities, one that does not
-    screens none, and the embedding index keeps no state of a select."""
+def test_select_computes_one_batch_per_query_chunk(tmp_path, monkeypatch, strategy, chunks):
+    """The 20 golden queries are two chunks. hydre screens no whole
+    matrix: stage 2 makes one product per chunk and candidate relation, of
+    the chunk's queries that rank it. Another strategy that reads query
+    embeddings screens each chunk once against every row; one that does
+    not screens nothing. The embedding index keeps no state of a select."""
     calls, assert_unchanged = count_batches(monkeypatch)
-    out = str(tmp_path / "out")
-    assert run_cli("--config", CONFIG, "--strategy", strategy, "--output", out, "select") == 0
-    assert calls["batches"] == batches
+    out = tmp_path / "out"
+    assert run_cli("--config", CONFIG, "--strategy", strategy, "--output", str(out), "select") == 0
+    if strategy == "hydre":
+        assert not whole_screens(calls)
+        records = read_jsonl(out / "selections.jsonl")
+        assert_one_product_per_chunk_and_relation(calls, records, GOLDEN_CHUNK)
+        chunk = golden_chunk_of(GOLDEN_CHUNK)
+        assert {chunk[q_ids[0]] for q_ids, _ in calls} == set(range(chunks))
+    else:
+        assert len(whole_screens(calls)) == len(calls) == chunks
     assert_unchanged()
 
 
@@ -568,21 +614,26 @@ def test_select_mmr_without_pool_equals_a_pool_of_every_sentence(tmp_path, monke
     config["mmr"] = {"pool_size": None}
     config_path.write_text(json.dumps(config))
     assert run_cli("--config", str(config_path), "select") == 0
-    assert not calls["batches"]
+    assert not calls
     assert_unchanged()
     whole = (tmp_path / "out" / "selections.jsonl").read_bytes()
     config["mmr"] = {"pool_size": GOLDEN_SENTENCES}
     config_path.write_text(json.dumps(config))
     assert run_cli("--config", str(config_path), "select") == 0
-    assert calls["batches"] == 2
+    assert len(whole_screens(calls)) == len(calls) == 2
     assert (tmp_path / "out" / "selections.jsonl").read_bytes() == whole
 
 
 def test_run_k_sweep_computes_one_batch_per_query_chunk(tmp_path, monkeypatch):
+    """A ``--k 1..20`` sweep visits each query's largest k first, so stage
+    2 makes one product per chunk and relation: the first request for a
+    relation covers every k. No whole matrix is screened."""
     calls, assert_unchanged = count_batches(monkeypatch)
     config_path = live_config(tmp_path, monkeypatch)
-    assert run_cli("--config", config_path, "--k", "2..4", "run") == 0
-    assert calls["batches"] == 2
+    assert run_cli("--config", config_path, "--k", "1..20", "run") == 0
+    assert not whole_screens(calls)
+    records = read_jsonl(tmp_path / "out" / "selections_k20.jsonl")
+    assert_one_product_per_chunk_and_relation(calls, records, GOLDEN_CHUNK)
     assert_unchanged()
 
 
@@ -602,15 +653,22 @@ def fail_in_second_chunk(monkeypatch):
 
 
 def test_failed_select_holds_no_batch(tmp_path, monkeypatch, capsys):
-    """A select that fails in its second chunk has screened both chunks,
-    leaves the embedding index as it was loaded and writes no selections
-    file."""
+    """A select that fails in its second chunk has screened stage-2
+    products of both chunks, each of one chunk's queries and once per
+    chunk and relation, leaves the embedding index as it was loaded and
+    writes no selections file."""
     calls, assert_unchanged = count_batches(monkeypatch)
     fail_in_second_chunk(monkeypatch)
     out = str(tmp_path / "out")
     assert run_cli("--config", CONFIG, "--output", out, "select") == 2
     assert "selection failed" in capsys.readouterr().err
-    assert calls["batches"] == 2
+    assert not whole_screens(calls)
+    chunk = golden_chunk_of(GOLDEN_CHUNK)
+    blocks = [({chunk[q] for q in q_ids}, relation) for q_ids, relation in calls]
+    assert all(len(chunks) == 1 for chunks, _ in blocks)
+    blocks = [(min(chunks), relation) for chunks, relation in blocks]
+    assert len(set(blocks)) == len(blocks)
+    assert {c for c, _ in blocks} == {0, 1}
     assert_unchanged()
     assert not (tmp_path / "out" / "selections.jsonl").exists()
 

@@ -39,6 +39,7 @@ from conftest import (
     restore_mtime,
     corpus_from_instance,
     embeddings_from_instance,
+    make_query,
     make_sentence,
     ontology_from_names,
     scores_from_instance,
@@ -262,6 +263,15 @@ def test_bag_similarity_matches_brute_force_on_random_bags():
                 assert got == pytest.approx(want, abs=1e-12)
             screened = view.bag_similarities(q_id, pooling)
             assert np.abs(screened - sims).max() <= view._slack(pooling)
+
+
+@pytest.mark.parametrize("pooling", ["max", "mean"])
+def test_a_corpus_without_bags_pools_no_bag(tiny_ontology, pooling):
+    """A corpus of queries only pools an empty row and ranks no bag."""
+    corpus = Corpus.assemble(tiny_ontology, [], [make_query("q", {"rel_a"})])
+    view = CorpusView(corpus, None, EmbeddingIndex(2, {"q": [1.0, 0.0]}))
+    assert view.bag_similarities("q", pooling).shape == (0,)
+    assert [len(a) for a in view.top("q", 3, pooling)] == [0, 0]
 
 
 @pytest.mark.parametrize("size", [1, 3, 20])
@@ -1090,6 +1100,21 @@ def test_provider_built_from_a_dict_gets_the_file_value_checks(build, message):
     with pytest.raises(ProviderError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [True, "x", 10**400], ids=["bool", "string", "huge_int"])
+@pytest.mark.parametrize("provider", ["scores", "embeddings"])
+def test_provider_built_from_a_dict_refuses_a_value_that_is_not_a_number(provider, value):
+    """A boolean, a string or an integer beyond float64's range is refused
+    as a provider file's parser refuses it, naming the item id: not read
+    as 1.0, nor raised as a bare ValueError or OverflowError."""
+    with pytest.raises(ProviderError) as info:
+        if provider == "scores":
+            ScoreMatrix(("r",), {"a": [value]})
+        else:
+            EmbeddingIndex(2, {"a": [1.0, value]})
+    row = "row 'a'" if provider == "scores" else "vector for 'a'"
+    assert str(info.value) == f"{row} has a value that is not a number"
 
 
 @pytest.mark.parametrize("kind", ["scores", "embeddings"])

@@ -113,10 +113,12 @@ def close_call_instances(dim: int):
             yield instance, emb
 
 
-def exact_screen_dots(self, q_ids):
-    """The screen replaced by the exact per-query np.vecdot row, one column
-    per query, as ``screen_dots`` lays it out."""
-    return np.stack([np.vecdot(self.matrix, self.vector(q_id)) for q_id in q_ids]).T
+def exact_screen_dots(self, q_ids, rows=None):
+    """The screen replaced by exact per-query np.vecdot values of the given
+    rows (every row when ``rows`` is None), one column per query, as
+    ``screen_dots`` lays it out."""
+    matrix = self.matrix if rows is None else self.matrix[rows]
+    return np.stack([np.vecdot(matrix, self.vector(q_id)) for q_id in q_ids]).T
 
 
 def select_records(strategy, pool_size, pooling, instance, emb, q_ids=None) -> str:
@@ -155,9 +157,9 @@ def test_screened_selection_writes_the_exact_records(
         calls["exact"] += 1
         return similarities(self, q_id, rows)
 
-    def counted_screen(self, q_ids):
+    def counted_screen(self, q_ids, rows=None):
         calls["screen"] += 1
-        return screen_dots(self, q_ids)
+        return screen_dots(self, q_ids, rows)
 
     for instance, emb in close_call_instances(dim):
         with monkeypatch.context() as patch:
@@ -263,11 +265,13 @@ def combined_scores(w_sim, w_conf, sims, confidence):
 def test_argmax_is_the_first_maximum_of_exact_scores(
     pooling, w_sim, w_conf, with_confidence
 ):
-    """On close calls, ``CorpusView.argmax`` over sentence positions or
-    pooled bags is the first maximum of w_sim * sim + w_conf * confidence
-    from brute-force exact similarities, and over one relation's bags the
-    first maximum of ``combined_bag_scores``. With w_sim = 0 the view has
-    no embedding index, so no similarity is read."""
+    """On close calls, ``CorpusView.argmax`` over sentence positions, and
+    stage 2's pick over one relation's pooled bags (``select_bag``, which
+    the view settles for a block of queries at once), is the first maximum
+    of w_sim * sim + w_conf * confidence from brute-force exact
+    similarities; a bag pick is also the first maximum of
+    ``combined_bag_scores``. With w_sim = 0 the view has no embedding
+    index, so no similarity is read."""
     config = ScoringConfig(w_sim=w_sim, w_conf=w_conf, bag_sim_pooling=pooling or "max")
     picks = 0
     for dim in (17, 300):
@@ -281,13 +285,55 @@ def test_argmax_is_the_first_maximum_of_exact_scores(
                     if not with_confidence:
                         confidence = None
                     want = combined_scores(w_sim, w_conf, sims[items], confidence)
-                    got = view.argmax(q_id, items, config, confidence, pooling)
-                    assert got == int(np.argmax(want))
-                    if pooling is not None and relation is not None:
+                    if pooling is None:
+                        got = view.argmax(q_id, items, config, confidence)
+                        assert got == int(np.argmax(want))
+                    elif relation is not None:
+                        got = select_bag(q_id, relation, corpus, view, config)
+                        assert got == corpus.bag_ids[items[np.argmax(want)]]
                         _, total = combined_bag_scores(q_id, relation, view, config)
-                        assert got == int(np.argmax(total))
+                        assert got == corpus.bag_ids[items[np.argmax(total)]]
                     picks += 1
     assert picks
+
+
+@pytest.mark.parametrize("pooling", ["max", "mean"])
+def test_a_block_settles_near_sets_of_several_bags_exactly(monkeypatch, pooling):
+    """Stage 2 screens one relation's bags for a block of queries at once.
+    On close calls, a block of several queries leaves several bags within
+    twice the slack of a query's best, and each such near set is settled
+    with exact similarities: every pick is the first maximum of
+    ``combined_bag_scores``."""
+    settled, block = [], [0]
+    screened = CorpusView._screened_bag_similarities
+    exact = CorpusView.exact_bag_similarities
+
+    def recorded_block(self, q_ids, bags, pooling):
+        block[0] = len(q_ids)
+        return screened(self, q_ids, bags, pooling)
+
+    def recorded_exact(self, q_id, pooling, bags):
+        settled.append((block[0], len(bags)))
+        return exact(self, q_id, pooling, bags)
+
+    for dim in (17, 300):
+        for instance, emb in close_call_instances(dim):
+            corpus = corpus_from_instance(instance)
+            view = CorpusView(corpus, scores_from_instance(instance), emb)
+            # every query ranks every relation, so each block is all of them
+            config = ScoringConfig(k=len(corpus.ontology), bag_sim_pooling=pooling)
+            for relation in corpus.ontology.names:
+                bags = corpus.bags_by_relation.get(relation, ())
+                if not len(bags):
+                    continue
+                for q_id in instance["queries"]:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(CorpusView, "_screened_bag_similarities", recorded_block)
+                        patch.setattr(CorpusView, "exact_bag_similarities", recorded_exact)
+                        got = select_bag(q_id, relation, corpus, view, config)
+                    _, total = combined_bag_scores(q_id, relation, view, config)
+                    assert got == corpus.bag_ids[bags[np.argmax(total)]]
+    assert any(queries > 1 and near > 1 for queries, near in settled)
 
 
 @pytest.mark.parametrize(

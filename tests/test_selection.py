@@ -261,6 +261,21 @@ def test_select_sentence_sums_labels_in_name_order():
     assert select_sentence(corpus, 0, scores, threshold=0.5).sentence_id == "s1"
 
 
+def test_select_sentence_folds_the_aggregate_left_to_right():
+    # The bag above in reverse order, [s2, s1]. A left fold in name order
+    # sums s1 to 0.6000000000000001 and s2 to 0.6, so s1 wins. Builtin sum
+    # compensates its rounding from Python 3.12 on: both would sum to 0.6,
+    # and the tie would go to s2, the first in the bag.
+    relations = ["rel_c", "rel_b", "rel_a"]
+    labels = {"rel_a", "rel_b", "rel_c"}
+    rows = {"s1": [0.3, 0.2, 0.1], "s2": [0.1, 0.2, 0.3]}
+    corpus = one_bag_corpus(ontology_from_names(relations), ["s2", "s1"], labels)
+    scores = matrix(corpus.ontology, rows)
+    assert select_sentence(corpus, 0, scores, threshold=0.5).sentence_id == "s1"
+    bag = {"labels": labels, "sentences": [{"sentence_id": "s2"}, {"sentence_id": "s1"}]}
+    assert select_sentence_oracle(bag, relations, rows, 0.5) == "s1"
+
+
 def oracle_instances(seed):
     """A random instance, then the same instance with duplicated rows."""
     yield make_random_instance(seed=seed)
