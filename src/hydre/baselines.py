@@ -20,6 +20,7 @@ from .selection import (
     CorpusView,
     Exemplar,
     ExemplarSet,
+    _expanded,
     _query_rng,
     candidate_set,
     select_candidates,
@@ -138,28 +139,37 @@ def mmr_select(
     return [_scored(flat, pool[j], q_sims[j]) for j in selected]
 
 
+def sentence_runs(view: CorpusView, bags: np.ndarray, column: int | None) -> tuple:
+    """Flat retrieval's items (``CorpusView.pick``): every sentence of the
+    bags, in corpus order, as a run of one, each with its own score in the
+    score column."""
+    positions, _ = _expanded(view.corpus.starts[bags], view.corpus.lengths[bags])
+    confidence = None
+    if column is not None:
+        confidence = view.scores.matrix[view.score_rows[positions], column]
+    return positions, np.ones_like(positions), confidence
+
+
 def flat_retrieval(
     q_id: str,
     view: CorpusView,
     config: ScoringConfig,
 ) -> ExemplarSet:
     """Stage 2/3 replacement: retrieve one best sentence per candidate
-    directly from the flattened corpus, scored like a one-sentence bag
-    (``CorpusView.argmax`` over the sentences of the candidate's bags).
-    The earliest sentence in corpus order wins a tie. The view's score
-    matrix is always read, its embedding index only when w_sim > 0."""
-    corpus, scores = view.corpus, view.scores
+    directly from the flattened corpus, scored like a one-sentence bag:
+    stage 2's pick (``CorpusView.pick``) over the sentences of the
+    candidate's bags (``sentence_runs``). The earliest sentence in corpus
+    order wins a tie. The view's score matrix is read for stage 1, and for
+    the pick when w_conf > 0; its embedding index only when w_sim > 0."""
+    corpus = view.corpus
 
     def exemplar(relation: str, score: float) -> Exemplar | None:
-        bags = corpus.bags_by_relation[relation]
-        if not len(bags):
+        if not len(corpus.bags_by_relation[relation]):
             return None
-        positions = np.flatnonzero(np.isin(corpus.sentence_bag, bags))
-        confidence = scores.matrix[view.score_rows[positions], scores.column(relation)]
-        best = view.argmax(q_id, positions, config, confidence)
-        return _sentence_exemplar(corpus, positions[best], relation, score)
+        pos = view.pick(q_id, relation, config, sentence_runs)
+        return _sentence_exemplar(corpus, pos, relation, score)
 
-    return candidate_set(q_id, select_candidates(q_id, scores, config.k), exemplar)
+    return candidate_set(q_id, select_candidates(q_id, view.scores, config.k), exemplar)
 
 
 def random_bag_sentence(

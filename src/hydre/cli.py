@@ -576,9 +576,9 @@ def cmd_select(
     builds one corpus view (``selection.CorpusView``) of the loaded inputs,
     shared by every k and freed when it returns.
     Each query is selected for every k in turn, largest k first, so the
-    view's per-query work (bag similarities, stage-2 picks) is done once
-    per query, and the first stage-2 request for a relation covers every
-    k of the pass. When query similarities are computed, and for which
+    view's work for a query (its chunk's screens and ranks, its stage-2
+    and flat-retrieval picks) is done once, and the first pick request
+    for a relation covers every k of the pass. When query similarities are computed, and for which
     queries at once, is the view's affair; every pick and every score
     written is the one a selection of that query alone would make.
     """

@@ -450,9 +450,8 @@ class EmbeddingIndex(_RowMatrix):
     that only screens reads half the bytes, and a dict-built index derives
     it when it is built. Which queries and rows share a product, how long
     it is kept, and how each decision read from it is settled with exact
-    values (``CorpusView.argmax``, ``CorpusView.top``,
-    ``CorpusView.bag_pick``) is decided by the selection pass's
-    ``selection.CorpusView``.
+    values (``CorpusView.pick``, ``CorpusView.top``) is decided by the
+    selection pass's ``selection.CorpusView``.
     """
 
     _missing = "no embedding for item {!r}"

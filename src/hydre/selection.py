@@ -116,22 +116,17 @@ SCREEN_BYTES = 16 << 20
 
 @dataclass
 class _Chunk:
-    """The screened dot products of one chunk of queries with every
-    embedding row, and the bag similarities pooled from them."""
+    """One chunk of queries (``CorpusView._chunk_of``) and what the view
+    derives for them, each filled on first need: their screened dot
+    products with every embedding row, the bag similarities pooled from
+    those, their stage-1 ranks and the picks made for them."""
 
     index: dict[str, int]  # query id -> its row of ``dots``
-    dots: np.ndarray  # query x embedding row: a transposed screen
+    dots: np.ndarray | None = None  # query x embedding row: a transposed screen
     bag_sims: dict = field(default_factory=dict)  # pooling -> query x bag
-
-
-@dataclass
-class _Ranked:
-    """A chunk of queries' stage-1 rank of every relation, and the stage-2
-    picks made for them."""
-
-    q_ids: list[str]
-    ranks: np.ndarray  # query x relation: its place in stage 1's order
-    # (relation, w_sim, w_conf, pooling) -> {query id: picked bag index}
+    # (the queries with a score row, query x relation: its place in stage 1's order)
+    ranks: tuple[list[str], np.ndarray] | None = None
+    # (items, relation, w_sim, w_conf, pooling) -> {query id: picked position}
     picks: dict = field(default_factory=dict)
 
 
@@ -154,15 +149,15 @@ class CorpusView:
     query's sentence similarities computes them for its chunk with one
     float32 matrix product (``EmbeddingIndex.screen_dots``), and the first
     request for a bag similarity pools the whole chunk at once, one
-    read-only query x bag matrix per pooling. Stage 2 (``bag_pick``) reads
-    neither: it screens one relation's bags at a time, against the
-    chunk's queries that rank the relation among their candidates. The
-    view keeps one chunk of each until a request falls outside it. Each
-    decision that reads similarities (``argmax``, ``top``, ``bag_pick``)
-    settles whatever a screened value could get wrong with exact float64
-    values, so what a selection picks does not depend on the screen's
-    precision, nor on how its queries fall into chunks or in what order
-    they are visited.
+    read-only query x bag matrix per pooling. Stage 2 and flat retrieval
+    (``pick``) read neither: they screen one relation's items at a time,
+    against the chunk's queries that rank the relation among their
+    candidates. The view keeps one chunk (``_Chunk``) until a request
+    falls outside it. Each decision that reads similarities (``pick``,
+    ``top``) settles whatever a screened value could get wrong with exact
+    float64 values, so what a selection picks does not depend on the
+    screen's precision, nor on how its queries fall into chunks or in what
+    order they are visited.
 
     A k sweep selects each query for every k in turn with the same view, so
     the view also keeps the latest query's stage-2 picks, and each bag's
@@ -175,8 +170,6 @@ class CorpusView:
     embeddings: EmbeddingIndex | None
     # query id -> the _Chunk that holds it; one chunk at a time
     chunk: dict = field(default_factory=dict, init=False, repr=False)
-    # query id -> the _Ranked chunk that holds it; one chunk at a time
-    ranked: dict = field(default_factory=dict, init=False, repr=False)
     latest_bag_picks: dict = field(default_factory=dict, init=False, repr=False)
     sentence_picks: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -220,26 +213,28 @@ class CorpusView:
         return [q.query_id for q in self.corpus.queries[i : i + size]]
 
     def _held(self, q_id: str) -> _Chunk:
-        """The chunk held if it holds the query, else a new chunk of
-        screened dot products."""
+        """The chunk held if it holds the query, else a new, empty record
+        of the query's chunk."""
         held = self.chunk.get(q_id)
         if held is None:
             self.chunk.clear()
             q_ids = self._chunk_of(q_id)
-            dots = self.embeddings.screen_dots(q_ids).T
-            held = _Chunk(dict(zip(q_ids, range(len(q_ids)))), dots)
+            held = _Chunk(dict(zip(q_ids, range(len(q_ids)))))
             self.chunk.update(dict.fromkeys(q_ids, held))
         return held
 
-    def _dots(self, q_id: str) -> np.ndarray:
-        """The query's screened dot product with every embedding row."""
-        held = self._held(q_id)
-        return held.dots[held.index[q_id]]
+    def _dots(self, held: _Chunk) -> np.ndarray:
+        """The chunk's screened dot products, query x embedding row, made
+        on the first request."""
+        if held.dots is None:
+            held.dots = self.embeddings.screen_dots(list(held.index)).T
+        return held.dots
 
     def similarities(self, q_id: str) -> np.ndarray:
         """The query's screened similarity to each corpus sentence, by
         position, each within ``screen_slack`` of the exact one."""
-        return _mapped(self._dots(q_id)[self.embedding_rows])
+        held = self._held(q_id)
+        return _mapped(self._dots(held)[held.index[q_id], self.embedding_rows])
 
     def exact_similarities(self, q_id: str, positions: np.ndarray) -> np.ndarray:
         """The exact similarity of the query to each given sentence
@@ -255,7 +250,7 @@ class CorpusView:
         held = self._held(q_id)
         sims = held.bag_sims.get(pooling)
         if sims is None:
-            sims = held.bag_sims[pooling] = self._pool(held.dots.T, pooling)
+            sims = held.bag_sims[pooling] = self._pool(self._dots(held).T, pooling)
         return sims[held.index[q_id]]
 
     def _pool(self, dots: np.ndarray, pooling: str) -> np.ndarray:
@@ -279,20 +274,25 @@ class CorpusView:
             picks = self.latest_bag_picks[q_id] = {}
         return picks
 
-    def exact_bag_similarities(
-        self, q_id: str, pooling: str, bags: np.ndarray
+    def exact_bag_similarities(self, q_id: str, pooling: str, bags: np.ndarray) -> np.ndarray:
+        """The exact similarity of each given bag (``exact_run_similarities``)."""
+        starts, lengths = self.corpus.starts[bags], self.corpus.lengths[bags]
+        return self.exact_run_similarities(q_id, pooling, starts, lengths)
+
+    def exact_run_similarities(
+        self, q_id: str, pooling: str, starts: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
-        """The exact similarity of each given bag, bit-equal to pooling the
-        exact similarities of every corpus sentence: a segment's max or sum
-        depends only on its own values, in order."""
-        lengths = self.corpus.lengths[bags]
-        starts = np.cumsum(lengths) - lengths
-        positions = np.repeat(self.corpus.starts[bags] - starts, lengths)
-        positions += np.arange(len(positions))
+        """The exact similarity of each run of sentence positions (first
+        position, length): the max (or mean) of its sentences' exact
+        similarities, bit-equal to pooling those of every corpus sentence,
+        since a segment's max or sum depends only on its own values, in
+        order. A one-sentence run's is its sentence's
+        (``exact_similarities``)."""
+        positions, begins = _expanded(starts, lengths)
         sims = self.exact_similarities(q_id, positions)
         if pooling == "mean":
-            return np.add.reduceat(sims, starts) / lengths
-        return np.maximum.reduceat(sims, starts)
+            return np.add.reduceat(sims, begins) / lengths
+        return np.maximum.reduceat(sims, begins)
 
     def _slack(self, pooling: str | None, w_sim=1.0, w_conf=0.0) -> float:
         """``screen_slack`` of a sentence similarity (pooling None) or a
@@ -300,118 +300,88 @@ class CorpusView:
         mean_of = int(self.corpus.lengths.max(initial=1)) if pooling == "mean" else None
         return screen_slack(self.embeddings.dim, mean_of, w_sim, w_conf)
 
-    def argmax(
-        self,
-        q_id: str,
-        positions: np.ndarray,
-        config: ScoringConfig,
-        confidence: np.ndarray | None = None,
-    ) -> int:
-        """The first index of the maximum of the exact score
-        ``w_sim * sim + w_conf * confidence`` (``_combined``) over the
-        given sentence positions. With w_sim = 0 it is a plain argmax and
-        reads no similarity.
-
-        Scores from screened similarities narrow the positions to those
-        within twice the slack of the best; only those are scored again
-        from exact similarities (``settle_argmax``), so the pick is the one
-        exact scores would make."""
-        if config.w_sim == 0:
-            return int(np.argmax(_combined(config, None, confidence)))
-        # similarities(q_id)[positions], mapping only their dot products
-        sims = _mapped(self._dots(q_id)[self.embedding_rows[positions]])
-
-        def exact(near: np.ndarray) -> np.ndarray:
-            conf = None if confidence is None else confidence[near]
-            return _combined(config, self.exact_similarities(q_id, positions[near]), conf)
-
-        screened = _combined(config, sims, confidence)
-        slack = self._slack(None, config.w_sim, config.w_conf)
-        return settle_argmax(screened, slack, exact)
-
-    def _ranked(self, q_id: str) -> _Ranked:
-        """The ranked chunk held if it holds the query, else the stage-1
-        ranks of the queries of its chunk (``_chunk_of``) that have a score
-        row, from one stable descending sort of their score rows: the
-        ``(-f, index)`` order of ``select_candidates``."""
-        held = self.ranked.get(q_id)
-        if held is None:
-            self.ranked.clear()
-            chunk = self._chunk_of(q_id)
-            q_ids = [q for q in chunk if q in self.scores.row_of]
+    def _ranks(self, held: _Chunk) -> tuple[list[str], np.ndarray]:
+        """The chunk's queries that have a score row and their stage-1 rank
+        of every relation, made on the first request from one stable
+        descending sort of their score rows: the ``(-f, index)`` order of
+        ``select_candidates``."""
+        if held.ranks is None:
+            q_ids = [q for q in held.index if q in self.scores.row_of]
             rows = self.scores.matrix[self.scores.row_indexes(q_ids)]
             order = np.argsort(-rows, axis=1, kind="stable")
             ranks = np.empty_like(order)
             np.put_along_axis(ranks, order, np.arange(order.shape[1]), axis=1)
-            held = _Ranked(q_ids, ranks)
-            self.ranked.update(dict.fromkeys(chunk, held))
-        return held
+            held.ranks = (q_ids, ranks)
+        return held.ranks
 
-    def _screened_bag_similarities(
-        self, q_ids: list[str], bags: np.ndarray, pooling: str
+    def _screened(
+        self, starts: np.ndarray, lengths: np.ndarray, pooling: str, dots: Callable
     ) -> np.ndarray:
-        """Bags x queries: the screened similarity of each given bag to
-        each query, from one float32 product of the bags' sentence rows
-        with the queries (``EmbeddingIndex.screen_dots``), its rows laid
-        out sentence j of every bag longer than j for j = 0, 1, ..., so
-        that ``_pooled`` pools contiguous blocks. Each lies within
-        ``_slack(pooling)`` of the exact value: the slack bounds each dot
-        whatever the product's blocking."""
-        lengths = self.corpus.lengths[bags]
-        order, first, longer = _longest_first(lengths, self.corpus.starts[bags])
+        """Runs x queries: the screened similarity of each run of sentence
+        positions (first position, length) to each query, pooled from
+        ``dots(rows)``, the screened dot products (rows x queries) of the
+        runs' embedding rows laid out sentence j of every run longer than j
+        for j = 0, 1, ..., so that ``_pooled`` pools contiguous blocks.
+        Each lies within ``_slack(pooling)`` of the exact value: the slack
+        bounds each dot whatever the product's blocking."""
+        order, first, longer = _longest_first(lengths, starts)
         positions = np.concatenate([first[:n] + j for j, n in enumerate(longer)])
-        dots = self.embeddings.screen_dots(q_ids, self.embedding_rows[positions])
+        dots = dots(self.embedding_rows[positions])
         ends = np.cumsum(longer).tolist()
         more = (dots[end - n : end] for n, end in zip(longer[1:], ends[1:]))
-        return _pooled(dots[: len(bags)], more, order, lengths, pooling)
+        return _pooled(dots[: len(starts)], more, order, lengths, pooling)
 
-    def bag_pick(self, q_id: str, relation: str, config: ScoringConfig) -> int:
-        """Stage 2 for the query and a relation with bags: the index of the
-        relation's bag with the first maximum of the exact combined score
-        (``combined_bag_scores``). With w_sim = 0 it is one argmax of the
-        confidence column.
+    def pick(self, q_id: str, relation: str, config: ScoringConfig, items: Callable) -> int:
+        """The first sentence position of the relation's item with the first
+        maximum of the exact score ``w_sim * sim + w_conf * confidence``.
+        ``items(view, bags, column)`` gives the items of the relation's
+        bags as runs of sentence positions (first positions, lengths), and
+        their confidences in the score column (column and confidences None
+        when the config reads none); a run's similarity pools its
+        sentences'. Stage 2's items are the bags (``bag_runs``), flat
+        retrieval's their sentences. With w_sim = 0 it is one argmax.
 
-        With both weights, the first request for a relation decides it for
-        a block of queries: the asking one and every query of its chunk
-        that ranks the relation among its first ``config.k`` candidates and
-        has no pick for it yet. The block's screened scores come from one
-        product (``_screened_bag_similarities``); the picks are kept with
-        the chunk. With w_conf = 0, stage 1 has pooled the query's chunk
-        for ``top``, and the query's screened scores are read from it.
-        Either way each query's bags screened within twice the slack of its
-        best are settled with exact similarities (``settle_argmax``)."""
+        Otherwise the first request decides a block of queries: the asking
+        one and, with confidences, every query of its chunk that ranks the
+        relation among its first ``config.k`` candidates and has no pick
+        yet, screened by one product of the items' rows (``_screened``);
+        without, the query alone, from its chunk's screen. Each query's
+        items screened within twice the slack of its best are settled with
+        exact similarities (``settle_argmax``); the picks are kept with the
+        chunk."""
         bags = self.corpus.bags_by_relation[relation]
         scores, _ = _consulted(self, config)
+        column = None if scores is None else scores.column(relation)
+        if config.w_sim == 0:
+            starts, _, confidence = items(self, bags, column)
+            return int(starts[np.argmax(_combined(config, None, confidence))])
         pooling = config.bag_sim_pooling
+        held = self._held(q_id)
+        picks = held.picks.setdefault((items, relation, config.w_sim, config.w_conf, pooling), {})
+        if q_id in picks:
+            return picks[q_id]
+        starts, lengths, confidence = items(self, bags, column)
         if scores is None:
-            block, picks, confidence = [q_id], {}, None
-            sims = self.bag_similarities(q_id, pooling)[bags, None]
-            screened = _combined(config, sims, None)
+            block, dots = [q_id], self._dots(held)[held.index[q_id], :, None]
+            product = dots.__getitem__
         else:
-            column = scores.column(relation)
-            if config.w_sim == 0:
-                return int(bags[np.argmax(_combined(config, None, self.confidence[bags, column]))])
-            ranked = self._ranked(q_id)
-            key = (relation, config.w_sim, config.w_conf, pooling)
-            picks = ranked.picks.setdefault(key, {})
-            if q_id in picks:
-                return picks[q_id]
+            q_ids, ranks = self._ranks(held)
             block = [q_id] + [
                 q
-                for q, rank in zip(ranked.q_ids, ranked.ranks[:, column].tolist())
+                for q, rank in zip(q_ids, ranks[:, column].tolist())
                 if rank < config.k and q not in picks and q != q_id
             ]
-            confidence = self.confidence[bags, column]
-            sims = self._screened_bag_similarities(block, bags, pooling)
-            screened = _combined(config, sims, confidence[:, None])
+            product = partial(self.embeddings.screen_dots, block)
+        sims = self._screened(starts, lengths, pooling, product)
+        screened = _combined(config, sims, None if confidence is None else confidence[:, None])
 
         def exact(q: str, near: np.ndarray) -> np.ndarray:
-            sims = self.exact_bag_similarities(q, pooling, bags[near])
+            sims = self.exact_run_similarities(q, pooling, starts[near], lengths[near])
             return _combined(config, sims, None if confidence is None else confidence[near])
 
         slack = self._slack(pooling, config.w_sim, config.w_conf)
         for q, scored in zip(block, screened.T):
-            picks[q] = int(bags[settle_argmax(scored, slack, partial(exact, q))])
+            picks[q] = int(starts[settle_argmax(scored, slack, partial(exact, q))])
         return picks[q_id]
 
     def top(
@@ -447,6 +417,15 @@ def _mapped(dots: np.ndarray) -> np.ndarray:
     sims += 1.0
     sims /= 2.0
     return sims
+
+
+def _expanded(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(every sentence position of the runs with these first positions and
+    lengths, run by run; the index of each run's first among them)."""
+    begins = np.cumsum(lengths) - lengths
+    positions = np.repeat(starts - begins, lengths)
+    positions += np.arange(len(positions))
+    return positions, begins
 
 
 def _longest_first(
@@ -572,6 +551,13 @@ def combined_bag_scores(
     )
 
 
+def bag_runs(view: CorpusView, bags: np.ndarray, column: int | None) -> tuple:
+    """Stage 2's items (``CorpusView.pick``): the bags, as runs of their
+    sentence positions, each with its confidence in the score column."""
+    confidence = None if column is None else view.confidence[bags, column]
+    return view.corpus.starts[bags], view.corpus.lengths[bags], confidence
+
+
 def select_bag(
     q_id: str,
     relation: str,
@@ -581,15 +567,15 @@ def select_bag(
 ) -> str:
     """Stage 2: the bag with the first maximum of the combined bag scores
     (``combined_bag_scores``); ties keep the earliest bag. The view makes
-    the pick (``CorpusView.bag_pick``): it screens the relation's bags for
-    a block of queries at once and settles each pick with exact scores, so
-    it is the one exact scores would make."""
+    the pick (``CorpusView.pick`` of ``bag_runs``): it screens the
+    relation's bags for a block of queries at once and settles each pick
+    with exact scores, so it is the one exact scores would make."""
     bags = corpus.bags_by_relation.get(relation)
     if bags is None:
         raise KeyError(f"unknown relation {relation!r}")
     if not len(bags):
         raise NoBagForRelation(relation)
-    return corpus.bag_ids[view.bag_pick(q_id, relation, config)]
+    return corpus.bag_ids[corpus.sentence_bag[view.pick(q_id, relation, config, bag_runs)]]
 
 
 def _bag_scores(
@@ -699,7 +685,7 @@ def build_exemplar_set(
     Each candidate's stage-2 pick and score are kept on the view
     (``CorpusView.bag_picks``), so a k sweep runs ``select_bag`` once per
     query and relation; the view screens stage 2 one relation at a time,
-    for every query of the chunk that ranks it (``CorpusView.bag_pick``).
+    for every query of the chunk that ranks it (``CorpusView.pick``).
     """
     corpus = view.corpus
     scores, _ = _consulted(view, config)

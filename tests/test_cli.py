@@ -426,7 +426,14 @@ def test_run_with_selections_reads_no_provider(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "strategy",
-    ["hydre", "ablation:no_conf", "ablation:no_sim", "reduced_bag", "ablation:full_bag"],
+    [
+        "hydre",
+        "ablation:no_conf",
+        "ablation:no_sim",
+        "reduced_bag",
+        "ablation:full_bag",
+        "ablation:flat_retrieval",
+    ],
 )
 def test_run_k_sweep_matches_separate_select_and_run(tmp_path, monkeypatch, strategy):
     config_path = live_config(tmp_path, monkeypatch)
@@ -445,20 +452,20 @@ def test_run_k_sweep_matches_separate_select_and_run(tmp_path, monkeypatch, stra
 
 def record_screens(monkeypatch) -> list:
     """(query ids, relation) of each EmbeddingIndex.screen_dots call: the
-    relation whose bags' sentence rows stage 2 screened, or None for a
-    screen of every embedding row."""
+    relation whose items' sentence rows a pick screened (stage 2 or flat
+    retrieval), or None for a screen of every embedding row."""
     calls, asked = [], []
-    screen_dots, bag_pick = EmbeddingIndex.screen_dots, CorpusView.bag_pick
+    screen_dots, pick = EmbeddingIndex.screen_dots, CorpusView.pick
 
-    def recorded_pick(self, q_id, relation, config):
+    def recorded_pick(self, q_id, relation, config, items):
         asked.append(relation)
-        return bag_pick(self, q_id, relation, config)
+        return pick(self, q_id, relation, config, items)
 
     def recorded_screen(self, q_ids, rows=None):
         calls.append((tuple(q_ids), None if rows is None else asked[-1]))
         return screen_dots(self, q_ids, rows)
 
-    monkeypatch.setattr(CorpusView, "bag_pick", recorded_pick)
+    monkeypatch.setattr(CorpusView, "pick", recorded_pick)
     monkeypatch.setattr(EmbeddingIndex, "screen_dots", recorded_screen)
     return calls
 
@@ -585,15 +592,16 @@ def whole_screens(calls) -> list:
     ],
 )
 def test_select_computes_one_batch_per_query_chunk(tmp_path, monkeypatch, strategy, chunks):
-    """The 20 golden queries are two chunks. hydre screens no whole
-    matrix: stage 2 makes one product per chunk and candidate relation, of
-    the chunk's queries that rank it. Another strategy that reads query
-    embeddings screens each chunk once against every row; one that does
-    not screens nothing. The embedding index keeps no state of a select."""
+    """The 20 golden queries are two chunks. hydre and flat retrieval
+    screen no whole matrix: their pick makes one product per chunk and
+    candidate relation, of the chunk's queries that rank it. Another
+    strategy that reads query embeddings screens each chunk once against
+    every row; one that does not screens nothing. The embedding index
+    keeps no state of a select."""
     calls, assert_unchanged = count_batches(monkeypatch)
     out = tmp_path / "out"
     assert run_cli("--config", CONFIG, "--strategy", strategy, "--output", str(out), "select") == 0
-    if strategy == "hydre":
+    if strategy in ("hydre", "ablation:flat_retrieval"):
         assert not whole_screens(calls)
         records = read_jsonl(out / "selections.jsonl")
         assert_one_product_per_chunk_and_relation(calls, records, GOLDEN_CHUNK)

@@ -3,9 +3,10 @@
 Selection screens a query's similarities with one matrix product and
 settles every decision the screen could get wrong with exact dot products.
 These tests pin the screen's error bound and show, on instances built to
-be close calls, that the view's two decisions (``CorpusView.argmax`` and
-``CorpusView.top``) are those of brute-force exact values, and that every
-strategy writes the same bytes as it does when the screen is exact.
+be close calls, that the view's two decisions (``CorpusView.pick``, for
+stage 2 and flat retrieval, and ``CorpusView.top``) are those of
+brute-force exact values, and that every strategy writes the same bytes as
+it does when the screen is exact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from hydre import selection
+from hydre.baselines import sentence_runs
 from hydre.cli import STRATEGIES, SelectionInputs
 from hydre.corpus import jsonl_line
 from hydre.providers import EmbeddingIndex, ScoringConfig, screen_slack
@@ -229,16 +231,14 @@ def brute_similarities(corpus, emb, q_id, pooling):
 
 def item_sets(corpus, scores, pooling):
     """(relation, items, the items' confidence in it): for each relation
-    with a bag, its bags, or with pooling None their sentence positions;
-    last (None, every bag or sentence, the first relation's confidence)."""
+    with a bag, its bags, or with pooling None their sentence positions."""
     rows = scores.row_indexes(corpus.sentence_ids)
     bag_confidence = np.maximum.reduceat(scores.matrix[rows], corpus.starts, axis=0)
-    every = np.arange(len(corpus.bag_ids))
-    for relation in [*corpus.ontology.names, None]:
-        bags = every if relation is None else corpus.bags_by_relation.get(relation, ())
+    for relation in corpus.ontology.names:
+        bags = corpus.bags_by_relation.get(relation, ())
         if not len(bags):
             continue
-        column = scores.column(relation or corpus.ontology.names[0])
+        column = scores.column(relation)
         if pooling is None:
             items = np.flatnonzero(np.isin(corpus.sentence_bag, bags))
             yield relation, items, scores.matrix[rows[items], column]
@@ -265,13 +265,13 @@ def combined_scores(w_sim, w_conf, sims, confidence):
 def test_argmax_is_the_first_maximum_of_exact_scores(
     pooling, w_sim, w_conf, with_confidence
 ):
-    """On close calls, ``CorpusView.argmax`` over sentence positions, and
-    stage 2's pick over one relation's pooled bags (``select_bag``, which
-    the view settles for a block of queries at once), is the first maximum
-    of w_sim * sim + w_conf * confidence from brute-force exact
-    similarities; a bag pick is also the first maximum of
-    ``combined_bag_scores``. With w_sim = 0 the view has no embedding
-    index, so no similarity is read."""
+    """On close calls, the view's pick over one relation's items, which it
+    settles for a block of queries at once, is the first maximum of
+    w_sim * sim + w_conf * confidence from brute-force exact similarities:
+    flat retrieval's over the relation's sentences (pooling None,
+    ``sentence_runs``) and stage 2's over its pooled bags (``select_bag``);
+    a bag pick is also the first maximum of ``combined_bag_scores``. With
+    w_sim = 0 the view has no embedding index, so no similarity is read."""
     config = ScoringConfig(w_sim=w_sim, w_conf=w_conf, bag_sim_pooling=pooling or "max")
     picks = 0
     for dim in (17, 300):
@@ -286,9 +286,9 @@ def test_argmax_is_the_first_maximum_of_exact_scores(
                         confidence = None
                     want = combined_scores(w_sim, w_conf, sims[items], confidence)
                     if pooling is None:
-                        got = view.argmax(q_id, items, config, confidence)
-                        assert got == int(np.argmax(want))
-                    elif relation is not None:
+                        got = view.pick(q_id, relation, config, sentence_runs)
+                        assert got == items[np.argmax(want)]
+                    else:
                         got = select_bag(q_id, relation, corpus, view, config)
                         assert got == corpus.bag_ids[items[np.argmax(want)]]
                         _, total = combined_bag_scores(q_id, relation, view, config)
@@ -305,16 +305,16 @@ def test_a_block_settles_near_sets_of_several_bags_exactly(monkeypatch, pooling)
     with exact similarities: every pick is the first maximum of
     ``combined_bag_scores``."""
     settled, block = [], [0]
-    screened = CorpusView._screened_bag_similarities
-    exact = CorpusView.exact_bag_similarities
+    screen_dots = EmbeddingIndex.screen_dots
+    exact = CorpusView.exact_run_similarities
 
-    def recorded_block(self, q_ids, bags, pooling):
+    def recorded_block(self, q_ids, rows=None):
         block[0] = len(q_ids)
-        return screened(self, q_ids, bags, pooling)
+        return screen_dots(self, q_ids, rows)
 
-    def recorded_exact(self, q_id, pooling, bags):
-        settled.append((block[0], len(bags)))
-        return exact(self, q_id, pooling, bags)
+    def recorded_exact(self, q_id, pooling, starts, lengths):
+        settled.append((block[0], len(starts)))
+        return exact(self, q_id, pooling, starts, lengths)
 
     for dim in (17, 300):
         for instance, emb in close_call_instances(dim):
@@ -328,8 +328,8 @@ def test_a_block_settles_near_sets_of_several_bags_exactly(monkeypatch, pooling)
                     continue
                 for q_id in instance["queries"]:
                     with monkeypatch.context() as patch:
-                        patch.setattr(CorpusView, "_screened_bag_similarities", recorded_block)
-                        patch.setattr(CorpusView, "exact_bag_similarities", recorded_exact)
+                        patch.setattr(EmbeddingIndex, "screen_dots", recorded_block)
+                        patch.setattr(CorpusView, "exact_run_similarities", recorded_exact)
                         got = select_bag(q_id, relation, corpus, view, config)
                     _, total = combined_bag_scores(q_id, relation, view, config)
                     assert got == corpus.bag_ids[bags[np.argmax(total)]]
