@@ -58,6 +58,7 @@ from .judge import (
     ReplayMiss,
     generate,
     run_batch,
+    run_passes,
 )
 from .evaluation import (
     EvalReport,

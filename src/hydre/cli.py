@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import urllib.parse
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -60,6 +61,7 @@ from .evaluation import (
     score,
 )
 from .judge import (
+    BatchResult,
     FailOnDispatchBackend,
     GenerationParams,
     HttpChatBackend,
@@ -67,7 +69,7 @@ from .judge import (
     ReplayCache,
     ReplayMiss,
     cache_key,
-    run_batch,
+    run_passes,
 )
 from .prompting import PromptTemplate, render_prompt
 from .providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
@@ -626,13 +628,14 @@ def _render_for_record(
     return render_prompt(query, selection, corpus.ontology, config.template())
 
 
-def _run_one_k(
-    config: RunConfig, run: LoadedRun, k: int | None, cache: ReplayCache, backend
-) -> None:
-    corpus = run.corpus
-    out = config.output_dir
+def _render_pass(
+    config: RunConfig, corpus: Corpus, k: int | None, cache: ReplayCache
+) -> list[tuple[str, str]]:
+    """(query_id, prompt) of each query, rendered from the selections file
+    of ``k``. In replay mode, ReplayMiss unless the cache answers every
+    prompt, so a pass with a gap dispatches nothing."""
     selections = _query_records(
-        out / _selections_filename(k),
+        config.output_dir / _selections_filename(k),
         corpus,
         "selections",
         lambda record, where: _field(record, "exemplars", lambda v: type(v) is list, where),
@@ -645,23 +648,23 @@ def _run_one_k(
             # a KeyError or TypeError says only what it failed to read
             fault = exc if isinstance(exc, ValueError) else f"malformed record ({exc!r})"
             raise ConfigError(f"{where}: {fault}") from None
-    params = config.generation()
     if config.mode == "replay":
+        params = config.generation()
         missed = [
             q_id for q_id, prompt in prompts if cache_key(prompt, params) not in cache
         ]
         if missed:
             raise ReplayMiss(f"no cached response for queries {missed}")
+    return prompts
 
-    results = run_batch(
-        prompts,
-        corpus.ontology,
-        params,
-        backend,
-        cache=cache,
-        mode=config.mode,
-        parallelism=config.parallelism,
-    )
+
+def _write_pass(
+    config: RunConfig,
+    corpus: Corpus,
+    k: int | None,
+    prompts: list[tuple[str, str]],
+    results: list[BatchResult],
+) -> None:
     suffix = "" if k is None else f"_k{k}"
     prompt_records = []
     prediction_records = []
@@ -677,8 +680,8 @@ def _run_one_k(
                 "error": result.error,
             }
         )
-    write_jsonl(prompt_records, out / f"prompts{suffix}.jsonl")
-    write_jsonl(prediction_records, out / f"predictions{suffix}.jsonl")
+    write_jsonl(prompt_records, config.output_dir / f"prompts{suffix}.jsonl")
+    write_jsonl(prediction_records, config.output_dir / f"predictions{suffix}.jsonl")
 
 
 def _parse_k_flag(value: str | None) -> list[int] | None:
@@ -702,10 +705,16 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
     """Render prompts, dispatch to the judge, parse, and persist predictions.
 
     The inputs, the replay cache and the judge backend are loaded once and
-    shared by every k of a sweep; the cache's entries grow with each
-    append, so a later k sees the answers of the earlier ones. When every
-    selections file the run reads already exists, nothing selects, so the
-    score and embedding files are not read.
+    shared by every k of a sweep. Each k is one pass of ``run_passes``:
+    one pool of ``parallelism`` threads serves every pass, and a pass is
+    rendered while the earlier ones are in flight. A prompt is sent once
+    per run; every query of any k whose prompt has its cache key shares
+    that request's outcome. A pass's prompts and predictions files are
+    written, k by k, once all of its prompts are answered; a pass that
+    cannot be rendered (or, in replay mode, has a cache gap) fails the run
+    after every earlier pass is written. When every selections file the
+    run reads already exists, nothing selects, so the score and embedding
+    files are not read.
     """
     ks = [None] if k_values is None or len(k_values) == 1 else k_values
     unselected = [
@@ -737,8 +746,25 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
                 "not found; run `select` first"
             )
         cmd_select(config, unselected, run=run)
-    for k in ks:
-        _run_one_k(config, run, k, cache, backend)
+    rendered: deque[list[tuple[str, str]]] = deque()
+
+    def passes():
+        for k in ks:
+            rendered.append(_render_pass(config, run.corpus, k, cache))
+            yield rendered[-1]
+
+    answered = run_passes(
+        passes(),
+        run.corpus.ontology,
+        config.generation(),
+        backend,
+        cache=cache,
+        mode=config.mode,
+        parallelism=config.parallelism,
+    )
+    with contextlib.closing(answered):  # a failed write stops the pool at once
+        for k, results in zip(ks, answered):
+            _write_pass(config, run.corpus, k, rendered.popleft(), results)
     _write_metadata(config, "run", run.inputs)
     print(f"predictions written -> {config.output_dir}")
     return 0

@@ -14,11 +14,12 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from json import dumps as json_dumps  # HttpSession.post's ``json`` shadows the module
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import RelationOntology
 from .prompting import ParsedPrediction, parse_response
@@ -452,8 +453,15 @@ class BatchResult:
     error: str | None = None
 
 
-def run_batch(
-    prompts: Sequence[tuple[str, str]],
+def _answered(fn: Callable, *args) -> Future:
+    """``fn(*args)``, called now on this thread, as a finished future."""
+    future: Future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def run_passes(
+    passes: Iterable[Sequence[tuple[str, str]]],
     ontology: RelationOntology,
     params: GenerationParams,
     backend=None,
@@ -462,31 +470,87 @@ def run_batch(
     mode: str = "live",
     parallelism: int = 1,
     sleep: Callable[[float], None] = time.sleep,
-) -> list[BatchResult]:
-    """Generate and parse every (query_id, prompt), preserving input order.
+) -> Iterator[list[BatchResult]]:
+    """Generate and parse every (query_id, prompt) of each pass; yield each
+    pass's results, in input order, once all of its prompts are answered.
 
-    A query that fails permanently yields an NA prediction carrying the
-    error message; the batch itself never aborts.
+    ``generate`` runs once per distinct cache key per call, and every query
+    whose prompt has that key shares its outcome, error included. A query
+    that fails permanently gets an NA prediction carrying the error
+    message; the passes never abort for it. At ``parallelism`` 1 each pass
+    is answered on the calling thread before the next is taken. Above it,
+    one pool of ``parallelism`` threads answers every pass, and the next
+    pass is taken from ``passes`` while the earlier ones are in flight, so
+    a lazy ``passes`` renders it meanwhile. An exception ``passes`` raises
+    is raised once every earlier pass has been yielded. A BaseException
+    from a call (KeyboardInterrupt) starts no further call and is raised;
+    closing the iterator cancels every call not yet started.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
+    interrupt: list[BaseException] = []
 
-    def one(item: tuple[str, str]) -> BatchResult:
-        query_id, prompt = item
+    def answer(prompt: str) -> tuple[ParsedPrediction, str | None, str | None]:
+        # the caller reads an interrupted call's result only when its pass
+        # is due, so the calls queued meanwhile stop here instead
+        if interrupt:
+            raise interrupt[0]
         try:
             response = generate(
                 prompt, params, backend, cache=cache, mode=mode, sleep=sleep
             )
         except Exception as exc:
-            return BatchResult(
-                query_id,
-                ParsedPrediction(frozenset()),
-                response=None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return BatchResult(query_id, parse_response(response, ontology), response)
+            return ParsedPrediction(frozenset()), None, f"{type(exc).__name__}: {exc}"
+        except BaseException as exc:
+            interrupt.append(exc)
+            raise
+        return parse_response(response, ontology), response, None
 
-    if parallelism == 1:
-        return [one(item) for item in prompts]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(one, prompts))
+    def results(queued: list[tuple[str, Future]]) -> list[BatchResult]:
+        return [BatchResult(query_id, *flight.result()) for query_id, flight in queued]
+
+    pool = ThreadPoolExecutor(parallelism) if parallelism > 1 else None
+    submit = pool.submit if pool is not None else _answered
+    flights: dict[str, Future] = {}
+    pending: deque[list[tuple[str, Future]]] = deque()
+    fault: Exception | None = None
+    passes = iter(passes)
+    try:
+        while True:
+            try:
+                prompts = next(passes, None)
+            except Exception as exc:
+                prompts, fault = None, exc
+            if prompts is None:
+                break
+            queued = []
+            for query_id, prompt in prompts:
+                key = cache_key(prompt, params)
+                if key not in flights:
+                    flights[key] = submit(answer, prompt)
+                queued.append((query_id, flights[key]))
+            pending.append(queued)
+            while pending and all(flight.done() for _, flight in pending[0]):
+                yield results(pending.popleft())
+        while pending:
+            yield results(pending.popleft())
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    if fault is not None:
+        raise fault
+
+
+def run_batch(
+    prompts: Sequence[tuple[str, str]],
+    ontology: RelationOntology,
+    params: GenerationParams,
+    backend=None,
+    **options,
+) -> list[BatchResult]:
+    """Generate and parse every (query_id, prompt), preserving input order:
+    ``run_passes`` (which takes the same keyword ``options``) of one pass,
+    so a prompt repeated in the batch is sent once and its queries share
+    the outcome."""
+    [batch] = run_passes([prompts], ontology, params, backend, **options)
+    return batch

@@ -4,6 +4,8 @@ import gc
 import hashlib
 import json
 import shutil
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -381,6 +383,120 @@ def test_run_k_sweep_loads_inputs_cache_and_backend_once(tmp_path, monkeypatch):
     }
     for k in (2, 3, 4):
         assert len(read_jsonl(tmp_path / "out" / f"predictions_k{k}.jsonl")) == 20
+
+
+SWEEP_RESPONSES = ("NA", "/people/person/religion", "/location/location/contains")
+
+
+def out_of_order(prompt):
+    """A fixed answer per prompt after a fixed 0-7 ms sleep, so that the
+    answers of a parallel run come back out of order."""
+    digest = hashlib.sha256(prompt.encode("utf-8")).digest()
+    time.sleep(digest[0] % 8 / 1000)
+    return SWEEP_RESPONSES[digest[1] % len(SWEEP_RESPONSES)]
+
+
+def test_live_sweep_files_and_calls_do_not_depend_on_parallelism(tmp_path, monkeypatch):
+    written = {}
+    for parallelism in (1, 2, 4):
+        base = tmp_path / f"p{parallelism}"
+        base.mkdir()
+        backend = MockBackend(out_of_order)
+        config_path = live_config(base, monkeypatch, lambda endpoint: backend)
+        sweep = ["--k", "1..6", "--parallelism", str(parallelism), "run"]
+        assert run_cli("--config", config_path, *sweep) == 0
+        out = base / "out"
+        prompts = [
+            record["prompt"]
+            for k in range(1, 7)
+            for record in read_jsonl(out / f"prompts_k{k}.jsonl")
+        ]
+        # past a query's candidate count a larger k renders the same prompt
+        assert len(set(prompts)) < len(prompts) == 120
+        assert sorted(backend.calls) == sorted(set(prompts))
+        written[parallelism] = {
+            f"{name}_k{k}": (out / f"{name}_k{k}.jsonl").read_bytes()
+            for name in ("prompts", "predictions")
+            for k in range(1, 7)
+        }
+    assert written[1] == written[2] == written[4]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_sweep_render_fault_keeps_earlier_passes(tmp_path, monkeypatch, capsys, parallelism):
+    config_path = live_config(tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("--config", config_path, "--k", "1..4", "run") == 0
+    for name in ("prompts", "predictions"):
+        for k in range(1, 5):
+            (out / f"{name}_k{k}.jsonl").unlink()
+    path = out / "selections_k3.jsonl"
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["exemplars"])
+    record = json.loads(lines[index])
+    record["exemplars"][0]["sentence_id"] = "s9999"
+    lines[index] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    sweep = ["--k", "1..4", "--parallelism", str(parallelism), "run"]
+    assert run_cli("--config", config_path, *sweep) == 1
+    assert f"{path}:{index + 1}:" in capsys.readouterr().err
+    for k in (1, 2):
+        assert len(read_jsonl(out / f"prompts_k{k}.jsonl")) == 20
+        assert len(read_jsonl(out / f"predictions_k{k}.jsonl")) == 20
+    for k in (3, 4):
+        assert not (out / f"prompts_k{k}.jsonl").exists()
+        assert not (out / f"predictions_k{k}.jsonl").exists()
+
+
+def test_run_sweep_failed_write_stops_the_pool(tmp_path, monkeypatch):
+    """A pass whose files cannot be written stops every call still queued
+    before the error leaves ``cmd_run``, even while the caller keeps the
+    traceback (and with it the dispatch iterator) alive."""
+    backend = MockBackend(lambda prompt: time.sleep(0.002) or "NA")
+    config_path = live_config(tmp_path, monkeypatch, lambda endpoint: backend)
+
+    def full_disk(*args):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "_write_pass", full_disk)
+    config = cli.load_config(config_path, {"parallelism": 2})
+    with pytest.raises(OSError, match="No space") as kept:
+        cli.cmd_run(config, list(range(1, 7)))
+    calls = len(backend.calls)
+    time.sleep(0.05)
+    assert len(backend.calls) == calls < 60
+    assert kept.traceback
+
+
+class InterruptOnThirdCall(MockBackend):
+    def __init__(self):
+        super().__init__("NA")
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        with self._lock:
+            self.calls.append(prompt)
+            call = len(self.calls)
+        time.sleep(0.002)
+        if call == 3:
+            raise KeyboardInterrupt
+        return "NA"
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_run_sweep_interrupt_cancels_queued_prompts(tmp_path, monkeypatch, parallelism):
+    backend = InterruptOnThirdCall()
+    config_path = live_config(tmp_path, monkeypatch, lambda endpoint: backend)
+    sweep = ["--k", "1..4", "--parallelism", str(parallelism), "run"]
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("--config", config_path, *sweep)
+    assert len(backend.calls) <= 3 + parallelism
+    # the first pass alone has 20 distinct prompts, so no pass finished
+    assert list((tmp_path / "out").glob("p*_k*.jsonl")) == []
+    text = (tmp_path / "cache.jsonl").read_text()
+    assert text.endswith("\n")
+    entries = [json.loads(line) for line in text.splitlines()]
+    assert len(entries) == len(backend.calls) - 1
 
 
 def test_run_with_selections_reads_no_provider(tmp_path, monkeypatch):

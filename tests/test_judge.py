@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -21,6 +24,7 @@ from hydre.judge import (
     generate,
     prompt_sha,
     run_batch,
+    run_passes,
 )
 
 from conftest import ontology_from_names
@@ -291,6 +295,165 @@ def test_run_batch_failure_becomes_na_with_note():
     others = [r for i, r in enumerate(results) if i != 3]
     assert all(r.error is None for r in others)
     assert all(r.prediction.relations == {"rel_b"} for r in others)
+
+
+class SlowAlternating:
+    """Sleeps 50 ms per call, then answers rel_a and rel_b in turn."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        with self._lock:
+            self.calls += 1
+            answer = ("rel_a", "rel_b")[(self.calls - 1) % 2]
+        time.sleep(0.05)
+        return answer
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_run_batch_sends_a_repeated_prompt_once(tmp_path, parallelism):
+    """Two queries with one prompt: one backend call, one shared outcome.
+    Two concurrent calls would cache two answers for one key, and the
+    second would come back as a CacheCorruption NA."""
+    backend = SlowAlternating()
+    results = run_batch(
+        [("q1", "same prompt"), ("q2", "same prompt")],
+        ontology(),
+        PARAMS,
+        backend,
+        cache=ReplayCache(path=tmp_path / "cache.jsonl"),
+        parallelism=parallelism,
+        sleep=no_sleep,
+    )
+    assert backend.calls == 1
+    assert [r.query_id for r in results] == ["q1", "q2"]
+    assert [r.response for r in results] == ["rel_a", "rel_a"]
+    assert [r.error for r in results] == [None, None]
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
+
+
+def test_run_passes_shares_a_failure_across_passes():
+    backend = FlakyBackend(fail_times=99)
+    passes = [[("q1", "p"), ("q2", "other")], [("q1", "p")]]
+    first, second = run_passes(
+        passes, ontology(), PARAMS, backend, parallelism=2, sleep=no_sleep
+    )
+    assert backend.calls == 8  # two prompts, each tried four times
+    assert second[0] == first[0]
+    assert "TransportError" in second[0].error
+
+
+def test_run_passes_takes_the_next_pass_while_one_is_in_flight():
+    """At parallelism 2 the second pass is taken before the first pass's
+    calls return; each pass still comes back whole and in query order."""
+    second_taken = threading.Event()
+    returned_before_second_taken = []
+
+    def respond(prompt):
+        if not second_taken.wait(timeout=5):
+            returned_before_second_taken.append(prompt)
+        return "rel_a" if prompt.endswith("a") else "rel_b"
+
+    def passes():
+        yield [("q1", "one a"), ("q2", "one b")]
+        second_taken.set()
+        yield [("q1", "two b"), ("q2", "one b")]
+
+    backend = MockBackend(respond)
+    answered = list(
+        run_passes(passes(), ontology(), PARAMS, backend, parallelism=2, sleep=no_sleep)
+    )
+    assert returned_before_second_taken == []
+    assert [[(r.query_id, r.response) for r in batch] for batch in answered] == [
+        [("q1", "rel_a"), ("q2", "rel_b")],
+        [("q1", "rel_b"), ("q2", "rel_b")],
+    ]
+    assert sorted(backend.calls) == ["one a", "one b", "two b"]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_passes_raises_a_pass_fault_after_the_earlier_passes(parallelism):
+    def passes():
+        yield [("q1", "one")]
+        yield [("q1", "two")]
+        raise LookupError("pass 3 cannot be made")
+
+    answered = run_passes(
+        passes(), ontology(), PARAMS, MockBackend("rel_a"), parallelism=parallelism
+    )
+    assert [batch[0].query_id for batch in (next(answered), next(answered))] == ["q1"] * 2
+    with pytest.raises(LookupError, match="pass 3"):
+        next(answered)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_run_passes_interrupt_starts_no_queued_call(parallelism):
+    class Interrupting:
+        def __init__(self):
+            self.calls = 0
+            self._lock = threading.Lock()
+
+        def complete(self, prompt, params):
+            with self._lock:
+                self.calls += 1
+                call = self.calls
+            time.sleep(0.005)
+            if call == 3:
+                raise KeyboardInterrupt
+            return "rel_a"
+
+    backend = Interrupting()
+    passes = [[(f"q{i}", f"pass {k} prompt {i}") for i in range(8)] for k in range(4)]
+    with pytest.raises(KeyboardInterrupt):
+        for _ in run_passes(
+            passes, ontology(), PARAMS, backend, parallelism=parallelism, sleep=no_sleep
+        ):
+            pass
+    assert backend.calls <= 3 + parallelism
+
+
+def test_run_passes_closed_early_cancels_queued_prompts():
+    backend = MockBackend(lambda prompt: time.sleep(0.005) or "rel_a")
+    passes = [[(f"q{i}", f"pass {k} prompt {i}") for i in range(8)] for k in range(4)]
+    answered = run_passes(passes, ontology(), PARAMS, backend, parallelism=2)
+    assert len(next(answered)) == 8
+    answered.close()
+    assert len(backend.calls) <= 8 + 2 * 2
+
+
+def test_run_passes_stress_one_call_per_distinct_prompt(tmp_path):
+    """Eight workers on two cores with a short switch interval: every
+    distinct prompt is sent once and cached once, and every query of every
+    pass gets its prompt's answer."""
+    backend = MockBackend(lambda prompt: prompt.split("|")[-1])
+    passes = [
+        [(f"q{i}", f"prompt {(i * k) % 17}|rel_{'ab'[i % 2]}") for i in range(40)]
+        for k in range(1, 9)
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        answered = list(
+            run_passes(
+                passes,
+                ontology(),
+                PARAMS,
+                backend,
+                cache=ReplayCache(path=tmp_path / "cache.jsonl"),
+                parallelism=8,
+            )
+        )
+    finally:
+        sys.setswitchinterval(switch)
+    distinct = {prompt for batch in passes for _, prompt in batch}
+    assert sorted(backend.calls) == sorted(distinct)
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == len(distinct)
+    for batch, results in zip(passes, answered):
+        assert [r.query_id for r in results] == [q for q, _ in batch]
+        assert [r.error for r in results] == [None] * len(batch)
+        assert [r.response for r in results] == [p.split("|")[-1] for _, p in batch]
 
 
 def test_run_batch_replay_deterministic(tmp_path):
