@@ -33,7 +33,6 @@ from .selection import (
     ExemplarSet,
     NoBagForRelation,
     build_exemplar_set,
-    combined_bag_scores,
     reduce_bag,
     select_bag,
     select_candidates,

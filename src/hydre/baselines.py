@@ -119,7 +119,13 @@ def mmr_select(
         pool = view.top(q_id, pool_size)[0]
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
-    vectors = view.embeddings.matrix[view.embedding_rows[pool]]
+    rows = view.embedding_rows[pool]
+    if len(rows) and np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows))):
+        # a run of rows (every sentence's, in order, when the file starts
+        # with the corpus sentences) is read in place, not copied
+        vectors = view.embeddings.matrix[rows[0] : rows[0] + len(rows)]
+    else:
+        vectors = view.embeddings.matrix[rows]
     # bit-equal to EmbeddingIndex.similarities: the same dot of the same row
     q_sims = (1.0 + np.vecdot(vectors, view.embeddings.vector(q_id))) / 2.0
 
@@ -160,13 +166,15 @@ def flat_retrieval(
     stage 2's pick (``CorpusView.pick``) over the sentences of the
     candidate's bags (``sentence_runs``). The earliest sentence in corpus
     order wins a tie. The view's score matrix is read for stage 1, and for
-    the pick when w_conf > 0; its embedding index only when w_sim > 0."""
+    the pick when w_conf > 0; its embedding index only when w_sim > 0.
+    Stage 1 ranks by the score matrix whatever the weights, so a pick is
+    decided for the block of chunk queries that rank its relation."""
     corpus = view.corpus
 
     def exemplar(relation: str, score: float) -> Exemplar | None:
         if not len(corpus.bags_by_relation[relation]):
             return None
-        pos = view.pick(q_id, relation, config, sentence_runs)
+        pos, _ = view.pick(q_id, relation, config, sentence_runs)
         return _sentence_exemplar(corpus, pos, relation, score)
 
     return candidate_set(q_id, select_candidates(q_id, view.scores, config.k), exemplar)

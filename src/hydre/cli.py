@@ -726,45 +726,48 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
         _check_k(config, run.corpus, unselected)
     cache_path = config.path("cache")
     cache = ReplayCache.load(cache_path) if cache_path else ReplayCache()
-    backend = FailOnDispatchBackend()
-    if config.mode == "live":
-        if not os.environ.get(LLM_API_KEY_ENV):
-            raise ConfigError(
-                f"live mode requires the {LLM_API_KEY_ENV} environment variable"
-            )
-        if not config.raw.get("llm_endpoint"):
-            raise ConfigError("live mode requires llm_endpoint in the config")
-        backend = HttpChatBackend(config.raw["llm_endpoint"])
-    if unselected:
-        # A sweep selects every k it lacks in one pass. A selection that
-        # reads no provider and no flattened corpus costs nothing to make,
-        # so a single run makes it too.
-        strategy = STRATEGIES[config.strategy]
-        if ks == [None] and (strategy.flat or any(_needs(config))):
-            raise ConfigError(
-                f"selections file {config.output_dir / _selections_filename(None)} "
-                "not found; run `select` first"
-            )
-        cmd_select(config, unselected, run=run)
-    rendered: deque[list[tuple[str, str]]] = deque()
+    with contextlib.ExitStack() as held:  # closed on error too
+        held.callback(cache.close)
+        backend = FailOnDispatchBackend()
+        if config.mode == "live":
+            if not os.environ.get(LLM_API_KEY_ENV):
+                raise ConfigError(
+                    f"live mode requires the {LLM_API_KEY_ENV} environment variable"
+                )
+            if not config.raw.get("llm_endpoint"):
+                raise ConfigError("live mode requires llm_endpoint in the config")
+            backend = HttpChatBackend(config.raw["llm_endpoint"])
+            held.callback(backend.close)
+        if unselected:
+            # A sweep selects every k it lacks in one pass. A selection that
+            # reads no provider and no flattened corpus costs nothing to make,
+            # so a single run makes it too.
+            strategy = STRATEGIES[config.strategy]
+            if ks == [None] and (strategy.flat or any(_needs(config))):
+                raise ConfigError(
+                    f"selections file {config.output_dir / _selections_filename(None)} "
+                    "not found; run `select` first"
+                )
+            cmd_select(config, unselected, run=run)
+        rendered: deque[list[tuple[str, str]]] = deque()
 
-    def passes():
-        for k in ks:
-            rendered.append(_render_pass(config, run.corpus, k, cache))
-            yield rendered[-1]
+        def passes():
+            for k in ks:
+                rendered.append(_render_pass(config, run.corpus, k, cache))
+                yield rendered[-1]
 
-    answered = run_passes(
-        passes(),
-        run.corpus.ontology,
-        config.generation(),
-        backend,
-        cache=cache,
-        mode=config.mode,
-        parallelism=config.parallelism,
-    )
-    with contextlib.closing(answered):  # a failed write stops the pool at once
-        for k, results in zip(ks, answered):
-            _write_pass(config, run.corpus, k, rendered.popleft(), results)
+        answered = run_passes(
+            passes(),
+            run.corpus.ontology,
+            config.generation(),
+            backend,
+            cache=cache,
+            mode=config.mode,
+            parallelism=config.parallelism,
+        )
+        with contextlib.closing(answered):  # a failed write stops the pool at once
+            for k, results in zip(ks, answered):
+                _write_pass(config, run.corpus, k, rendered.popleft(), results)
     _write_metadata(config, "run", run.inputs)
     print(f"predictions written -> {config.output_dir}")
     return 0

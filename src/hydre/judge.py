@@ -8,6 +8,7 @@ responses are appended to the cache so any run can be replayed later.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import math
@@ -91,12 +92,13 @@ def cache_key(prompt: str, params: GenerationParams) -> str:
 class ReplayCache:
     """Append-only response cache keyed by (prompt, model, params) hash.
 
-    ``append`` writes a record and its newline in one call. An unterminated
-    final line that is not valid JSON is a write that was cut short:
-    ``load`` drops it with a warning, and the next ``append`` cuts it off
-    the file. One that parses is a complete record and is kept; the next
-    ``append`` writes the missing newline first. Either way no record is
-    glued onto another.
+    ``append`` writes a record and its newline with one unbuffered write,
+    through one append handle that the first append opens and ``close``
+    closes. An unterminated final line that is not valid JSON is a write
+    that was cut short: ``load`` drops it with a warning, and the next
+    ``append`` cuts it off the file. One that parses is a complete record
+    and is kept; the next ``append`` writes the missing newline first.
+    Either way no record is glued onto another.
     """
 
     path: Path | None = None
@@ -105,6 +107,7 @@ class ReplayCache:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _torn_at: int | None = field(default=None, repr=False)
     _unterminated: bool = field(default=False, repr=False)
+    _file: io.FileIO | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayCache":
@@ -157,14 +160,24 @@ class ReplayCache:
                     sort_keys=True,
                     ensure_ascii=False,
                 )
-                with self.path.open("a", encoding="utf-8") as fh:
-                    if self._torn_at is not None:
-                        fh.truncate(self._torn_at)
-                        self._torn_at = None
-                    elif self._unterminated:
-                        line = "\n" + line
-                        self._unterminated = False
-                    fh.write(line + "\n")
+                if self._file is None:
+                    self._file = io.FileIO(self.path, "a")
+                if self._torn_at is not None:
+                    self._file.truncate(self._torn_at)
+                    self._torn_at = None
+                elif self._unterminated:
+                    line = "\n" + line
+                    self._unterminated = False
+                data = memoryview((line + "\n").encode("utf-8"))
+                while data:  # one write, unless the system takes part of it
+                    data = data[self._file.write(data) :]
+
+    def close(self) -> None:
+        """Close the append handle; a later append opens a new one."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
 
 class MockBackend:
@@ -180,6 +193,9 @@ class MockBackend:
         self._token_counter = token_counter
         if token_counter is not None:
             self.count_tokens = token_counter  # type: ignore[assignment]
+
+    def close(self) -> None:
+        """Nothing to release (``HttpChatBackend.close``)."""
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         self.calls.append(prompt)
@@ -236,7 +252,8 @@ class HttpSession:
 
     Idle connections are pooled per (scheme, host, port). A caller takes an
     idle one or opens a new one and puts it back once the whole response is
-    read, so there are never more connections than concurrent callers. A
+    read, so there are never more connections than concurrent callers;
+    ``close`` closes the idle ones. A
     reused connection that the server has closed meanwhile fails before any
     response byte arrives; that request is sent again at once on a new
     connection. Proxies come from the environment, read once per session:
@@ -254,6 +271,14 @@ class HttpSession:
         self._idle: dict[tuple[str, str, int], list] = {}
         self._lock = threading.Lock()
         self._tls = None
+
+    def close(self) -> None:
+        """Close every idle connection; a later post opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
 
     def post(self, url: str, json, headers: dict[str, str], timeout: float) -> HttpResponse:
         import http.client
@@ -358,6 +383,10 @@ class HttpChatBackend:
         self.endpoint = endpoint
         self.session = session
         self.timeout = timeout
+
+    def close(self) -> None:
+        """Close the session's idle connections (``HttpSession.close``)."""
+        self.session.close()
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         headers = {}

@@ -29,7 +29,7 @@ import mmap
 import struct
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -611,6 +611,22 @@ def settle_argmax(
     if len(near) == 1:
         return int(near[0])
     return int(near[np.argmax(exact(near))])
+
+
+def settle_columns(
+    screened: np.ndarray, slack: float, exact: Callable[[int, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``settle_argmax`` of each column of ``screened`` at once: the row of
+    each column's first exact maximum. A column whose near set (the rows
+    screened within twice the slack of its maximum) holds one row takes
+    it; ``exact(column, near)`` gives the exact values of each other
+    column's near rows.
+    """
+    near = screened >= screened.max(axis=0) - 2.0 * slack
+    won = screened.argmax(axis=0)
+    for c in np.flatnonzero(near.sum(axis=0) > 1).tolist():
+        won[c] = settle_argmax(screened[:, c], slack, partial(exact, c))
+    return won
 
 
 def settle_top(

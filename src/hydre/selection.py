@@ -9,10 +9,9 @@ corpus order for bags, in-bag order for sentences.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -25,7 +24,7 @@ from .providers import (
     ScoreMatrix,
     ScoringConfig,
     screen_slack,
-    settle_argmax,
+    settle_columns,
     settle_top,
 )
 
@@ -124,9 +123,11 @@ class _Chunk:
     index: dict[str, int]  # query id -> its row of ``dots``
     dots: np.ndarray | None = None  # query x embedding row: a transposed screen
     bag_sims: dict = field(default_factory=dict)  # pooling -> query x bag
-    # (the queries with a score row, query x relation: its place in stage 1's order)
-    ranks: tuple[list[str], np.ndarray] | None = None
-    # (items, relation, w_sim, w_conf, pooling) -> {query id: picked position}
+    # (the rows of the queries with a score row, query x relation: its
+    # place in stage 1's order)
+    ranks: tuple[np.ndarray, np.ndarray] | None = None
+    # (items, relation, w_sim, w_conf, pooling, alone) -> (each row's picked
+    # position, -1 while undecided; with alone, its exact similarity)
     picks: dict = field(default_factory=dict)
 
 
@@ -138,9 +139,9 @@ class CorpusView:
     command returns. A library caller builds
     ``CorpusView(corpus, scores, embeddings)``.
 
-    The matrix row of each sentence position and each bag's confidence are
-    derived on first read. Which providers a selection reads is decided by
-    its scoring weights, not by what the view holds.
+    The matrix row of each sentence position is derived on first read.
+    Which providers a selection reads is decided by its scoring weights,
+    not by what the view holds.
 
     The view owns the similarity screen. Queries are screened in chunks:
     aligned runs of ``corpus.queries`` whose screened dot products with
@@ -152,17 +153,21 @@ class CorpusView:
     read-only query x bag matrix per pooling. Stage 2 and flat retrieval
     (``pick``) read neither: they screen one relation's items at a time,
     against the chunk's queries that rank the relation among their
-    candidates. The view keeps one chunk (``_Chunk``) until a request
-    falls outside it. Each decision that reads similarities (``pick``,
+    candidates, decide that block of queries at once and keep its picks
+    with the chunk, one array per relation and scoring (``kept_pick``).
+    The view keeps one chunk (``_Chunk``) until a request falls outside
+    it. Each decision that reads similarities (``pick``,
     ``top``) settles whatever a screened value could get wrong with exact
     float64 values, so what a selection picks does not depend on the
     screen's precision, nor on how its queries fall into chunks or in what
     order they are visited.
 
-    A k sweep selects each query for every k in turn with the same view, so
-    the view also keeps the latest query's stage-2 picks, and each bag's
-    stage-3 sentence; each depends only on the query or bag, the scoring
-    and the view's providers, not on k.
+    Stage 3 (``sentence_pick``) is decided in one array pass for every bag
+    the chunk's stage-2 picks name that has no sentence yet, and each
+    bag's sentence is kept. A k sweep selects each query for every k in
+    turn with the same view, so the kept picks and sentences serve every
+    k; each depends only on the query or bag, the scoring and the view's
+    providers, not on k.
     """
 
     corpus: Corpus
@@ -170,7 +175,7 @@ class CorpusView:
     embeddings: EmbeddingIndex | None
     # query id -> the _Chunk that holds it; one chunk at a time
     chunk: dict = field(default_factory=dict, init=False, repr=False)
-    latest_bag_picks: dict = field(default_factory=dict, init=False, repr=False)
+    # (bag, threshold) -> its stage-3 sentence
     sentence_picks: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -182,13 +187,6 @@ class CorpusView:
     def score_rows(self) -> np.ndarray:
         """The score row of each sentence position."""
         return _sentence_rows(self.corpus, self.scores)
-
-    @cached_property
-    def confidence(self) -> np.ndarray:
-        """Bag x relation: the max over the bag's sentences."""
-        return np.maximum.reduceat(
-            self.scores.matrix[self.score_rows], self.corpus.starts, axis=0
-        )
 
     @cached_property
     def query_position(self) -> dict[str, int]:
@@ -207,8 +205,10 @@ class CorpusView:
         i = self.query_position.get(q_id)
         if i is None:
             return [q_id]
-        matrix32 = self.embeddings.matrix32
-        size = max(1, SCREEN_BYTES // (matrix32.itemsize * len(matrix32)))
+        rows = 0 if self.embeddings is None else len(self.embeddings.matrix32)
+        if not rows:  # nothing to screen: one chunk
+            return [q.query_id for q in self.corpus.queries]
+        size = max(1, SCREEN_BYTES // (self.embeddings.matrix32.itemsize * rows))
         i -= i % size
         return [q.query_id for q in self.corpus.queries[i : i + size]]
 
@@ -263,17 +263,6 @@ class CorpusView:
         sims.setflags(write=False)
         return sims.T
 
-    def bag_picks(self, q_id: str) -> dict:
-        """The stage-2 picks kept for the query, emptied when another query
-        asks: (relation, w_sim, w_conf, pooling) -> (bag id, or None for a
-        relation with no bag; exemplar score, which in similarity-only mode
-        is the picked bag's exact similarity)."""
-        picks = self.latest_bag_picks.get(q_id)
-        if picks is None:
-            self.latest_bag_picks.clear()
-            picks = self.latest_bag_picks[q_id] = {}
-        return picks
-
     def exact_bag_similarities(self, q_id: str, pooling: str, bags: np.ndarray) -> np.ndarray:
         """The exact similarity of each given bag (``exact_run_similarities``)."""
         starts, lengths = self.corpus.starts[bags], self.corpus.lengths[bags]
@@ -300,18 +289,19 @@ class CorpusView:
         mean_of = int(self.corpus.lengths.max(initial=1)) if pooling == "mean" else None
         return screen_slack(self.embeddings.dim, mean_of, w_sim, w_conf)
 
-    def _ranks(self, held: _Chunk) -> tuple[list[str], np.ndarray]:
-        """The chunk's queries that have a score row and their stage-1 rank
-        of every relation, made on the first request from one stable
-        descending sort of their score rows: the ``(-f, index)`` order of
-        ``select_candidates``."""
+    def _ranks(self, held: _Chunk) -> tuple[np.ndarray, np.ndarray]:
+        """The chunk rows of the queries that have a score row and their
+        stage-1 rank of every relation, made on the first request from one
+        stable descending sort of their score rows: the ``(-f, index)``
+        order of ``select_candidates``."""
         if held.ranks is None:
-            q_ids = [q for q in held.index if q in self.scores.row_of]
+            row_of = self.scores.row_of
+            q_ids = [q for q in held.index if q in row_of]
             rows = self.scores.matrix[self.scores.row_indexes(q_ids)]
             order = np.argsort(-rows, axis=1, kind="stable")
             ranks = np.empty_like(order)
             np.put_along_axis(ranks, order, np.arange(order.shape[1]), axis=1)
-            held.ranks = (q_ids, ranks)
+            held.ranks = (np.fromiter(map(held.index.__getitem__, q_ids), np.intp), ranks)
         return held.ranks
 
     def _screened(
@@ -331,58 +321,97 @@ class CorpusView:
         more = (dots[end - n : end] for n, end in zip(longer[1:], ends[1:]))
         return _pooled(dots[: len(starts)], more, order, lengths, pooling)
 
-    def pick(self, q_id: str, relation: str, config: ScoringConfig, items: Callable) -> int:
-        """The first sentence position of the relation's item with the first
-        maximum of the exact score ``w_sim * sim + w_conf * confidence``.
+    def pick(
+        self, q_id: str, relation: str, config: ScoringConfig, items: Callable, alone: bool = False
+    ) -> tuple[int, float | None]:
+        """(the first sentence position of the relation's item with the
+        first maximum of the exact score ``w_sim * sim + w_conf *
+        confidence``, that item's exact similarity or None).
         ``items(view, bags, column)`` gives the items of the relation's
         bags as runs of sentence positions (first positions, lengths), and
         their confidences in the score column (column and confidences None
         when the config reads none); a run's similarity pools its
         sentences'. Stage 2's items are the bags (``bag_runs``), flat
-        retrieval's their sentences. With w_sim = 0 it is one argmax.
+        retrieval's their sentences.
 
-        Otherwise the first request decides a block of queries: the asking
-        one and, with confidences, every query of its chunk that ranks the
-        relation among its first ``config.k`` candidates and has no pick
-        yet, screened by one product of the items' rows (``_screened``);
-        without, the query alone, from its chunk's screen. Each query's
-        items screened within twice the slack of its best are settled with
-        exact similarities (``settle_argmax``); the picks are kept with the
-        chunk."""
-        bags = self.corpus.bags_by_relation[relation]
-        scores, _ = _consulted(self, config)
-        column = None if scores is None else scores.column(relation)
-        if config.w_sim == 0:
-            starts, _, confidence = items(self, bags, column)
-            return int(starts[np.argmax(_combined(config, None, confidence))])
-        pooling = config.bag_sim_pooling
+        The first request decides a block of queries at once, and the
+        picks are kept with the chunk (``kept_pick``), one array per
+        relation and scoring. With w_sim = 0 the pick is one argmax of the
+        confidences, every query's. Otherwise the block is the asking query
+        and every query of its chunk that ranks the relation among its
+        first ``config.k`` candidates by the score matrix (stage 1's
+        ``_ranks``) and has no pick yet, screened by one product of the
+        items' rows (``_screened``). A query whose candidates do not come
+        from the score matrix (``alone``: similarity-only stage 2) is
+        decided alone, from its chunk's screen, and its pick carries the
+        picked item's exact similarity, its exemplar score; the similarity
+        is None otherwise. In each query's column, the items screened
+        within twice the slack of its best are its near set: a column with
+        one near item takes it, and only the others are settled with exact
+        similarities (``settle_columns``)."""
+        kept = self.kept_pick(q_id, relation, config, items, alone)
+        if kept is None:
+            self._decide(q_id, relation, config, items, alone)
+            kept = self.kept_pick(q_id, relation, config, items, alone)
+        return kept
+
+    def kept_pick(
+        self, q_id: str, relation: str, config: ScoringConfig, items: Callable, alone: bool = False
+    ) -> tuple[int, float | None] | None:
+        """The pick ``pick`` keeps for the query, None while it is undecided."""
+        held = self.chunk.get(q_id)
+        key = _pick_key(relation, config, items, alone)
+        record = None if held is None else held.picks.get(key)
+        if record is None:
+            return None
+        picked, exact_sims = record
+        i = held.index[q_id]
+        if picked[i] < 0:
+            return None
+        return int(picked[i]), float(exact_sims[i]) if alone else None
+
+    def _decide(
+        self, q_id: str, relation: str, config: ScoringConfig, items: Callable, alone: bool
+    ) -> None:
+        """``pick``'s decision of the block that the query's request forms,
+        written into the chunk's record of the relation and scoring."""
         held = self._held(q_id)
-        picks = held.picks.setdefault((items, relation, config.w_sim, config.w_conf, pooling), {})
-        if q_id in picks:
-            return picks[q_id]
-        starts, lengths, confidence = items(self, bags, column)
-        if scores is None:
-            block, dots = [q_id], self._dots(held)[held.index[q_id], :, None]
-            product = dots.__getitem__
+        key = _pick_key(relation, config, items, alone)
+        if key not in held.picks:
+            held.picks[key] = (np.full(len(held.index), -1), np.full(len(held.index), np.nan))
+        picked, exact_sims = held.picks[key]
+        scores, _ = _consulted(self, config)
+        bags = self.corpus.bags_by_relation[relation]
+        starts, lengths, confidence = items(
+            self, bags, None if scores is None else scores.column(relation)
+        )
+        if config.w_sim == 0:
+            picked[:] = starts[np.argmax(_combined(config, None, confidence))]
+            return
+        i = held.index[q_id]
+        if alone or self.scores is None:
+            rows, block = np.array([i]), [q_id]
+            product = self._dots(held)[i, :, None].__getitem__
         else:
-            q_ids, ranks = self._ranks(held)
-            block = [q_id] + [
-                q
-                for q, rank in zip(q_ids, ranks[:, column].tolist())
-                if rank < config.k and q not in picks and q != q_id
-            ]
+            ranked, ranks = self._ranks(held)
+            asks = ranks[:, self.scores.column(relation)] < config.k
+            rows = np.concatenate(([i], ranked[asks & (picked[ranked] < 0) & (ranked != i)]))
+            q_ids = list(held.index)
+            block = [q_ids[r] for r in rows.tolist()]
             product = partial(self.embeddings.screen_dots, block)
+        pooling = config.bag_sim_pooling
         sims = self._screened(starts, lengths, pooling, product)
         screened = _combined(config, sims, None if confidence is None else confidence[:, None])
 
-        def exact(q: str, near: np.ndarray) -> np.ndarray:
-            sims = self.exact_run_similarities(q, pooling, starts[near], lengths[near])
+        def exact(c: int, near: np.ndarray) -> np.ndarray:
+            sims = self.exact_run_similarities(block[c], pooling, starts[near], lengths[near])
             return _combined(config, sims, None if confidence is None else confidence[near])
 
-        slack = self._slack(pooling, config.w_sim, config.w_conf)
-        for q, scored in zip(block, screened.T):
-            picks[q] = int(starts[settle_argmax(scored, slack, partial(exact, q))])
-        return picks[q_id]
+        won = settle_columns(screened, self._slack(pooling, config.w_sim, config.w_conf), exact)
+        picked[rows] = starts[won]
+        if alone:
+            run = starts[won], lengths[won]
+            exact_sims[i] = self.exact_run_similarities(q_id, pooling, *run)[0]
 
     def top(
         self, q_id: str, k: int, pooling: str | None = None
@@ -400,14 +429,31 @@ class CorpusView:
             exact = partial(self.exact_bag_similarities, q_id, pooling)
         return settle_top(sims, self._slack(pooling), k, exact)
 
-    def sentence_pick(self, b: int, threshold: float) -> SentenceInstance:
-        """Stage 3 (``select_sentence``) for bag b, kept per bag and
-        threshold."""
-        pick = self.sentence_picks.get((b, threshold))
-        if pick is None:
-            pick = select_sentence(self.corpus, b, self.scores, threshold)
-            self.sentence_picks[(b, threshold)] = pick
-        return pick
+    def sentence_pick(self, q_id: str, b: int, threshold: float) -> SentenceInstance:
+        """Stage 3 (``select_sentence``) for bag b, which a stage-2 pick of
+        the query chose, kept per bag and threshold. A bag with no sentence
+        yet gets it in one pass (``select_sentences``) together with every
+        other bag that the stage-2 picks kept with the query's chunk name
+        and that has none yet."""
+        sentence = self.sentence_picks.get((b, threshold))
+        if sentence is None:
+            bags, held = {b}, self.chunk.get(q_id)
+            for key, (positions, _) in held.picks.items() if held else ():
+                if key[0] is bag_runs:
+                    bags.update(self.corpus.sentence_bag[positions[positions >= 0]].tolist())
+            bags = sorted(x for x in bags if (x, threshold) not in self.sentence_picks)
+            found = select_sentences(
+                self.corpus, np.array(bags), self.scores, threshold, self.score_rows
+            )
+            for x, position in zip(bags, found.tolist()):
+                self.sentence_picks[x, threshold] = self.corpus.sentence(position)
+            sentence = self.sentence_picks[b, threshold]
+        return sentence
+
+
+def _pick_key(relation: str, config: ScoringConfig, items: Callable, alone: bool) -> tuple:
+    """The key of a chunk's record of picks (``_Chunk.picks``)."""
+    return items, relation, config.w_sim, config.w_conf, config.bag_sim_pooling, alone
 
 
 def _mapped(dots: np.ndarray) -> np.ndarray:
@@ -526,36 +572,17 @@ def _combined(
     return total
 
 
-def combined_bag_scores(
-    q_id: str,
-    relation: str,
-    view: CorpusView,
-    config: ScoringConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """w_sim * sim(q, bag) + w_conf * f(bag, relation) for every bag
-    labelled with the relation, from exact similarities.
-
-    Returns (bag indexes in corpus order, their scores); ``select_bag``
-    picks the first maximum of these scores.
-    """
-    scores, embeddings = _consulted(view, config)
-    bags = view.corpus.bags_by_relation[relation]
-    sims = None
-    if embeddings is not None:
-        pooling = config.bag_sim_pooling
-        sims = view.exact_bag_similarities(q_id, pooling, bags)
-    return bags, _combined(
-        config,
-        sims,
-        None if scores is None else view.confidence[bags, scores.column(relation)],
-    )
-
-
 def bag_runs(view: CorpusView, bags: np.ndarray, column: int | None) -> tuple:
     """Stage 2's items (``CorpusView.pick``): the bags, as runs of their
-    sentence positions, each with its confidence in the score column."""
-    confidence = None if column is None else view.confidence[bags, column]
-    return view.corpus.starts[bags], view.corpus.lengths[bags], confidence
+    sentence positions, each with its confidence in the score column: the
+    max of its sentences' scores there."""
+    starts, lengths = view.corpus.starts[bags], view.corpus.lengths[bags]
+    confidence = None
+    if column is not None:
+        positions, begins = _expanded(starts, lengths)
+        scores = view.scores.matrix[view.score_rows[positions], column]
+        confidence = np.maximum.reduceat(scores, begins)
+    return starts, lengths, confidence
 
 
 def select_bag(
@@ -565,17 +592,21 @@ def select_bag(
     view: CorpusView,
     config: ScoringConfig,
 ) -> str:
-    """Stage 2: the bag with the first maximum of the combined bag scores
-    (``combined_bag_scores``); ties keep the earliest bag. The view makes
-    the pick (``CorpusView.pick`` of ``bag_runs``): it screens the
+    """Stage 2: the bag with the first maximum of the exact combined bag
+    score ``w_sim * sim(q, bag) + w_conf * f(bag, relation)`` among the
+    bags labelled with the relation; ties keep the earliest bag. The view
+    makes the pick (``CorpusView.pick`` of ``bag_runs``): it screens the
     relation's bags for a block of queries at once and settles each pick
-    with exact scores, so it is the one exact scores would make."""
+    with exact scores, so it is the one exact scores would make. With
+    w_conf = 0 stage 1 ranks no relation by the score matrix, so the
+    query is picked alone."""
     bags = corpus.bags_by_relation.get(relation)
     if bags is None:
         raise KeyError(f"unknown relation {relation!r}")
     if not len(bags):
         raise NoBagForRelation(relation)
-    return corpus.bag_ids[corpus.sentence_bag[view.pick(q_id, relation, config, bag_runs)]]
+    position, _ = view.pick(q_id, relation, config, bag_runs, alone=config.w_conf == 0)
+    return corpus.bag_ids[corpus.sentence_bag[position]]
 
 
 def _bag_scores(
@@ -599,14 +630,68 @@ def select_sentence(
     all bag labels wins, earliest in-bag position on ties. Sums add the
     labels in name order, one ``+`` at a time, which fixes how a near tie
     rounds: builtin ``sum`` compensates float rounding from Python 3.12 on.
+    It is the one-bag case of ``select_sentences``.
     """
-    start, confs = _bag_scores(corpus, b, scores, sorted(corpus.labelset(b)))
-    keys = [
-        (sum(c > threshold for c in row), reduce(operator.add, row, 0.0))
-        for row in confs.tolist()
-    ]
-    # max keeps the first maximal sentence: in-bag order breaks ties
-    return corpus.sentence(start + max(range(len(keys)), key=keys.__getitem__))
+    (position,) = select_sentences(corpus, np.array([b]), scores, threshold).tolist()
+    return corpus.sentence(position)
+
+
+def select_sentences(
+    corpus: Corpus,
+    bags: np.ndarray,
+    scores: ScoreMatrix,
+    threshold: float,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Stage 3 (``select_sentence``) for each of the bags, in one array
+    pass: the sentence position it picks in each. ``rows`` is the score row
+    of each corpus sentence position (``CorpusView.score_rows``); without
+    it the bags' sentences are looked up by id.
+
+    Each sentence's scores for its bag's labels fill a row of label slots,
+    the labels in name order and the slots past them 0.0. Coverage counts
+    a row's labels above the threshold. The aggregate folds the slots left
+    to right, ``acc = acc + slot`` from 0.0, bit-equal to
+    ``reduce(operator.add, row, 0.0)`` over the labels, since a 0.0 slot
+    leaves a sum as it was. A stable sort by bag, then coverage and
+    aggregate descending, then position puts each bag's first maximum
+    first.
+    """
+    bags = np.asarray(bags, dtype=np.intp)
+    lengths = corpus.lengths[bags]
+    positions, begins = _expanded(corpus.starts[bags], lengths)
+    if not len(bags):
+        return positions
+    ontology = corpus.ontology
+    names = (*ontology.names, ontology.na_symbol)
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__))
+    held = np.column_stack((corpus.mask[bags], corpus.bag_na[bags]))[:, by_name]
+    bag, label = np.nonzero(held)  # each bag's labels in name order
+    counts = np.bincount(bag, minlength=len(bags))
+    slot = np.arange(len(bag)) - np.repeat(np.cumsum(counts) - counts, counts)
+    column = np.zeros(len(names), np.intp)
+    # the labels some bag holds (np.unique's first call imports numpy.ma)
+    for j in np.flatnonzero(held.any(axis=0)).tolist():
+        column[j] = scores.column(names[by_name[j]])
+    width = int(counts.max())
+    columns = np.zeros((len(bags), width), np.intp)
+    columns[bag, slot] = column[label]
+    labelled = np.zeros((len(bags), width), bool)
+    labelled[bag, slot] = True
+    owner = np.repeat(np.arange(len(bags)), lengths)
+    if rows is None:
+        rows = scores.row_indexes(map(corpus.sentence_ids.__getitem__, positions.tolist()))
+    else:
+        rows = rows[positions]
+    confs = scores.matrix[rows[:, None], columns[owner]]
+    labelled = labelled[owner]
+    confs[~labelled] = 0.0
+    coverage = np.count_nonzero((confs > threshold) & labelled, axis=1)
+    aggregate = np.zeros(len(positions))
+    for j in range(width):
+        aggregate = aggregate + confs[:, j]
+    order = np.lexsort((positions, -aggregate, -coverage, owner))
+    return positions[order[begins]]
 
 
 def _query_rng(seed: int, q_id: str) -> random.Random:
@@ -682,36 +767,42 @@ def build_exemplar_set(
     exemplar score is the chosen bag's exact similarity, and the sentence
     is a seeded uniform choice within the bag.
 
-    Each candidate's stage-2 pick and score are kept on the view
-    (``CorpusView.bag_picks``), so a k sweep runs ``select_bag`` once per
-    query and relation; the view screens stage 2 one relation at a time,
-    for every query of the chunk that ranks it (``CorpusView.pick``).
+    The view keeps each candidate's stage-2 pick (``CorpusView.pick``)
+    and each picked bag's stage-3 sentence (``CorpusView.sentence_pick``),
+    so a k sweep decides each once; it decides stage 2 one relation at a
+    time for every query of the chunk that ranks it, and stage 3 for every
+    bag such a block picked at once.
     """
     corpus = view.corpus
     scores, _ = _consulted(view, config)
-    pooling = config.bag_sim_pooling
     if scores is not None:
         candidates = select_candidates(q_id, scores, config.k)
     else:
-        candidates = _similarity_candidates(corpus, *view.top(q_id, config.k, pooling))
-    kept = view.bag_picks(q_id)
-    rng = _query_rng(config.seed, q_id) if config.w_conf == 0 else None
+        candidates = _similarity_candidates(
+            corpus, *view.top(q_id, config.k, config.bag_sim_pooling)
+        )
+    alone = scores is None
+    rng = _query_rng(config.seed, q_id) if alone else None
+    # stage 2 for every candidate first, so one stage-3 pass serves them
+    # all; select_bag decides a pick the view does not keep yet
+    picks = {}
+    for relation, _ in candidates:
+        kept = view.kept_pick(q_id, relation, config, bag_runs, alone)
+        if kept is None:
+            try:
+                select_bag(q_id, relation, corpus, view, config)
+            except NoBagForRelation:
+                continue
+            kept = view.kept_pick(q_id, relation, config, bag_runs, alone)
+        picks[relation] = kept
 
     def exemplar(relation: str, score: float) -> Exemplar | None:
-        key = (relation, config.w_sim, config.w_conf, pooling)
-        if key not in kept:
-            try:
-                bag_id = select_bag(q_id, relation, corpus, view, config)
-            except NoBagForRelation:
-                bag_id = None
-            if bag_id is not None and scores is None:
-                b = np.array([corpus.bag_position[bag_id]])
-                score = float(view.exact_bag_similarities(q_id, pooling, b)[0])
-            kept[key] = (bag_id, score)
-        bag_id, score = kept[key]
-        if bag_id is None:
+        if relation not in picks:
             return None
-        b = corpus.bag_position[bag_id]
+        position, similarity = picks[relation]
+        if alone:
+            score = similarity
+        b = int(corpus.sentence_bag[position])
         start, n = int(corpus.starts[b]), int(corpus.lengths[b])
         if style == "full_bag":
             sentences = tuple(map(corpus.sentence, range(start, start + n)))
@@ -721,8 +812,8 @@ def build_exemplar_set(
         elif rng is not None:
             sentences = (corpus.sentence(start + rng.randrange(n)),)
         else:
-            sentences = (view.sentence_pick(b, config.threshold),)
-        return Exemplar(sentences, corpus.labelset(b), bag_id, relation, score)
+            sentences = (view.sentence_pick(q_id, b, config.threshold),)
+        return Exemplar(sentences, corpus.labelset(b), corpus.bag_ids[b], relation, score)
 
     return candidate_set(q_id, candidates, exemplar, style)
 

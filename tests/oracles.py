@@ -70,6 +70,28 @@ def select_bag_oracle(q_id, relation, relations, bags, scores, embeddings, w_sim
     return best_id
 
 
+def combined_bag_scores(q_id, relation, view, config):
+    """w_sim * sim(q, bag) + w_conf * f(bag, relation) for every bag of a
+    ``CorpusView`` labelled with the relation, from the view's exact bag
+    similarities and a max over each bag's sentence scores; a term whose
+    weight is zero is left out, and its provider not read. Returns (bag
+    indexes in corpus order, their scores); stage 2 picks the first maximum
+    of these scores."""
+    bags = view.corpus.bags_by_relation[relation]
+    total = [0.0] * len(bags)
+    if config.w_sim > 0:
+        sims = view.exact_bag_similarities(q_id, config.bag_sim_pooling, bags)
+        total = [config.w_sim * sim for sim in sims.tolist()]
+    if config.w_conf > 0:
+        score_of = view.scores.score_of
+        confidence = [
+            max(score_of(s.sentence_id, relation) for s in view.corpus.bag(b).sentences)
+            for b in bags.tolist()
+        ]
+        total = [t + config.w_conf * c for t, c in zip(total, confidence)]
+    return bags, total
+
+
 def select_sentence_oracle(bag, relations, scores, threshold):
     """Two passes: max coverage, then max aggregate confidence, a left fold
     of the label scores in label-name order."""

@@ -44,17 +44,26 @@ def test_bench_spans_install_finds_every_wrapped_name():
 
 
 # A golden select per strategy under the benchmark's wrappers; prints, per
-# strategy, the number of spans of each selection and baseline layer and
-# the summed counts of the stage-2 spans.
+# strategy, the number of spans of each selection and baseline layer, the
+# summed counts of the stage-2 spans, and how many bags stage 3 computed a
+# sentence for (``select_sentences``) and how many distinct ones.
 TRACED_SELECTS = """
 import json, sys
 from collections import Counter
 import spans
-from hydre import cli
+from hydre import cli, selection
 
 config, out = sys.argv[1:]
 tracer = spans.Tracer()
 spans.install(tracer)
+stage3 = []
+select_sentences = selection.select_sentences
+
+def counted_select_sentences(corpus, bags, *args, **kwargs):
+    stage3.extend(bags.tolist())
+    return select_sentences(corpus, bags, *args, **kwargs)
+
+selection.select_sentences = counted_select_sentences
 result = {}
 for strategy in (
     "hydre",
@@ -67,6 +76,7 @@ for strategy in (
     "ablation:no_conf",
 ):
     start = len(tracer.spans)
+    stage3.clear()
     argv = ["--config", config, "--strategy", strategy, "--output", out, "select"]
     assert cli.main(argv) == 0, strategy
     recorded = tracer.spans[start:]
@@ -75,58 +85,35 @@ for strategy in (
     )
     # a stage-2 span that raised NoBagForRelation has no count
     bags = sum(s["count"] or 0 for s in recorded if s["layer"] == "selection.stage2")
-    result[strategy] = [dict(layers), bags]
+    result[strategy] = [dict(layers), bags, [len(stage3), len(set(stage3))]]
 print(json.dumps(result))
 """
 
 
 def test_bench_spans_count_each_golden_selection(tmp_path):
     """The spans ``bench/spans.py`` records for a golden ``select``: one
-    query span per query, one stage-2 span per (query, candidate relation)
-    counting the bags that carry the relation, one stage-3 span per
-    distinct picked bag, and one baseline span per query for ``topk_sim``
-    and ``mmr``."""
+    query span per query and one baseline span per query for ``topk_sim``
+    and ``mmr``. Stage 2 is called (``select_bag``) only for a pick the
+    view does not hold yet, so its spans count the work done: one per block
+    decided, which is one per candidate relation with a bag (12; the 20
+    queries are one chunk, and ``hydre`` asks 58 bagless (query, candidate)
+    pairs, ``ablation:all_relations`` 240), or, with no confidences, one
+    per (query, candidate) pair, each decided alone; each span counts the
+    bags that carry its relation. Stage 3 computes the sentence of each
+    distinct picked bag once, in the view's array passes, so the per-bag
+    ``select_sentence`` it wraps records no span."""
     result = run_with_spans(TRACED_SELECTS, str(GOLDEN_CONFIG), str(tmp_path / "out"))
     assert result.returncode == 0, result.stderr
+    selection = {"selection.query": 20, "selection.stage1": 20, "selection.stage2": 12 + 58}
     assert json.loads(result.stdout.splitlines()[-1]) == {
-        "hydre": [
-            {
-                "selection.query": 20,
-                "selection.stage1": 20,
-                "selection.stage2": 100,
-                "selection.stage3": 10,
-            },
-            51,
-        ],
-        "reduced_bag": [
-            {"selection.query": 20, "selection.stage1": 20, "selection.stage2": 100},
-            51,
-        ],
-        "topk_sim": [{"baselines.flatten": 20, "baselines.topk_sim": 20}, 0],
-        "mmr": [{"baselines.flatten": 20, "baselines.mmr": 20}, 0],
-        "ablation:all_relations": [
-            {
-                "selection.query": 20,
-                "selection.stage1": 20,
-                "selection.stage2": 480,
-                "selection.stage3": 10,
-            },
-            300,
-        ],
-        "ablation:full_bag": [
-            {"selection.query": 20, "selection.stage1": 20, "selection.stage2": 100},
-            51,
-        ],
-        "ablation:no_sim": [
-            {
-                "selection.query": 20,
-                "selection.stage1": 20,
-                "selection.stage2": 100,
-                "selection.stage3": 10,
-            },
-            51,
-        ],
-        "ablation:no_conf": [{"selection.query": 20, "selection.stage2": 118}, 155],
+        "hydre": [selection, 15, [10, 10]],
+        "reduced_bag": [selection, 15, [0, 0]],
+        "topk_sim": [{"baselines.flatten": 20, "baselines.topk_sim": 20}, 0, [0, 0]],
+        "mmr": [{"baselines.flatten": 20, "baselines.mmr": 20}, 0, [0, 0]],
+        "ablation:all_relations": [selection | {"selection.stage2": 12 + 240}, 15, [10, 10]],
+        "ablation:full_bag": [selection, 15, [0, 0]],
+        "ablation:no_sim": [selection, 15, [10, 10]],
+        "ablation:no_conf": [{"selection.query": 20, "selection.stage2": 118}, 155, [0, 0]],
     }
 
 
@@ -151,6 +138,9 @@ class Session:
         time.sleep(0.001)
         body = {"choices": [{"message": {"content": "NA"}}]}
         return judge.HttpResponse(200, judge.json_dumps(body).encode())
+
+    def close(self):
+        pass
 
 
 tracer = spans.Tracer()

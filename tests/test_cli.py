@@ -21,7 +21,7 @@ from hydre.providers import EmbeddingIndex, ScoreMatrix
 from hydre.selection import CorpusView
 
 from conftest import FIXTURES, backdate, opened_files
-from oracles import exemplar_set_oracle
+from oracles import candidates_oracle, exemplar_set_oracle, select_bag_oracle
 
 GOLDEN = FIXTURES / "golden"
 CONFIG = str(GOLDEN / "e2e_config.json")
@@ -573,9 +573,9 @@ def record_screens(monkeypatch) -> list:
     calls, asked = [], []
     screen_dots, pick = EmbeddingIndex.screen_dots, CorpusView.pick
 
-    def recorded_pick(self, q_id, relation, config, items):
+    def recorded_pick(self, q_id, relation, config, items, **kwargs):
         asked.append(relation)
-        return pick(self, q_id, relation, config, items)
+        return pick(self, q_id, relation, config, items, **kwargs)
 
     def recorded_screen(self, q_ids, rows=None):
         calls.append((tuple(q_ids), None if rows is None else asked[-1]))
@@ -609,34 +609,45 @@ def assert_one_product_per_chunk_and_relation(calls, records, size):
         assert set(q_ids) == want[chunk[q_ids[0]], relation]
 
 
+def record_work(monkeypatch) -> tuple[Counter, Counter]:
+    """(the stage-2 blocks decided and the queries they decided, as
+    "blocks" and "picks"; how many times each bag's stage-3 sentence was
+    computed, by bag id), counted where the view does the work: each
+    ``settle_columns`` call decides one block, a column per query, and
+    each ``select_sentences`` pass computes its bags' sentences."""
+    work, sentences = Counter(), Counter()
+    settle_columns = hydre.selection.settle_columns
+    select_sentences = hydre.selection.select_sentences
+
+    def counted_settle(screened, slack, exact):
+        work.update(blocks=1, picks=screened.shape[1])
+        return settle_columns(screened, slack, exact)
+
+    def counted_select_sentences(corpus, bags, *args, **kwargs):
+        sentences.update(corpus.bag_ids[b] for b in bags.tolist())
+        return select_sentences(corpus, bags, *args, **kwargs)
+
+    monkeypatch.setattr(hydre.selection, "settle_columns", counted_settle)
+    monkeypatch.setattr(hydre.selection, "select_sentences", counted_select_sentences)
+    return work, sentences
+
+
 def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     """A sweep screens each (query, candidate relation) pair once, in one
     stage-2 product per relation (the 20 queries are one chunk), screens
-    and pools no whole matrix, computes each (query, candidate relation)
-    stage-2 pick and each picked bag's stage-3 sentence once, and writes
-    metadata.json once, as ``run``."""
+    and pools no whole matrix, decides each pair's stage-2 pick once, in
+    the block of that product, computes each picked bag's stage-3 sentence
+    once, and writes metadata.json once, as ``run``."""
     calls = Counter()
-    bag_picks = Counter()
     screens = record_screens(monkeypatch)
+    work, sentences = record_work(monkeypatch)
     pool = CorpusView._pool
-    select_bag = hydre.selection.select_bag
-    select_sentence = hydre.selection.select_sentence
-
-    def counted_select_bag(q_id, relation, *args, **kwargs):
-        bag_picks[q_id, relation] += 1
-        return select_bag(q_id, relation, *args, **kwargs)
 
     def counted_pool(self, dots, pooling):
         calls["pools"] += 1
         return pool(self, dots, pooling)
 
-    def counted_select_sentence(corpus, b, scores, threshold):
-        calls[corpus.bag_ids[b]] += 1
-        return select_sentence(corpus, b, scores, threshold)
-
     monkeypatch.setattr(CorpusView, "_pool", counted_pool)
-    monkeypatch.setattr(hydre.selection, "select_bag", counted_select_bag)
-    monkeypatch.setattr(hydre.selection, "select_sentence", counted_select_sentence)
     written = []
     monkeypatch.setattr(
         cli, "_write_metadata", lambda config, command, inputs: written.append(command)
@@ -647,10 +658,21 @@ def test_run_k_sweep_computes_each_query_once(tmp_path, monkeypatch):
     selections = read_jsonl(tmp_path / "out" / "selections_k4.jsonl")
     assert_one_product_per_chunk_and_relation(screens, selections, len(selections))
     assert not calls["pools"]
-    assert set(calls.values()) == {1}
-    assert bag_picks == Counter(
-        (r["query_id"], relation) for r in selections for relation, _ in r["candidates"]
-    )
+    products = [q_ids for q_ids, relation in screens if relation is not None]
+    pairs = {
+        (r["query_id"], relation)
+        for r in selections
+        for relation, _ in r["candidates"]
+        if relation not in r["skipped"]
+    }
+    assert work == {"blocks": len(products), "picks": len(pairs)}
+    picked = {
+        e["source_bag_id"]
+        for k in (2, 3, 4)
+        for r in read_jsonl(tmp_path / "out" / f"selections_k{k}.jsonl")
+        for e in r["exemplars"]
+    }
+    assert sentences == Counter(picked)
 
 
 GOLDEN_CHUNK = 16  # queries per screen in the chunk tests: two chunks of 20
@@ -726,6 +748,40 @@ def test_select_computes_one_batch_per_query_chunk(tmp_path, monkeypatch, strate
     else:
         assert len(whole_screens(calls)) == len(calls) == chunks
     assert_unchanged()
+
+
+def test_flat_retrieval_without_confidences_screens_no_whole_matrix(tmp_path, monkeypatch):
+    """``ablation:flat_retrieval`` at weights (1, 0) ranks its candidates by
+    the score matrix, as at (1, 1), so each pick is decided in the block
+    of the chunk queries that rank its relation: one product per chunk and
+    relation and no screen of every embedding row. Each record is the
+    brute-force one: stage 1's candidates and, per candidate, the first
+    sentence of maximal exact similarity among its bags' sentences."""
+    calls, assert_unchanged = count_batches(monkeypatch)
+    config_path, config = absolute_config(tmp_path)
+    config["strategy"] = "ablation:flat_retrieval"
+    config["scoring"] = {"k": 5, "w_sim": 1.0, "w_conf": 0.0}
+    config_path.write_text(json.dumps(config))
+    assert run_cli("--config", str(config_path), "select") == 0
+    records = read_jsonl(tmp_path / "out" / "selections.jsonl")
+    assert not whole_screens(calls)
+    assert_one_product_per_chunk_and_relation(calls, records, GOLDEN_CHUNK)
+    assert_unchanged()
+    relations, bags, scores, embeddings, queries = load_golden_primitives()
+    sentences = [
+        {"bag_id": s["sentence_id"], "labels": bag["labels"], "sentences": [s]}
+        for bag in bags
+        for s in bag["sentences"]
+    ]
+    assert [r["query_id"] for r in records] == queries
+    for r in records:
+        q_id = r["query_id"]
+        assert r["candidates"] == [list(c) for c in candidates_oracle(scores[q_id], relations, 5)]
+        for e in r["exemplars"]:
+            want = select_bag_oracle(
+                q_id, e["candidate_relation"], relations, sentences, scores, embeddings, 1.0, 0.0
+            )
+            assert e["sentence_id"] == want
 
 
 def test_select_mmr_without_pool_equals_a_pool_of_every_sentence(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -136,16 +136,19 @@ def serving(**kwargs):
 
 
 def batch(session, url, prompts, parallelism=1):
-    """run_batch through HttpChatBackend; the results and the backoff slept."""
+    """run_batch through HttpChatBackend, which is closed afterwards; the
+    results and the backoff slept."""
     sleeps = []
-    results = run_batch(
-        [(f"q{i:02d}", prompt) for i, prompt in enumerate(prompts)],
-        ontology_from_names(RELATIONS[:2]),
-        PARAMS,
-        HttpChatBackend(url, session=session),
-        parallelism=parallelism,
-        sleep=sleeps.append,
-    )
+    backend = HttpChatBackend(url, session=session)
+    with closing(backend):
+        results = run_batch(
+            [(f"q{i:02d}", prompt) for i, prompt in enumerate(prompts)],
+            ontology_from_names(RELATIONS[:2]),
+            PARAMS,
+            backend,
+            parallelism=parallelism,
+            sleep=sleeps.append,
+        )
     return results, sleeps
 
 
@@ -169,9 +172,9 @@ def test_live_sweep_keeps_parallelism_connections_and_matches_mock(tmp_path, mon
     # one request per distinct prompt: past a query's candidate count a
     # larger k renders the same prompt again, which the cache answers
     prompts = {
-        record["prompt"]
+        json.loads(line)["prompt"]
         for k in range(1, 21)
-        for record in map(json.loads, (tmp_path / "live" / f"prompts_k{k}.jsonl").open())
+        for line in (tmp_path / "live" / f"prompts_k{k}.jsonl").read_text().splitlines()
     }
     cache_lines = (tmp_path / "live_cache.jsonl").read_text().splitlines()
     assert len(server.posts) == len(cache_lines) == len(prompts) == 191
@@ -302,3 +305,23 @@ def test_no_command_imports_requests(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "requests": False}
     assert len(server.posts) == 33  # the distinct prompts of k = 1 and 2
+
+
+def test_every_socket_and_file_is_closed_in_dev_mode():
+    """The other tests of this file pass under ``python -X dev`` with every
+    ResourceWarning an error: a live ``run`` closes its replay cache's
+    append handle and its session's kept-alive connections
+    (``HttpSession.close``) when it ends, and each test closes its own
+    session."""
+    here = Path(__file__).resolve()
+    itself = f"{here.parent.name}/{here.name}::test_every_socket_and_file_is_closed_in_dev_mode"
+    env = {k: v for k, v in os.environ.items() if k.lower() not in PROXY_VARS}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "pytest", "-q",
+         "-p", "no:cacheprovider", "-W", "error::pytest.PytestUnraisableExceptionWarning",
+         "--deselect", itself, f"{here.parent.name}/{here.name}"],
+        cwd=here.parent.parent, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-4000:]
+    assert "ResourceWarning" not in done.stdout + done.stderr

@@ -28,7 +28,7 @@ from hydre.providers import (
     ScoreMatrix,
     ScoringConfig,
 )
-from hydre.selection import CorpusView, combined_bag_scores
+from hydre.selection import CorpusView, bag_runs
 
 from conftest import (
     FIXTURES,
@@ -48,6 +48,7 @@ from conftest import (
 from oracles import (
     bag_confidence_oracle,
     bag_similarity_oracle,
+    combined_bag_scores,
     make_random_instance,
     mapped_cosine,
 )
@@ -206,9 +207,10 @@ def bag_similarity(q_id, bag, emb, config):
 
 
 def bag_confidence(bag, relation, scores):
-    """The view's bag confidence of a one-bag corpus's only bag."""
+    """Stage 2's bag confidence (``bag_runs``) of a one-bag corpus's only
+    bag."""
     view = CorpusView(one_bag_corpus(bag), scores, None)
-    return view.confidence[0, scores.column(relation)]
+    return bag_runs(view, np.array([0]), scores.column(relation))[2][0]
 
 
 def test_bag_similarity_single_sentence_equals_cosine():
@@ -376,7 +378,7 @@ def test_bag_confidence_matches_brute_force_and_dominates_sentences():
         view = CorpusView(corpus, scores, None)
         for b, (raw, bag) in enumerate(zip(instance["bags"], corpus.bags)):
             for r_index, relation in enumerate(instance["relations"]):
-                got = view.confidence[b, scores.column(relation)]
+                got = bag_runs(view, np.array([b]), scores.column(relation))[2][0]
                 want = bag_confidence_oracle(raw, r_index, instance["scores"])
                 assert got == pytest.approx(want, abs=1e-12)
                 per_sentence = [

@@ -20,10 +20,15 @@ from hydre import selection
 from hydre.baselines import sentence_runs
 from hydre.cli import STRATEGIES, SelectionInputs
 from hydre.corpus import jsonl_line
-from hydre.providers import EmbeddingIndex, ScoringConfig, screen_slack
+from hydre.providers import (
+    EmbeddingIndex,
+    ScoringConfig,
+    screen_slack,
+    settle_argmax,
+    settle_columns,
+)
 from hydre.selection import (
     CorpusView,
-    combined_bag_scores,
     select_bag,
     serialize_exemplar_set,
 )
@@ -34,7 +39,7 @@ from conftest import (
     scores_from_instance,
     with_duplicated_rows,
 )
-from oracles import make_random_instance
+from oracles import combined_bag_scores, make_random_instance
 
 
 @pytest.mark.parametrize("mean_of", [None, 1, 4])
@@ -286,7 +291,7 @@ def test_argmax_is_the_first_maximum_of_exact_scores(
                         confidence = None
                     want = combined_scores(w_sim, w_conf, sims[items], confidence)
                     if pooling is None:
-                        got = view.pick(q_id, relation, config, sentence_runs)
+                        got, _ = view.pick(q_id, relation, config, sentence_runs)
                         assert got == items[np.argmax(want)]
                     else:
                         got = select_bag(q_id, relation, corpus, view, config)
@@ -334,6 +339,41 @@ def test_a_block_settles_near_sets_of_several_bags_exactly(monkeypatch, pooling)
                     _, total = combined_bag_scores(q_id, relation, view, config)
                     assert got == corpus.bag_ids[bags[np.argmax(total)]]
     assert any(queries > 1 and near > 1 for queries, near in settled)
+
+
+def test_a_block_settles_exactly_only_the_columns_with_several_near_items():
+    """``settle_columns`` decides a block, items x queries, at once. A
+    column whose near set (items screened within twice the slack of its
+    best) holds one item takes it with no exact value; every other column
+    gets the exact values of exactly its near items, and its pick, the
+    first exact maximum, can differ from its screened argmax."""
+    slack = 1e-3
+    screened = np.array(
+        [
+            [0.5, 0.9, 0.7, 0.1, 0.3],
+            [0.9, 0.8995, 0.7, 0.1, 0.3 - 2 * slack],
+            [0.2, 0.9, 0.697, 0.1, 0.2],
+        ]
+    )
+    exact = np.array(
+        [
+            [0.5, 0.9, 0.69, 0.1, 0.3],
+            [0.9, 0.9001, 0.7, 0.1, 0.3],
+            [0.2, 0.9, 0.697, 0.1, 0.2],
+        ]
+    )
+    asked = []
+
+    def exact_values(column, near):
+        asked.append((column, near.tolist()))
+        return exact[near, column]
+
+    won = settle_columns(screened, slack, exact_values)
+    assert won.tolist() == [1, 1, 1, 0, 0]
+    assert asked == [(1, [0, 1, 2]), (2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1])]
+    for column in range(screened.shape[1]):
+        one = settle_argmax(screened[:, column], slack, lambda near: exact[near, column])
+        assert won[column] == one
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hydre.selection
 from hydre.corpus import Bag, Corpus, CorpusError
@@ -20,6 +22,7 @@ from hydre.selection import (
     select_bag,
     select_candidates,
     select_sentence,
+    select_sentences,
     serialize_exemplar_set,
 )
 
@@ -276,6 +279,61 @@ def test_select_sentence_folds_the_aggregate_left_to_right():
     assert select_sentence_oracle(bag, relations, rows, 0.5) == "s1"
 
 
+# ontology order differs from name order, so the fold's label order shows
+STAGE3_RELATIONS = ["rel_c", "rel_a", "rel_d", "rel_b"]
+
+
+@st.composite
+def stage3_instances(draw):
+    """(an oracle instance, a threshold, an order of its bags) made for
+    ties: every score comes from a few values, among them the threshold
+    itself and its float64 neighbours, and a row may be an arrangement of
+    0.1, 0.2 and 0.3, whose sum rounds by the order of the labels; a bag
+    has 1 to 3 labels, and its later rows are free, all equal to its
+    first, or copies of any earlier row."""
+    threshold = draw(st.sampled_from([0.5, 0.3]))
+    values = [0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 1.0, threshold]
+    values += [float(np.nextafter(threshold, 0.0)), float(np.nextafter(threshold, 1.0))]
+    arranged = st.permutations([0.1, 0.2, 0.3, 0.6])
+    row = st.one_of(st.lists(st.sampled_from(values), min_size=4, max_size=4), arranged, arranged)
+    bags, scores = [], {}
+    for b in range(draw(st.integers(1, 6))):
+        labels = draw(st.sets(st.sampled_from(STAGE3_RELATIONS), min_size=1, max_size=3))
+        rows = draw(st.sampled_from(["free", "equal", "copied"]))
+        sentences = []
+        for j in range(draw(st.integers(1, 4))):
+            if rows == "equal" and j:
+                scores[f"b{b}s{j}"] = list(scores[f"b{b}s0"])
+            elif rows == "copied" and scores:
+                scores[f"b{b}s{j}"] = list(draw(st.sampled_from(list(scores.values()))))
+            else:
+                scores[f"b{b}s{j}"] = draw(row)
+            sentences.append({"sentence_id": f"b{b}s{j}"})
+        bags.append({"bag_id": f"B{b}", "labels": labels, "sentences": sentences})
+    instance = {"relations": STAGE3_RELATIONS, "bags": bags, "scores": scores, "queries": []}
+    return instance, threshold, draw(st.permutations(range(len(bags))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage3_instances())
+def test_stage3_array_pass_matches_the_two_pass_oracle(drawn):
+    """One ``select_sentences`` pass over bags in any order, with the score
+    rows looked up by id or given (``CorpusView.score_rows``), picks in
+    each bag the sentence the two-pass oracle picks."""
+    instance, threshold, order = drawn
+    corpus = corpus_from_instance(instance)
+    scores = scores_from_instance(instance)
+    bags = instance["bags"]
+    want = [
+        select_sentence_oracle(bags[b], STAGE3_RELATIONS, instance["scores"], threshold)
+        for b in order
+    ]
+    rows = CorpusView(corpus, scores, None).score_rows
+    for given_rows in (None, rows):
+        got = select_sentences(corpus, np.array(order), scores, threshold, given_rows)
+        assert [corpus.sentence_ids[p] for p in got.tolist()] == want
+
+
 def oracle_instances(seed):
     """A random instance, then the same instance with duplicated rows."""
     yield make_random_instance(seed=seed)
@@ -404,27 +462,36 @@ def test_build_exemplar_set_records_skip():
     assert got.skipped == ("rel_c",)
 
 
-def test_k_sweep_picks_a_bagless_candidate_once_and_skips_it_at_every_k(monkeypatch):
+def test_k_sweep_decides_each_pick_once_and_skips_a_bagless_candidate_at_every_k(monkeypatch):
+    """Selecting one query at k = 1, 2, 3 with one view decides each
+    candidate's stage-2 pick once (one ``settle_columns`` column) and
+    never one for rel_c, which has no bag and is skipped at every k."""
     instance = hand_checkable_instance()
     instance["scores"]["q000"] = [0.9, 0.8, 0.85]  # rel_c, with no bag, ranks 2nd
     corpus = corpus_from_instance(instance)
     scores = scores_from_instance(instance)
     emb = embeddings_from_instance(instance)
     view = CorpusView(corpus, scores, emb)
-    calls = Counter()
-    select_bag = hydre.selection.select_bag
+    decided, asked = Counter(), []
+    pick = CorpusView.pick
+    settle_columns = hydre.selection.settle_columns
 
-    def counted_select_bag(q_id, relation, *args, **kwargs):
-        calls[relation] += 1
-        return select_bag(q_id, relation, *args, **kwargs)
+    def recorded_pick(self, q_id, relation, *args, **kwargs):
+        asked.append(relation)
+        return pick(self, q_id, relation, *args, **kwargs)
 
-    monkeypatch.setattr(hydre.selection, "select_bag", counted_select_bag)
+    def counted_settle(screened, slack, exact):
+        decided[asked[-1]] += screened.shape[1]
+        return settle_columns(screened, slack, exact)
+
+    monkeypatch.setattr(CorpusView, "pick", recorded_pick)
+    monkeypatch.setattr(hydre.selection, "settle_columns", counted_settle)
     skipped = [
         build_exemplar_set("q000", view, ScoringConfig(k=k)).skipped
         for k in (1, 2, 3)
     ]
     assert skipped == [(), ("rel_c",), ("rel_c",)]
-    assert calls == {"rel_a": 1, "rel_c": 1, "rel_b": 1}
+    assert decided == {"rel_a": 1, "rel_b": 1}
 
 
 def test_kept_stage2_picks_follow_query_weights_and_pooling():
