@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .providers import ScoreMatrix, ScoringConfig
+from .providers import ScoreMatrix, ScoringConfig, mapped_similarity
 from .selection import (
     CorpusView,
     Exemplar,
@@ -127,14 +127,14 @@ def mmr_select(
     else:
         vectors = view.embeddings.matrix[rows]
     # bit-equal to EmbeddingIndex.similarities: the same dot of the same row
-    q_sims = (1.0 + np.vecdot(vectors, view.embeddings.vector(q_id))) / 2.0
+    q_sims = mapped_similarity(np.vecdot(vectors, view.embeddings.vector(q_id)))
 
     selected: list[int] = []
     max_to_selected = np.zeros(len(pool))
     for _ in range(k):
         objective = alpha * q_sims
         if selected:
-            to_last = (1.0 + np.vecdot(vectors, vectors[selected[-1]])) / 2.0
+            to_last = mapped_similarity(np.vecdot(vectors, vectors[selected[-1]]))
             max_to_selected = np.maximum(max_to_selected, to_last)
             objective = objective - (1.0 - alpha) * max_to_selected
             objective[selected] = -np.inf

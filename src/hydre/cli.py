@@ -353,9 +353,8 @@ class LoadedRun:
     inputs: dict[str, str]  # the sha256 of each input file read, by paths key
 
 
-def _needs(config: RunConfig) -> tuple[bool, bool, bool, bool]:
-    """(query scores, sentence scores, query embeddings, sentence embeddings)
-    the configured strategy reads."""
+def _needs(config: RunConfig) -> Reads:
+    """The provider rows the configured strategy reads."""
     scoring = config.scoring()
     return STRATEGIES[config.strategy].needs(scoring.w_conf > 0, scoring.w_sim > 0)
 
@@ -392,23 +391,23 @@ def _load_run(
 def _check_providers(config: RunConfig, run: LoadedRun) -> None:
     """Cross-check that every item the strategy touches is scored/embedded."""
     corpus = run.corpus
-    q_scores, s_scores, q_emb, s_emb = _needs(config)
-    if (q_scores or s_scores) and run.scores is None:
+    reads = _needs(config)
+    if (reads.query_scores or reads.sentence_scores) and run.scores is None:
         raise ConfigError(
             f"strategy {config.strategy!r} needs confidence scores but "
             "paths.scores is missing"
         )
-    if (q_emb or s_emb) and run.embeddings is None:
+    if reads.embeddings and run.embeddings is None:
         raise ConfigError(
             f"strategy {config.strategy!r} needs embeddings but "
             "paths.embeddings is missing"
         )
     query_ids = [q.query_id for q in corpus.queries]
     for needed, ids, provider, message in (
-        (q_scores, query_ids, run.scores, "query {!r} has no score row"),
-        (s_scores, corpus.sentence_ids, run.scores, "sentence {!r} has no score row"),
-        (q_emb, query_ids, run.embeddings, "query {!r} has no embedding"),
-        (s_emb, corpus.sentence_ids, run.embeddings, "sentence {!r} has no embedding"),
+        (reads.query_scores, query_ids, run.scores, "query {!r} has no score row"),
+        (reads.sentence_scores, corpus.sentence_ids, run.scores, "sentence {!r} has no score row"),
+        (reads.embeddings, query_ids, run.embeddings, "query {!r} has no embedding"),
+        (reads.embeddings, corpus.sentence_ids, run.embeddings, "sentence {!r} has no embedding"),
     ):
         if needed:
             row_of = provider.row_of
@@ -465,16 +464,25 @@ class SelectionInputs:
     mmr_pool_size: int | None = DEFAULT_MMR_POOL_SIZE
 
 
+class Reads(NamedTuple):
+    """Which provider rows a strategy reads: the queries' and the corpus
+    sentences' score rows, and the embeddings of both."""
+
+    query_scores: bool
+    sentence_scores: bool
+    embeddings: bool
+
+
 class Strategy(NamedTuple):
     """A selector, the provider rows it reads and whether it selects from
     the flattened corpus.
 
     ``needs(conf, sim)``, with conf = w_conf > 0 and sim = w_sim > 0, gives
-    (query scores, sentence scores, query embeddings, sentence embeddings).
+    its ``Reads``.
     """
 
     select: Callable[[str, SelectionInputs], ExemplarSet]
-    needs: Callable[[bool, bool], tuple[bool, bool, bool, bool]]
+    needs: Callable[[bool, bool], Reads]
     flat: bool = False
 
 
@@ -504,50 +512,50 @@ def _mmr(q_id: str, i: SelectionInputs) -> ExemplarSet:
 # as module globals when they run, so a wrapper installed on this module
 # sees every call.
 STRATEGIES: dict[str, Strategy] = {
-    "hydre": Strategy(_pipeline, lambda conf, sim: (conf, conf, sim, sim)),
+    "hydre": Strategy(_pipeline, lambda conf, sim: Reads(conf, conf, sim)),
     "reduced_bag": Strategy(
         lambda q_id, i: _pipeline(q_id, i, "reduced_bag"),
-        lambda conf, sim: (conf, True, sim, sim),
+        lambda conf, sim: Reads(conf, True, sim),
     ),
     "random_k": Strategy(
         lambda q_id, i: ExemplarSet(
             q_id,
             tuple(random_k(flatten(i.view.corpus), i.scoring.k, f"{i.scoring.seed}|{q_id}")),
         ),
-        lambda conf, sim: (False, False, False, False),
+        lambda conf, sim: Reads(False, False, False),
         flat=True,
     ),
     "topk_sim": Strategy(
-        _topk_sim, lambda conf, sim: (False, False, True, True), flat=True
+        _topk_sim, lambda conf, sim: Reads(False, False, True), flat=True
     ),
-    "mmr": Strategy(_mmr, lambda conf, sim: (False, False, True, True), flat=True),
+    "mmr": Strategy(_mmr, lambda conf, sim: Reads(False, False, True), flat=True),
     "zero_shot": Strategy(
         lambda q_id, i: ExemplarSet(q_id, style="zero_shot"),
-        lambda conf, sim: (False, False, False, False),
+        lambda conf, sim: Reads(False, False, False),
     ),
     "ablation:all_relations": Strategy(
         lambda q_id, i: _pipeline(q_id, i, k=len(i.view.corpus.ontology)),
-        lambda conf, sim: (conf, conf, sim, sim),
+        lambda conf, sim: Reads(conf, conf, sim),
     ),
     "ablation:flat_retrieval": Strategy(
         lambda q_id, i: flat_retrieval(q_id, i.view, i.scoring),
-        lambda conf, sim: (True, True, sim, sim),
+        lambda conf, sim: Reads(True, True, sim),
     ),
     "ablation:full_bag": Strategy(
         lambda q_id, i: _pipeline(q_id, i, "full_bag"),
-        lambda conf, sim: (conf, conf, sim, sim),
+        lambda conf, sim: Reads(conf, conf, sim),
     ),
     "ablation:no_sim": Strategy(
         lambda q_id, i: _pipeline(q_id, i, w_sim=0.0),
-        lambda conf, sim: (True, True, False, False),
+        lambda conf, sim: Reads(True, True, False),
     ),
     "ablation:no_conf": Strategy(
         lambda q_id, i: _pipeline(q_id, i, w_conf=0.0),
-        lambda conf, sim: (False, False, True, True),
+        lambda conf, sim: Reads(False, False, True),
     ),
     "ablation:random_bag_sentence": Strategy(
         lambda q_id, i: random_bag_sentence(q_id, i.view.corpus, i.view.scores, i.scoring),
-        lambda conf, sim: (True, False, False, False),
+        lambda conf, sim: Reads(True, False, False),
     ),
     "ablation:no_icl": Strategy(
         lambda q_id, i: ExemplarSet(
@@ -555,7 +563,7 @@ STRATEGIES: dict[str, Strategy] = {
             candidates=tuple(select_candidates(q_id, i.view.scores, i.scoring.k)),
             relation_scope="candidates_only",
         ),
-        lambda conf, sim: (True, False, False, False),
+        lambda conf, sim: Reads(True, False, False),
     ),
 }
 

@@ -10,8 +10,9 @@ Counting works on arrays. A call encodes each fact set it reads once, as a
 query × relation indicator matrix with its columns in ontology order:
 per-relation counts are column sums, and the confusion counts of every
 relation pair are read from one gold × predicted relation count matrix.
-Recall@k ranks each gold fact once and reads every k from one cumulative
-count.
+Recall@k ranks each gold fact once, by its place in stage 1's order
+(``providers.stage1_order``, the order candidate selection takes), and
+reads every k from one cumulative count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import QueryInstance, RelationOntology
-from .providers import ScoreMatrix
+from .providers import ScoreMatrix, stage1_order
 
 # below this many discordant pairs the chi-square approximation is poor
 EXACT_BINOMIAL_THRESHOLD = 25
@@ -157,20 +158,18 @@ def recall_curve(gold: FactSet, scores: ScoreMatrix) -> list[float]:
     """Recall@k for every k from 1 to the number of score columns: the
     fraction of gold facts whose relation ranks in the query's top k.
 
-    Ranking and tie-breaking follow candidate selection: a relation's rank
-    counts the relations scored higher, plus those scored the same at a
-    lower ontology index. Each gold fact is ranked once. Queries with no
-    gold facts (NA) never enter the denominator.
+    A relation's rank is its place in candidate selection's order of the
+    query's scores (``stage1_order``): descending, the lower ontology index
+    first on ties. Each gold fact is ranked once. Queries with no gold
+    facts (NA) never enter the denominator.
     """
     width = scores.matrix.shape[1]
     if not gold.facts:
         return [1.0] * width
     facts = list(gold.facts)
-    rows = scores.matrix[scores.row_indexes(q for q, _ in facts)]
+    order = stage1_order(scores.matrix[scores.row_indexes(q for q, _ in facts)])
     cols = np.fromiter((scores.column(r) for _, r in facts), np.intp, len(facts))
-    own = rows[np.arange(len(facts)), cols][:, None]
-    before = np.arange(width) < cols[:, None]
-    ranks = np.count_nonzero((rows > own) | ((rows == own) & before), axis=1)
+    ranks = np.argmax(order == cols[:, None], axis=1)
     hits = np.cumsum(np.bincount(ranks, minlength=width)).tolist()
     return [hit / len(facts) for hit in hits]
 
@@ -178,10 +177,10 @@ def recall_curve(gold: FactSet, scores: ScoreMatrix) -> list[float]:
 def recall_at_k(gold: FactSet, scores: ScoreMatrix, k: int) -> float:
     """Fraction of gold facts whose relation ranks in the query's top k:
     one point of ``recall_curve``."""
-    if not gold.facts:
-        return 1.0
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not gold.facts:
+        return 1.0
     curve = recall_curve(gold, scores)
     return curve[min(k, len(curve)) - 1]
 

@@ -55,7 +55,8 @@ class TransportError(RuntimeError):
 
 
 class CacheCorruption(RuntimeError):
-    """Two different payloads claim the same cache key."""
+    """Two different payloads claim the same cache key, or a cache line is
+    not a record."""
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,13 @@ class ReplayCache:
                     cache._torn_at = start
                     break
                 raise CacheCorruption(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not (
+                isinstance(record, dict)
+                and all(isinstance(record.get(f), str) for f in ("key", "prompt_sha", "response"))
+            ):
+                raise CacheCorruption(
+                    f"{path}:{lineno}: not a record with string key, prompt_sha and response"
+                )
             cache._unterminated = final
             key, sha, response = record["key"], record["prompt_sha"], record["response"]
             if key in cache.entries and (

@@ -1,6 +1,10 @@
 """Confidence scores and embeddings as row-major matrices, the scoring
 configuration, and the similarity screen's rounding bound
-(``screen_slack``) and settles (``settle_argmax``, ``settle_top``).
+(``screen_slack``) and settles (``settle_columns``, ``settle_top``). The
+rules that selection and evaluation share each live here once: stage 1's
+order (``stage1_order``), the map of a cosine d to (1 + d) / 2, the scale
+of model confidences (``mapped_similarity``), and the first exact maximum
+of each column of a screened block (``settle_columns``).
 
 Each provider keeps one contiguous matrix with a row per item and maps item
 ids to row indexes. A built matrix never changes and a provider holds no
@@ -29,7 +33,7 @@ import mmap
 import struct
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -499,7 +503,7 @@ class EmbeddingIndex(_RowMatrix):
         differently and can break exact ties, so ``screen_dots`` serves only
         as a screen.
         """
-        return (1.0 + np.vecdot(self.matrix[rows], self.vector(q_id))) / 2.0
+        return mapped_similarity(np.vecdot(self.matrix[rows], self.vector(q_id)))
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingIndex":
@@ -553,6 +557,22 @@ class EmbeddingIndex(_RowMatrix):
         return row_of, matrix
 
 
+def stage1_order(rows: np.ndarray) -> np.ndarray:
+    """The indexes that order each row (the last axis) descending, the
+    lower index first on ties: stage 1's order of a query's relation
+    scores, one stable sort of the negated values. -0.0 ties with 0.0."""
+    return np.argsort(-rows, axis=-1, kind="stable")
+
+
+def mapped_similarity(dots: np.ndarray) -> np.ndarray:
+    """(1 + d) / 2 of each dot product d, in float64: a cosine mapped from
+    [-1, 1] into [0, 1], the scale of model confidences."""
+    sims = dots.astype(np.float64)
+    sims += 1.0
+    sims /= 2.0
+    return sims
+
+
 def _gamma(n: int, u: float = UNIT_ROUNDOFF) -> float:
     """gamma_n = nu / (1 - nu): the relative error bound of n roundings to
     unit roundoff u."""
@@ -597,35 +617,22 @@ def screen_slack(
     return SCREEN_SAFETY * total
 
 
-def settle_argmax(
-    screened: np.ndarray, slack: float, exact: Callable[[np.ndarray], np.ndarray]
-) -> int:
-    """The first index of the maximum of exact values, of which
-    ``screened`` holds approximations within ``slack`` each.
-
-    Only entries screened within twice the slack of the screened maximum
-    can hold the exact maximum; ``exact(near)`` gives their exact values,
-    in index order, and is not called when one entry is left.
-    """
-    near = np.flatnonzero(screened >= screened.max() - 2.0 * slack)
-    if len(near) == 1:
-        return int(near[0])
-    return int(near[np.argmax(exact(near))])
-
-
 def settle_columns(
     screened: np.ndarray, slack: float, exact: Callable[[int, np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """``settle_argmax`` of each column of ``screened`` at once: the row of
-    each column's first exact maximum. A column whose near set (the rows
-    screened within twice the slack of its maximum) holds one row takes
-    it; ``exact(column, near)`` gives the exact values of each other
-    column's near rows.
+    """The row of each column's first exact maximum, of which ``screened``
+    (rows x columns) holds approximations within ``slack`` each. Only rows
+    screened within twice the slack of their column's maximum (its near
+    set) can hold it: any other row's exact value lies below the screened
+    maximum row's. A column whose near set holds one row takes it;
+    ``exact(column, near)`` gives the exact values of each other column's
+    near rows, in row order.
     """
     near = screened >= screened.max(axis=0) - 2.0 * slack
     won = screened.argmax(axis=0)
     for c in np.flatnonzero(near.sum(axis=0) > 1).tolist():
-        won[c] = settle_argmax(screened[:, c], slack, partial(exact, c))
+        rows = np.flatnonzero(near[:, c])
+        won[c] = rows[np.argmax(exact(c, rows))]
     return won
 
 
@@ -650,7 +657,7 @@ def settle_top(
         kth = np.partition(screened, n - k)[n - k]
         near = np.flatnonzero(screened >= kth - 2.0 * slack)
     values = exact(near)
-    order = np.argsort(-values, kind="stable")[:k]
+    order = stage1_order(values)[:k]
     return near[order], values[order]
 
 

@@ -23,9 +23,11 @@ from .providers import (
     ProviderError,
     ScoreMatrix,
     ScoringConfig,
+    mapped_similarity,
     screen_slack,
     settle_columns,
     settle_top,
+    stage1_order,
 )
 
 
@@ -193,11 +195,6 @@ class CorpusView:
         """The index of each query in ``corpus.queries``."""
         return {q.query_id: i for i, q in enumerate(self.corpus.queries)}
 
-    @cached_property
-    def _pool_plan(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """``_longest_first`` of every bag."""
-        return _longest_first(self.corpus.lengths, self.corpus.starts)
-
     def _chunk_of(self, q_id: str) -> list[str]:
         """The aligned run of ``corpus.queries`` that holds the query and
         whose screened dot products fit in ``SCREEN_BYTES``; the query alone
@@ -234,7 +231,7 @@ class CorpusView:
         """The query's screened similarity to each corpus sentence, by
         position, each within ``screen_slack`` of the exact one."""
         held = self._held(q_id)
-        return _mapped(self._dots(held)[held.index[q_id], self.embedding_rows])
+        return mapped_similarity(self._dots(held)[held.index[q_id], self.embedding_rows])
 
     def exact_similarities(self, q_id: str, positions: np.ndarray) -> np.ndarray:
         """The exact similarity of the query to each given sentence
@@ -246,22 +243,16 @@ class CorpusView:
         over each bag's screened sentence similarities. Each lies within
         ``_slack(pooling)`` of the exact value, which
         ``exact_bag_similarities`` gives. The first request pools the
-        query's whole chunk (``_pool``); read-only."""
+        query's whole chunk from its whole-matrix screen (``_screened`` of
+        every bag), one query x bag matrix per pooling; read-only."""
         held = self._held(q_id)
         sims = held.bag_sims.get(pooling)
         if sims is None:
-            sims = held.bag_sims[pooling] = self._pool(self._dots(held).T, pooling)
+            corpus, dots = self.corpus, self._dots(held).T
+            sims = self._screened(corpus.starts, corpus.lengths, pooling, dots.__getitem__)
+            sims.setflags(write=False)
+            sims = held.bag_sims[pooling] = sims.T
         return sims[held.index[q_id]]
-
-    def _pool(self, dots: np.ndarray, pooling: str) -> np.ndarray:
-        """The query x bag similarities, read-only, pooled from a chunk's
-        embedding row x query dot products in one pass (``_pooled``)."""
-        order, first, longer = self._pool_plan
-        rows = self.embedding_rows
-        more = (dots[rows[first[:n] + j]] for j, n in enumerate(longer[1:], 1))
-        sims = _pooled(dots[rows[first]], more, order, self.corpus.lengths, pooling)
-        sims.setflags(write=False)
-        return sims.T
 
     def exact_bag_similarities(self, q_id: str, pooling: str, bags: np.ndarray) -> np.ndarray:
         """The exact similarity of each given bag (``exact_run_similarities``)."""
@@ -291,14 +282,13 @@ class CorpusView:
 
     def _ranks(self, held: _Chunk) -> tuple[np.ndarray, np.ndarray]:
         """The chunk rows of the queries that have a score row and their
-        stage-1 rank of every relation, made on the first request from one
-        stable descending sort of their score rows: the ``(-f, index)``
-        order of ``select_candidates``."""
+        stage-1 rank of every relation, made on the first request from
+        their score rows' ``stage1_order``."""
         if held.ranks is None:
             row_of = self.scores.row_of
             q_ids = [q for q in held.index if q in row_of]
             rows = self.scores.matrix[self.scores.row_indexes(q_ids)]
-            order = np.argsort(-rows, axis=1, kind="stable")
+            order = stage1_order(rows)
             ranks = np.empty_like(order)
             np.put_along_axis(ranks, order, np.arange(order.shape[1]), axis=1)
             held.ranks = (np.fromiter(map(held.index.__getitem__, q_ids), np.intp), ranks)
@@ -311,12 +301,17 @@ class CorpusView:
         positions (first position, length) to each query, pooled from
         ``dots(rows)``, the screened dot products (rows x queries) of the
         runs' embedding rows laid out sentence j of every run longer than j
-        for j = 0, 1, ..., so that ``_pooled`` pools contiguous blocks.
-        Each lies within ``_slack(pooling)`` of the exact value: the slack
-        bounds each dot whatever the product's blocking."""
-        order, first, longer = _longest_first(lengths, starts)
-        positions = np.concatenate([first[:n] + j for j, n in enumerate(longer)])
-        dots = dots(self.embedding_rows[positions])
+        for j = 0, 1, ..., the runs longest first (in the given order on
+        ties), so that ``_pooled`` pools contiguous blocks. Each lies
+        within ``_slack(pooling)`` of the exact value: the slack bounds
+        each dot whatever the product's blocking."""
+        order = np.argsort(-lengths, kind="stable")
+        first = starts[order]
+        longer = len(lengths) - np.cumsum(np.bincount(lengths))  # runs longer than j, by j
+        longer = longer[: lengths.max(initial=0)].tolist()
+        # a block per j; with no runs, the one empty block ``first``
+        positions = [first[:n] + j for j, n in enumerate(longer)] or [first]
+        dots = dots(self.embedding_rows[np.concatenate(positions)])
         ends = np.cumsum(longer).tolist()
         more = (dots[end - n : end] for n, end in zip(longer[1:], ends[1:]))
         return _pooled(dots[: len(starts)], more, order, lengths, pooling)
@@ -456,15 +451,6 @@ def _pick_key(relation: str, config: ScoringConfig, items: Callable, alone: bool
     return items, relation, config.w_sim, config.w_conf, config.bag_sim_pooling, alone
 
 
-def _mapped(dots: np.ndarray) -> np.ndarray:
-    """(1 + d) / 2 of each dot product, in float64: a cosine mapped from
-    [-1, 1] into [0, 1], the scale of model confidences."""
-    sims = dots.astype(np.float64)
-    sims += 1.0
-    sims /= 2.0
-    return sims
-
-
 def _expanded(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(every sentence position of the runs with these first positions and
     lengths, run by run; the index of each run's first among them)."""
@@ -472,18 +458,6 @@ def _expanded(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
     positions = np.repeat(starts - begins, lengths)
     positions += np.arange(len(positions))
     return positions, begins
-
-
-def _longest_first(
-    lengths: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(bags longest first, in the given order on ties; their first
-    sentence positions; for each j, how many of them have more than j
-    sentences) of bags of these lengths and first positions, so the bags
-    with a sentence j lead the order."""
-    order = np.argsort(-lengths, kind="stable")
-    longer = len(lengths) - np.cumsum(np.bincount(lengths))
-    return order, starts[order], longer[: lengths.max(initial=0)].tolist()
 
 
 def _pooled(
@@ -497,23 +471,23 @@ def _pooled(
     queries) of the first sentence of every bag (``pooled``, overwritten),
     then, for j = 1, 2, ..., of sentence j of every bag longer than j
     (``more``), the bags longest first (``order`` of bags of these
-    ``lengths``; ``_longest_first``). So the work is sentences x queries,
-    each step on the head of the last. A max pools the dot products, since
-    (1 + d) / 2 rounds monotonically; a mean sums float64 similarities in
-    in-bag order."""
+    ``lengths``; ``CorpusView._screened``). So the work is sentences x
+    queries, each step on the head of the last. A max pools the dot
+    products, since (1 + d) / 2 rounds monotonically; a mean sums float64
+    similarities in in-bag order."""
     mean = pooling == "mean"
     if mean:
-        pooled = _mapped(pooled)
+        pooled = mapped_similarity(pooled)
     for block in more:
         n = len(block)
         if mean:
-            pooled[:n] += _mapped(block)
+            pooled[:n] += mapped_similarity(block)
         else:
             np.maximum(pooled[:n], block, out=pooled[:n])
     if mean:
         pooled /= lengths[order, None]
     else:
-        pooled = _mapped(pooled)
+        pooled = mapped_similarity(pooled)
     sims = np.empty_like(pooled)
     sims[order] = pooled
     return sims
@@ -549,14 +523,15 @@ def select_candidates(
 ) -> list[tuple[str, float]]:
     """Stage 1: the k relations with highest f(q, r), descending.
 
-    Ties break toward the lower ontology index. k larger than the ontology
-    is clamped, which also serves the run-every-relation variant.
+    Ties break toward the lower ontology index (``stage1_order``). k larger
+    than the ontology is clamped, which also serves the run-every-relation
+    variant.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     vec = scores.vector(q_id)
-    order = sorted(range(len(vec)), key=lambda i: (-vec[i], i))
-    return [(scores.relation_order[i], float(vec[i])) for i in order[:k]]
+    order = stage1_order(vec)[:k].tolist()
+    return [(scores.relation_order[i], float(vec[i])) for i in order]
 
 
 def _combined(

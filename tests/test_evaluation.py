@@ -220,6 +220,15 @@ def test_recall_unscored_query_errors():
         recall_at_k(facts([("q1", "rel_a")]), matrix, 1)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("pairs", [[], [("q1", "rel_a")]])
+def test_recall_at_k_refuses_k_below_one_with_or_without_gold_facts(pairs, k):
+    """k is checked first: gold with no facts does not make k = 0 valid."""
+    matrix = ScoreMatrix(("rel_a",), {"q1": np.array([0.5])})
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        recall_at_k(facts(pairs), matrix, k)
+
+
 # ------------------------------------------------------------------ mcnemar
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
@@ -166,6 +167,22 @@ def test_cache_bad_line_mid_file_still_raises(tmp_path):
     entry = {"key": "k1", "prompt_sha": "s1", "response": "a"}
     path.write_text('{"key": "k0", "prom\n' + json.dumps(entry) + "\n")
     with pytest.raises(CacheCorruption, match=":1:"):
+        ReplayCache.load(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["[1, 2]", '{"key": "a"}', '{"key": "a", "prompt_sha": "s", "response": 5}'],
+)
+@pytest.mark.parametrize("final", [False, True])
+def test_cache_line_that_is_not_a_record_raises_naming_its_line(tmp_path, line, final):
+    """A line that parses but is not an object with string ``key``,
+    ``prompt_sha`` and ``response`` is corruption, mid-file or final (an
+    unterminated final line that parses is a complete line, not a torn one)."""
+    path = tmp_path / "cache.jsonl"
+    entry = {"key": "k1", "prompt_sha": "s1", "response": "a"}
+    path.write_text(json.dumps(entry) + "\n" + line + ("" if final else "\n" + json.dumps(entry)))
+    with pytest.raises(CacheCorruption, match=re.escape(f"{path}:2: not a record")):
         ReplayCache.load(path)
 
 

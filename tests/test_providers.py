@@ -278,10 +278,10 @@ def test_a_corpus_without_bags_pools_no_bag(tiny_ontology, pooling):
 
 @pytest.mark.parametrize("size", [1, 3, 20])
 def test_bag_similarities_pool_each_chunk_once_per_pooling(monkeypatch, size):
-    """A view pools a chunk's bag similarities in one pass per pooling, on
-    the first request for one of its queries, and hands out each query's
-    row of it with no further pass: read-only, equal to a fresh view's and
-    within the slack of the exact values."""
+    """A view pools a chunk's bag similarities from one whole-matrix
+    screen, into one read-only query x bag matrix per pooling that every
+    query of the chunk reads its row of, again on a repeated request:
+    equal to a fresh view's and within the slack of the exact values."""
     instance = make_random_instance(seed=2100, max_bags=5, n_queries=20)
     corpus = corpus_from_instance(instance)
     emb = embeddings_from_instance(instance)
@@ -289,15 +289,15 @@ def test_bag_similarities_pool_each_chunk_once_per_pooling(monkeypatch, size):
     poolings = ("max", "mean")
     screen_chunks(monkeypatch, size, emb)
     view = CorpusView(corpus, None, emb)
-    calls = []
-    pool = CorpusView._pool
+    screens = []
+    screen_dots = EmbeddingIndex.screen_dots
 
-    def counted(self, dots, pooling):
-        calls.append((dots.shape[1], pooling))
-        return pool(self, dots, pooling)
+    def recorded(self, ids, rows=None):
+        screens.append((len(ids), rows is None))
+        return screen_dots(self, ids, rows)
 
     with monkeypatch.context() as patch:
-        patch.setattr(CorpusView, "_pool", counted)
+        patch.setattr(EmbeddingIndex, "screen_dots", recorded)
         got = {}
         for q_id in q_ids:
             for pooling in poolings:
@@ -305,8 +305,15 @@ def test_bag_similarities_pool_each_chunk_once_per_pooling(monkeypatch, size):
             for pooling in poolings:
                 again = view.bag_similarities(q_id, pooling)
                 assert np.shares_memory(again, got[q_id, pooling])
-    chunks = [len(q_ids[i : i + size]) for i in range(0, len(q_ids), size)]
-    assert calls == [(n, p) for n in chunks for p in poolings]
+    chunks = [q_ids[i : i + size] for i in range(0, len(q_ids), size)]
+    assert screens == [(len(chunk), True) for chunk in chunks]
+    for chunk in chunks:
+        for pooling in poolings:
+            matrix = got[chunk[0], pooling].base  # what the row is a view of
+            assert matrix.size == len(chunk) * len(corpus.bag_ids)
+            assert not matrix.flags.writeable
+            assert all(np.shares_memory(matrix, got[q, pooling]) for q in chunk)
+        assert not np.shares_memory(got[chunk[0], "max"], got[chunk[0], "mean"])
     every = np.arange(len(corpus.bag_ids))
     fresh = CorpusView(corpus, None, emb)
     for (q_id, pooling), sims in got.items():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import hydre.selection
 from hydre.corpus import Bag, Corpus, CorpusError
+from hydre.evaluation import FactSet, recall_curve
 from hydre.providers import EmbeddingIndex, ProviderError, ScoreMatrix, ScoringConfig
 from hydre.selection import (
     CorpusView,
@@ -39,6 +41,7 @@ from oracles import (
     combined_score_oracle,
     exemplar_set_oracle,
     make_random_instance,
+    recall_at_k_oracle,
     reduce_bag_oracle,
     select_bag_oracle,
     select_sentence_oracle,
@@ -96,6 +99,64 @@ def test_select_candidates_matches_sort_oracle():
             assert scores_only == sorted(scores_only, reverse=True)
             assert len(got) == min(k, len(relations))
             count += 1
+
+
+def test_stage1_order_agrees_everywhere_on_signed_zeros_and_exact_ties(monkeypatch):
+    """Query score rows of 0.0, -0.0 and exactly tied values: stage 1
+    (``select_candidates``), the block ranks a stage-2 product is formed
+    from (its queries are exactly those whose oracle candidates hold the
+    relation) and Recall@k all follow ``candidates_oracle``'s order, in
+    which -0.0 ties with 0.0."""
+    screens, asked = [], []
+    pick, screen_dots = CorpusView.pick, EmbeddingIndex.screen_dots
+
+    def recorded_pick(self, q_id, relation, config, items, **kwargs):
+        asked.append(relation)
+        return pick(self, q_id, relation, config, items, **kwargs)
+
+    def recorded_screen(self, q_ids, rows=None):
+        screens.append((asked[-1], frozenset(q_ids)))
+        return screen_dots(self, q_ids, rows)
+
+    monkeypatch.setattr(CorpusView, "pick", recorded_pick)
+    monkeypatch.setattr(EmbeddingIndex, "screen_dots", recorded_screen)
+    signed = 0
+    for seed in range(12):
+        instance = make_random_instance(seed=4500 + seed, max_bags=12, n_queries=6)
+        relations, q_ids = instance["relations"], instance["queries"]
+        rng = instance["rng"]
+        for q_id in q_ids:
+            instance["scores"][q_id] = [rng.choice([0.0, -0.0, 0.5, 1.0]) for _ in relations]
+        signed += sum(math.copysign(1.0, v) < 0 for q in q_ids for v in instance["scores"][q])
+        scores = scores_from_instance(instance)
+        pairs = frozenset((q, r) for q in q_ids for r in rng.sample(relations, 2))
+        gold = FactSet(pairs, frozenset(q_ids))
+        curve = recall_curve(gold, scores)
+        for k in range(1, len(relations) + 1):
+            assert curve[k - 1] == recall_at_k_oracle(gold.facts, instance["scores"], relations, k)
+            want = {q: candidates_oracle(instance["scores"][q], relations, k) for q in q_ids}
+            for q_id in q_ids:
+                got = select_candidates(q_id, scores, k)
+                assert [(r, repr(v)) for r, v in got] == [(r, repr(v)) for r, v in want[q_id]]
+            screens.clear()
+            corpus = corpus_from_instance(instance)
+            view = CorpusView(corpus, scores, embeddings_from_instance(instance))
+            for q_id in q_ids:
+                got = build_exemplar_set(q_id, view, ScoringConfig(k=k))
+                oracle = exemplar_set_oracle(
+                    q_id, relations, instance["bags"], instance["scores"],
+                    instance["embeddings"], k=k, threshold=0.5,
+                )
+                assert [(e.candidate_relation, e.source_bag_id) for e in got.exemplars] == [
+                    (w["relation"], w["bag_id"]) for w in oracle["exemplars"]
+                ]
+            blocks = {}
+            for q_id in q_ids:
+                for relation, _ in want[q_id]:
+                    if len(corpus.bags_by_relation[relation]):
+                        blocks.setdefault(relation, set()).add(q_id)
+            assert sorted(screens) == sorted(blocks.items())
+    assert signed
 
 
 # ------------------------------------------------------------- select_bag
