@@ -15,6 +15,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -41,7 +42,6 @@ from .baselines import (
 from .corpus import (
     Corpus,
     CorpusError,
-    QueryInstance,
     _field,
     _is_names,
     _is_str,
@@ -87,37 +87,96 @@ class ConfigError(ValueError):
     """Bad configuration or unmet run precondition."""
 
 
-DEFAULT_CONFIG: dict = {
+def _real(value) -> bool:
+    # type(), not isinstance: a JSON true is a bool, and bools are ints
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+NO_DEFAULT = object()
+
+
+class Key(NamedTuple):
+    """One config key: a test of its value, what the test asks for, and
+    its default. A key whose default is ``NO_DEFAULT`` stays out of the
+    merged config unless set; its block's dataclass supplies it."""
+
+    test: Callable[[object], bool]
+    wanted: str
+    default: object = NO_DEFAULT
+
+
+_NONNEGATIVE = (lambda v: _real(v) and v >= 0, "a nonnegative real number")
+_COUNT = (_positive_int, "a positive integer")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_TAG = (lambda v: isinstance(v, str) and v != "", "a nonempty string")
+_PATH = (lambda v: v is None or _TAG[0](v), "a nonempty string or null")
+
+# Every key a config file may set, top-level or in a block, in
+# DEFAULT_CONFIG's order.
+CONFIG_KEYS: dict[str, Key | dict[str, Key]] = {
     "paths": {
-        "ontology": None,
-        "bags": None,
-        "queries": None,
-        "scores": None,
-        "embeddings": None,
-        "cache": None,
-        "output": "out",
+        **{
+            name: Key(*_PATH, None)
+            for name in ("ontology", "bags", "queries", "scores", "embeddings", "cache")
+        },
+        "output": Key(*_TAG, "out"),
     },
-    "strategy": "hydre",
+    "strategy": Key(*_STRING, "hydre"),
     "scoring": {
-        "w_sim": 1.0,
-        "w_conf": 1.0,
-        "threshold": 0.5,
-        "k": 5,
-        "bag_sim_pooling": "max",
+        "w_sim": Key(*_NONNEGATIVE, 1.0),
+        "w_conf": Key(*_NONNEGATIVE, 1.0),
+        "threshold": Key(lambda v: _real(v) and 0 < v < 1, "a real number in (0, 1)", 0.5),
+        "k": Key(*_COUNT, 5),
+        "bag_sim_pooling": Key(lambda v: v in ("max", "mean"), "'max' or 'mean'", "max"),
     },
     "generation": {
-        "model_name": "gpt-4o",
-        "temperature": 0.0,
-        "max_input_tokens": 2048,
-        "max_output_tokens": 256,
+        "model_name": Key(*_TAG, "gpt-4o"),
+        "temperature": Key(*_NONNEGATIVE, 0.0),
+        "max_input_tokens": Key(*_COUNT, 2048),
+        "max_output_tokens": Key(*_COUNT, 256),
     },
-    "template": {"include_definitions": True},
-    "mmr": {"alpha": DEFAULT_MMR_ALPHA, "pool_size": DEFAULT_MMR_POOL_SIZE},
-    "seed": 0,
-    "parallelism": 1,
-    "mode": "replay",
-    "llm_endpoint": None,
+    "template": {
+        "task_instruction": Key(*_STRING),
+        "include_definitions": Key(lambda v: type(v) is bool, "true or false", True),
+        "head_open": Key(*_TAG),
+        "head_close": Key(*_TAG),
+        "tail_open": Key(*_TAG),
+        "tail_close": Key(*_TAG),
+        "na_definition": Key(*_STRING),
+    },
+    "mmr": {
+        "alpha": Key(
+            lambda v: _real(v) and 0 <= v <= 1, "a real number in [0, 1]", DEFAULT_MMR_ALPHA
+        ),
+        "pool_size": Key(
+            lambda v: v is None or _positive_int(v),
+            "a positive integer or null",
+            DEFAULT_MMR_POOL_SIZE,
+        ),
+    },
+    "seed": Key(lambda v: type(v) is int, "an integer", 0),
+    "parallelism": Key(*_COUNT, 1),
+    "mode": Key(*_STRING, "replay"),
+    "llm_endpoint": Key(
+        lambda v: v is None or _is_http_url(v), "an http(s) URL with a host", None
+    ),
 }
+
+
+def _defaults(table: dict) -> dict:
+    """The config that sets every key of ``table`` that has a default."""
+    return {
+        name: _defaults(key) if isinstance(key, dict) else key.default
+        for name, key in table.items()
+        if isinstance(key, dict) or key.default is not NO_DEFAULT
+    }
+
+
+DEFAULT_CONFIG: dict = _defaults(CONFIG_KEYS)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -130,31 +189,39 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-@dataclass
+def _check_keys(values: dict, table: dict, prefix: str = "") -> None:
+    """Refuse a key ``table`` does not know, or a value its key's test
+    fails, naming the key; a block's keys are checked in turn."""
+    for name, value in values.items():
+        where = prefix + name
+        key = table.get(name)
+        if key is None:
+            raise ConfigError(f"unknown key {where}; expected one of {', '.join(table)}")
+        if isinstance(key, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+            _check_keys(value, key, f"{where}.")
+        elif not key.test(value):
+            raise ConfigError(f"{where} must be {key.wanted}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """The merged raw config plus the dataclasses built from its blocks."""
+    """The checked config: the merged raw values (written to metadata.json)
+    and the typed values commands read."""
 
     raw: dict
     base_dir: Path
-    _scoring: ScoringConfig
-    _generation: GenerationParams
-    _template: PromptTemplate
-
-    @property
-    def strategy(self) -> str:
-        return self.raw["strategy"]
-
-    @property
-    def seed(self) -> int:
-        return self.raw["seed"]
-
-    @property
-    def mode(self) -> str:
-        return self.raw["mode"]
-
-    @property
-    def parallelism(self) -> int:
-        return self.raw["parallelism"]
+    strategy: str
+    seed: int
+    mode: str
+    parallelism: int
+    llm_endpoint: str | None
+    scoring: ScoringConfig
+    generation: GenerationParams
+    template: PromptTemplate
+    mmr_alpha: float
+    mmr_pool_size: int | None
 
     def path(self, name: str) -> Path | None:
         value = self.raw["paths"].get(name)
@@ -169,66 +236,6 @@ class RunConfig:
         assert out is not None
         return out
 
-    def scoring(self) -> ScoringConfig:
-        return self._scoring
-
-    def generation(self) -> GenerationParams:
-        return self._generation
-
-    def template(self) -> PromptTemplate:
-        return self._template
-
-
-def _real(value) -> bool:
-    # type(), not isinstance: a JSON true is a bool, and bools are ints
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _positive_int(value) -> bool:
-    return type(value) is int and value >= 1
-
-
-_NONNEGATIVE = (lambda v: _real(v) and v >= 0, "a nonnegative real number")
-_COUNT = (_positive_int, "a positive integer")
-_STRING = (lambda v: isinstance(v, str), "a string")
-_TAG = (lambda v: isinstance(v, str) and v != "", "a nonempty string")
-_PATH = (lambda v: v is None or _TAG[0](v), "a nonempty string or null")
-
-# Every key a config block may set: a test of its value and what the test
-# asks for.
-BLOCK_KEYS: dict[str, dict[str, tuple[Callable[[object], bool], str]]] = {
-    "paths": {
-        **dict.fromkeys(("ontology", "bags", "queries", "scores", "embeddings", "cache"), _PATH),
-        "output": _TAG,
-    },
-    "scoring": {
-        "w_sim": _NONNEGATIVE,
-        "w_conf": _NONNEGATIVE,
-        "threshold": (lambda v: _real(v) and 0 < v < 1, "a real number in (0, 1)"),
-        "k": _COUNT,
-        "bag_sim_pooling": (lambda v: v in ("max", "mean"), "'max' or 'mean'"),
-    },
-    "generation": {
-        "model_name": _TAG,
-        "temperature": _NONNEGATIVE,
-        "max_input_tokens": _COUNT,
-        "max_output_tokens": _COUNT,
-    },
-    "template": {
-        "task_instruction": _STRING,
-        "include_definitions": (lambda v: type(v) is bool, "true or false"),
-        "head_open": _TAG,
-        "head_close": _TAG,
-        "tail_open": _TAG,
-        "tail_close": _TAG,
-        "na_definition": _STRING,
-    },
-    "mmr": {
-        "alpha": (lambda v: _real(v) and 0 <= v <= 1, "a real number in [0, 1]"),
-        "pool_size": (lambda v: v is None or _positive_int(v), "a positive integer or null"),
-    },
-}
-
 
 def _build(block: str, make: Callable, **values):
     """``make(**values)``; a rule across the block's keys that fails (such
@@ -240,27 +247,26 @@ def _build(block: str, make: Callable, **values):
 
 
 def load_config(config_path: str | None, overrides: dict) -> RunConfig:
-    """The merged config, with every value checked and every block's
-    dataclass built before any input is read."""
+    """The merged config, with every value checked against ``CONFIG_KEYS``
+    and every block's dataclass built before any input is read."""
     file_values: dict = {}
     base_dir = Path.cwd()
     if config_path:
         path = Path(config_path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        with path.open("r", encoding="utf-8") as fh:
-            try:
-                file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        data = path.read_bytes()
+        try:
+            # universal newlines, as a text-mode read has, keep JSON error offsets
+            file_values = json.load(io.StringIO(data.decode("utf-8"), newline=None))
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{path}:{line}: not UTF-8: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ConfigError(f"{path}: a config file must hold a JSON object")
         base_dir = path.resolve().parent
-    unknown = [key for key in file_values if key not in DEFAULT_CONFIG]
-    if unknown:
-        raise ConfigError(
-            f"unknown key {unknown[0]}; expected one of {', '.join(DEFAULT_CONFIG)}"
-        )
     raw = _deep_merge(DEFAULT_CONFIG, file_values)
     for key, value in overrides.items():
         if value is None:
@@ -273,12 +279,7 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
             raw["paths"]["output"] = str(out if out.is_absolute() else Path.cwd() / out)
         else:
             raw[key] = value
-    for key, default in DEFAULT_CONFIG.items():
-        if isinstance(default, dict) and not isinstance(raw[key], dict):
-            raise ConfigError(f"{key} must be a JSON object, got {raw[key]!r}")
-    for key in ("strategy", "mode"):
-        if not isinstance(raw[key], str):
-            raise ConfigError(f"{key} must be a string, got {raw[key]!r}")
+    _check_keys(raw, CONFIG_KEYS)
     if raw["strategy"] not in STRATEGIES:
         raise ConfigError(
             f"unknown strategy {raw['strategy']!r}; expected one of "
@@ -286,32 +287,19 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
         )
     if raw["mode"] not in ("live", "replay"):
         raise ConfigError(f"unknown mode {raw['mode']!r}")
-    if not _positive_int(raw["parallelism"]):
-        raise ConfigError(
-            f"parallelism must be a positive integer, got {raw['parallelism']!r}"
-        )
-    if type(raw["seed"]) is not int:
-        raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
-    for block, keys in BLOCK_KEYS.items():
-        for key, value in raw[block].items():
-            if key not in keys:
-                raise ConfigError(
-                    f"unknown key {block}.{key}; expected one of {', '.join(keys)}"
-                )
-            test, wanted = keys[key]
-            if not test(value):
-                raise ConfigError(f"{block}.{key} must be {wanted}, got {value!r}")
-    endpoint = raw["llm_endpoint"]
-    if endpoint is not None and not _is_http_url(endpoint):
-        raise ConfigError(
-            f"llm_endpoint must be an http(s) URL with a host, got {endpoint!r}"
-        )
     return RunConfig(
         raw,
         base_dir,
-        _build("scoring", ScoringConfig, seed=raw["seed"], **raw["scoring"]),
-        _build("generation", GenerationParams, **raw["generation"]),
-        _build("template", PromptTemplate, **raw["template"]),
+        strategy=raw["strategy"],
+        seed=raw["seed"],
+        mode=raw["mode"],
+        parallelism=raw["parallelism"],
+        llm_endpoint=raw["llm_endpoint"],
+        scoring=_build("scoring", ScoringConfig, seed=raw["seed"], **raw["scoring"]),
+        generation=_build("generation", GenerationParams, **raw["generation"]),
+        template=_build("template", PromptTemplate, **raw["template"]),
+        mmr_alpha=float(raw["mmr"]["alpha"]),
+        mmr_pool_size=raw["mmr"]["pool_size"],
     )
 
 
@@ -341,8 +329,13 @@ def _write_metadata(config: RunConfig, command: str, inputs: dict[str, str]) -> 
         "config": config.raw,
         "inputs": inputs,
     }
-    with atomic_write(out / "metadata.json") as fh:
-        fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+    _write_json(out / "metadata.json", record)
+
+
+def _write_json(path: Path, payload) -> None:
+    """One JSON document per file: sorted keys, two-space indent, UTF-8."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
 @dataclass
@@ -355,7 +348,7 @@ class LoadedRun:
 
 def _needs(config: RunConfig) -> Reads:
     """The provider rows the configured strategy reads."""
-    scoring = config.scoring()
+    scoring = config.scoring
     return STRATEGIES[config.strategy].needs(scoring.w_conf > 0, scoring.w_sim > 0)
 
 
@@ -423,8 +416,8 @@ def _check_k(config: RunConfig, corpus: Corpus, k_values: Sequence[int | None]) 
     larger k gives ``topk_sim`` every sentence."""
     if config.strategy not in ("mmr", "random_k"):
         return
-    k = max(config.scoring().k if k is None else k for k in k_values)
-    pool_size = config.raw["mmr"]["pool_size"]
+    k = max(config.scoring.k if k is None else k for k in k_values)
+    pool_size = config.mmr_pool_size
     if config.strategy == "mmr" and pool_size is not None and k > pool_size:
         raise ConfigError(f"k={k} exceeds mmr.pool_size {pool_size}")
     n = len(corpus.sentence_ids)
@@ -597,14 +590,14 @@ def cmd_select(
         run = _load_run(config)
         _check_providers(config, run)
         _check_k(config, run.corpus, k_values)
-    scoring = config.scoring()
+    scoring = config.scoring
     view = CorpusView(run.corpus, run.scores, run.embeddings)
     inputs = [
         SelectionInputs(
             view,
             scoring if k is None else dataclasses.replace(scoring, k=k),
-            mmr_alpha=float(config.raw["mmr"]["alpha"]),
-            mmr_pool_size=config.raw["mmr"]["pool_size"],
+            mmr_alpha=config.mmr_alpha,
+            mmr_pool_size=config.mmr_pool_size,
         )
         for k in k_values
     ]
@@ -629,13 +622,6 @@ def cmd_select(
     return 0
 
 
-def _render_for_record(
-    config: RunConfig, corpus: Corpus, query: QueryInstance, record: dict
-) -> str:
-    selection = deserialize_exemplar_set(record, corpus)
-    return render_prompt(query, selection, corpus.ontology, config.template())
-
-
 def _render_pass(
     config: RunConfig, corpus: Corpus, k: int | None, cache: ReplayCache
 ) -> list[tuple[str, str]]:
@@ -651,13 +637,16 @@ def _render_pass(
     prompts = []
     for q, (where, record) in zip(corpus.queries, selections):
         try:
-            prompts.append((q.query_id, _render_for_record(config, corpus, q, record)))
+            selection = deserialize_exemplar_set(record, corpus)
+            prompts.append(
+                (q.query_id, render_prompt(q, selection, corpus.ontology, config.template))
+            )
         except (KeyError, TypeError, ValueError) as exc:
             # a KeyError or TypeError says only what it failed to read
             fault = exc if isinstance(exc, ValueError) else f"malformed record ({exc!r})"
             raise ConfigError(f"{where}: {fault}") from None
     if config.mode == "replay":
-        params = config.generation()
+        params = config.generation
         missed = [
             q_id for q_id, prompt in prompts if cache_key(prompt, params) not in cache
         ]
@@ -742,9 +731,9 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
                 raise ConfigError(
                     f"live mode requires the {LLM_API_KEY_ENV} environment variable"
                 )
-            if not config.raw.get("llm_endpoint"):
+            if not config.llm_endpoint:
                 raise ConfigError("live mode requires llm_endpoint in the config")
-            backend = HttpChatBackend(config.raw["llm_endpoint"])
+            backend = HttpChatBackend(config.llm_endpoint)
             held.callback(backend.close)
         if unselected:
             # A sweep selects every k it lacks in one pass. A selection that
@@ -767,7 +756,7 @@ def cmd_run(config: RunConfig, k_values: list[int] | None = None) -> int:
         answered = run_passes(
             passes(),
             run.corpus.ontology,
-            config.generation(),
+            config.generation,
             backend,
             cache=cache,
             mode=config.mode,
@@ -868,27 +857,16 @@ def cmd_eval(
     out.mkdir(parents=True, exist_ok=True)
     summary_cell = f"{round(report.micro_f1 * 100)}/{round(report.macro_f1 * 100)}"
 
-    report_payload = {
-        "micro_precision": report.micro_precision,
-        "micro_recall": report.micro_recall,
-        "micro_f1": report.micro_f1,
-        "macro_f1": report.macro_f1,
-        "n_queries": report.n_queries,
-        "n_gold_facts": report.n_gold_facts,
-        "summary": summary_cell,
-        "per_relation": {
-            name: dataclasses.asdict(rs) for name, rs in report.per_relation.items()
-        },
-    }
+    # paired_records (one per gold fact) is not reported; emptying it first
+    # spares asdict deep-copying it
+    report_payload = dataclasses.asdict(dataclasses.replace(report, paired_records=()))
+    del report_payload["paired_records"]
+    report_payload["summary"] = summary_cell
     if run.scores is not None:
         report_payload["recall_at_k"] = {
             str(k): recall for k, recall in enumerate(recall_curve(gold, run.scores), 1)
         }
-    with atomic_write(out / "report.json") as fh:
-        fh.write(
-            json.dumps(report_payload, sort_keys=True, ensure_ascii=False, indent=2)
-            + "\n"
-        )
+    _write_json(out / "report.json", report_payload)
 
     with atomic_write(out / "per_relation.csv", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -924,8 +902,7 @@ def cmd_eval(
             gold, FactSet.from_predictions(baseline, corpus.ontology), corpus.ontology
         )
         result = mcnemar(pair_reports(report, baseline_report))
-        with atomic_write(out / "mcnemar.json") as fh:
-            fh.write(json.dumps(dataclasses.asdict(result), sort_keys=True, indent=2) + "\n")
+        _write_json(out / "mcnemar.json", dataclasses.asdict(result))
         summary_lines.append(
             f"mcnemar vs baseline: statistic={result.statistic:.6g} "
             f"p={result.p_value:.6g} (b={result.b}, c={result.c}, {result.method})"

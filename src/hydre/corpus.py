@@ -217,12 +217,16 @@ def iter_jsonl(
 ) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSONL file.
 
-    A line that is not a JSON object raises ``error`` naming path:line.
+    A line that is not UTF-8, or not a JSON object, raises ``error`` naming
+    path:line.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with path.open("rb") as fh:
+        for lineno, data in enumerate(fh, start=1):
+            try:
+                line = data.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:

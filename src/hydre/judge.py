@@ -95,8 +95,9 @@ class ReplayCache:
 
     ``append`` writes a record and its newline with one unbuffered write,
     through one append handle that the first append opens and ``close``
-    closes. An unterminated final line that is not valid JSON is a write
-    that was cut short: ``load`` drops it with a warning, and the next
+    closes. An unterminated final line that is not valid UTF-8 JSON (a
+    write cut inside a multi-byte character too) is a write that was cut
+    short: ``load`` drops it with a warning, and the next
     ``append`` cuts it off the file. One that parses is a complete record
     and is kept; the next ``append`` writes the missing newline first.
     Either way no record is glued onto another.
@@ -125,7 +126,7 @@ class ReplayCache:
             final = lineno == len(lines)
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or UTF-8 cut inside a character
                 if final:
                     logger.warning("%s:%d: dropping torn final line", path, lineno)
                     cache._torn_at = start
@@ -382,7 +383,8 @@ class HttpChatBackend:
     choices[0].message.content. The bearer token comes from the
     HYDRE_LLM_API_KEY environment variable. A rejected request
     (``HttpResponse.raise_for_status``) raises RequestRejected, which is
-    not retried; every other failure is a TransportError.
+    not retried; every other failure, a reply whose content is not a
+    string too, is a TransportError.
     """
 
     def __init__(self, endpoint: str, session=None, timeout: float = 120.0) -> None:
@@ -412,12 +414,14 @@ class HttpChatBackend:
                 self.endpoint, json=body, headers=headers, timeout=self.timeout
             )
             response.raise_for_status()
-            payload = response.json()
-            return payload["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except RequestRejected:
             raise
         except Exception as exc:
             raise TransportError(str(exc)) from exc
+        if not isinstance(content, str):  # null for a refusal, filtered output or a tool call
+            raise TransportError(f"message content is {content!r}, not text")
+        return content
 
 
 def count_input_tokens(prompt: str, backend=None) -> int:

@@ -351,23 +351,28 @@ def main() -> None:
 
     # replay cache: render the pipeline's prompts and key the authored
     # responses by them
-    from hydre.cli import STRATEGIES, SelectionInputs, _load_run, _render_for_record
-    from hydre.cli import load_config
+    from hydre.cli import STRATEGIES, SelectionInputs, _load_run, load_config
     from hydre.judge import cache_key, prompt_sha
-    from hydre.selection import CorpusView, serialize_exemplar_set
+    from hydre.prompting import render_prompt
+    from hydre.selection import CorpusView, deserialize_exemplar_set, serialize_exemplar_set
 
     run_config = load_config(str(HERE / "e2e_config.json"), {})
     run = _load_run(run_config)
     inputs = SelectionInputs(
-        CorpusView(run.corpus, run.scores, run.embeddings), run_config.scoring()
+        CorpusView(run.corpus, run.scores, run.embeddings), run_config.scoring
     )
     select = STRATEGIES[run_config.strategy].select
-    params = run_config.generation()
+    params = run_config.generation
     cache_records = []
     for query in run.corpus.queries:
         selection = select(query.query_id, inputs)
         record = serialize_exemplar_set(selection, run.corpus.ontology)
-        prompt = _render_for_record(run_config, run.corpus, query, record)
+        prompt = render_prompt(
+            query,
+            deserialize_exemplar_set(record, run.corpus),
+            run.corpus.ontology,
+            run_config.template,
+        )
         response = RESPONSES[query.query_id]
         cache_records.append(
             {

@@ -291,7 +291,7 @@ def test_prompt_golden_files():
         config = cli.load_config(str(GOLDEN / "e2e_config.json"), {})
         run = cli._load_run(config)
         corpus, scores, emb = run.corpus, run.scores, run.embeddings
-        scoring = config.scoring()
+        scoring = config.scoring
         queries = {q.query_id: q for q in corpus.queries}
 
         es = build_exemplar_set("q01", CorpusView(corpus, scores, emb), scoring)

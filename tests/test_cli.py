@@ -1088,6 +1088,53 @@ def test_malformed_llm_endpoint_exits_1_naming_the_key(
     assert not (tmp_path / "out").exists()
 
 
+def test_every_default_in_the_key_table_passes_its_own_check():
+    """Each key's default passes its test, and so does the value
+    ``PromptTemplate`` supplies for a template key the table gives none."""
+    template = cli.PromptTemplate()
+    checked = 0
+    for name, spec in cli.CONFIG_KEYS.items():
+        keys = spec.items() if isinstance(spec, dict) else [(None, spec)]
+        for key_name, key in keys:
+            default = key.default
+            if default is cli.NO_DEFAULT:
+                assert name == "template"
+                default = getattr(template, key_name)
+            else:
+                value = cli.DEFAULT_CONFIG[name]
+                assert (value if key_name is None else value[key_name]) == default
+            assert key.test(default), (name, key_name, default)
+            checked += 1
+    assert checked == 30
+
+
+def test_config_file_spelling_out_every_default_loads_as_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cli.DEFAULT_CONFIG))
+    spelled, default = cli.load_config(str(path), {}), cli.load_config(None, {})
+    assert spelled == default
+    assert type(default.mmr_alpha) is float
+    assert default.scoring == cli.ScoringConfig()
+    assert default.generation == cli.GenerationParams()
+    assert default.template == cli.PromptTemplate()
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_integer_mmr_alpha_selects_as_its_float(tmp_path, alpha):
+    selections = []
+    for value in (alpha, float(alpha)):
+        config_path, config = absolute_config(tmp_path)
+        config.update(strategy="mmr", mmr={"alpha": value})
+        config_path.write_text(json.dumps(config))
+        assert f'"alpha": {value}}}' in config_path.read_text()
+        loaded = cli.load_config(str(config_path), {})
+        assert type(loaded.mmr_alpha) is float and loaded.mmr_alpha == alpha
+        assert run_cli("--config", str(config_path), "select") == 0
+        selections.append((tmp_path / "out" / "selections.jsonl").read_bytes())
+    assert selections[0] == selections[1]
+
+
 @pytest.mark.parametrize("block", ["mmr", "scoring"])
 def test_config_block_that_is_not_an_object_exits_1(tmp_path, capsys, block):
     config_path, config = absolute_config(tmp_path)
@@ -1343,6 +1390,49 @@ def test_malformed_selections_and_predictions_lines_named(tmp_path, capsys):
         code = run_cli("--config", CONFIG, "--output", str(out), *command)
         assert code == 1, name
         assert f"{out / name}:3: invalid JSON" in capsys.readouterr().err
+
+
+def break_utf8(path, newline):
+    """Rewrite a JSONL file with ``newline`` line ends and a Latin-1 é, a
+    byte that is not UTF-8, in the first string of line 3."""
+    lines = path.read_bytes().splitlines()
+    lines[2] = lines[2].replace(b'"', b'"\xe9', 1)
+    path.write_bytes(newline.join(lines) + newline)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize(
+    "kind", ["ontology", "bags", "queries", "scores", "embeddings", "selections", "predictions"]
+)
+def test_input_line_that_is_not_utf8_exits_1_naming_its_line(tmp_path, capsys, kind, newline):
+    config_path, config = absolute_config(tmp_path)
+    out = tmp_path / "out"
+    if kind in config["paths"]:
+        path = tmp_path / Path(config["paths"][kind]).name
+        shutil.copy(config["paths"][kind], path)
+        config_path, _ = absolute_config(tmp_path, **{kind: path})
+        argv = ["validate"]
+    else:
+        assert run_cli("--config", str(config_path), "select") == 0
+        assert run_cli("--config", str(config_path), "run") == 0
+        path = out / f"{kind}.jsonl"
+        argv = ["run"] if kind == "selections" else ["eval", str(path)]
+    break_utf8(path, newline)
+    assert run_cli("--config", str(config_path), *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: not UTF-8: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_config_file_that_is_not_utf8_exits_1_naming_its_line(tmp_path, capsys, monkeypatch):
+    config_path, config = absolute_config(tmp_path)
+    text = json.dumps(config, indent=2).encode()
+    config_path.write_bytes(text.replace(b'"hydre"', b'"hydr\xe9"'))
+    line = text[: text.index(b'"hydre"')].count(b"\n") + 1
+    refuse_loads(monkeypatch)
+    assert run_cli("--config", str(config_path), "validate") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}:{line}: not UTF-8: ")
+    assert not (tmp_path / "out").exists()
 
 
 def edit_line(path, lineno, edit):

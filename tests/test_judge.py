@@ -170,6 +170,41 @@ def test_cache_bad_line_mid_file_still_raises(tmp_path):
         ReplayCache.load(path)
 
 
+def test_cache_final_line_torn_inside_a_character_dropped_then_append_repairs(
+    tmp_path, caplog
+):
+    """A write cut after the first byte of an Ol Chiki letter leaves a final
+    line that is not UTF-8; it is a torn line like any other."""
+    path = tmp_path / "cache.jsonl"
+    cache = ReplayCache(path=path)
+    cache.append("k1", "s1", "first")
+    cache.append("k2", "s2", "\u1c5a\u1c5f")
+    cache.close()
+    data = path.read_bytes()
+    cut = data.index("\u1c5a".encode("utf-8")) + 1
+    path.write_bytes(data[:cut])
+    with caplog.at_level("WARNING"):
+        torn = ReplayCache.load(path)
+    assert "torn final line" in caplog.text
+    assert torn.entries == {"k1": "first"}
+    torn.append("k3", "s3", "third")
+    torn.close()
+    assert ReplayCache.load(path).entries == {"k1": "first", "k3": "third"}
+    repaired = path.read_bytes()
+    assert repaired.startswith(data[: data.index(b"\n") + 1])
+    assert repaired.count(b"\n") == 2
+    assert b"\xe1" not in repaired  # the torn byte is cut off
+
+
+def test_cache_line_with_an_invalid_byte_mid_file_raises_naming_its_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    entry = json.dumps({"key": "k1", "prompt_sha": "s1", "response": "a"})
+    bad = b'{"key": "k2", "prompt_sha": "s2", "response": "caf\xe9"}'
+    path.write_bytes(entry.encode() + b"\n" + bad + b"\n" + entry.encode() + b"\n")
+    with pytest.raises(CacheCorruption, match=re.escape(f"{path}:2: invalid JSON")):
+        ReplayCache.load(path)
+
+
 @pytest.mark.parametrize(
     "line",
     ["[1, 2]", '{"key": "a"}', '{"key": "a", "prompt_sha": "s", "response": 5}'],
@@ -623,6 +658,32 @@ def test_socket_error_keeps_the_backoff():
     assert session.posts == 4
     assert sleeps == [1.0, 4.0, 16.0]
     assert result.error.startswith("TransportError: dispatch failed after retries")
+
+
+@pytest.mark.parametrize("content", [None, [{"type": "text", "text": "rel_a"}]])
+def test_reply_without_text_content_is_retried_and_never_cached(tmp_path, content):
+    """A chat reply whose message content is not a string (null for a
+    refusal or a tool call) is a transport error: retried, never cached, and
+    the query's error prediction once the retries run out."""
+    path = tmp_path / "cache.jsonl"
+    cache = ReplayCache.load(path)
+    session = StatusSession(200, json.dumps({"choices": [{"message": {"content": content}}]}))
+    backend = HttpChatBackend("http://example.invalid/v1/chat", session=session)
+    sleeps = []
+    [result] = run_batch(
+        [("q01", "prompt")], ontology(), PARAMS, backend, cache=cache, sleep=sleeps.append
+    )
+    cache.close()
+    assert session.posts == 4
+    assert sleeps == [1.0, 4.0, 16.0]
+    assert result.response is None
+    assert result.prediction.relations == frozenset()
+    assert result.error == (
+        "TransportError: dispatch failed after retries: "
+        f"message content is {content!r}, not text"
+    )
+    assert not path.exists() or path.read_bytes() == b""
+    assert ReplayCache.load(path).entries == {}
 
 
 def test_rejected_request_is_not_cached(tmp_path):
